@@ -327,7 +327,9 @@ def _cmd_validate(args) -> int:
         "results": {"blocks": rows, "all_pass": all_pass,
                     "k_f": ov.k_f, "l_f": ov.l_f},
         "diagnostics": {"bias_estimate": list(est.bias_estimate),
-                        "bias_warning": est.bias_warning},
+                        "bias_warning": est.bias_warning,
+                        "lag_cells": est.lag_cells,
+                        "pilot_realizations": est.pilot_realizations},
     }
     _emit(payload, args)
     return 0

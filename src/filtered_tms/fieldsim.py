@@ -30,7 +30,6 @@ from .thermal import ThermalParams
 from .tmsv import TmsvParams
 
 _BATCH = 2048
-_BOOTSTRAP_RESAMPLES = 200
 _PILOT_REALIZATIONS = 2000
 
 
@@ -55,29 +54,36 @@ class SimConfig:
 
     def __post_init__(self):
         taus = (self.filter_i.tau, self.filter_s.tau)
-        if self.dt <= 0 or self.dt > min(taus) / 50.0:
+        if not 0.0 < self.dt <= min(taus) / 50.0:
             raise ValueError(f"dt must lie in (0, min(tau)/50 = {min(taus) / 50.0:g}]")
-        if self.horizon < 3.0 * max(taus):
-            raise ValueError(f"horizon must be >= 3 max(tau) = {3.0 * max(taus):g}")
+        if not 3.0 * max(taus) <= self.horizon < math.inf:
+            raise ValueError(f"horizon must be finite and >= 3 max(tau) = {3.0 * max(taus):g}")
         for f in (self.filter_i, self.filter_s):
             if f.family is FilterFamily.EXPONENTIAL and self.horizon < 10.0 * f.tau:
                 raise ValueError("horizon must be >= 10 tau for exponential filters")
         if self.n_realizations < 1000:
             raise ValueError("need at least 1000 realizations")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
 class EmpiricalBlocks:
-    """Block estimates with bootstrap standard errors and a bias flag.
+    """Block estimates with standard errors of the mean and a bias flag.
 
-    bias_warning is set when the half-dt Richardson estimate of the
-    discretization bias exceeds the statistical error on any block.
+    The realizations are independent, so each standard error is the sample
+    standard deviation over sqrt(n).  bias_warning is set when the half-dt
+    Richardson estimate of the discretization bias exceeds the statistical
+    error on any block.  lag_cells counts the kernel cells at dt and
+    pilot_realizations the realizations of the bias pilot.
     """
 
     blocks: CovarianceBlocks
     std_errors: tuple[float, float, float, float]
     bias_estimate: tuple[float, float, float, float]
     bias_warning: bool
+    lag_cells: int
+    pilot_realizations: int
 
 
 def _model_numbers(model) -> tuple[float, float, float, float, float]:
@@ -115,34 +121,39 @@ def _kernel_rows(f: FilterSpec, mids: np.ndarray, widths: np.ndarray):
     return h.real * widths, h.imag * widths
 
 
-def _contract(cfg: SimConfig, noise_widths, kernels, n_total, stream_tag):
-    """Per-realization samples of (D_I, D_S, C11, C12); shape (n_total, 4).
+def _contract(cfg: SimConfig, noise_widths, kernel_sets, n_total, stream_tag):
+    """Per-realization samples of (D_I, D_S, C11, C12) for every kernel set.
 
-    ``kernels`` = (rk, ik, rl, il), width-weighted and aligned with the
-    noise grid; the noise stream is fully determined by
-    (cfg.seed, stream_tag, batch index) and the fixed draw order.
+    Each set is (rk, ik, rl, il), width-weighted and aligned with the noise
+    grid; the result has shape (len(kernel_sets), n_total, 4).  The noise
+    stream is fully determined by (cfg.seed, stream_tag, batch index) and
+    the fixed draw order, and all sets see the same draws.  The estimator
+    is linear in the noise, so each drawn series is projected onto the
+    kernels first and the squeezer and loss act on the projections.
     """
     r, p_i, p_s, eta_i, eta_s = _model_numbers(cfg.model)
-    rk, ik, rl, il = kernels
     c, s = math.cosh(r), math.sinh(r)
     rei, res = math.sqrt(eta_i), math.sqrt(eta_s)
     ri, rs = math.sqrt(1.0 - eta_i), math.sqrt(1.0 - eta_s)
-    scale_i = np.sqrt(p_i / noise_widths)
-    scale_s = np.sqrt(p_s / noise_widths)
-    scale_v = np.sqrt(0.5 / noise_widths)
-    nc = len(noise_widths)
+    # unit-normal series -> kernel sums of white noise of unit power
+    proj = np.column_stack([row for k in kernel_sets for row in k])
+    proj /= np.sqrt(noise_widths)[:, None]
+    powers = [p_i, p_i, p_s, p_s] + [0.5, 0.5] * ((eta_i < 1.0) + (eta_s < 1.0))
+    buf = np.empty((min(_BATCH, n_total), len(noise_widths)))
 
-    out = np.empty((n_total, 4))
+    out = np.empty((len(kernel_sets), n_total, 4))
     for start in range(0, n_total, _BATCH):
         nb = min(_BATCH, n_total - start)
         batch = start // _BATCH
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=(cfg.seed, stream_tag, batch))
         )
-        xi = rng.standard_normal((nb, nc)) * scale_i
-        yi = rng.standard_normal((nb, nc)) * scale_i
-        xs = rng.standard_normal((nb, nc)) * scale_s
-        ys = rng.standard_normal((nb, nc)) * scale_s
+        # draw order: xi, yi, xs, ys, idler vacuum pair, signal vacuum pair;
+        # projections have shape (nb, set, kernel column)
+        xi, yi, xs, ys, *vac = [
+            math.sqrt(p) * (rng.standard_normal(out=buf[:nb]) @ proj).reshape(nb, -1, 4)
+            for p in powers
+        ]
 
         # Bogoliubov branches at +-r; each quadrature's loss mixes in one
         # shared vacuum series for both branches (one beamsplitter port).
@@ -151,25 +162,24 @@ def _contract(cfg: SimConfig, noise_widths, kernels, n_total, stream_tag):
         xs_p, xs_m = s * xi + c * xs, -s * xi + c * xs
         ys_p, ys_m = -s * yi + c * ys, s * yi + c * ys
         if eta_i < 1.0:
-            xv = rng.standard_normal((nb, nc)) * scale_v
-            yv = rng.standard_normal((nb, nc)) * scale_v
+            xv, yv = vac[:2]
             xi_p, xi_m = rei * xi_p + ri * xv, rei * xi_m + ri * xv
             yi_p, yi_m = rei * yi_p + ri * yv, rei * yi_m + ri * yv
         if eta_s < 1.0:
-            xv = rng.standard_normal((nb, nc)) * scale_v
-            yv = rng.standard_normal((nb, nc)) * scale_v
+            xv, yv = vac[-2:]
             xs_p, xs_m = res * xs_p + rs * xv, res * xs_m + rs * xv
             ys_p, ys_m = res * ys_p + rs * yv, res * ys_m + rs * yv
 
-        xk = xi_p @ rk - yi_m @ ik
-        yk = xi_m @ ik + yi_p @ rk
-        xl = xs_p @ rl - ys_m @ il
-        yl = xs_m @ il + ys_p @ rl
+        xk = xi_p[..., 0] - yi_m[..., 1]
+        yk = xi_m[..., 1] + yi_p[..., 0]
+        xl = xs_p[..., 2] - ys_m[..., 3]
+        yl = xs_m[..., 3] + ys_p[..., 2]
 
-        out[start:start + nb, 0] = xk * xk + yk * yk
-        out[start:start + nb, 1] = xl * xl + yl * yl
-        out[start:start + nb, 2] = xk * xl - yk * yl
-        out[start:start + nb, 3] = xk * yl + yk * xl
+        rows = out[:, start:start + nb]
+        rows[..., 0] = (xk * xk + yk * yk).T
+        rows[..., 1] = (xl * xl + yl * yl).T
+        rows[..., 2] = (xk * xl - yk * yl).T
+        rows[..., 3] = (xk * yl + yk * xl).T
     return out
 
 
@@ -189,46 +199,36 @@ def simulate(cfg: SimConfig) -> EmpiricalBlocks:
         cfg.filter_s, mids, widths
     )
 
-    samples = _contract(cfg, widths, kernels, cfg.n_realizations, stream_tag=0)
+    samples = _contract(cfg, widths, [kernels], cfg.n_realizations, stream_tag=0)[0]
     est = samples.mean(axis=0)
+    se = np.maximum(samples.std(axis=0, ddof=1) / math.sqrt(cfg.n_realizations), 1e-300)
 
-    boot_rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, 91)))
-    n = cfg.n_realizations
-    boot_means = np.empty((_BOOTSTRAP_RESAMPLES, 4))
-    for b in range(_BOOTSTRAP_RESAMPLES):
-        idx = boot_rng.integers(0, n, size=n)
-        boot_means[b] = samples[idx].mean(axis=0)
-    se = np.maximum(boot_means.std(axis=0, ddof=1), 1e-300)
-
-    bias = _richardson_bias(cfg, mids, widths)
+    n_pilot = min(_PILOT_REALIZATIONS, cfg.n_realizations)
+    bias = _richardson_bias(cfg, mids, widths, kernels, n_pilot)
     return EmpiricalBlocks(
         blocks=CovarianceBlocks(*est),
         std_errors=tuple(float(x) for x in se),
         bias_estimate=tuple(float(x) for x in bias),
         bias_warning=bool(np.any(np.abs(bias) > se)),
+        lag_cells=len(widths),
+        pilot_realizations=n_pilot,
     )
 
 
-def _richardson_bias(cfg: SimConfig, mids, widths) -> np.ndarray:
+def _richardson_bias(cfg: SimConfig, mids, widths, coarse_rows, n_pilot) -> np.ndarray:
     """Half-dt Richardson estimate of the discretization bias per block.
 
     The pilot couples the coarse and fine kernels through the same Brownian
     increments: a coarse cell weight is spread over its two fine half-cells,
     which makes the coarse contraction see exactly the pair-averaged fine
     noise.  The coupled difference isolates the O(dt^2) kernel-sampling
-    bias instead of statistical noise.
+    bias instead of statistical noise.  Both contractions share one draw.
     """
-    n_pilot = min(_PILOT_REALIZATIONS, cfg.n_realizations)
     mids_f, widths_f = _refine_grid(mids, widths)
-
     fine_kernels = _kernel_rows(cfg.filter_i, mids_f, widths_f) + _kernel_rows(
         cfg.filter_s, mids_f, widths_f
     )
-    coarse_rows = _kernel_rows(cfg.filter_i, mids, widths) + _kernel_rows(
-        cfg.filter_s, mids, widths
-    )
     lifted = tuple(np.repeat(row, 2) / 2.0 for row in coarse_rows)
 
-    fine = _contract(cfg, widths_f, fine_kernels, n_pilot, stream_tag=1)
-    coarse = _contract(cfg, widths_f, lifted, n_pilot, stream_tag=1)
+    fine, coarse = _contract(cfg, widths_f, [fine_kernels, lifted], n_pilot, stream_tag=1)
     return (coarse.mean(axis=0) - fine.mean(axis=0)) * (4.0 / 3.0)

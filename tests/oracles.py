@@ -138,3 +138,53 @@ def random_thermal_params(rng: np.random.Generator, require_window: bool = False
         cp = thermal.critical_points(p)
         if cp.has_window and math.isfinite(cp.r_ucf_en):
             return p
+
+
+def mix_then_contract(cfg, noise_widths, kernels, n_total, stream_tag, batch=2048):
+    """Per-realization samples of (D_I, D_S, C11, C12) in the direct order.
+
+    Builds every Bogoliubov-branch and loss-mixed noise series on the full
+    lag grid and only then contracts them with ``kernels`` = (rk, ik, rl,
+    il).  The draws follow the simulator's stream: one generator per batch
+    from SeedSequence((seed, stream_tag, batch index)), drawing xi, yi, xs,
+    ys, then the idler and the signal vacuum pair of each lossy party.
+    """
+    model = cfg.model
+    r = model.r
+    p_i = getattr(model, "n_i", 0.0) + 0.5
+    p_s = getattr(model, "n_s", 0.0) + 0.5
+    eta_i, eta_s = getattr(model, "eta_i", 1.0), getattr(model, "eta_s", 1.0)
+    rk, ik, rl, il = kernels
+    c, s = math.cosh(r), math.sinh(r)
+    nc = len(noise_widths)
+    out = np.empty((n_total, 4))
+    for start in range(0, n_total, batch):
+        nb = min(batch, n_total - start)
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=(cfg.seed, stream_tag, start // batch))
+        )
+
+        def series(power):
+            return rng.standard_normal((nb, nc)) * np.sqrt(power / noise_widths)
+
+        xi, yi, xs, ys = series(p_i), series(p_i), series(p_s), series(p_s)
+        xi_p, xi_m = c * xi + s * xs, c * xi - s * xs
+        yi_p, yi_m = c * yi - s * ys, c * yi + s * ys
+        xs_p, xs_m = s * xi + c * xs, -s * xi + c * xs
+        ys_p, ys_m = -s * yi + c * ys, s * yi + c * ys
+        for eta, fields in ((eta_i, [xi_p, xi_m, yi_p, yi_m]),
+                            (eta_s, [xs_p, xs_m, ys_p, ys_m])):
+            if eta < 1.0:
+                xv, yv = series(0.5), series(0.5)
+                for f, v in zip(fields, (xv, xv, yv, yv)):
+                    f *= math.sqrt(eta)
+                    f += math.sqrt(1.0 - eta) * v
+
+        xk = xi_p @ rk - yi_m @ ik
+        yk = xi_m @ ik + yi_p @ rk
+        xl = xs_p @ rl - ys_m @ il
+        yl = xs_m @ il + ys_p @ rl
+        out[start:start + nb] = np.column_stack(
+            (xk * xk + yk * yk, xl * xl + yl * yl, xk * xl - yk * yl, xk * yl + yk * xl)
+        )
+    return out

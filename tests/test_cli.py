@@ -3,20 +3,28 @@ figure-recipe sweeps."""
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import filtered_tms
 from filtered_tms.cli import main
 from filtered_tms.sweep import format_number
 
 
+# the child process runs the same package the in-process tests import
+_PKG_ROOT = str(Path(filtered_tms.__file__).parents[1])
+
+
 def run_cli(*args):
+    path = os.pathsep.join(filter(None, [_PKG_ROOT, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "filtered_tms.cli", *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -328,6 +336,20 @@ class TestValidateCommand:
         assert all(r["pass_5_sigma"] for r in rows)
         assert rows[0]["analytic"] == pytest.approx(math.cosh(2.0))
         assert payload["results"]["all_pass"] is True
+        diag = payload["diagnostics"]
+        assert (diag["lag_cells"], diag["pilot_realizations"]) == (100, 2000)
+
+    def test_counts_are_reported_and_reruns_are_byte_identical(self, capsys):
+        # exponential kernels span the whole horizon; the pilot is capped at n
+        argv = ("validate", "--model", "thermal", "--r", "0.4", "--n-i", "0.2",
+                "--family", "exponential", "--tau-i", "1", "--tau-s", "1",
+                "--omega-k", "1", "--omega-l", "0.5", "--dt", "0.02",
+                "--horizon", "10", "--n-real", "1500", "--seed", "3")
+        code, first, _ = run_inproc(*argv, capsys=capsys)
+        assert code == 0
+        diag = json.loads(first)["diagnostics"]
+        assert (diag["lag_cells"], diag["pilot_realizations"]) == (500, 1500)
+        assert run_inproc(*argv, capsys=capsys)[1] == first
 
     def test_mixed_family_validation(self, capsys):
         code, out, _ = run_inproc(
@@ -349,6 +371,15 @@ class TestValidateCommand:
         )
         assert code == 2
         assert "dt" in json.loads(err.splitlines()[-1])["error"]
+
+    def test_negative_seed_exits_two(self):
+        code, _, err = run_cli(
+            "validate", "--model", "tmsv", "--r", "1", "--family", "step",
+            "--tau-i", "2", "--tau-s", "2", "--omega-k", "1", "--omega-l", "1",
+            "--dt", "0.02", "--horizon", "6", "--n-real", "2000", "--seed", "-1",
+        )
+        assert code == 2
+        assert "seed" in json.loads(err.splitlines()[-1])["error"]
 
 
 class TestOverlapCommand:

@@ -1,5 +1,6 @@
 """Monte Carlo oracle: consistency with the closed-form blocks, seed
-determinism, convergence order and configuration validation."""
+determinism, convergence order, the projected contraction against the
+direct one, error bars and configuration validation."""
 
 import math
 
@@ -15,6 +16,7 @@ from filtered_tms.filters import (
     overlap_closed_form,
     overlap_numeric,
 )
+from oracles import mix_then_contract
 
 STEP = FilterFamily.STEP
 EXP = FilterFamily.EXPONENTIAL
@@ -142,6 +144,75 @@ class TestConvergence:
         assert slope == pytest.approx(-0.5, abs=0.1)
 
 
+def kernel_grid(cfg):
+    """Lag-cell widths and (rk, ik, rl, il) on the grid simulate uses."""
+    support = max(f.tau if f.family is STEP else cfg.horizon
+                  for f in (cfg.filter_i, cfg.filter_s))
+    mids, widths = fieldsim._lag_grid(support, cfg.dt)
+    kernels = (fieldsim._kernel_rows(cfg.filter_i, mids, widths)
+               + fieldsim._kernel_rows(cfg.filter_s, mids, widths))
+    return mids, widths, kernels
+
+
+def assert_same_samples(got, want):
+    # relative to each block's scale: single C11/C12 products cross zero
+    scale = np.max(np.abs(want), axis=0)
+    assert np.all(np.max(np.abs(got - want), axis=0) <= 1e-12 * scale)
+
+
+# lossy TMSV through mixed filters (both vacuum pairs), signal-only loss, and
+# a thermal state; 5000 realizations leave a short last batch
+PROJECTION_CONFIGS = [
+    SimConfig(tmsv.TmsvParams(r=0.6, eta_i=0.9, eta_s=0.8), FilterSpec(STEP, 1.0, 2.0),
+              FilterSpec(EXP, 1.0, 1.0), dt=0.02, horizon=10.0, n_realizations=5000, seed=12),
+    SimConfig(tmsv.TmsvParams(r=0.9, eta_s=0.6), *step_pair(omega_l=0.5),
+              dt=0.02, horizon=6.0, n_realizations=5000, seed=4),
+    SimConfig(thermal.ThermalParams(r=0.5, n_i=0.3, n_s=0.8), *step_pair(omega_l=0.0),
+              dt=0.02, horizon=6.0, n_realizations=5000, seed=5),
+]
+
+
+class TestProjectedContraction:
+    """_contract projects each noise series onto the kernels before the
+    squeezer and loss mix them; the direct mix-then-contract order in
+    oracles.py must give the same per-realization samples."""
+
+    @pytest.mark.parametrize("cfg", PROJECTION_CONFIGS,
+                             ids=["lossy-mixed", "signal-loss", "thermal"])
+    def test_samples_match_mix_then_contract(self, cfg):
+        _, widths, kernels = kernel_grid(cfg)
+        n = cfg.n_realizations
+        (got,) = fieldsim._contract(cfg, widths, [kernels], n, stream_tag=0)
+        assert_same_samples(got, mix_then_contract(cfg, widths, kernels, n, 0, fieldsim._BATCH))
+
+    @pytest.mark.parametrize("cfg", PROJECTION_CONFIGS[::2], ids=["lossy-mixed", "thermal"])
+    def test_shared_draw_pilot_matches_two_contractions(self, cfg):
+        mids, widths, coarse = kernel_grid(cfg)
+        mids_f, widths_f = fieldsim._refine_grid(mids, widths)
+        fine = (fieldsim._kernel_rows(cfg.filter_i, mids_f, widths_f)
+                + fieldsim._kernel_rows(cfg.filter_s, mids_f, widths_f))
+        lifted = tuple(np.repeat(row, 2) / 2.0 for row in coarse)
+        n = 2100
+        got_fine, got_coarse = fieldsim._contract(cfg, widths_f, [fine, lifted], n, stream_tag=1)
+        for got, kernels in ((got_fine, fine), (got_coarse, lifted)):
+            assert_same_samples(got, mix_then_contract(cfg, widths_f, kernels, n, 1,
+                                                       fieldsim._BATCH))
+
+    def test_analytic_standard_error_matches_bootstrap(self):
+        # 200 resamples scatter the bootstrap error by about 5 % per block
+        fi, fs = step_pair(omega_k=1.0, omega_l=0.0)
+        model = thermal.ThermalParams(r=0.5, n_i=0.3, n_s=0.8, overlap=overlap_closed_form(fi, fs))
+        cfg = SimConfig(model, fi, fs, dt=0.02, horizon=6.0, n_realizations=20000, seed=9)
+        _, widths, kernels = kernel_grid(cfg)
+        (samples,) = fieldsim._contract(cfg, widths, [kernels], cfg.n_realizations, stream_tag=0)
+        boot_rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, 91)))
+        n = cfg.n_realizations
+        boot = np.array([samples[boot_rng.integers(0, n, size=n)].mean(axis=0)
+                         for _ in range(200)])
+        ratio = np.array(simulate(cfg).std_errors) / boot.std(axis=0, ddof=1)
+        assert np.all(np.abs(ratio - 1.0) <= 0.2), ratio
+
+
 class TestBiasDiagnostics:
     def test_fast_carrier_at_coarse_dt_triggers_warning(self):
         # kernel phase error ~ (omega dt)^2/24 dominates the tight
@@ -180,6 +251,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="horizon"):
             SimConfig(tmsv.TmsvParams(r=0.5), fi, fs, dt=0.02, horizon=5.0,
                       n_realizations=2000)
+
+    @pytest.mark.parametrize("field, kwargs", [
+        ("dt", dict(dt=math.nan)),
+        ("horizon", dict(horizon=math.inf)),
+        ("horizon", dict(horizon=math.nan)),
+        ("seed", dict(seed=-1)),
+        ("seed", dict(seed=1.5)),
+    ])
+    def test_non_finite_and_negative_inputs_name_the_field(self, field, kwargs):
+        fi, fs = step_pair()
+        args = dict(dt=0.02, horizon=6.0, n_realizations=2000) | kwargs
+        with pytest.raises(ValueError, match=field):
+            SimConfig(tmsv.TmsvParams(r=0.5), fi, fs, **args)
 
     def test_minimum_realizations(self):
         fi, fs = step_pair()
