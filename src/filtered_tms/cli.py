@@ -147,15 +147,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_point(args) -> int:
     params = _collect_params(args)
     outputs = tuple(s.strip() for s in args.outputs.split(",") if s.strip())
-    results = sweep.evaluate_point(
-        args.model, params, outputs, family=args.family, seed=args.seed,
-        bell_restarts=args.restarts,
-    )
-    _, blocks, _, _ = sweep._point_state(args.model, params, args.family)
+    results = sweep.evaluate_point(args.model, params, outputs, family=args.family,
+                                   seed=args.seed, bell_restarts=args.restarts)
+    blocks = sweep.point_blocks(args.model, params, args.family)
     if args.format == "csv":
         cols = sweep.output_columns(args.model, outputs)
-        text = ",".join(cols) + "\n"
-        text += ",".join(sweep.format_number(results[c]) for c in cols) + "\n"
+        text = sweep.csv_text(cols, [[results[c] for c in cols]])
         if args.out:
             sweep._atomic_write(args.out, text)
         else:
@@ -195,9 +192,7 @@ def _cmd_sweep(args) -> int:
         if args.out:
             sweep.write_csv(args.out, columns, rows)
         else:
-            sys.stdout.write(",".join(columns) + "\n")
-            for row in rows:
-                sys.stdout.write(",".join(sweep.format_number(v) for v in row) + "\n")
+            sys.stdout.write(sweep.csv_text(columns, rows))
     else:
         payload = {
             "params": {"model": cfg.model, "outputs": list(outputs),
@@ -231,8 +226,7 @@ def _write_sweep_svg(path, cfg: SweepConfig, columns, rows) -> None:
 
 def _cmd_bell(args) -> int:
     params = _collect_params(args)
-    _, blocks, _, _ = sweep._point_state(args.model, params, args.family)
-    v = gaussian.build_covariance(blocks)
+    v = gaussian.build_covariance(sweep.point_blocks(args.model, params, args.family))
     cfg = bell.BellMaxConfig(n_restarts=args.restarts, max_evals=args.max_evals,
                              seed=args.seed)
     res = bell.bell_max(v, cfg)
@@ -282,21 +276,13 @@ def _cmd_validate(args) -> int:
         ov = overlap_closed_form(fi, fs)
     else:
         ov = overlap_numeric(fi, fs, tol=1e-10)
+    get = lambda name: params.get(name, sweep._DEFAULTS[name])
     try:
         if args.model == "tmsv":
-            model = tmsv.TmsvParams(
-                r=params.get("r", 1.0),
-                eta_i=params.get("eta_i", 1.0), eta_s=params.get("eta_s", 1.0),
-                overlap=ov,
-            )
-            analytic = tmsv.covariance(model)
+            model = tmsv.TmsvParams(get("r"), get("eta_i"), get("eta_s"), ov)
         else:
-            model = thermal.ThermalParams(
-                r=params.get("r", 1.0),
-                n_i=params.get("n_i", 0.0), n_s=params.get("n_s", 0.0),
-                overlap=ov,
-            )
-            analytic = thermal.covariance(model)
+            model = thermal.ThermalParams(get("r"), get("n_i"), get("n_s"), ov)
+        analytic = (tmsv if args.model == "tmsv" else thermal).covariance(model)
         cfg = fieldsim.SimConfig(
             model=model, filter_i=fi, filter_s=fs, dt=args.dt,
             horizon=args.horizon, n_realizations=args.n_real, seed=args.seed,

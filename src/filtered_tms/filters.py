@@ -24,6 +24,8 @@ from enum import Enum
 
 import numpy as np
 
+from .gaussian import _at, _reject
+
 
 class FilterFamily(Enum):
     STEP = "step"
@@ -54,19 +56,17 @@ class OverlapFactors:
     """Real and imaginary part of the two-filter overlap integral.
 
     Identical filters give (1, 0); Cauchy-Schwarz bounds
-    k_f**2 + l_f**2 by 1 for unit-norm filters.
+    k_f**2 + l_f**2 by 1 for unit-norm filters.  Fields may be arrays.
     """
 
     k_f: float
     l_f: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.k_f) and math.isfinite(self.l_f)):
-            raise ValueError("overlap factors must be finite")
-        if self.k_f**2 + self.l_f**2 > 1.0 + 1e-12:
-            raise ValueError(
-                f"overlap ({self.k_f}, {self.l_f}) violates the Cauchy-Schwarz bound"
-            )
+        _reject(~(np.isfinite(self.k_f) & np.isfinite(self.l_f)),
+                lambda i: ValueError("overlap factors must be finite"))
+        _reject(self.k_f**2 + self.l_f**2 > 1.0 + 1e-12, lambda i: ValueError(
+            f"overlap ({_at(self.k_f, i)}, {_at(self.l_f, i)}) violates the Cauchy-Schwarz bound"))
 
 
 IDENTICAL_FILTERS = OverlapFactors(1.0, 0.0)
@@ -74,13 +74,7 @@ IDENTICAL_FILTERS = OverlapFactors(1.0, 0.0)
 
 def eval_time(f: FilterSpec, t: float) -> complex:
     """Filter amplitude h(t); zero outside the causal support."""
-    if f.family is FilterFamily.STEP:
-        if t < 0.0 or t >= f.tau:
-            return 0.0 + 0.0j
-        return cmath.exp(-1j * f.omega * t) / math.sqrt(f.tau)
-    if t < 0.0:
-        return 0.0 + 0.0j
-    return math.sqrt(2.0 / f.tau) * cmath.exp(-(1.0 / f.tau + 1j * f.omega) * t)
+    return complex(sample_time(f, np.array([t]))[0])
 
 
 def sample_time(f: FilterSpec, ts: "np.ndarray") -> "np.ndarray":

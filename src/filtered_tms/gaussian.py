@@ -12,6 +12,8 @@ block structure,
 
 which makes the symplectic spectrum, purity and quadrature optimization
 available in closed form.  Every function is pure; inputs are immutable.
+Blocks and matrices may hold a whole grid of states as arrays; the checks
+then name the first state that fails them.
 """
 
 from __future__ import annotations
@@ -25,10 +27,42 @@ _BLOCK_TOL = 1e-9
 _SYMPLECTIC_FLOOR = 0.5 - 1e-10
 
 
+def _at(x, i):
+    """Element i of x (x itself if scalar), as a Python number."""
+    return np.ravel(x)[i].item()
+
+
+def _reject(bad, error) -> None:
+    """Raise error(i), tagged with ``row`` = i, for the first element i where
+    bad holds; a sweep uses the tag to name its first failing point."""
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        exc = error(int(hits[0]))
+        exc.row = int(hits[0])
+        raise exc
+
+
+def _each(fn, x):
+    """fn, a formula in math functions, elementwise (errors tagged as by
+    ``_reject``): numpy's sinh and cosh differ from math's in the last bit,
+    on about a quarter of inputs, and the Bell optimizer amplifies that."""
+    if np.ndim(x) == 0:
+        return fn(x)
+    out = []
+    for i, v in enumerate(np.ravel(x).tolist()):
+        try:
+            out.append(fn(v))
+        except (ArithmeticError, ValueError) as exc:
+            exc.row = i
+            raise
+    return np.reshape(out, np.shape(x))
+
+
 @dataclass(frozen=True)
 class CovarianceBlocks:
     """Independent elements (D_I, D_S, C11, C12) of the block covariance.
 
+    Fields are floats, or equal-shape arrays for a grid of states.
     Model-generated blocks satisfy d_i, d_s >= 1 (vacuum floor) and assemble
     into a physical matrix; ``build_covariance`` enforces both.
     """
@@ -40,12 +74,12 @@ class CovarianceBlocks:
 
     def __post_init__(self):
         vals = (self.d_i, self.d_s, self.c11, self.c12)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError(f"covariance blocks must be finite, got {vals}")
+        _reject(~np.isfinite(np.broadcast_arrays(*vals)).all(axis=0), lambda i: ValueError(
+            f"covariance blocks must be finite, got {tuple(_at(v, i) for v in vals)}"))
 
-    def correlation_strength(self) -> float:
+    def correlation_strength(self):
         """sqrt(C11**2 + C12**2), the magnitude of the cross-mode coupling."""
-        return math.hypot(self.c11, self.c12)
+        return np.hypot(self.c11, self.c12)
 
 
 @dataclass(frozen=True)
@@ -77,124 +111,101 @@ class EntanglementResult:
 
 
 class CovarianceMatrix:
-    """Immutable 4x4 covariance matrix with the restricted block structure."""
+    """Immutable 4x4 covariance matrix with the restricted block structure,
+    or an (..., 4, 4) stack of them checked all at once."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries: np.ndarray):
         m = np.array(entries, dtype=float)
-        if m.shape != (4, 4):
+        if m.shape[-2:] != (4, 4):
             raise ValueError(f"covariance matrix must be 4x4, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("covariance matrix must be finite")
-        if np.max(np.abs(m - m.T)) > 1e-12:
-            raise ValueError("covariance matrix must be symmetric to 1e-12")
-        if np.any(np.linalg.eigvalsh(m) <= 0.0):
-            raise ValueError("covariance matrix must be positive definite")
-        _check_block_structure(m)
+        each = (-2, -1)
+        _reject(~np.isfinite(m).all(axis=each),
+                lambda i: ValueError("covariance matrix must be finite"))
+        _reject(np.abs(m - np.swapaxes(m, -1, -2)).max(axis=each) > 1e-12,
+                lambda i: ValueError("covariance matrix must be symmetric to 1e-12"))
+        _reject((np.linalg.eigvalsh(m) <= 0.0).any(axis=-1),
+                lambda i: ValueError("covariance matrix must be positive definite"))
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
+        scale = np.maximum(1.0, np.abs(m).max(axis=each))
+        _reject(np.abs(m - _assemble(self.blocks())).max(axis=each) > _BLOCK_TOL * scale,
+                lambda i: ValueError("matrix does not have the restricted block structure"))
 
     def __setattr__(self, name, value):
         raise AttributeError("CovarianceMatrix is immutable")
 
     def __repr__(self):
-        b = self.blocks()
-        return (
-            f"CovarianceMatrix(d_i={b.d_i:.6g}, d_s={b.d_s:.6g}, "
-            f"c11={b.c11:.6g}, c12={b.c12:.6g})"
-        )
+        return f"CovarianceMatrix({self.blocks()})"
 
     def blocks(self) -> CovarianceBlocks:
         m = self.entries
-        return CovarianceBlocks(2.0 * m[0, 0], 2.0 * m[2, 2], 2.0 * m[0, 2], 2.0 * m[0, 3])
-
-    def det(self) -> float:
-        b = self.blocks()
-        return (b.d_i * b.d_s - b.c11**2 - b.c12**2) ** 2 / 16.0
+        return CovarianceBlocks(
+            2.0 * m[..., 0, 0], 2.0 * m[..., 2, 2], 2.0 * m[..., 0, 2], 2.0 * m[..., 0, 3])
 
 
-def _check_block_structure(m: np.ndarray) -> None:
-    d_i, d_s = 2.0 * m[0, 0], 2.0 * m[2, 2]
-    c11, c12 = 2.0 * m[0, 2], 2.0 * m[0, 3]
-    ref = 0.5 * np.array(
-        [
-            [d_i, 0.0, c11, c12],
-            [0.0, d_i, c12, -c11],
-            [c11, c12, d_s, 0.0],
-            [c12, -c11, 0.0, d_s],
-        ]
-    )
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if np.max(np.abs(m - ref)) > _BLOCK_TOL * scale:
-        raise ValueError("matrix does not have the restricted block structure")
+def _assemble(b: CovarianceBlocks) -> np.ndarray:
+    """The restricted block matrix (global 1/2 included) per set of blocks."""
+    d_i, d_s, c11, c12 = np.broadcast_arrays(b.d_i, b.d_s, b.c11, b.c12)
+    z = np.zeros(d_i.shape)
+    rows = [[d_i, z, c11, c12], [z, d_i, c12, -c11], [c11, c12, d_s, z], [c12, -c11, z, d_s]]
+    return 0.5 * np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
-def _sigma(b: CovarianceBlocks, transposed: bool) -> float:
-    """det V_I + det V_S -+ 2 det V_corr for the (partially transposed) state."""
-    det_corr = -(b.c11**2 + b.c12**2) / 4.0
+def _nu_minus(b: CovarianceBlocks, transposed: bool):
+    # Sigma = det V_I + det V_S -+ 2 det V_corr for the (partially transposed) state
     sign = -2.0 if transposed else 2.0
-    return b.d_i**2 / 4.0 + b.d_s**2 / 4.0 + sign * det_corr
-
-
-def _nu_minus(b: CovarianceBlocks, transposed: bool) -> float:
-    sigma = _sigma(b, transposed)
-    det_v = (b.d_i * b.d_s - b.c11**2 - b.c12**2) ** 2 / 16.0
-    rad = sigma**2 - 4.0 * det_v
-    if rad < -1e-10:
-        raise ValueError(f"non-physical covariance: Sigma^2 - 4 det V = {rad:g} < 0")
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = b.d_i**2 / 4.0 + b.d_s**2 / 4.0 + sign * (-(b.c11**2 + b.c12**2) / 4.0)
+        det_v = (b.d_i * b.d_s - b.c11**2 - b.c12**2) ** 2 / 16.0
+        rad = sigma**2 - 4.0 * det_v
+    # float ** raises where numpy's square overflows quietly
+    _reject(np.isinf(sigma**2), lambda i: OverflowError(34, "Numerical result out of range"))
+    _reject(rad < -1e-10, lambda i: ValueError(
+        f"non-physical covariance: Sigma^2 - 4 det V = {_at(rad, i):g} < 0"))
     # rationalized minus branch: exact where the direct subtraction
     # sigma - sqrt(rad) cancels catastrophically at large squeezing
-    nusq = 2.0 * det_v / (sigma + math.sqrt(max(rad, 0.0)))
-    if nusq <= 0.0:
-        raise ValueError("non-physical covariance: vanishing symplectic eigenvalue")
-    return math.sqrt(nusq)
+    nusq = 2.0 * det_v / (sigma + np.sqrt(np.maximum(rad, 0.0)))
+    _reject(nusq <= 0.0, lambda i: ValueError(
+        "non-physical covariance: vanishing symplectic eigenvalue"))
+    return np.sqrt(nusq)
 
 
 def check_blocks(blocks: CovarianceBlocks, tol: float = 1e-10) -> None:
     """Reject blocks below the vacuum floor or the symplectic floor 1/2."""
-    if blocks.d_i < 1.0 - tol or blocks.d_s < 1.0 - tol:
-        raise ValueError(
-            f"diagonal blocks below the vacuum floor: d_i={blocks.d_i}, d_s={blocks.d_s}"
-        )
-    if _nu_minus(blocks, transposed=False) < _SYMPLECTIC_FLOOR:
-        raise ValueError("blocks assemble to a non-physical covariance matrix")
+    _reject((blocks.d_i < 1.0 - tol) | (blocks.d_s < 1.0 - tol), lambda i: ValueError(
+        f"diagonal blocks below the vacuum floor: d_i={_at(blocks.d_i, i)}, "
+        f"d_s={_at(blocks.d_s, i)}"))
+    _reject(_nu_minus(blocks, transposed=False) < _SYMPLECTIC_FLOOR,
+            lambda i: ValueError("blocks assemble to a non-physical covariance matrix"))
 
 
 def build_covariance(blocks: CovarianceBlocks) -> CovarianceMatrix:
-    """Assemble the 4x4 covariance matrix (global 1/2 prefactor included)."""
+    """Assemble the 4x4 covariance matrix (global 1/2 prefactor included);
+    array blocks give a stack of matrices."""
     check_blocks(blocks)
-    b = blocks
-    m = 0.5 * np.array(
-        [
-            [b.d_i, 0.0, b.c11, b.c12],
-            [0.0, b.d_i, b.c12, -b.c11],
-            [b.c11, b.c12, b.d_s, 0.0],
-            [b.c12, -b.c11, 0.0, b.d_s],
-        ]
-    )
-    return CovarianceMatrix(m)
+    return CovarianceMatrix(_assemble(blocks))
 
 
-def log_negativity(v: CovarianceMatrix) -> EntanglementResult:
-    """Logarithmic negativity E_N = max(0, -ln 2 nu-) of a two-mode state.
+def log_negativity(state) -> EntanglementResult:
+    """Logarithmic negativity E_N = max(0, -ln 2 nu-) of a two-mode state,
+    given as a ``CovarianceMatrix`` or as its ``CovarianceBlocks``.
 
     nu- is the smaller symplectic eigenvalue of the partially transposed
     covariance, taken from the minus branch of
     nu**2 = (Sigma - sqrt(Sigma**2 - 4 det V)) / 2; the minus branch is the
     one that reproduces E_N = 2r for the ideal two-mode squeezed vacuum.
     """
-    nu = _nu_minus(v.blocks(), transposed=True)
-    return EntanglementResult(nu_minus=nu, e_n=max(0.0, -math.log(2.0 * nu)))
+    nu = _nu_minus(state.blocks() if isinstance(state, CovarianceMatrix) else state, True)
+    e_n = -np.log(2.0 * nu)
+    return EntanglementResult(nu_minus=nu, e_n=np.where(e_n > 0.0, e_n, 0.0)[()])
 
 
-def log_negativity_blocks(blocks: CovarianceBlocks) -> EntanglementResult:
-    """log_negativity without assembling the matrix; used by sweeps."""
-    nu = _nu_minus(blocks, transposed=True)
-    return EntanglementResult(nu_minus=nu, e_n=max(0.0, -math.log(2.0 * nu)))
+log_negativity_blocks = log_negativity
 
 
-def purity(v: CovarianceMatrix) -> float:
+def purity(v: CovarianceMatrix):
     """Tr[rho^2] = 1 / |C11^2 + C12^2 - D_I D_S| for block-structured states.
 
     Cross-checked internally against the general Gaussian result
@@ -202,15 +213,16 @@ def purity(v: CovarianceMatrix) -> float:
     structure was violated.
     """
     b = v.blocks()
-    denom = abs(b.c11**2 + b.c12**2 - b.d_i * b.d_s)
-    if denom < 1e-14:
-        raise ValueError("degenerate covariance: |C11^2 + C12^2 - D_I D_S| ~ 0")
+    denom = np.abs(b.c11**2 + b.c12**2 - b.d_i * b.d_s)
+    _reject(denom < 1e-14, lambda i: ValueError(
+        "degenerate covariance: |C11^2 + C12^2 - D_I D_S| ~ 0"))
     closed = 1.0 / denom
-    general = 1.0 / (4.0 * math.sqrt(float(np.linalg.det(v.entries))))
-    if abs(closed - general) > 1e-10 * max(1.0, closed):
-        raise ValueError(
-            f"purity cross-check failed: closed form {closed:.15g} vs 1/(4 sqrt(det V)) {general:.15g}"
-        )
+    det = np.linalg.det(v.entries)
+    _reject(det < 0.0, lambda i: ValueError("math domain error"))
+    general = 1.0 / (4.0 * np.sqrt(det))
+    _reject(np.abs(closed - general) > 1e-10 * np.maximum(1.0, closed), lambda i: ValueError(
+        f"purity cross-check failed: closed form {_at(closed, i):.15g} "
+        f"vs 1/(4 sqrt(det V)) {_at(general, i):.15g}"))
     return closed
 
 
@@ -230,18 +242,19 @@ def wigner(v: CovarianceMatrix, u) -> float:
     return float(math.exp(-0.5 * float(u @ sol)) / (math.pi**2 * math.sqrt(det)))
 
 
-def apply_loss(v: CovarianceMatrix, eta_i: float, eta_s: float) -> CovarianceMatrix:
+def apply_loss(v: CovarianceMatrix, eta_i, eta_s) -> CovarianceMatrix:
     """Beamsplitter loss map V -> E V E + (I - E^2)/2, E = diag over modes.
 
     Frequency-flat loss commutes with the filter kernel, so applying this to
     lossless filtered blocks reproduces the lossy steady-state blocks exactly.
+    A stack of matrices takes efficiencies of its shape.
     """
     for name, eta in (("eta_i", eta_i), ("eta_s", eta_s)):
-        if not 0.0 <= eta <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {eta}")
-    e = np.diag([math.sqrt(eta_i)] * 2 + [math.sqrt(eta_s)] * 2)
-    m = e @ v.entries @ e + (np.eye(4) - e @ e) / 2.0
-    return CovarianceMatrix(m)
+        _reject(np.logical_not((0.0 <= eta) & (eta <= 1.0)), lambda i: ValueError(
+            f"{name} must lie in [0, 1], got {_at(eta, i)}"))
+    e = np.sqrt(np.stack(np.broadcast_arrays(eta_i, eta_i, eta_s, eta_s), axis=-1))
+    m = e[..., :, None] * v.entries * e[..., None, :]
+    return CovarianceMatrix(m + ((1.0 - e * e) / 2.0)[..., None] * np.eye(4))
 
 
 def quadrature_variance(v: CovarianceMatrix, q: QuadratureSpec) -> float:
@@ -265,14 +278,9 @@ def quadrature_variance(v: CovarianceMatrix, q: QuadratureSpec) -> float:
 def squeezing_angle(blocks: CovarianceBlocks) -> float:
     """Angle zeta in (-pi/2, pi/2] such that phi_i + phi_s = pi - zeta is the
     maximally squeezed phase; zeta = 0 when C12 = 0."""
-    if blocks.c11 == 0.0 and blocks.c12 == 0.0:
-        return 0.0
-    z = math.atan2(-blocks.c12, blocks.c11)
-    if z > math.pi / 2.0:
-        z -= math.pi
-    elif z <= -math.pi / 2.0:
-        z += math.pi
-    return z
+    z = np.arctan2(-blocks.c12, blocks.c11)
+    z = np.where(z > math.pi / 2.0, z - math.pi, np.where(z <= -math.pi / 2.0, z + math.pi, z))
+    return np.where((blocks.c11 == 0.0) & (blocks.c12 == 0.0), 0.0, z)[()]
 
 
 def optimal_phase_sum(blocks: CovarianceBlocks) -> float:
@@ -286,10 +294,10 @@ def optimal_weight_ratio(blocks: CovarianceBlocks) -> float:
     (D_S - D_I + sqrt(4 C11^2 + 4 C12^2 + (D_I - D_S)^2)) / (2 sqrt(C11^2 + C12^2))
     """
     r = blocks.correlation_strength()
-    if r == 0.0:
-        raise ValueError("uncorrelated state: weight ratio undefined for C11 = C12 = 0")
+    _reject(r == 0.0, lambda i: ValueError(
+        "uncorrelated state: weight ratio undefined for C11 = C12 = 0"))
     diff = blocks.d_s - blocks.d_i
-    return (diff + math.hypot(diff, 2.0 * r)) / (2.0 * r)
+    return (diff + np.hypot(diff, 2.0 * r)) / (2.0 * r)
 
 
 def optimized_squeezing(blocks: CovarianceBlocks) -> float:
@@ -300,5 +308,5 @@ def optimized_squeezing(blocks: CovarianceBlocks) -> float:
     """
     b = blocks
     return 0.5 * (
-        b.d_i + b.d_s - math.hypot(b.d_i - b.d_s, 2.0 * b.correlation_strength())
+        b.d_i + b.d_s - np.hypot(b.d_i - b.d_s, 2.0 * b.correlation_strength())
     )

@@ -4,29 +4,32 @@ filter parameters, with deterministic row ordering and per-point seeds.
 Axis parameters come from a closed set; when filter parameters (omega_k,
 omega_l, tau_i, tau_s) appear, a filter family must be fixed and the
 overlap kernel (K_f, L_f) is recomputed from the filter pair at every grid
-point.  Grid points are independent and may be evaluated concurrently;
-rows are always assembled in axis order (axis2 outermost).
+point.  Grids are evaluated as whole arrays, check by check; only ``bell_max``
+runs point by point, concurrently with ``jobs`` > 1.  Rows are in axis order
+(axis2 outermost), and an error names the first failing point in that order.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
 from . import bell, gaussian, thermal, tmsv
 from .filters import FilterFamily, FilterSpec, OverlapFactors, overlap_closed_form
+from .gaussian import _reject
 
 AXIS_PARAMS = (
     "r", "k_f", "l_f", "eta_i", "eta_s", "n_i", "n_s",
     "omega_k", "omega_l", "tau_i", "tau_s",
 )
-FILTER_PARAMS = ("omega_k", "omega_l", "tau_i", "tau_s")
+FILTER_PARAMS = ("omega_k", "tau_i", "omega_l", "tau_s")  # (omega, tau) per filter
 OUTPUTS = ("e_n", "s_q_opt", "purity", "bell_max", "zeta", "weight_ratio", "critical_points")
 
 _DEFAULTS = {
@@ -39,6 +42,7 @@ _TMSV_CRITICAL_COLUMNS = ("r_ucf_en", "r_max_en", "r_max_sq", "r_ucf_sq")
 _THERMAL_CRITICAL_COLUMNS = (
     "r_lcf_en", "r_ucf_en", "r_max_en", "r_lcf_sq", "r_ucf_sq", "r_max_sq",
 )
+_BLOCK_ROWS = 4096  # grid rows per array pass; bounds the (rows, 4, 4) temporaries
 
 
 class ConfigError(ValueError):
@@ -92,10 +96,12 @@ class SweepConfig:
             raise ConfigError("axis2 given without axis1")
         if self.family is not None and self.family not in ("step", "exponential"):
             raise ConfigError("family must be 'step' or 'exponential'")
+        if self.jobs < 1:
+            raise ConfigError(f"jobs must be at least 1, got {self.jobs}")
 
 
-def _resolve_overlap(params: dict, family: str | None):
-    """(k_f, l_f) for one grid point, from filters or direct values."""
+def _resolve_overlap(params: dict, family: str | None, value):
+    """(k_f, l_f) over the grid, from filters or direct values."""
     has_filter = any(p in params for p in FILTER_PARAMS)
     if has_filter:
         if family is None:
@@ -103,45 +109,50 @@ def _resolve_overlap(params: dict, family: str | None):
         if "k_f" in params or "l_f" in params:
             raise ConfigError("give either (k_f, l_f) or filter parameters, not both")
         fam = FilterFamily(family)
-        fi = FilterSpec(fam, params.get("omega_k", _DEFAULTS["omega_k"]),
-                        params.get("tau_i", _DEFAULTS["tau_i"]))
-        fs = FilterSpec(fam, params.get("omega_l", _DEFAULTS["omega_l"]),
-                        params.get("tau_s", _DEFAULTS["tau_s"]))
-        ov = overlap_closed_form(fi, fs)
-        return ov.k_f, ov.l_f
+        kl = []
+        for i, (wk, ti, wl, ts) in enumerate(zip(*(value(p).tolist() for p in FILTER_PARAMS))):
+            try:
+                ov = overlap_closed_form(FilterSpec(fam, wk, ti), FilterSpec(fam, wl, ts))
+            except ValueError as exc:
+                exc.row = i
+                raise
+            kl.append((ov.k_f, ov.l_f))
+        return np.array(kl).T.copy()
     if family is not None:
         raise ConfigError("--family given without filter parameters")
-    return params.get("k_f", _DEFAULTS["k_f"]), params.get("l_f", _DEFAULTS["l_f"])
+    return value("k_f"), value("l_f")
 
 
 def _point_state(model: str, params: dict, family: str | None):
-    """Model params and covariance blocks for one grid point."""
-    k_f, l_f = _resolve_overlap(params, family)
+    """Model params and covariance blocks over a grid of parameter arrays."""
+    n = len(next(iter(params.values()))) if params else 1
+
+    def value(name):
+        return params[name] if name in params else np.full(n, _DEFAULTS[name])
+
+    k_f, l_f = _resolve_overlap(params, family, value)
     try:
         ov = OverlapFactors(k_f, l_f)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    r = params.get("r", _DEFAULTS["r"])
-    eta_i = params.get("eta_i", _DEFAULTS["eta_i"])
-    eta_s = params.get("eta_s", _DEFAULTS["eta_s"])
+    r, eta_i, eta_s = value("r"), value("eta_i"), value("eta_s")
     try:
         if model == "tmsv":
             if "n_i" in params or "n_s" in params:
                 raise ConfigError("thermal occupations are not tmsv parameters")
             p = tmsv.TmsvParams(r=r, eta_i=eta_i, eta_s=eta_s, overlap=ov)
             return p, tmsv.covariance(p), eta_i, eta_s
-        p = thermal.ThermalParams(
-            r=r,
-            n_i=params.get("n_i", _DEFAULTS["n_i"]),
-            n_s=params.get("n_s", _DEFAULTS["n_s"]),
-            overlap=ov,
-        )
+        p = thermal.ThermalParams(r=r, n_i=value("n_i"), n_s=value("n_s"), overlap=ov)
         blocks = thermal.covariance(p)
-        if eta_i < 1.0 or eta_s < 1.0:
-            # closed-form landmarks do not apply to lossy thermal states;
-            # everything else is evaluated on the lossy covariance
-            v = gaussian.apply_loss(gaussian.build_covariance(blocks), eta_i, eta_s)
-            blocks = v.blocks()
+        lossy = (eta_i < 1.0) | (eta_s < 1.0)
+        if lossy.any():
+            # closed-form landmarks do not apply to lossy thermal states; the rest
+            # uses the lossy covariance.  Lossless rows pass as the vacuum (no check fails)
+            vac = [np.where(lossy, x, v) for x, v in zip(astuple(blocks), (1.0, 1.0, 0.0, 0.0))]
+            v = gaussian.apply_loss(gaussian.build_covariance(gaussian.CovarianceBlocks(*vac)),
+                                    np.where(lossy, eta_i, 1.0), np.where(lossy, eta_s, 1.0))
+            blocks = gaussian.CovarianceBlocks(
+                *(np.where(lossy, x, y) for x, y in zip(astuple(v.blocks()), astuple(blocks))))
         return p, blocks, eta_i, eta_s
     except ConfigError:
         raise
@@ -154,43 +165,19 @@ def critical_columns(model: str) -> tuple[str, ...]:
 
 
 def output_columns(model: str, outputs) -> list[str]:
-    cols = []
-    for out in outputs:
-        if out == "critical_points":
-            cols.extend(critical_columns(model))
-        else:
-            cols.append(out)
-    return cols
+    return [col for out in outputs
+            for col in (critical_columns(model) if out == "critical_points" else (out,))]
 
 
-def evaluate_point(
-    model: str,
-    params: dict,
-    outputs,
-    family: str | None = None,
-    seed: int = 0,
-    bell_restarts: int = 64,
-    bell_max_evals: int = 2000,
-) -> dict:
-    """All requested outputs for one parameter tuple.
-
-    Landmarks that do not exist at a grid point (empty thermal window,
-    uncorrelated state at r = 0, K_f = 0 cutoffs) are reported as nan so
-    sweeps can traverse separable regions.
-    """
+def _evaluate(model, params, outputs, family, seeds, bell_restarts, bell_max_evals, jobs):
+    """Every requested output over a grid of parameter arrays, each check run
+    over the whole grid in the order one point meets them."""
     p, blocks, eta_i, eta_s = _point_state(model, params, family)
     res: dict = {}
-    matrix = None
-
-    def mat():
-        nonlocal matrix
-        if matrix is None:
-            matrix = gaussian.build_covariance(blocks)
-        return matrix
-
+    mat = functools.cache(lambda: gaussian.build_covariance(blocks))
     for out in outputs:
         if out == "e_n":
-            res["e_n"] = gaussian.log_negativity_blocks(blocks).e_n
+            res["e_n"] = gaussian.log_negativity(blocks).e_n
         elif out == "s_q_opt":
             res["s_q_opt"] = gaussian.optimized_squeezing(blocks)
         elif out == "purity":
@@ -198,43 +185,85 @@ def evaluate_point(
         elif out == "zeta":
             res["zeta"] = gaussian.squeezing_angle(blocks)
         elif out == "weight_ratio":
-            try:
-                res["weight_ratio"] = gaussian.optimal_weight_ratio(blocks)
-            except ValueError:
-                res["weight_ratio"] = math.nan
+            # nan for uncorrelated states, where the ratio is undefined
+            defined = blocks.correlation_strength() != 0.0
+            safe = replace(blocks, c11=np.where(defined, blocks.c11, 1.0))
+            res["weight_ratio"] = np.where(defined, gaussian.optimal_weight_ratio(safe), math.nan)
         elif out == "bell_max":
-            cfg = bell.BellMaxConfig(
-                n_restarts=bell_restarts, max_evals=bell_max_evals, seed=seed
-            )
-            res["bell_max"] = bell.bell_max(mat(), cfg).b_max
+            cfgs = [bell.BellMaxConfig(bell_restarts, bell_max_evals, seed=s) for s in seeds]
+            states = map(gaussian.CovarianceMatrix, mat().entries)
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                found = (pool.map if jobs > 1 else map)(bell.bell_max, states, cfgs)
+                res["bell_max"] = np.array([b.b_max for b in found])
         elif out == "critical_points":
             res.update(_critical_point_columns(model, p, eta_i, eta_s))
     return res
 
 
-def _critical_point_columns(model: str, p, eta_i: float, eta_s: float) -> dict:
+def _first_failure(evaluate, n: int) -> dict:
+    """evaluate(lo, hi) over grid rows lo:hi, block by block, raising as a
+    point-by-point loop would; the blocks bound the (rows, 4, 4) temporaries.
+
+    A failed check raises for the first row it rejects, but an earlier row
+    may fail a later check: re-evaluate the rows before it until a pass is
+    clean, then raise the error of the first failing row.  Each re-evaluation
+    fails at a later check, if at all, so the loop is short.
+    """
+    parts = []
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi, error = min(lo + _BLOCK_ROWS, n), None
+        while error is None or hi > lo:
+            try:
+                parts.append(evaluate(lo, hi))
+                break
+            except Exception as exc:
+                # a ConfigError raised from a check's error takes that error's row
+                row = getattr(exc, "row", getattr(exc.__cause__, "row", None))
+                if row is None:
+                    raise
+                error, hi = exc, lo + row
+        if error is not None:
+            raise error
+    return {k: np.concatenate([part[k] for part in parts]) for k in parts[0]}
+
+
+def evaluate_point(model: str, params: dict, outputs, family: str | None = None, seed: int = 0,
+                   bell_restarts: int = 64, bell_max_evals: int = 2000) -> dict:
+    """All requested outputs for one parameter tuple, as a one-point grid.
+
+    Landmarks that do not exist at a grid point (empty thermal window,
+    uncorrelated state at r = 0, K_f = 0 cutoffs) are reported as nan so
+    sweeps can traverse separable regions.
+    """
+    grid = {name: np.array([v], dtype=float) for name, v in params.items()}
+    res = _evaluate(model, grid, outputs, family, [seed], bell_restarts, bell_max_evals, 1)
+    return {k: float(v[0]) for k, v in res.items()}
+
+
+def point_blocks(model: str, params: dict, family: str | None = None):
+    """Covariance blocks at one parameter point."""
+    b = _point_state(model, {k: np.array([v], dtype=float) for k, v in params.items()}, family)[1]
+    return gaussian.CovarianceBlocks(*(float(x[0]) for x in astuple(b)))
+
+
+def _critical_point_columns(model: str, p, eta_i, eta_s) -> dict:
+    """Closed-form landmarks, one grid point at a time."""
+    cols = critical_columns(model)
     if model == "tmsv":
+        find, args = tmsv.landmarks, (p.overlap.k_f, p.eta_i, p.eta_s)
+    else:
+        _reject((eta_i < 1.0) | (eta_s < 1.0), lambda i: ConfigError(
+            "critical_points for the thermal model are closed forms at unit detection "
+            "efficiency; drop the output or set eta_i = eta_s = 1"))
+        find, args = thermal.landmarks, (p.a, p.b, p.overlap.k_f, p.overlap.l_f)
+    values = []
+    for point in zip(*(x.tolist() for x in args)):
         try:
-            cp = tmsv.critical_points(p)
-            return {
-                "r_ucf_en": cp.r_ucf_en, "r_max_en": cp.r_max_en,
-                "r_max_sq": cp.r_max_sq, "r_ucf_sq": cp.r_ucf_sq,
-            }
+            cp = find(*point)
+            values.append([getattr(cp, c) for c in cols])
         except ValueError:
-            return {c: math.nan for c in _TMSV_CRITICAL_COLUMNS}
-    if eta_i < 1.0 or eta_s < 1.0:
-        raise ConfigError(
-            "critical_points for the thermal model are closed forms at unit "
-            "detection efficiency; drop the output or set eta_i = eta_s = 1"
-        )
-    try:
-        cp = thermal.critical_points(p)
-        return {
-            "r_lcf_en": cp.r_lcf_en, "r_ucf_en": cp.r_ucf_en, "r_max_en": cp.r_max_en,
-            "r_lcf_sq": cp.r_lcf_sq, "r_ucf_sq": cp.r_ucf_sq, "r_max_sq": cp.r_max_sq,
-        }
-    except ValueError:
-        return {c: math.nan for c in _THERMAL_CRITICAL_COLUMNS}
+            values.append([math.nan] * len(cols))
+    return dict(zip(cols, np.array(values).T))
 
 
 def run_sweep(cfg: SweepConfig) -> tuple[list[str], list[list[float]]]:
@@ -246,39 +275,22 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[str], list[list[float]]]:
     if len(axes) == 2 and axes[0].name == axes[1].name:
         raise ConfigError("axis1 and axis2 must differ")
 
+    # axis1 varies fastest, axis2 is the outer loop
     grids = [a.grid() for a in axes]
+    n = math.prod(len(g) for g in grids)
+    axis_vals = [np.tile(grids[0], n // len(grids[0]))] if axes else []
     if len(axes) == 2:
-        tuples = [(v2, v1) for v2 in grids[1] for v1 in grids[0]]
-    elif len(axes) == 1:
-        tuples = [(v1,) for v1 in grids[0]]
-    else:
-        tuples = [()]
+        axis_vals.append(np.repeat(grids[1], len(grids[0])))
+    params = {name: np.full(n, float(v)) for name, v in cfg.fixed.items()}
+    params.update((a.name, vals) for a, vals in zip(axes, axis_vals))
+    seeds = _point_seeds(cfg.seed, n) if "bell_max" in cfg.outputs else None
 
+    res = _first_failure(lambda lo, hi: _evaluate(
+        cfg.model, {k: v[lo:hi] for k, v in params.items()}, cfg.outputs, cfg.family,
+        seeds and seeds[lo:], cfg.bell_restarts, cfg.bell_max_evals, cfg.jobs), n)
     out_cols = output_columns(cfg.model, cfg.outputs)
-    axis_cols = [a.name for a in axes]
-    seeds = _point_seeds(cfg.seed, len(tuples))
-
-    def eval_index(i: int) -> list[float]:
-        params = dict(cfg.fixed)
-        if len(axes) == 2:
-            params[axes[1].name] = float(tuples[i][0])
-            params[axes[0].name] = float(tuples[i][1])
-        elif len(axes) == 1:
-            params[axes[0].name] = float(tuples[i][0])
-        res = evaluate_point(
-            cfg.model, params, cfg.outputs, family=cfg.family, seed=seeds[i],
-            bell_restarts=cfg.bell_restarts, bell_max_evals=cfg.bell_max_evals,
-        )
-        axis_vals = [params[a.name] for a in axes]
-        return axis_vals + [res[c] for c in out_cols]
-
-    indices = range(len(tuples))
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = list(pool.map(eval_index, indices))
-    else:
-        rows = [eval_index(i) for i in indices]
-    return axis_cols + out_cols, rows
+    table = np.column_stack(axis_vals + [res[c] for c in out_cols])
+    return [a.name for a in axes] + out_cols, table.tolist()
 
 
 def _point_seeds(master: int, n: int) -> list[int]:
@@ -294,11 +306,16 @@ def format_number(x: float) -> str:
     return repr(float(x))
 
 
+def csv_text(columns: list[str], rows: list[list[float]]) -> str:
+    """Header and rows; a list's repr spells each float as format_number does,
+    at C speed."""
+    lines = [repr(list(map(float, row)))[1:-1].replace(", ", ",") for row in rows]
+    return "\n".join([",".join(columns)] + lines) + "\n"
+
+
 def write_csv(path: str, columns: list[str], rows: list[list[float]]) -> None:
     """Write-then-rename so partial outputs are never left behind."""
-    text = ",".join(columns) + "\n"
-    text += "".join(",".join(format_number(v) for v in row) + "\n" for row in rows)
-    _atomic_write(path, text)
+    _atomic_write(path, csv_text(columns, rows))
 
 
 def rows_to_json(columns, rows) -> dict:

@@ -18,15 +18,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .filters import IDENTICAL_FILTERS, OverlapFactors
-from .gaussian import CovarianceBlocks
+from .gaussian import CovarianceBlocks, _at, _each, _reject
 
 _DEN_LIMIT = 1e-12
 
 
 @dataclass(frozen=True)
 class ThermalParams:
-    """Squeezing amplitude, thermal occupations and filter overlap."""
+    """Squeezing amplitude, thermal occupations and filter overlap (or arrays)."""
 
     r: float
     n_i: float = 0.0
@@ -34,11 +36,11 @@ class ThermalParams:
     overlap: OverlapFactors = IDENTICAL_FILTERS
 
     def __post_init__(self):
-        if not math.isfinite(self.r) or self.r < 0.0:
-            raise ValueError(f"squeezing amplitude must be finite and >= 0, got {self.r}")
+        _reject(~(np.isfinite(self.r) & (self.r >= 0.0)), lambda i: ValueError(
+            f"squeezing amplitude must be finite and >= 0, got {_at(self.r, i)}"))
         for name, n in (("n_i", self.n_i), ("n_s", self.n_s)):
-            if not math.isfinite(n) or n < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {n}")
+            _reject(~(np.isfinite(n) & (n >= 0.0)), lambda i: ValueError(
+                f"{name} must be finite and >= 0, got {_at(n, i)}"))
 
     @property
     def a(self) -> float:
@@ -78,7 +80,8 @@ class ThermalCriticalPoints:
 def covariance(p: ThermalParams) -> CovarianceBlocks:
     """Steady-state covariance blocks; reduces to the TMSV blocks at n = 0."""
     a, b = p.a, p.b
-    ch, sh = math.cosh(2.0 * p.r), math.sinh(2.0 * p.r)
+    ch = _each(lambda r: math.cosh(2.0 * r), p.r)
+    sh = _each(lambda r: math.sinh(2.0 * r), p.r)
     return CovarianceBlocks(
         d_i=b + a * ch,
         d_s=-b + a * ch,
@@ -103,10 +106,13 @@ def critical_points(p: ThermalParams) -> ThermalCriticalPoints:
     cosh(2 r_lcf) = (A^2 - B^2 + 1) / (2A), where r_ucf diverges.
     A negative rad means no entanglement window at any r.
     """
-    kf, lf = p.overlap.k_f, p.overlap.l_f
+    return landmarks(p.a, p.b, p.overlap.k_f, p.overlap.l_f)
+
+
+def landmarks(a: float, b: float, kf: float, lf: float) -> ThermalCriticalPoints:
+    """``critical_points`` from plain numbers: A, B, K_f and L_f."""
     if not 0.0 < kf <= 1.0:
         raise ValueError(f"critical points require K_f in (0, 1], got {kf}")
-    a, b = p.a, p.b
     q = a**2 * kf**2 + b**2 * lf**2
     den = a**2 * (1.0 - kf**2) - b**2 * lf**2
     g = q - b**2 + 1.0
@@ -114,46 +120,31 @@ def critical_points(p: ThermalParams) -> ThermalCriticalPoints:
 
     if den < _DEN_LIMIT:
         # identical filters: upper cutoff diverges, lower cutoff stays finite
-        ch_l = g / (2.0 * a)
-        r_lcf = 0.5 * math.acosh(max(ch_l, 1.0))
-        r_ucf = math.inf
-        r_max_en = math.inf
-        r_max_sq = math.inf
-        r_lcf_sq, r_ucf_sq = _sq_window(a, q)
-        return ThermalCriticalPoints(
-            r_lcf_en=r_lcf, r_ucf_en=r_ucf, r_max_en=r_max_en,
-            r_lcf_sq=r_lcf_sq, r_ucf_sq=r_ucf_sq, r_max_sq=r_max_sq,
-            zeta=zeta,
-        )
-
-    rad = a**2 - den * g
-    if rad < 0.0:
-        return ThermalCriticalPoints.empty(zeta)
-    root = math.sqrt(rad)
-    ch_l = g / (a + root)
-    ch_u = (a + root) / den
-    if ch_u < 1.0:
-        return ThermalCriticalPoints.empty(zeta)
-    r_lcf = 0.5 * math.acosh(max(ch_l, 1.0))
-    r_ucf = 0.5 * math.acosh(ch_u)
-
-    # maximum of E_N(r), shared by the weight-optimized variance; a
-    # non-empty window guarantees Q > B^2, the nan arm is defensive
-    num = a**2 * (q - b**2)
-    if num > 0.0:
-        r_max_en = 0.5 * math.acosh(max(math.sqrt(num / (q * den)), 1.0))
+        r_lcf = 0.5 * math.acosh(max(g / (2.0 * a), 1.0))
+        r_ucf = r_max_en = r_max_sq = math.inf
     else:
-        r_max_en = math.nan
+        rad = a**2 - den * g
+        if rad < 0.0:
+            return ThermalCriticalPoints.empty(zeta)
+        root = math.sqrt(rad)
+        ch_l = g / (a + root)
+        ch_u = (a + root) / den
+        if ch_u < 1.0:
+            return ThermalCriticalPoints.empty(zeta)
+        r_lcf = 0.5 * math.acosh(max(ch_l, 1.0))
+        r_ucf = 0.5 * math.acosh(ch_u)
 
-    t_sq = math.sqrt(q) / a
-    r_max_sq = 0.5 * math.atanh(t_sq) if t_sq < 1.0 else math.inf
+        # maximum of E_N(r), shared by the weight-optimized variance; a
+        # non-empty window guarantees Q > B^2, the nan arm is defensive
+        num = a**2 * (q - b**2)
+        r_max_en = (0.5 * math.acosh(max(math.sqrt(num / (q * den)), 1.0))
+                    if num > 0.0 else math.nan)
+
+        t_sq = math.sqrt(q) / a
+        r_max_sq = 0.5 * math.atanh(t_sq) if t_sq < 1.0 else math.inf
+
     r_lcf_sq, r_ucf_sq = _sq_window(a, q)
-
-    return ThermalCriticalPoints(
-        r_lcf_en=r_lcf, r_ucf_en=r_ucf, r_max_en=r_max_en,
-        r_lcf_sq=r_lcf_sq, r_ucf_sq=r_ucf_sq, r_max_sq=r_max_sq,
-        zeta=zeta,
-    )
+    return ThermalCriticalPoints(r_lcf, r_ucf, r_max_en, r_lcf_sq, r_ucf_sq, r_max_sq, zeta)
 
 
 def _sq_window(a: float, q: float) -> tuple[float, float]:

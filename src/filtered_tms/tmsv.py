@@ -17,8 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .filters import IDENTICAL_FILTERS, OverlapFactors
-from .gaussian import CovarianceBlocks
+from .gaussian import CovarianceBlocks, _at, _each, _reject
 
 
 @dataclass(frozen=True)
@@ -26,7 +28,8 @@ class TmsvParams:
     """Squeezing amplitude, detection efficiencies and filter overlap.
 
     The vacuum input makes C12 independent of L_f, so only K_f enters the
-    covariance; the overlap's l_f is carried along but has no effect.
+    covariance; the overlap's l_f is carried along but has no effect.  Fields
+    may be equal-shape arrays, a grid of states.
     """
 
     r: float
@@ -35,11 +38,11 @@ class TmsvParams:
     overlap: OverlapFactors = IDENTICAL_FILTERS
 
     def __post_init__(self):
-        if not math.isfinite(self.r) or self.r < 0.0:
-            raise ValueError(f"squeezing amplitude must be finite and >= 0, got {self.r}")
+        _reject(~(np.isfinite(self.r) & (self.r >= 0.0)), lambda i: ValueError(
+            f"squeezing amplitude must be finite and >= 0, got {_at(self.r, i)}"))
         for name, eta in (("eta_i", self.eta_i), ("eta_s", self.eta_s)):
-            if not 0.0 < eta <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1], got {eta}")
+            _reject(np.logical_not((0.0 < eta) & (eta <= 1.0)), lambda i: ValueError(
+                f"{name} must lie in (0, 1], got {_at(eta, i)}"))
 
 
 @dataclass(frozen=True)
@@ -63,21 +66,24 @@ class TmsvCriticalPoints:
 
 def covariance(p: TmsvParams) -> CovarianceBlocks:
     """Steady-state covariance blocks of the lossy filtered TMSV."""
-    s2 = math.sinh(p.r) ** 2
+    s2 = _each(lambda r: math.sinh(r) ** 2, p.r)
     return CovarianceBlocks(
         d_i=1.0 + 2.0 * p.eta_i * s2,
         d_s=1.0 + 2.0 * p.eta_s * s2,
-        c11=math.sqrt(p.eta_i * p.eta_s) * p.overlap.k_f * math.sinh(2.0 * p.r),
-        c12=0.0,
+        c11=np.sqrt(p.eta_i * p.eta_s) * p.overlap.k_f * _each(lambda r: math.sinh(2.0 * r), p.r),
+        c12=0.0 * s2,
     )
 
 
 def critical_points(p: TmsvParams) -> TmsvCriticalPoints:
     """Closed-form entanglement/squeezing landmarks for 0 < K_f <= 1."""
-    kf = p.overlap.k_f
+    return landmarks(p.overlap.k_f, p.eta_i, p.eta_s)
+
+
+def landmarks(kf: float, ei: float, es: float) -> TmsvCriticalPoints:
+    """``critical_points`` from plain numbers: K_f and the two efficiencies."""
     if not 0.0 < kf <= 1.0:
         raise ValueError(f"critical points require K_f in (0, 1], got {kf}")
-    ei, es = p.eta_i, p.eta_s
 
     # unbounded landmarks at K_f = 1 branch on the exact value so rounding
     # can never turn them into large finite floats
@@ -98,12 +104,7 @@ def critical_points(p: TmsvParams) -> TmsvCriticalPoints:
         t_sq = 2.0 * math.sqrt(ei * es) * kf / (ei + es)
         r_max_sq = 0.5 * math.atanh(t_sq) if t_sq < 1.0 else math.inf
 
-    return TmsvCriticalPoints(
-        r_ucf_en=r_ucf_en,
-        r_max_en=r_max_en,
-        r_max_sq=r_max_sq,
-        r_ucf_sq=2.0 * r_max_sq,
-    )
+    return TmsvCriticalPoints(r_ucf_en, r_max_en, r_max_sq, r_ucf_sq=2.0 * r_max_sq)
 
 
 def weight_ratio(p: TmsvParams) -> float:

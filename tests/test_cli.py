@@ -136,6 +136,14 @@ class TestSweep:
         rows = a.read_text().splitlines()[1:]
         assert all(float(line.split(",")[1]) >= 2.0 - 1e-9 for line in rows)
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, jobs, capsys):
+        code, out, err = run_inproc("sweep", "--model", "tmsv", "--axis1", "r=0:1:3",
+                                    "--outputs", "e_n", "--jobs", jobs, capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err.splitlines()[-1]) == {"error": f"jobs must be at least 1, got {jobs}"}
+
     def test_axis2_is_the_outer_loop(self, tmp_path):
         out_path = tmp_path / "grid.csv"
         main(["sweep", "--model", "tmsv", "--axis1", "r=0:1:3",
