@@ -103,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--svg", default=None,
                          help="render the first output of a 2-D sweep as an SVG heatmap")
     p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help="accepted for compatibility; points run serially")
     p_sweep.add_argument("--restarts", type=int, default=16,
                          help="bell_max restarts per grid point")
 
@@ -182,9 +183,10 @@ def _cmd_sweep(args) -> int:
         axis2=_parse_axis(args.axis2) if args.axis2 else None,
         family=args.family,
         seed=args.seed,
-        jobs=args.jobs,
         bell_restarts=args.restarts,
     )
+    if args.jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {args.jobs}")
     columns, rows = sweep.run_sweep(cfg)
     if args.svg:
         _write_sweep_svg(args.svg, cfg, columns, rows)

@@ -125,13 +125,12 @@ class CovarianceMatrix:
                 lambda i: ValueError("covariance matrix must be finite"))
         _reject(np.abs(m - np.swapaxes(m, -1, -2)).max(axis=each) > 1e-12,
                 lambda i: ValueError("covariance matrix must be symmetric to 1e-12"))
-        _reject((np.linalg.eigvalsh(m) <= 0.0).any(axis=-1),
-                lambda i: ValueError("covariance matrix must be positive definite"))
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
         scale = np.maximum(1.0, np.abs(m).max(axis=each))
         _reject(np.abs(m - _assemble(self.blocks())).max(axis=each) > _BLOCK_TOL * scale,
                 lambda i: ValueError("matrix does not have the restricted block structure"))
+        check_blocks(self.blocks())
 
     def __setattr__(self, name, value):
         raise AttributeError("CovarianceMatrix is immutable")
@@ -162,7 +161,9 @@ def _nu_minus(b: CovarianceBlocks, transposed: bool):
         rad = sigma**2 - 4.0 * det_v
     # float ** raises where numpy's square overflows quietly
     _reject(np.isinf(sigma**2), lambda i: OverflowError(34, "Numerical result out of range"))
-    _reject(rad < -1e-10, lambda i: ValueError(
+    # rad >= 0 for every positive-definite V (Williamson); check_blocks checks
+    # V > 0 in closed form, so only a negative rad beyond rounding is rejected
+    _reject(rad < -1e-10 * np.maximum(1.0, sigma**2), lambda i: ValueError(
         f"non-physical covariance: Sigma^2 - 4 det V = {_at(rad, i):g} < 0"))
     # rationalized minus branch: exact where the direct subtraction
     # sigma - sqrt(rad) cancels catastrophically at large squeezing
@@ -173,18 +174,21 @@ def _nu_minus(b: CovarianceBlocks, transposed: bool):
 
 
 def check_blocks(blocks: CovarianceBlocks, tol: float = 1e-10) -> None:
-    """Reject blocks below the vacuum floor or the symplectic floor 1/2."""
+    """Reject blocks below the vacuum floor or the symplectic floor 1/2, or
+    whose matrix is not positive definite (D_I D_S > C11^2 + C12^2 for this
+    block structure): the one physicality check, in closed form."""
     _reject((blocks.d_i < 1.0 - tol) | (blocks.d_s < 1.0 - tol), lambda i: ValueError(
         f"diagonal blocks below the vacuum floor: d_i={_at(blocks.d_i, i)}, "
         f"d_s={_at(blocks.d_s, i)}"))
     _reject(_nu_minus(blocks, transposed=False) < _SYMPLECTIC_FLOOR,
             lambda i: ValueError("blocks assemble to a non-physical covariance matrix"))
+    _reject(~(blocks.d_i * blocks.d_s - blocks.c11**2 - blocks.c12**2 > 0.0),
+            lambda i: ValueError("covariance matrix must be positive definite"))
 
 
 def build_covariance(blocks: CovarianceBlocks) -> CovarianceMatrix:
     """Assemble the 4x4 covariance matrix (global 1/2 prefactor included);
     array blocks give a stack of matrices."""
-    check_blocks(blocks)
     return CovarianceMatrix(_assemble(blocks))
 
 
@@ -200,9 +204,6 @@ def log_negativity(state) -> EntanglementResult:
     nu = _nu_minus(state.blocks() if isinstance(state, CovarianceMatrix) else state, True)
     e_n = -np.log(2.0 * nu)
     return EntanglementResult(nu_minus=nu, e_n=np.where(e_n > 0.0, e_n, 0.0)[()])
-
-
-log_negativity_blocks = log_negativity
 
 
 def purity(v: CovarianceMatrix):
@@ -242,19 +243,27 @@ def wigner(v: CovarianceMatrix, u) -> float:
     return float(math.exp(-0.5 * float(u @ sol)) / (math.pi**2 * math.sqrt(det)))
 
 
-def apply_loss(v: CovarianceMatrix, eta_i, eta_s) -> CovarianceMatrix:
-    """Beamsplitter loss map V -> E V E + (I - E^2)/2, E = diag over modes.
+def apply_loss(state, eta_i, eta_s):
+    """Beamsplitter loss map V -> E V E + (I - E^2)/2, E = diag over modes,
+    on a ``CovarianceMatrix`` or ``CovarianceBlocks``; returns the same kind.
 
-    Frequency-flat loss commutes with the filter kernel, so applying this to
-    lossless filtered blocks reproduces the lossy steady-state blocks exactly.
-    A stack of matrices takes efficiencies of its shape.
+    On the blocks, with e = sqrt(eta): D -> (e D) e + (1 - e e) and
+    C -> (e_i C) e_s, the product's own operations on the entries that hold
+    the blocks (unit efficiency returns the blocks unchanged).  Frequency-flat
+    loss commutes with the filter kernel, so applying this to lossless
+    filtered blocks reproduces the lossy steady-state blocks exactly.  Array
+    blocks or a stack of matrices take efficiencies of their shape.
     """
     for name, eta in (("eta_i", eta_i), ("eta_s", eta_s)):
         _reject(np.logical_not((0.0 <= eta) & (eta <= 1.0)), lambda i: ValueError(
             f"{name} must lie in [0, 1], got {_at(eta, i)}"))
-    e = np.sqrt(np.stack(np.broadcast_arrays(eta_i, eta_i, eta_s, eta_s), axis=-1))
-    m = e[..., :, None] * v.entries * e[..., None, :]
-    return CovarianceMatrix(m + ((1.0 - e * e) / 2.0)[..., None] * np.eye(4))
+    is_matrix = isinstance(state, CovarianceMatrix)
+    b = state.blocks() if is_matrix else state
+    e_i, e_s = np.sqrt(eta_i), np.sqrt(eta_s)
+    lossy = CovarianceBlocks(e_i * b.d_i * e_i + (1.0 - e_i * e_i),
+                             e_s * b.d_s * e_s + (1.0 - e_s * e_s),
+                             e_i * b.c11 * e_s, e_i * b.c12 * e_s)
+    return build_covariance(lossy) if is_matrix else lossy
 
 
 def quadrature_variance(v: CovarianceMatrix, q: QuadratureSpec) -> float:

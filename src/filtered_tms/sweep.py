@@ -5,8 +5,8 @@ Axis parameters come from a closed set; when filter parameters (omega_k,
 omega_l, tau_i, tau_s) appear, a filter family must be fixed and the
 overlap kernel (K_f, L_f) is recomputed from the filter pair at every grid
 point.  Grids are evaluated as whole arrays, check by check; only ``bell_max``
-runs point by point, concurrently with ``jobs`` > 1.  Rows are in axis order
-(axis2 outermost), and an error names the first failing point in that order.
+runs point by point.  Rows are in axis order (axis2 outermost), and an error
+names the first failing point in that order.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import json
 import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
@@ -77,7 +76,6 @@ class SweepConfig:
     axis2: AxisSpec | None = None
     family: str | None = None
     seed: int = 0
-    jobs: int = 1
     bell_restarts: int = 64
     bell_max_evals: int = 2000
 
@@ -96,8 +94,6 @@ class SweepConfig:
             raise ConfigError("axis2 given without axis1")
         if self.family is not None and self.family not in ("step", "exponential"):
             raise ConfigError("family must be 'step' or 'exponential'")
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be at least 1, got {self.jobs}")
 
 
 def _resolve_overlap(params: dict, family: str | None, value):
@@ -142,18 +138,10 @@ def _point_state(model: str, params: dict, family: str | None):
                 raise ConfigError("thermal occupations are not tmsv parameters")
             p = tmsv.TmsvParams(r=r, eta_i=eta_i, eta_s=eta_s, overlap=ov)
             return p, tmsv.covariance(p), eta_i, eta_s
+        # closed-form landmarks do not apply to lossy thermal states; the rest
+        # uses the lossy covariance (unit efficiency leaves the blocks unchanged)
         p = thermal.ThermalParams(r=r, n_i=value("n_i"), n_s=value("n_s"), overlap=ov)
-        blocks = thermal.covariance(p)
-        lossy = (eta_i < 1.0) | (eta_s < 1.0)
-        if lossy.any():
-            # closed-form landmarks do not apply to lossy thermal states; the rest
-            # uses the lossy covariance.  Lossless rows pass as the vacuum (no check fails)
-            vac = [np.where(lossy, x, v) for x, v in zip(astuple(blocks), (1.0, 1.0, 0.0, 0.0))]
-            v = gaussian.apply_loss(gaussian.build_covariance(gaussian.CovarianceBlocks(*vac)),
-                                    np.where(lossy, eta_i, 1.0), np.where(lossy, eta_s, 1.0))
-            blocks = gaussian.CovarianceBlocks(
-                *(np.where(lossy, x, y) for x, y in zip(astuple(v.blocks()), astuple(blocks))))
-        return p, blocks, eta_i, eta_s
+        return p, gaussian.apply_loss(thermal.covariance(p), eta_i, eta_s), eta_i, eta_s
     except ConfigError:
         raise
     except ValueError as exc:
@@ -169,7 +157,7 @@ def output_columns(model: str, outputs) -> list[str]:
             for col in (critical_columns(model) if out == "critical_points" else (out,))]
 
 
-def _evaluate(model, params, outputs, family, seeds, bell_restarts, bell_max_evals, jobs):
+def _evaluate(model, params, outputs, family, seeds, bell_restarts, bell_max_evals):
     """Every requested output over a grid of parameter arrays, each check run
     over the whole grid in the order one point meets them."""
     p, blocks, eta_i, eta_s = _point_state(model, params, family)
@@ -191,10 +179,8 @@ def _evaluate(model, params, outputs, family, seeds, bell_restarts, bell_max_eva
             res["weight_ratio"] = np.where(defined, gaussian.optimal_weight_ratio(safe), math.nan)
         elif out == "bell_max":
             cfgs = [bell.BellMaxConfig(bell_restarts, bell_max_evals, seed=s) for s in seeds]
-            states = map(gaussian.CovarianceMatrix, mat().entries)
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                found = (pool.map if jobs > 1 else map)(bell.bell_max, states, cfgs)
-                res["bell_max"] = np.array([b.b_max for b in found])
+            res["bell_max"] = np.array([bell.bell_max(gaussian.CovarianceMatrix(m), c).b_max
+                                        for m, c in zip(mat().entries, cfgs)])
         elif out == "critical_points":
             res.update(_critical_point_columns(model, p, eta_i, eta_s))
     return res
@@ -236,7 +222,7 @@ def evaluate_point(model: str, params: dict, outputs, family: str | None = None,
     sweeps can traverse separable regions.
     """
     grid = {name: np.array([v], dtype=float) for name, v in params.items()}
-    res = _evaluate(model, grid, outputs, family, [seed], bell_restarts, bell_max_evals, 1)
+    res = _evaluate(model, grid, outputs, family, [seed], bell_restarts, bell_max_evals)
     return {k: float(v[0]) for k, v in res.items()}
 
 
@@ -287,7 +273,7 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[str], list[list[float]]]:
 
     res = _first_failure(lambda lo, hi: _evaluate(
         cfg.model, {k: v[lo:hi] for k, v in params.items()}, cfg.outputs, cfg.family,
-        seeds and seeds[lo:], cfg.bell_restarts, cfg.bell_max_evals, cfg.jobs), n)
+        seeds and seeds[lo:], cfg.bell_restarts, cfg.bell_max_evals), n)
     out_cols = output_columns(cfg.model, cfg.outputs)
     table = np.column_stack(axis_vals + [res[c] for c in out_cols])
     return [a.name for a in axes] + out_cols, table.tolist()

@@ -24,6 +24,19 @@ def nu_min_eigen(v: CovarianceMatrix, transposed: bool = True) -> float:
     return float(np.min(np.abs(eigs)))
 
 
+def block_matrix(d_i, d_s, c11, c12) -> np.ndarray:
+    """The 4x4 matrix of scalar blocks, written out entry by entry."""
+    return 0.5 * np.array([[d_i, 0.0, c11, c12], [0.0, d_i, c12, -c11],
+                           [c11, c12, d_s, 0.0], [c12, -c11, 0.0, d_s]])
+
+
+def loss_product(blocks: CovarianceBlocks, eta_i: float, eta_s: float) -> np.ndarray:
+    """The loss map as the 4x4 product E V E + (I - E^2)/2, E = diag(sqrt eta)."""
+    v = block_matrix(blocks.d_i, blocks.d_s, blocks.c11, blocks.c12)
+    e = np.diag([math.sqrt(eta_i)] * 2 + [math.sqrt(eta_s)] * 2)
+    return e @ v @ e + (np.eye(4) - e @ e) / 2.0
+
+
 def golden_min(f, a: float, b: float, tol: float = 1e-10) -> float:
     """Golden-section argmin of a unimodal scalar function on [a, b]."""
     phi = (math.sqrt(5.0) - 1.0) / 2.0

@@ -35,7 +35,6 @@ from filtered_tms.gaussian import (
     apply_loss,
     build_covariance,
     log_negativity,
-    log_negativity_blocks,
     optimized_squeezing,
     purity,
 )
@@ -97,7 +96,7 @@ def test_criterion_01_overlap_kernels():
 def test_criterion_02_ideal_tmsv_law():
     worst = 0.0
     for r in np.linspace(0.0, 2.0, 20):
-        e_n = log_negativity_blocks(tmsv_blocks(float(r))).e_n
+        e_n = log_negativity(tmsv_blocks(float(r))).e_n
         worst = max(worst, abs(e_n - 2.0 * float(r)))
     report(2, worst <= 1e-9, f"E_N = 2r over 20 points in [0, 2], worst |dE| = {worst:.2e}")
 
@@ -108,7 +107,7 @@ def test_criterion_03_entanglement_cutoff():
         for eta_i in (0.6, 0.9, 1.0):
             for eta_s in (0.6, 0.9, 1.0):
                 def gap(r):
-                    return 0.5 - log_negativity_blocks(
+                    return 0.5 - log_negativity(
                         tmsv_blocks(float(r), eta_i, eta_s, k_f)
                     ).nu_minus
 
@@ -126,7 +125,7 @@ def test_criterion_04_extremum_formulas():
         p = random_tmsv_params(rng)
         cp = tmsv.critical_points(p)
         argmax = golden_min(
-            lambda r: -log_negativity_blocks(
+            lambda r: -log_negativity(
                 tmsv_blocks(float(r), p.eta_i, p.eta_s, p.overlap.k_f)
             ).e_n,
             1e-6, cp.r_ucf_en * (1.0 - 1e-9), tol=1e-9,
@@ -145,7 +144,7 @@ def test_criterion_04_extremum_formulas():
         p = random_thermal_params(rng, require_window=True)
         cp = thermal.critical_points(p)
         argmax = golden_min(
-            lambda r: -log_negativity_blocks(
+            lambda r: -log_negativity(
                 thermal.covariance(thermal.ThermalParams(float(r), p.n_i, p.n_s, p.overlap))
             ).e_n,
             cp.r_lcf_en, cp.r_ucf_en, tol=1e-9,
@@ -209,7 +208,7 @@ def test_criterion_06_thermal_window():
         cp = thermal.critical_points(p)
 
         def gap(r):
-            return 0.5 - log_negativity_blocks(
+            return 0.5 - log_negativity(
                 thermal.covariance(thermal.ThermalParams(float(r), p.n_i, p.n_s, p.overlap))
             ).nu_minus
 
@@ -378,7 +377,7 @@ def test_criterion_10_figure_shapes():
     for k_f in (0.85, 0.95):
         rs = np.linspace(0.0, 1.2 * math.atanh(k_f), 400)
         en = np.array([
-            log_negativity_blocks(tmsv_blocks(float(r), 0.9, 0.98, k_f)).e_n for r in rs
+            log_negativity(tmsv_blocks(float(r), 0.9, 0.98, k_f)).e_n for r in rs
         ])
         peak = int(np.argmax(en))
         uni_ok &= bool(np.all(np.diff(en[: peak + 1]) >= -1e-9))

@@ -6,12 +6,14 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import filtered_tms
+from filtered_tms import bell
 from filtered_tms.cli import main
 from filtered_tms.sweep import format_number
 
@@ -85,6 +87,13 @@ class TestPoint:
         assert code == 2
         assert json.loads(err.splitlines()[-1])["error"]
 
+    def test_thermal_efficiency_above_one_exits_two(self, capsys):
+        code, out, err = run_inproc("point", "--model", "thermal", "--r", "1",
+                                    "--eta-i", "1.5", capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err.splitlines()[-1]) == {"error": "eta_i must lie in [0, 1], got 1.5"}
+
     def test_unknown_flag_exits_two(self):
         code, _, _ = run_cli("point", "--model", "tmsv", "--bogus", "1")
         assert code == 2
@@ -125,8 +134,8 @@ class TestSweep:
         assert blobs[0] == blobs[1] == blobs[2]
 
     def test_bell_sweep_is_schedule_independent(self, tmp_path):
-        # per-point seeds derive from (master seed, grid index), so thread
-        # scheduling cannot change the optimizer outcome
+        # per-point seeds derive from (master seed, grid index); --jobs is
+        # accepted and cannot change the optimizer outcome
         args = ["sweep", "--model", "tmsv", "--axis1", "r=0.2:0.8:4",
                 "--outputs", "bell_max", "--restarts", "8", "--seed", "5"]
         a, b = tmp_path / "serial.csv", tmp_path / "threads.csv"
@@ -135,6 +144,21 @@ class TestSweep:
         assert a.read_bytes() == b.read_bytes()
         rows = a.read_text().splitlines()[1:]
         assert all(float(line.split(",")[1]) >= 2.0 - 1e-9 for line in rows)
+
+    def test_bell_sweep_runs_on_the_calling_thread(self, tmp_path, monkeypatch):
+        threads = []
+        real = bell.bell_max
+
+        def spy(v, cfg):
+            threads.append(threading.get_ident())
+            return real(v, cfg)
+
+        monkeypatch.setattr(bell, "bell_max", spy)
+        code = main(["sweep", "--model", "tmsv", "--axis1", "r=0.2:0.8:5", "--outputs",
+                     "bell_max", "--restarts", "2", "--jobs", "4",
+                     "--out", str(tmp_path / "b.csv")])
+        assert code == 0
+        assert threads == [threading.get_ident()] * 5
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, jobs, capsys):

@@ -23,9 +23,18 @@ from filtered_tms.gaussian import (
     squeezing_angle,
     wigner,
 )
-from oracles import min_variance_numeric, nu_min_eigen, random_thermal_params, random_tmsv_params
+from oracles import (
+    block_matrix,
+    loss_product,
+    min_variance_numeric,
+    nu_min_eigen,
+    random_thermal_params,
+    random_tmsv_params,
+)
 
 VACUUM = CovarianceBlocks(1.0, 1.0, 0.0, 0.0)
+# positive on the vacuum and symplectic floors, yet D_I D_S < C11^2 + C12^2
+NOT_POSITIVE = (171.47297251559812, 1.2232526919428026, 13.547087488177969, 26.860624875854423)
 
 
 def tmsv_blocks(r, eta_i=1.0, eta_s=1.0, k_f=1.0):
@@ -76,6 +85,43 @@ class TestBuildCovariance:
     def test_rejects_unphysical_correlations(self):
         with pytest.raises(ValueError):
             build_covariance(CovarianceBlocks(1.0, 1.0, 0.9, 0.0))
+
+    def test_matrix_below_vacuum_floor_rejected(self):
+        with pytest.raises(ValueError, match="vacuum floor"):
+            CovarianceMatrix(0.05 * np.eye(4))
+
+    def test_matrix_below_symplectic_floor_rejected(self):
+        with pytest.raises(ValueError, match="non-physical covariance matrix"):
+            CovarianceMatrix(block_matrix(1.0, 1.0, 0.9, 0.0))
+
+    def test_matrix_not_positive_definite_rejected(self):
+        assert np.linalg.eigvalsh(block_matrix(*NOT_POSITIVE))[0] < 0.0
+        with pytest.raises(ValueError, match="positive definite"):
+            CovarianceMatrix(block_matrix(*NOT_POSITIVE))
+        with pytest.raises(ValueError, match="positive definite"):
+            build_covariance(CovarianceBlocks(*NOT_POSITIVE))
+
+    def test_stack_names_the_first_non_physical_matrix(self):
+        stack = np.stack([np.eye(4) / 2.0, block_matrix(*NOT_POSITIVE), np.eye(4) / 2.0])
+        with pytest.raises(ValueError, match="positive definite") as err:
+            CovarianceMatrix(stack)
+        assert err.value.row == 1
+        blocks = CovarianceBlocks(*(np.array([v, x, v]) for v, x in zip(
+            (1.0, 1.0, 0.0, 0.0), NOT_POSITIVE)))
+        with pytest.raises(ValueError, match="positive definite"):
+            build_covariance(blocks)
+
+    def test_symmetric_state_at_large_squeezing_is_physical(self):
+        # Sigma^2 - 4 det V is 0 in exact arithmetic and rounds to -3.7e-9,
+        # half an ulp of Sigma^2 ~ 3e7
+        b = tmsv.covariance(tmsv.TmsvParams(
+            r=2.870307320319334, overlap=OverlapFactors(0.7259595423422445, 0.0)))
+        v = build_covariance(b)
+        assert log_negativity(v).nu_minus == pytest.approx(nu_min_eigen(v), rel=1e-9)
+        stack = build_covariance(CovarianceBlocks(*(np.full(3, x) for x in (
+            b.d_i, b.d_s, b.c11, b.c12))))
+        assert np.array_equal(stack.entries, np.broadcast_to(v.entries, (3, 4, 4)))
+        assert nu_min_eigen(v, transposed=False) >= 0.5 - 1e-10
 
     def test_matrix_requires_block_structure(self):
         m = np.eye(4) / 2.0
@@ -219,12 +265,57 @@ class TestApplyLoss:
             direct = build_covariance(tmsv_blocks(r, float(ei), float(es), k_f))
             assert np.max(np.abs(lossy.entries - direct.entries)) <= 1e-12
 
+    @pytest.mark.parametrize("etas", [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.37, 0.81)])
+    def test_block_map_equals_the_matrix_product(self, etas):
+        # bit for bit on the upper triangle, which holds the blocks (zeros
+        # only up to sign: the product writes +0 where the block matrix holds
+        # -C11 = -0); the product's lower triangle (e_s C) e_i may differ from
+        # (e_i C) e_s in the last bit, while the block matrix is symmetric
+        rng = np.random.default_rng(59)
+        states = [tmsv_blocks(0.7, k_f=0.9), random_blocks(rng), random_blocks(rng),
+                  thermal.covariance(thermal.ThermalParams(
+                      r=0.6, n_i=0.8, n_s=0.2, overlap=OverlapFactors(0.9, 0.3)))]
+        for b in states:
+            want = loss_product(b, *etas)
+            for got in (build_covariance(apply_loss(b, *etas)),
+                        apply_loss(build_covariance(b), *etas)):
+                assert np.array_equal(np.triu(got.entries), np.triu(want))
+                assert np.array_equal(got.entries, got.entries.T)
+
+    def test_block_map_over_a_stack(self):
+        rng = np.random.default_rng(61)
+        states = [random_blocks(rng) for _ in range(50)]
+        eta_i, eta_s = rng.uniform(0.0, 1.0, size=(2, 50))
+        eta_i[:5], eta_s[5:10] = 1.0, 0.0
+        blocks = CovarianceBlocks(*(np.array([getattr(b, f) for b in states])
+                                    for f in ("d_i", "d_s", "c11", "c12")))
+        want = np.array([loss_product(b, ei, es)
+                         for b, ei, es in zip(states, eta_i.tolist(), eta_s.tolist())])
+        lossy = apply_loss(blocks, eta_i, eta_s)
+        assert isinstance(lossy, CovarianceBlocks)
+        for got in (build_covariance(lossy), apply_loss(build_covariance(blocks), eta_i, eta_s)):
+            assert np.array_equal(np.triu(got.entries), np.triu(want))
+            assert np.array_equal(got.entries, np.swapaxes(got.entries, -1, -2))
+
+    def test_unit_efficiency_returns_the_same_blocks_bitwise(self):
+        # n_i > n_s with L_f = 0 gives C12 = -0.0, which must survive
+        rng = np.random.default_rng(67)
+        states = [thermal.covariance(thermal.ThermalParams(r=0.9, n_i=0.7, n_s=0.1)),
+                  tmsv_blocks(1.3, 0.8, 0.6, 0.95)] + [random_blocks(rng) for _ in range(20)]
+        for b in states:
+            got = apply_loss(b, 1.0, 1.0)
+            for f in ("d_i", "d_s", "c11", "c12"):
+                assert np.float64(getattr(got, f)).tobytes() == np.float64(
+                    getattr(b, f)).tobytes(), (b, f)
+
     def test_rejects_out_of_range_efficiency(self):
         v = build_covariance(VACUUM)
         with pytest.raises(ValueError):
             apply_loss(v, 1.2, 1.0)
         with pytest.raises(ValueError):
             apply_loss(v, 0.5, -0.1)
+        with pytest.raises(ValueError, match=r"eta_i must lie in \[0, 1\], got 1.5"):
+            apply_loss(VACUUM, 1.5, 1.0)
 
 
 class TestQuadratureVariance:

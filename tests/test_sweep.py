@@ -20,7 +20,7 @@ from filtered_tms.sweep import (
     evaluate_point,
     run_sweep,
 )
-from oracles import nu_min_eigen
+from oracles import loss_product, nu_min_eigen
 
 ALL = ("e_n", "s_q_opt", "purity", "zeta", "weight_ratio", "critical_points")
 
@@ -164,9 +164,12 @@ ERROR_CASES = {
     # ... and a later check than a later row does
     "lossy critical points before Cauchy-Schwarz": (
         SweepConfig("thermal", ("e_n", "purity", "critical_points"), {"n_i": 0.3},
-                    axis1=AxisSpec("eta_i", 1.2, 0.7, 6), axis2=AxisSpec("k_f", 0.98, 1.02, 3)),
+                    axis1=AxisSpec("eta_i", 1.0, 0.5, 6), axis2=AxisSpec("k_f", 0.98, 1.02, 3)),
         ConfigError, "critical_points for the thermal model are closed forms at unit "
                      "detection efficiency; drop the output or set eta_i = eta_s = 1"),
+    "thermal eta_i above one": (
+        SweepConfig("thermal", ("e_n",), {"r": 1.0}, axis1=AxisSpec("eta_i", 0.5, 1.5, 3)),
+        ConfigError, "eta_i must lie in [0, 1], got 1.5"),
     "negative occupation before negative r": (
         SweepConfig("thermal", ("e_n",), {"n_s": 0.2}, axis1=AxisSpec("n_i", 0.5, -0.5, 5),
                     axis2=AxisSpec("r", 1.0, -1.0, 3)),
@@ -218,13 +221,10 @@ def reference_blocks(model, fixed, k_f, r):
                 math.sqrt(ei * es) * k_f * math.sinh(2.0 * r), 0.0]
     a, b = fixed["n_i"] + fixed["n_s"] + 1.0, fixed["n_i"] - fixed["n_s"]
     ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
-    d_i, d_s, c11, c12 = b + a * ch, -b + a * ch, a * k_f * sh, -b * 0.0 * sh
+    blocks = [b + a * ch, -b + a * ch, a * k_f * sh, -b * 0.0 * sh]
     if "eta_i" not in fixed:
-        return [d_i, d_s, c11, c12]
-    v = 0.5 * np.array([[d_i, 0.0, c11, c12], [0.0, d_i, c12, -c11],
-                        [c11, c12, d_s, 0.0], [c12, -c11, 0.0, d_s]])
-    e = np.diag([math.sqrt(fixed["eta_i"])] * 2 + [math.sqrt(fixed["eta_s"])] * 2)
-    m = e @ v @ e + (np.eye(4) - e @ e) / 2.0
+        return blocks
+    m = loss_product(gaussian.CovarianceBlocks(*blocks), fixed["eta_i"], fixed["eta_s"])
     return [2.0 * m[0, 0], 2.0 * m[2, 2], 2.0 * m[0, 2], 2.0 * m[0, 3]]
 
 

@@ -10,7 +10,7 @@ from filtered_tms import thermal, tmsv
 from filtered_tms.filters import OverlapFactors
 from filtered_tms.gaussian import (
     build_covariance,
-    log_negativity_blocks,
+    log_negativity,
     optimal_phase_sum,
     optimal_weight_ratio,
     optimized_squeezing,
@@ -31,11 +31,11 @@ def ref_params(r):
 
 
 def e_n_of(p):
-    return log_negativity_blocks(thermal.covariance(p)).e_n
+    return log_negativity(thermal.covariance(p)).e_n
 
 
 def nu_of(p):
-    return log_negativity_blocks(thermal.covariance(p)).nu_minus
+    return log_negativity(thermal.covariance(p)).nu_minus
 
 
 class TestCovariance:
@@ -293,7 +293,7 @@ class TestTmsvReduction:
             tp = params(r, 0.0, 0.0, k_f)
             vp = tmsv.TmsvParams(r=r, overlap=OverlapFactors(k_f, 0.0))
             assert e_n_of(tp) == pytest.approx(
-                log_negativity_blocks(tmsv.covariance(vp)).e_n, abs=1e-12
+                log_negativity(tmsv.covariance(vp)).e_n, abs=1e-12
             )
             assert thermal.optimized_squeezing_closed(tp) == pytest.approx(
                 tmsv.optimized_squeezing_closed(vp), abs=1e-12

@@ -10,7 +10,7 @@ from filtered_tms import tmsv
 from filtered_tms.filters import OverlapFactors
 from filtered_tms.gaussian import (
     build_covariance,
-    log_negativity_blocks,
+    log_negativity,
     optimal_weight_ratio,
     optimized_squeezing,
 )
@@ -21,11 +21,11 @@ def params(r, eta_i=1.0, eta_s=1.0, k_f=1.0, l_f=0.0):
 
 
 def e_n_of(r, eta_i=1.0, eta_s=1.0, k_f=1.0):
-    return log_negativity_blocks(tmsv.covariance(params(r, eta_i, eta_s, k_f))).e_n
+    return log_negativity(tmsv.covariance(params(r, eta_i, eta_s, k_f))).e_n
 
 
 def nu_of(r, eta_i=1.0, eta_s=1.0, k_f=1.0):
-    return log_negativity_blocks(tmsv.covariance(params(r, eta_i, eta_s, k_f))).nu_minus
+    return log_negativity(tmsv.covariance(params(r, eta_i, eta_s, k_f))).nu_minus
 
 
 def equal_weight_variance(r, eta_i, eta_s, k_f):
