@@ -7,6 +7,7 @@ from .bell import (
     DisplacementSettings,
     bell_grid_max,
     bell_max,
+    bell_max_stack,
     bell_value,
 )
 from .fieldsim import EmpiricalBlocks, SimConfig, simulate
@@ -60,6 +61,7 @@ __all__ = [
     "apply_loss",
     "bell_grid_max",
     "bell_max",
+    "bell_max_stack",
     "bell_value",
     "build_covariance",
     "eval_freq",

@@ -11,10 +11,12 @@ under the pi^2/4 normalization); the vacuum then reaches exactly B = 2 at
 the all-zero settings.
 
 The maximization over the eight displacement coordinates is a multistart
-Nelder-Mead: all restarts advance in lockstep as one batched simplex
-array, which keeps the search deterministic for a fixed seed and fast
-enough for parameter sweeps.  A zooming dense-grid search is provided as
-an independent oracle.
+Nelder-Mead.  The restarts of all states of a stack advance in lockstep as
+one batched simplex array, each row tagged with the state it belongs to, so
+a sweep maximizes all its points in one pass.  Each restart takes the same
+path whatever else is in the array, which keeps the search deterministic
+for a fixed seed.  A zooming dense-grid search is provided as an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -55,6 +57,11 @@ class DisplacementSettings:
         return _joint_points(self.as_array()[None, :])[0]
 
 
+def _check_seed(seed) -> None:
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class BellMaxConfig:
     """Multistart budget: 1 restart from the origin plus seeded Gaussian ones."""
@@ -65,50 +72,64 @@ class BellMaxConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_restarts", "max_evals"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_restarts < 1:
             raise ValueError("need at least one restart")
         if self.max_evals < 50:
             raise ValueError("max_evals too small for an 8-dimensional simplex")
+        if not (math.isfinite(self.f_tol) and self.f_tol >= 0.0):
+            raise ValueError(f"f_tol must be finite and >= 0, got {self.f_tol!r}")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
 class BellResult:
+    """The best restart's value and settings, and what the search cost.
+
+    evaluations sums the Bell evaluations of all restarts; restarts_agreeing
+    counts the restarts within 1e-6 max(1, |b_max|) of b_max (the best one
+    included).
+    """
+
     b_max: float
     settings: DisplacementSettings
     n_restarts_used: int
     converged: bool
+    evaluations: int
+    restarts_agreeing: int
+
+
+# joint point u^{mn} of a settings row s is s[_JOINT].reshape(4, 4): the
+# idler's setting m (coordinates 0:2 or 2:4) next to the signal's setting n
+# (4:6 or 6:8), rows ordered (00, 01, 10, 11)
+_JOINT = np.array([0, 1, 4, 5, 0, 1, 6, 7, 2, 3, 4, 5, 2, 3, 6, 7])
+_STACK_ROWS = 4096  # restart rows per lockstep pass; bounds the simplex arrays
+_REFLECT_EXPAND = np.array([1.0, 2.0])[:, None, None]
 
 
 def _joint_points(s: np.ndarray) -> np.ndarray:
     """(N, 8) settings -> (N, 4, 4) joint points (00, 01, 10, 11)."""
-    out = np.empty(s.shape[:-1] + (4, 4))
-    ai = s[..., 0:2]
-    bi = s[..., 2:4]
-    as_ = s[..., 4:6]
-    bs = s[..., 6:8]
-    out[..., 0, 0:2] = ai
-    out[..., 0, 2:4] = as_
-    out[..., 1, 0:2] = ai
-    out[..., 1, 2:4] = bs
-    out[..., 2, 0:2] = bi
-    out[..., 2, 2:4] = as_
-    out[..., 3, 0:2] = bi
-    out[..., 3, 2:4] = bs
-    return out
+    return s[..., _JOINT].reshape(s.shape[:-1] + (4, 4))
 
 
 class _BellEvaluator:
-    """Precomputed inverse/determinant for batched Bell evaluations."""
+    """Inverse and Wigner prefactor of each matrix of a stack (or of one
+    matrix), for batched Bell evaluations."""
 
     def __init__(self, v: CovarianceMatrix):
-        self.v_inv = np.linalg.inv(v.entries)
-        self.prefactor = 1.0 / (math.pi**2 * math.sqrt(float(np.linalg.det(v.entries))))
+        m = v.entries.reshape(-1, 4, 4)
+        self.v_inv = np.linalg.inv(m)
+        self.prefactor = 1.0 / (math.pi**2 * np.sqrt(np.linalg.det(m)))
 
-    def bell(self, settings: np.ndarray) -> np.ndarray:
-        """(N, 8) -> (N,) Bell values (signed)."""
+    def bell(self, settings: np.ndarray, owner=0) -> np.ndarray:
+        """(N, 8) settings of the states ``owner`` (an index, or one per row)
+        -> (N,) Bell values (signed)."""
         pts = _joint_points(settings)
-        quad = np.einsum("nij,jk,nik->ni", pts, self.v_inv, pts)
-        w = self.prefactor * np.exp(-0.5 * quad)
+        quad = np.einsum("...ij,...jk,...ik->...i", pts, self.v_inv[owner], pts)
+        w = self.prefactor[owner, None] * np.exp(-0.5 * quad)
         return math.pi**2 / 4.0 * (w[:, 0] + w[:, 1] + w[:, 2] - w[:, 3])
 
 
@@ -124,33 +145,60 @@ def bell_max(v: CovarianceMatrix, cfg: BellMaxConfig = BellMaxConfig()) -> BellR
     whose scale is set by the largest covariance eigenvalue.  A restart is
     settled when its simplex function spread drops below cfg.f_tol; the run
     is converged when the winning restart settled within budget and at
-    least one other restart reproduces the winning value to 1e-6.
+    least one other restart reproduces the winning value to 1e-6.  This is
+    the one-matrix case of ``bell_max_stack``.
     """
+    return bell_max_stack(v, [cfg.seed], cfg)[0]
+
+
+def bell_max_stack(v: CovarianceMatrix, seeds, cfg: BellMaxConfig = BellMaxConfig()) -> list:
+    """``bell_max`` of each matrix of a stack, matrix k seeded by seeds[k]
+    in place of cfg.seed; the other fields of cfg are shared.
+
+    The restarts of all matrices advance as one lockstep array, at most
+    ``_STACK_ROWS`` restart rows per pass.  Every restart takes the path it
+    takes alone, so result k is bit-identical to ``bell_max`` of matrix k
+    at its seed, whatever the stack around it.
+    """
+    m = v.entries.reshape(-1, 4, 4)
+    seeds = list(seeds)
+    if len(seeds) != len(m):
+        raise ValueError(f"need one seed per matrix, got {len(seeds)} for {len(m)}")
+    for seed in seeds:
+        _check_seed(seed)
     ev = _BellEvaluator(v)
-    neg = lambda s: -np.abs(ev.bell(s))
+    neg = lambda s, owner: -np.abs(ev.bell(s, owner))
+    scale = np.sqrt(np.max(np.linalg.eigvalsh(m), axis=1))
+    n_r = cfg.n_restarts
+    per_pass = max(1, _STACK_ROWS // n_r)
 
-    scale = math.sqrt(float(np.max(np.linalg.eigvalsh(v.entries))))
-    rng = np.random.default_rng(cfg.seed)
-    centers = np.zeros((cfg.n_restarts, 8))
-    if cfg.n_restarts > 1:
-        centers[1:] = rng.normal(scale=scale, size=(cfg.n_restarts - 1, 8))
-
-    best_f, best_x, settled = _batched_nelder_mead(
-        neg, centers, step=0.25 * scale, f_tol=cfg.f_tol, max_evals=cfg.max_evals
-    )
-    values = -best_f
-    order = np.argsort(-values, kind="stable")
-    top = int(order[0])
-    b_max = float(values[top])
-    replicated = np.sum(values >= b_max - 1e-6 * max(1.0, abs(b_max))) >= 2
-    converged = bool(settled[top] and (replicated or cfg.n_restarts == 1))
-    settings = DisplacementSettings(*best_x[top])
-    return BellResult(
-        b_max=b_max,
-        settings=settings,
-        n_restarts_used=cfg.n_restarts,
-        converged=converged,
-    )
+    results = []
+    for lo in range(0, len(m), per_pass):
+        states = np.arange(lo, min(lo + per_pass, len(m)))
+        centers = np.zeros((len(states), n_r, 8))
+        if n_r > 1:
+            for k, state in enumerate(states):
+                rng = np.random.default_rng(seeds[state])
+                centers[k, 1:] = rng.normal(scale=scale[state], size=(n_r - 1, 8))
+        owner = np.repeat(states, n_r)
+        best_f, best_x, settled, evals = _batched_nelder_mead(
+            neg, centers.reshape(-1, 8), owner, step=0.25 * scale[owner],
+            f_tol=cfg.f_tol, max_evals=cfg.max_evals)
+        for k in range(len(states)):
+            rows = slice(k * n_r, (k + 1) * n_r)
+            values = -best_f[rows]
+            top = int(np.argsort(-values, kind="stable")[0])
+            b_max = float(values[top])
+            agreeing = int(np.sum(values >= b_max - 1e-6 * max(1.0, abs(b_max))))
+            results.append(BellResult(
+                b_max=b_max,
+                settings=DisplacementSettings(*best_x[rows][top]),
+                n_restarts_used=n_r,
+                converged=bool(settled[rows][top] and (agreeing >= 2 or n_r == 1)),
+                evaluations=int(evals[rows].sum()),
+                restarts_agreeing=agreeing,
+            ))
+    return results
 
 
 def bell_grid_max(
@@ -194,59 +242,55 @@ def bell_grid_max(
     return best_val, best_pt
 
 
-def _batched_nelder_mead(func, centers, step, f_tol, max_evals):
+def _batched_nelder_mead(func, centers, owner, step, f_tol, max_evals):
     """Minimize func over many restarts advanced in lockstep.
 
-    func maps (N, dim) -> (N,).  Returns per-restart best values, best
-    points, and whether each restart settled (simplex spread <= f_tol)
-    before exhausting its evaluation budget.
+    func maps (N, dim) points and the (N,) owners of those rows to (N,)
+    values; restart k starts from centers[k] with simplex edge step[k] and
+    belongs to owner[k].  Returns per-restart best values, best points,
+    whether each restart settled (simplex spread <= f_tol) before exhausting
+    its evaluation budget, and its evaluation count.
     """
     n, dim = centers.shape
     pts = np.repeat(centers[:, None, :], dim + 1, axis=1)
+    edge = np.where(step > 0, step, 0.1)
     for i in range(dim):
-        pts[:, i + 1, i] += step if step > 0 else 0.1
-    fv = np.empty((n, dim + 1))
-    for i in range(dim + 1):
-        fv[:, i] = func(pts[:, i, :])
+        pts[:, i + 1, i] += edge
+    fv = func(pts.reshape(-1, dim), np.repeat(owner, dim + 1)).reshape(n, dim + 1)
     evals = np.full(n, dim + 1)
-    active = np.ones(n, dtype=bool)
     settled = np.zeros(n, dtype=bool)
 
-    while np.any(active):
-        idx = np.where(active)[0]
-        order = np.argsort(fv[idx], axis=1)
-        pts[idx] = np.take_along_axis(pts[idx], order[:, :, None], axis=1)
-        fv[idx] = np.take_along_axis(fv[idx], order, axis=1)
+    # the simplices of the active restarts, compacted; idx are their rows
+    idx, own, p, f = np.arange(n), owner, pts, fv
+    rows = idx
+    while True:
+        order = np.argsort(f, axis=1)
+        p, f = p[rows[:, None], order], f[rows[:, None], order]
 
-        spread = fv[idx, -1] - fv[idx, 0]
-        done = spread <= f_tol
-        settled[idx[done]] = True
-        active[idx[done]] = False
-        over = evals[idx] >= max_evals
-        active[idx[over]] = False
-        idx = np.where(active)[0]
-        if idx.size == 0:
-            break
+        done = f[:, -1] - f[:, 0] <= f_tol
+        stop = done | (evals[idx] >= max_evals)
+        if stop.any():
+            settled[idx[done]] = True
+            pts[idx[stop]], fv[idx[stop]] = p[stop], f[stop]
+            go = np.flatnonzero(~stop)
+            if go.size == 0:
+                break
+            idx, own, p, f = idx[go], own[go], p[go], f[go]
+            rows = rows[:go.size]
 
-        p = pts[idx]
-        f = fv[idx]
-        centroid = p[:, :-1, :].mean(axis=1)
+        # reflection and expansion in one call: c + 1 d and c + 2 d
+        centroid = np.add.reduce(p[:, :-1, :], axis=1) / dim
         worst = p[:, -1, :]
-        xr = centroid + (centroid - worst)
-        xe = centroid + 2.0 * (centroid - worst)
-        fr = func(xr)
-        fe = func(xe)
+        d = centroid - worst
+        x = centroid + _REFLECT_EXPAND * d
+        fr, fe = func(x.reshape(-1, dim), np.concatenate((own, own))).reshape(2, -1)
+        xr, xe = x
+        # contraction outside (c + d/2) or inside (c - d/2)
         outside = fr < f[:, -1]
-        xc = np.where(
-            outside[:, None],
-            centroid + 0.5 * (centroid - worst),
-            centroid - 0.5 * (centroid - worst),
-        )
-        fc = func(xc)
+        xc = centroid + np.where(outside, 0.5, -0.5)[:, None] * d
+        fc = func(xc, own)
         evals[idx] += 3
 
-        new_pt = worst.copy()
-        new_f = f[:, -1].copy()
         expand = fr < f[:, 0]
         use_e = expand & (fe < fr)
         use_r = (expand & ~use_e) | ((~expand) & (fr < f[:, -2]))
@@ -254,27 +298,19 @@ def _batched_nelder_mead(func, centers, step, f_tol, max_evals):
             np.where(outside, fc <= fr, fc < f[:, -1])
         )
         shrink = (~expand) & (fr >= f[:, -2]) & ~contract_ok
+        # the moves exclude each other; the worst vertex stays when none applies
+        move = use_e + 2 * use_r + 3 * contract_ok
+        p[:, -1, :] = np.stack((worst, xe, xr, xc))[move, rows]
+        f[:, -1] = np.stack((f[:, -1], fe, fr, fc))[move, rows]
 
-        new_pt[use_e] = xe[use_e]
-        new_f[use_e] = fe[use_e]
-        new_pt[use_r] = xr[use_r]
-        new_f[use_r] = fr[use_r]
-        new_pt[contract_ok] = xc[contract_ok]
-        new_f[contract_ok] = fc[contract_ok]
-        p[:, -1, :] = new_pt
-        f[:, -1] = new_f
-
-        if np.any(shrink):
-            sh = np.where(shrink)[0]
+        if shrink.any():
+            sh = np.flatnonzero(shrink)
             p[sh, 1:, :] = p[sh, 0:1, :] + 0.5 * (p[sh, 1:, :] - p[sh, 0:1, :])
             flat = p[sh, 1:, :].reshape(-1, dim)
-            f[sh, 1:] = func(flat).reshape(len(sh), dim)
+            f[sh, 1:] = func(flat, np.repeat(own[sh], dim)).reshape(len(sh), dim)
             evals[idx[sh]] += dim
-
-        pts[idx] = p
-        fv[idx] = f
 
     best = np.argmin(fv, axis=1)
     best_f = fv[np.arange(n), best]
     best_x = pts[np.arange(n), best]
-    return best_f, best_x, settled
+    return best_f, best_x, settled, evals

@@ -244,6 +244,8 @@ def _cmd_bell(args) -> int:
         "diagnostics": {
             "n_restarts_used": res.n_restarts_used,
             "converged": res.converged,
+            "evaluations": res.evaluations,
+            "restarts_agreeing": res.restarts_agreeing,
         },
     }
     _emit(payload, args)

@@ -4,9 +4,10 @@ filter parameters, with deterministic row ordering and per-point seeds.
 Axis parameters come from a closed set; when filter parameters (omega_k,
 omega_l, tau_i, tau_s) appear, a filter family must be fixed and the
 overlap kernel (K_f, L_f) is recomputed from the filter pair at every grid
-point.  Grids are evaluated as whole arrays, check by check; only ``bell_max``
-runs point by point.  Rows are in axis order (axis2 outermost), and an error
-names the first failing point in that order.
+point.  Grids are evaluated as whole arrays, check by check; ``bell_max``
+advances the restarts of every point of a block as one lockstep array, each
+point with its own seed.  Rows are in axis order (axis2 outermost), and an
+error names the first failing point in that order.
 """
 
 from __future__ import annotations
@@ -94,6 +95,12 @@ class SweepConfig:
             raise ConfigError("axis2 given without axis1")
         if self.family is not None and self.family not in ("step", "exponential"):
             raise ConfigError("family must be 'step' or 'exponential'")
+        if "bell_max" in self.outputs:
+            # the per-point seeds derive from seed, so it must be a valid one too
+            try:
+                bell.BellMaxConfig(self.bell_restarts, self.bell_max_evals, seed=self.seed)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
 
 
 def _resolve_overlap(params: dict, family: str | None, value):
@@ -178,9 +185,9 @@ def _evaluate(model, params, outputs, family, seeds, bell_restarts, bell_max_eva
             safe = replace(blocks, c11=np.where(defined, blocks.c11, 1.0))
             res["weight_ratio"] = np.where(defined, gaussian.optimal_weight_ratio(safe), math.nan)
         elif out == "bell_max":
-            cfgs = [bell.BellMaxConfig(bell_restarts, bell_max_evals, seed=s) for s in seeds]
-            res["bell_max"] = np.array([bell.bell_max(gaussian.CovarianceMatrix(m), c).b_max
-                                        for m, c in zip(mat().entries, cfgs)])
+            cfg = bell.BellMaxConfig(bell_restarts, bell_max_evals)
+            found = bell.bell_max_stack(mat(), seeds, cfg)
+            res["bell_max"] = np.array([r.b_max for r in found])
         elif out == "critical_points":
             res.update(_critical_point_columns(model, p, eta_i, eta_s))
     return res
@@ -273,7 +280,7 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[str], list[list[float]]]:
 
     res = _first_failure(lambda lo, hi: _evaluate(
         cfg.model, {k: v[lo:hi] for k, v in params.items()}, cfg.outputs, cfg.family,
-        seeds and seeds[lo:], cfg.bell_restarts, cfg.bell_max_evals), n)
+        seeds and seeds[lo:hi], cfg.bell_restarts, cfg.bell_max_evals), n)
     out_cols = output_columns(cfg.model, cfg.outputs)
     table = np.column_stack(axis_vals + [res[c] for c in out_cols])
     return [a.name for a in axes] + out_cols, table.tolist()

@@ -1,8 +1,8 @@
 """Filtered two-mode squeezed vacuum: covariance and closed-form landmarks.
 
 A two-mode squeezed vacuum of squeezing amplitude r, detected with optical
-quantum efficiencies (eta_i, eta_s) through a filter pair of overlap K_f,
-has the steady-state covariance blocks
+quantum efficiencies (eta_i, eta_s) in [0, 1] through a filter pair of
+overlap K_f, has the steady-state covariance blocks
 
     D_I = 1 + 2 eta_i sinh^2 r,      D_S = 1 + 2 eta_s sinh^2 r,
     C11 = sqrt(eta_i eta_s) K_f sinh 2r,   C12 = 0.
@@ -41,8 +41,8 @@ class TmsvParams:
         _reject(~(np.isfinite(self.r) & (self.r >= 0.0)), lambda i: ValueError(
             f"squeezing amplitude must be finite and >= 0, got {_at(self.r, i)}"))
         for name, eta in (("eta_i", self.eta_i), ("eta_s", self.eta_s)):
-            _reject(np.logical_not((0.0 < eta) & (eta <= 1.0)), lambda i: ValueError(
-                f"{name} must lie in (0, 1], got {_at(eta, i)}"))
+            _reject(np.logical_not((0.0 <= eta) & (eta <= 1.0)), lambda i: ValueError(
+                f"{name} must lie in [0, 1], got {_at(eta, i)}"))
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,8 @@ def covariance(p: TmsvParams) -> CovarianceBlocks:
 
 
 def critical_points(p: TmsvParams) -> TmsvCriticalPoints:
-    """Closed-form entanglement/squeezing landmarks for 0 < K_f <= 1."""
+    """Closed-form entanglement/squeezing landmarks for 0 < K_f <= 1 and
+    eta_i eta_s > 0."""
     return landmarks(p.overlap.k_f, p.eta_i, p.eta_s)
 
 
@@ -84,6 +85,9 @@ def landmarks(kf: float, ei: float, es: float) -> TmsvCriticalPoints:
     """``critical_points`` from plain numbers: K_f and the two efficiencies."""
     if not 0.0 < kf <= 1.0:
         raise ValueError(f"critical points require K_f in (0, 1], got {kf}")
+    if ei * es == 0.0:
+        # full loss on either side leaves a product state: no window to bound
+        raise ValueError(f"critical points require eta_i eta_s > 0, got {ei} * {es}")
 
     # unbounded landmarks at K_f = 1 branch on the exact value so rounding
     # can never turn them into large finite floats
@@ -118,6 +122,8 @@ def weight_ratio(p: TmsvParams) -> float:
     if kf <= 0.0:
         raise ValueError(f"weight ratio requires K_f > 0, got {kf}")
     ei, es = p.eta_i, p.eta_s
+    if ei * es == 0.0:
+        raise ValueError(f"weight ratio requires eta_i eta_s > 0, got {ei} * {es}")
     th = math.tanh(p.r)
     num = math.sqrt(4.0 * ei * es * kf**2 + (ei - es) ** 2 * th**2) + (es - ei) * th
     return num / (2.0 * kf * math.sqrt(ei * es))

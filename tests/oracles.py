@@ -201,3 +201,150 @@ def mix_then_contract(cfg, noise_widths, kernels, n_total, stream_tag, batch=204
             (xk * xk + yk * yk, xl * xl + yl * yl, xk * xl - yk * yl, xk * yl + yk * xl)
         )
     return out
+
+
+def _reference_joint_points(s: np.ndarray) -> np.ndarray:
+    """(N, 8) settings -> (N, 4, 4) joint points (00, 01, 10, 11)."""
+    out = np.empty(s.shape[:-1] + (4, 4))
+    ai = s[..., 0:2]
+    bi = s[..., 2:4]
+    as_ = s[..., 4:6]
+    bs = s[..., 6:8]
+    out[..., 0, 0:2] = ai
+    out[..., 0, 2:4] = as_
+    out[..., 1, 0:2] = ai
+    out[..., 1, 2:4] = bs
+    out[..., 2, 0:2] = bi
+    out[..., 2, 2:4] = as_
+    out[..., 3, 0:2] = bi
+    out[..., 3, 2:4] = bs
+    return out
+
+
+class _ReferenceBellEvaluator:
+    """Precomputed inverse/determinant for batched Bell evaluations."""
+
+    def __init__(self, v: CovarianceMatrix):
+        self.v_inv = np.linalg.inv(v.entries)
+        self.prefactor = 1.0 / (math.pi**2 * math.sqrt(float(np.linalg.det(v.entries))))
+
+    def bell(self, settings: np.ndarray) -> np.ndarray:
+        """(N, 8) -> (N,) Bell values (signed)."""
+        pts = _reference_joint_points(settings)
+        quad = np.einsum("nij,jk,nik->ni", pts, self.v_inv, pts)
+        w = self.prefactor * np.exp(-0.5 * quad)
+        return math.pi**2 / 4.0 * (w[:, 0] + w[:, 1] + w[:, 2] - w[:, 3])
+
+
+def bell_max_reference(v: CovarianceMatrix, n_restarts=64, max_evals=2000, f_tol=1e-10, seed=0):
+    """The per-state lockstep multistart Nelder-Mead that ``bell_max`` is
+    pinned to bit for bit, with its cost counts.
+
+    Returns (b_max, settings as an (8,) array, converged, evaluations summed
+    over the restarts, restarts within 1e-6 max(1, |b_max|) of b_max).
+    """
+    ev = _ReferenceBellEvaluator(v)
+    neg = lambda s: -np.abs(ev.bell(s))
+
+    scale = math.sqrt(float(np.max(np.linalg.eigvalsh(v.entries))))
+    rng = np.random.default_rng(seed)
+    centers = np.zeros((n_restarts, 8))
+    if n_restarts > 1:
+        centers[1:] = rng.normal(scale=scale, size=(n_restarts - 1, 8))
+
+    best_f, best_x, settled, evals = _reference_nelder_mead(
+        neg, centers, step=0.25 * scale, f_tol=f_tol, max_evals=max_evals
+    )
+    values = -best_f
+    order = np.argsort(-values, kind="stable")
+    top = int(order[0])
+    b_max = float(values[top])
+    agreeing = int(np.sum(values >= b_max - 1e-6 * max(1.0, abs(b_max))))
+    converged = bool(settled[top] and (agreeing >= 2 or n_restarts == 1))
+    return b_max, best_x[top], converged, int(evals.sum()), agreeing
+
+
+def _reference_nelder_mead(func, centers, step, f_tol, max_evals):
+    """Minimize func over many restarts advanced in lockstep.
+
+    func maps (N, dim) -> (N,).  Returns per-restart best values, best
+    points, whether each restart settled (simplex spread <= f_tol) before
+    exhausting its evaluation budget, and per-restart evaluation counts.
+    """
+    n, dim = centers.shape
+    pts = np.repeat(centers[:, None, :], dim + 1, axis=1)
+    for i in range(dim):
+        pts[:, i + 1, i] += step if step > 0 else 0.1
+    fv = np.empty((n, dim + 1))
+    for i in range(dim + 1):
+        fv[:, i] = func(pts[:, i, :])
+    evals = np.full(n, dim + 1)
+    active = np.ones(n, dtype=bool)
+    settled = np.zeros(n, dtype=bool)
+
+    while np.any(active):
+        idx = np.where(active)[0]
+        order = np.argsort(fv[idx], axis=1)
+        pts[idx] = np.take_along_axis(pts[idx], order[:, :, None], axis=1)
+        fv[idx] = np.take_along_axis(fv[idx], order, axis=1)
+
+        spread = fv[idx, -1] - fv[idx, 0]
+        done = spread <= f_tol
+        settled[idx[done]] = True
+        active[idx[done]] = False
+        over = evals[idx] >= max_evals
+        active[idx[over]] = False
+        idx = np.where(active)[0]
+        if idx.size == 0:
+            break
+
+        p = pts[idx]
+        f = fv[idx]
+        centroid = p[:, :-1, :].mean(axis=1)
+        worst = p[:, -1, :]
+        xr = centroid + (centroid - worst)
+        xe = centroid + 2.0 * (centroid - worst)
+        fr = func(xr)
+        fe = func(xe)
+        outside = fr < f[:, -1]
+        xc = np.where(
+            outside[:, None],
+            centroid + 0.5 * (centroid - worst),
+            centroid - 0.5 * (centroid - worst),
+        )
+        fc = func(xc)
+        evals[idx] += 3
+
+        new_pt = worst.copy()
+        new_f = f[:, -1].copy()
+        expand = fr < f[:, 0]
+        use_e = expand & (fe < fr)
+        use_r = (expand & ~use_e) | ((~expand) & (fr < f[:, -2]))
+        contract_ok = (~expand) & (fr >= f[:, -2]) & (
+            np.where(outside, fc <= fr, fc < f[:, -1])
+        )
+        shrink = (~expand) & (fr >= f[:, -2]) & ~contract_ok
+
+        new_pt[use_e] = xe[use_e]
+        new_f[use_e] = fe[use_e]
+        new_pt[use_r] = xr[use_r]
+        new_f[use_r] = fr[use_r]
+        new_pt[contract_ok] = xc[contract_ok]
+        new_f[contract_ok] = fc[contract_ok]
+        p[:, -1, :] = new_pt
+        f[:, -1] = new_f
+
+        if np.any(shrink):
+            sh = np.where(shrink)[0]
+            p[sh, 1:, :] = p[sh, 0:1, :] + 0.5 * (p[sh, 1:, :] - p[sh, 0:1, :])
+            flat = p[sh, 1:, :].reshape(-1, dim)
+            f[sh, 1:] = func(flat).reshape(len(sh), dim)
+            evals[idx[sh]] += dim
+
+        pts[idx] = p
+        fv[idx] = f
+
+    best = np.argmin(fv, axis=1)
+    best_f = fv[np.arange(n), best]
+    best_x = pts[np.arange(n), best]
+    return best_f, best_x, settled, evals

@@ -6,18 +6,19 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from filtered_tms import thermal, tmsv
+from filtered_tms import bell, thermal, tmsv
 from filtered_tms.bell import (
     BellMaxConfig,
     DisplacementSettings,
     bell_grid_max,
     bell_max,
+    bell_max_stack,
     bell_value,
     _BellEvaluator,
 )
 from filtered_tms.filters import OverlapFactors
-from filtered_tms.gaussian import apply_loss, build_covariance, log_negativity
-from oracles import random_thermal_params
+from filtered_tms.gaussian import CovarianceMatrix, apply_loss, build_covariance, log_negativity
+from oracles import bell_max_reference, random_thermal_params
 
 ZERO = DisplacementSettings(*([0.0] * 8))
 
@@ -179,3 +180,108 @@ class TestBellMax:
         lossy_v = apply_loss(tmsv_matrix(r), 0.6, 0.6)
         lossy = bell_max(lossy_v, BellMaxConfig(n_restarts=24, seed=53)).b_max
         assert lossy < clean
+
+
+def mixed_states():
+    """TMSV, thermal and lossy thermal states, two of each, as one stack."""
+    rng = np.random.default_rng(61)
+    mats = []
+    for k in range(6):
+        r, k_f = rng.uniform(0.2, 1.8), rng.uniform(0.85, 1.0)
+        if k < 2:
+            mats.append(tmsv_matrix(r, *rng.uniform(0.6, 1.0, size=2), k_f=k_f).entries)
+            continue
+        p = thermal.ThermalParams(r=r, n_i=rng.uniform(0.0, 1.0), n_s=rng.uniform(0.0, 1.0),
+                                  overlap=OverlapFactors(k_f, 0.05 * (1.0 - k_f)))
+        v = build_covariance(thermal.covariance(p))
+        mats.append((apply_loss(v, *rng.uniform(0.6, 1.0, size=2)) if k >= 4 else v).entries)
+    return CovarianceMatrix(np.array(mats))
+
+
+# at 12 restarts and 900 evaluations, states 0 and 1 each have a restart that
+# stalled 3e-6 to 7e-6 below the best, just outside the agreement band
+BUDGETS = {"1 restart": (1, 2000), "5 restarts, 60 evals": (5, 60), "24 restarts": (24, 2000),
+           "12 restarts, 900 evals": (12, 900)}
+SEEDS = [3, 101, 7, 2**31 - 1, 0, 55]
+
+
+@pytest.fixture(scope="module")
+def references():
+    """The per-state reference search at every budget: {budget: [(b_max,
+    settings, converged, evaluations, restarts_agreeing)]}."""
+    v = mixed_states()
+    return {name: [bell_max_reference(CovarianceMatrix(m), n_r, evals, seed=s)
+                   for m, s in zip(v.entries, SEEDS)]
+            for name, (n_r, evals) in BUDGETS.items()}
+
+
+@pytest.fixture(params=[4096, 24], ids=["one pass", "passes of 24 rows"])
+def stack_rows(request, monkeypatch):
+    """Restarts pass through the lockstep array at most _STACK_ROWS rows at
+    a time; exercise both one pass and many small ones."""
+    monkeypatch.setattr(bell, "_STACK_ROWS", request.param)
+
+
+def same_as_reference(res, ref):
+    b_max, settings, converged, evaluations, agreeing = ref
+    return (np.float64(res.b_max).tobytes() == np.float64(b_max).tobytes()
+            and res.settings.as_array().tobytes() == settings.tobytes()
+            and res.converged is converged
+            and (res.evaluations, res.restarts_agreeing) == (evaluations, agreeing))
+
+
+class TestBellMaxStack:
+    @pytest.mark.parametrize("budget", sorted(BUDGETS))
+    def test_stack_is_bit_identical_to_the_per_state_search(self, budget, references,
+                                                           stack_rows):
+        n_r, evals = BUDGETS[budget]
+        v = mixed_states()
+        found = bell_max_stack(v, SEEDS, BellMaxConfig(n_r, evals))
+        assert len(found) == len(SEEDS)
+        for res, ref in zip(found, references[budget]):
+            assert same_as_reference(res, ref)
+            assert res.n_restarts_used == n_r
+
+    @pytest.mark.parametrize("budget", sorted(BUDGETS))
+    def test_one_matrix_is_bit_identical_to_the_per_state_search(self, budget, references):
+        n_r, evals = BUDGETS[budget]
+        for m, seed, ref in zip(mixed_states().entries, SEEDS, references[budget]):
+            v = CovarianceMatrix(m)
+            assert same_as_reference(bell_max(v, BellMaxConfig(n_r, evals, seed=seed)), ref)
+            [alone] = bell_max_stack(v, [seed], BellMaxConfig(n_r, evals))
+            assert same_as_reference(alone, ref)
+
+    def test_one_seed_per_matrix(self):
+        with pytest.raises(ValueError, match="need one seed per matrix, got 1 for 6"):
+            bell_max_stack(mixed_states(), [0])
+
+    def test_bad_seed_is_rejected_before_any_restart_runs(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a restart ran")
+
+        monkeypatch.setattr(bell, "_batched_nelder_mead", fail)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            bell_max_stack(mixed_states(), [1, 2, 3, 4, 5, -1])
+
+
+class TestBellMaxConfig:
+    @pytest.mark.parametrize("fields, message", [
+        ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+        ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
+        ({"n_restarts": 8.0}, "n_restarts must be an integer, got 8.0"),
+        ({"max_evals": "2000"}, "max_evals must be an integer, got '2000'"),
+        ({"f_tol": -1e-12}, "f_tol must be finite and >= 0, got -1e-12"),
+        ({"f_tol": math.nan}, "f_tol must be finite and >= 0, got nan"),
+        ({"f_tol": math.inf}, "f_tol must be finite and >= 0, got inf"),
+        ({"n_restarts": 0}, "need at least one restart"),
+        ({"max_evals": 49}, "max_evals too small for an 8-dimensional simplex"),
+    ])
+    def test_bad_field_is_named(self, fields, message):
+        with pytest.raises(ValueError) as err:
+            BellMaxConfig(**fields)
+        assert str(err.value) == message
+
+    def test_numpy_integers_and_zero_tolerance_are_accepted(self):
+        cfg = BellMaxConfig(n_restarts=np.int64(2), max_evals=np.int32(60), f_tol=0.0,
+                            seed=np.uint32(7))
+        assert bell_max(VACUUM, cfg).n_restarts_used == 2

@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 import filtered_tms
-from filtered_tms import bell
+from filtered_tms import bell, sweep
 from filtered_tms.cli import main
+from filtered_tms.gaussian import build_covariance
 from filtered_tms.sweep import format_number
+from oracles import bell_max_reference
 
 
 # the child process runs the same package the in-process tests import
@@ -147,13 +149,13 @@ class TestSweep:
 
     def test_bell_sweep_runs_on_the_calling_thread(self, tmp_path, monkeypatch):
         threads = []
-        real = bell.bell_max
+        real = bell.bell_max_stack
 
-        def spy(v, cfg):
-            threads.append(threading.get_ident())
-            return real(v, cfg)
+        def spy(v, seeds, cfg):
+            threads.extend([threading.get_ident()] * len(seeds))
+            return real(v, seeds, cfg)
 
-        monkeypatch.setattr(bell, "bell_max", spy)
+        monkeypatch.setattr(bell, "bell_max_stack", spy)
         code = main(["sweep", "--model", "tmsv", "--axis1", "r=0.2:0.8:5", "--outputs",
                      "bell_max", "--restarts", "2", "--jobs", "4",
                      "--out", str(tmp_path / "b.csv")])
@@ -351,6 +353,32 @@ class TestBellCommand:
         payload = json.loads(out)
         assert code == 0
         assert payload["results"]["b_max"] <= 2.0 + 1e-6
+
+    def test_cost_counts_match_the_reference_search(self, capsys):
+        argv = ("bell", "--model", "thermal", "--r", "0.8", "--n-i", "0.1", "--n-s", "0.4",
+                "--k-f", "0.95", "--l-f", "0.095", "--eta-s", "0.9", "--restarts", "12",
+                "--max-evals", "900", "--seed", "6")
+        code, first, _ = run_inproc(*argv, capsys=capsys)
+        assert code == 0
+        blocks = sweep.point_blocks("thermal", {"r": 0.8, "n_i": 0.1, "n_s": 0.4, "k_f": 0.95,
+                                                "l_f": 0.095, "eta_s": 0.9})
+        ref = bell_max_reference(build_covariance(blocks), 12, 900, seed=6)
+        diag = json.loads(first)["diagnostics"]
+        assert (diag["evaluations"], diag["restarts_agreeing"]) == ref[3:]
+        assert diag["converged"] is ref[2]
+        assert run_inproc(*argv, capsys=capsys)[1] == first
+
+    @pytest.mark.parametrize("argv", [
+        ("bell", "--model", "tmsv", "--r", "0.8"),
+        ("sweep", "--model", "tmsv", "--axis1", "r=0.2:0.8:3", "--outputs", "bell_max"),
+        ("point", "--model", "tmsv", "--r", "0.8", "--outputs", "e_n,bell_max"),
+    ], ids=["bell", "sweep", "point"])
+    def test_negative_seed_is_named(self, argv, capsys):
+        code, out, err = run_inproc(*argv, "--seed", "-1", "--restarts", "2", capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err.splitlines()[-1]) == {
+            "error": "seed must be a non-negative integer, got -1"}
 
 
 class TestValidateCommand:

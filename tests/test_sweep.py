@@ -148,9 +148,9 @@ ERROR_CASES = {
         SweepConfig("tmsv", ("e_n",), {}, axis1=AxisSpec("r", 0.0, 1.0, 5),
                     axis2=AxisSpec("k_f", 0.9, 1.1, 11)),
         ConfigError, "overlap (1.02, 0.0) violates the Cauchy-Schwarz bound"),
-    "tmsv eta_i reaches zero": (
-        SweepConfig("tmsv", ("e_n", "purity"), {}, axis1=AxisSpec("eta_i", 1.0, 0.0, 11)),
-        ConfigError, "eta_i must lie in (0, 1], got 0.0"),
+    "tmsv eta_i below zero": (
+        SweepConfig("tmsv", ("e_n", "purity"), {}, axis1=AxisSpec("eta_i", 1.0, -0.1, 12)),
+        ConfigError, "eta_i must lie in [0, 1], got -0.1"),
     "thermal critical points with loss": (
         SweepConfig("thermal", ("e_n", "critical_points"), {"n_i": 0.2},
                     axis1=AxisSpec("eta_s", 1.0, 0.8, 5)),
@@ -160,7 +160,7 @@ ERROR_CASES = {
     "eta_s above one before k_f past one": (
         SweepConfig("tmsv", ("e_n", "purity"), {}, axis1=AxisSpec("eta_s", 1.4, 0.2, 7),
                     axis2=AxisSpec("k_f", 0.95, 1.05, 3)),
-        ConfigError, "eta_s must lie in (0, 1], got 1.4"),
+        ConfigError, "eta_s must lie in [0, 1], got 1.4"),
     # ... and a later check than a later row does
     "lossy critical points before Cauchy-Schwarz": (
         SweepConfig("thermal", ("e_n", "purity", "critical_points"), {"n_i": 0.3},
@@ -265,13 +265,37 @@ class TestBellInputs:
 
     def test_bell_points_get_their_grid_seeds(self, block_rows, monkeypatch):
         seen = []
-        real = bell.bell_max
+        real = bell.bell_max_stack
 
-        def spy(v, cfg):
-            seen.append(cfg.seed)
-            return real(v, cfg)
+        def spy(v, seeds, cfg):
+            seen.extend(seeds)
+            return real(v, seeds, cfg)
 
-        monkeypatch.setattr(bell, "bell_max", spy)
+        monkeypatch.setattr(bell, "bell_max_stack", spy)
         run_sweep(SweepConfig("tmsv", ("bell_max",), {}, axis1=AxisSpec("r", 0.2, 1.4, 7),
                               seed=33, bell_restarts=1))
         assert seen == _point_seeds(33, 7)
+
+    @pytest.mark.parametrize("stack_rows", [4096, 16, 1])
+    def test_bell_rows_do_not_depend_on_the_restart_rows_per_pass(self, stack_rows,
+                                                                  monkeypatch):
+        cfg = SweepConfig("thermal", ("bell_max",), {"n_i": 0.2, "k_f": 0.97},
+                          axis1=AxisSpec("r", 0.3, 1.5, 5), seed=8, bell_restarts=6)
+        want = run_sweep(cfg)
+        monkeypatch.setattr(bell, "_STACK_ROWS", stack_rows)
+        assert np.array(run_sweep(cfg)[1]).tobytes() == np.array(want[1]).tobytes()
+
+
+class TestFullLoss:
+    @pytest.mark.parametrize("axis", ["eta_i", "eta_s"])
+    def test_tmsv_efficiency_axis_ending_at_zero_sweeps(self, axis):
+        cfg = SweepConfig("tmsv", ("e_n", "purity", "critical_points"), {"k_f": 0.95},
+                          axis1=AxisSpec(axis, 1.0, 0.0, 5))
+        columns, rows = run_sweep(cfg)
+        last = dict(zip(columns, rows[-1]))
+        assert last[axis] == 0.0
+        # full loss on one side leaves a product state: no entanglement and
+        # no window to bound
+        assert last["e_n"] == 0.0
+        assert all(math.isnan(last[c]) for c in critical_columns("tmsv"))
+        assert all(dict(zip(columns, row))["e_n"] > 0.0 for row in rows[:-1])

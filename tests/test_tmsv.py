@@ -64,9 +64,15 @@ class TestCovariance:
         with pytest.raises(ValueError):
             params(-0.1)
         with pytest.raises(ValueError):
-            params(1.0, eta_i=0.0)
+            params(1.0, eta_i=-0.1)
         with pytest.raises(ValueError):
             params(1.0, eta_s=1.3)
+
+    @pytest.mark.parametrize("etas", [(0.0, 0.7), (0.8, 0.0), (0.0, 0.0)])
+    def test_full_loss_gives_a_product_state(self, etas):
+        b = tmsv.covariance(params(1.2, *etas, k_f=0.9))
+        assert (b.c11, b.c12) == (0.0, 0.0)
+        assert log_negativity(b).e_n == 0.0
 
 
 class TestCriticalPoints:
@@ -86,6 +92,15 @@ class TestCriticalPoints:
     def test_vanishing_overlap_rejected(self):
         with pytest.raises(ValueError):
             tmsv.critical_points(params(1.0, k_f=0.0))
+
+    @pytest.mark.parametrize("k_f", [0.9, 1.0])
+    def test_full_loss_has_no_landmarks(self, k_f):
+        # a product state: no division by zero below K_f = 1, and no
+        # unbounded window at K_f = 1
+        with pytest.raises(ValueError, match="requires? eta_i eta_s > 0"):
+            tmsv.critical_points(params(1.0, 0.0, 0.9, k_f=k_f))
+        with pytest.raises(ValueError, match="requires? eta_i eta_s > 0"):
+            tmsv.weight_ratio(params(1.0, 0.9, 0.0, k_f=k_f))
 
     def test_equal_weight_squeezing_extremum(self):
         cp = tmsv.critical_points(params(1.0, 0.9, 0.98, 0.95))
