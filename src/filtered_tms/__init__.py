@@ -16,7 +16,6 @@ from .filters import (
     FilterSpec,
     OverlapFactors,
     eval_freq,
-    eval_time,
     orthonormal_frequencies,
     overlap_closed_form,
     overlap_numeric,
@@ -65,7 +64,6 @@ __all__ = [
     "bell_value",
     "build_covariance",
     "eval_freq",
-    "eval_time",
     "log_negativity",
     "optimal_weight_ratio",
     "optimized_squeezing",

@@ -9,6 +9,7 @@ parameter errors (with a machine-readable JSON error line on stderr),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -366,9 +367,13 @@ _COMMANDS = {
 }
 
 
+# parsing leaves a parser unchanged, so every ``main`` call of a process
+# shares one; callers of ``build_parser`` get their own
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ConfigError, ValueError, OSError) as exc:

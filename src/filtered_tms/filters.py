@@ -17,7 +17,6 @@ evaluation of the same integral is provided as an independent oracle.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -37,7 +36,8 @@ class FilterSpec:
     """One temporal filter: family, center frequency and time constant.
 
     ``omega`` is the center (carrier) frequency in rad per time unit and
-    ``tau`` the window length (step) or decay time (exponential).
+    ``tau`` the window length (step) or decay time (exponential).  They may
+    be equal-shape arrays, a grid of filters of one family.
     """
 
     family: FilterFamily
@@ -45,10 +45,9 @@ class FilterSpec:
     tau: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega) and math.isfinite(self.tau)):
-            raise ValueError("filter parameters must be finite")
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        _reject(~(np.isfinite(self.omega) & np.isfinite(self.tau)),
+                lambda i: ValueError("filter parameters must be finite"))
+        _reject(self.tau <= 0, lambda i: ValueError(f"tau must be positive, got {_at(self.tau, i)}"))
 
 
 @dataclass(frozen=True)
@@ -72,11 +71,6 @@ class OverlapFactors:
 IDENTICAL_FILTERS = OverlapFactors(1.0, 0.0)
 
 
-def eval_time(f: FilterSpec, t: float) -> complex:
-    """Filter amplitude h(t); zero outside the causal support."""
-    return complex(sample_time(f, np.array([t]))[0])
-
-
 def sample_time(f: FilterSpec, ts: "np.ndarray") -> "np.ndarray":
     """Vectorized h(t) over an array of times."""
     ts = np.asarray(ts, dtype=float)
@@ -88,15 +82,18 @@ def sample_time(f: FilterSpec, ts: "np.ndarray") -> "np.ndarray":
     return np.where(inside, amp, 0.0)
 
 
-def eval_freq(f: FilterSpec, omega: float) -> complex:
-    """Fourier transform h~(omega) with the unitary convention
+def eval_freq(f: FilterSpec, omega):
+    """Fourier transform h~(omega) over a float or an array of frequencies,
+    with the unitary convention
     h~(omega) = (2 pi)**-1/2 * integral h(t) exp(i omega t) dt.
     """
-    d = omega - f.omega
+    d = np.asarray(omega, dtype=float) - f.omega
     if f.family is FilterFamily.STEP:
         x = d * f.tau / 2.0
-        sinc = 1.0 - x * x / 6.0 * (1.0 - x * x / 20.0) if abs(x) < 1e-4 else math.sin(x) / x
-        return math.sqrt(f.tau / (2.0 * math.pi)) * cmath.exp(1j * x) * sinc
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sinc = np.where(np.abs(x) < 1e-4, 1.0 - x * x / 6.0 * (1.0 - x * x / 20.0),
+                            np.sin(x) / x)
+        return math.sqrt(f.tau / (2.0 * math.pi)) * np.exp(1j * x) * sinc
     return math.sqrt(f.tau / math.pi) / (1.0 - 1j * f.tau * d)
 
 
@@ -113,7 +110,8 @@ def orthonormal_frequencies(f: FilterSpec, n_range: int) -> list[float]:
 
 
 def overlap_closed_form(fi: FilterSpec, fs: FilterSpec) -> OverlapFactors:
-    """Closed-form (K_f, L_f) for a same-family filter pair.
+    """Closed-form (K_f, L_f) for a same-family filter pair, or for equal-shape
+    arrays of such pairs.
 
     Step filters integrate over the shorter window tau = min(tau_i, tau_s);
     the small-detuning branch avoids the 0/0 at matched frequencies.
@@ -122,23 +120,23 @@ def overlap_closed_form(fi: FilterSpec, fs: FilterSpec) -> OverlapFactors:
         raise ValueError(
             "no closed-form overlap for mixed filter families; use overlap_numeric"
         )
-    delta = fi.omega - fs.omega
-    ti, ts = fi.tau, fs.tau
-    root = math.sqrt(ti * ts)
+    # floats, so that integer inputs cannot wrap around in the powers below
+    wi, ti, ws, ts = (np.asarray(x, dtype=float) for x in (fi.omega, fi.tau, fs.omega, fs.tau))
+    delta = wi - ws
+    root = np.sqrt(ti * ts)
     if fi.family is FilterFamily.STEP:
-        tau = min(ti, ts)
-        if abs(delta) * max(ti, ts) < 1e-8:
-            x = tau * delta
-            k = (tau / root) * (1.0 - x * x / 6.0)
-            l = (tau / root) * (x / 2.0) * (1.0 - x * x / 12.0)
-        else:
-            k = math.sin(tau * delta) / (root * delta)
-            l = (1.0 - math.cos(tau * delta)) / (root * delta)
-        return OverlapFactors(k, l)
+        tau = np.minimum(ti, ts)
+        x = tau * delta
+        small = np.abs(delta) * np.maximum(ti, ts) < 1e-8
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = np.where(small, (tau / root) * (1.0 - x * x / 6.0), np.sin(x) / (root * delta))
+            l = np.where(small, (tau / root) * (x / 2.0) * (1.0 - x * x / 12.0),
+                         (1.0 - np.cos(x)) / (root * delta))
+        return OverlapFactors(k[()], l[()])
     den = ti**2 * ts**2 * delta**2 + (ti + ts) ** 2
     k = 2.0 * root * (ti + ts) / den
     l = 2.0 * root**3 * delta / den
-    return OverlapFactors(k, l)
+    return OverlapFactors(k[()], l[()])
 
 
 def overlap_numeric(fi: FilterSpec, fs: FilterSpec, tol: float = 1e-10) -> OverlapFactors:

@@ -103,27 +103,22 @@ class SweepConfig:
                 raise ConfigError(str(exc)) from exc
 
 
-def _resolve_overlap(params: dict, family: str | None, value):
-    """(k_f, l_f) over the grid, from filters or direct values."""
-    has_filter = any(p in params for p in FILTER_PARAMS)
-    if has_filter:
+def _resolve_overlap(params: dict, family: str | None, value) -> OverlapFactors:
+    """(K_f, L_f) over the grid, from filters or direct values."""
+    if any(p in params for p in FILTER_PARAMS):
         if family is None:
             raise ConfigError("filter parameters require --family")
         if "k_f" in params or "l_f" in params:
             raise ConfigError("give either (k_f, l_f) or filter parameters, not both")
+        wk, ti, wl, ts = (value(p) for p in FILTER_PARAMS)
         fam = FilterFamily(family)
-        kl = []
-        for i, (wk, ti, wl, ts) in enumerate(zip(*(value(p).tolist() for p in FILTER_PARAMS))):
-            try:
-                ov = overlap_closed_form(FilterSpec(fam, wk, ti), FilterSpec(fam, wl, ts))
-            except ValueError as exc:
-                exc.row = i
-                raise
-            kl.append((ov.k_f, ov.l_f))
-        return np.array(kl).T.copy()
+        return overlap_closed_form(FilterSpec(fam, wk, ti), FilterSpec(fam, wl, ts))
     if family is not None:
         raise ConfigError("--family given without filter parameters")
-    return value("k_f"), value("l_f")
+    try:
+        return OverlapFactors(value("k_f"), value("l_f"))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _point_state(model: str, params: dict, family: str | None):
@@ -133,11 +128,7 @@ def _point_state(model: str, params: dict, family: str | None):
     def value(name):
         return params[name] if name in params else np.full(n, _DEFAULTS[name])
 
-    k_f, l_f = _resolve_overlap(params, family, value)
-    try:
-        ov = OverlapFactors(k_f, l_f)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    ov = _resolve_overlap(params, family, value)
     r, eta_i, eta_s = value("r"), value("eta_i"), value("eta_s")
     try:
         if model == "tmsv":
@@ -164,9 +155,15 @@ def output_columns(model: str, outputs) -> list[str]:
             for col in (critical_columns(model) if out == "critical_points" else (out,))]
 
 
-def _evaluate(model, params, outputs, family, seeds, bell_restarts, bell_max_evals):
+def _evaluate(model, params, outputs, family, seeds, bell_restarts, bell_max_evals,
+              optimize=True):
     """Every requested output over a grid of parameter arrays, each check run
-    over the whole grid in the order one point meets them."""
+    over the whole grid in the order one point meets them.
+
+    The Bell optimizer, which has no check of its own, runs last, once every
+    other output of the grid has passed; ``optimize=False`` skips it, for a
+    pass that only looks for a failing check.
+    """
     p, blocks, eta_i, eta_s = _point_state(model, params, family)
     res: dict = {}
     mat = functools.cache(lambda: gaussian.build_covariance(blocks))
@@ -185,29 +182,33 @@ def _evaluate(model, params, outputs, family, seeds, bell_restarts, bell_max_eva
             safe = replace(blocks, c11=np.where(defined, blocks.c11, 1.0))
             res["weight_ratio"] = np.where(defined, gaussian.optimal_weight_ratio(safe), math.nan)
         elif out == "bell_max":
-            cfg = bell.BellMaxConfig(bell_restarts, bell_max_evals)
-            found = bell.bell_max_stack(mat(), seeds, cfg)
-            res["bell_max"] = np.array([r.b_max for r in found])
+            mat()  # the physicality check, where one point meets it
+            res["bell_max"] = None
         elif out == "critical_points":
             res.update(_critical_point_columns(model, p, eta_i, eta_s))
+    if "bell_max" in res and optimize:
+        cfg = bell.BellMaxConfig(bell_restarts, bell_max_evals)
+        res["bell_max"] = np.array([r.b_max for r in bell.bell_max_stack(mat(), seeds, cfg)])
     return res
 
 
 def _first_failure(evaluate, n: int) -> dict:
-    """evaluate(lo, hi) over grid rows lo:hi, block by block, raising as a
-    point-by-point loop would; the blocks bound the (rows, 4, 4) temporaries.
+    """evaluate(lo, hi, optimize) over grid rows lo:hi, block by block,
+    raising as a point-by-point loop would; the blocks bound the (rows, 4, 4)
+    temporaries.
 
     A failed check raises for the first row it rejects, but an earlier row
-    may fail a later check: re-evaluate the rows before it until a pass is
-    clean, then raise the error of the first failing row.  Each re-evaluation
-    fails at a later check, if at all, so the loop is short.
+    may fail a later check: re-check the rows before it, without the
+    optimizer, until a pass is clean, then raise the error of the first
+    failing row.  Each re-check fails at a later check, if at all, so the
+    loop is short.
     """
     parts = []
     for lo in range(0, n, _BLOCK_ROWS):
         hi, error = min(lo + _BLOCK_ROWS, n), None
         while error is None or hi > lo:
             try:
-                parts.append(evaluate(lo, hi))
+                part = evaluate(lo, hi, error is None)
                 break
             except Exception as exc:
                 # a ConfigError raised from a check's error takes that error's row
@@ -217,6 +218,7 @@ def _first_failure(evaluate, n: int) -> dict:
                 error, hi = exc, lo + row
         if error is not None:
             raise error
+        parts.append(part)
     return {k: np.concatenate([part[k] for part in parts]) for k in parts[0]}
 
 
@@ -240,23 +242,15 @@ def point_blocks(model: str, params: dict, family: str | None = None):
 
 
 def _critical_point_columns(model: str, p, eta_i, eta_s) -> dict:
-    """Closed-form landmarks, one grid point at a time."""
-    cols = critical_columns(model)
+    """Closed-form landmarks over the grid, nan where a point has none."""
     if model == "tmsv":
-        find, args = tmsv.landmarks, (p.overlap.k_f, p.eta_i, p.eta_s)
+        cp = tmsv.landmarks(p.overlap.k_f, p.eta_i, p.eta_s)
     else:
         _reject((eta_i < 1.0) | (eta_s < 1.0), lambda i: ConfigError(
             "critical_points for the thermal model are closed forms at unit detection "
             "efficiency; drop the output or set eta_i = eta_s = 1"))
-        find, args = thermal.landmarks, (p.a, p.b, p.overlap.k_f, p.overlap.l_f)
-    values = []
-    for point in zip(*(x.tolist() for x in args)):
-        try:
-            cp = find(*point)
-            values.append([getattr(cp, c) for c in cols])
-        except ValueError:
-            values.append([math.nan] * len(cols))
-    return dict(zip(cols, np.array(values).T))
+        cp = thermal.landmarks(p.a, p.b, p.overlap.k_f, p.overlap.l_f)
+    return {c: getattr(cp, c) for c in critical_columns(model)}
 
 
 def run_sweep(cfg: SweepConfig) -> tuple[list[str], list[list[float]]]:
@@ -278,9 +272,9 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[str], list[list[float]]]:
     params.update((a.name, vals) for a, vals in zip(axes, axis_vals))
     seeds = _point_seeds(cfg.seed, n) if "bell_max" in cfg.outputs else None
 
-    res = _first_failure(lambda lo, hi: _evaluate(
+    res = _first_failure(lambda lo, hi, optimize: _evaluate(
         cfg.model, {k: v[lo:hi] for k, v in params.items()}, cfg.outputs, cfg.family,
-        seeds and seeds[lo:hi], cfg.bell_restarts, cfg.bell_max_evals), n)
+        seeds and seeds[lo:hi], cfg.bell_restarts, cfg.bell_max_evals, optimize), n)
     out_cols = output_columns(cfg.model, cfg.outputs)
     table = np.column_stack(axis_vals + [res[c] for c in out_cols])
     return [a.name for a in axes] + out_cols, table.tolist()

@@ -16,7 +16,7 @@ at 1 here; lossy thermal states can be explored numerically by composing
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -60,6 +60,7 @@ class ThermalCriticalPoints:
     optimal phase (the weight-optimized quadrature shares the entanglement
     window instead).  ``has_window`` is False when no r is entangled, in
     which case the window fields are nan.  zeta is the squeezing angle.
+    Fields are floats from ``critical_points`` and arrays from ``landmarks``.
     """
 
     r_lcf_en: float
@@ -70,11 +71,6 @@ class ThermalCriticalPoints:
     r_max_sq: float
     zeta: float
     has_window: bool = True
-
-    @classmethod
-    def empty(cls, zeta: float) -> "ThermalCriticalPoints":
-        nan = math.nan
-        return cls(nan, nan, nan, nan, nan, nan, zeta, has_window=False)
 
 
 def covariance(p: ThermalParams) -> CovarianceBlocks:
@@ -96,7 +92,8 @@ def squeezing_angle(p: ThermalParams) -> float:
 
 
 def critical_points(p: ThermalParams) -> ThermalCriticalPoints:
-    """Closed-form windows and maxima, with the identical-filter limit branch.
+    """Closed-form windows and maxima, with the identical-filter limit branch,
+    as Python floats.
 
     The entanglement cutoffs solve cosh(2r) = (A -+ sqrt(rad)) / den with
     den = A^2 (1 - K_f^2) - B^2 L_f^2 and rad = A^2 - den (Q - B^2 + 1),
@@ -106,62 +103,66 @@ def critical_points(p: ThermalParams) -> ThermalCriticalPoints:
     cosh(2 r_lcf) = (A^2 - B^2 + 1) / (2A), where r_ucf diverges.
     A negative rad means no entanglement window at any r.
     """
-    return landmarks(p.a, p.b, p.overlap.k_f, p.overlap.l_f)
-
-
-def landmarks(a: float, b: float, kf: float, lf: float) -> ThermalCriticalPoints:
-    """``critical_points`` from plain numbers: A, B, K_f and L_f."""
+    kf = p.overlap.k_f
     if not 0.0 < kf <= 1.0:
         raise ValueError(f"critical points require K_f in (0, 1], got {kf}")
-    q = a**2 * kf**2 + b**2 * lf**2
-    den = a**2 * (1.0 - kf**2) - b**2 * lf**2
-    g = q - b**2 + 1.0
-    zeta = math.atan2(b * lf, a * kf)
+    cp = landmarks(p.a, p.b, kf, p.overlap.l_f)
+    return ThermalCriticalPoints(*(x.item() for x in astuple(cp)))
 
-    if den < _DEN_LIMIT:
-        # identical filters: upper cutoff diverges, lower cutoff stays finite
-        r_lcf = 0.5 * math.acosh(max(g / (2.0 * a), 1.0))
-        r_ucf = r_max_en = r_max_sq = math.inf
-    else:
+
+def landmarks(a, b, kf, lf) -> ThermalCriticalPoints:
+    """``critical_points`` over equal-shape arrays of A, B, K_f and L_f; the
+    window fields are nan where a point has no window or K_f lies outside
+    (0, 1]."""
+    a, b, kf, lf = (np.asarray(x, dtype=float) for x in (a, b, kf, lf))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        _reject(~np.isfinite(a**2), lambda i: OverflowError(34, "Numerical result out of range"))
+        q = a**2 * kf**2 + b**2 * lf**2
+        den = a**2 * (1.0 - kf**2) - b**2 * lf**2
+        g = q - b**2 + 1.0
+        zeta = np.arctan2(b * lf, a * kf)
+
+        # identical filters (den < _DEN_LIMIT): the upper cutoff diverges and
+        # the lower one stays finite
+        limit = den < _DEN_LIMIT
         rad = a**2 - den * g
-        if rad < 0.0:
-            return ThermalCriticalPoints.empty(zeta)
-        root = math.sqrt(rad)
-        ch_l = g / (a + root)
+        root = np.sqrt(rad)
+        ch_l = np.where(limit, g / (2.0 * a), g / (a + root))
         ch_u = (a + root) / den
-        if ch_u < 1.0:
-            return ThermalCriticalPoints.empty(zeta)
-        r_lcf = 0.5 * math.acosh(max(ch_l, 1.0))
-        r_ucf = 0.5 * math.acosh(ch_u)
+        r_lcf = 0.5 * np.arccosh(np.maximum(ch_l, 1.0))
+        r_ucf = np.where(limit, math.inf, 0.5 * np.arccosh(ch_u))
 
         # maximum of E_N(r), shared by the weight-optimized variance; a
         # non-empty window guarantees Q > B^2, the nan arm is defensive
         num = a**2 * (q - b**2)
-        r_max_en = (0.5 * math.acosh(max(math.sqrt(num / (q * den)), 1.0))
-                    if num > 0.0 else math.nan)
+        r_max_en = np.where(limit, math.inf, np.where(
+            num > 0.0, 0.5 * np.arccosh(np.maximum(np.sqrt(num / (q * den)), 1.0)), math.nan))
 
-        t_sq = math.sqrt(q) / a
-        r_max_sq = 0.5 * math.atanh(t_sq) if t_sq < 1.0 else math.inf
+        t_sq = np.sqrt(q) / a
+        r_max_sq = np.where(~limit & (t_sq < 1.0), 0.5 * np.arctanh(t_sq), math.inf)
+        r_lcf_sq, r_ucf_sq = _sq_window(a, q)
 
-    r_lcf_sq, r_ucf_sq = _sq_window(a, q)
-    return ThermalCriticalPoints(r_lcf, r_ucf, r_max_en, r_lcf_sq, r_ucf_sq, r_max_sq, zeta)
+    # a negative rad or ch_u < 1 leaves no entanglement window at any r
+    window = (0.0 < kf) & (kf <= 1.0) & (limit | ~((rad < 0.0) | (ch_u < 1.0)))
+    fields = (np.where(window, x, math.nan)
+              for x in (r_lcf, r_ucf, r_max_en, r_lcf_sq, r_ucf_sq, r_max_sq))
+    return ThermalCriticalPoints(*fields, zeta, has_window=window)
 
 
-def _sq_window(a: float, q: float) -> tuple[float, float]:
+def _sq_window(a, q):
     """SQL crossings of the equal-weight composite quadrature.
 
     tanh(r) = (sqrt(Q) -+ sqrt(Q - A^2 + 1)) / (A + 1); empty (nan, nan)
     when the variance never dips below the SQL.
     """
     disc = q - a**2 + 1.0
-    if disc < 0.0:
-        return math.nan, math.nan
-    root_q, root_d = math.sqrt(q), math.sqrt(disc)
+    root_q, root_d = np.sqrt(q), np.sqrt(disc)
     t_l = (root_q - root_d) / (a + 1.0)
     t_u = (root_q + root_d) / (a + 1.0)
-    r_l = math.atanh(min(max(t_l, 0.0), 1.0)) if t_l < 1.0 else math.inf
-    r_u = math.atanh(t_u) if t_u < 1.0 else math.inf
-    return r_l, r_u
+    r_l = np.where(t_l < 1.0, np.arctanh(np.minimum(np.maximum(t_l, 0.0), 1.0)), math.inf)
+    r_u = np.where(t_u < 1.0, np.arctanh(t_u), math.inf)
+    empty = disc < 0.0
+    return np.where(empty, math.nan, r_l), np.where(empty, math.nan, r_u)
 
 
 def weight_ratio(p: ThermalParams) -> float:

@@ -15,7 +15,7 @@ extremization in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -55,7 +55,8 @@ class TmsvCriticalPoints:
               tanh(2r) = 2 sqrt(eta_i eta_s) K_f / (eta_i + eta_s).
     r_ucf_sq: SQL crossing of the equal-weight variance, = 2 r_max_sq.
 
-    K_f = 1 landmarks that diverge are reported as math.inf.
+    K_f = 1 landmarks that diverge are reported as math.inf.  Fields are
+    floats from ``critical_points`` and arrays from ``landmarks``.
     """
 
     r_ucf_en: float
@@ -77,37 +78,39 @@ def covariance(p: TmsvParams) -> CovarianceBlocks:
 
 def critical_points(p: TmsvParams) -> TmsvCriticalPoints:
     """Closed-form entanglement/squeezing landmarks for 0 < K_f <= 1 and
-    eta_i eta_s > 0."""
-    return landmarks(p.overlap.k_f, p.eta_i, p.eta_s)
-
-
-def landmarks(kf: float, ei: float, es: float) -> TmsvCriticalPoints:
-    """``critical_points`` from plain numbers: K_f and the two efficiencies."""
+    eta_i eta_s > 0, as Python floats."""
+    kf, ei, es = p.overlap.k_f, p.eta_i, p.eta_s
     if not 0.0 < kf <= 1.0:
         raise ValueError(f"critical points require K_f in (0, 1], got {kf}")
     if ei * es == 0.0:
         # full loss on either side leaves a product state: no window to bound
         raise ValueError(f"critical points require eta_i eta_s > 0, got {ei} * {es}")
+    return TmsvCriticalPoints(*(x.item() for x in astuple(landmarks(kf, ei, es))))
 
-    # unbounded landmarks at K_f = 1 branch on the exact value so rounding
-    # can never turn them into large finite floats
-    r_ucf_en = math.atanh(kf) if kf < 1.0 else math.inf
 
-    if kf == 1.0:
+def landmarks(kf, ei, es) -> TmsvCriticalPoints:
+    """``critical_points`` over equal-shape arrays of K_f and the two
+    efficiencies; nan where a point has no landmark (K_f outside (0, 1] or
+    eta_i eta_s = 0)."""
+    kf, ei, es = (np.asarray(x, dtype=float) for x in (kf, ei, es))
+    exists = (0.0 < kf) & (kf <= 1.0) & (ei * es != 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # unbounded landmarks at K_f = 1 branch on the exact value so rounding
+        # can never turn them into large finite floats
+        r_ucf_en = np.where(kf < 1.0, np.arctanh(kf), math.inf)
+
         # argmax of E_N(r); E_N = 2r grows without bound for matched filters
-        r_max_en = math.inf
-    else:
-        g = math.sqrt((1.0 - kf**2) * ei * es)
+        g = np.sqrt((1.0 - kf**2) * ei * es)
         w = 2.0 * ei * es + (ei + es) * g
-        t = math.sqrt(4.0 * ei * es * kf**2 * (w - ei * es * kf**2)) / w
-        r_max_en = 0.5 * math.atanh(t) if t < 1.0 else math.inf
+        t = np.sqrt(4.0 * ei * es * kf**2 * (w - ei * es * kf**2)) / w
+        r_max_en = np.where((kf < 1.0) & (t < 1.0), 0.5 * np.arctanh(t), math.inf)
 
-    if kf == 1.0 and ei == es:
-        r_max_sq = math.inf
-    else:
-        t_sq = 2.0 * math.sqrt(ei * es) * kf / (ei + es)
-        r_max_sq = 0.5 * math.atanh(t_sq) if t_sq < 1.0 else math.inf
+        t_sq = 2.0 * np.sqrt(ei * es) * kf / (ei + es)
+        r_max_sq = np.where(((kf < 1.0) | (ei != es)) & (t_sq < 1.0),
+                            0.5 * np.arctanh(t_sq), math.inf)
 
+    r_ucf_en, r_max_en, r_max_sq = (np.where(exists, x, math.nan)
+                                    for x in (r_ucf_en, r_max_en, r_max_sq))
     return TmsvCriticalPoints(r_ucf_en, r_max_en, r_max_sq, r_ucf_sq=2.0 * r_max_sq)
 
 

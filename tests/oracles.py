@@ -3,7 +3,8 @@
 Every routine here avoids the closed forms under test: symplectic spectra
 come from an eigenvalue decomposition, extrema from golden-section search,
 roots from bisection, and variance optima from grid-plus-golden scans of
-the raw quadratic form.
+the raw quadratic form.  The scalar references at the end are the
+point-by-point `math` forms that the whole-array closed forms replaced.
 """
 
 import math
@@ -348,3 +349,243 @@ def _reference_nelder_mead(func, centers, step, f_tol, max_evals):
     best_f = fv[np.arange(n), best]
     best_x = pts[np.arange(n), best]
     return best_f, best_x, settled, evals
+
+
+def same_or_close(got: float, want: float, rel: float) -> bool:
+    """The same nan/inf pattern, and finite values within rel of each other."""
+    if math.isnan(want) or math.isinf(want):
+        return repr(float(got)) == repr(float(want))
+    return math.isfinite(got) and abs(got - want) <= rel * abs(want)
+
+
+# ---------------------------------------------------------------------------
+# Scalar references of the whole-array closed forms: the landmarks, the
+# same-family overlap and the heatmap writer, one point (or cell) at a time
+# in `math`, as they were written before the array versions.
+
+def tmsv_landmarks_reference(kf: float, ei: float, es: float):
+    """``tmsv.critical_points`` from plain numbers: K_f and the two efficiencies."""
+    from filtered_tms.tmsv import TmsvCriticalPoints
+
+    if not 0.0 < kf <= 1.0:
+        raise ValueError(f"critical points require K_f in (0, 1], got {kf}")
+    if ei * es == 0.0:
+        # full loss on either side leaves a product state: no window to bound
+        raise ValueError(f"critical points require eta_i eta_s > 0, got {ei} * {es}")
+
+    # unbounded landmarks at K_f = 1 branch on the exact value so rounding
+    # can never turn them into large finite floats
+    r_ucf_en = math.atanh(kf) if kf < 1.0 else math.inf
+
+    if kf == 1.0:
+        # argmax of E_N(r); E_N = 2r grows without bound for matched filters
+        r_max_en = math.inf
+    else:
+        g = math.sqrt((1.0 - kf**2) * ei * es)
+        w = 2.0 * ei * es + (ei + es) * g
+        t = math.sqrt(4.0 * ei * es * kf**2 * (w - ei * es * kf**2)) / w
+        r_max_en = 0.5 * math.atanh(t) if t < 1.0 else math.inf
+
+    if kf == 1.0 and ei == es:
+        r_max_sq = math.inf
+    else:
+        t_sq = 2.0 * math.sqrt(ei * es) * kf / (ei + es)
+        r_max_sq = 0.5 * math.atanh(t_sq) if t_sq < 1.0 else math.inf
+
+    return TmsvCriticalPoints(r_ucf_en, r_max_en, r_max_sq, r_ucf_sq=2.0 * r_max_sq)
+
+
+THERMAL_DEN_LIMIT = 1e-12
+
+
+def thermal_landmarks_reference(a: float, b: float, kf: float, lf: float):
+    """``thermal.critical_points`` from plain numbers: A, B, K_f and L_f."""
+    from filtered_tms.thermal import ThermalCriticalPoints
+
+    def empty(zeta):
+        nan = math.nan
+        return ThermalCriticalPoints(nan, nan, nan, nan, nan, nan, zeta, has_window=False)
+
+    if not 0.0 < kf <= 1.0:
+        raise ValueError(f"critical points require K_f in (0, 1], got {kf}")
+    q = a**2 * kf**2 + b**2 * lf**2
+    den = a**2 * (1.0 - kf**2) - b**2 * lf**2
+    g = q - b**2 + 1.0
+    zeta = math.atan2(b * lf, a * kf)
+
+    if den < THERMAL_DEN_LIMIT:
+        # identical filters: upper cutoff diverges, lower cutoff stays finite
+        r_lcf = 0.5 * math.acosh(max(g / (2.0 * a), 1.0))
+        r_ucf = r_max_en = r_max_sq = math.inf
+    else:
+        rad = a**2 - den * g
+        if rad < 0.0:
+            return empty(zeta)
+        root = math.sqrt(rad)
+        ch_l = g / (a + root)
+        ch_u = (a + root) / den
+        if ch_u < 1.0:
+            return empty(zeta)
+        r_lcf = 0.5 * math.acosh(max(ch_l, 1.0))
+        r_ucf = 0.5 * math.acosh(ch_u)
+
+        # maximum of E_N(r), shared by the weight-optimized variance; a
+        # non-empty window guarantees Q > B^2, the nan arm is defensive
+        num = a**2 * (q - b**2)
+        r_max_en = (0.5 * math.acosh(max(math.sqrt(num / (q * den)), 1.0))
+                    if num > 0.0 else math.nan)
+
+        t_sq = math.sqrt(q) / a
+        r_max_sq = 0.5 * math.atanh(t_sq) if t_sq < 1.0 else math.inf
+
+    r_lcf_sq, r_ucf_sq = _sq_window_reference(a, q)
+    return ThermalCriticalPoints(r_lcf, r_ucf, r_max_en, r_lcf_sq, r_ucf_sq, r_max_sq, zeta)
+
+
+def _sq_window_reference(a: float, q: float) -> tuple[float, float]:
+    """SQL crossings of the equal-weight composite quadrature.
+
+    tanh(r) = (sqrt(Q) -+ sqrt(Q - A^2 + 1)) / (A + 1); empty (nan, nan)
+    when the variance never dips below the SQL.
+    """
+    disc = q - a**2 + 1.0
+    if disc < 0.0:
+        return math.nan, math.nan
+    root_q, root_d = math.sqrt(q), math.sqrt(disc)
+    t_l = (root_q - root_d) / (a + 1.0)
+    t_u = (root_q + root_d) / (a + 1.0)
+    r_l = math.atanh(min(max(t_l, 0.0), 1.0)) if t_l < 1.0 else math.inf
+    r_u = math.atanh(t_u) if t_u < 1.0 else math.inf
+    return r_l, r_u
+
+
+def overlap_closed_form_reference(fi, fs):
+    """Closed-form (K_f, L_f) for a same-family filter pair.
+
+    Step filters integrate over the shorter window tau = min(tau_i, tau_s);
+    the small-detuning branch avoids the 0/0 at matched frequencies.
+    """
+    from filtered_tms.filters import FilterFamily, OverlapFactors
+
+    if fi.family is not fs.family:
+        raise ValueError(
+            "no closed-form overlap for mixed filter families; use overlap_numeric"
+        )
+    delta = fi.omega - fs.omega
+    ti, ts = fi.tau, fs.tau
+    root = math.sqrt(ti * ts)
+    if fi.family is FilterFamily.STEP:
+        tau = min(ti, ts)
+        if abs(delta) * max(ti, ts) < 1e-8:
+            x = tau * delta
+            k = (tau / root) * (1.0 - x * x / 6.0)
+            l = (tau / root) * (x / 2.0) * (1.0 - x * x / 12.0)
+        else:
+            k = math.sin(tau * delta) / (root * delta)
+            l = (1.0 - math.cos(tau * delta)) / (root * delta)
+        return OverlapFactors(k, l)
+    den = ti**2 * ts**2 * delta**2 + (ti + ts) ** 2
+    k = 2.0 * root * (ti + ts) / den
+    l = 2.0 * root**3 * delta / den
+    return OverlapFactors(k, l)
+
+
+# anchor colors of a viridis-like ramp, interpolated linearly
+_RAMP = (
+    (68, 1, 84),
+    (59, 82, 139),
+    (33, 145, 140),
+    (94, 201, 98),
+    (253, 231, 37),
+)
+
+_NAN_FILL = "#b0b0b0"
+
+_CELL = 14
+_MARGIN_LEFT = 70
+_MARGIN_BOTTOM = 46
+_MARGIN_TOP = 34
+_BAR_WIDTH = 18
+_BAR_GAP = 24
+
+
+def _color(t: float) -> str:
+    t = min(max(t, 0.0), 1.0)
+    pos = t * (len(_RAMP) - 1)
+    i = min(int(pos), len(_RAMP) - 2)
+    frac = pos - i
+    rgb = [round(a + (b - a) * frac) for a, b in zip(_RAMP[i], _RAMP[i + 1])]
+    return f"#{rgb[0]:02x}{rgb[1]:02x}{rgb[2]:02x}"
+
+
+def _fmt(x: float) -> str:
+    return f"{x:.6g}"
+
+
+def render_heatmap_reference(
+    grid,
+    x_values,
+    y_values,
+    x_label: str,
+    y_label: str,
+    title: str,
+) -> str:
+    """SVG text for grid[y, x] with a labelled linear color bar."""
+    grid = np.asarray(grid, dtype=float)
+    ny, nx = grid.shape
+    if ny != len(y_values) or nx != len(x_values):
+        raise ValueError("grid shape does not match the axis lengths")
+
+    finite = grid[np.isfinite(grid)]
+    lo = float(finite.min()) if finite.size else 0.0
+    hi = float(finite.max()) if finite.size else 1.0
+    span = hi - lo if hi > lo else 1.0
+
+    width = _MARGIN_LEFT + nx * _CELL + _BAR_GAP + _BAR_WIDTH + 60
+    height = _MARGIN_TOP + ny * _CELL + _MARGIN_BOTTOM
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="11">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{_MARGIN_LEFT}" y="18" font-size="13">{title}</text>',
+    ]
+    for iy in range(ny):
+        # row 0 at the bottom so the y axis increases upward
+        ypix = _MARGIN_TOP + (ny - 1 - iy) * _CELL
+        for ix in range(nx):
+            v = grid[iy, ix]
+            fill = _NAN_FILL if not math.isfinite(v) else _color((v - lo) / span)
+            parts.append(
+                f'<rect x="{_MARGIN_LEFT + ix * _CELL}" y="{ypix}" '
+                f'width="{_CELL}" height="{_CELL}" fill="{fill}"/>'
+            )
+
+    x0, x1 = _fmt(float(x_values[0])), _fmt(float(x_values[-1]))
+    y0, y1 = _fmt(float(y_values[0])), _fmt(float(y_values[-1]))
+    base = _MARGIN_TOP + ny * _CELL
+    parts += [
+        f'<text x="{_MARGIN_LEFT}" y="{base + 14}">{x0}</text>',
+        f'<text x="{_MARGIN_LEFT + nx * _CELL}" y="{base + 14}" text-anchor="end">{x1}</text>',
+        f'<text x="{_MARGIN_LEFT + nx * _CELL / 2}" y="{base + 32}" text-anchor="middle">{x_label}</text>',
+        f'<text x="{_MARGIN_LEFT - 6}" y="{base}" text-anchor="end">{y0}</text>',
+        f'<text x="{_MARGIN_LEFT - 6}" y="{_MARGIN_TOP + 10}" text-anchor="end">{y1}</text>',
+        f'<text x="14" y="{_MARGIN_TOP + ny * _CELL / 2}" text-anchor="middle" '
+        f'transform="rotate(-90 14 {_MARGIN_TOP + ny * _CELL / 2})">{y_label}</text>',
+    ]
+
+    # linear color bar, annotated with the grid minimum and maximum
+    bar_x = _MARGIN_LEFT + nx * _CELL + _BAR_GAP
+    bar_h = ny * _CELL
+    steps = 32
+    for k in range(steps):
+        t = 1.0 - k / (steps - 1)
+        parts.append(
+            f'<rect x="{bar_x}" y="{_MARGIN_TOP + k * bar_h / steps:.2f}" '
+            f'width="{_BAR_WIDTH}" height="{bar_h / steps + 0.5:.2f}" fill="{_color(t)}"/>'
+        )
+    parts += [
+        f'<text x="{bar_x + _BAR_WIDTH + 4}" y="{_MARGIN_TOP + 10}">{_fmt(hi)}</text>',
+        f'<text x="{bar_x + _BAR_WIDTH + 4}" y="{base}">{_fmt(lo)}</text>',
+        "</svg>",
+    ]
+    return "\n".join(parts) + "\n"

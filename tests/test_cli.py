@@ -466,6 +466,60 @@ class TestOverlapCommand:
         assert res["numeric"]["k_f"] ** 2 + res["numeric"]["l_f"] ** 2 <= 1 + 1e-12
 
 
+class TestParserReuse:
+    """One parser serves every ``main`` call of a process: a sequence of
+    in-process calls gives what each command gives in a fresh process."""
+
+    @staticmethod
+    def inproc(capsys, args):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_command_sequence_matches_fresh_processes(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # the usage text wraps at the terminal width
+        grid = ["sweep", "--model", "tmsv", "--axis1", "r=0:1.5:4", "--axis2", "k_f=0.9:1:3",
+                "--outputs", "e_n,s_q_opt"]
+        point = ["point", "--model", "thermal", "--r", "0.7", "--n-i", "0.2",
+                 "--outputs", "e_n,purity,critical_points"]
+        sequence = [
+            grid + ["--svg", "{dir}/grid.svg"],
+            grid,
+            point + ["--format", "csv"],
+            point,
+            ["sweep", "--model", "tmsv", "--outputs", "e_n"],  # --axis1 missing: exit 2
+            ["point", "--model", "tmsv", "--r", "0.3"],
+        ]
+        fresh_dir, inproc_dir = tmp_path / "fresh", tmp_path / "inproc"
+        fresh_dir.mkdir()
+        inproc_dir.mkdir()
+        codes = []
+        for args in sequence:
+            fresh = run_cli(*(a.format(dir=fresh_dir) for a in args))
+            got = self.inproc(capsys, [a.format(dir=inproc_dir) for a in args])
+            assert got == fresh, args
+            codes.append(got[0])
+            if "--svg" in args:
+                svg = inproc_dir / "grid.svg"
+                assert svg.read_bytes() == (fresh_dir / "grid.svg").read_bytes()
+                svg.unlink()  # the next sweep has no --svg and must not write one
+        assert codes == [0, 0, 0, 0, 2, 0]
+        assert not (inproc_dir / "grid.svg").exists()
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        from filtered_tms import cli
+
+        builds = []
+        monkeypatch.setattr(cli, "_parser", cli.functools.cache(
+            lambda: builds.append(1) or cli.build_parser()))
+        for _ in range(3):
+            assert main(["point", "--model", "tmsv", "--r", "0.3"]) == 0
+        assert builds == [1]
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         code, out, _ = run_cli("point", "--model", "tmsv", "--r", "0.3")

@@ -11,11 +11,12 @@ from filtered_tms.filters import (
     FilterSpec,
     OverlapFactors,
     eval_freq,
-    eval_time,
     orthonormal_frequencies,
     overlap_closed_form,
     overlap_numeric,
+    sample_time,
 )
+from oracles import overlap_closed_form_reference
 
 STEP = FilterFamily.STEP
 EXP = FilterFamily.EXPONENTIAL
@@ -23,6 +24,11 @@ EXP = FilterFamily.EXPONENTIAL
 
 def random_spec(rng, family):
     return FilterSpec(family, float(rng.uniform(-5.0, 5.0)), float(rng.uniform(0.1, 20.0)))
+
+
+def eval_time(f, t):
+    """h(t) at one time."""
+    return complex(sample_time(f, np.array([t]))[0])
 
 
 class TestEvalTime:
@@ -72,7 +78,7 @@ class TestEvalFreq:
             n = 40000
             dt = f.tau / n
             ts = (np.arange(n) + 0.5) * dt
-            vals = np.array([eval_time(f, t) for t in ts]) * np.exp(1j * w * ts)
+            vals = sample_time(f, ts) * np.exp(1j * w * ts)
             direct = vals.sum() * dt / math.sqrt(2.0 * math.pi)
             assert abs(direct - eval_freq(f, w)) < 1e-6
 
@@ -85,13 +91,23 @@ class TestEvalFreq:
             f = random_spec(rng, family)
             half = 4000.0 / f.tau
             ws = np.linspace(f.omega - half, f.omega + half, 400001)
-            dens = np.abs([eval_freq(f, w) for w in ws]) ** 2
+            dens = np.abs(eval_freq(f, ws)) ** 2
             if family is STEP:
                 tail = 2.0 / (math.pi * half * f.tau)
             else:
                 tail = 2.0 / (math.pi * f.tau * half)
             norm = float(np.trapezoid(dens, ws))
             assert abs(norm + tail - 1.0) < 1e-6
+
+
+    @pytest.mark.parametrize("family", [STEP, EXP])
+    def test_array_call_is_the_scalar_call_per_frequency(self, family):
+        f = FilterSpec(family, 1.0, 2.0)
+        ws = np.concatenate([np.linspace(-6.0, 8.0, 301), [1.0, 1.0 + 1e-5, 1.0 - 3e-5]])
+        got = eval_freq(f, ws)
+        want = np.array([eval_freq(f, w) for w in ws.tolist()])
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+        assert isinstance(eval_freq(f, 0.5), complex)
 
 
 class TestOverlapClosedForm:
@@ -134,6 +150,44 @@ class TestOverlapClosedForm:
         close = FilterSpec(STEP, 1.0, 2.0001)
         ov = overlap_closed_form(a, close)
         assert ov.k_f**2 + ov.l_f**2 < 1.0
+
+    @pytest.mark.parametrize("family", [STEP, EXP])
+    def test_arrays_match_the_scalar_reference(self, family):
+        rng = np.random.default_rng(23)
+        n = 2000
+        omega_i, omega_s = rng.uniform(-5.0, 5.0, (2, n))
+        omega_s[::9] = omega_i[::9]  # matched frequencies
+        omega_s[1::9] = omega_i[1::9] + rng.uniform(-1e-9, 1e-9, len(omega_s[1::9]))
+        tau_i, tau_s = rng.uniform(0.1, 20.0, (2, n))
+        tau_s[::4] = tau_i[::4]
+        ov = overlap_closed_form(FilterSpec(family, omega_i, tau_i),
+                                 FilterSpec(family, omega_s, tau_s))
+        for i in range(n):
+            want = overlap_closed_form_reference(FilterSpec(family, omega_i[i], tau_i[i]),
+                                                 FilterSpec(family, omega_s[i], tau_s[i]))
+            assert abs(ov.k_f[i] - want.k_f) <= 1e-15 * max(abs(want.k_f), 1.0)
+            assert abs(ov.l_f[i] - want.l_f) <= 1e-15 * max(abs(want.l_f), 1.0)
+
+    def test_integer_parameters_act_as_floats(self):
+        # tau^2 tau^2 delta^2 = 1e26 would wrap around as a fixed-width integer
+        for make in (lambda x: x, lambda x: np.array([x])):
+            pair = [FilterSpec(EXP, make(w), make(100000)) for w in (0, 1000)]
+            ov = overlap_closed_form(*pair)
+            want = overlap_closed_form(*(FilterSpec(EXP, float(w), 1e5) for w in (0, 1000)))
+            assert (np.ravel(ov.k_f)[0], np.ravel(ov.l_f)[0]) == (want.k_f, want.l_f)
+
+    def test_scalar_pairs_give_floats(self):
+        ov = overlap_closed_form(FilterSpec(STEP, 1.0, 2.0), FilterSpec(STEP, 0.0, 2.0))
+        assert isinstance(ov.k_f, float) and isinstance(ov.l_f, float)
+
+    def test_array_errors_name_the_first_bad_row(self):
+        taus = np.array([2.0, 1.0, 0.0, -1.0])
+        with pytest.raises(ValueError, match=r"^tau must be positive, got 0\.0$") as error:
+            FilterSpec(STEP, np.ones(4), taus)
+        assert error.value.row == 2
+        with pytest.raises(ValueError, match="must be finite") as error:
+            FilterSpec(EXP, np.array([0.0, 1.0, math.nan]), np.ones(3))
+        assert error.value.row == 2
 
     def test_step_small_detuning_continuity(self):
         # limit branch vs direct formula evaluated just outside the branch

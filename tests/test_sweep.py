@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from filtered_tms import bell, gaussian, sweep, thermal, tmsv
-from filtered_tms.filters import FilterFamily, FilterSpec, OverlapFactors, overlap_closed_form
+from filtered_tms.filters import FilterFamily, FilterSpec, OverlapFactors
 from filtered_tms.sweep import (
     AxisSpec,
     ConfigError,
@@ -20,7 +20,13 @@ from filtered_tms.sweep import (
     evaluate_point,
     run_sweep,
 )
-from oracles import loss_product, nu_min_eigen
+from oracles import (
+    loss_product,
+    nu_min_eigen,
+    overlap_closed_form_reference,
+    thermal_landmarks_reference,
+    tmsv_landmarks_reference,
+)
 
 ALL = ("e_n", "s_q_opt", "purity", "zeta", "weight_ratio", "critical_points")
 
@@ -56,12 +62,14 @@ def grid_points(cfg):
 
 
 def scalar_point(cfg, params):
-    """Model params and blocks of one point through the scalar public API."""
+    """Model params and blocks of one point through the scalar public API,
+    with the overlap from the scalar reference."""
     get = lambda name, default: params.get(name, default)
     if cfg.family:
         fam = FilterFamily(cfg.family)
-        ov = overlap_closed_form(FilterSpec(fam, get("omega_k", 1.0), get("tau_i", 2.0)),
-                                 FilterSpec(fam, get("omega_l", 1.0), get("tau_s", 2.0)))
+        ov = overlap_closed_form_reference(
+            FilterSpec(fam, get("omega_k", 1.0), get("tau_i", 2.0)),
+            FilterSpec(fam, get("omega_l", 1.0), get("tau_s", 2.0)))
     else:
         ov = OverlapFactors(get("k_f", 1.0), get("l_f", 0.0))
     eta_i, eta_s = get("eta_i", 1.0), get("eta_s", 1.0)
@@ -102,8 +110,11 @@ class TestSpectralOracle:
                 "weight_ratio": or_nan(gaussian.optimal_weight_ratio, blocks),
             }
             if "critical_points" in cfg.outputs:
-                find = tmsv.critical_points if cfg.model == "tmsv" else thermal.critical_points
-                cp = or_nan(find, p)
+                args = ((p.overlap.k_f, p.eta_i, p.eta_s) if cfg.model == "tmsv" else
+                        (p.a, p.b, p.overlap.k_f, p.overlap.l_f))
+                find = (tmsv_landmarks_reference if cfg.model == "tmsv" else
+                        thermal_landmarks_reference)
+                cp = or_nan(find, *args)
                 for c in critical_columns(cfg.model):
                     want[c] = getattr(cp, c) if not isinstance(cp, float) else math.nan
             for col, w in want.items():
@@ -284,6 +295,27 @@ class TestBellInputs:
         want = run_sweep(cfg)
         monkeypatch.setattr(bell, "_STACK_ROWS", stack_rows)
         assert np.array(run_sweep(cfg)[1]).tobytes() == np.array(want[1]).tobytes()
+
+
+class TestBellRunsLast:
+    def test_a_cheap_check_fails_before_the_optimizer_runs(self, block_rows, monkeypatch):
+        calls = []
+        real = bell.bell_max_stack
+
+        def spy(v, seeds, cfg):
+            calls.append(len(seeds))
+            return real(v, seeds, cfg)
+
+        monkeypatch.setattr(bell, "bell_max_stack", spy)
+        cfg = SweepConfig("thermal", ("bell_max", "critical_points"), {"n_i": 0.2, "k_f": 0.95},
+                          axis1=AxisSpec("eta_i", 1.0, 0.8, 20), bell_restarts=16)
+        with pytest.raises(ConfigError, match="critical_points for the thermal model"):
+            run_sweep(cfg)
+        assert calls == []
+
+    def test_point_outputs_keep_their_listed_order(self):
+        res = evaluate_point("tmsv", {"r": 0.5}, ("bell_max", "e_n"), bell_restarts=2)
+        assert list(res) == ["bell_max", "e_n"]
 
 
 class TestFullLoss:

@@ -17,7 +17,14 @@ from filtered_tms.gaussian import (
     quadrature_variance,
     QuadratureSpec,
 )
-from oracles import bisect_root, golden_min, random_thermal_params
+from oracles import (
+    bisect_root,
+    golden_min,
+    random_thermal_params,
+    same_or_close,
+    thermal_landmarks_reference,
+)
+
 
 def params(r, n_i=0.0, n_s=0.0, k_f=1.0, l_f=0.0):
     return thermal.ThermalParams(r=r, n_i=n_i, n_s=n_s, overlap=OverlapFactors(k_f, l_f))
@@ -307,3 +314,100 @@ class TestTmsvReduction:
             assert cp_t.r_ucf_en == pytest.approx(cp_v.r_ucf_en, rel=1e-9)
             assert cp_t.r_max_en == pytest.approx(cp_v.r_max_en, rel=1e-9)
             assert cp_t.r_max_sq == pytest.approx(cp_v.r_max_sq, rel=1e-9)
+
+
+# (n_i, n_s, K_f, L_f) on every branch of the landmark closed forms
+LANDMARK_CASES = {
+    "K_f zero": (0.3, 0.7, 0.0, 0.1),
+    "K_f negative": (0.3, 0.7, -0.5, 0.1),
+    "K_f in (0, 1)": (0.3, 0.7, 0.95, 0.1),
+    "K_f one": (0.3, 0.7, 1.0, 0.0),
+    "K_f past one": (0.3, 0.7, 1.05, 0.0),
+    "den below its limit at K_f < 1": (0.3, 0.7, 1.0 - 1e-14, 0.0),
+    "rad negative": (3.0, 2.5, 0.9, 0.1),
+    "ch_u below one": (4.0, 0.5, 0.1, 0.0),
+    "disc negative": (2.0, 0.0, 0.75, 0.56),
+    # identical filters at vacuum input: t_u = 1, an unbounded r_ucf_sq
+    "t at one": (0.0, 0.0, 1.0, 0.0),
+}
+
+FIELDS = ("r_lcf_en", "r_ucf_en", "r_max_en", "r_lcf_sq", "r_ucf_sq", "r_max_sq", "zeta")
+
+
+def branch_values(n_i, n_s, kf, lf):
+    """The quantities the landmark branches test, in plain floats."""
+    a, b = n_i + n_s + 1.0, n_i - n_s
+    q = a * a * kf * kf + b * b * lf * lf
+    den = a * a * (1.0 - kf * kf) - b * b * lf * lf
+    rad = a * a - den * (q - b * b + 1.0)
+    ch_u = (a + math.sqrt(rad)) / den if rad >= 0.0 and den != 0.0 else math.nan
+    disc = q - a * a + 1.0
+    t_u = (math.sqrt(q) + math.sqrt(disc)) / (a + 1.0) if disc >= 0.0 else math.nan
+    return dict(den=den, rad=rad, ch_u=ch_u, disc=disc, t_u=t_u)
+
+
+class TestArrayLandmarks:
+    """``landmarks`` over arrays against the scalar reference, point by point."""
+
+    @staticmethod
+    def reference(a, b, kf, lf):
+        try:
+            cp = thermal_landmarks_reference(a, b, kf, lf)
+        except ValueError:
+            return [math.nan] * 6 + [math.atan2(b * lf, a * kf)], False
+        return [getattr(cp, f) for f in FIELDS], cp.has_window
+
+    def check(self, n_i, n_s, kf, lf):
+        a, b = n_i + n_s + 1.0, n_i - n_s
+        cp = thermal.landmarks(a, b, kf, lf)
+        got = np.column_stack([getattr(cp, f) for f in FIELDS])
+        for i, point in enumerate(zip(a.tolist(), b.tolist(), kf.tolist(), lf.tolist())):
+            want, has_window = self.reference(*point)
+            assert cp.has_window[i] == has_window, point
+            assert all(same_or_close(g, w, 1e-15) for g, w in zip(got[i].tolist(), want)), (
+                point, got[i], want)
+
+    def test_every_branch_in_one_call(self):
+        self.check(*(np.array(col) for col in zip(*LANDMARK_CASES.values())))
+        # the cases reach the branches they are named after
+        v = {name: branch_values(*case) for name, case in LANDMARK_CASES.items()}
+        kf = LANDMARK_CASES["den below its limit at K_f < 1"][2]
+        assert kf < 1.0 and 0.0 < v["den below its limit at K_f < 1"]["den"] < 1e-12
+        assert v["rad negative"]["den"] > 1e-12 and v["rad negative"]["rad"] < 0.0
+        assert v["ch_u below one"]["rad"] >= 0.0 and v["ch_u below one"]["ch_u"] < 1.0
+        assert v["disc negative"]["disc"] < 0.0 and v["disc negative"]["ch_u"] >= 1.0
+        assert v["t at one"]["t_u"] == 1.0
+
+    def test_random_points(self):
+        rng = np.random.default_rng(43)
+        n = 4000
+        n_i, n_s = rng.uniform(0.0, 3.0, (2, n))
+        kf = rng.uniform(-0.1, 1.1, n)
+        kf[::7] = 1.0
+        lf = rng.uniform(0.0, 1.0, n) * np.sqrt(np.maximum(1.0 - kf**2, 0.0))
+        lf[::5] = 0.0
+        self.check(n_i, n_s, kf, lf)
+
+    def test_overflowing_occupation_is_an_error_for_its_row(self):
+        a = np.array([2.0, 3.0, 1e200, 1e300])
+        with pytest.raises(OverflowError) as error:
+            thermal.landmarks(a, np.zeros(4), np.full(4, 0.9), np.zeros(4))
+        assert error.value.row == 2
+
+    def test_scalar_critical_points_are_python_floats(self):
+        for n_i, n_s, kf, lf in LANDMARK_CASES.values():
+            if kf > 1.0:
+                continue  # no ThermalParams exists past the Cauchy-Schwarz bound
+            p = params(1.0, n_i, n_s, kf, lf)
+            try:
+                cp = thermal_landmarks_reference(p.a, p.b, kf, lf)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as error:
+                    thermal.critical_points(p)
+                assert str(error.value) == str(exc)
+                continue
+            got = thermal.critical_points(p)
+            assert type(got.has_window) is bool and got.has_window == cp.has_window
+            for name in FIELDS:
+                assert type(getattr(got, name)) is float
+                assert same_or_close(getattr(got, name), getattr(cp, name), 1e-15)

@@ -14,7 +14,14 @@ from filtered_tms.gaussian import (
     optimal_weight_ratio,
     optimized_squeezing,
 )
-from oracles import bisect_root, golden_min, random_tmsv_params
+from oracles import (
+    bisect_root,
+    golden_min,
+    random_tmsv_params,
+    same_or_close,
+    tmsv_landmarks_reference,
+)
+
 
 def params(r, eta_i=1.0, eta_s=1.0, k_f=1.0, l_f=0.0):
     return tmsv.TmsvParams(r=r, eta_i=eta_i, eta_s=eta_s, overlap=OverlapFactors(k_f, l_f))
@@ -262,3 +269,72 @@ class TestOptimizedSqueezing:
         rng = np.random.default_rng(83)
         for _ in range(200):
             build_covariance(tmsv.covariance(random_tmsv_params(rng)))
+
+
+# (K_f, eta_i, eta_s) on every branch of the landmark closed forms
+LANDMARK_CASES = {
+    "K_f zero": (0.0, 0.9, 0.8),
+    "K_f negative": (-0.3, 1.0, 1.0),
+    "K_f in (0, 1)": (0.95, 0.9, 0.98),
+    "K_f in (0, 1), unequal efficiencies": (0.6, 0.3, 0.9),
+    "K_f one": (1.0, 0.9, 0.98),
+    "K_f past one": (1.02, 1.0, 1.0),
+    "full idler loss": (0.9, 0.0, 0.8),
+    "full signal loss at K_f one": (1.0, 0.7, 0.0),
+    "equal efficiencies at K_f one": (1.0, 0.6, 0.6),
+    # t rounds to 1 one ulp below K_f = 1, so r_max_en is unbounded
+    "t at one": (float(np.nextafter(1.0, 0.0)), 1.0, 1.0),
+}
+
+
+class TestArrayLandmarks:
+    """``landmarks`` over arrays against the scalar reference, point by point."""
+
+    @staticmethod
+    def reference(kf, ei, es):
+        try:
+            cp = tmsv_landmarks_reference(kf, ei, es)
+        except ValueError:
+            return [math.nan] * 4
+        return [cp.r_ucf_en, cp.r_max_en, cp.r_max_sq, cp.r_ucf_sq]
+
+    def check(self, kf, ei, es):
+        cp = tmsv.landmarks(kf, ei, es)
+        got = np.column_stack([cp.r_ucf_en, cp.r_max_en, cp.r_max_sq, cp.r_ucf_sq])
+        for point, row in zip(zip(kf, ei, es), got.tolist()):
+            want = self.reference(*point)
+            assert all(same_or_close(g, w, 1e-15) for g, w in zip(row, want)), (point, row, want)
+
+    def test_every_branch_in_one_call(self):
+        kf, ei, es = (np.array(col) for col in zip(*LANDMARK_CASES.values()))
+        self.check(kf, ei, es)
+        # the cases reach the branches they are named after
+        cp = tmsv.landmarks(kf, ei, es)
+        t_at_one = list(LANDMARK_CASES).index("t at one")
+        assert kf[t_at_one] < 1.0 and math.isinf(cp.r_max_en[t_at_one])
+
+    def test_random_points(self):
+        rng = np.random.default_rng(41)
+        n = 4000
+        kf = rng.uniform(-0.1, 1.1, n)
+        kf[::7] = 1.0
+        ei, es = rng.uniform(0.0, 1.0, (2, n))
+        ei[::11], es[::13] = 0.0, ei[::13]
+        self.check(kf, ei, es)
+
+    def test_scalar_critical_points_are_python_floats(self):
+        for kf, ei, es in LANDMARK_CASES.values():
+            if kf > 1.0:
+                continue  # no TmsvParams exists past the Cauchy-Schwarz bound
+            p = params(1.0, ei, es, kf)
+            try:
+                cp = tmsv_landmarks_reference(kf, ei, es)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as error:
+                    tmsv.critical_points(p)
+                assert str(error.value) == str(exc)
+                continue
+            got = tmsv.critical_points(p)
+            for name in ("r_ucf_en", "r_max_en", "r_max_sq", "r_ucf_sq"):
+                assert type(getattr(got, name)) is float
+                assert same_or_close(getattr(got, name), getattr(cp, name), 1e-15)
