@@ -254,14 +254,15 @@ def _cmd_bell(args) -> int:
 
 
 def _make_filters(args) -> tuple[FilterSpec, FilterSpec]:
-    fam_i = getattr(args, "family_i", None) or args.family
-    fam_s = getattr(args, "family_s", None) or args.family
+    """The (idler, signal) filter pair of ``validate`` or ``overlap``."""
+    fam_i = args.family_i or args.family
+    fam_s = args.family_s or args.family
     if fam_i is None or fam_s is None:
-        raise ConfigError("validate requires --family (or --family-i/--family-s)")
+        raise ConfigError(f"{args.command} requires --family (or --family-i/--family-s)")
     missing = [n for n in ("omega_k", "omega_l", "tau_i", "tau_s")
                if getattr(args, n) is None]
     if missing:
-        raise ConfigError(f"validate requires filter parameters, missing {missing}")
+        raise ConfigError(f"{args.command} requires filter parameters, missing {missing}")
     return (FilterSpec(FilterFamily(fam_i), args.omega_k, args.tau_i),
             FilterSpec(FilterFamily(fam_s), args.omega_l, args.tau_s))
 
@@ -275,12 +276,7 @@ def _cmd_validate(args) -> int:
                                     or params.get("eta_s", 1.0) < 1.0):
         raise ConfigError("the thermal simulation model is defined at unit "
                           "detection efficiency")
-    # the analytic reference needs the overlap kernel of the actual pair;
-    # mixed families fall back to the quadrature oracle
-    if fi.family is fs.family:
-        ov = overlap_closed_form(fi, fs)
-    else:
-        ov = overlap_numeric(fi, fs, tol=1e-10)
+    ov = overlap_closed_form(fi, fs)
     get = lambda name: params.get(name, sweep._DEFAULTS[name])
     try:
         if args.model == "tmsv":
@@ -327,31 +323,19 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_overlap(args) -> int:
-    fam_i = args.family_i or args.family
-    fam_s = args.family_s or args.family
-    if fam_i is None or fam_s is None:
-        raise ConfigError("overlap requires --family or both --family-i/--family-s")
-    fi = FilterSpec(FilterFamily(fam_i), args.omega_k, args.tau_i)
-    fs = FilterSpec(FilterFamily(fam_s), args.omega_l, args.tau_s)
-    try:
-        numeric = overlap_numeric(fi, fs, tol=args.tol)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    results = {"numeric": {"k_f": numeric.k_f, "l_f": numeric.l_f}}
-    if fam_i == fam_s:
-        closed = overlap_closed_form(fi, fs)
-        results["closed_form"] = {"k_f": closed.k_f, "l_f": closed.l_f}
-        results["abs_difference"] = {
-            "k_f": abs(closed.k_f - numeric.k_f),
-            "l_f": abs(closed.l_f - numeric.l_f),
-        }
-    else:
-        results["closed_form"] = None
+    fi, fs = _make_filters(args)
+    numeric = overlap_numeric(fi, fs, tol=args.tol)
+    closed = overlap_closed_form(fi, fs)
     payload = {
-        "params": {"family_i": fam_i, "family_s": fam_s,
+        "params": {"family_i": fi.family.value, "family_s": fs.family.value,
                    "omega_k": args.omega_k, "omega_l": args.omega_l,
                    "tau_i": args.tau_i, "tau_s": args.tau_s, "tol": args.tol},
-        "results": results,
+        "results": {
+            "numeric": {"k_f": numeric.k_f, "l_f": numeric.l_f},
+            "closed_form": {"k_f": closed.k_f, "l_f": closed.l_f},
+            "abs_difference": {"k_f": abs(closed.k_f - numeric.k_f),
+                               "l_f": abs(closed.l_f - numeric.l_f)},
+        },
         "diagnostics": {},
     }
     _emit(payload, args)

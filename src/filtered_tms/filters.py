@@ -11,7 +11,7 @@ through the overlap integral of their mode functions,
 
     K_f + i L_f = integral  conj(h_K)(t) h_L(t) dt,
 
-for which both families admit closed forms.  An adaptive-quadrature
+for which every pair of families admits a closed form.  An adaptive-quadrature
 evaluation of the same integral is provided as an independent oracle.
 """
 
@@ -110,20 +110,25 @@ def orthonormal_frequencies(f: FilterSpec, n_range: int) -> list[float]:
 
 
 def overlap_closed_form(fi: FilterSpec, fs: FilterSpec) -> OverlapFactors:
-    """Closed-form (K_f, L_f) for a same-family filter pair, or for equal-shape
-    arrays of such pairs.
+    """Closed-form (K_f, L_f) for a filter pair of any two families, or for
+    equal-shape arrays of such pairs.
 
     Step filters integrate over the shorter window tau = min(tau_i, tau_s);
-    the small-detuning branch avoids the 0/0 at matched frequencies.
+    the small-detuning branch avoids the 0/0 at matched frequencies.  A mixed
+    pair, in either order, integrates the exponential envelope over the step
+    window: sqrt(2/(tau_i tau_s)) (1 - exp(-a tau_step)) / a with
+    a = 1/tau_exp - i(Omega_i - Omega_s).
     """
-    if fi.family is not fs.family:
-        raise ValueError(
-            "no closed-form overlap for mixed filter families; use overlap_numeric"
-        )
     # floats, so that integer inputs cannot wrap around in the powers below
     wi, ti, ws, ts = (np.asarray(x, dtype=float) for x in (fi.omega, fi.tau, fs.omega, fs.tau))
     delta = wi - ws
     root = np.sqrt(ti * ts)
+    if fi.family is not fs.family:
+        t_step, t_exp = (ti, ts) if fi.family is FilterFamily.STEP else (ts, ti)
+        a = 1.0 / t_exp - 1j * delta
+        # -expm1 keeps 1 - exp(-a tau_step) exact where a tau_step -> 0
+        ov = math.sqrt(2.0) / root * -np.expm1(-a * t_step) / a
+        return OverlapFactors(ov.real[()], ov.imag[()])
     if fi.family is FilterFamily.STEP:
         tau = np.minimum(ti, ts)
         x = tau * delta

@@ -159,15 +159,16 @@ def _nu_minus(b: CovarianceBlocks, transposed: bool):
         sigma = b.d_i**2 / 4.0 + b.d_s**2 / 4.0 + sign * (-(b.c11**2 + b.c12**2) / 4.0)
         det_v = (b.d_i * b.d_s - b.c11**2 - b.c12**2) ** 2 / 16.0
         rad = sigma**2 - 4.0 * det_v
+        # rationalized minus branch: exact where the direct subtraction
+        # sigma - sqrt(rad) cancels catastrophically at large squeezing; a 0/0
+        # here (nan) fails the positive-definiteness test of check_blocks
+        nusq = 2.0 * det_v / (sigma + np.sqrt(np.maximum(rad, 0.0)))
     # float ** raises where numpy's square overflows quietly
     _reject(np.isinf(sigma**2), lambda i: OverflowError(34, "Numerical result out of range"))
     # rad >= 0 for every positive-definite V (Williamson); check_blocks checks
     # V > 0 in closed form, so only a negative rad beyond rounding is rejected
     _reject(rad < -1e-10 * np.maximum(1.0, sigma**2), lambda i: ValueError(
         f"non-physical covariance: Sigma^2 - 4 det V = {_at(rad, i):g} < 0"))
-    # rationalized minus branch: exact where the direct subtraction
-    # sigma - sqrt(rad) cancels catastrophically at large squeezing
-    nusq = 2.0 * det_v / (sigma + np.sqrt(np.maximum(rad, 0.0)))
     _reject(nusq <= 0.0, lambda i: ValueError(
         "non-physical covariance: vanishing symplectic eigenvalue"))
     return np.sqrt(nusq)
@@ -284,11 +285,17 @@ def quadrature_variance(v: CovarianceMatrix, q: QuadratureSpec) -> float:
     return float(2.0 * c @ v.entries @ c / (q.mu_i**2 + q.mu_s**2))
 
 
+def _half_turn(y, x):
+    """atan2(y, x) folded into (-pi/2, pi/2]; floats or arrays."""
+    z = np.arctan2(y, x)
+    return np.where(z > math.pi / 2.0, z - math.pi, np.where(z <= -math.pi / 2.0, z + math.pi, z))
+
+
 def squeezing_angle(blocks: CovarianceBlocks) -> float:
-    """Angle zeta in (-pi/2, pi/2] such that phi_i + phi_s = pi - zeta is the
-    maximally squeezed phase; zeta = 0 when C12 = 0."""
-    z = np.arctan2(-blocks.c12, blocks.c11)
-    z = np.where(z > math.pi / 2.0, z - math.pi, np.where(z <= -math.pi / 2.0, z + math.pi, z))
+    """Angle zeta = arctan(-C12/C11) in (-pi/2, pi/2], 0 when C12 = 0; the
+    maximally squeezed phase sum phi_i + phi_s is pi - zeta where C11 > 0 and
+    -zeta where C11 < 0 (``optimal_phase_sum`` gives it at every sign)."""
+    z = _half_turn(-blocks.c12, blocks.c11)
     return np.where((blocks.c11 == 0.0) & (blocks.c12 == 0.0), 0.0, z)[()]
 
 

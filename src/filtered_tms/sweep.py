@@ -78,7 +78,6 @@ class SweepConfig:
     family: str | None = None
     seed: int = 0
     bell_restarts: int = 64
-    bell_max_evals: int = 2000
 
     def __post_init__(self):
         if self.model not in ("tmsv", "thermal"):
@@ -98,7 +97,7 @@ class SweepConfig:
         if "bell_max" in self.outputs:
             # the per-point seeds derive from seed, so it must be a valid one too
             try:
-                bell.BellMaxConfig(self.bell_restarts, self.bell_max_evals, seed=self.seed)
+                bell.BellMaxConfig(self.bell_restarts, seed=self.seed)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
 
@@ -155,8 +154,7 @@ def output_columns(model: str, outputs) -> list[str]:
             for col in (critical_columns(model) if out == "critical_points" else (out,))]
 
 
-def _evaluate(model, params, outputs, family, seeds, bell_restarts, bell_max_evals,
-              optimize=True):
+def _evaluate(model, params, outputs, family, seeds, bell_restarts, optimize=True):
     """Every requested output over a grid of parameter arrays, each check run
     over the whole grid in the order one point meets them.
 
@@ -187,7 +185,7 @@ def _evaluate(model, params, outputs, family, seeds, bell_restarts, bell_max_eva
         elif out == "critical_points":
             res.update(_critical_point_columns(model, p, eta_i, eta_s))
     if "bell_max" in res and optimize:
-        cfg = bell.BellMaxConfig(bell_restarts, bell_max_evals)
+        cfg = bell.BellMaxConfig(bell_restarts)
         res["bell_max"] = np.array([r.b_max for r in bell.bell_max_stack(mat(), seeds, cfg)])
     return res
 
@@ -223,7 +221,7 @@ def _first_failure(evaluate, n: int) -> dict:
 
 
 def evaluate_point(model: str, params: dict, outputs, family: str | None = None, seed: int = 0,
-                   bell_restarts: int = 64, bell_max_evals: int = 2000) -> dict:
+                   bell_restarts: int = 64) -> dict:
     """All requested outputs for one parameter tuple, as a one-point grid.
 
     Landmarks that do not exist at a grid point (empty thermal window,
@@ -231,7 +229,7 @@ def evaluate_point(model: str, params: dict, outputs, family: str | None = None,
     sweeps can traverse separable regions.
     """
     grid = {name: np.array([v], dtype=float) for name, v in params.items()}
-    res = _evaluate(model, grid, outputs, family, [seed], bell_restarts, bell_max_evals)
+    res = _evaluate(model, grid, outputs, family, [seed], bell_restarts)
     return {k: float(v[0]) for k, v in res.items()}
 
 
@@ -274,7 +272,7 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[str], list[list[float]]]:
 
     res = _first_failure(lambda lo, hi, optimize: _evaluate(
         cfg.model, {k: v[lo:hi] for k, v in params.items()}, cfg.outputs, cfg.family,
-        seeds and seeds[lo:hi], cfg.bell_restarts, cfg.bell_max_evals, optimize), n)
+        seeds and seeds[lo:hi], cfg.bell_restarts, optimize), n)
     out_cols = output_columns(cfg.model, cfg.outputs)
     table = np.column_stack(axis_vals + [res[c] for c in out_cols])
     return [a.name for a in axes] + out_cols, table.tolist()

@@ -21,7 +21,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .filters import IDENTICAL_FILTERS, OverlapFactors
-from .gaussian import CovarianceBlocks, _at, _each, _reject
+from .gaussian import CovarianceBlocks, _at, _each, _half_turn, _reject
 
 _DEN_LIMIT = 1e-12
 
@@ -87,8 +87,9 @@ def covariance(p: ThermalParams) -> CovarianceBlocks:
 
 
 def squeezing_angle(p: ThermalParams) -> float:
-    """zeta = arctan(B L_f / (A K_f)); zero for matched populations or L_f = 0."""
-    return math.atan2(p.b * p.overlap.l_f, p.a * p.overlap.k_f)
+    """zeta = arctan(B L_f / (A K_f)) in (-pi/2, pi/2], as ``gaussian.squeezing_angle``
+    at r > 0; zero for matched populations or L_f = 0."""
+    return _half_turn(p.b * p.overlap.l_f, p.a * p.overlap.k_f).item()
 
 
 def critical_points(p: ThermalParams) -> ThermalCriticalPoints:
@@ -120,7 +121,7 @@ def landmarks(a, b, kf, lf) -> ThermalCriticalPoints:
         q = a**2 * kf**2 + b**2 * lf**2
         den = a**2 * (1.0 - kf**2) - b**2 * lf**2
         g = q - b**2 + 1.0
-        zeta = np.arctan2(b * lf, a * kf)
+        zeta = _half_turn(b * lf, a * kf)
 
         # identical filters (den < _DEN_LIMIT): the upper cutoff diverges and
         # the lower one stays finite

@@ -15,6 +15,7 @@ import pytest
 import filtered_tms
 from filtered_tms import bell, sweep
 from filtered_tms.cli import main
+from filtered_tms.filters import FilterFamily, FilterSpec, overlap_closed_form
 from filtered_tms.gaussian import build_covariance
 from filtered_tms.sweep import format_number
 from oracles import bell_max_reference
@@ -422,6 +423,9 @@ class TestValidateCommand:
         payload = json.loads(out)
         assert payload["params"]["family_s"] == "exponential"
         assert payload["results"]["all_pass"] is True
+        ov = overlap_closed_form(FilterSpec(FilterFamily.STEP, 1.0, 2.0),
+                                 FilterSpec(FilterFamily.EXPONENTIAL, 1.0, 1.0))
+        assert (payload["results"]["k_f"], payload["results"]["l_f"]) == (ov.k_f, ov.l_f)
 
     def test_bad_dt_exits_two(self):
         code, _, err = run_cli(
@@ -454,16 +458,36 @@ class TestOverlapCommand:
         assert res["abs_difference"]["k_f"] < 1e-8
         assert res["abs_difference"]["l_f"] < 1e-8
 
-    def test_mixed_family_numeric_only(self, capsys):
+    @pytest.mark.parametrize("order", [("step", "exponential", "2", "1"),
+                                       ("exponential", "step", "1", "2")])
+    def test_mixed_family_reports_difference(self, order, capsys):
+        fam_i, fam_s, tau_i, tau_s = order
         code, out, _ = run_inproc(
-            "overlap", "--family-i", "step", "--family-s", "exponential",
-            "--tau-i", "2", "--tau-s", "1", "--omega-k", "1", "--omega-l", "1",
+            "overlap", "--family-i", fam_i, "--family-s", fam_s,
+            "--tau-i", tau_i, "--tau-s", tau_s, "--omega-k", "1", "--omega-l", "1",
             capsys=capsys,
         )
         assert code == 0
-        res = json.loads(out)["results"]
-        assert res["closed_form"] is None
-        assert res["numeric"]["k_f"] ** 2 + res["numeric"]["l_f"] ** 2 <= 1 + 1e-12
+        payload = json.loads(out)
+        assert (payload["params"]["family_i"], payload["params"]["family_s"]) == (fam_i, fam_s)
+        res = payload["results"]
+        # matched frequencies: sqrt(2/(2*1)) (1 - exp(-2)) over the step window
+        assert res["closed_form"]["k_f"] == pytest.approx(1.0 - math.exp(-2.0), abs=1e-15)
+        assert res["closed_form"]["l_f"] == 0.0
+        assert res["abs_difference"]["k_f"] < 1e-8
+        assert res["abs_difference"]["l_f"] < 1e-8
+
+    @pytest.mark.parametrize("command, argv", [
+        ("overlap", ("--tau-i", "2", "--tau-s", "1", "--omega-k", "1", "--omega-l", "1")),
+        ("validate", ("--model", "tmsv", "--tau-i", "2", "--tau-s", "1", "--omega-k", "1",
+                      "--omega-l", "1", "--dt", "0.02", "--horizon", "10", "--n-real", "100")),
+    ])
+    def test_missing_family_names_the_command(self, command, argv, capsys):
+        code, out, err = run_inproc(command, "--family-i", "step", *argv, capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": f"{command} requires --family (or --family-i/--family-s)"}
 
 
 class TestParserReuse:
@@ -525,3 +549,20 @@ class TestEntryPoint:
         code, out, _ = run_cli("point", "--model", "tmsv", "--r", "0.3")
         assert code == 0
         assert json.loads(out)["results"]["e_n"] == pytest.approx(0.6, abs=1e-9)
+
+    @pytest.mark.parametrize("argv", [
+        ("point", "--model", "tmsv", "--r", "10", "--k-f", "1", "--outputs", "purity"),
+        ("bell", "--model", "tmsv", "--r", "10", "--k-f", "1", "--restarts", "2"),
+        ("sweep", "--model", "tmsv", "--axis1", "r=9:11:3", "--k-f", "1", "--outputs", "purity"),
+    ], ids=["point", "bell", "sweep"])
+    def test_stderr_holds_only_the_json_error_line(self, argv):
+        # points at r ~ 10 meet the large-squeezing rounding checks; no numpy
+        # warning may precede the error line
+        code, _, err = run_cli(*argv)
+        if code == 0:
+            assert err == ""
+        else:
+            assert code == 2
+            lines = err.splitlines()
+            assert len(lines) == 1, err
+            assert set(json.loads(lines[0])) == {"error"}

@@ -14,7 +14,6 @@ from filtered_tms.filters import (
     FilterSpec,
     OverlapFactors,
     overlap_closed_form,
-    overlap_numeric,
 )
 from oracles import mix_then_contract
 
@@ -86,10 +85,10 @@ class TestConsistency:
         assert_within_5_se(simulate(cfg), thermal.covariance(model))
 
     def test_mixed_family_pair(self):
-        # no closed-form kernel exists; the quadrature oracle supplies it
+        # the Monte Carlo checks the mixed-family closed form end to end
         fi = FilterSpec(STEP, 1.0, 2.0)
         fs = FilterSpec(EXP, 0.8, 1.0)
-        ov = overlap_numeric(fi, fs, tol=1e-10)
+        ov = overlap_closed_form(fi, fs)
         model = thermal.ThermalParams(r=0.6, n_i=0.5, n_s=0.1, overlap=ov)
         cfg = SimConfig(model, fi, fs, dt=0.01, horizon=10.0, n_realizations=40000, seed=19)
         assert_within_5_se(simulate(cfg), thermal.covariance(model))

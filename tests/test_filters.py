@@ -132,9 +132,79 @@ class TestOverlapClosedForm:
         assert ov.k_f == pytest.approx(6.0 * math.sqrt(2.0) / 9.0, abs=1e-15)
         assert ov.l_f == pytest.approx(0.0, abs=1e-15)
 
-    def test_mixed_family_rejected(self):
-        with pytest.raises(ValueError, match="mixed"):
-            overlap_closed_form(FilterSpec(STEP, 1.0, 2.0), FilterSpec(EXP, 1.0, 2.0))
+    def test_mixed_family_worked_example(self):
+        # matched frequencies: sqrt(2/(2*1)) (1 - exp(-2)) over the 2-long window
+        step, expo = FilterSpec(STEP, 1.0, 2.0), FilterSpec(EXP, 1.0, 1.0)
+        for ov in (overlap_closed_form(step, expo), overlap_closed_form(expo, step)):
+            assert ov.k_f == pytest.approx(1.0 - math.exp(-2.0), abs=1e-15)
+            assert ov.l_f == 0.0
+            assert isinstance(ov.k_f, float) and isinstance(ov.l_f, float)
+
+    @pytest.mark.parametrize("order", ["step-exp", "exp-step"])
+    def test_mixed_arrays_match_the_quadrature_oracle(self, order):
+        rng = np.random.default_rng(31 if order == "step-exp" else 37)
+        n = 200
+        omega_i, omega_s = rng.uniform(-5.0, 5.0, (2, n))
+        omega_s[::7] = omega_i[::7]  # matched frequencies
+        tau_i, tau_s = rng.uniform(0.1, 20.0, (2, n))
+        fam_i, fam_s = (STEP, EXP) if order == "step-exp" else (EXP, STEP)
+        ov = overlap_closed_form(FilterSpec(fam_i, omega_i, tau_i),
+                                 FilterSpec(fam_s, omega_s, tau_s))
+        for i in range(n):
+            num = overlap_numeric(FilterSpec(fam_i, omega_i[i], tau_i[i]),
+                                  FilterSpec(fam_s, omega_s[i], tau_s[i]), tol=1e-10)
+            assert abs(ov.k_f[i] - num.k_f) <= 1e-9
+            assert abs(ov.l_f[i] - num.l_f) <= 1e-9
+
+    @pytest.mark.parametrize("omega_s, tau_step, tau_exp", [
+        (1.0, 2.0, 1e5),     # zero detuning, slow decay: a tau_step -> 0
+        (1.0, 1e-3, 1.0),    # short step window
+        (1.0, 1e-3, 1e5),    # both: a tau_step = 1e-8
+        (-999.0, 2.0, 1.0),  # large detuning
+        (1001.0, 0.5, 50.0),
+    ])
+    def test_mixed_limits_match_the_quadrature_oracle(self, omega_s, tau_step, tau_exp):
+        step, expo = FilterSpec(STEP, 1.0, tau_step), FilterSpec(EXP, omega_s, tau_exp)
+        num = overlap_numeric(step, expo, tol=1e-10)
+        for ov, sign in ((overlap_closed_form(step, expo), 1.0),
+                         (overlap_closed_form(expo, step), -1.0)):
+            assert abs(ov.k_f - num.k_f) <= 1e-9
+            assert abs(ov.l_f - sign * num.l_f) <= 1e-9
+
+    def test_mixed_zero_detuning_has_no_cancellation(self):
+        # (1 - exp(-x))/x = 1 - x/2 + x^2/6 - x^3/24 + ..., x = tau_step/tau_exp <= 1e-3
+        for tau_step, tau_exp in ((2.0, 1e5), (1e-3, 1e5), (1e-3, 1.0), (1e-6, 1e3)):
+            x = tau_step / tau_exp
+            series = 1.0 - x / 2.0 * (1.0 - x / 3.0 * (1.0 - x / 4.0 * (1.0 - x / 5.0)))
+            want = math.sqrt(2.0 / (tau_step * tau_exp)) * tau_step * series
+            ov = overlap_closed_form(FilterSpec(STEP, 3.0, tau_step), FilterSpec(EXP, 3.0, tau_exp))
+            assert ov.k_f == pytest.approx(want, rel=1e-14)
+            assert ov.l_f == 0.0
+
+    def test_mixed_orders_are_complex_conjugates(self):
+        rng = np.random.default_rng(41)
+        omega_i, omega_s = rng.uniform(-50.0, 50.0, (2, 500))
+        tau_i, tau_s = 10.0 ** rng.uniform(-3.0, 5.0, (2, 500))
+        ab = overlap_closed_form(FilterSpec(STEP, omega_i, tau_i), FilterSpec(EXP, omega_s, tau_s))
+        ba = overlap_closed_form(FilterSpec(EXP, omega_s, tau_s), FilterSpec(STEP, omega_i, tau_i))
+        np.testing.assert_allclose(ba.k_f, ab.k_f, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(ba.l_f, -ab.l_f, rtol=0.0, atol=1e-15)
+
+    def test_mixed_pairs_obey_the_cauchy_schwarz_bound(self):
+        # different mode shapes never saturate it
+        rng = np.random.default_rng(43)
+        n = 5000
+        omega_i, omega_s = rng.uniform(-5.0, 5.0, (2, n))
+        omega_s[::3] = omega_i[::3]
+        tau_i, tau_s = 10.0 ** rng.uniform(-3.0, 5.0, (2, n))
+        for fam_i, fam_s in ((STEP, EXP), (EXP, STEP)):
+            ov = overlap_closed_form(FilterSpec(fam_i, omega_i, tau_i),
+                                     FilterSpec(fam_s, omega_s, tau_s))
+            assert np.all(ov.k_f**2 + ov.l_f**2 < 1.0)
+        # the best step window for a given decay time stays below one
+        tau = np.linspace(0.01, 10.0, 2000)
+        ov = overlap_closed_form(FilterSpec(STEP, 0.0, tau), FilterSpec(EXP, 0.0, np.ones_like(tau)))
+        assert 0.8 < ov.k_f.max() < 1.0
 
     def test_overlap_bound_many_random_pairs(self):
         rng = np.random.default_rng(17)

@@ -16,6 +16,7 @@ from filtered_tms.gaussian import (
     optimized_squeezing,
     quadrature_variance,
     QuadratureSpec,
+    squeezing_angle,
 )
 from oracles import (
     bisect_root,
@@ -291,6 +292,56 @@ class TestOptimizedSqueezing:
             assert thermal.optimized_squeezing_closed(p) == pytest.approx(general, abs=1e-12)
 
 
+class TestSqueezingAngle:
+    """One zeta for one state: the thermal closed form, the landmarks and the
+    block form, folded into (-pi/2, pi/2] for K_f of either sign."""
+
+    @staticmethod
+    def random_params(rng, n):
+        sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        kf = sign * rng.uniform(0.05, 0.999, n)
+        lf = rng.uniform(-0.95, 0.95, n) * np.sqrt(1.0 - kf**2)
+        return [params(*x) for x in zip(rng.uniform(0.05, 2.0, n), *rng.uniform(0.0, 1.5, (2, n)),
+                                         kf, lf)]
+
+    def test_three_forms_agree_for_both_signs_of_k_f(self):
+        rng = np.random.default_rng(61)
+        ps = self.random_params(rng, 400) + [params(0.7, 0.5, 0.1, -0.4, 0.3)]
+        cols = np.array([(p.a, p.b, p.overlap.k_f, p.overlap.l_f) for p in ps]).T
+        landmark = thermal.landmarks(*cols).zeta
+        for p, zeta in zip(ps, landmark.tolist()):
+            closed = thermal.squeezing_angle(p)
+            assert -math.pi / 2 < closed <= math.pi / 2
+            assert zeta == pytest.approx(closed, abs=1e-12)
+            assert squeezing_angle(thermal.covariance(p)) == pytest.approx(closed, abs=1e-12)
+        # arctan(B L_f / (A K_f)) at the K_f < 0 example
+        assert thermal.squeezing_angle(ps[-1]) == pytest.approx(math.atan(-0.1875), rel=1e-14)
+
+    def test_stated_phase_sum_minimizes_the_variance(self):
+        # pi - zeta where C11 > 0, -zeta where C11 < 0
+        rng = np.random.default_rng(67)
+        ps = self.random_params(rng, 40) + [params(0.7, 0.5, 0.1, -0.4, 0.3)]
+        for p in ps:
+            blocks = thermal.covariance(p)
+            v = build_covariance(blocks)
+            ratio = optimal_weight_ratio(blocks)
+
+            def var(phi):
+                return quadrature_variance(
+                    v, QuadratureSpec(phi_i=float(phi), phi_s=0.0, mu_i=ratio, mu_s=1.0)
+                )
+
+            zeta = squeezing_angle(blocks)
+            stated = math.pi - zeta if blocks.c11 > 0.0 else -zeta
+            argmin = golden_min(var, stated - 1.5, stated + 1.5, tol=1e-12)
+            assert argmin == pytest.approx(stated, abs=1e-6)
+            assert math.remainder(stated - optimal_phase_sum(blocks), 2 * math.pi) == (
+                pytest.approx(0.0, abs=1e-12))
+            assert var(stated) == pytest.approx(optimized_squeezing(blocks), abs=1e-9)
+            if blocks.c11 < 0.0:
+                assert var(math.pi - zeta) > var(stated)
+
+
 class TestTmsvReduction:
     def test_all_outputs_match_tmsv_at_zero_population(self):
         rng = np.random.default_rng(137)
@@ -346,6 +397,13 @@ def branch_values(n_i, n_s, kf, lf):
     return dict(den=den, rad=rad, ch_u=ch_u, disc=disc, t_u=t_u)
 
 
+def folded(zeta):
+    """An atan2 angle folded into (-pi/2, pi/2], the landmarks' zeta range."""
+    if zeta > math.pi / 2:
+        return zeta - math.pi
+    return zeta + math.pi if zeta <= -math.pi / 2 else zeta
+
+
 class TestArrayLandmarks:
     """``landmarks`` over arrays against the scalar reference, point by point."""
 
@@ -354,8 +412,8 @@ class TestArrayLandmarks:
         try:
             cp = thermal_landmarks_reference(a, b, kf, lf)
         except ValueError:
-            return [math.nan] * 6 + [math.atan2(b * lf, a * kf)], False
-        return [getattr(cp, f) for f in FIELDS], cp.has_window
+            return [math.nan] * 6 + [folded(math.atan2(b * lf, a * kf))], False
+        return [getattr(cp, f) for f in FIELDS[:-1]] + [folded(cp.zeta)], cp.has_window
 
     def check(self, n_i, n_s, kf, lf):
         a, b = n_i + n_s + 1.0, n_i - n_s
