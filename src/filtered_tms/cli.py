@@ -316,7 +316,8 @@ def _cmd_validate(args) -> int:
         "diagnostics": {"bias_estimate": list(est.bias_estimate),
                         "bias_warning": est.bias_warning,
                         "lag_cells": est.lag_cells,
-                        "pilot_realizations": est.pilot_realizations},
+                        "pilot_realizations": est.pilot_realizations,
+                        "normal_draws": est.normal_draws},
     }
     _emit(payload, args)
     return 0

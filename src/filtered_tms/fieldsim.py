@@ -14,6 +14,14 @@ quadratures: the X output of each party filters the pair
 cross block to the difference-frequency overlap kernel (K_f, L_f); feeding
 a single Bogoliubov branch through both kernel rows would instead produce
 sum-frequency integrals that vanish for matched filters.
+
+The estimator is linear in the noise and only ever sees each series through
+its projection onto the k width-scaled kernel columns P.  Those projections
+are drawn directly: with P = Q R (Householder QR), a unit-normal series z
+has z P ~ N(0, P^T P) = N(0, R^T R), the law of w R for w ~ N(0, I_k).  That
+is exact in distribution, costs k draws per series instead of one per lag
+cell, and the covariance sampled is still the Riemann-sum Gram of the
+sampled kernels, never the closed-form overlap.
 """
 
 from __future__ import annotations
@@ -61,6 +69,8 @@ class SimConfig:
         for f in (self.filter_i, self.filter_s):
             if f.family is FilterFamily.EXPONENTIAL and self.horizon < 10.0 * f.tau:
                 raise ValueError("horizon must be >= 10 tau for exponential filters")
+        if not isinstance(self.n_realizations, (int, np.integer)):
+            raise ValueError(f"n_realizations must be an integer, got {self.n_realizations!r}")
         if self.n_realizations < 1000:
             raise ValueError("need at least 1000 realizations")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
@@ -74,8 +84,9 @@ class EmpiricalBlocks:
     The realizations are independent, so each standard error is the sample
     standard deviation over sqrt(n).  bias_warning is set when the half-dt
     Richardson estimate of the discretization bias exceeds the statistical
-    error on any block.  lag_cells counts the kernel cells at dt and
-    pilot_realizations the realizations of the bias pilot.
+    error on any block.  lag_cells counts the kernel cells at dt,
+    pilot_realizations the realizations of the bias pilot and normal_draws
+    the unit normals drawn by the main run and the pilot together.
     """
 
     blocks: CovarianceBlocks
@@ -84,6 +95,7 @@ class EmpiricalBlocks:
     bias_warning: bool
     lag_cells: int
     pilot_realizations: int
+    normal_draws: int
 
 
 def _model_numbers(model) -> tuple[float, float, float, float, float]:
@@ -93,6 +105,13 @@ def _model_numbers(model) -> tuple[float, float, float, float, float]:
     if isinstance(model, ThermalParams):
         return model.r, model.n_i + 0.5, model.n_s + 0.5, 1.0, 1.0
     raise TypeError(f"unsupported model type {type(model).__name__}")
+
+
+def _noise_powers(model) -> list[float]:
+    """Power of each drawn noise series, in draw order: xi, yi, xs, ys, then
+    the vacuum pair of each lossy party (idler first)."""
+    _, p_i, p_s, eta_i, eta_s = _model_numbers(model)
+    return [p_i, p_i, p_s, p_s] + [0.5, 0.5] * ((eta_i < 1.0) + (eta_s < 1.0))
 
 
 def _lag_grid(support: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -121,25 +140,33 @@ def _kernel_rows(f: FilterSpec, mids: np.ndarray, widths: np.ndarray):
     return h.real * widths, h.imag * widths
 
 
+def _kernel_factor(noise_widths, kernel_sets) -> np.ndarray:
+    """R of P = Q R, P the columns of all kernel sets over sqrt(widths).
+
+    Householder QR, not a Cholesky of P^T P: identical filters repeat
+    columns and leave the Gram singular.
+    """
+    proj = np.column_stack([row for k in kernel_sets for row in k])
+    proj /= np.sqrt(noise_widths)[:, None]
+    return np.linalg.qr(proj, mode="r")
+
+
 def _contract(cfg: SimConfig, noise_widths, kernel_sets, n_total, stream_tag):
     """Per-realization samples of (D_I, D_S, C11, C12) for every kernel set.
 
     Each set is (rk, ik, rl, il), width-weighted and aligned with the noise
-    grid; the result has shape (len(kernel_sets), n_total, 4).  The noise
-    stream is fully determined by (cfg.seed, stream_tag, batch index) and
-    the fixed draw order, and all sets see the same draws.  The estimator
-    is linear in the noise, so each drawn series is projected onto the
-    kernels first and the squeezer and loss act on the projections.
+    grid; the result has shape (len(kernel_sets), n_total, 4).  Each noise
+    series is drawn as its projections w R onto the columns of all sets (see
+    the module docstring), so every set sees the same draws.  The stream is
+    fully determined by (cfg.seed, stream_tag, batch index) and the fixed
+    draw order; the squeezer and loss then mix the projections.
     """
-    r, p_i, p_s, eta_i, eta_s = _model_numbers(cfg.model)
+    r, _, _, eta_i, eta_s = _model_numbers(cfg.model)
     c, s = math.cosh(r), math.sinh(r)
     rei, res = math.sqrt(eta_i), math.sqrt(eta_s)
     ri, rs = math.sqrt(1.0 - eta_i), math.sqrt(1.0 - eta_s)
-    # unit-normal series -> kernel sums of white noise of unit power
-    proj = np.column_stack([row for k in kernel_sets for row in k])
-    proj /= np.sqrt(noise_widths)[:, None]
-    powers = [p_i, p_i, p_s, p_s] + [0.5, 0.5] * ((eta_i < 1.0) + (eta_s < 1.0))
-    buf = np.empty((min(_BATCH, n_total), len(noise_widths)))
+    tri = _kernel_factor(noise_widths, kernel_sets)
+    powers = _noise_powers(cfg.model)
 
     out = np.empty((len(kernel_sets), n_total, 4))
     for start in range(0, n_total, _BATCH):
@@ -151,7 +178,7 @@ def _contract(cfg: SimConfig, noise_widths, kernel_sets, n_total, stream_tag):
         # draw order: xi, yi, xs, ys, idler vacuum pair, signal vacuum pair;
         # projections have shape (nb, set, kernel column)
         xi, yi, xs, ys, *vac = [
-            math.sqrt(p) * (rng.standard_normal(out=buf[:nb]) @ proj).reshape(nb, -1, 4)
+            math.sqrt(p) * (rng.standard_normal((nb, len(tri))) @ tri).reshape(nb, -1, 4)
             for p in powers
         ]
 
@@ -212,6 +239,9 @@ def simulate(cfg: SimConfig) -> EmpiricalBlocks:
         bias_warning=bool(np.any(np.abs(bias) > se)),
         lag_cells=len(widths),
         pilot_realizations=n_pilot,
+        # one normal per kernel column and series: 4 columns in the main
+        # run, 8 (fine and lifted coarse) in the pilot
+        normal_draws=len(_noise_powers(cfg.model)) * 4 * (cfg.n_realizations + 2 * n_pilot),
     )
 
 
@@ -222,7 +252,9 @@ def _richardson_bias(cfg: SimConfig, mids, widths, coarse_rows, n_pilot) -> np.n
     increments: a coarse cell weight is spread over its two fine half-cells,
     which makes the coarse contraction see exactly the pair-averaged fine
     noise.  The coupled difference isolates the O(dt^2) kernel-sampling
-    bias instead of statistical noise.  Both contractions share one draw.
+    bias instead of statistical noise.  Both kernel sets are columns of one
+    factor, so a single draw of their eight projections keeps that coupling
+    exactly in distribution.
     """
     mids_f, widths_f = _refine_grid(mids, widths)
     fine_kernels = _kernel_rows(cfg.filter_i, mids_f, widths_f) + _kernel_rows(

@@ -292,9 +292,9 @@ def format_number(x: float) -> str:
 
 
 def csv_text(columns: list[str], rows: list[list[float]]) -> str:
-    """Header and rows; a list's repr spells each float as format_number does,
-    at C speed."""
-    lines = [repr(list(map(float, row)))[1:-1].replace(", ", ",") for row in rows]
+    """Header and rows of Python floats (run_sweep's rows and evaluate_point's
+    values are); a list's repr spells each as format_number does, at C speed."""
+    lines = [repr(row)[1:-1].replace(", ", ",") for row in rows]
     return "\n".join([",".join(columns)] + lines) + "\n"
 
 

@@ -154,14 +154,30 @@ def random_thermal_params(rng: np.random.Generator, require_window: bool = False
             return p
 
 
-def mix_then_contract(cfg, noise_widths, kernels, n_total, stream_tag, batch=2048):
+def noise_stream(seed, stream_tag, n_cols, lift=None):
+    """Unit-normal noise series, batch by batch, for ``mix_then_contract``.
+
+    noise(batch index, nb) yields (nb, cells) series from one generator per
+    batch, SeedSequence((seed, stream_tag, batch index)), as the simulator
+    seeds its own.  Each series draws (nb, n_cols) normals, mapped through
+    the (n_cols, cells) matrix ``lift`` when given.
+    """
+    def noise(batch, nb):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, stream_tag, batch)))
+        while True:
+            z = rng.standard_normal((nb, n_cols))
+            yield z if lift is None else z @ lift
+    return noise
+
+
+def mix_then_contract(cfg, noise_widths, kernels, n_total, noise, batch=2048):
     """Per-realization samples of (D_I, D_S, C11, C12) in the direct order.
 
     Builds every Bogoliubov-branch and loss-mixed noise series on the full
     lag grid and only then contracts them with ``kernels`` = (rk, ik, rl,
-    il).  The draws follow the simulator's stream: one generator per batch
-    from SeedSequence((seed, stream_tag, batch index)), drawing xi, yi, xs,
-    ys, then the idler and the signal vacuum pair of each lossy party.
+    il).  ``noise`` (see ``noise_stream``) supplies the unit-normal series of
+    each batch in the simulator's draw order: xi, yi, xs, ys, then the idler
+    and the signal vacuum pair of each lossy party.
     """
     model = cfg.model
     r = model.r
@@ -170,16 +186,13 @@ def mix_then_contract(cfg, noise_widths, kernels, n_total, stream_tag, batch=204
     eta_i, eta_s = getattr(model, "eta_i", 1.0), getattr(model, "eta_s", 1.0)
     rk, ik, rl, il = kernels
     c, s = math.cosh(r), math.sinh(r)
-    nc = len(noise_widths)
     out = np.empty((n_total, 4))
     for start in range(0, n_total, batch):
         nb = min(batch, n_total - start)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=(cfg.seed, stream_tag, start // batch))
-        )
+        draws = noise(start // batch, nb)
 
         def series(power):
-            return rng.standard_normal((nb, nc)) * np.sqrt(power / noise_widths)
+            return next(draws) * np.sqrt(power / noise_widths)
 
         xi, yi, xs, ys = series(p_i), series(p_i), series(p_s), series(p_s)
         xi_p, xi_m = c * xi + s * xs, c * xi - s * xs

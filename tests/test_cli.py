@@ -399,6 +399,8 @@ class TestValidateCommand:
         assert payload["results"]["all_pass"] is True
         diag = payload["diagnostics"]
         assert (diag["lag_cells"], diag["pilot_realizations"]) == (100, 2000)
+        # 4 lossless series, 4 kernel columns per run, 8 in the pilot
+        assert diag["normal_draws"] == 20000 * 4 * 4 + 2000 * 8 * 4
 
     def test_counts_are_reported_and_reruns_are_byte_identical(self, capsys):
         # exponential kernels span the whole horizon; the pilot is capped at n
@@ -410,6 +412,7 @@ class TestValidateCommand:
         assert code == 0
         diag = json.loads(first)["diagnostics"]
         assert (diag["lag_cells"], diag["pilot_realizations"]) == (500, 1500)
+        assert diag["normal_draws"] == 1500 * 4 * 4 + 1500 * 8 * 4
         assert run_inproc(*argv, capsys=capsys)[1] == first
 
     def test_mixed_family_validation(self, capsys):

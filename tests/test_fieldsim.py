@@ -1,7 +1,8 @@
 """Monte Carlo oracle: consistency with the closed-form blocks, seed
-determinism, convergence order, the projected contraction against the
-direct one, error bars and configuration validation."""
+determinism, convergence order, the drawn kernel projections against the
+full-series contraction, error bars and configuration validation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from filtered_tms.filters import (
     OverlapFactors,
     overlap_closed_form,
 )
-from oracles import mix_then_contract
+from oracles import mix_then_contract, noise_stream
 
 STEP = FilterFamily.STEP
 EXP = FilterFamily.EXPONENTIAL
@@ -153,6 +154,28 @@ def kernel_grid(cfg):
     return mids, widths, kernels
 
 
+def pilot_grid(cfg):
+    """Half-dt widths and the pilot's (fine, lifted coarse) kernel sets."""
+    mids, widths, coarse = kernel_grid(cfg)
+    mids_f, widths_f = fieldsim._refine_grid(mids, widths)
+    fine = (fieldsim._kernel_rows(cfg.filter_i, mids_f, widths_f)
+            + fieldsim._kernel_rows(cfg.filter_s, mids_f, widths_f))
+    lifted = tuple(np.repeat(row, 2) / 2.0 for row in coarse)
+    return widths_f, [fine, lifted]
+
+
+def unit_power_columns(widths, kernel_sets):
+    """P: every kernel column of the sets, over sqrt(cell width)."""
+    return np.column_stack([row for k in kernel_sets for row in k]) / np.sqrt(widths)[:, None]
+
+
+def lifted_noise(cfg, widths, kernel_sets, stream_tag):
+    """The simulator's stream of projection draws w, lifted to the full
+    series w Q^T with P = Q R; w Q^T P = w R."""
+    q, _ = np.linalg.qr(unit_power_columns(widths, kernel_sets))
+    return noise_stream(cfg.seed, stream_tag, q.shape[1], lift=q.T)
+
+
 def assert_same_samples(got, want):
     # relative to each block's scale: single C11/C12 products cross zero
     scale = np.max(np.abs(want), axis=0)
@@ -169,33 +192,58 @@ PROJECTION_CONFIGS = [
     SimConfig(thermal.ThermalParams(r=0.5, n_i=0.3, n_s=0.8), *step_pair(omega_l=0.0),
               dt=0.02, horizon=6.0, n_realizations=5000, seed=5),
 ]
+PROJECTION_IDS = ["lossy-mixed", "signal-loss", "thermal"]
+_, IDENTICAL_WIDTHS, IDENTICAL_KERNELS = kernel_grid(
+    SimConfig(tmsv.TmsvParams(r=0.5), *step_pair(), dt=0.02, horizon=6.0, n_realizations=1000))
 
 
 class TestProjectedContraction:
-    """_contract projects each noise series onto the kernels before the
-    squeezer and loss mix them; the direct mix-then-contract order in
-    oracles.py must give the same per-realization samples."""
+    """_contract draws each noise series' kernel projection w R instead of
+    the series; fed the same draws lifted to full series, the direct
+    mix-then-contract order in oracles.py must give the same samples."""
 
-    @pytest.mark.parametrize("cfg", PROJECTION_CONFIGS,
-                             ids=["lossy-mixed", "signal-loss", "thermal"])
+    @pytest.mark.parametrize("cfg", PROJECTION_CONFIGS, ids=PROJECTION_IDS)
     def test_samples_match_mix_then_contract(self, cfg):
         _, widths, kernels = kernel_grid(cfg)
         n = cfg.n_realizations
         (got,) = fieldsim._contract(cfg, widths, [kernels], n, stream_tag=0)
-        assert_same_samples(got, mix_then_contract(cfg, widths, kernels, n, 0, fieldsim._BATCH))
+        noise = lifted_noise(cfg, widths, [kernels], stream_tag=0)
+        assert_same_samples(got, mix_then_contract(cfg, widths, kernels, n, noise,
+                                                   fieldsim._BATCH))
 
-    @pytest.mark.parametrize("cfg", PROJECTION_CONFIGS[::2], ids=["lossy-mixed", "thermal"])
+    @pytest.mark.parametrize("cfg", PROJECTION_CONFIGS[::2], ids=PROJECTION_IDS[::2])
     def test_shared_draw_pilot_matches_two_contractions(self, cfg):
-        mids, widths, coarse = kernel_grid(cfg)
-        mids_f, widths_f = fieldsim._refine_grid(mids, widths)
-        fine = (fieldsim._kernel_rows(cfg.filter_i, mids_f, widths_f)
-                + fieldsim._kernel_rows(cfg.filter_s, mids_f, widths_f))
-        lifted = tuple(np.repeat(row, 2) / 2.0 for row in coarse)
+        widths_f, sets = pilot_grid(cfg)
         n = 2100
-        got_fine, got_coarse = fieldsim._contract(cfg, widths_f, [fine, lifted], n, stream_tag=1)
-        for got, kernels in ((got_fine, fine), (got_coarse, lifted)):
-            assert_same_samples(got, mix_then_contract(cfg, widths_f, kernels, n, 1,
-                                                       fieldsim._BATCH))
+        got = fieldsim._contract(cfg, widths_f, sets, n, stream_tag=1)
+        noise = lifted_noise(cfg, widths_f, sets, stream_tag=1)
+        for got_set, kernels in zip(got, sets):
+            assert_same_samples(got_set, mix_then_contract(cfg, widths_f, kernels, n, noise,
+                                                           fieldsim._BATCH))
+
+    @pytest.mark.parametrize("widths, sets", [
+        # identical filters repeat two of the four columns: rank 2
+        (IDENTICAL_WIDTHS, [IDENTICAL_KERNELS]),
+        pilot_grid(PROJECTION_CONFIGS[0]),
+    ], ids=["identical-filters", "8-column-pilot"])
+    def test_factor_reproduces_the_gram(self, widths, sets):
+        p = unit_power_columns(widths, sets)
+        gram = p.T @ p
+        tri = fieldsim._kernel_factor(widths, sets)
+        assert tri.shape == (4 * len(sets),) * 2
+        assert np.max(np.abs(tri.T @ tri - gram)) <= 1e-12 * np.max(np.abs(gram))
+
+    @pytest.mark.parametrize("cfg", PROJECTION_CONFIGS, ids=PROJECTION_IDS)
+    def test_block_means_match_full_series_draws(self, cfg):
+        # two independent samples: the full-series oracle on its own stream
+        cfg = dataclasses.replace(cfg, n_realizations=40000)
+        _, widths, kernels = kernel_grid(cfg)
+        n = cfg.n_realizations
+        (got,) = fieldsim._contract(cfg, widths, [kernels], n, stream_tag=0)
+        want = mix_then_contract(cfg, widths, kernels, n,
+                                 noise_stream(cfg.seed, 9, len(widths)), fieldsim._BATCH)
+        se = np.hypot(got.std(axis=0, ddof=1), want.std(axis=0, ddof=1)) / math.sqrt(n)
+        assert np.all(np.abs(got.mean(axis=0) - want.mean(axis=0)) <= 5.0 * se)
 
     def test_analytic_standard_error_matches_bootstrap(self):
         # 200 resamples scatter the bootstrap error by about 5 % per block
@@ -210,6 +258,31 @@ class TestProjectedContraction:
                          for _ in range(200)])
         ratio = np.array(simulate(cfg).std_errors) / boot.std(axis=0, ddof=1)
         assert np.all(np.abs(ratio - 1.0) <= 0.2), ratio
+
+
+class TestDrawCount:
+    @pytest.mark.parametrize("cfg, series", [
+        (dataclasses.replace(PROJECTION_CONFIGS[0], n_realizations=3000), 8),
+        (dataclasses.replace(PROJECTION_CONFIGS[1], n_realizations=1000), 6),
+        (dataclasses.replace(PROJECTION_CONFIGS[2], n_realizations=2500), 4),
+    ], ids=PROJECTION_IDS)
+    def test_normal_draws_counts_every_draw(self, cfg, series, monkeypatch):
+        # n k series in the main run and n_pilot 2k series in the pilot, k = 4
+        drawn = []
+        default_rng = np.random.default_rng
+
+        class CountingGenerator:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def standard_normal(self, size):
+                drawn.append(math.prod(size))
+                return self.rng.standard_normal(size)
+
+        monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+        est = simulate(cfg)
+        n, n_pilot = cfg.n_realizations, min(cfg.n_realizations, 2000)
+        assert est.normal_draws == sum(drawn) == n * 4 * series + n_pilot * 8 * series
 
 
 class TestBiasDiagnostics:
@@ -257,6 +330,10 @@ class TestConfigValidation:
         ("horizon", dict(horizon=math.nan)),
         ("seed", dict(seed=-1)),
         ("seed", dict(seed=1.5)),
+        ("n_realizations", dict(n_realizations=2000.0)),
+        ("n_realizations", dict(n_realizations=math.inf)),
+        ("n_realizations", dict(n_realizations=math.nan)),
+        ("n_realizations", dict(n_realizations=2500.5)),
     ])
     def test_non_finite_and_negative_inputs_name_the_field(self, field, kwargs):
         fi, fs = step_pair()
