@@ -13,10 +13,12 @@ the all-zero settings.
 The maximization over the eight displacement coordinates is a multistart
 Nelder-Mead.  The restarts of all states of a stack advance in lockstep as
 one batched simplex array, each row tagged with the state it belongs to, so
-a sweep maximizes all its points in one pass.  Each restart takes the same
-path whatever else is in the array, which keeps the search deterministic
-for a fixed seed.  A zooming dense-grid search is provided as an
-independent oracle.
+a sweep maximizes all its points in one pass.  A step makes one objective
+call, on the reflection, expansion and both contraction points of every
+active restart; the contraction point a restart does not use is not counted
+in its evaluations.  Each restart takes the same path whatever else is in
+the array, which keeps the search deterministic for a fixed seed.  A
+zooming dense-grid search is provided as an independent oracle.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ class DisplacementSettings:
 
     def joint_points(self) -> np.ndarray:
         """The four points u^{mn}, rows ordered (00, 01, 10, 11)."""
-        return _joint_points(self.as_array()[None, :])[0]
+        return self.as_array()[_JOINT.T]
 
 
 def _check_seed(seed) -> None:
@@ -77,9 +79,9 @@ class BellMaxConfig:
             if not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_restarts < 1:
-            raise ValueError("need at least one restart")
+            raise ValueError(f"n_restarts must be at least 1, got {self.n_restarts}")
         if self.max_evals < 50:
-            raise ValueError("max_evals too small for an 8-dimensional simplex")
+            raise ValueError(f"max_evals must be at least 50, got {self.max_evals}")
         if not (math.isfinite(self.f_tol) and self.f_tol >= 0.0):
             raise ValueError(f"f_tol must be finite and >= 0, got {self.f_tol!r}")
         _check_seed(self.seed)
@@ -91,7 +93,8 @@ class BellResult:
 
     evaluations sums the Bell evaluations of all restarts; restarts_agreeing
     counts the restarts within 1e-6 max(1, |b_max|) of b_max (the best one
-    included).
+    included); spread is the best restart's final simplex spread in -|B|,
+    at most f_tol exactly when that restart settled.
     """
 
     b_max: float
@@ -100,19 +103,15 @@ class BellResult:
     converged: bool
     evaluations: int
     restarts_agreeing: int
+    spread: float
 
 
-# joint point u^{mn} of a settings row s is s[_JOINT].reshape(4, 4): the
-# idler's setting m (coordinates 0:2 or 2:4) next to the signal's setting n
-# (4:6 or 6:8), rows ordered (00, 01, 10, 11)
-_JOINT = np.array([0, 1, 4, 5, 0, 1, 6, 7, 2, 3, 4, 5, 2, 3, 6, 7])
+# coordinate j of joint point u^{mn} of a settings row s is s[_JOINT[j, mn]]:
+# the idler's setting m (coordinates 0:2 or 2:4) next to the signal's
+# setting n (4:6 or 6:8), points ordered (00, 01, 10, 11)
+_JOINT = np.array([[0, 0, 2, 2], [1, 1, 3, 3], [4, 6, 4, 6], [5, 7, 5, 7]])
 _STACK_ROWS = 4096  # restart rows per lockstep pass; bounds the simplex arrays
-_REFLECT_EXPAND = np.array([1.0, 2.0])[:, None, None]
-
-
-def _joint_points(s: np.ndarray) -> np.ndarray:
-    """(N, 8) settings -> (N, 4, 4) joint points (00, 01, 10, 11)."""
-    return s[..., _JOINT].reshape(s.shape[:-1] + (4, 4))
+_STEPS = np.array([1.0, 2.0, 0.5, -0.5])[:, None, None]  # r, e, oc, ic along d
 
 
 class _BellEvaluator:
@@ -121,21 +120,33 @@ class _BellEvaluator:
 
     def __init__(self, v: CovarianceMatrix):
         m = v.entries.reshape(-1, 4, 4)
-        self.v_inv = np.linalg.inv(m)
+        # one column per state, so that gathering owners gives contiguous rows
+        self.v_inv = np.linalg.inv(m).reshape(-1, 16).T.copy()
         self.prefactor = 1.0 / (math.pi**2 * np.sqrt(np.linalg.det(m)))
 
     def bell(self, settings: np.ndarray, owner=0) -> np.ndarray:
-        """(N, 8) settings of the states ``owner`` (an index, or one per row)
-        -> (N,) Bell values (signed)."""
-        pts = _joint_points(settings)
-        quad = np.einsum("...ij,...jk,...ik->...i", pts, self.v_inv[owner], pts)
-        w = self.prefactor[owner, None] * np.exp(-0.5 * quad)
-        return math.pi**2 / 4.0 * (w[:, 0] + w[:, 1] + w[:, 2] - w[:, 3])
+        """(..., N, 8) settings of the states ``owner`` (an index, or one per
+        row of the last axis but one) -> (..., N) Bell values (signed)."""
+        # coordinate-major joint points (j, point, ..., N), so that the rows
+        # are the einsum's inner loop; it sums each quad over (j, k) j-major
+        u = settings.transpose(-1, *range(settings.ndim - 1)).take(_JOINT, axis=0)
+        v_inv = self.v_inv.take(owner, axis=1).reshape((4, 4) + np.shape(owner))
+        quad = np.einsum("ji...,jk...,ki...->i...", u, v_inv, u)
+        w = self.prefactor[owner] * np.exp(-0.5 * quad)
+        return math.pi**2 / 4.0 * (w[0] + w[1] + w[2] - w[3])
 
 
-def bell_value(v: CovarianceMatrix, s: DisplacementSettings) -> float:
-    """Bell combination B at one choice of displacement settings."""
-    return float(_BellEvaluator(v).bell(s.as_array()[None, :])[0])
+def bell_value(v: CovarianceMatrix, s: DisplacementSettings | np.ndarray) -> float | np.ndarray:
+    """Bell combination B at one choice of displacement settings (a float),
+    or at each row of an (N, 8) settings array (an (N,) array)."""
+    if isinstance(s, DisplacementSettings):
+        return float(_BellEvaluator(v).bell(s.as_array()))
+    s = np.asarray(s, dtype=float)
+    if s.ndim != 2 or s.shape[1] != 8:
+        raise ValueError(f"settings must be an (N, 8) array, got shape {s.shape}")
+    if not np.isfinite(s).all():
+        raise ValueError("displacement settings must be finite")
+    return _BellEvaluator(v).bell(s)
 
 
 def bell_max(v: CovarianceMatrix, cfg: BellMaxConfig = BellMaxConfig()) -> BellResult:
@@ -181,7 +192,7 @@ def bell_max_stack(v: CovarianceMatrix, seeds, cfg: BellMaxConfig = BellMaxConfi
                 rng = np.random.default_rng(seeds[state])
                 centers[k, 1:] = rng.normal(scale=scale[state], size=(n_r - 1, 8))
         owner = np.repeat(states, n_r)
-        best_f, best_x, settled, evals = _batched_nelder_mead(
+        best_f, best_x, settled, evals, spread = _batched_nelder_mead(
             neg, centers.reshape(-1, 8), owner, step=0.25 * scale[owner],
             f_tol=cfg.f_tol, max_evals=cfg.max_evals)
         for k in range(len(states)):
@@ -197,6 +208,7 @@ def bell_max_stack(v: CovarianceMatrix, seeds, cfg: BellMaxConfig = BellMaxConfi
                 converged=bool(settled[rows][top] and (agreeing >= 2 or n_r == 1)),
                 evaluations=int(evals[rows].sum()),
                 restarts_agreeing=agreeing,
+                spread=float(spread[rows][top]),
             ))
     return results
 
@@ -245,11 +257,14 @@ def bell_grid_max(
 def _batched_nelder_mead(func, centers, owner, step, f_tol, max_evals):
     """Minimize func over many restarts advanced in lockstep.
 
-    func maps (N, dim) points and the (N,) owners of those rows to (N,)
-    values; restart k starts from centers[k] with simplex edge step[k] and
-    belongs to owner[k].  Returns per-restart best values, best points,
+    func maps (..., N, dim) points and the (N,) owners of their rows to
+    (..., N) values; restart k starts from centers[k] with simplex edge
+    step[k] and belongs to owner[k].  A step makes one func call on the four
+    candidate points of every active restart, and one more for the restarts
+    that shrink; it counts 3 evaluations (not the unused contraction point)
+    plus dim per shrink.  Returns per-restart best values, best points,
     whether each restart settled (simplex spread <= f_tol) before exhausting
-    its evaluation budget, and its evaluation count.
+    its evaluation budget, its evaluation count and its final spread.
     """
     n, dim = centers.shape
     pts = np.repeat(centers[:, None, :], dim + 1, axis=1)
@@ -257,60 +272,50 @@ def _batched_nelder_mead(func, centers, owner, step, f_tol, max_evals):
     for i in range(dim):
         pts[:, i + 1, i] += edge
     fv = func(pts.reshape(-1, dim), np.repeat(owner, dim + 1)).reshape(n, dim + 1)
-    evals = np.full(n, dim + 1)
+    evals = np.empty(n, dtype=int)
     settled = np.zeros(n, dtype=bool)
 
-    # the simplices of the active restarts, compacted; idx are their rows
-    idx, own, p, f = np.arange(n), owner, pts, fv
+    # the simplices and evaluation counts of the active restarts, compacted;
+    # idx are their rows
+    idx, own, p, f, ev = np.arange(n), owner, pts, fv, np.full(n, dim + 1)
     rows = idx
     while True:
         order = np.argsort(f, axis=1)
         p, f = p[rows[:, None], order], f[rows[:, None], order]
 
         done = f[:, -1] - f[:, 0] <= f_tol
-        stop = done | (evals[idx] >= max_evals)
+        stop = done | (ev >= max_evals)
         if stop.any():
             settled[idx[done]] = True
-            pts[idx[stop]], fv[idx[stop]] = p[stop], f[stop]
+            out = idx[stop]
+            pts[out], fv[out], evals[out] = p[stop], f[stop], ev[stop]
             go = np.flatnonzero(~stop)
             if go.size == 0:
                 break
-            idx, own, p, f = idx[go], own[go], p[go], f[go]
+            idx, own, p, f, ev = idx[go], own[go], p[go], f[go], ev[go]
             rows = rows[:go.size]
 
-        # reflection and expansion in one call: c + 1 d and c + 2 d
+        # candidates (worst, r, e, oc, ic): the worst vertex, then c + s d
+        # for s = 1, 2, 1/2, -1/2; one call evaluates the last four
         centroid = np.add.reduce(p[:, :-1, :], axis=1) / dim
-        worst = p[:, -1, :]
-        d = centroid - worst
-        x = centroid + _REFLECT_EXPAND * d
-        fr, fe = func(x.reshape(-1, dim), np.concatenate((own, own))).reshape(2, -1)
-        xr, xe = x
-        # contraction outside (c + d/2) or inside (c - d/2)
-        outside = fr < f[:, -1]
-        xc = centroid + np.where(outside, 0.5, -0.5)[:, None] * d
-        fc = func(xc, own)
-        evals[idx] += 3
+        x = np.concatenate((p[None, :, -1], centroid + _STEPS * (centroid - p[:, -1])))
+        fx = np.concatenate((f[None, :, -1], func(x[1:], own)))
+        fw, fr, fe, foc, fic = fx
+        ev += 3
 
-        expand = fr < f[:, 0]
-        use_e = expand & (fe < fr)
-        use_r = (expand & ~use_e) | ((~expand) & (fr < f[:, -2]))
-        contract_ok = (~expand) & (fr >= f[:, -2]) & (
-            np.where(outside, fc <= fr, fc < f[:, -1])
-        )
-        shrink = (~expand) & (fr >= f[:, -2]) & ~contract_ok
-        # the moves exclude each other; the worst vertex stays when none applies
-        move = use_e + 2 * use_r + 3 * contract_ok
-        p[:, -1, :] = np.stack((worst, xe, xr, xc))[move, rows]
-        f[:, -1] = np.stack((f[:, -1], fe, fr, fc))[move, rows]
+        # move 0 keeps the worst vertex and shrinks the simplex; 1-4 replace
+        # the worst vertex by r, e, oc or ic (f is sorted, so fr < f[:, 0],
+        # the expansion test, implies fr < f[:, -2])
+        move = np.where(fr < f[:, -2], np.where((fr < f[:, 0]) & (fe < fr), 2, 1),
+                        np.where(fr < fw, 3 * (foc <= fr), 4 * (fic < fw)))
+        p[:, -1, :], f[:, -1] = x[move, rows], fx[move, rows]
 
-        if shrink.any():
-            sh = np.flatnonzero(shrink)
+        sh = np.flatnonzero(move == 0)
+        if sh.size:
             p[sh, 1:, :] = p[sh, 0:1, :] + 0.5 * (p[sh, 1:, :] - p[sh, 0:1, :])
             flat = p[sh, 1:, :].reshape(-1, dim)
             f[sh, 1:] = func(flat, np.repeat(own[sh], dim)).reshape(len(sh), dim)
-            evals[idx[sh]] += dim
+            ev[sh] += dim
 
-    best = np.argmin(fv, axis=1)
-    best_f = fv[np.arange(n), best]
-    best_x = pts[np.arange(n), best]
-    return best_f, best_x, settled, evals
+    # every simplex stopped sorted, so its vertex 0 is its best
+    return fv[:, 0], pts[:, 0], settled, evals, fv[:, -1] - fv[:, 0]

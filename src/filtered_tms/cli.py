@@ -247,6 +247,7 @@ def _cmd_bell(args) -> int:
             "converged": res.converged,
             "evaluations": res.evaluations,
             "restarts_agreeing": res.restarts_agreeing,
+            "spread": res.spread,
         },
     }
     _emit(payload, args)

@@ -250,12 +250,15 @@ class _ReferenceBellEvaluator:
         return math.pi**2 / 4.0 * (w[:, 0] + w[:, 1] + w[:, 2] - w[:, 3])
 
 
-def bell_max_reference(v: CovarianceMatrix, n_restarts=64, max_evals=2000, f_tol=1e-10, seed=0):
+def bell_max_reference(v: CovarianceMatrix, n_restarts=64, max_evals=2000, f_tol=1e-10, seed=0,
+                       tally=None):
     """The per-state lockstep multistart Nelder-Mead that ``bell_max`` is
     pinned to bit for bit, with its cost counts.
 
     Returns (b_max, settings as an (8,) array, converged, evaluations summed
-    over the restarts, restarts within 1e-6 max(1, |b_max|) of b_max).
+    over the restarts, restarts within 1e-6 max(1, |b_max|) of b_max).  A
+    ``collections.Counter`` passed as tally counts the moves and stops the
+    restarts took (see ``_reference_nelder_mead``).
     """
     ev = _ReferenceBellEvaluator(v)
     neg = lambda s: -np.abs(ev.bell(s))
@@ -267,7 +270,7 @@ def bell_max_reference(v: CovarianceMatrix, n_restarts=64, max_evals=2000, f_tol
         centers[1:] = rng.normal(scale=scale, size=(n_restarts - 1, 8))
 
     best_f, best_x, settled, evals = _reference_nelder_mead(
-        neg, centers, step=0.25 * scale, f_tol=f_tol, max_evals=max_evals
+        neg, centers, step=0.25 * scale, f_tol=f_tol, max_evals=max_evals, tally=tally
     )
     values = -best_f
     order = np.argsort(-values, kind="stable")
@@ -278,12 +281,15 @@ def bell_max_reference(v: CovarianceMatrix, n_restarts=64, max_evals=2000, f_tol
     return b_max, best_x[top], converged, int(evals.sum()), agreeing
 
 
-def _reference_nelder_mead(func, centers, step, f_tol, max_evals):
+def _reference_nelder_mead(func, centers, step, f_tol, max_evals, tally=None):
     """Minimize func over many restarts advanced in lockstep.
 
     func maps (N, dim) -> (N,).  Returns per-restart best values, best
     points, whether each restart settled (simplex spread <= f_tol) before
     exhausting its evaluation budget, and per-restart evaluation counts.
+    A Counter passed as tally adds, per restart, each step's move
+    ("expansion", "reflection", "outside contraction", "inside
+    contraction", "shrink") and its stop ("settled", "budget exhausted").
     """
     n, dim = centers.shape
     pts = np.repeat(centers[:, None, :], dim + 1, axis=1)
@@ -308,6 +314,9 @@ def _reference_nelder_mead(func, centers, step, f_tol, max_evals):
         active[idx[done]] = False
         over = evals[idx] >= max_evals
         active[idx[over]] = False
+        if tally is not None:
+            tally["settled"] += int(done.sum())
+            tally["budget exhausted"] += int((over & ~done).sum())
         idx = np.where(active)[0]
         if idx.size == 0:
             break
@@ -338,6 +347,12 @@ def _reference_nelder_mead(func, centers, step, f_tol, max_evals):
             np.where(outside, fc <= fr, fc < f[:, -1])
         )
         shrink = (~expand) & (fr >= f[:, -2]) & ~contract_ok
+        if tally is not None:
+            for move, hit in (("expansion", use_e), ("reflection", use_r),
+                              ("outside contraction", contract_ok & outside),
+                              ("inside contraction", contract_ok & ~outside),
+                              ("shrink", shrink)):
+                tally[move] += int(hit.sum())
 
         new_pt[use_e] = xe[use_e]
         new_f[use_e] = fe[use_e]

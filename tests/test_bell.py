@@ -1,6 +1,7 @@
 """Bell function values, the multistart maximizer and its grid oracle."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -73,10 +74,27 @@ class TestBellValue:
         product_thermal = build_covariance(
             thermal.covariance(thermal.ThermalParams(r=0.0, n_i=0.4, n_s=1.1))
         )
-        for _ in range(2000):
-            s = DisplacementSettings(*rng.uniform(-3.0, 3.0, size=8))
-            assert abs(bell_value(VACUUM, s)) <= 2.0 + 1e-9
-            assert abs(bell_value(product_thermal, s)) <= 2.0 + 1e-9
+        settings = rng.uniform(-3.0, 3.0, size=(2000, 8))
+        for v in (VACUUM, product_thermal):
+            assert np.all(np.abs(bell_value(v, settings)) <= 2.0 + 1e-9)
+
+    def test_a_settings_array_gives_each_row_its_value(self):
+        v = tmsv_matrix(0.8, 0.9, 0.95, k_f=0.97)
+        settings = np.random.default_rng(13).normal(size=(50, 8))
+        values = bell_value(v, settings)
+        assert values.shape == (50,)
+        assert values.tolist() == [bell_value(v, DisplacementSettings(*row)) for row in settings]
+        assert isinstance(bell_value(v, ZERO), float)
+
+    @pytest.mark.parametrize("settings, message", [
+        (np.zeros(8), "settings must be an (N, 8) array, got shape (8,)"),
+        (np.zeros((3, 7)), "settings must be an (N, 8) array, got shape (3, 7)"),
+        (np.full((2, 8), np.nan), "displacement settings must be finite"),
+    ])
+    def test_bad_settings_array_is_named(self, settings, message):
+        with pytest.raises(ValueError) as err:
+            bell_value(VACUUM, settings)
+        assert str(err.value) == message
 
     def test_joint_point_assembly(self):
         s = DisplacementSettings(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
@@ -102,7 +120,7 @@ class TestBellMax:
             v = build_covariance(thermal.covariance(p))
             res = bell_max(v, BellMaxConfig(n_restarts=32, seed=17))
             probes = rng.normal(scale=1.5, size=(100000, 8))
-            probed = float(np.max(np.abs(_BellEvaluator(v).bell(probes))))
+            probed = float(np.max(np.abs(bell_value(v, probes))))
             assert res.b_max >= probed - 1e-9
 
     def test_agrees_with_grid_oracle_on_tmsv(self):
@@ -206,11 +224,19 @@ SEEDS = [3, 101, 7, 2**31 - 1, 0, 55]
 
 
 @pytest.fixture(scope="module")
-def references():
+def reference_moves():
+    """How often the reference searches of ``references`` took each move and
+    each stop, summed over restarts and steps."""
+    return Counter()
+
+
+@pytest.fixture(scope="module")
+def references(reference_moves):
     """The per-state reference search at every budget: {budget: [(b_max,
     settings, converged, evaluations, restarts_agreeing)]}."""
     v = mixed_states()
-    return {name: [bell_max_reference(CovarianceMatrix(m), n_r, evals, seed=s)
+    return {name: [bell_max_reference(CovarianceMatrix(m), n_r, evals, seed=s,
+                                      tally=reference_moves)
                    for m, s in zip(v.entries, SEEDS)]
             for name, (n_r, evals) in BUDGETS.items()}
 
@@ -251,6 +277,26 @@ class TestBellMaxStack:
             [alone] = bell_max_stack(v, [seed], BellMaxConfig(n_r, evals))
             assert same_as_reference(alone, ref)
 
+    def test_the_pinned_cases_take_every_move_and_both_stops(self, references, reference_moves):
+        # the bit-identity tests above guard every branch of the step only if
+        # the reference cases they pin take each of them
+        assert len(references) == len(BUDGETS)
+        assert set(reference_moves) == {
+            "expansion", "reflection", "outside contraction", "inside contraction", "shrink",
+            "settled", "budget exhausted"}
+        assert min(reference_moves.values()) >= 1
+
+    def test_spread_is_within_f_tol_exactly_when_the_top_restart_settled(self):
+        # with one restart, converged is whether that restart settled
+        seen = set()
+        for n_r, evals in ((1, 2000), (1, 60), (1, 300)):
+            cfg = BellMaxConfig(n_r, evals)
+            for res in bell_max_stack(mixed_states(), SEEDS, cfg):
+                assert res.spread >= 0.0
+                assert (res.spread <= cfg.f_tol) is res.converged
+                seen.add(res.converged)
+        assert seen == {True, False}
+
     def test_one_seed_per_matrix(self):
         with pytest.raises(ValueError, match="need one seed per matrix, got 1 for 6"):
             bell_max_stack(mixed_states(), [0])
@@ -273,8 +319,8 @@ class TestBellMaxConfig:
         ({"f_tol": -1e-12}, "f_tol must be finite and >= 0, got -1e-12"),
         ({"f_tol": math.nan}, "f_tol must be finite and >= 0, got nan"),
         ({"f_tol": math.inf}, "f_tol must be finite and >= 0, got inf"),
-        ({"n_restarts": 0}, "need at least one restart"),
-        ({"max_evals": 49}, "max_evals too small for an 8-dimensional simplex"),
+        ({"n_restarts": 0}, "n_restarts must be at least 1, got 0"),
+        ({"max_evals": 49}, "max_evals must be at least 50, got 49"),
     ])
     def test_bad_field_is_named(self, fields, message):
         with pytest.raises(ValueError) as err:

@@ -369,6 +369,18 @@ class TestBellCommand:
         assert diag["converged"] is ref[2]
         assert run_inproc(*argv, capsys=capsys)[1] == first
 
+    @pytest.mark.parametrize("max_evals, converged", [("2000", True), ("60", False)])
+    def test_spread_is_reported_and_rerun_byte_identical(self, max_evals, converged, capsys):
+        # one restart: converged is whether it settled, i.e. spread <= f_tol
+        argv = ("bell", "--model", "tmsv", "--r", "0.8", "--k-f", "0.97", "--restarts", "1",
+                "--max-evals", max_evals, "--seed", "3")
+        code, first, _ = run_inproc(*argv, capsys=capsys)
+        assert code == 0
+        diag = json.loads(first)["diagnostics"]
+        assert diag["converged"] is converged
+        assert (0.0 <= diag["spread"] <= bell.BellMaxConfig().f_tol) is converged
+        assert run_inproc(*argv, capsys=capsys)[1] == first
+
     @pytest.mark.parametrize("argv", [
         ("bell", "--model", "tmsv", "--r", "0.8"),
         ("sweep", "--model", "tmsv", "--axis1", "r=0.2:0.8:3", "--outputs", "bell_max"),
