@@ -154,7 +154,7 @@ def _cmd_point(args) -> int:
     blocks = sweep.point_blocks(args.model, params, args.family)
     if args.format == "csv":
         cols = sweep.output_columns(args.model, outputs)
-        text = sweep.csv_text(cols, [[results[c] for c in cols]])
+        text = sweep.csv_text(cols, np.array([[results[c] for c in cols]]))
         if args.out:
             sweep._atomic_write(args.out, text)
         else:
@@ -188,20 +188,20 @@ def _cmd_sweep(args) -> int:
     )
     if args.jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {args.jobs}")
-    columns, rows = sweep.run_sweep(cfg)
+    columns, table = sweep.run_sweep(cfg)
     if args.svg:
-        _write_sweep_svg(args.svg, cfg, columns, rows)
+        _write_sweep_svg(args.svg, cfg, columns, table)
     if args.format == "csv":
         if args.out:
-            sweep.write_csv(args.out, columns, rows)
+            sweep.write_csv(args.out, columns, table)
         else:
-            sys.stdout.write(sweep.csv_text(columns, rows))
+            sys.stdout.write(sweep.csv_text(columns, table))
     else:
         payload = {
             "params": {"model": cfg.model, "outputs": list(outputs),
                        "fixed": cfg.fixed, "seed": cfg.seed},
-            "results": sweep.rows_to_json(columns, rows),
-            "diagnostics": {"n_points": len(rows)},
+            "results": sweep.rows_to_json(columns, table),
+            "diagnostics": {"n_points": len(table)},
         }
         if args.out:
             sweep.write_json(args.out, payload)
@@ -210,12 +210,12 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _write_sweep_svg(path, cfg: SweepConfig, columns, rows) -> None:
+def _write_sweep_svg(path, cfg: SweepConfig, columns, table) -> None:
     if cfg.axis2 is None:
         raise ConfigError("--svg needs a 2-D sweep (axis1 and axis2)")
     nx, ny = cfg.axis1.count, cfg.axis2.count
     col = len([a for a in (cfg.axis1, cfg.axis2) if a])  # first output column
-    grid = np.array([row[col] for row in rows], dtype=float).reshape(ny, nx)
+    grid = table[:, col].reshape(ny, nx)
     text = render_heatmap(
         grid,
         x_values=cfg.axis1.grid(),
@@ -338,7 +338,7 @@ def _cmd_overlap(args) -> int:
             "abs_difference": {"k_f": abs(closed.k_f - numeric.k_f),
                                "l_f": abs(closed.l_f - numeric.l_f)},
         },
-        "diagnostics": {},
+        "diagnostics": {"error_estimate": numeric.error_estimate, "panels": numeric.panels},
     }
     _emit(payload, args)
     return 0

@@ -71,6 +71,15 @@ class OverlapFactors:
 IDENTICAL_FILTERS = OverlapFactors(1.0, 0.0)
 
 
+@dataclass(frozen=True)
+class NumericOverlap(OverlapFactors):
+    """A quadrature overlap with what it cost: the summed |S2 - S1|/15 error
+    estimate of the accepted Simpson panels, and their number."""
+
+    error_estimate: float
+    panels: int
+
+
 def sample_time(f: FilterSpec, ts: "np.ndarray") -> "np.ndarray":
     """Vectorized h(t) over an array of times."""
     ts = np.asarray(ts, dtype=float)
@@ -144,7 +153,7 @@ def overlap_closed_form(fi: FilterSpec, fs: FilterSpec) -> OverlapFactors:
     return OverlapFactors(k[()], l[()])
 
 
-def overlap_numeric(fi: FilterSpec, fs: FilterSpec, tol: float = 1e-10) -> OverlapFactors:
+def overlap_numeric(fi: FilterSpec, fs: FilterSpec, tol: float = 1e-10) -> NumericOverlap:
     """Adaptive-quadrature overlap integral; independent of the closed forms.
 
     Step supports are finite; exponential tails are truncated where the
@@ -167,18 +176,19 @@ def overlap_numeric(fi: FilterSpec, fs: FilterSpec, tol: float = 1e-10) -> Overl
     # seed roughly two panels per beat of the oscillatory kernel
     beats = abs(fi.omega - fs.omega) * upper / math.pi
     n0 = int(min(8192, max(16, 2 * math.ceil(beats))))
-    val = _adaptive_simpson(integrand, 0.0, upper, tol, n0=n0)
-    return OverlapFactors(val.real, val.imag)
+    val, err, panels = _adaptive_simpson(integrand, 0.0, upper, tol, n0=n0)
+    return NumericOverlap(val.real, val.imag, err, panels)
 
 
 def _adaptive_simpson(f, a: float, b: float, tol: float, n0: int = 16,
-                      budget: int = 500000) -> complex:
+                      budget: int = 500000) -> tuple[complex, float, int]:
     """Adaptive Simpson quadrature for a vectorized complex integrand.
 
     All panels of a refinement level are evaluated in one batched call;
     each panel bisects until its |S2 - S1|/15 estimate meets its share of
-    the tolerance.  Raises on budget exhaustion, with the achieved error
-    estimate in the message.
+    the tolerance.  Returns the integral, the summed error estimate and the
+    number of accepted panels.  Raises on budget exhaustion, with the
+    achieved error estimate in the message.
     """
     edges = np.linspace(a, b, n0 + 1)
     lo, hi = edges[:-1], edges[1:]
@@ -188,6 +198,7 @@ def _adaptive_simpson(f, a: float, b: float, tol: float, n0: int = 16,
     used = 2 * n0 + 1
     total = 0.0 + 0.0j
     err_acc = 0.0
+    panels = 0
     min_width = 1e-14 * (b - a)
 
     while lo.size:
@@ -202,6 +213,7 @@ def _adaptive_simpson(f, a: float, b: float, tol: float, n0: int = 16,
         done = (err < 15.0 * etol) | ((hi - lo) < min_width)
         total += np.sum(s_l[done] + s_r[done] + (s_l[done] + s_r[done] - s1[done]) / 15.0)
         err_acc += float(np.sum(err[done])) / 15.0
+        panels += int(np.count_nonzero(done))
         if np.all(done):
             break
         if used > budget:
@@ -217,4 +229,4 @@ def _adaptive_simpson(f, a: float, b: float, tol: float, n0: int = 16,
         fhi = np.concatenate([fmid[keep], fhi[keep]])
         fmid = np.concatenate([flm[keep], frm[keep]])
         etol = np.concatenate([etol[keep] / 2.0, etol[keep] / 2.0])
-    return complex(total)
+    return complex(total), err_acc, panels

@@ -251,8 +251,9 @@ def _critical_point_columns(model: str, p, eta_i, eta_s) -> dict:
     return {c: getattr(cp, c) for c in critical_columns(model)}
 
 
-def run_sweep(cfg: SweepConfig) -> tuple[list[str], list[list[float]]]:
-    """Evaluate the grid; returns (column names, rows in axis2-major order)."""
+def run_sweep(cfg: SweepConfig) -> tuple[list[str], np.ndarray]:
+    """Evaluate the grid; returns (column names, an (n, columns) float table
+    whose rows are in axis2-major order)."""
     axes = [a for a in (cfg.axis1, cfg.axis2) if a is not None]
     for a in axes:
         if a.name in cfg.fixed:
@@ -275,7 +276,7 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[str], list[list[float]]]:
         seeds and seeds[lo:hi], cfg.bell_restarts, optimize), n)
     out_cols = output_columns(cfg.model, cfg.outputs)
     table = np.column_stack(axis_vals + [res[c] for c in out_cols])
-    return [a.name for a in axes] + out_cols, table.tolist()
+    return [a.name for a in axes] + out_cols, table
 
 
 def _point_seeds(master: int, n: int) -> list[int]:
@@ -291,20 +292,27 @@ def format_number(x: float) -> str:
     return repr(float(x))
 
 
-def csv_text(columns: list[str], rows: list[list[float]]) -> str:
-    """Header and rows of Python floats (run_sweep's rows and evaluate_point's
-    values are); a list's repr spells each as format_number does, at C speed."""
-    lines = [repr(row)[1:-1].replace(", ", ",") for row in rows]
+def csv_text(columns: list[str], table: np.ndarray) -> str:
+    """Header and one line per row of an (n, len(columns)) float table, each
+    number spelled as format_number spells it.  A column is spelled once per
+    distinct bit pattern (so -0.0 stays apart from 0.0): a grid's axis and
+    landmark columns cost one repr per grid line, not per point."""
+    cells = []
+    for col in np.ascontiguousarray(table.T):
+        distinct, inverse = np.unique(col.view(np.int64), return_inverse=True)
+        text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+        cells.append(text[inverse].tolist())
+    lines = [",".join(row) for row in zip(*cells)]
     return "\n".join([",".join(columns)] + lines) + "\n"
 
 
-def write_csv(path: str, columns: list[str], rows: list[list[float]]) -> None:
+def write_csv(path: str, columns: list[str], table: np.ndarray) -> None:
     """Write-then-rename so partial outputs are never left behind."""
-    _atomic_write(path, csv_text(columns, rows))
+    _atomic_write(path, csv_text(columns, table))
 
 
-def rows_to_json(columns, rows) -> dict:
-    return {"columns": list(columns), "rows": [[float(v) for v in r] for r in rows]}
+def rows_to_json(columns, table: np.ndarray) -> dict:
+    return {"columns": list(columns), "rows": table.tolist()}
 
 
 def write_json(path: str, payload: dict) -> None:

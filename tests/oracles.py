@@ -281,7 +281,7 @@ def bell_max_reference(v: CovarianceMatrix, n_restarts=64, max_evals=2000, f_tol
     return b_max, best_x[top], converged, int(evals.sum()), agreeing
 
 
-def _reference_nelder_mead(func, centers, step, f_tol, max_evals, tally=None):
+def _reference_nelder_mead(func, centers, step, f_tol, max_evals, tally=None, ties=None):
     """Minimize func over many restarts advanced in lockstep.
 
     func maps (N, dim) -> (N,).  Returns per-restart best values, best
@@ -290,6 +290,9 @@ def _reference_nelder_mead(func, centers, step, f_tol, max_evals, tally=None):
     A Counter passed as tally adds, per restart, each step's move
     ("expansion", "reflection", "outside contraction", "inside
     contraction", "shrink") and its stop ("settled", "budget exhausted").
+    A Counter passed as ties adds the steps whose deciding comparison met
+    an exact tie: "expansion" (fe == fr), "outside contraction" (fc == fr)
+    and "inside contraction" (fc == the worst value).
     """
     n, dim = centers.shape
     pts = np.repeat(centers[:, None, :], dim + 1, axis=1)
@@ -353,6 +356,12 @@ def _reference_nelder_mead(func, centers, step, f_tol, max_evals, tally=None):
                               ("inside contraction", contract_ok & ~outside),
                               ("shrink", shrink)):
                 tally[move] += int(hit.sum())
+        if ties is not None:
+            contract = (~expand) & (fr >= f[:, -2])
+            for test, hit in (("expansion", expand & (fe == fr)),
+                              ("outside contraction", contract & outside & (fc == fr)),
+                              ("inside contraction", contract & ~outside & (fc == f[:, -1]))):
+                ties[test] += int(hit.sum())
 
         new_pt[use_e] = xe[use_e]
         new_f[use_e] = fe[use_e]
@@ -617,3 +626,30 @@ def render_heatmap_reference(
         "</svg>",
     ]
     return "\n".join(parts) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Per-element references of the once-per-distinct-value paths: the math
+# formula applied row by row, and the CSV writer that spells every cell.
+
+def each_reference(fn, x):
+    """fn, a formula in math functions, elementwise (errors tagged as by
+    ``_reject``): numpy's sinh and cosh differ from math's in the last bit,
+    on about a quarter of inputs, and the Bell optimizer amplifies that."""
+    if np.ndim(x) == 0:
+        return fn(x)
+    out = []
+    for i, v in enumerate(np.ravel(x).tolist()):
+        try:
+            out.append(fn(v))
+        except (ArithmeticError, ValueError) as exc:
+            exc.row = i
+            raise
+    return np.reshape(out, np.shape(x))
+
+
+def csv_text_reference(columns: list[str], rows: list[list[float]]) -> str:
+    """Header and rows of Python floats (run_sweep's rows and evaluate_point's
+    values are); a list's repr spells each as format_number does, at C speed."""
+    lines = [repr(row)[1:-1].replace(", ", ",") for row in rows]
+    return "\n".join([",".join(columns)] + lines) + "\n"

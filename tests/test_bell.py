@@ -19,7 +19,7 @@ from filtered_tms.bell import (
 )
 from filtered_tms.filters import OverlapFactors
 from filtered_tms.gaussian import CovarianceMatrix, apply_loss, build_covariance, log_negativity
-from oracles import bell_max_reference, random_thermal_params
+from oracles import _reference_nelder_mead, bell_max_reference, random_thermal_params
 
 ZERO = DisplacementSettings(*([0.0] * 8))
 
@@ -285,6 +285,26 @@ class TestBellMaxStack:
             "expansion", "reflection", "outside contraction", "inside contraction", "shrink",
             "settled", "budget exhausted"}
         assert min(reference_moves.values()) >= 1
+
+    @pytest.mark.parametrize("max_evals", [2000, 400])
+    def test_exact_ties_take_the_reference_branch(self, max_evals):
+        # a quantized objective meets exact ties in the deciding comparisons,
+        # which a smooth Bell function never does: each tie-break must match
+        def quantized(x):
+            w = np.arange(1, x.shape[-1] + 1)
+            return np.round(np.sum(w * (x - 0.3) ** 2, axis=-1) + 0.5 * np.sin(3 * x[..., 0]), 2)
+
+        centers = np.random.default_rng(1).normal(size=(16, 8))
+        ties = Counter()
+        want = _reference_nelder_mead(quantized, centers, step=0.25, f_tol=1e-10,
+                                      max_evals=max_evals, ties=ties)
+        got = bell._batched_nelder_mead(lambda x, owner: quantized(x), centers,
+                                        np.zeros(16, dtype=int), step=np.full(16, 0.25),
+                                        f_tol=1e-10, max_evals=max_evals)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert set(ties) == {"expansion", "outside contraction", "inside contraction"}
+        assert min(ties.values()) >= 1
 
     def test_spread_is_within_f_tol_exactly_when_the_top_restart_settled(self):
         # with one restart, converged is whether that restart settled

@@ -18,7 +18,7 @@ from filtered_tms.cli import main
 from filtered_tms.filters import FilterFamily, FilterSpec, overlap_closed_form
 from filtered_tms.gaussian import build_covariance
 from filtered_tms.sweep import format_number
-from oracles import bell_max_reference
+from oracles import bell_max_reference, csv_text_reference
 
 
 # the child process runs the same package the in-process tests import
@@ -72,6 +72,23 @@ class TestPoint:
         e_n, p = (float(x) for x in row.split(","))
         assert e_n == pytest.approx(1.0, abs=1e-9)
         assert p == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("argv", [
+        ("--model", "thermal", "--r", "0.5", "--n-i", "0.3", "--n-s", "0.8", "--k-f", "0.95",
+         "--l-f", "0.095", "--outputs", "e_n,s_q_opt,purity,zeta,critical_points,bell_max"),
+        ("--model", "tmsv", "--r", "0", "--outputs",
+         "e_n,s_q_opt,purity,zeta,weight_ratio,critical_points,bell_max"),
+        ("--model", "tmsv", "--r", "3", "--eta-s", "0.9", "--outputs", "critical_points,e_n"),
+    ], ids=["thermal", "separable", "tmsv landmarks"])
+    def test_point_csv_equals_the_per_row_writer(self, argv, capsys):
+        code, out, _ = run_inproc("point", "--format", "csv", "--restarts", "4", *argv,
+                                  capsys=capsys)
+        assert code == 0
+        params = {k[2:].replace("-", "_"): float(v) for k, v in zip(argv[2:-2:2], argv[3:-2:2])}
+        outputs = tuple(argv[-1].split(","))
+        results = sweep.evaluate_point(argv[1], params, outputs, bell_restarts=4)
+        cols = sweep.output_columns(argv[1], outputs)
+        assert out == csv_text_reference(cols, [[results[c] for c in cols]])
 
     def test_thermal_point_echoes_blocks(self, capsys):
         code, out, _ = run_inproc(
@@ -491,6 +508,24 @@ class TestOverlapCommand:
         assert res["closed_form"]["l_f"] == 0.0
         assert res["abs_difference"]["k_f"] < 1e-8
         assert res["abs_difference"]["l_f"] < 1e-8
+
+    @pytest.mark.parametrize("argv", [
+        ("--family", "step", "--tau-i", "2", "--tau-s", "2", "--omega-k", "1",
+         "--omega-l", "0"),
+        ("--family", "exponential", "--tau-i", "2", "--tau-s", "1", "--omega-k", "1",
+         "--omega-l", "0.3", "--tol", "1e-6"),
+        ("--family-i", "step", "--family-s", "exponential", "--tau-i", "2", "--tau-s", "1",
+         "--omega-k", "1", "--omega-l", "1", "--tol", "1e-8"),
+    ], ids=["step", "exponential", "mixed"])
+    def test_quadrature_cost_is_reported(self, argv, capsys):
+        code, out, _ = run_inproc("overlap", *argv, capsys=capsys)
+        assert code == 0
+        payload = json.loads(out)
+        diag = payload["diagnostics"]
+        assert set(diag) == {"error_estimate", "panels"}
+        assert math.isfinite(diag["error_estimate"]) and diag["error_estimate"] > 0.0
+        assert diag["error_estimate"] <= payload["params"]["tol"]
+        assert type(diag["panels"]) is int and diag["panels"] > 0
 
     @pytest.mark.parametrize("command, argv", [
         ("overlap", ("--tau-i", "2", "--tau-s", "1", "--omega-k", "1", "--omega-l", "1")),

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from filtered_tms import thermal, tmsv
+from filtered_tms import gaussian, thermal, tmsv
 from filtered_tms.filters import OverlapFactors
 from filtered_tms.gaussian import (
     CovarianceBlocks,
@@ -25,6 +25,7 @@ from filtered_tms.gaussian import (
 )
 from oracles import (
     block_matrix,
+    each_reference,
     loss_product,
     min_variance_numeric,
     nu_min_eigen,
@@ -424,3 +425,34 @@ class TestWeightOptimization:
         b = thermal.covariance(p)
         assert squeezing_angle(b) == pytest.approx(thermal.squeezing_angle(p), abs=1e-14)
         assert -math.pi / 2 < squeezing_angle(b) <= math.pi / 2
+
+
+class TestEach:
+    FORMULAS = {
+        "sinh^2": lambda r: math.sinh(r) ** 2,
+        "sinh 2r": lambda r: math.sinh(2.0 * r),
+        "cosh 2r": lambda r: math.cosh(2.0 * r),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FORMULAS))
+    def test_bits_equal_the_per_element_reference(self, name):
+        # 4000 draws from 300 values, with -0.0 beside 0.0: every value repeats
+        rng = np.random.default_rng(17)
+        pool = np.concatenate([rng.uniform(0.0, 20.0, 298), [0.0, -0.0]])
+        x = rng.choice(pool, size=4000)
+        fn = self.FORMULAS[name]
+        for shape in ((4000,), (40, 100)):
+            got, want = gaussian._each(fn, x.reshape(shape)), each_reference(fn, x.reshape(shape))
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert gaussian._each(fn, 0.7) == each_reference(fn, 0.7)
+
+    @pytest.mark.parametrize("x", [[0.1, 800.0, 400.0], [400.0, 3.0, 800.0, 400.0],
+                                   [1.0, 2.0, 1.0, 900.0, 2.0, 400.0]])
+    def test_an_error_names_the_first_failing_row(self, x):
+        fn = self.FORMULAS["cosh 2r"]
+        with pytest.raises(OverflowError) as want:
+            each_reference(fn, np.array(x))
+        with pytest.raises(OverflowError) as got:
+            gaussian._each(fn, np.array(x))
+        assert got.value.row == want.value.row

@@ -3,6 +3,7 @@ oracle of each point's 4x4 matrix, the one-point case ``evaluate_point``,
 the first failing point of a point-by-point loop, and the scalar model
 blocks that the Bell optimizer receives."""
 
+import json
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from filtered_tms.sweep import (
     run_sweep,
 )
 from oracles import (
+    csv_text_reference,
     loss_product,
     nu_min_eigen,
     overlap_closed_form_reference,
@@ -331,3 +333,56 @@ class TestFullLoss:
         assert last["e_n"] == 0.0
         assert all(math.isnan(last[c]) for c in critical_columns("tmsv"))
         assert all(dict(zip(columns, row))["e_n"] > 0.0 for row in rows[:-1])
+
+
+def bits(*values) -> np.ndarray:
+    """Float64 values from their int64 bit patterns."""
+    return np.array(values, dtype=np.int64).view(np.float64)
+
+
+# a -0.0 beside 0.0, nan with three payloads and both signs, +-inf, subnormals
+# (one repeated), an all-equal column and values that repeat down a column
+EDGE_TABLE = np.column_stack([
+    [0.0, -0.0, 0.0, -0.0, 1.5, 1.5],
+    np.concatenate([[math.nan, -math.nan], bits(0x7FF8000000000001, -0x0007FFFFFFFFFFFF),
+                    [math.nan, 2.0]]),
+    [math.inf, -math.inf, math.inf, 1e308, -1e-308, -math.inf],
+    np.concatenate([bits(1, 2, 1, 0x000FFFFFFFFFFFFF), [2.2250738585072014e-308, 5e-324]]),
+    np.full(6, 0.1 + 0.2),
+    [1 / 3, 2 / 3, 1 / 3, 1e16, 1e-5, 123456789.125],
+])
+
+
+class TestCsvText:
+    @pytest.mark.parametrize("table", [
+        EDGE_TABLE, EDGE_TABLE[:1], EDGE_TABLE[:, :1], EDGE_TABLE[2:3, 3:4],
+        np.full((5, 3), -0.0),
+    ], ids=["edge values", "one row", "one column", "one cell", "all equal"])
+    def test_bytes_equal_the_per_row_writer(self, table):
+        columns = [f"c{j}" for j in range(table.shape[1])]
+        assert sweep.csv_text(columns, table) == csv_text_reference(columns, table.tolist())
+
+    def test_edge_values_are_spelled_apart(self):
+        lines = sweep.csv_text(list("abcdef"), EDGE_TABLE).splitlines()
+        assert [line.split(",")[0] for line in lines] == ["a", "0.0", "-0.0", "0.0", "-0.0",
+                                                          "1.5", "1.5"]
+        assert [line.split(",")[1] for line in lines[1:]] == ["nan"] * 5 + ["2.0"]
+        assert lines[1].split(",")[3] == "5e-324"
+
+    @pytest.mark.parametrize("cfg", [
+        SweepConfig("tmsv", ("e_n", "s_q_opt"), {"eta_i": 0.9, "eta_s": 0.98},
+                    axis1=AxisSpec("k_f", 0.8, 1.0, 81), axis2=AxisSpec("r", 0.0, 3.0, 121)),
+        SweepConfig("thermal", ("e_n", "s_q_opt", "purity", "zeta", "weight_ratio",
+                                "critical_points"), {"n_i": 0.3, "n_s": 0.6},
+                    axis1=AxisSpec("k_f", 0.8, 1.0, 41), axis2=AxisSpec("r", 0.0, 3.0, 31)),
+        SweepConfig("tmsv", ("bell_max", "e_n", "critical_points", "weight_ratio"),
+                    {"eta_s": 0.9}, axis1=AxisSpec("r", 0.0, 1.5, 4),
+                    axis2=AxisSpec("k_f", 0.9, 1.0, 2), seed=4, bell_restarts=3),
+    ], ids=["readme grid", "thermal landmarks", "bell_max"])
+    def test_sweep_outputs_equal_the_per_row_writer(self, cfg):
+        columns, table = run_sweep(cfg)
+        assert table.shape == (cfg.axis1.count * cfg.axis2.count, len(columns))
+        rows = table.tolist()
+        assert sweep.csv_text(columns, table) == csv_text_reference(columns, rows)
+        want = {"columns": columns, "rows": [[float(v) for v in r] for r in rows]}
+        assert json.dumps(sweep.rows_to_json(columns, table)) == json.dumps(want)
