@@ -17,8 +17,8 @@ a sweep maximizes all its points in one pass.  A step makes one objective
 call, on the reflection, expansion and both contraction points of every
 active restart; the contraction point a restart does not use is not counted
 in its evaluations.  Each restart takes the same path whatever else is in
-the array, which keeps the search deterministic for a fixed seed.  A
-zooming dense-grid search is provided as an independent oracle.
+the array, which keeps the search deterministic for a fixed seed.  The
+tests check it against an independent zooming dense-grid search.
 """
 
 from __future__ import annotations
@@ -211,47 +211,6 @@ def bell_max_stack(v: CovarianceMatrix, seeds, cfg: BellMaxConfig = BellMaxConfi
                 spread=float(spread[rows][top]),
             ))
     return results
-
-
-def bell_grid_max(
-    v: CovarianceMatrix,
-    half_width: float = 3.0,
-    points_per_dim: int = 5,
-    levels: int = 14,
-    shrink: float = 0.5,
-    n_scatter: int = 200000,
-    seed: int = 0,
-) -> tuple[float, np.ndarray]:
-    """Scatter-plus-lattice search for max |B|; independent of bell_max.
-
-    A seeded uniform scatter over [-half_width, half_width]^8 locates the
-    best basin (a bare zooming lattice can stall on the origin saddle in
-    eight dimensions); a shrinking dense lattice then refines around the
-    running best point.  Deterministic, derivative free and simplex free;
-    used as the oracle in tests.
-    """
-    ev = _BellEvaluator(v)
-    rng = np.random.default_rng(seed)
-    scatter = rng.uniform(-half_width, half_width, size=(n_scatter, 8))
-    scatter[0] = 0.0
-    vals = np.abs(ev.bell(scatter))
-    k = int(np.argmax(vals))
-    best_val, best_pt = float(vals[k]), scatter[k].copy()
-
-    offsets = np.linspace(-1.0, 1.0, points_per_dim)
-    grids = np.stack(
-        np.meshgrid(*[offsets] * 8, indexing="ij"), axis=-1
-    ).reshape(-1, 8)
-    center, width = best_pt.copy(), half_width / 4.0
-    for _ in range(levels):
-        lattice = center[None, :] + width * grids
-        vals = np.abs(ev.bell(lattice))
-        k = int(np.argmax(vals))
-        if vals[k] > best_val:
-            best_val, best_pt = float(vals[k]), lattice[k].copy()
-        center = lattice[k]
-        width *= shrink
-    return best_val, best_pt
 
 
 def _batched_nelder_mead(func, centers, owner, step, f_tol, max_evals):

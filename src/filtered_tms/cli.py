@@ -12,7 +12,10 @@ import argparse
 import functools
 import json
 import math
+import os
+import stat
 import sys
+import tempfile
 
 import numpy as np
 
@@ -60,12 +63,45 @@ def _parse_axis(text: str) -> AxisSpec:
         raise ConfigError(f"axis must look like name=start:stop:count, got {text!r}") from exc
 
 
-def _emit(payload: dict, args) -> None:
-    text = json.dumps(payload, indent=2, allow_nan=True) + "\n"
-    if getattr(args, "out", None):
-        sweep._atomic_write(args.out, text)
-    else:
+def _write(path: str | None, text: str) -> None:
+    """Write text to stdout when no path is given, else to path.
+
+    A regular file (or a new one) is written to a temporary file beside it
+    and renamed into place, so a partial output is never left behind; a new
+    file gets mode 0o666 & ~umask and an existing one keeps its mode.  Any
+    other existing target (a FIFO, a device) is written in place, never
+    replaced by a regular file.  A symbolic link is followed: its target is
+    written and the link stays.
+    """
+    if not path:
         sys.stdout.write(text)
+        return
+    path = os.path.realpath(path)
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        # the umask can only be read by setting it
+        umask = os.umask(0o022)
+        os.umask(umask)
+        mode = stat.S_IFREG | 0o666 & ~umask
+    if not stat.S_ISREG(mode):
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        return
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-", text=True)
+    try:
+        with os.fdopen(fd, "w", newline="") as fh:
+            fh.write(text)
+        os.chmod(tmp, stat.S_IMODE(mode))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _emit(payload: dict, path: str | None) -> None:
+    _write(path, json.dumps(payload, indent=2, allow_nan=True) + "\n")
 
 
 def _json_safe(x):
@@ -154,11 +190,7 @@ def _cmd_point(args) -> int:
         bell_restarts=args.restarts)
     if args.format == "csv":
         cols = sweep.output_columns(args.model, outputs)
-        text = sweep.csv_text(cols, np.array([[results[c] for c in cols]]))
-        if args.out:
-            sweep._atomic_write(args.out, text)
-        else:
-            sys.stdout.write(text)
+        _write(args.out, sweep.csv_text(cols, np.array([[results[c] for c in cols]])))
         return 0
     payload = {
         "params": {"model": args.model, **params, "family": args.family,
@@ -170,7 +202,7 @@ def _cmd_point(args) -> int:
         },
         "diagnostics": {},
     }
-    _emit(payload, args)
+    _emit(payload, args.out)
     return 0
 
 
@@ -192,21 +224,15 @@ def _cmd_sweep(args) -> int:
     if args.svg:
         _write_sweep_svg(args.svg, cfg, columns, table)
     if args.format == "csv":
-        if args.out:
-            sweep.write_csv(args.out, columns, table)
-        else:
-            sys.stdout.write(sweep.csv_text(columns, table))
-    else:
-        payload = {
-            "params": {"model": cfg.model, "outputs": list(outputs),
-                       "fixed": cfg.fixed, "seed": cfg.seed},
-            "results": sweep.rows_to_json(columns, table),
-            "diagnostics": {"n_points": len(table)},
-        }
-        if args.out:
-            sweep.write_json(args.out, payload)
-        else:
-            sys.stdout.write(json.dumps(payload, allow_nan=True) + "\n")
+        _write(args.out, sweep.csv_text(columns, table))
+        return 0
+    payload = {
+        "params": {"model": cfg.model, "outputs": list(outputs),
+                   "fixed": cfg.fixed, "seed": cfg.seed},
+        "results": {"columns": columns, "rows": table.tolist()},
+        "diagnostics": {"n_points": len(table)},
+    }
+    _emit(payload, args.out)
     return 0
 
 
@@ -224,7 +250,7 @@ def _write_sweep_svg(path, cfg: SweepConfig, columns, table) -> None:
         y_label=cfg.axis2.name,
         title=f"{columns[col]} ({cfg.model})",
     )
-    sweep._atomic_write(path, text)
+    _write(path, text)
 
 
 def _cmd_bell(args) -> int:
@@ -250,7 +276,7 @@ def _cmd_bell(args) -> int:
             "spread": res.spread,
         },
     }
-    _emit(payload, args)
+    _emit(payload, args.out)
     return 0
 
 
@@ -320,7 +346,7 @@ def _cmd_validate(args) -> int:
                         "pilot_realizations": est.pilot_realizations,
                         "normal_draws": est.normal_draws},
     }
-    _emit(payload, args)
+    _emit(payload, args.out)
     return 0
 
 
@@ -340,7 +366,7 @@ def _cmd_overlap(args) -> int:
         },
         "diagnostics": {"error_estimate": numeric.error_estimate, "panels": numeric.panels},
     }
-    _emit(payload, args)
+    _emit(payload, args.out)
     return 0
 
 

@@ -12,7 +12,8 @@ through the overlap integral of their mode functions,
     K_f + i L_f = integral  conj(h_K)(t) h_L(t) dt,
 
 for which every pair of families admits a closed form.  An adaptive-quadrature
-evaluation of the same integral is provided as an independent oracle.
+evaluation of the same integral is provided as an independent oracle; the
+``overlap`` command reports both.
 """
 
 from __future__ import annotations
@@ -89,33 +90,6 @@ def sample_time(f: FilterSpec, ts: "np.ndarray") -> "np.ndarray":
     inside = ts >= 0.0
     amp = math.sqrt(2.0 / f.tau) * np.exp(-(1.0 / f.tau + 1j * f.omega) * np.where(inside, ts, 0.0))
     return np.where(inside, amp, 0.0)
-
-
-def eval_freq(f: FilterSpec, omega):
-    """Fourier transform h~(omega) over a float or an array of frequencies,
-    with the unitary convention
-    h~(omega) = (2 pi)**-1/2 * integral h(t) exp(i omega t) dt.
-    """
-    d = np.asarray(omega, dtype=float) - f.omega
-    if f.family is FilterFamily.STEP:
-        x = d * f.tau / 2.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sinc = np.where(np.abs(x) < 1e-4, 1.0 - x * x / 6.0 * (1.0 - x * x / 20.0),
-                            np.sin(x) / x)
-        return math.sqrt(f.tau / (2.0 * math.pi)) * np.exp(1j * x) * sinc
-    return math.sqrt(f.tau / math.pi) / (1.0 - 1j * f.tau * d)
-
-
-def orthonormal_frequencies(f: FilterSpec, n_range: int) -> list[float]:
-    """Center-frequency grid Omega + n * 2 pi / tau for n in [-n_range, n_range].
-
-    Consecutive step filters on this grid are mutually orthogonal; the
-    exponential family shares the same grid spacing.
-    """
-    if n_range < 0:
-        raise ValueError("n_range must be non-negative")
-    spacing = 2.0 * math.pi / f.tau
-    return [f.omega + n * spacing for n in range(-n_range, n_range + 1)]
 
 
 def overlap_closed_form(fi: FilterSpec, fs: FilterSpec) -> OverlapFactors:

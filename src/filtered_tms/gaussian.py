@@ -102,26 +102,6 @@ class CovarianceBlocks:
 
 
 @dataclass(frozen=True)
-class QuadratureSpec:
-    """Phases and positive weights of a two-party hybrid quadrature.
-
-    The variance of the hybrid quadrature is invariant under joint
-    rescaling of (mu_i, mu_s); only phi_i + phi_s and mu_i/mu_s matter.
-    """
-
-    phi_i: float
-    phi_s: float
-    mu_i: float = 1.0
-    mu_s: float = 1.0
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.phi_i, self.phi_s, self.mu_i, self.mu_s)):
-            raise ValueError("quadrature parameters must be finite")
-        if self.mu_i <= 0 or self.mu_s <= 0:
-            raise ValueError("quadrature weights must be strictly positive")
-
-
-@dataclass(frozen=True)
 class EntanglementResult:
     """Smallest partial-transpose symplectic eigenvalue and log-negativity."""
 
@@ -229,22 +209,6 @@ def purity(state):
     return 1.0 / d_x
 
 
-def wigner(v: CovarianceMatrix, u) -> float:
-    """Gaussian Wigner density W(u) = exp(-u^T V^-1 u / 2) / (pi^2 sqrt(det V)).
-
-    With the vacuum normalization V = I/2 this gives W(0) = 4/pi^2 and the
-    purity integral Tr[rho^2] = (pi^2/4) \\int W^2.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.shape != (4,):
-        raise ValueError(f"phase-space point must be a 4-vector, got shape {u.shape}")
-    det = float(np.linalg.det(v.entries))
-    if det < 1e-300:
-        raise ValueError("singular covariance matrix")
-    sol = np.linalg.solve(v.entries, u)
-    return float(math.exp(-0.5 * float(u @ sol)) / (math.pi**2 * math.sqrt(det)))
-
-
 def apply_loss(state, eta_i, eta_s):
     """Beamsplitter loss map V -> E V E + (I - E^2)/2, E = diag over modes,
     on a ``CovarianceMatrix`` or ``CovarianceBlocks``; returns the same kind.
@@ -271,24 +235,6 @@ def apply_loss(state, eta_i, eta_s):
     return build_covariance(lossy) if isinstance(state, CovarianceMatrix) else lossy
 
 
-def quadrature_variance(v: CovarianceMatrix, q: QuadratureSpec) -> float:
-    """Variance of the weighted two-party quadrature, SQL-normalized.
-
-    Equals [mu_i^2 D_I + mu_s^2 D_S + 2 mu_i mu_s (cos(phi_i + phi_s) C11
-    + sin(phi_i + phi_s) C12)] / (mu_i^2 + mu_s^2); vacuum gives exactly 1
-    for every spec.
-    """
-    c = np.array(
-        [
-            q.mu_i * math.cos(q.phi_i),
-            q.mu_i * math.sin(q.phi_i),
-            q.mu_s * math.cos(q.phi_s),
-            q.mu_s * math.sin(q.phi_s),
-        ]
-    )
-    return float(2.0 * c @ v.entries @ c / (q.mu_i**2 + q.mu_s**2))
-
-
 def _half_turn(y, x):
     """atan2(y, x) folded into (-pi/2, pi/2]; floats or arrays."""
     z = np.arctan2(y, x)
@@ -298,14 +244,9 @@ def _half_turn(y, x):
 def squeezing_angle(blocks: CovarianceBlocks) -> float:
     """Angle zeta = arctan(-C12/C11) in (-pi/2, pi/2], 0 when C12 = 0; the
     maximally squeezed phase sum phi_i + phi_s is pi - zeta where C11 > 0 and
-    -zeta where C11 < 0 (``optimal_phase_sum`` gives it at every sign)."""
+    -zeta where C11 < 0."""
     z = _half_turn(-blocks.c12, blocks.c11)
     return np.where((blocks.c11 == 0.0) & (blocks.c12 == 0.0), 0.0, z)[()]
-
-
-def optimal_phase_sum(blocks: CovarianceBlocks) -> float:
-    """The phase sum phi_i + phi_s minimizing the hybrid-quadrature variance."""
-    return math.pi - math.atan2(-blocks.c12, blocks.c11)
 
 
 def optimal_weight_ratio(blocks: CovarianceBlocks) -> float:

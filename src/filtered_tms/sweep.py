@@ -12,10 +12,7 @@ error names the first failing point in that order.
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import tempfile
 from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
@@ -165,13 +162,16 @@ def _evaluate(model, params, outputs, family, seeds, bell_restarts, optimize=Tru
     """
     p, blocks, eta_i, eta_s = _point_state(model, params, family)
     gaussian.check_blocks(blocks)
+    # the checked blocks have s_q_opt > 0, so log_negativity cannot raise here
+    ent = gaussian.log_negativity(blocks) if {"e_n", "s_q_opt"} & set(outputs) else None
     res: dict = {}
     stack = None
     for out in outputs:
         if out == "e_n":
-            res["e_n"] = gaussian.log_negativity(blocks).e_n
+            res["e_n"] = ent.e_n
         elif out == "s_q_opt":
-            res["s_q_opt"] = gaussian.optimized_squeezing(blocks)
+            # nu~- = s_q_opt / 2, so doubling it returns s_q_opt bit for bit
+            res["s_q_opt"] = 2.0 * ent.nu_minus
         elif out == "purity":
             res["purity"] = gaussian.purity(blocks)
         elif out == "zeta":
@@ -297,16 +297,13 @@ def _point_seeds(master: int, n: int) -> list[int]:
     ]
 
 
-def format_number(x: float) -> str:
-    """Shortest round-trip decimal; nan/inf spelled so float() reparses them."""
-    return repr(float(x))
-
-
 def csv_text(columns: list[str], table: np.ndarray) -> str:
     """Header and one line per row of an (n, len(columns)) float table, each
-    number spelled as format_number spells it.  A column is spelled once per
-    distinct bit pattern (so -0.0 stays apart from 0.0): a grid's axis and
-    landmark columns cost one repr per grid line, not per point."""
+    number spelled as ``repr(float(x))`` spells it: the shortest round-trip
+    decimal, with nan and inf spelled so float() reparses them.  A column is
+    spelled once per distinct bit pattern (so -0.0 stays apart from 0.0): a
+    grid's axis and landmark columns cost one repr per grid line, not per
+    point."""
     cells = []
     for col in np.ascontiguousarray(table.T):
         distinct, inverse = np.unique(col.view(np.int64), return_inverse=True)
@@ -314,29 +311,3 @@ def csv_text(columns: list[str], table: np.ndarray) -> str:
         cells.append(text[inverse].tolist())
     lines = [",".join(row) for row in zip(*cells)]
     return "\n".join([",".join(columns)] + lines) + "\n"
-
-
-def write_csv(path: str, columns: list[str], table: np.ndarray) -> None:
-    """Write-then-rename so partial outputs are never left behind."""
-    _atomic_write(path, csv_text(columns, table))
-
-
-def rows_to_json(columns, table: np.ndarray) -> dict:
-    return {"columns": list(columns), "rows": table.tolist()}
-
-
-def write_json(path: str, payload: dict) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2, allow_nan=True) + "\n")
-
-
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise

@@ -11,15 +11,17 @@ whose terms are non-negative inside the Cauchy-Schwarz disc (|B| < A).
 
 Thermal population opens a lower entanglement cutoff in addition to the
 filter-induced upper one; both cutoffs coincide with the SQL crossings of
-the weight-optimized hybrid quadrature.  Detection efficiencies are fixed
-at 1 here; lossy thermal states can be explored numerically by composing
+the weight-optimized hybrid quadrature.  The cutoffs and maxima are closed
+forms here; the squeezing angle, weight ratio and optimized squeezing come
+from the blocks (``gaussian``).  Detection efficiencies are fixed at 1
+here; lossy thermal states can be explored numerically by composing
 ``covariance`` with ``gaussian.apply_loss`` (no closed-form landmarks then).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +65,7 @@ class ThermalCriticalPoints:
     optimal phase (the weight-optimized quadrature shares the entanglement
     window instead).  ``has_window`` is False when no r is entangled, in
     which case the window fields are nan.  zeta is the squeezing angle.
-    Fields are floats from ``critical_points`` and arrays from ``landmarks``.
+    Fields are arrays from ``landmarks``, one element per state.
     """
 
     r_lcf_en: float
@@ -93,15 +95,10 @@ def covariance(p: ThermalParams) -> CovarianceBlocks:
     )
 
 
-def squeezing_angle(p: ThermalParams) -> float:
-    """zeta = arctan(B L_f / (A K_f)) in (-pi/2, pi/2], as ``gaussian.squeezing_angle``
-    at r > 0; zero for matched populations or L_f = 0."""
-    return _half_turn(p.b * p.overlap.l_f, p.a * p.overlap.k_f).item()
-
-
-def critical_points(p: ThermalParams) -> ThermalCriticalPoints:
-    """Closed-form windows and maxima, with the identical-filter limit branch,
-    as Python floats.
+def landmarks(a, b, kf, lf) -> ThermalCriticalPoints:
+    """Closed-form windows and maxima over equal-shape arrays of A, B, K_f
+    and L_f, with the identical-filter limit branch; the window fields are
+    nan where a point has no window or K_f lies outside (0, 1].
 
     The entanglement cutoffs solve cosh(2r) = (A -+ sqrt(rad)) / den with
     den = A^2 (1 - K_f^2) - B^2 L_f^2 and rad = A^2 - den (Q - B^2 + 1),
@@ -111,17 +108,6 @@ def critical_points(p: ThermalParams) -> ThermalCriticalPoints:
     cosh(2 r_lcf) = (A^2 - B^2 + 1) / (2A), where r_ucf diverges.
     A negative rad means no entanglement window at any r.
     """
-    kf = p.overlap.k_f
-    if not 0.0 < kf <= 1.0:
-        raise ValueError(f"critical points require K_f in (0, 1], got {kf}")
-    cp = landmarks(p.a, p.b, kf, p.overlap.l_f)
-    return ThermalCriticalPoints(*(x.item() for x in astuple(cp)))
-
-
-def landmarks(a, b, kf, lf) -> ThermalCriticalPoints:
-    """``critical_points`` over equal-shape arrays of A, B, K_f and L_f; the
-    window fields are nan where a point has no window or K_f lies outside
-    (0, 1]."""
     a, b, kf, lf = (np.asarray(x, dtype=float) for x in (a, b, kf, lf))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         _reject(~np.isfinite(a**2), lambda i: OverflowError(34, "Numerical result out of range"))
@@ -171,31 +157,3 @@ def _sq_window(a, q):
     r_u = np.where(t_u < 1.0, np.arctanh(t_u), math.inf)
     empty = disc < 0.0
     return np.where(empty, math.nan, r_l), np.where(empty, math.nan, r_u)
-
-
-def weight_ratio(p: ThermalParams) -> float:
-    """Optimal weight ratio mu_i/mu_s; approaches 1 as r grows or as B -> 0.
-
-    (sqrt(sinh^2 2r (A^2 K_f^2 + B^2 L_f^2) + B^2) - B)
-        / (sinh 2r sqrt(A^2 K_f^2 + B^2 L_f^2))
-    """
-    if p.r <= 0.0:
-        raise ValueError("weight ratio undefined at r = 0 (uncorrelated state)")
-    a, b = p.a, p.b
-    q = a**2 * p.overlap.k_f**2 + b**2 * p.overlap.l_f**2
-    if q <= 0.0:
-        raise ValueError("weight ratio requires a non-vanishing overlap")
-    sh = math.sinh(2.0 * p.r)
-    return (math.sqrt(sh**2 * q + b**2) - b) / (sh * math.sqrt(q))
-
-
-def optimized_squeezing_closed(p: ThermalParams) -> float:
-    """Minimal hybrid-quadrature variance over phases and weights.
-
-    A cosh 2r - sqrt(sinh^2 2r (A^2 K_f^2 + B^2 L_f^2) + B^2); dips below
-    the SQL exactly on the entanglement window (r_lcf_en, r_ucf_en).
-    """
-    a, b = p.a, p.b
-    q = a**2 * p.overlap.k_f**2 + b**2 * p.overlap.l_f**2
-    sh = math.sinh(2.0 * p.r)
-    return a * math.cosh(2.0 * p.r) - math.sqrt(sh**2 * q + b**2)

@@ -13,15 +13,16 @@ non-negative terms,
     D_x = 1 + 2 s^2 [eta_i (1 - eta_s) + eta_s (1 - eta_i) + 2 eta_i eta_s (1 - K_f^2)]
             + 4 eta_i eta_s (1 - K_f^2) s^4.
 
-The entanglement window, its maximum, and the optimized two-mode squeezing
-all have closed forms collected here; each is verified against numerical
-extremization in the test suite.
+The entanglement window, its maximum and the equal-weight squeezing
+landmarks have closed forms collected here; the optimized squeezing and
+weight ratio come from the blocks (``gaussian``).  Each is verified against
+numerical extremization in the test suite.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +63,7 @@ class TmsvCriticalPoints:
     r_ucf_sq: SQL crossing of the equal-weight variance, = 2 r_max_sq.
 
     K_f = 1 landmarks that diverge are reported as math.inf.  Fields are
-    floats from ``critical_points`` and arrays from ``landmarks``.
+    arrays from ``landmarks``, one element per state.
     """
 
     r_ucf_en: float
@@ -88,22 +89,10 @@ def covariance(p: TmsvParams) -> CovarianceBlocks:
     )
 
 
-def critical_points(p: TmsvParams) -> TmsvCriticalPoints:
-    """Closed-form entanglement/squeezing landmarks for 0 < K_f <= 1 and
-    eta_i eta_s > 0, as Python floats."""
-    kf, ei, es = p.overlap.k_f, p.eta_i, p.eta_s
-    if not 0.0 < kf <= 1.0:
-        raise ValueError(f"critical points require K_f in (0, 1], got {kf}")
-    if ei * es == 0.0:
-        # full loss on either side leaves a product state: no window to bound
-        raise ValueError(f"critical points require eta_i eta_s > 0, got {ei} * {es}")
-    return TmsvCriticalPoints(*(x.item() for x in astuple(landmarks(kf, ei, es))))
-
-
 def landmarks(kf, ei, es) -> TmsvCriticalPoints:
-    """``critical_points`` over equal-shape arrays of K_f and the two
-    efficiencies; nan where a point has no landmark (K_f outside (0, 1] or
-    eta_i eta_s = 0)."""
+    """Closed-form entanglement/squeezing landmarks over equal-shape arrays
+    of K_f and the two efficiencies; nan where a point has no landmark (K_f
+    outside (0, 1] or eta_i eta_s = 0)."""
     kf, ei, es = (np.asarray(x, dtype=float) for x in (kf, ei, es))
     exists = (0.0 < kf) & (kf <= 1.0) & (ei * es != 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -124,35 +113,3 @@ def landmarks(kf, ei, es) -> TmsvCriticalPoints:
     r_ucf_en, r_max_en, r_max_sq = (np.where(exists, x, math.nan)
                                     for x in (r_ucf_en, r_max_en, r_max_sq))
     return TmsvCriticalPoints(r_ucf_en, r_max_en, r_max_sq, r_ucf_sq=2.0 * r_max_sq)
-
-
-def weight_ratio(p: TmsvParams) -> float:
-    """Optimal weight ratio mu_i/mu_s of the hybrid quadrature.
-
-    Evaluates to sqrt(eta_s/eta_i) at the entanglement cutoff tanh r = K_f.
-    """
-    if p.r <= 0.0:
-        raise ValueError("weight ratio undefined at r = 0 (uncorrelated state)")
-    kf = p.overlap.k_f
-    if kf <= 0.0:
-        raise ValueError(f"weight ratio requires K_f > 0, got {kf}")
-    ei, es = p.eta_i, p.eta_s
-    if ei * es == 0.0:
-        raise ValueError(f"weight ratio requires eta_i eta_s > 0, got {ei} * {es}")
-    th = math.tanh(p.r)
-    num = math.sqrt(4.0 * ei * es * kf**2 + (ei - es) ** 2 * th**2) + (es - ei) * th
-    return num / (2.0 * kf * math.sqrt(ei * es))
-
-
-def optimized_squeezing_closed(p: TmsvParams) -> float:
-    """Minimal hybrid-quadrature variance at the optimal phase and weights.
-
-    1 + (eta_i + eta_s) sinh^2 r
-      - sinh r * sqrt(4 eta_i eta_s K_f^2 cosh^2 r + (eta_i - eta_s)^2 sinh^2 r);
-    drops below 1 exactly on 0 < r < r_ucf_en.
-    """
-    ei, es, kf = p.eta_i, p.eta_s, p.overlap.k_f
-    s, c = math.sinh(p.r), math.cosh(p.r)
-    return 1.0 + (ei + es) * s**2 - s * math.sqrt(
-        4.0 * ei * es * kf**2 * c**2 + (ei - es) ** 2 * s**2
-    )

@@ -3,14 +3,21 @@
 Every routine here avoids the closed forms under test: symplectic spectra
 come from an eigenvalue decomposition, extrema from golden-section search,
 roots from bisection, and variance optima from grid-plus-golden scans of
-the raw quadratic form.  The scalar references at the end are the
-point-by-point `math` forms that the whole-array closed forms replaced.
+the raw quadratic form.  The scalar references near the end are the
+point-by-point `math` forms that the whole-array closed forms replaced;
+the last section holds the paper's per-model scalar closed forms, the
+Wigner and quadrature-variance forms, the filter transforms and the Bell
+grid search, which no command reaches.
 """
 
 import math
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
+from filtered_tms import thermal, tmsv
+from filtered_tms.bell import bell_value
+from filtered_tms.filters import FilterFamily, FilterSpec
 from filtered_tms.gaussian import CovarianceBlocks, CovarianceMatrix
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -155,7 +162,7 @@ def random_thermal_params(rng: np.random.Generator, require_window: bool = False
         )
         if not require_window:
             return p
-        cp = thermal.critical_points(p)
+        cp = thermal_critical_points(p)
         if cp.has_window and math.isfinite(cp.r_ucf_en):
             return p
 
@@ -407,7 +414,7 @@ def same_or_close(got: float, want: float, rel: float) -> bool:
 # in `math`, as they were written before the array versions.
 
 def tmsv_landmarks_reference(kf: float, ei: float, es: float):
-    """``tmsv.critical_points`` from plain numbers: K_f and the two efficiencies."""
+    """``tmsv_critical_points`` from plain numbers: K_f and the two efficiencies."""
     from filtered_tms.tmsv import TmsvCriticalPoints
 
     if not 0.0 < kf <= 1.0:
@@ -442,7 +449,7 @@ THERMAL_DEN_LIMIT = 1e-12
 
 
 def thermal_landmarks_reference(a: float, b: float, kf: float, lf: float):
-    """``thermal.critical_points`` from plain numbers: A, B, K_f and L_f."""
+    """``thermal_critical_points`` from plain numbers: A, B, K_f and L_f."""
     from filtered_tms.thermal import ThermalCriticalPoints
 
     def empty(zeta):
@@ -659,3 +666,226 @@ def csv_text_reference(columns: list[str], rows: list[list[float]]) -> str:
     values are); a list's repr spells each as format_number does, at C speed."""
     lines = [repr(row)[1:-1].replace(", ", ",") for row in rows]
     return "\n".join([",".join(columns)] + lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Per-model scalar closed forms, the Wigner/quadrature forms, the filter
+# transforms and the Bell grid search: reference forms the library's array
+# path is checked against.  None of them calls a private helper of the
+# module it checks.
+
+def tmsv_weight_ratio(p: tmsv.TmsvParams) -> float:
+    """Optimal weight ratio mu_i/mu_s of the hybrid quadrature.
+
+    Evaluates to sqrt(eta_s/eta_i) at the entanglement cutoff tanh r = K_f.
+    """
+    if p.r <= 0.0:
+        raise ValueError("weight ratio undefined at r = 0 (uncorrelated state)")
+    kf = p.overlap.k_f
+    if kf <= 0.0:
+        raise ValueError(f"weight ratio requires K_f > 0, got {kf}")
+    ei, es = p.eta_i, p.eta_s
+    if ei * es == 0.0:
+        raise ValueError(f"weight ratio requires eta_i eta_s > 0, got {ei} * {es}")
+    th = math.tanh(p.r)
+    num = math.sqrt(4.0 * ei * es * kf**2 + (ei - es) ** 2 * th**2) + (es - ei) * th
+    return num / (2.0 * kf * math.sqrt(ei * es))
+
+
+def tmsv_optimized_squeezing_closed(p: tmsv.TmsvParams) -> float:
+    """Minimal hybrid-quadrature variance at the optimal phase and weights.
+
+    1 + (eta_i + eta_s) sinh^2 r
+      - sinh r * sqrt(4 eta_i eta_s K_f^2 cosh^2 r + (eta_i - eta_s)^2 sinh^2 r);
+    drops below 1 exactly on 0 < r < r_ucf_en.
+    """
+    ei, es, kf = p.eta_i, p.eta_s, p.overlap.k_f
+    s, c = math.sinh(p.r), math.cosh(p.r)
+    return 1.0 + (ei + es) * s**2 - s * math.sqrt(
+        4.0 * ei * es * kf**2 * c**2 + (ei - es) ** 2 * s**2
+    )
+
+
+def tmsv_critical_points(p: tmsv.TmsvParams) -> tmsv.TmsvCriticalPoints:
+    """Test helper, not an oracle: ``tmsv.landmarks`` of one state as Python
+    floats, raising where the state has no landmarks (K_f outside (0, 1] or
+    eta_i eta_s = 0)."""
+    kf, ei, es = p.overlap.k_f, p.eta_i, p.eta_s
+    if not 0.0 < kf <= 1.0:
+        raise ValueError(f"critical points require K_f in (0, 1], got {kf}")
+    if ei * es == 0.0:
+        # full loss on either side leaves a product state: no window to bound
+        raise ValueError(f"critical points require eta_i eta_s > 0, got {ei} * {es}")
+    return tmsv.TmsvCriticalPoints(*(x.item() for x in astuple(tmsv.landmarks(kf, ei, es))))
+
+
+def thermal_squeezing_angle(p: thermal.ThermalParams) -> float:
+    """zeta = arctan(B L_f / (A K_f)) in (-pi/2, pi/2], as ``gaussian.squeezing_angle``
+    at r > 0; zero for matched populations or L_f = 0."""
+    z = math.atan2(p.b * p.overlap.l_f, p.a * p.overlap.k_f)
+    if z > math.pi / 2.0:
+        return z - math.pi
+    return z + math.pi if z <= -math.pi / 2.0 else z
+
+
+def thermal_weight_ratio(p: thermal.ThermalParams) -> float:
+    """Optimal weight ratio mu_i/mu_s; approaches 1 as r grows or as B -> 0.
+
+    (sqrt(sinh^2 2r (A^2 K_f^2 + B^2 L_f^2) + B^2) - B)
+        / (sinh 2r sqrt(A^2 K_f^2 + B^2 L_f^2))
+    """
+    if p.r <= 0.0:
+        raise ValueError("weight ratio undefined at r = 0 (uncorrelated state)")
+    a, b = p.a, p.b
+    q = a**2 * p.overlap.k_f**2 + b**2 * p.overlap.l_f**2
+    if q <= 0.0:
+        raise ValueError("weight ratio requires a non-vanishing overlap")
+    sh = math.sinh(2.0 * p.r)
+    return (math.sqrt(sh**2 * q + b**2) - b) / (sh * math.sqrt(q))
+
+
+def thermal_optimized_squeezing_closed(p: thermal.ThermalParams) -> float:
+    """Minimal hybrid-quadrature variance over phases and weights.
+
+    A cosh 2r - sqrt(sinh^2 2r (A^2 K_f^2 + B^2 L_f^2) + B^2); dips below
+    the SQL exactly on the entanglement window (r_lcf_en, r_ucf_en).
+    """
+    a, b = p.a, p.b
+    q = a**2 * p.overlap.k_f**2 + b**2 * p.overlap.l_f**2
+    sh = math.sinh(2.0 * p.r)
+    return a * math.cosh(2.0 * p.r) - math.sqrt(sh**2 * q + b**2)
+
+
+def thermal_critical_points(p: thermal.ThermalParams) -> thermal.ThermalCriticalPoints:
+    """Test helper, not an oracle: ``thermal.landmarks`` of one state as
+    Python floats, raising for K_f outside (0, 1]."""
+    kf = p.overlap.k_f
+    if not 0.0 < kf <= 1.0:
+        raise ValueError(f"critical points require K_f in (0, 1], got {kf}")
+    cp = thermal.landmarks(p.a, p.b, kf, p.overlap.l_f)
+    return thermal.ThermalCriticalPoints(*(x.item() for x in astuple(cp)))
+
+
+def wigner(v: CovarianceMatrix, u) -> float:
+    """Gaussian Wigner density W(u) = exp(-u^T V^-1 u / 2) / (pi^2 sqrt(det V)).
+
+    With the vacuum normalization V = I/2 this gives W(0) = 4/pi^2 and the
+    purity integral Tr[rho^2] = (pi^2/4) \\int W^2.
+    """
+    u = np.asarray(u, dtype=float)
+    if u.shape != (4,):
+        raise ValueError(f"phase-space point must be a 4-vector, got shape {u.shape}")
+    det = float(np.linalg.det(v.entries))
+    if det < 1e-300:
+        raise ValueError("singular covariance matrix")
+    sol = np.linalg.solve(v.entries, u)
+    return float(math.exp(-0.5 * float(u @ sol)) / (math.pi**2 * math.sqrt(det)))
+
+
+@dataclass(frozen=True)
+class QuadratureSpec:
+    """Phases and positive weights of a two-party hybrid quadrature.
+
+    The variance of the hybrid quadrature is invariant under joint
+    rescaling of (mu_i, mu_s); only phi_i + phi_s and mu_i/mu_s matter.
+    """
+
+    phi_i: float
+    phi_s: float
+    mu_i: float = 1.0
+    mu_s: float = 1.0
+
+    def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.phi_i, self.phi_s, self.mu_i, self.mu_s)):
+            raise ValueError("quadrature parameters must be finite")
+        if self.mu_i <= 0 or self.mu_s <= 0:
+            raise ValueError("quadrature weights must be strictly positive")
+
+
+def quadrature_variance(v: CovarianceMatrix, q: QuadratureSpec) -> float:
+    """Variance of the weighted two-party quadrature, SQL-normalized.
+
+    Equals [mu_i^2 D_I + mu_s^2 D_S + 2 mu_i mu_s (cos(phi_i + phi_s) C11
+    + sin(phi_i + phi_s) C12)] / (mu_i^2 + mu_s^2); vacuum gives exactly 1
+    for every spec.
+    """
+    c = np.array(
+        [
+            q.mu_i * math.cos(q.phi_i),
+            q.mu_i * math.sin(q.phi_i),
+            q.mu_s * math.cos(q.phi_s),
+            q.mu_s * math.sin(q.phi_s),
+        ]
+    )
+    return float(2.0 * c @ v.entries @ c / (q.mu_i**2 + q.mu_s**2))
+
+
+def optimal_phase_sum(blocks: CovarianceBlocks) -> float:
+    """The phase sum phi_i + phi_s minimizing the hybrid-quadrature variance."""
+    return math.pi - math.atan2(-blocks.c12, blocks.c11)
+
+
+def eval_freq(f: FilterSpec, omega):
+    """Fourier transform h~(omega) over a float or an array of frequencies,
+    with the unitary convention
+    h~(omega) = (2 pi)**-1/2 * integral h(t) exp(i omega t) dt.
+    """
+    d = np.asarray(omega, dtype=float) - f.omega
+    if f.family is FilterFamily.STEP:
+        x = d * f.tau / 2.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sinc = np.where(np.abs(x) < 1e-4, 1.0 - x * x / 6.0 * (1.0 - x * x / 20.0),
+                            np.sin(x) / x)
+        return math.sqrt(f.tau / (2.0 * math.pi)) * np.exp(1j * x) * sinc
+    return math.sqrt(f.tau / math.pi) / (1.0 - 1j * f.tau * d)
+
+
+def orthonormal_frequencies(f: FilterSpec, n_range: int) -> list[float]:
+    """Center-frequency grid Omega + n * 2 pi / tau for n in [-n_range, n_range].
+
+    Consecutive step filters on this grid are mutually orthogonal; the
+    exponential family shares the same grid spacing.
+    """
+    if n_range < 0:
+        raise ValueError("n_range must be non-negative")
+    spacing = 2.0 * math.pi / f.tau
+    return [f.omega + n * spacing for n in range(-n_range, n_range + 1)]
+
+
+def bell_grid_max(
+    v: CovarianceMatrix,
+    half_width: float = 3.0,
+    points_per_dim: int = 5,
+    levels: int = 14,
+    shrink: float = 0.5,
+    n_scatter: int = 200000,
+    seed: int = 0,
+) -> tuple[float, np.ndarray]:
+    """Scatter-plus-lattice search for max |B|; independent of bell_max.
+
+    A seeded uniform scatter over [-half_width, half_width]^8 locates the
+    best basin (a bare zooming lattice can stall on the origin saddle in
+    eight dimensions); a shrinking dense lattice then refines around the
+    running best point.  Deterministic, derivative free and simplex free.
+    """
+    rng = np.random.default_rng(seed)
+    scatter = rng.uniform(-half_width, half_width, size=(n_scatter, 8))
+    scatter[0] = 0.0
+    vals = np.abs(bell_value(v, scatter))
+    k = int(np.argmax(vals))
+    best_val, best_pt = float(vals[k]), scatter[k].copy()
+
+    offsets = np.linspace(-1.0, 1.0, points_per_dim)
+    grids = np.stack(
+        np.meshgrid(*[offsets] * 8, indexing="ij"), axis=-1
+    ).reshape(-1, 8)
+    center, width = best_pt.copy(), half_width / 4.0
+    for _ in range(levels):
+        lattice = center[None, :] + width * grids
+        vals = np.abs(bell_value(v, lattice))
+        k = int(np.argmax(vals))
+        if vals[k] > best_val:
+            best_val, best_pt = float(vals[k]), lattice[k].copy()
+        center = lattice[k]
+        width *= shrink
+    return best_val, best_pt

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from filtered_tms import fieldsim, thermal, tmsv
-from filtered_tms.bell import BellMaxConfig, bell_grid_max, bell_max
+from filtered_tms.bell import BellMaxConfig, bell_max
 from filtered_tms.fieldsim import SimConfig, simulate
 from filtered_tms.filters import (
     FilterFamily,
@@ -40,12 +40,19 @@ from filtered_tms.gaussian import (
 )
 from filtered_tms.sweep import AxisSpec, SweepConfig, run_sweep
 from oracles import (
+    bell_grid_max,
     bisect_root,
     golden_min,
     min_variance_numeric,
     purity_det,
     random_thermal_params,
     random_tmsv_params,
+    thermal_critical_points,
+    thermal_optimized_squeezing_closed,
+    thermal_weight_ratio,
+    tmsv_critical_points,
+    tmsv_optimized_squeezing_closed,
+    tmsv_weight_ratio,
 )
 from test_bell import restricted_bw_max
 
@@ -124,7 +131,7 @@ def test_criterion_04_extremum_formulas():
     worst_tmsv_en = worst_tmsv_sq = 0.0
     for _ in range(50):
         p = random_tmsv_params(rng)
-        cp = tmsv.critical_points(p)
+        cp = tmsv_critical_points(p)
         argmax = golden_min(
             lambda r: -log_negativity(
                 tmsv_blocks(float(r), p.eta_i, p.eta_s, p.overlap.k_f)
@@ -143,7 +150,7 @@ def test_criterion_04_extremum_formulas():
     worst_th = 0.0
     for _ in range(50):
         p = random_thermal_params(rng, require_window=True)
-        cp = thermal.critical_points(p)
+        cp = thermal_critical_points(p)
         argmax = golden_min(
             lambda r: -log_negativity(
                 thermal.covariance(thermal.ThermalParams(float(r), p.n_i, p.n_s, p.overlap))
@@ -165,15 +172,15 @@ def test_criterion_05_appendix_optimization():
         if i % 2 == 0:
             p = random_tmsv_params(rng)
             blocks = tmsv.covariance(p)
-            closed_val = tmsv.optimized_squeezing_closed(p)
-            closed_ratio = tmsv.weight_ratio(p)
+            closed_val = tmsv_optimized_squeezing_closed(p)
+            closed_ratio = tmsv_weight_ratio(p)
         else:
             p = random_thermal_params(rng)
             if p.r < 1e-3:
                 continue
             blocks = thermal.covariance(p)
-            closed_val = thermal.optimized_squeezing_closed(p)
-            closed_ratio = thermal.weight_ratio(p)
+            closed_val = thermal_optimized_squeezing_closed(p)
+            closed_ratio = thermal_weight_ratio(p)
         num_val, _, num_ratio = min_variance_numeric(blocks, n_phi=256)
         worst_val = max(worst_val, abs(closed_val - num_val))
         worst_ratio = max(worst_ratio, abs(closed_ratio - num_ratio))
@@ -187,11 +194,11 @@ def test_criterion_05_appendix_optimization():
         p = tmsv.TmsvParams(r=r_ucf, eta_i=eta_i, eta_s=eta_s,
                             overlap=OverlapFactors(k_f, 0.0))
         worst_boundary = max(
-            worst_boundary, abs(tmsv.optimized_squeezing_closed(p) - 1.0)
+            worst_boundary, abs(tmsv_optimized_squeezing_closed(p) - 1.0)
         )
         worst_cutoff_ratio = max(
             worst_cutoff_ratio,
-            abs(tmsv.weight_ratio(p) - math.sqrt(eta_s / eta_i)),
+            abs(tmsv_weight_ratio(p) - math.sqrt(eta_s / eta_i)),
         )
 
     ok = (worst_val <= 1e-8 and worst_ratio <= 1e-8
@@ -206,7 +213,7 @@ def test_criterion_06_thermal_window():
     worst = 0.0
     for _ in range(50):
         p = random_thermal_params(rng, require_window=True)
-        cp = thermal.critical_points(p)
+        cp = thermal_critical_points(p)
 
         def gap(r):
             return 0.5 - log_negativity(
@@ -223,14 +230,14 @@ def test_criterion_06_thermal_window():
     for _ in range(20):
         n_i, n_s = (float(x) for x in rng.uniform(0.0, 2.0, size=2))
         p = thermal.ThermalParams(r=1.0, n_i=n_i, n_s=n_s)
-        cp = thermal.critical_points(p)
+        cp = thermal_critical_points(p)
         a, b = p.a, p.b
         want = 0.5 * math.acosh((a * a - b * b + 1.0) / (2.0 * a))
         worst_limit = max(worst_limit, abs(cp.r_lcf_en - want))
         ok &= math.isinf(cp.r_ucf_en)
     ok &= worst_limit <= 1e-12
 
-    worked = thermal.critical_points(thermal.ThermalParams(r=1.0, n_i=0.5, n_s=0.5))
+    worked = thermal_critical_points(thermal.ThermalParams(r=1.0, n_i=0.5, n_s=0.5))
     ok &= abs(worked.r_lcf_en - 0.346574) <= 1e-6
     report(6, ok, f"closed-form window vs bisection (50 sets), worst = {worst:.2e}; "
                   f"identical-filter limit worst = {worst_limit:.2e}, "
@@ -388,7 +395,7 @@ def test_criterion_10_figure_shapes():
     start = time.perf_counter()
     points = []
     for n_i in np.linspace(0.0, 1.5, 13):
-        points.append(thermal.critical_points(thermal.ThermalParams(
+        points.append(thermal_critical_points(thermal.ThermalParams(
             r=1.0, n_i=float(n_i), n_s=0.8, overlap=OverlapFactors(0.95, 0.095))))
     # the window shrinks monotonically while it exists, and once heating
     # closes it the window stays closed

@@ -11,7 +11,6 @@ from filtered_tms import bell, thermal, tmsv
 from filtered_tms.bell import (
     BellMaxConfig,
     DisplacementSettings,
-    bell_grid_max,
     bell_max,
     bell_max_stack,
     bell_value,
@@ -19,7 +18,12 @@ from filtered_tms.bell import (
 )
 from filtered_tms.filters import OverlapFactors
 from filtered_tms.gaussian import CovarianceMatrix, apply_loss, build_covariance, log_negativity
-from oracles import _reference_nelder_mead, bell_max_reference, random_thermal_params
+from oracles import (
+    _reference_nelder_mead,
+    bell_grid_max,
+    bell_max_reference,
+    random_thermal_params,
+)
 
 ZERO = DisplacementSettings(*([0.0] * 8))
 

@@ -4,6 +4,7 @@ figure-recipe sweeps."""
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import threading
@@ -17,7 +18,6 @@ from filtered_tms import bell, sweep, thermal
 from filtered_tms.cli import main
 from filtered_tms.filters import FilterFamily, FilterSpec, overlap_closed_form
 from filtered_tms.gaussian import build_covariance
-from filtered_tms.sweep import format_number
 from oracles import bell_max_reference, csv_text_reference
 
 
@@ -155,6 +155,56 @@ class TestPoint:
         assert json.loads(err.splitlines()[-1])["error"]
 
 
+POINT = ("point", "--model", "thermal", "--r", "0.5", "--n-i", "0.3")
+
+
+@pytest.fixture
+def umask_027():
+    old = os.umask(0o027)
+    try:
+        yield
+    finally:
+        os.umask(old)
+
+
+class TestOutputFile:
+    def test_fifo_is_written_in_place(self, capsys, tmp_path):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        # a reader holds the FIFO open first, so the writer's open cannot block
+        fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main([*POINT, "--out", str(fifo)]) == 0
+            data = os.read(fd, 1 << 16).decode()
+        finally:
+            os.close(fd)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert main(list(POINT)) == 0
+        assert data == capsys.readouterr().out
+
+    def test_new_file_mode_follows_the_umask(self, umask_027, tmp_path):
+        path = tmp_path / "new.json"
+        assert main([*POINT, "--out", str(path)]) == 0
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
+        assert [p.name for p in tmp_path.iterdir()] == ["new.json"]
+
+    def test_existing_file_keeps_its_mode(self, umask_027, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text("stale\n")
+        os.chmod(path, 0o644)
+        assert main([*POINT, "--out", str(path)]) == 0
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o644
+        assert json.loads(path.read_text())["results"]["e_n"] > 0.0
+
+    def test_symlink_target_is_written_and_the_link_kept(self, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("stale\n")
+        link.symlink_to(target.name)
+        assert main([*POINT, "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert json.loads(target.read_text())["results"]["e_n"] > 0.0
+
+
 class TestSweep:
     def test_degenerate_sweep_matches_point(self, capsys, tmp_path):
         out_path = tmp_path / "one.csv"
@@ -247,7 +297,7 @@ class TestSweep:
                 ("e_n", "s_q_opt", "purity", "weight_ratio"),
             )
             for name, want in res.items():
-                assert format_number(want) == cells[header.index(name)]
+                assert repr(float(want)) == cells[header.index(name)]
 
     def test_filter_axis_recomputes_overlap(self, tmp_path):
         # detuning sweep of the signal filter center: entanglement must
@@ -322,6 +372,29 @@ class TestSweep:
         assert payload["results"]["columns"] == ["r", "e_n"]
         assert payload["results"]["rows"][2][1] == pytest.approx(2.0, abs=1e-9)
         assert payload["diagnostics"]["n_points"] == 3
+
+    @pytest.mark.parametrize("argv", [
+        ("--model", "tmsv", "--eta-i", "0.9", "--eta-s", "0.98", "--axis1", "k_f=0.8:1:5",
+         "--axis2", "r=0:3:4", "--outputs", "e_n,s_q_opt"),
+        ("--model", "thermal", "--n-i", "0.3", "--n-s", "0.6", "--axis1", "k_f=0.8:1:5",
+         "--axis2", "r=0:3:3", "--outputs", "e_n,s_q_opt,purity,zeta,weight_ratio,critical_points"),
+        ("--model", "tmsv", "--eta-s", "0.9", "--axis1", "r=0:1.5:4", "--axis2", "k_f=0.9:1:2",
+         "--outputs", "bell_max,e_n,critical_points,weight_ratio", "--seed", "4",
+         "--restarts", "3"),
+    ], ids=["readme grid", "thermal landmarks", "bell_max"])
+    def test_sweep_json_stdout_equals_its_out_file(self, argv, capsys, tmp_path):
+        out_path = tmp_path / "sweep.json"
+        assert main(["sweep", *argv, "--format", "json", "--out", str(out_path)]) == 0
+        code, out, _ = run_inproc("sweep", *argv, "--format", "json", capsys=capsys)
+        assert code == 0
+        assert out == out_path.read_text()
+        assert out.startswith('{\n  "params": {')
+        # the rows are the CSV's round-trip decimals, read back as floats
+        assert main(["sweep", *argv]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        want = {"columns": header.split(","),
+                "rows": [[float(c) for c in line.split(",")] for line in lines]}
+        assert json.dumps(json.loads(out)["results"]) == json.dumps(want)
 
     def test_unbounded_landmarks_round_trip_in_csv(self, tmp_path):
         out_path = tmp_path / "cp.csv"

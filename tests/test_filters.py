@@ -10,13 +10,11 @@ from filtered_tms.filters import (
     FilterFamily,
     FilterSpec,
     OverlapFactors,
-    eval_freq,
-    orthonormal_frequencies,
     overlap_closed_form,
     overlap_numeric,
     sample_time,
 )
-from oracles import overlap_closed_form_reference
+from oracles import eval_freq, orthonormal_frequencies, overlap_closed_form_reference
 
 STEP = FilterFamily.STEP
 EXP = FilterFamily.EXPONENTIAL

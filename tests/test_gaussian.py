@@ -11,27 +11,28 @@ from filtered_tms.filters import OverlapFactors
 from filtered_tms.gaussian import (
     CovarianceBlocks,
     CovarianceMatrix,
-    QuadratureSpec,
     apply_loss,
     build_covariance,
     log_negativity,
-    optimal_phase_sum,
     optimal_weight_ratio,
     optimized_squeezing,
     purity,
-    quadrature_variance,
     squeezing_angle,
-    wigner,
 )
 from oracles import (
+    QuadratureSpec,
     block_matrix,
     each_reference,
     loss_product,
     min_variance_numeric,
     nu_min_eigen,
+    optimal_phase_sum,
     purity_det,
+    quadrature_variance,
     random_thermal_params,
     random_tmsv_params,
+    thermal_squeezing_angle,
+    wigner,
 )
 
 VACUUM = CovarianceBlocks(1.0, 1.0, 0.0, 0.0)
@@ -443,7 +444,7 @@ class TestWeightOptimization:
         assert squeezing_angle(tmsv_blocks(0.8)) == 0.0
         p = thermal.ThermalParams(r=0.5, n_i=0.3, n_s=0.8, overlap=OverlapFactors(0.95, 0.095))
         b = thermal.covariance(p)
-        assert squeezing_angle(b) == pytest.approx(thermal.squeezing_angle(p), abs=1e-14)
+        assert squeezing_angle(b) == pytest.approx(thermal_squeezing_angle(p), abs=1e-14)
         assert -math.pi / 2 < squeezing_angle(b) <= math.pi / 2
 
 

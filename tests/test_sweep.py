@@ -3,7 +3,6 @@ oracle of each point's 4x4 matrix, the one-point case ``evaluate_point``,
 the first failing point of a point-by-point loop, and the scalar model
 blocks that the Bell optimizer receives."""
 
-import json
 import math
 
 import numpy as np
@@ -280,6 +279,27 @@ class TestNoMatrixStack:
         assert shapes == [(1,)]
 
 
+class TestOneSqueezingPass:
+    def test_e_n_and_s_q_opt_share_one_pass_per_block(self, block_rows, monkeypatch):
+        calls = []
+        real = gaussian.optimized_squeezing
+
+        def spy(blocks):
+            calls.append(np.shape(blocks.d_i))
+            return real(blocks)
+
+        monkeypatch.setattr(gaussian, "optimized_squeezing", spy)
+        cfg = SweepConfig("thermal", ("e_n", "s_q_opt"), {"n_i": 0.3, "eta_s": 0.9},
+                          axis1=AxisSpec("r", 0.0, 3.0, 13))
+        _, table = run_sweep(cfg)
+        rows = sweep._BLOCK_ROWS
+        assert calls == [(min(rows, 13 - lo),) for lo in range(0, 13, rows)]
+        n = len(table)
+        blocks = _point_state("thermal", {"r": table[:, 0], "n_i": np.full(n, 0.3),
+                                          "eta_s": np.full(n, 0.9)}, None)[1]
+        assert table[:, 2].tobytes() == real(blocks).tobytes()
+
+
 def reference_blocks(model, fixed, k_f, r):
     """(D_I, D_S, C11, C12) by the model formulas in scalar math, with the
     loss map as the 4x4 product E V E + (I - E^2)/2."""
@@ -440,5 +460,3 @@ class TestCsvText:
         assert table.shape == (cfg.axis1.count * cfg.axis2.count, len(columns))
         rows = table.tolist()
         assert sweep.csv_text(columns, table) == csv_text_reference(columns, rows)
-        want = {"columns": columns, "rows": [[float(v) for v in r] for r in rows]}
-        assert json.dumps(sweep.rows_to_json(columns, table)) == json.dumps(want)

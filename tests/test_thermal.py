@@ -11,19 +11,26 @@ from filtered_tms.filters import OverlapFactors
 from filtered_tms.gaussian import (
     build_covariance,
     log_negativity,
-    optimal_phase_sum,
     optimal_weight_ratio,
     optimized_squeezing,
-    quadrature_variance,
-    QuadratureSpec,
     squeezing_angle,
 )
 from oracles import (
+    QuadratureSpec,
     bisect_root,
     golden_min,
+    optimal_phase_sum,
+    quadrature_variance,
     random_thermal_params,
     same_or_close,
+    thermal_critical_points,
     thermal_landmarks_reference,
+    thermal_optimized_squeezing_closed,
+    thermal_squeezing_angle,
+    thermal_weight_ratio,
+    tmsv_critical_points,
+    tmsv_optimized_squeezing_closed,
+    tmsv_weight_ratio,
 )
 
 
@@ -82,7 +89,7 @@ class TestCovariance:
 
 class TestCriticalPoints:
     def test_identical_filters_limit_branch(self):
-        cp = thermal.critical_points(params(1.0, 0.5, 0.5))
+        cp = thermal_critical_points(params(1.0, 0.5, 0.5))
         assert cp.r_lcf_en == pytest.approx(0.5 * math.acosh(1.25), rel=1e-12)
         assert cp.r_lcf_en == pytest.approx(0.346574, abs=1e-6)
         assert math.isinf(cp.r_ucf_en)
@@ -90,7 +97,7 @@ class TestCriticalPoints:
         assert cp.r_lcf_en == pytest.approx(root, abs=1e-9)
 
     def test_reference_window_against_bisection(self):
-        cp = thermal.critical_points(ref_params(1.0))
+        cp = thermal_critical_points(ref_params(1.0))
         assert cp.r_lcf_en == pytest.approx(0.3772651481651858, rel=1e-10)
         assert cp.r_ucf_en == pytest.approx(1.4161166828003733, rel=1e-10)
         lo = bisect_root(lambda r: 0.5 - nu_of(ref_params(r)), 1e-4, 0.9)
@@ -99,17 +106,17 @@ class TestCriticalPoints:
         assert cp.r_ucf_en == pytest.approx(hi, abs=1e-9)
 
     def test_reference_squeezing_angle(self):
-        cp = thermal.critical_points(ref_params(1.0))
+        cp = thermal_critical_points(ref_params(1.0))
         assert cp.zeta == pytest.approx(math.atan(-0.0475 / 1.995), rel=1e-12)
         assert cp.zeta == pytest.approx(-0.0238050, abs=1e-7)
 
     def test_zeta_vanishes_for_matched_populations_or_identical_filters(self):
-        assert thermal.critical_points(params(1.0, 0.4, 0.4, 0.9, 0.2)).zeta == 0.0
-        assert thermal.critical_points(params(1.0, 0.2, 0.9, 0.9, 0.0)).zeta == 0.0
+        assert thermal_critical_points(params(1.0, 0.4, 0.4, 0.9, 0.2)).zeta == 0.0
+        assert thermal_critical_points(params(1.0, 0.2, 0.9, 0.9, 0.0)).zeta == 0.0
 
     def test_empty_window_is_a_value(self):
         hot = params(1.0, 3.0, 2.5, 0.9, 0.1)
-        cp = thermal.critical_points(hot)
+        cp = thermal_critical_points(hot)
         assert not cp.has_window
         assert math.isnan(cp.r_lcf_en)
         for r in np.linspace(0.01, 4.0, 40):
@@ -119,7 +126,7 @@ class TestCriticalPoints:
         rng = np.random.default_rng(101)
         for _ in range(50):
             p = random_thermal_params(rng, require_window=True)
-            cp = thermal.critical_points(p)
+            cp = thermal_critical_points(p)
             inner = np.linspace(cp.r_lcf_en * 1.001, cp.r_ucf_en * 0.999, 100)
             for r in inner:
                 q = thermal.ThermalParams(float(r), p.n_i, p.n_s, p.overlap)
@@ -135,7 +142,7 @@ class TestCriticalPoints:
         rng = np.random.default_rng(103)
         for _ in range(50):
             p = random_thermal_params(rng, require_window=True)
-            cp = thermal.critical_points(p)
+            cp = thermal_critical_points(p)
 
             def nu_gap(r):
                 return 0.5 - nu_of(thermal.ThermalParams(float(r), p.n_i, p.n_s, p.overlap))
@@ -150,7 +157,7 @@ class TestCriticalPoints:
     def test_window_shrinks_with_heating(self):
         lows, highs = [], []
         for n_i in np.linspace(0.0, 1.2, 7):
-            cp = thermal.critical_points(params(1.0, float(n_i), 0.8, 0.95, 0.095))
+            cp = thermal_critical_points(params(1.0, float(n_i), 0.8, 0.95, 0.095))
             lows.append(cp.r_lcf_en)
             highs.append(cp.r_ucf_en)
         assert all(b >= a - 1e-12 for a, b in zip(lows, lows[1:]))
@@ -161,7 +168,7 @@ class TestCriticalPoints:
         rng = np.random.default_rng(107)
         for _ in range(50):
             p = random_thermal_params(rng, require_window=True)
-            cp = thermal.critical_points(p)
+            cp = thermal_critical_points(p)
             argmax = golden_min(
                 lambda r: -e_n_of(thermal.ThermalParams(float(r), p.n_i, p.n_s, p.overlap)),
                 cp.r_lcf_en, cp.r_ucf_en,
@@ -170,16 +177,16 @@ class TestCriticalPoints:
 
     def test_optimized_variance_minimum_sits_at_the_entanglement_maximum(self):
         p = ref_params(1.0)
-        cp = thermal.critical_points(p)
+        cp = thermal_critical_points(p)
         argmin = golden_min(
-            lambda r: thermal.optimized_squeezing_closed(ref_params(float(r))),
+            lambda r: thermal_optimized_squeezing_closed(ref_params(float(r))),
             1e-4, 2.5,
         )
         assert cp.r_max_en == pytest.approx(argmin, abs=1e-6)
 
     def test_equal_weight_squeezing_landmarks(self):
         p = ref_params(1.0)
-        cp = thermal.critical_points(p)
+        cp = thermal_critical_points(p)
 
         def eq_var(r):
             b = thermal.covariance(ref_params(float(r)))
@@ -200,9 +207,9 @@ class TestCriticalPoints:
         rng = np.random.default_rng(109)
         for _ in range(30):
             p = random_thermal_params(rng, require_window=True)
-            cp = thermal.critical_points(p)
+            cp = thermal_critical_points(p)
             for r_edge in (cp.r_lcf_en, cp.r_ucf_en):
-                val = thermal.optimized_squeezing_closed(
+                val = thermal_optimized_squeezing_closed(
                     thermal.ThermalParams(float(r_edge), p.n_i, p.n_s, p.overlap)
                 )
                 assert val == pytest.approx(1.0, abs=1e-8)
@@ -224,19 +231,19 @@ class TestCriticalPoints:
 
             target = optimal_phase_sum(blocks)
             argmin = golden_min(var, target - 1.5, target + 1.5, tol=1e-12)
-            zeta = thermal.critical_points(p).zeta
+            zeta = thermal_critical_points(p).zeta
             assert (math.pi - zeta) % (2 * math.pi) == pytest.approx(
                 argmin % (2 * math.pi), abs=1e-6
             )
 
     def test_k_f_range_enforced(self):
         with pytest.raises(ValueError):
-            thermal.critical_points(params(1.0, k_f=0.0))
+            thermal_critical_points(params(1.0, k_f=0.0))
 
 
 class TestWeightRatio:
     def test_matched_populations_give_unity(self):
-        assert thermal.weight_ratio(params(0.7, 0.4, 0.4, 0.9, 0.1)) == pytest.approx(
+        assert thermal_weight_ratio(params(0.7, 0.4, 0.4, 0.9, 0.1)) == pytest.approx(
             1.0, abs=1e-14
         )
 
@@ -247,7 +254,7 @@ class TestWeightRatio:
             if p.r < 1e-3:
                 continue
             general = optimal_weight_ratio(thermal.covariance(p))
-            assert thermal.weight_ratio(p) == pytest.approx(general, abs=1e-10)
+            assert thermal_weight_ratio(p) == pytest.approx(general, abs=1e-10)
 
     def test_reference_value_against_numeric_minimization(self):
         p = ref_params(1.0)
@@ -261,27 +268,27 @@ class TestWeightRatio:
             )
 
         argmin = math.exp(golden_min(var_of_log_ratio, -3.0, 3.0, tol=1e-13))
-        assert thermal.weight_ratio(p) == pytest.approx(argmin, abs=1e-8)
+        assert thermal_weight_ratio(p) == pytest.approx(argmin, abs=1e-8)
 
     def test_weights_equalize_at_large_squeezing(self):
-        assert thermal.weight_ratio(ref_params(10.0)) == pytest.approx(1.0, abs=1e-6)
+        assert thermal_weight_ratio(ref_params(10.0)) == pytest.approx(1.0, abs=1e-6)
 
     def test_zero_squeezing_rejected(self):
         with pytest.raises(ValueError):
-            thermal.weight_ratio(params(0.0, 0.3, 0.8))
+            thermal_weight_ratio(params(0.0, 0.3, 0.8))
 
 
 class TestOptimizedSqueezing:
     def test_vacuum_input_sql(self):
-        assert thermal.optimized_squeezing_closed(params(0.0)) == pytest.approx(1.0)
+        assert thermal_optimized_squeezing_closed(params(0.0)) == pytest.approx(1.0)
 
     def test_unsqueezed_thermal_value(self):
-        got = thermal.optimized_squeezing_closed(params(0.0, 0.3, 0.8))
+        got = thermal_optimized_squeezing_closed(params(0.0, 0.3, 0.8))
         assert got == pytest.approx(1.6, rel=1e-14)
 
     def test_boundary_returns_to_sql(self):
-        cp = thermal.critical_points(ref_params(1.0))
-        got = thermal.optimized_squeezing_closed(ref_params(cp.r_lcf_en))
+        cp = thermal_critical_points(ref_params(1.0))
+        got = thermal_optimized_squeezing_closed(ref_params(cp.r_lcf_en))
         assert got == pytest.approx(1.0, abs=1e-8)
 
     def test_matches_general_optimizer(self):
@@ -289,7 +296,7 @@ class TestOptimizedSqueezing:
         for _ in range(100):
             p = random_thermal_params(rng)
             general = optimized_squeezing(thermal.covariance(p))
-            assert thermal.optimized_squeezing_closed(p) == pytest.approx(general, abs=1e-12)
+            assert thermal_optimized_squeezing_closed(p) == pytest.approx(general, abs=1e-12)
 
 
 class TestSqueezingAngle:
@@ -310,12 +317,12 @@ class TestSqueezingAngle:
         cols = np.array([(p.a, p.b, p.overlap.k_f, p.overlap.l_f) for p in ps]).T
         landmark = thermal.landmarks(*cols).zeta
         for p, zeta in zip(ps, landmark.tolist()):
-            closed = thermal.squeezing_angle(p)
+            closed = thermal_squeezing_angle(p)
             assert -math.pi / 2 < closed <= math.pi / 2
             assert zeta == pytest.approx(closed, abs=1e-12)
             assert squeezing_angle(thermal.covariance(p)) == pytest.approx(closed, abs=1e-12)
         # arctan(B L_f / (A K_f)) at the K_f < 0 example
-        assert thermal.squeezing_angle(ps[-1]) == pytest.approx(math.atan(-0.1875), rel=1e-14)
+        assert thermal_squeezing_angle(ps[-1]) == pytest.approx(math.atan(-0.1875), rel=1e-14)
 
     def test_stated_phase_sum_minimizes_the_variance(self):
         # pi - zeta where C11 > 0, -zeta where C11 < 0
@@ -353,14 +360,14 @@ class TestTmsvReduction:
             assert e_n_of(tp) == pytest.approx(
                 log_negativity(tmsv.covariance(vp)).e_n, abs=1e-12
             )
-            assert thermal.optimized_squeezing_closed(tp) == pytest.approx(
-                tmsv.optimized_squeezing_closed(vp), abs=1e-12
+            assert thermal_optimized_squeezing_closed(tp) == pytest.approx(
+                tmsv_optimized_squeezing_closed(vp), abs=1e-12
             )
-            assert thermal.weight_ratio(tp) == pytest.approx(
-                tmsv.weight_ratio(vp), abs=1e-12
+            assert thermal_weight_ratio(tp) == pytest.approx(
+                tmsv_weight_ratio(vp), abs=1e-12
             )
-            cp_t = thermal.critical_points(tp)
-            cp_v = tmsv.critical_points(vp)
+            cp_t = thermal_critical_points(tp)
+            cp_v = tmsv_critical_points(vp)
             assert cp_t.r_lcf_en == pytest.approx(0.0, abs=1e-7)
             assert cp_t.r_ucf_en == pytest.approx(cp_v.r_ucf_en, rel=1e-9)
             assert cp_t.r_max_en == pytest.approx(cp_v.r_max_en, rel=1e-9)
@@ -468,10 +475,10 @@ class TestArrayLandmarks:
                 cp = thermal_landmarks_reference(p.a, p.b, kf, lf)
             except ValueError as exc:
                 with pytest.raises(ValueError) as error:
-                    thermal.critical_points(p)
+                    thermal_critical_points(p)
                 assert str(error.value) == str(exc)
                 continue
-            got = thermal.critical_points(p)
+            got = thermal_critical_points(p)
             assert type(got.has_window) is bool and got.has_window == cp.has_window
             for name in FIELDS:
                 assert type(getattr(got, name)) is float

@@ -19,7 +19,10 @@ from oracles import (
     golden_min,
     random_tmsv_params,
     same_or_close,
+    tmsv_critical_points,
     tmsv_landmarks_reference,
+    tmsv_optimized_squeezing_closed,
+    tmsv_weight_ratio,
 )
 
 
@@ -95,13 +98,13 @@ class TestCovariance:
 
 class TestCriticalPoints:
     def test_cutoff_and_maximum_for_equal_efficiencies(self):
-        cp = tmsv.critical_points(params(1.0, k_f=0.95))
+        cp = tmsv_critical_points(params(1.0, k_f=0.95))
         assert cp.r_ucf_en == pytest.approx(math.atanh(0.95), rel=1e-14)
         assert cp.r_ucf_en == pytest.approx(1.83178, abs=1e-5)
         assert cp.r_max_en == pytest.approx(0.5 * math.atanh(0.95), rel=1e-12)
 
     def test_identical_filters_give_unbounded_landmarks(self):
-        cp = tmsv.critical_points(params(1.0))
+        cp = tmsv_critical_points(params(1.0))
         assert math.isinf(cp.r_ucf_en)
         assert math.isinf(cp.r_max_sq)
         assert math.isinf(cp.r_ucf_sq)
@@ -109,19 +112,19 @@ class TestCriticalPoints:
 
     def test_vanishing_overlap_rejected(self):
         with pytest.raises(ValueError):
-            tmsv.critical_points(params(1.0, k_f=0.0))
+            tmsv_critical_points(params(1.0, k_f=0.0))
 
     @pytest.mark.parametrize("k_f", [0.9, 1.0])
     def test_full_loss_has_no_landmarks(self, k_f):
         # a product state: no division by zero below K_f = 1, and no
         # unbounded window at K_f = 1
         with pytest.raises(ValueError, match="requires? eta_i eta_s > 0"):
-            tmsv.critical_points(params(1.0, 0.0, 0.9, k_f=k_f))
+            tmsv_critical_points(params(1.0, 0.0, 0.9, k_f=k_f))
         with pytest.raises(ValueError, match="requires? eta_i eta_s > 0"):
-            tmsv.weight_ratio(params(1.0, 0.9, 0.0, k_f=k_f))
+            tmsv_weight_ratio(params(1.0, 0.9, 0.0, k_f=k_f))
 
     def test_equal_weight_squeezing_extremum(self):
-        cp = tmsv.critical_points(params(1.0, 0.9, 0.98, 0.95))
+        cp = tmsv_critical_points(params(1.0, 0.9, 0.98, 0.95))
         assert cp.r_max_sq == pytest.approx(0.9115141328757781, rel=1e-10)
         assert cp.r_ucf_sq == pytest.approx(2.0 * cp.r_max_sq, rel=1e-15)
         argmin = golden_min(
@@ -130,7 +133,7 @@ class TestCriticalPoints:
         assert cp.r_max_sq == pytest.approx(argmin, abs=1e-6)
 
     def test_equal_weight_sql_crossing_at_twice_the_extremum(self):
-        cp = tmsv.critical_points(params(1.0, 0.6, 0.9, 0.8))
+        cp = tmsv_critical_points(params(1.0, 0.6, 0.9, 0.8))
         crossing = bisect_root(
             lambda r: equal_weight_variance(r, 0.6, 0.9, 0.8) - 1.0,
             cp.r_max_sq, 6.0,
@@ -141,7 +144,7 @@ class TestCriticalPoints:
         rng = np.random.default_rng(61)
         for _ in range(50):
             p = random_tmsv_params(rng)
-            cp = tmsv.critical_points(p)
+            cp = tmsv_critical_points(p)
             argmax = golden_min(
                 lambda r: -e_n_of(r, p.eta_i, p.eta_s, p.overlap.k_f),
                 1e-5, cp.r_ucf_en * (1.0 - 1e-9),
@@ -150,9 +153,9 @@ class TestCriticalPoints:
 
     def test_optimized_variance_shares_the_entanglement_maximum(self):
         p = params(1.0, 0.9, 0.98, 0.95)
-        cp = tmsv.critical_points(p)
+        cp = tmsv_critical_points(p)
         argmin = golden_min(
-            lambda r: tmsv.optimized_squeezing_closed(
+            lambda r: tmsv_optimized_squeezing_closed(
                 params(r, 0.9, 0.98, 0.95)
             ),
             1e-4, 2.0 * cp.r_ucf_en,
@@ -163,11 +166,11 @@ class TestCriticalPoints:
         rng = np.random.default_rng(67)
         for _ in range(50):
             p = random_tmsv_params(rng)
-            cp = tmsv.critical_points(p)
+            cp = tmsv_critical_points(p)
             assert 0.0 < cp.r_max_en < cp.r_ucf_en
             assert cp.r_ucf_sq == pytest.approx(2.0 * cp.r_max_sq, rel=1e-14)
             eq = tmsv.TmsvParams(p.r, p.eta_i, p.eta_i, p.overlap)
-            cp_eq = tmsv.critical_points(eq)
+            cp_eq = tmsv_critical_points(eq)
             assert cp_eq.r_ucf_en == pytest.approx(cp_eq.r_ucf_sq, rel=1e-12)
             assert cp_eq.r_max_en == pytest.approx(cp_eq.r_max_sq, rel=1e-12)
 
@@ -175,7 +178,7 @@ class TestCriticalPoints:
 class TestEntanglementProfile:
     def test_bell_shape_is_unimodal(self):
         for k_f in (0.5, 0.8, 0.95):
-            cp = tmsv.critical_points(params(1.0, 0.9, 0.98, k_f))
+            cp = tmsv_critical_points(params(1.0, 0.9, 0.98, k_f))
             rs = np.linspace(0.0, 1.2 * cp.r_ucf_en, 400)
             en = np.array([e_n_of(r, 0.9, 0.98, k_f) for r in rs])
             k = int(np.argmax(en))
@@ -218,10 +221,10 @@ class TestEntanglementProfile:
         rng = np.random.default_rng(71)
         for _ in range(20):
             p = random_tmsv_params(rng)
-            cp = tmsv.critical_points(p)
+            cp = tmsv_critical_points(p)
             for r in np.linspace(1e-3, 1.5 * cp.r_ucf_en, 60):
                 en = e_n_of(r, p.eta_i, p.eta_s, p.overlap.k_f)
-                sq = tmsv.optimized_squeezing_closed(
+                sq = tmsv_optimized_squeezing_closed(
                     params(r, p.eta_i, p.eta_s, p.overlap.k_f)
                 )
                 if en > 1e-9:
@@ -233,16 +236,16 @@ class TestEntanglementProfile:
 class TestWeightRatio:
     def test_symmetric_efficiencies_give_unity(self):
         for r in (0.2, 0.7, 1.4):
-            assert tmsv.weight_ratio(params(r, 0.8, 0.8, 0.9)) == pytest.approx(1.0, abs=1e-14)
+            assert tmsv_weight_ratio(params(r, 0.8, 0.8, 0.9)) == pytest.approx(1.0, abs=1e-14)
 
     def test_worked_value(self):
-        assert tmsv.weight_ratio(params(1.0, 0.6, 0.9, 0.95)) == pytest.approx(
+        assert tmsv_weight_ratio(params(1.0, 0.6, 0.9, 0.95)) == pytest.approx(
             1.1769427192376822, rel=1e-10
         )
 
     def test_cutoff_ratio_is_efficiency_root(self):
         r_ucf = math.atanh(0.95)
-        got = tmsv.weight_ratio(params(r_ucf, 0.9, 0.98, 0.95))
+        got = tmsv_weight_ratio(params(r_ucf, 0.9, 0.98, 0.95))
         assert got == pytest.approx(math.sqrt(0.98 / 0.9), abs=1e-12)
 
     def test_matches_general_optimizer(self):
@@ -250,23 +253,23 @@ class TestWeightRatio:
         for _ in range(100):
             p = random_tmsv_params(rng)
             general = optimal_weight_ratio(tmsv.covariance(p))
-            assert tmsv.weight_ratio(p) == pytest.approx(general, abs=1e-10)
+            assert tmsv_weight_ratio(p) == pytest.approx(general, abs=1e-10)
 
     def test_zero_squeezing_rejected(self):
         with pytest.raises(ValueError):
-            tmsv.weight_ratio(params(0.0))
+            tmsv_weight_ratio(params(0.0))
 
 
 class TestOptimizedSqueezing:
     def test_sql_at_zero_squeezing(self):
-        assert tmsv.optimized_squeezing_closed(params(0.0)) == 1.0
+        assert tmsv_optimized_squeezing_closed(params(0.0)) == 1.0
 
     def test_ideal_tmsv_value(self):
-        got = tmsv.optimized_squeezing_closed(params(0.5))
+        got = tmsv_optimized_squeezing_closed(params(0.5))
         assert got == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_boundary_returns_to_sql(self):
-        got = tmsv.optimized_squeezing_closed(params(math.atanh(0.95), k_f=0.95))
+        got = tmsv_optimized_squeezing_closed(params(math.atanh(0.95), k_f=0.95))
         assert got == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_general_optimizer(self):
@@ -274,7 +277,7 @@ class TestOptimizedSqueezing:
         for _ in range(100):
             p = random_tmsv_params(rng)
             general = optimized_squeezing(tmsv.covariance(p))
-            assert tmsv.optimized_squeezing_closed(p) == pytest.approx(general, abs=1e-12)
+            assert tmsv_optimized_squeezing_closed(p) == pytest.approx(general, abs=1e-12)
 
     def test_blocks_stay_physical_across_parameters(self):
         rng = np.random.default_rng(83)
@@ -342,10 +345,10 @@ class TestArrayLandmarks:
                 cp = tmsv_landmarks_reference(kf, ei, es)
             except ValueError as exc:
                 with pytest.raises(ValueError) as error:
-                    tmsv.critical_points(p)
+                    tmsv_critical_points(p)
                 assert str(error.value) == str(exc)
                 continue
-            got = tmsv.critical_points(p)
+            got = tmsv_critical_points(p)
             for name in ("r_ucf_en", "r_max_en", "r_max_sq", "r_ucf_sq"):
                 assert type(getattr(got, name)) is float
                 assert same_or_close(getattr(got, name), getattr(cp, name), 1e-15)
