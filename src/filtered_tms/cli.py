@@ -76,7 +76,7 @@ def _write(path: str | None, text: str) -> None:
     if not path:
         sys.stdout.write(text)
         return
-    path = os.path.realpath(path)
+    given, path = path, os.path.realpath(path)
     try:
         mode = os.stat(path).st_mode
     except FileNotFoundError:
@@ -88,7 +88,11 @@ def _write(path: str | None, text: str) -> None:
         with open(path, "w", newline="") as fh:
             fh.write(text)
         return
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-", text=True)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-", text=True)
+    except OSError as exc:
+        # name the output asked for, not the temporary file beside it
+        raise OSError(exc.errno, exc.strerror, given) from exc
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
@@ -343,7 +347,6 @@ def _cmd_validate(args) -> int:
         "diagnostics": {"bias_estimate": list(est.bias_estimate),
                         "bias_warning": est.bias_warning,
                         "lag_cells": est.lag_cells,
-                        "pilot_realizations": est.pilot_realizations,
                         "normal_draws": est.normal_draws},
     }
     _emit(payload, args.out)

@@ -15,13 +15,20 @@ cross block to the difference-frequency overlap kernel (K_f, L_f); feeding
 a single Bogoliubov branch through both kernel rows would instead produce
 sum-frequency integrals that vanish for matched filters.
 
-The estimator is linear in the noise and only ever sees each series through
-its projection onto the k width-scaled kernel columns P.  Those projections
-are drawn directly: with P = Q R (Householder QR), a unit-normal series z
-has z P ~ N(0, P^T P) = N(0, R^T R), the law of w R for w ~ N(0, I_k).  That
-is exact in distribution, costs k draws per series instead of one per lag
-cell, and the covariance sampled is still the Riemann-sum Gram of the
-sampled kernels, never the closed-form overlap.
+The estimator only ever reads four numbers per realization, the filtered
+output quadratures (xk, yk, xl, yl), and they are a fixed linear map of the
+noise.  Each series enters through its projection onto the four
+width-scaled kernel columns P: with P = Q R (Householder QR), a unit-normal
+series has the projection law N(0, R^T R), that of w R for w ~ N(0, I_4).
+Mixing those projections through the squeezer and loss gives the outputs
+as w A, w the 4-per-series normals of all series; with A = Q_A R_A, the
+outputs are drawn as z R_A for z ~ N(0, I_4), which has their exact law
+A^T A even when identical filters make A rank-deficient.  That costs four
+draws per realization instead of one per lag cell and series, and the
+covariance sampled is still the Riemann-sum Gram of the sampled kernels,
+never the closed-form overlap.  The same factor gives the estimator's
+exact expectation at a given dt, the blocks of R_A^T R_A, from which the
+discretization bias is estimated without sampling noise.
 """
 
 from __future__ import annotations
@@ -38,7 +45,6 @@ from .thermal import ThermalParams
 from .tmsv import TmsvParams
 
 _BATCH = 2048
-_PILOT_REALIZATIONS = 2000
 
 
 @dataclass(frozen=True)
@@ -82,11 +88,12 @@ class EmpiricalBlocks:
     """Block estimates with standard errors of the mean and a bias flag.
 
     The realizations are independent, so each standard error is the sample
-    standard deviation over sqrt(n).  bias_warning is set when the half-dt
-    Richardson estimate of the discretization bias exceeds the statistical
-    error on any block.  lag_cells counts the kernel cells at dt,
-    pilot_realizations the realizations of the bias pilot and normal_draws
-    the unit normals drawn by the main run and the pilot together.
+    standard deviation over sqrt(n).  bias_estimate is the half-dt
+    Richardson estimate of the discretization bias, computed from the
+    estimator's exact expectations at dt and dt/2 (no sampling noise), and
+    bias_warning is set when it exceeds the statistical error on any block.
+    lag_cells counts the kernel cells at dt and normal_draws the unit
+    normals drawn, four per realization.
     """
 
     blocks: CovarianceBlocks
@@ -94,7 +101,6 @@ class EmpiricalBlocks:
     bias_estimate: tuple[float, float, float, float]
     bias_warning: bool
     lag_cells: int
-    pilot_realizations: int
     normal_draws: int
 
 
@@ -108,8 +114,8 @@ def _model_numbers(model) -> tuple[float, float, float, float, float]:
 
 
 def _noise_powers(model) -> list[float]:
-    """Power of each drawn noise series, in draw order: xi, yi, xs, ys, then
-    the vacuum pair of each lossy party (idler first)."""
+    """Power of each noise series, in draw order: xi, yi, xs, ys, then the
+    vacuum pair of each lossy party (idler first)."""
     _, p_i, p_s, eta_i, eta_s = _model_numbers(model)
     return [p_i, p_i, p_s, p_s] + [0.5, 0.5] * ((eta_i < 1.0) + (eta_s < 1.0))
 
@@ -127,87 +133,118 @@ def _lag_grid(support: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _refine_grid(mids: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split every lag cell in two (for the coupled half-dt pilot)."""
+    """Split every lag cell in two (for the half-dt bias reference)."""
     w2 = np.repeat(widths, 2) / 2.0
     lows = np.repeat(mids - widths / 2.0, 2)
     lows[1::2] += w2[1::2]
     return lows + w2 / 2.0, w2
 
 
-def _kernel_rows(f: FilterSpec, mids: np.ndarray, widths: np.ndarray):
-    """(Re h, Im h) at cell midpoints, pre-multiplied by the cell widths."""
-    h = sample_time(f, mids)
-    return h.real * widths, h.imag * widths
+def _kernels(cfg: SimConfig, mids: np.ndarray, widths: np.ndarray):
+    """(Re h_k, Im h_k, Re h_l, Im h_l) at cell midpoints, pre-multiplied by
+    the cell widths."""
+    rows = []
+    for f in (cfg.filter_i, cfg.filter_s):
+        h = sample_time(f, mids)
+        rows += [h.real * widths, h.imag * widths]
+    return tuple(rows)
 
 
-def _kernel_factor(noise_widths, kernel_sets) -> np.ndarray:
-    """R of P = Q R, P the columns of all kernel sets over sqrt(widths).
+def _kernel_factor(noise_widths, kernels) -> np.ndarray:
+    """R of P = Q R, P the four kernel columns over sqrt(widths).
 
     Householder QR, not a Cholesky of P^T P: identical filters repeat
     columns and leave the Gram singular.
     """
-    proj = np.column_stack([row for k in kernel_sets for row in k])
-    proj /= np.sqrt(noise_widths)[:, None]
+    proj = np.column_stack(kernels) / np.sqrt(noise_widths)[:, None]
     return np.linalg.qr(proj, mode="r")
 
 
-def _contract(cfg: SimConfig, noise_widths, kernel_sets, n_total, stream_tag):
-    """Per-realization samples of (D_I, D_S, C11, C12) for every kernel set.
+def _mix(cfg: SimConfig, proj):
+    """Filtered outputs (xk, yk, xl, yl) of the noise series projections.
 
-    Each set is (rk, ik, rl, il), width-weighted and aligned with the noise
-    grid; the result has shape (len(kernel_sets), n_total, 4).  Each noise
-    series is drawn as its projections w R onto the columns of all sets (see
-    the module docstring), so every set sees the same draws.  The stream is
-    fully determined by (cfg.seed, stream_tag, batch index) and the fixed
-    draw order; the squeezer and loss then mix the projections.
+    proj lists each series' projections in draw order (see _noise_powers),
+    with a last axis over the kernel columns (rk, ik, rl, il).  The
+    squeezer mixes the series into Bogoliubov branches at +-r; each
+    quadrature's loss mixes in one shared vacuum series for both branches
+    (one beamsplitter port).
     """
     r, _, _, eta_i, eta_s = _model_numbers(cfg.model)
     c, s = math.cosh(r), math.sinh(r)
     rei, res = math.sqrt(eta_i), math.sqrt(eta_s)
     ri, rs = math.sqrt(1.0 - eta_i), math.sqrt(1.0 - eta_s)
-    tri = _kernel_factor(noise_widths, kernel_sets)
-    powers = _noise_powers(cfg.model)
+    xi, yi, xs, ys, *vac = proj
 
-    out = np.empty((len(kernel_sets), n_total, 4))
+    xi_p, xi_m = c * xi + s * xs, c * xi - s * xs
+    yi_p, yi_m = c * yi - s * ys, c * yi + s * ys
+    xs_p, xs_m = s * xi + c * xs, -s * xi + c * xs
+    ys_p, ys_m = -s * yi + c * ys, s * yi + c * ys
+    if eta_i < 1.0:
+        xv, yv = vac[:2]
+        xi_p, xi_m = rei * xi_p + ri * xv, rei * xi_m + ri * xv
+        yi_p, yi_m = rei * yi_p + ri * yv, rei * yi_m + ri * yv
+    if eta_s < 1.0:
+        xv, yv = vac[-2:]
+        xs_p, xs_m = res * xs_p + rs * xv, res * xs_m + rs * xv
+        ys_p, ys_m = res * ys_p + rs * yv, res * ys_m + rs * yv
+
+    xk = xi_p[..., 0] - yi_m[..., 1]
+    yk = xi_m[..., 1] + yi_p[..., 0]
+    xl = xs_p[..., 2] - ys_m[..., 3]
+    yl = xs_m[..., 3] + ys_p[..., 2]
+    return xk, yk, xl, yl
+
+
+def _output_map(cfg: SimConfig, noise_widths, kernels) -> np.ndarray:
+    """A, the (4 * series, 4) map from unit normals to (xk, yk, xl, yl).
+
+    Row 4s + j is the j-th projection normal of series s, scaled by its
+    noise power and mapped through the kernel factor R, then mixed.
+    """
+    tri = _kernel_factor(noise_widths, kernels)
+    powers = _noise_powers(cfg.model)
+    e = np.eye(4 * len(powers)).reshape(-1, len(powers), 4)
+    return np.column_stack(
+        _mix(cfg, [math.sqrt(p) * (e[:, i] @ tri) for i, p in enumerate(powers)])
+    )
+
+
+def _output_factor(cfg: SimConfig, noise_widths, kernels) -> np.ndarray:
+    """R_A of A = Q_A R_A (see the module docstring); z R_A has the law of
+    the four outputs for z ~ N(0, I_4)."""
+    return np.linalg.qr(_output_map(cfg, noise_widths, kernels), mode="r")
+
+
+def _expected_blocks(factor: np.ndarray) -> np.ndarray:
+    """Exact expectation of the (D_I, D_S, C11, C12) samples drawn through
+    factor: the blocks of the output covariance R_A^T R_A."""
+    g = factor.T @ factor
+    return np.array([g[0, 0] + g[1, 1], g[2, 2] + g[3, 3],
+                     g[0, 2] - g[1, 3], g[0, 3] + g[1, 2]])
+
+
+def _contract(cfg: SimConfig, factor: np.ndarray, n_total: int) -> np.ndarray:
+    """Per-realization samples of (D_I, D_S, C11, C12), shape (n_total, 4).
+
+    Each batch draws z ~ N(0, I_4) per realization from a generator seeded
+    by SeedSequence((cfg.seed, 0, batch index)), so the stream does not
+    depend on scheduling, and forms the outputs z R_A.  The samples are
+    stored block by block and returned transposed, so that the per-block
+    moments reduce over contiguous memory.
+    """
+    out = np.empty((4, n_total))
     for start in range(0, n_total, _BATCH):
         nb = min(_BATCH, n_total - start)
-        batch = start // _BATCH
         rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=(cfg.seed, stream_tag, batch))
+            np.random.SeedSequence(entropy=(cfg.seed, 0, start // _BATCH))
         )
-        # draw order: xi, yi, xs, ys, idler vacuum pair, signal vacuum pair;
-        # projections have shape (nb, set, kernel column)
-        xi, yi, xs, ys, *vac = [
-            math.sqrt(p) * (rng.standard_normal((nb, len(tri))) @ tri).reshape(nb, -1, 4)
-            for p in powers
-        ]
-
-        # Bogoliubov branches at +-r; each quadrature's loss mixes in one
-        # shared vacuum series for both branches (one beamsplitter port).
-        xi_p, xi_m = c * xi + s * xs, c * xi - s * xs
-        yi_p, yi_m = c * yi - s * ys, c * yi + s * ys
-        xs_p, xs_m = s * xi + c * xs, -s * xi + c * xs
-        ys_p, ys_m = -s * yi + c * ys, s * yi + c * ys
-        if eta_i < 1.0:
-            xv, yv = vac[:2]
-            xi_p, xi_m = rei * xi_p + ri * xv, rei * xi_m + ri * xv
-            yi_p, yi_m = rei * yi_p + ri * yv, rei * yi_m + ri * yv
-        if eta_s < 1.0:
-            xv, yv = vac[-2:]
-            xs_p, xs_m = res * xs_p + rs * xv, res * xs_m + rs * xv
-            ys_p, ys_m = res * ys_p + rs * yv, res * ys_m + rs * yv
-
-        xk = xi_p[..., 0] - yi_m[..., 1]
-        yk = xi_m[..., 1] + yi_p[..., 0]
-        xl = xs_p[..., 2] - ys_m[..., 3]
-        yl = xs_m[..., 3] + ys_p[..., 2]
-
-        rows = out[:, start:start + nb]
-        rows[..., 0] = (xk * xk + yk * yk).T
-        rows[..., 1] = (xl * xl + yl * yl).T
-        rows[..., 2] = (xk * xl - yk * yl).T
-        rows[..., 3] = (xk * yl + yk * xl).T
-    return out
+        xk, yk, xl, yl = (rng.standard_normal((nb, 4)) @ factor).T
+        cols = out[:, start:start + nb]
+        cols[0] = xk * xk + yk * yk
+        cols[1] = xl * xl + yl * yl
+        cols[2] = xk * xl - yk * yl
+        cols[3] = xk * yl + yk * xl
+    return out.T
 
 
 def simulate(cfg: SimConfig) -> EmpiricalBlocks:
@@ -222,45 +259,31 @@ def simulate(cfg: SimConfig) -> EmpiricalBlocks:
         for f in (cfg.filter_i, cfg.filter_s)
     ]
     mids, widths = _lag_grid(max(supports), cfg.dt)
-    kernels = _kernel_rows(cfg.filter_i, mids, widths) + _kernel_rows(
-        cfg.filter_s, mids, widths
-    )
+    factor = _output_factor(cfg, widths, _kernels(cfg, mids, widths))
 
-    samples = _contract(cfg, widths, [kernels], cfg.n_realizations, stream_tag=0)[0]
+    samples = _contract(cfg, factor, cfg.n_realizations)
     est = samples.mean(axis=0)
     se = np.maximum(samples.std(axis=0, ddof=1) / math.sqrt(cfg.n_realizations), 1e-300)
 
-    n_pilot = min(_PILOT_REALIZATIONS, cfg.n_realizations)
-    bias = _richardson_bias(cfg, mids, widths, kernels, n_pilot)
+    bias = _richardson_bias(cfg, mids, widths, factor)
     return EmpiricalBlocks(
         blocks=CovarianceBlocks(*est),
         std_errors=tuple(float(x) for x in se),
         bias_estimate=tuple(float(x) for x in bias),
         bias_warning=bool(np.any(np.abs(bias) > se)),
         lag_cells=len(widths),
-        pilot_realizations=n_pilot,
-        # one normal per kernel column and series: 4 columns in the main
-        # run, 8 (fine and lifted coarse) in the pilot
-        normal_draws=len(_noise_powers(cfg.model)) * 4 * (cfg.n_realizations + 2 * n_pilot),
+        normal_draws=4 * cfg.n_realizations,
     )
 
 
-def _richardson_bias(cfg: SimConfig, mids, widths, coarse_rows, n_pilot) -> np.ndarray:
+def _richardson_bias(cfg: SimConfig, mids, widths, factor) -> np.ndarray:
     """Half-dt Richardson estimate of the discretization bias per block.
 
-    The pilot couples the coarse and fine kernels through the same Brownian
-    increments: a coarse cell weight is spread over its two fine half-cells,
-    which makes the coarse contraction see exactly the pair-averaged fine
-    noise.  The coupled difference isolates the O(dt^2) kernel-sampling
-    bias instead of statistical noise.  Both kernel sets are columns of one
-    factor, so a single draw of their eight projections keeps that coupling
-    exactly in distribution.
+    The estimator's expectation at a given dt is exact and free of sampling
+    noise: the blocks of R_A^T R_A for that dt's kernels.  Its midpoint
+    kernel sums carry an O(dt^2) error, so (E_dt - E_dt/2) * 4/3 estimates
+    E_dt - E_0, where the dt/2 grid splits every lag cell in two.
     """
     mids_f, widths_f = _refine_grid(mids, widths)
-    fine_kernels = _kernel_rows(cfg.filter_i, mids_f, widths_f) + _kernel_rows(
-        cfg.filter_s, mids_f, widths_f
-    )
-    lifted = tuple(np.repeat(row, 2) / 2.0 for row in coarse_rows)
-
-    fine, coarse = _contract(cfg, widths_f, [fine_kernels, lifted], n_pilot, stream_tag=1)
-    return (coarse.mean(axis=0) - fine.mean(axis=0)) * (4.0 / 3.0)
+    fine = _output_factor(cfg, widths_f, _kernels(cfg, mids_f, widths_f))
+    return (_expected_blocks(factor) - _expected_blocks(fine)) * (4.0 / 3.0)

@@ -167,19 +167,17 @@ def random_thermal_params(rng: np.random.Generator, require_window: bool = False
             return p
 
 
-def noise_stream(seed, stream_tag, n_cols, lift=None):
+def noise_stream(seed, stream_tag, n_cols):
     """Unit-normal noise series, batch by batch, for ``mix_then_contract``.
 
-    noise(batch index, nb) yields (nb, cells) series from one generator per
+    noise(batch index, nb) yields (nb, n_cols) series from one generator per
     batch, SeedSequence((seed, stream_tag, batch index)), as the simulator
-    seeds its own.  Each series draws (nb, n_cols) normals, mapped through
-    the (n_cols, cells) matrix ``lift`` when given.
+    seeds its own.
     """
     def noise(batch, nb):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, stream_tag, batch)))
         while True:
-            z = rng.standard_normal((nb, n_cols))
-            yield z if lift is None else z @ lift
+            yield rng.standard_normal((nb, n_cols))
     return noise
 
 

@@ -154,6 +154,17 @@ class TestPoint:
         assert code == 2
         assert json.loads(err.splitlines()[-1])["error"]
 
+    def test_missing_output_directory_names_the_given_path(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run_inproc("point", "--model", "tmsv", "--r", "0.5",
+                                    "--out", str(path), capsys=capsys)
+        assert code == 2
+        assert out == ""
+        msg = json.loads(err.splitlines()[-1])["error"]
+        assert "No such file or directory" in msg and repr(str(path)) in msg
+        assert ".tmp-" not in msg
+        assert list(tmp_path.iterdir()) == []
+
 
 POINT = ("point", "--model", "thermal", "--r", "0.5", "--n-i", "0.3")
 
@@ -530,12 +541,12 @@ class TestValidateCommand:
         assert rows[0]["analytic"] == pytest.approx(math.cosh(2.0))
         assert payload["results"]["all_pass"] is True
         diag = payload["diagnostics"]
-        assert (diag["lag_cells"], diag["pilot_realizations"]) == (100, 2000)
-        # 4 lossless series, 4 kernel columns per run, 8 in the pilot
-        assert diag["normal_draws"] == 20000 * 4 * 4 + 2000 * 8 * 4
+        assert set(diag) == {"bias_estimate", "bias_warning", "lag_cells", "normal_draws"}
+        # four normals per realization: the filtered output quadratures
+        assert (diag["lag_cells"], diag["normal_draws"]) == (100, 20000 * 4)
 
     def test_counts_are_reported_and_reruns_are_byte_identical(self, capsys):
-        # exponential kernels span the whole horizon; the pilot is capped at n
+        # exponential kernels span the whole horizon
         argv = ("validate", "--model", "thermal", "--r", "0.4", "--n-i", "0.2",
                 "--family", "exponential", "--tau-i", "1", "--tau-s", "1",
                 "--omega-k", "1", "--omega-l", "0.5", "--dt", "0.02",
@@ -543,8 +554,7 @@ class TestValidateCommand:
         code, first, _ = run_inproc(*argv, capsys=capsys)
         assert code == 0
         diag = json.loads(first)["diagnostics"]
-        assert (diag["lag_cells"], diag["pilot_realizations"]) == (500, 1500)
-        assert diag["normal_draws"] == 1500 * 4 * 4 + 1500 * 8 * 4
+        assert (diag["lag_cells"], diag["normal_draws"]) == (500, 1500 * 4)
         assert run_inproc(*argv, capsys=capsys)[1] == first
 
     def test_mixed_family_validation(self, capsys):

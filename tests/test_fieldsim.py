@@ -149,31 +149,52 @@ def kernel_grid(cfg):
     support = max(f.tau if f.family is STEP else cfg.horizon
                   for f in (cfg.filter_i, cfg.filter_s))
     mids, widths = fieldsim._lag_grid(support, cfg.dt)
-    kernels = (fieldsim._kernel_rows(cfg.filter_i, mids, widths)
-               + fieldsim._kernel_rows(cfg.filter_s, mids, widths))
-    return mids, widths, kernels
+    return mids, widths, fieldsim._kernels(cfg, mids, widths)
 
 
-def pilot_grid(cfg):
-    """Half-dt widths and the pilot's (fine, lifted coarse) kernel sets."""
-    mids, widths, coarse = kernel_grid(cfg)
-    mids_f, widths_f = fieldsim._refine_grid(mids, widths)
-    fine = (fieldsim._kernel_rows(cfg.filter_i, mids_f, widths_f)
-            + fieldsim._kernel_rows(cfg.filter_s, mids_f, widths_f))
-    lifted = tuple(np.repeat(row, 2) / 2.0 for row in coarse)
-    return widths_f, [fine, lifted]
+def unit_power_columns(widths, kernels):
+    """P: the four kernel columns over sqrt(cell width)."""
+    return np.column_stack(kernels) / np.sqrt(widths)[:, None]
 
 
-def unit_power_columns(widths, kernel_sets):
-    """P: every kernel column of the sets, over sqrt(cell width)."""
-    return np.column_stack([row for k in kernel_sets for row in k]) / np.sqrt(widths)[:, None]
+def lifted_noise(cfg, widths, kernels):
+    """The simulator's draws z, lifted to full unit-normal series.
+
+    With A = Q_A R_A, w = z Q_A^T holds the four projection normals w_s of
+    every series and w A = z R_A; with P = Q R, each w_s lifts to the full
+    series w_s Q^T, whose projection w_s Q^T P is w_s R.
+    """
+    q_a, _ = np.linalg.qr(fieldsim._output_map(cfg, widths, kernels))
+    q, _ = np.linalg.qr(unit_power_columns(widths, kernels))
+    draws = noise_stream(cfg.seed, 0, 4)
+
+    def noise(batch, nb):
+        w = (next(draws(batch, nb)) @ q_a.T).reshape(nb, -1, 4)
+        for s in range(w.shape[1]):
+            yield w[:, s] @ q.T
+    return noise
 
 
-def lifted_noise(cfg, widths, kernel_sets, stream_tag):
-    """The simulator's stream of projection draws w, lifted to the full
-    series w Q^T with P = Q R; w Q^T P = w R."""
-    q, _ = np.linalg.qr(unit_power_columns(widths, kernel_sets))
-    return noise_stream(cfg.seed, stream_tag, q.shape[1], lift=q.T)
+def basis_noise(n_series, cells):
+    """Full-series noise whose realization j is the j-th unit vector of all
+    series' cells: summed over them, the block samples of the quadratic
+    estimator give its exact expectation."""
+    def noise(batch, nb):
+        j = batch * fieldsim._BATCH + np.arange(nb)
+        for s in range(n_series):
+            series = np.zeros((nb, cells))
+            hit = j // cells == s
+            series[hit, j[hit] % cells] = 1.0
+            yield series
+    return noise
+
+
+def oracle_expectation(cfg, widths, kernels):
+    """(D_I, D_S, C11, C12) expected at cfg.dt, from mix_then_contract."""
+    n_series = len(fieldsim._noise_powers(cfg.model))
+    n = n_series * len(widths)
+    return mix_then_contract(cfg, widths, kernels, n, basis_noise(n_series, len(widths)),
+                             fieldsim._BATCH).sum(axis=0)
 
 
 def assert_same_samples(got, want):
@@ -193,45 +214,60 @@ PROJECTION_CONFIGS = [
               dt=0.02, horizon=6.0, n_realizations=5000, seed=5),
 ]
 PROJECTION_IDS = ["lossy-mixed", "signal-loss", "thermal"]
-_, IDENTICAL_WIDTHS, IDENTICAL_KERNELS = kernel_grid(
-    SimConfig(tmsv.TmsvParams(r=0.5), *step_pair(), dt=0.02, horizon=6.0, n_realizations=1000))
+# identical filters repeat two of the four kernel columns: rank 2
+IDENTICAL = SimConfig(tmsv.TmsvParams(r=0.5, eta_i=0.7), *step_pair(), dt=0.02, horizon=6.0,
+                      n_realizations=5000, seed=6)
 
 
 class TestProjectedContraction:
-    """_contract draws each noise series' kernel projection w R instead of
-    the series; fed the same draws lifted to full series, the direct
-    mix-then-contract order in oracles.py must give the same samples."""
+    """_contract draws the four outputs as z R_A instead of the series; fed
+    the same draws lifted to full series, the direct mix-then-contract order
+    in oracles.py must give the same samples."""
 
-    @pytest.mark.parametrize("cfg", PROJECTION_CONFIGS, ids=PROJECTION_IDS)
+    @pytest.mark.parametrize("cfg", PROJECTION_CONFIGS + [IDENTICAL],
+                             ids=PROJECTION_IDS + ["identical-filters"])
     def test_samples_match_mix_then_contract(self, cfg):
         _, widths, kernels = kernel_grid(cfg)
         n = cfg.n_realizations
-        (got,) = fieldsim._contract(cfg, widths, [kernels], n, stream_tag=0)
-        noise = lifted_noise(cfg, widths, [kernels], stream_tag=0)
+        got = fieldsim._contract(cfg, fieldsim._output_factor(cfg, widths, kernels), n)
+        noise = lifted_noise(cfg, widths, kernels)
         assert_same_samples(got, mix_then_contract(cfg, widths, kernels, n, noise,
                                                    fieldsim._BATCH))
 
-    @pytest.mark.parametrize("cfg", PROJECTION_CONFIGS[::2], ids=PROJECTION_IDS[::2])
-    def test_shared_draw_pilot_matches_two_contractions(self, cfg):
-        widths_f, sets = pilot_grid(cfg)
-        n = 2100
-        got = fieldsim._contract(cfg, widths_f, sets, n, stream_tag=1)
-        noise = lifted_noise(cfg, widths_f, sets, stream_tag=1)
-        for got_set, kernels in zip(got, sets):
-            assert_same_samples(got_set, mix_then_contract(cfg, widths_f, kernels, n, noise,
-                                                           fieldsim._BATCH))
-
-    @pytest.mark.parametrize("widths, sets", [
-        # identical filters repeat two of the four columns: rank 2
-        (IDENTICAL_WIDTHS, [IDENTICAL_KERNELS]),
-        pilot_grid(PROJECTION_CONFIGS[0]),
-    ], ids=["identical-filters", "8-column-pilot"])
-    def test_factor_reproduces_the_gram(self, widths, sets):
-        p = unit_power_columns(widths, sets)
+    @pytest.mark.parametrize("cfg", [IDENTICAL, PROJECTION_CONFIGS[0]],
+                             ids=["identical-filters", "lossy-mixed"])
+    def test_factor_reproduces_the_gram(self, cfg):
+        _, widths, kernels = kernel_grid(cfg)
+        p = unit_power_columns(widths, kernels)
         gram = p.T @ p
-        tri = fieldsim._kernel_factor(widths, sets)
-        assert tri.shape == (4 * len(sets),) * 2
+        tri = fieldsim._kernel_factor(widths, kernels)
+        assert tri.shape == (4, 4)
         assert np.max(np.abs(tri.T @ tri - gram)) <= 1e-12 * np.max(np.abs(gram))
+
+    @pytest.mark.parametrize("cfg", PROJECTION_CONFIGS + [IDENTICAL],
+                             ids=PROJECTION_IDS + ["identical-filters"])
+    def test_output_factor_reproduces_the_full_series_gram(self, cfg):
+        # the outputs mixed from every series' full kernel columns: series
+        # s, cell c is row (s, c) of the full map
+        _, widths, kernels = kernel_grid(cfg)
+        p = unit_power_columns(widths, kernels)
+        powers = fieldsim._noise_powers(cfg.model)
+        proj = np.zeros((len(powers), len(powers), len(widths), 4))
+        for i, power in enumerate(powers):
+            proj[i, i] = math.sqrt(power) * p
+        full = np.column_stack(fieldsim._mix(cfg, [x.reshape(-1, 4) for x in proj]))
+        gram = full.T @ full
+        tri = fieldsim._output_factor(cfg, widths, kernels)
+        assert tri.shape == (4, 4)
+        assert np.max(np.abs(tri.T @ tri - gram)) <= 1e-12 * np.max(np.abs(gram))
+
+    @pytest.mark.parametrize("cfg", PROJECTION_CONFIGS + [IDENTICAL],
+                             ids=PROJECTION_IDS + ["identical-filters"])
+    def test_expected_blocks_match_the_full_series_oracle(self, cfg):
+        _, widths, kernels = kernel_grid(cfg)
+        want = oracle_expectation(cfg, widths, kernels)
+        got = fieldsim._expected_blocks(fieldsim._output_factor(cfg, widths, kernels))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("cfg", PROJECTION_CONFIGS, ids=PROJECTION_IDS)
     def test_block_means_match_full_series_draws(self, cfg):
@@ -239,7 +275,7 @@ class TestProjectedContraction:
         cfg = dataclasses.replace(cfg, n_realizations=40000)
         _, widths, kernels = kernel_grid(cfg)
         n = cfg.n_realizations
-        (got,) = fieldsim._contract(cfg, widths, [kernels], n, stream_tag=0)
+        got = fieldsim._contract(cfg, fieldsim._output_factor(cfg, widths, kernels), n)
         want = mix_then_contract(cfg, widths, kernels, n,
                                  noise_stream(cfg.seed, 9, len(widths)), fieldsim._BATCH)
         se = np.hypot(got.std(axis=0, ddof=1), want.std(axis=0, ddof=1)) / math.sqrt(n)
@@ -251,9 +287,9 @@ class TestProjectedContraction:
         model = thermal.ThermalParams(r=0.5, n_i=0.3, n_s=0.8, overlap=overlap_closed_form(fi, fs))
         cfg = SimConfig(model, fi, fs, dt=0.02, horizon=6.0, n_realizations=20000, seed=9)
         _, widths, kernels = kernel_grid(cfg)
-        (samples,) = fieldsim._contract(cfg, widths, [kernels], cfg.n_realizations, stream_tag=0)
-        boot_rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, 91)))
         n = cfg.n_realizations
+        samples = fieldsim._contract(cfg, fieldsim._output_factor(cfg, widths, kernels), n)
+        boot_rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, 91)))
         boot = np.array([samples[boot_rng.integers(0, n, size=n)].mean(axis=0)
                          for _ in range(200)])
         ratio = np.array(simulate(cfg).std_errors) / boot.std(axis=0, ddof=1)
@@ -261,13 +297,13 @@ class TestProjectedContraction:
 
 
 class TestDrawCount:
-    @pytest.mark.parametrize("cfg, series", [
-        (dataclasses.replace(PROJECTION_CONFIGS[0], n_realizations=3000), 8),
-        (dataclasses.replace(PROJECTION_CONFIGS[1], n_realizations=1000), 6),
-        (dataclasses.replace(PROJECTION_CONFIGS[2], n_realizations=2500), 4),
+    @pytest.mark.parametrize("cfg", [
+        dataclasses.replace(PROJECTION_CONFIGS[0], n_realizations=3000),
+        dataclasses.replace(PROJECTION_CONFIGS[1], n_realizations=1000),
+        dataclasses.replace(PROJECTION_CONFIGS[2], n_realizations=2500),
     ], ids=PROJECTION_IDS)
-    def test_normal_draws_counts_every_draw(self, cfg, series, monkeypatch):
-        # n k series in the main run and n_pilot 2k series in the pilot, k = 4
+    def test_normal_draws_counts_every_draw(self, cfg, monkeypatch):
+        # four normals per realization, whatever the number of noise series
         drawn = []
         default_rng = np.random.default_rng
 
@@ -281,21 +317,62 @@ class TestDrawCount:
 
         monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
         est = simulate(cfg)
-        n, n_pilot = cfg.n_realizations, min(cfg.n_realizations, 2000)
-        assert est.normal_draws == sum(drawn) == n * 4 * series + n_pilot * 8 * series
+        assert est.normal_draws == sum(drawn) == 4 * cfg.n_realizations
+
+
+# detuned filter pairs in every family order: the midpoint kernel sums carry
+# a true discretization bias
+DETUNED_PAIRS = {
+    "step-step": (FilterSpec(STEP, 1.0, 2.0), FilterSpec(STEP, 0.3, 2.0)),
+    "exp-exp": (FilterSpec(EXP, 1.0, 1.0), FilterSpec(EXP, 0.5, 1.0)),
+    "step-exp": (FilterSpec(STEP, 1.0, 2.0), FilterSpec(EXP, 0.8, 1.0)),
+    "exp-step": (FilterSpec(EXP, 0.8, 1.0), FilterSpec(STEP, 1.0, 2.0)),
+}
 
 
 class TestBiasDiagnostics:
-    def test_fast_carrier_at_coarse_dt_triggers_warning(self):
-        # kernel phase error ~ (omega dt)^2/24 dominates the tight
-        # statistical error of a long run
+    def test_identical_filters_have_no_bias(self):
+        # the Riemann sums of |h|^2 over identical step windows are exact at
+        # any dt, even for a fast carrier at coarse dt
         fi = FilterSpec(STEP, 40.0, 2.0)
         fs = FilterSpec(STEP, 40.0, 2.0)
         model = tmsv.TmsvParams(r=1.0)
         cfg = SimConfig(model, fi, fs, dt=0.04, horizon=6.0, n_realizations=100000, seed=31)
         est = simulate(cfg)
+        want = tmsv.covariance(model)
+        scale = max(abs(want.d_i), abs(want.d_s), abs(want.c11), abs(want.c12))
+        assert max(abs(b) for b in est.bias_estimate) <= 1e-12 * scale
+        assert not est.bias_warning
+
+    @pytest.mark.parametrize("model_name", ["lossy-tmsv", "thermal"])
+    @pytest.mark.parametrize("pair", DETUNED_PAIRS)
+    def test_bias_matches_the_exact_discretization_error(self, pair, model_name):
+        fi, fs = DETUNED_PAIRS[pair]
+        ov = overlap_closed_form(fi, fs)
+        if model_name == "thermal":
+            model, closed = thermal.ThermalParams(r=0.5, n_i=0.3, n_s=0.8, overlap=ov), thermal
+        else:
+            model, closed = tmsv.TmsvParams(r=0.8, eta_i=0.7, eta_s=0.9, overlap=ov), tmsv
+        horizon = 10.0 if EXP in (fi.family, fs.family) else 6.0
+        cfg = SimConfig(model, fi, fs, dt=0.02, horizon=horizon, n_realizations=1000, seed=1)
+        _, widths, kernels = kernel_grid(cfg)
+        want = closed.covariance(model)
+        true_bias = oracle_expectation(cfg, widths, kernels) - np.array(
+            [want.d_i, want.d_s, want.c11, want.c12])
+        assert np.max(np.abs(true_bias)) > 1e-6
+        bias = np.array(simulate(cfg).bias_estimate)
+        assert np.max(np.abs(bias - true_bias)) <= 1e-3 * np.max(np.abs(true_bias))
+
+    def test_fast_detuned_carrier_at_coarse_dt_triggers_warning(self):
+        # a 40 rad carrier against a dc filter at dt = 0.04: the C11 bias
+        # (about -5.3e-3) is twice the standard error of 1e6 realizations
+        fi = FilterSpec(STEP, 40.0, 2.0)
+        fs = FilterSpec(STEP, 0.0, 2.0)
+        model = tmsv.TmsvParams(r=1.0, overlap=overlap_closed_form(fi, fs))
+        cfg = SimConfig(model, fi, fs, dt=0.04, horizon=6.0, n_realizations=1000000, seed=31)
+        est = simulate(cfg)
         assert est.bias_warning
-        assert max(abs(b) for b in est.bias_estimate) > max(est.std_errors)
+        assert abs(est.bias_estimate[2]) > 1.5 * est.std_errors[2]
 
     def test_resolved_kernel_has_no_warning(self):
         fi, fs = step_pair()
