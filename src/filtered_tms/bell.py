@@ -13,17 +13,20 @@ the all-zero settings.
 The maximization over the eight displacement coordinates is a multistart
 Nelder-Mead.  The restarts of all states of a stack advance in lockstep as
 one batched simplex array, each row tagged with the state it belongs to, so
-a sweep maximizes all its points in one pass.  A step makes one objective
-call, on the reflection, expansion and both contraction points of every
-active restart; the contraction point a restart does not use is not counted
-in its evaluations.  Each restart takes the same path whatever else is in
-the array, which keeps the search deterministic for a fixed seed.  The
-tests check it against an independent zooming dense-grid search.
+a sweep maximizes all its points in one pass; each vertex carries its value
+in an extra column.  The Bell function is bound to the active rows' states
+at the start and when restarts stop or shrink, and a step calls it once, on
+the reflection, expansion and both contraction points of every active
+restart (the unused contraction point is not counted in its evaluations).
+Each restart takes the same path whatever else is in the array, which keeps
+the search deterministic for a fixed seed.  The tests check it against an
+independent zooming dense-grid search.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +63,7 @@ class DisplacementSettings:
 
 
 def _check_seed(seed) -> None:
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
@@ -76,12 +79,14 @@ class BellMaxConfig:
     def __post_init__(self):
         for name in ("n_restarts", "max_evals"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_restarts < 1:
             raise ValueError(f"n_restarts must be at least 1, got {self.n_restarts}")
         if self.max_evals < 50:
             raise ValueError(f"max_evals must be at least 50, got {self.max_evals}")
+        if isinstance(self.f_tol, bool) or not isinstance(self.f_tol, numbers.Real):
+            raise ValueError(f"f_tol must be a real number, got {self.f_tol!r}")
         if not (math.isfinite(self.f_tol) and self.f_tol >= 0.0):
             raise ValueError(f"f_tol must be finite and >= 0, got {self.f_tol!r}")
         _check_seed(self.seed)
@@ -94,7 +99,8 @@ class BellResult:
     evaluations sums the Bell evaluations of all restarts; restarts_agreeing
     counts the restarts within 1e-6 max(1, |b_max|) of b_max (the best one
     included); spread is the best restart's final simplex spread in -|B|,
-    at most f_tol exactly when that restart settled.
+    at most f_tol exactly when that restart settled; iterations is the
+    number of lockstep steps until the last restart stopped.
     """
 
     b_max: float
@@ -104,6 +110,7 @@ class BellResult:
     evaluations: int
     restarts_agreeing: int
     spread: float
+    iterations: int
 
 
 # coordinate j of joint point u^{mn} of a settings row s is s[_JOINT[j, mn]]:
@@ -124,29 +131,34 @@ class _BellEvaluator:
         self.v_inv = np.linalg.inv(m).reshape(-1, 16).T.copy()
         self.prefactor = 1.0 / (math.pi**2 * np.sqrt(np.linalg.det(m)))
 
-    def bell(self, settings: np.ndarray, owner=0) -> np.ndarray:
-        """(..., N, 8) settings of the states ``owner`` (an index, or one per
-        row of the last axis but one) -> (..., N) Bell values (signed)."""
-        # coordinate-major joint points (j, point, ..., N), so that the rows
-        # are the einsum's inner loop; it sums each quad over (j, k) j-major
-        u = settings.transpose(-1, *range(settings.ndim - 1)).take(_JOINT, axis=0)
-        v_inv = self.v_inv.take(owner, axis=1).reshape((4, 4) + np.shape(owner))
-        quad = np.einsum("ji...,jk...,ki...->i...", u, v_inv, u)
-        w = self.prefactor[owner] * np.exp(-0.5 * quad)
-        return math.pi**2 / 4.0 * (w[0] + w[1] + w[2] - w[3])
+    def bind(self, owner=0):
+        """The Bell function of the states ``owner`` (an index, or one per row):
+        (..., N, 8) settings -> (..., N) signed Bell values.  The owners'
+        inverses are gathered here, once, and scaled by -1/2, which is exact."""
+        half_inv = -0.5 * self.v_inv.take(owner, axis=1).reshape((4, 4) + np.shape(owner))
+        prefactor = self.prefactor[owner]
+
+        def bell(settings: np.ndarray) -> np.ndarray:
+            # coordinate-major joint points (j, point, ..., N), so that the rows
+            # are the einsum's inner loop; it sums each quad over (j, k) j-major
+            u = settings.transpose(-1, *range(settings.ndim - 1)).take(_JOINT, axis=0)
+            w = prefactor * np.exp(np.einsum("ji...,jk...,ki...->i...", u, half_inv, u))
+            return math.pi**2 / 4.0 * (w[0] + w[1] + w[2] - w[3])
+
+        return bell
 
 
 def bell_value(v: CovarianceMatrix, s: DisplacementSettings | np.ndarray) -> float | np.ndarray:
     """Bell combination B at one choice of displacement settings (a float),
     or at each row of an (N, 8) settings array (an (N,) array)."""
     if isinstance(s, DisplacementSettings):
-        return float(_BellEvaluator(v).bell(s.as_array()))
+        return float(_BellEvaluator(v).bind()(s.as_array()))
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[1] != 8:
         raise ValueError(f"settings must be an (N, 8) array, got shape {s.shape}")
     if not np.isfinite(s).all():
         raise ValueError("displacement settings must be finite")
-    return _BellEvaluator(v).bell(s)
+    return _BellEvaluator(v).bind()(s)
 
 
 def bell_max(v: CovarianceMatrix, cfg: BellMaxConfig = BellMaxConfig()) -> BellResult:
@@ -178,7 +190,11 @@ def bell_max_stack(v: CovarianceMatrix, seeds, cfg: BellMaxConfig = BellMaxConfi
     for seed in seeds:
         _check_seed(seed)
     ev = _BellEvaluator(v)
-    neg = lambda s, owner: -np.abs(ev.bell(s, owner))
+
+    def neg_abs(owner):
+        bell = ev.bind(owner)
+        return lambda s: -np.abs(bell(s))
+
     scale = np.sqrt(np.max(np.linalg.eigvalsh(m), axis=1))
     n_r = cfg.n_restarts
     per_pass = max(1, _STACK_ROWS // n_r)
@@ -192,8 +208,8 @@ def bell_max_stack(v: CovarianceMatrix, seeds, cfg: BellMaxConfig = BellMaxConfi
                 rng = np.random.default_rng(seeds[state])
                 centers[k, 1:] = rng.normal(scale=scale[state], size=(n_r - 1, 8))
         owner = np.repeat(states, n_r)
-        best_f, best_x, settled, evals, spread = _batched_nelder_mead(
-            neg, centers.reshape(-1, 8), owner, step=0.25 * scale[owner],
+        best_f, best_x, settled, evals, spread, steps = _batched_nelder_mead(
+            neg_abs, centers.reshape(-1, 8), owner, step=0.25 * scale[owner],
             f_tol=cfg.f_tol, max_evals=cfg.max_evals)
         for k in range(len(states)):
             rows = slice(k * n_r, (k + 1) * n_r)
@@ -209,72 +225,80 @@ def bell_max_stack(v: CovarianceMatrix, seeds, cfg: BellMaxConfig = BellMaxConfi
                 evaluations=int(evals[rows].sum()),
                 restarts_agreeing=agreeing,
                 spread=float(spread[rows][top]),
+                iterations=int(steps[rows].max()),
             ))
     return results
 
 
-def _batched_nelder_mead(func, centers, owner, step, f_tol, max_evals):
-    """Minimize func over many restarts advanced in lockstep.
+def _batched_nelder_mead(objective, centers, owner, step, f_tol, max_evals):
+    """Minimize over many restarts advanced in lockstep.
 
-    func maps (..., N, dim) points and the (N,) owners of their rows to
-    (..., N) values; restart k starts from centers[k] with simplex edge
-    step[k] and belongs to owner[k].  A step makes one func call on the four
-    candidate points of every active restart, and one more for the restarts
-    that shrink; it counts 3 evaluations (not the unused contraction point)
+    objective(owner) binds the objective to the (N,) owners of N rows, as a
+    function of (..., N, dim) points -> (..., N) values; restart k starts
+    from centers[k] with simplex edge step[k] and belongs to owner[k].  A
+    step calls it once, on the four candidate points of every active
+    restart, and counts 3 evaluations (not the unused contraction point)
     plus dim per shrink.  Returns per-restart best values, best points,
     whether each restart settled (simplex spread <= f_tol) before exhausting
-    its evaluation budget, its evaluation count and its final spread.
+    its evaluation budget, and its evaluation count, final spread and steps.
     """
     n, dim = centers.shape
-    pts = np.repeat(centers[:, None, :], dim + 1, axis=1)
-    edge = np.where(step > 0, step, 0.1)
-    for i in range(dim):
-        pts[:, i + 1, i] += edge
-    fv = func(pts.reshape(-1, dim), np.repeat(owner, dim + 1)).reshape(n, dim + 1)
-    evals = np.empty(n, dtype=int)
-    settled = np.zeros(n, dtype=bool)
+    # p[i, k] is vertex i of restart k: its dim coordinates, then its value;
+    # vertex i + 1 starts one edge along coordinate i
+    p = np.zeros((dim + 1, n, dim + 1))
+    p[:, :, :dim] = centers
+    p[range(1, dim + 1), :, range(dim)] += np.where(step > 0, step, 0.1)
+    func = objective(owner)
+    p[:, :, dim] = func(p[:, :, :dim])
+    best, spread = np.empty((n, dim + 1)), np.empty(n)
+    evals, steps = np.empty(n, dtype=int), np.empty(n, dtype=int)
 
-    # the simplices and evaluation counts of the active restarts, compacted;
-    # idx are their rows
-    idx, own, p, f, ev = np.arange(n), owner, pts, fv, np.full(n, dim + 1)
-    rows = idx
+    # p holds the active restarts and idx their rows; after `taken` steps a
+    # row has made 3 taken + spent[row] evaluations, and top is max(spent)
+    idx = rows = np.arange(n)
+    own, spent, taken, top = owner, np.full(n, dim + 1), 0, dim + 1
     while True:
-        order = np.argsort(f, axis=1)
-        p, f = p[rows[:, None], order], f[rows[:, None], order]
-
-        done = f[:, -1] - f[:, 0] <= f_tol
-        stop = done | (ev >= max_evals)
-        if stop.any():
-            settled[idx[done]] = True
+        # sort each simplex by value: one gather of points and values together
+        order = np.argsort(p[:, :, dim], axis=0) * len(rows) + rows
+        p = p.reshape(-1, dim + 1).take(order, axis=0)
+        width = p[-1, :, dim] - p[0, :, dim]
+        if width[width.argmin()] <= f_tol or 3 * taken + top >= max_evals:
+            ev = spent + 3 * taken
+            stop = (width <= f_tol) | (ev >= max_evals)
             out = idx[stop]
-            pts[out], fv[out], evals[out] = p[stop], f[stop], ev[stop]
+            best[out], spread[out], evals[out] = p[0, stop], width[stop], ev[stop]
+            steps[out] = taken
             go = np.flatnonzero(~stop)
             if go.size == 0:
                 break
-            idx, own, p, f, ev = idx[go], own[go], p[go], f[go], ev[go]
-            rows = rows[:go.size]
+            idx, own, spent, rows, p = idx[go], own[go], spent[go], rows[:go.size], p[:, go]
+            func, top = objective(own), int(spent.max())
 
-        # candidates (worst, r, e, oc, ic): the worst vertex, then c + s d
-        # for s = 1, 2, 1/2, -1/2; one call evaluates the last four
-        centroid = np.add.reduce(p[:, :-1, :], axis=1) / dim
-        x = np.concatenate((p[None, :, -1], centroid + _STEPS * (centroid - p[:, -1])))
-        fx = np.concatenate((f[None, :, -1], func(x[1:], own)))
-        fw, fr, fe, foc, fic = fx
-        ev += 3
+        # candidates r, e, oc, ic; the centroid's value column is overwritten
+        centroid = np.add.reduce(p[:-1], axis=0) / dim
+        x = centroid + _STEPS * (centroid - p[-1])
+        x[..., dim] = func(x[..., :dim])
+        fr, fe, foc, fic = x[..., dim]
+        f0, fw = p[0, :, dim], p[-1, :, dim]
+        taken += 1
 
-        # move 0 keeps the worst vertex and shrinks the simplex; 1-4 replace
-        # the worst vertex by r, e, oc or ic (f is sorted, so fr < f[:, 0],
-        # the expansion test, implies fr < f[:, -2])
-        move = np.where(fr < f[:, -2], np.where((fr < f[:, 0]) & (fe < fr), 2, 1),
-                        np.where(fr < fw, 3 * (foc <= fr), 4 * (fic < fw)))
-        p[:, -1, :], f[:, -1] = x[move, rows], fx[move, rows]
+        # the worst vertex goes to r (e if fe < fr < f0) when fr beats the
+        # second worst, else to oc if fr beats the worst and to ic if not; a
+        # rejected contraction shrinks the simplex instead, and the shrunk
+        # worst vertex is written to that contraction's slot for the gather
+        reflect, outside = fr < p[-2, :, dim], fr < fw
+        move = np.where(reflect, (fr < f0) & (fe < fr), 3 - outside)
+        keep = reflect | np.where(outside, foc <= fr, fic < fw)
+        if np.count_nonzero(keep) < len(keep):
+            sh = np.flatnonzero(~keep)
+            q = p[:, sh]
+            q[1:, :, :dim] = q[:1, :, :dim] + 0.5 * (q[1:, :, :dim] - q[:1, :, :dim])
+            q[1:, :, dim] = objective(own[sh])(q[1:, :, :dim])
+            p[:, sh], x[move[sh], sh] = q, q[-1]
+            spent[sh] += dim
+            top = int(spent.max())
+        p[-1] = x[move, rows]
 
-        sh = np.flatnonzero(move == 0)
-        if sh.size:
-            p[sh, 1:, :] = p[sh, 0:1, :] + 0.5 * (p[sh, 1:, :] - p[sh, 0:1, :])
-            flat = p[sh, 1:, :].reshape(-1, dim)
-            f[sh, 1:] = func(flat, np.repeat(own[sh], dim)).reshape(len(sh), dim)
-            ev[sh] += dim
-
-    # every simplex stopped sorted, so its vertex 0 is its best
-    return fv[:, 0], pts[:, 0], settled, evals, fv[:, -1] - fv[:, 0]
+    # every simplex stopped sorted, so its vertex 0 is its best; a restart
+    # settled if its final spread is within f_tol
+    return best[:, dim], best[:, :dim], spread <= f_tol, evals, spread, steps

@@ -9,6 +9,7 @@ parameter errors (with a machine-readable JSON error line on stderr),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -267,18 +268,10 @@ def _cmd_bell(args) -> int:
         "params": {"model": args.model, **params, "family": args.family,
                    "seed": args.seed, "restarts": args.restarts,
                    "max_evals": args.max_evals},
-        "results": {
-            "b_max": res.b_max,
-            "settings": {f: getattr(res.settings, f) for f in (
-                "q_i0", "p_i0", "q_i1", "p_i1", "q_s0", "p_s0", "q_s1", "p_s1")},
-        },
-        "diagnostics": {
-            "n_restarts_used": res.n_restarts_used,
-            "converged": res.converged,
-            "evaluations": res.evaluations,
-            "restarts_agreeing": res.restarts_agreeing,
-            "spread": res.spread,
-        },
+        "results": {"b_max": res.b_max, "settings": dataclasses.asdict(res.settings)},
+        "diagnostics": {name: getattr(res, name) for name in (
+            "n_restarts_used", "converged", "evaluations", "restarts_agreeing", "spread",
+            "iterations")},
     }
     _emit(payload, args.out)
     return 0

@@ -262,14 +262,15 @@ class _ReferenceBellEvaluator:
 
 
 def bell_max_reference(v: CovarianceMatrix, n_restarts=64, max_evals=2000, f_tol=1e-10, seed=0,
-                       tally=None):
+                       tally=None, steps=None):
     """The per-state lockstep multistart Nelder-Mead that ``bell_max`` is
     pinned to bit for bit, with its cost counts.
 
     Returns (b_max, settings as an (8,) array, converged, evaluations summed
     over the restarts, restarts within 1e-6 max(1, |b_max|) of b_max).  A
     ``collections.Counter`` passed as tally counts the moves and stops the
-    restarts took (see ``_reference_nelder_mead``).
+    restarts took, and a list passed as steps records each step's restarts
+    (see ``_reference_nelder_mead``).
     """
     ev = _ReferenceBellEvaluator(v)
     neg = lambda s: -np.abs(ev.bell(s))
@@ -281,7 +282,8 @@ def bell_max_reference(v: CovarianceMatrix, n_restarts=64, max_evals=2000, f_tol
         centers[1:] = rng.normal(scale=scale, size=(n_restarts - 1, 8))
 
     best_f, best_x, settled, evals = _reference_nelder_mead(
-        neg, centers, step=0.25 * scale, f_tol=f_tol, max_evals=max_evals, tally=tally
+        neg, centers, step=0.25 * scale, f_tol=f_tol, max_evals=max_evals, tally=tally,
+        steps=steps
     )
     values = -best_f
     order = np.argsort(-values, kind="stable")
@@ -292,7 +294,8 @@ def bell_max_reference(v: CovarianceMatrix, n_restarts=64, max_evals=2000, f_tol
     return b_max, best_x[top], converged, int(evals.sum()), agreeing
 
 
-def _reference_nelder_mead(func, centers, step, f_tol, max_evals, tally=None, ties=None):
+def _reference_nelder_mead(func, centers, step, f_tol, max_evals, tally=None, ties=None,
+                           steps=None):
     """Minimize func over many restarts advanced in lockstep.
 
     func maps (N, dim) -> (N,).  Returns per-restart best values, best
@@ -303,7 +306,10 @@ def _reference_nelder_mead(func, centers, step, f_tol, max_evals, tally=None, ti
     contraction", "shrink") and its stop ("settled", "budget exhausted").
     A Counter passed as ties adds the steps whose deciding comparison met
     an exact tie: "expansion" (fe == fr), "outside contraction" (fc == fr)
-    and "inside contraction" (fc == the worst value).
+    and "inside contraction" (fc == the worst value).  A list passed as
+    steps gets one (advanced, shrank) pair of restart-index arrays per
+    lockstep step; a restart's step count is the number of pairs whose
+    advanced array holds it.
     """
     n, dim = centers.shape
     pts = np.repeat(centers[:, None, :], dim + 1, axis=1)
@@ -383,6 +389,8 @@ def _reference_nelder_mead(func, centers, step, f_tol, max_evals, tally=None, ti
         p[:, -1, :] = new_pt
         f[:, -1] = new_f
 
+        if steps is not None:
+            steps.append((idx, idx[shrink]))
         if np.any(shrink):
             sh = np.where(shrink)[0]
             p[sh, 1:, :] = p[sh, 0:1, :] + 0.5 * (p[sh, 1:, :] - p[sh, 0:1, :])

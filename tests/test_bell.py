@@ -45,14 +45,14 @@ def restricted_bw_max(v, seed=0, restarts=40):
     The classic restricted search: both parties' first setting is pinned at
     the phase-space origin and only the second settings vary.
     """
-    ev = _BellEvaluator(v)
+    bell_of = _BellEvaluator(v).bind()
     rng = np.random.default_rng(seed)
     best = -1.0
     for k in range(restarts):
         x0 = np.zeros(4) if k == 0 else rng.normal(scale=1.0, size=4)
         res = minimize(
             lambda y: -abs(
-                float(ev.bell(np.array([[0.0, 0.0, y[0], y[1], 0.0, 0.0, y[2], y[3]]]))[0])
+                float(bell_of(np.array([[0.0, 0.0, y[0], y[1], 0.0, 0.0, y[2], y[3]]]))[0])
             ),
             x0,
             method="Nelder-Mead",
@@ -235,14 +235,30 @@ def reference_moves():
 
 
 @pytest.fixture(scope="module")
-def references(reference_moves):
+def reference_steps():
+    """{(budget, state index): the per-step restart records of that reference
+    search of ``references`` (see ``_reference_nelder_mead``)}."""
+    return {}
+
+
+@pytest.fixture(scope="module")
+def references(reference_moves, reference_steps):
     """The per-state reference search at every budget: {budget: [(b_max,
     settings, converged, evaluations, restarts_agreeing)]}."""
     v = mixed_states()
     return {name: [bell_max_reference(CovarianceMatrix(m), n_r, evals, seed=s,
-                                      tally=reference_moves)
-                   for m, s in zip(v.entries, SEEDS)]
+                                      tally=reference_moves,
+                                      steps=reference_steps.setdefault((name, k), []))
+                   for k, (m, s) in enumerate(zip(v.entries, SEEDS))]
             for name, (n_r, evals) in BUDGETS.items()}
+
+
+def restart_step_counts(steps, n_restarts):
+    """Each restart's number of lockstep steps in a reference search."""
+    taken = np.zeros(n_restarts, dtype=int)
+    for advanced, _ in steps:
+        taken[advanced] += 1
+    return taken
 
 
 @pytest.fixture(params=[4096, 24], ids=["one pass", "passes of 24 rows"])
@@ -302,13 +318,67 @@ class TestBellMaxStack:
         ties = Counter()
         want = _reference_nelder_mead(quantized, centers, step=0.25, f_tol=1e-10,
                                       max_evals=max_evals, ties=ties)
-        got = bell._batched_nelder_mead(lambda x, owner: quantized(x), centers,
+        got = bell._batched_nelder_mead(lambda owner: quantized, centers,
                                         np.zeros(16, dtype=int), step=np.full(16, 0.25),
                                         f_tol=1e-10, max_evals=max_evals)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         assert set(ties) == {"expansion", "outside contraction", "inside contraction"}
         assert min(ties.values()) >= 1
+
+    @pytest.mark.parametrize("budget", sorted(BUDGETS))
+    def test_iterations_are_the_last_restarts_step_count(self, budget, references,
+                                                        reference_steps, stack_rows):
+        n_r, evals = BUDGETS[budget]
+        found = bell_max_stack(mixed_states(), SEEDS, BellMaxConfig(n_r, evals))
+        for k, res in enumerate(found):
+            taken = restart_step_counts(reference_steps[budget, k], n_r)
+            assert res.iterations == taken.max() == len(reference_steps[budget, k])
+
+    def test_the_objective_is_bound_per_compaction_and_shrink_and_called_once_a_step(
+            self, references, reference_steps, monkeypatch):
+        # from the per-state reference searches: the stack's lockstep steps,
+        # the steps at which restarts stop with others still running (one
+        # compaction each) and the steps at which some restart shrinks
+        budget = "12 restarts, 900 evals"
+        n_r, evals = BUDGETS[budget]
+        records = [reference_steps[budget, k] for k in range(len(SEEDS))]
+        stops = {int(c) for rec in records for c in restart_step_counts(rec, n_r)}
+        n_steps = max(stops)
+        compactions = stops - {n_steps}
+        shrinks = {t for rec in records for t, (_, shrank) in enumerate(rec) if shrank.size}
+        assert len(compactions) >= 2 and len(shrinks) >= 2
+
+        calls = []  # one entry per bind, counting the bound function's calls
+        real_bind = bell._BellEvaluator.bind
+
+        def spy_bind(self, owner=0):
+            bound, k = real_bind(self, owner), len(calls)
+            calls.append(0)
+
+            def counted(settings):
+                calls[k] += 1
+                return bound(settings)
+
+            return counted
+
+        monkeypatch.setattr(bell._BellEvaluator, "bind", spy_bind)
+        found = bell_max_stack(mixed_states(), SEEDS, BellMaxConfig(n_r, evals))
+        assert all(same_as_reference(res, ref) for res, ref in zip(found, references[budget]))
+        # the start's binding also evaluates the first simplices; each
+        # shrink's binding is called once
+        assert len(calls) == 1 + len(compactions) + len(shrinks)
+        assert sum(calls) == 1 + n_steps + len(shrinks)
+        assert min(calls) >= 1
+
+    def test_the_stalled_r15_winner_is_pinned(self):
+        # bench/bell_references.json stores this value at r = 1.5: the winning
+        # restart ran out of budget 2.55e-4 below the true maximum
+        v = tmsv_matrix(1.5)
+        res = bell_max(v, BellMaxConfig(64, seed=0))
+        assert res.converged is False
+        assert res.b_max == 2.321877322655981
+        assert same_as_reference(res, bell_max_reference(v, 64, 2000, seed=0))
 
     def test_spread_is_within_f_tol_exactly_when_the_top_restart_settled(self):
         # with one restart, converged is whether that restart settled
@@ -344,6 +414,12 @@ class TestBellMaxConfig:
         ({"f_tol": math.nan}, "f_tol must be finite and >= 0, got nan"),
         ({"f_tol": math.inf}, "f_tol must be finite and >= 0, got inf"),
         ({"n_restarts": 0}, "n_restarts must be at least 1, got 0"),
+        ({"n_restarts": True}, "n_restarts must be an integer, got True"),
+        ({"max_evals": np.True_}, "max_evals must be an integer, got np.True_"),
+        ({"seed": True}, "seed must be a non-negative integer, got True"),
+        ({"f_tol": "x"}, "f_tol must be a real number, got 'x'"),
+        ({"f_tol": False}, "f_tol must be a real number, got False"),
+        ({"f_tol": None}, "f_tol must be a real number, got None"),
         ({"max_evals": 49}, "max_evals must be at least 50, got 49"),
     ])
     def test_bad_field_is_named(self, fields, message):

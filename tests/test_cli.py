@@ -494,9 +494,11 @@ class TestBellCommand:
         assert code == 0
         blocks = sweep.point_blocks("thermal", {"r": 0.8, "n_i": 0.1, "n_s": 0.4, "k_f": 0.95,
                                                 "l_f": 0.095, "eta_s": 0.9})
-        ref = bell_max_reference(build_covariance(blocks), 12, 900, seed=6)
+        steps = []
+        ref = bell_max_reference(build_covariance(blocks), 12, 900, seed=6, steps=steps)
         diag = json.loads(first)["diagnostics"]
         assert (diag["evaluations"], diag["restarts_agreeing"]) == ref[3:]
+        assert diag["iterations"] == len(steps)
         assert diag["converged"] is ref[2]
         assert run_inproc(*argv, capsys=capsys)[1] == first
 
