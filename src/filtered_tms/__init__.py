@@ -29,14 +29,15 @@ from .gaussian import (
     purity,
     squeezing_angle,
 )
-from .thermal import ThermalCriticalPoints, ThermalParams
-from .tmsv import TmsvCriticalPoints, TmsvParams
+from .thermal import CriticalPoints, ThermalParams
+from .tmsv import TmsvParams
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BellMaxConfig",
     "BellResult",
+    "CriticalPoints",
     "CovarianceBlocks",
     "CovarianceMatrix",
     "DisplacementSettings",
@@ -46,9 +47,7 @@ __all__ = [
     "FilterSpec",
     "OverlapFactors",
     "SimConfig",
-    "ThermalCriticalPoints",
     "ThermalParams",
-    "TmsvCriticalPoints",
     "TmsvParams",
     "apply_loss",
     "bell_max",

@@ -149,8 +149,12 @@ class _BellEvaluator:
 
 
 def bell_value(v: CovarianceMatrix, s: DisplacementSettings | np.ndarray) -> float | np.ndarray:
-    """Bell combination B at one choice of displacement settings (a float),
-    or at each row of an (N, 8) settings array (an (N,) array)."""
+    """Bell combination B of one matrix (a stack of one is one) at one choice
+    of displacement settings (a float), or at each row of an (N, 8) settings
+    array (an (N,) array)."""
+    if v.entries.size > 16:
+        raise ValueError(f"bell_value takes one covariance matrix, got a stack of shape "
+                         f"{v.entries.shape}")
     if isinstance(s, DisplacementSettings):
         return float(_BellEvaluator(v).bind()(s.as_array()))
     s = np.asarray(s, dtype=float)

@@ -194,7 +194,7 @@ def _cmd_point(args) -> int:
         args.model, params, outputs, family=args.family, seed=args.seed,
         bell_restarts=args.restarts)
     if args.format == "csv":
-        cols = sweep.output_columns(args.model, outputs)
+        cols = sweep.output_columns(outputs)
         _write(args.out, sweep.csv_text(cols, np.array([[results[c] for c in cols]])))
         return 0
     payload = {

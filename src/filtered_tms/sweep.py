@@ -19,7 +19,6 @@ import numpy as np
 
 from . import bell, gaussian, thermal, tmsv
 from .filters import FilterFamily, FilterSpec, OverlapFactors, overlap_closed_form
-from .gaussian import _reject
 
 AXIS_PARAMS = (
     "r", "k_f", "l_f", "eta_i", "eta_s", "n_i", "n_s",
@@ -34,10 +33,7 @@ _DEFAULTS = {
     "omega_k": 1.0, "omega_l": 1.0, "tau_i": 2.0, "tau_s": 2.0,
 }
 
-_TMSV_CRITICAL_COLUMNS = ("r_ucf_en", "r_max_en", "r_max_sq", "r_ucf_sq")
-_THERMAL_CRITICAL_COLUMNS = (
-    "r_lcf_en", "r_ucf_en", "r_max_en", "r_lcf_sq", "r_ucf_sq", "r_max_sq",
-)
+CRITICAL_COLUMNS = ("r_lcf_en", "r_ucf_en", "r_max_en", "r_lcf_sq", "r_ucf_sq", "r_max_sq")
 _BLOCK_ROWS = 4096  # grid rows per array pass; bounds the temporaries, Bell's 4x4 stack among them
 
 
@@ -131,8 +127,7 @@ def _point_state(model: str, params: dict, family: str | None):
                 raise ConfigError("thermal occupations are not tmsv parameters")
             p = tmsv.TmsvParams(r=r, eta_i=eta_i, eta_s=eta_s, overlap=ov)
             return p, tmsv.covariance(p), eta_i, eta_s
-        # closed-form landmarks do not apply to lossy thermal states; the rest
-        # uses the lossy covariance (unit efficiency leaves the blocks unchanged)
+        # unit efficiency leaves the blocks unchanged
         p = thermal.ThermalParams(r=r, n_i=value("n_i"), n_s=value("n_s"), overlap=ov)
         return p, gaussian.apply_loss(thermal.covariance(p), eta_i, eta_s), eta_i, eta_s
     except ConfigError:
@@ -141,13 +136,9 @@ def _point_state(model: str, params: dict, family: str | None):
         raise ConfigError(str(exc)) from exc
 
 
-def critical_columns(model: str) -> tuple[str, ...]:
-    return _TMSV_CRITICAL_COLUMNS if model == "tmsv" else _THERMAL_CRITICAL_COLUMNS
-
-
-def output_columns(model: str, outputs) -> list[str]:
+def output_columns(outputs) -> list[str]:
     return [col for out in outputs
-            for col in (critical_columns(model) if out == "critical_points" else (out,))]
+            for col in (CRITICAL_COLUMNS if out == "critical_points" else (out,))]
 
 
 def _evaluate(model, params, outputs, family, seeds, bell_restarts, optimize=True):
@@ -186,7 +177,10 @@ def _evaluate(model, params, outputs, family, seeds, bell_restarts, optimize=Tru
             stack = gaussian.build_covariance(blocks)
             res["bell_max"] = None
         elif out == "critical_points":
-            res.update(_critical_point_columns(model, p, eta_i, eta_s))
+            # the vacuum input of tmsv is A = 1, B = 0
+            a, b = (p.a, p.b) if model == "thermal" else (1.0, 0.0)
+            cp = thermal.landmarks(a, b, p.overlap.k_f, p.overlap.l_f, eta_i, eta_s)
+            res.update((c, getattr(cp, c)) for c in CRITICAL_COLUMNS)
     if stack is not None and optimize:
         cfg = bell.BellMaxConfig(bell_restarts)
         res["bell_max"] = np.array([r.b_max for r in bell.bell_max_stack(stack, seeds, cfg)])
@@ -249,18 +243,6 @@ def point_blocks(model: str, params: dict, family: str | None = None):
     return evaluate_point_with_blocks(model, params, (), family)[1]
 
 
-def _critical_point_columns(model: str, p, eta_i, eta_s) -> dict:
-    """Closed-form landmarks over the grid, nan where a point has none."""
-    if model == "tmsv":
-        cp = tmsv.landmarks(p.overlap.k_f, p.eta_i, p.eta_s)
-    else:
-        _reject((eta_i < 1.0) | (eta_s < 1.0), lambda i: ConfigError(
-            "critical_points for the thermal model are closed forms at unit detection "
-            "efficiency; drop the output or set eta_i = eta_s = 1"))
-        cp = thermal.landmarks(p.a, p.b, p.overlap.k_f, p.overlap.l_f)
-    return {c: getattr(cp, c) for c in critical_columns(model)}
-
-
 def run_sweep(cfg: SweepConfig) -> tuple[list[str], np.ndarray]:
     """Evaluate the grid; returns (column names, an (n, columns) float table
     whose rows are in axis2-major order)."""
@@ -284,7 +266,7 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[str], np.ndarray]:
     res = _first_failure(lambda lo, hi, optimize: _evaluate(
         cfg.model, {k: v[lo:hi] for k, v in params.items()}, cfg.outputs, cfg.family,
         seeds and seeds[lo:hi], cfg.bell_restarts, optimize)[0], n)
-    out_cols = output_columns(cfg.model, cfg.outputs)
+    out_cols = output_columns(cfg.outputs)
     table = np.column_stack(axis_vals + [res[c] for c in out_cols])
     return [a.name for a in axes] + out_cols, table
 

@@ -1,4 +1,4 @@
-"""Filtered two-mode squeezed thermal light at unit detection efficiency.
+"""Filtered two-mode squeezed thermal light, and the landmarks of every model.
 
 With mean thermal occupations (n_i, n_s) feeding the squeezer, the
 covariance blocks depend on A = n_i + n_s + 1 and B = n_i - n_s:
@@ -11,11 +11,11 @@ whose terms are non-negative inside the Cauchy-Schwarz disc (|B| < A).
 
 Thermal population opens a lower entanglement cutoff in addition to the
 filter-induced upper one; both cutoffs coincide with the SQL crossings of
-the weight-optimized hybrid quadrature.  The cutoffs and maxima are closed
-forms here; the squeezing angle, weight ratio and optimized squeezing come
-from the blocks (``gaussian``).  Detection efficiencies are fixed at 1
-here; lossy thermal states can be explored numerically by composing
-``covariance`` with ``gaussian.apply_loss`` (no closed-form landmarks then).
+the weight-optimized hybrid quadrature.  ``covariance`` gives the lossless
+blocks (``gaussian.apply_loss`` adds loss).  The cutoffs and maxima are
+closed forms in ``landmarks``, at any efficiencies, for the vacuum input of
+``tmsv`` too; the squeezing angle, weight ratio and optimized squeezing come
+from the blocks (``gaussian``).
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filters import IDENTICAL_FILTERS, OverlapFactors
-from .gaussian import CovarianceBlocks, _at, _each, _half_turn, _reject
-
-_DEN_LIMIT = 1e-12
+from .gaussian import CovarianceBlocks, _at, _each, _reject
 
 
 @dataclass(frozen=True)
@@ -57,14 +55,16 @@ class ThermalParams:
 
 
 @dataclass(frozen=True)
-class ThermalCriticalPoints:
-    """Entanglement window, squeezing window and maxima for thermal input.
+class CriticalPoints:
+    """Squeezing-amplitude landmarks of the entanglement and squeezing curves.
 
-    The entanglement fields delimit E_N > 0; the squeezing fields delimit
-    the sub-SQL region of the *equal-weight* composite quadrature at the
-    optimal phase (the weight-optimized quadrature shares the entanglement
-    window instead).  ``has_window`` is False when no r is entangled, in
-    which case the window fields are nan.  zeta is the squeezing angle.
+    r_lcf_en, r_ucf_en: the window E_N > 0, which is also the sub-SQL
+    window of the weight-optimized quadrature; r_max_en: argmax of E_N(r),
+    the argmin of that quadrature's variance.  r_lcf_sq, r_ucf_sq: the
+    sub-SQL window of the *equal-weight* quadrature at the optimal phase;
+    r_max_sq: argmin of its variance.  Every field is nan where the state has
+    no entanglement window (the equal-weight cutoffs also where that
+    quadrature never dips below the SQL), and inf where a landmark diverges.
     Fields are arrays from ``landmarks``, one element per state.
     """
 
@@ -74,8 +74,6 @@ class ThermalCriticalPoints:
     r_lcf_sq: float
     r_ucf_sq: float
     r_max_sq: float
-    zeta: float
-    has_window: bool = True
 
 
 def covariance(p: ThermalParams) -> CovarianceBlocks:
@@ -95,65 +93,67 @@ def covariance(p: ThermalParams) -> CovarianceBlocks:
     )
 
 
-def landmarks(a, b, kf, lf) -> ThermalCriticalPoints:
-    """Closed-form windows and maxima over equal-shape arrays of A, B, K_f
-    and L_f, with the identical-filter limit branch; the window fields are
-    nan where a point has no window or K_f lies outside (0, 1].
+def landmarks(a, b, kf, lf, eta_i, eta_s) -> CriticalPoints:
+    """Closed-form windows and maxima over broadcastable arrays of A, B, K_f,
+    L_f and the two detection efficiencies; ``tmsv`` is the vacuum input
+    A = 1, B = 0.  Every field is nan where K_f lies outside (0, 1] or an
+    efficiency is 0.
 
-    The entanglement cutoffs solve cosh(2r) = (A -+ sqrt(rad)) / den with
-    den = A^2 (1 - K_f^2) - B^2 L_f^2 and rad = A^2 - den (Q - B^2 + 1),
-    Q = A^2 K_f^2 + B^2 L_f^2.  The lower cutoff is evaluated in the
-    rationalized form (Q - B^2 + 1) / (A + sqrt(rad)), which is exact for
-    every den and passes smoothly into the identical-filter limit
-    cosh(2 r_lcf) = (A^2 - B^2 + 1) / (2A), where r_ucf diverges.
-    A negative rad means no entanglement window at any r.
+    Loss maps D - 1 to eta (D - 1) and C^2 to eta_i eta_s C^2, so Simon's
+    E_N > 0 iff (D_I - 1)(D_S - 1) < C^2 does not depend on eta.  With
+    y = cosh 2r - 1 = 2 sinh^2 r, n_i,s = (A - 1 +- B) / 2,
+    Q = A^2 K_f^2 + B^2 L_f^2 and den = A^2 - Q >= 0 it reads
+    den y^2 - 2 (A - den) y + 4 n_i n_s < 0, so without population the lower
+    cutoff is exactly 0.  E_N peaks at the "+" root of
+    (gamma^2 + kappa) x^2 + 2 gamma delta x + (A^2 delta^2 - alpha^2 Q) / den
+    in x = y + 1, with alpha = (eta_i + eta_s) A, gamma = (eta_i - eta_s) A,
+    delta = (eta_i + eta_s) B - (eta_i - eta_s) and kappa = 4 eta_i eta_s Q;
+    it is solved in y, with u = (gamma + delta) / 2 and v = (delta - gamma) / 2.
+    With t = tanh r, the equal-weight variance is below the SQL where
+    lead t^2 - 2p t + con < 0, lead = eta_i (1 + n_s) + eta_s (1 + n_i),
+    con = eta_i n_i + eta_s n_s and p = sqrt(eta_i eta_s Q), and least at
+    tanh 2r = p / (c A), c = (eta_i + eta_s) / 2.  Identical filters
+    (den = 0) put r_ucf_en and r_max_en at inf; r_ucf_sq and
+    r_max_sq are inf exactly where c A = p.
     """
-    a, b, kf, lf = (np.asarray(x, dtype=float) for x in (a, b, kf, lf))
+    a, b, kf, lf, ei, es = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (a, b, kf, lf, eta_i, eta_s)))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         _reject(~np.isfinite(a**2), lambda i: OverflowError(34, "Numerical result out of range"))
         q = a**2 * kf**2 + b**2 * lf**2
-        den = a**2 * (1.0 - kf**2) - b**2 * lf**2
-        g = q - b**2 + 1.0
-        zeta = _half_turn(b * lf, a * kf)
+        den = a**2 * (1.0 - kf) * (1.0 + kf) - b**2 * lf**2
+        limit = den <= 0.0
+        # A and B fix an occupation only to A's rounding: below it, n = 0
+        floor = 4.0 * np.finfo(float).eps * a
+        n_i, n_s = (np.where(n > floor, n, 0.0) for n in (0.5 * (a - 1.0 + b),
+                                                           0.5 * (a - 1.0 - b)))
+        # the window's roots in y, rationalized so that no term cancels
+        m = q - a * (n_i + n_s)  # A - den
+        w = m + np.sqrt(m**2 - 4.0 * den * n_i * n_s)
+        r_lcf = np.arcsinh(np.sqrt(2.0 * n_i * n_s / w))
+        r_ucf = np.where(limit, math.inf, np.arcsinh(np.sqrt(w / (2.0 * den))))
 
-        # identical filters (den < _DEN_LIMIT): the upper cutoff diverges and
-        # the lower one stays finite
-        limit = den < _DEN_LIMIT
-        rad = a**2 - den * g
-        root = np.sqrt(rad)
-        ch_l = np.where(limit, g / (2.0 * a), g / (a + root))
-        ch_u = (a + root) / den
-        r_lcf = 0.5 * np.arccosh(np.maximum(ch_l, 1.0))
-        r_ucf = np.where(limit, math.inf, 0.5 * np.arccosh(ch_u))
+        # the peak's quadratic in y: lead y^2 + 2h y + f1 = 0
+        u, v = ei * n_i - es * n_s, es * (1.0 + n_i) - ei * (1.0 + n_s)
+        kappa = 4.0 * ei * es * q
+        lead, h = (u - v) ** 2 + kappa, 2.0 * u * (u - v) + kappa
+        f1 = 4.0 * u**2 + q * (4.0 * u * v - kappa) / den
+        disc = np.sqrt(h**2 - lead * f1)
+        y = np.where(h > 0.0, -f1 / (h + disc), (disc - h) / lead)
+        r_max_en = np.where(limit, math.inf, np.arcsinh(np.sqrt(np.maximum(y, 0.0) / 2.0)))
 
-        # maximum of E_N(r), shared by the weight-optimized variance; a
-        # non-empty window guarantees Q > B^2, the nan arm is defensive
-        num = a**2 * (q - b**2)
-        r_max_en = np.where(limit, math.inf, np.where(
-            num > 0.0, 0.5 * np.arccosh(np.maximum(np.sqrt(num / (q * den)), 1.0)), math.nan))
+        # equal weights: lead t^2 - 2p t + con < 0, t = tanh r; the window's
+        # top and the minimum at tanh 2r = p / (c A) diverge where the gap
+        # c A - p, a sum of non-negative terms over c A + p, is 0
+        p, ca = np.sqrt(ei * es * q), 0.5 * (ei + es) * a
+        gap = ((0.5 * (ei - es) * a) ** 2 + ei * es * den) / (ca + p)
+        lead, con = ei * (1.0 + n_s) + es * (1.0 + n_i), ei * n_i + es * n_s
+        disc = np.sqrt(p**2 - lead * con)  # nan: the variance never dips below the SQL
+        r_lcf_sq = np.arctanh(con / (p + disc))
+        r_ucf_sq = 0.5 * np.log((lead - con + 2.0 * disc) / (2.0 * gap))
+        r_max_sq = 0.25 * np.log((ca + p) / gap)
 
-        t_sq = np.sqrt(q) / a
-        r_max_sq = np.where(~limit & (t_sq < 1.0), 0.5 * np.arctanh(t_sq), math.inf)
-        r_lcf_sq, r_ucf_sq = _sq_window(a, q)
-
-    # a negative rad or ch_u < 1 leaves no entanglement window at any r
-    window = (0.0 < kf) & (kf <= 1.0) & (limit | ~((rad < 0.0) | (ch_u < 1.0)))
-    fields = (np.where(window, x, math.nan)
-              for x in (r_lcf, r_ucf, r_max_en, r_lcf_sq, r_ucf_sq, r_max_sq))
-    return ThermalCriticalPoints(*fields, zeta, has_window=window)
-
-
-def _sq_window(a, q):
-    """SQL crossings of the equal-weight composite quadrature.
-
-    tanh(r) = (sqrt(Q) -+ sqrt(Q - A^2 + 1)) / (A + 1); empty (nan, nan)
-    when the variance never dips below the SQL.
-    """
-    disc = q - a**2 + 1.0
-    root_q, root_d = np.sqrt(q), np.sqrt(disc)
-    t_l = (root_q - root_d) / (a + 1.0)
-    t_u = (root_q + root_d) / (a + 1.0)
-    r_l = np.where(t_l < 1.0, np.arctanh(np.minimum(np.maximum(t_l, 0.0), 1.0)), math.inf)
-    r_u = np.where(t_u < 1.0, np.arctanh(t_u), math.inf)
-    empty = disc < 0.0
-    return np.where(empty, math.nan, r_l), np.where(empty, math.nan, r_u)
+    # a complex root or w < 0 (both roots below r = 0) leaves no window
+    window = (0.0 < kf) & (kf <= 1.0) & (ei != 0.0) & (es != 0.0) & (limit | (w >= 0.0))
+    return CriticalPoints(*(np.where(window, x, math.nan)
+                            for x in (r_lcf, r_ucf, r_max_en, r_lcf_sq, r_ucf_sq, r_max_sq)))

@@ -135,6 +135,72 @@ def min_variance_numeric(blocks: CovarianceBlocks, n_phi: int = 1024):
     return var(phi_star, rho_star), phi_star, rho_star
 
 
+def lossy_thermal_matrix(r, n_i, n_s, k_f, l_f, eta_i, eta_s) -> np.ndarray:
+    """The 4x4 covariance of filtered squeezed thermal light behind loss,
+    written out: the model blocks in `math`, then E V E + (I - E^2)/2."""
+    a, b = n_i + n_s + 1.0, n_i - n_s
+    ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    v = block_matrix(b + a * ch, -b + a * ch, a * k_f * sh, -b * l_f * sh)
+    e = np.diag([math.sqrt(eta_i)] * 2 + [math.sqrt(eta_s)] * 2)
+    return e @ v @ e + (np.eye(4) - e @ e) / 2.0
+
+
+def landmarks_by_search(n_i, n_s, k_f, l_f, eta_i, eta_s, inside=(), r_top=8.0) -> dict:
+    """The six landmarks of a lossy thermal state by search alone.
+
+    E_N > 0 where the smallest symplectic eigenvalue nu of the partially
+    transposed matrix (eigen-decomposition) is below 1/2: its cutoffs come
+    from bisection and its maximum from golden section on nu.  The
+    equal-weight variance V00 + V22 - 2 |(V02, V03)| gives the squeezing
+    window by bisection against 1 and its minimum by golden section.  A
+    window is looked for on a grid of r in [0, r_top] and at the points
+    ``inside``, and must close before r_top; a window or cutoff that does
+    not exist is nan, and without an entanglement window every landmark is,
+    as in ``CriticalPoints``.
+    """
+    def nu(r):
+        m = _PT @ lossy_thermal_matrix(r, n_i, n_s, k_f, l_f, eta_i, eta_s) @ _PT
+        return float(np.min(np.abs(np.linalg.eigvals(1j * _OMEGA @ m))))
+
+    def eq_var(r):
+        m = lossy_thermal_matrix(r, n_i, n_s, k_f, l_f, eta_i, eta_s)
+        return float(m[0, 0] + m[2, 2] - 2.0 * math.hypot(m[0, 2], m[0, 3]))
+
+    def window(below):
+        """(lower, upper) crossing around a grid point where below(r) > 0."""
+        grid = sorted(set(np.linspace(0.0, r_top, 41).tolist()) | set(inside))
+        hits = [r for r in grid if below(r) > 0.0]
+        if not hits:
+            return math.nan, math.nan
+        lo = 0.0 if below(0.0) >= 0.0 else bisect_root(below, 0.0, hits[0], tol=1e-13)
+        return lo, bisect_root(below, hits[0], r_top, tol=1e-13)
+
+    def argmin(f, a, b):
+        return refine_parabolic(f, golden_min(f, a, b, tol=1e-11), h=1e-5)
+
+    out = dict(zip(("r_lcf_en", "r_ucf_en"), window(lambda r: 0.5 - nu(r))))
+    if math.isnan(out["r_lcf_en"]):
+        return dict.fromkeys(("r_lcf_en", "r_ucf_en", "r_max_en", "r_lcf_sq", "r_ucf_sq",
+                              "r_max_sq"), math.nan)
+    out["r_max_en"] = argmin(nu, out["r_lcf_en"], out["r_ucf_en"])
+    out.update(zip(("r_lcf_sq", "r_ucf_sq"), window(lambda r: 1.0 - eq_var(r))))
+    out["r_max_sq"] = argmin(eq_var, 0.0, r_top)
+    return out
+
+
+def search_mismatches(got, want: dict) -> list:
+    """The landmarks where ``got`` (a mapping by field name) misses the
+    search oracle's ``want``: another nan/inf pattern, a cutoff off by more
+    than 1e-9 or a golden-section maximum off by more than 1e-6."""
+    bad = []
+    for name, w in want.items():
+        g, tol = float(got[name]), 1e-6 if name.startswith("r_max") else 1e-9
+        if not (same_or_close(g, w, 0.0) if not math.isfinite(w)
+                else math.isfinite(g) and abs(g - w) <= tol):
+            bad.append((name, g, w))
+    return bad
+
+
 def random_tmsv_params(rng: np.random.Generator):
     from filtered_tms.filters import OverlapFactors
     from filtered_tms.tmsv import TmsvParams
@@ -163,7 +229,7 @@ def random_thermal_params(rng: np.random.Generator, require_window: bool = False
         if not require_window:
             return p
         cp = thermal_critical_points(p)
-        if cp.has_window and math.isfinite(cp.r_ucf_en):
+        if math.isfinite(cp.r_ucf_en):  # nan without a window
             return p
 
 
@@ -414,15 +480,70 @@ def same_or_close(got: float, want: float, rel: float) -> bool:
     return math.isfinite(got) and abs(got - want) <= rel * abs(want)
 
 
+_EPS = float(np.finfo(float).eps)
+
+
+def _half_atanh_rounding(r: float) -> float:
+    """How far r = atanh(t) / 2 moves for a couple of ulps of t near 1."""
+    return _EPS * math.cosh(min(2.0 * r, 300.0)) ** 2
+
+
+# The scalar references' own rounding, in r, where they invert a function at
+# an argument within ulps of where it is flat.  The TMSV maxima are
+# atanh(t) / 2 with t -> 1 as K_f -> 1, and r_ucf_sq = 2 r_max_sq doubles
+# that; the thermal lower cutoff is acosh(1 + y) / 2, which an ulp of y at
+# y = 0 moves by up to eps / (2 r).  Every other field, r_ucf_en = atanh(K_f)
+# of the exact input among them, gets no allowance beyond 1e-12 relative.
+REFERENCE_ROUNDING = {
+    ("tmsv", "r_max_en"): _half_atanh_rounding,
+    ("tmsv", "r_max_sq"): _half_atanh_rounding,
+    ("tmsv", "r_ucf_sq"): lambda r: 2.0 * _half_atanh_rounding(0.5 * r),
+    ("thermal", "r_lcf_en"): lambda r: _EPS / r,
+}
+
+
+def close_to_reference(got: float, want: float, model: str, field: str) -> bool:
+    """A scalar landmark reference's nan/inf pattern, and finite values within
+    1e-12 relative plus that reference's own rounding of the field
+    (``REFERENCE_ROUNDING``)."""
+    if not math.isfinite(want) or want == 0.0:
+        return same_or_close(got, want, 0.0)
+    slack = REFERENCE_ROUNDING.get((model, field), lambda r: 0.0)(want)
+    return math.isfinite(got) and abs(got - want) <= 1e-12 * abs(want) + slack
+
+
 # ---------------------------------------------------------------------------
 # Scalar references of the whole-array closed forms: the landmarks, the
 # same-family overlap and the heatmap writer, one point (or cell) at a time
 # in `math`, as they were written before the array versions.
 
-def tmsv_landmarks_reference(kf: float, ei: float, es: float):
-    """``tmsv_critical_points`` from plain numbers: K_f and the two efficiencies."""
-    from filtered_tms.tmsv import TmsvCriticalPoints
+@dataclass(frozen=True)
+class TmsvLandmarks:
+    """The TMSV landmarks as the vacuum-input closed forms gave them."""
 
+    r_ucf_en: float
+    r_max_en: float
+    r_max_sq: float
+    r_ucf_sq: float
+
+
+@dataclass(frozen=True)
+class ThermalLandmarks:
+    """The unit-efficiency thermal landmarks, the squeezing angle and whether
+    an entanglement window exists, as the thermal closed forms gave them."""
+
+    r_lcf_en: float
+    r_ucf_en: float
+    r_max_en: float
+    r_lcf_sq: float
+    r_ucf_sq: float
+    r_max_sq: float
+    zeta: float
+    has_window: bool = True
+
+
+def tmsv_landmarks_reference(kf: float, ei: float, es: float) -> TmsvLandmarks:
+    """The TMSV landmarks from plain numbers: K_f and the two efficiencies."""
     if not 0.0 < kf <= 1.0:
         raise ValueError(f"critical points require K_f in (0, 1], got {kf}")
     if ei * es == 0.0:
@@ -448,19 +569,15 @@ def tmsv_landmarks_reference(kf: float, ei: float, es: float):
         t_sq = 2.0 * math.sqrt(ei * es) * kf / (ei + es)
         r_max_sq = 0.5 * math.atanh(t_sq) if t_sq < 1.0 else math.inf
 
-    return TmsvCriticalPoints(r_ucf_en, r_max_en, r_max_sq, r_ucf_sq=2.0 * r_max_sq)
+    return TmsvLandmarks(r_ucf_en, r_max_en, r_max_sq, r_ucf_sq=2.0 * r_max_sq)
 
 
-THERMAL_DEN_LIMIT = 1e-12
-
-
-def thermal_landmarks_reference(a: float, b: float, kf: float, lf: float):
-    """``thermal_critical_points`` from plain numbers: A, B, K_f and L_f."""
-    from filtered_tms.thermal import ThermalCriticalPoints
+def thermal_landmarks_reference(a: float, b: float, kf: float, lf: float) -> ThermalLandmarks:
+    """The unit-efficiency thermal landmarks from plain numbers: A, B, K_f and L_f."""
 
     def empty(zeta):
         nan = math.nan
-        return ThermalCriticalPoints(nan, nan, nan, nan, nan, nan, zeta, has_window=False)
+        return ThermalLandmarks(nan, nan, nan, nan, nan, nan, zeta, has_window=False)
 
     if not 0.0 < kf <= 1.0:
         raise ValueError(f"critical points require K_f in (0, 1], got {kf}")
@@ -469,7 +586,7 @@ def thermal_landmarks_reference(a: float, b: float, kf: float, lf: float):
     g = q - b**2 + 1.0
     zeta = math.atan2(b * lf, a * kf)
 
-    if den < THERMAL_DEN_LIMIT:
+    if den <= 0.0:
         # identical filters: upper cutoff diverges, lower cutoff stays finite
         r_lcf = 0.5 * math.acosh(max(g / (2.0 * a), 1.0))
         r_ucf = r_max_en = r_max_sq = math.inf
@@ -495,7 +612,7 @@ def thermal_landmarks_reference(a: float, b: float, kf: float, lf: float):
         r_max_sq = 0.5 * math.atanh(t_sq) if t_sq < 1.0 else math.inf
 
     r_lcf_sq, r_ucf_sq = _sq_window_reference(a, q)
-    return ThermalCriticalPoints(r_lcf, r_ucf, r_max_en, r_lcf_sq, r_ucf_sq, r_max_sq, zeta)
+    return ThermalLandmarks(r_lcf, r_ucf, r_max_en, r_lcf_sq, r_ucf_sq, r_max_sq, zeta)
 
 
 def _sq_window_reference(a: float, q: float) -> tuple[float, float]:
@@ -712,17 +829,21 @@ def tmsv_optimized_squeezing_closed(p: tmsv.TmsvParams) -> float:
     )
 
 
-def tmsv_critical_points(p: tmsv.TmsvParams) -> tmsv.TmsvCriticalPoints:
-    """Test helper, not an oracle: ``tmsv.landmarks`` of one state as Python
-    floats, raising where the state has no landmarks (K_f outside (0, 1] or
-    eta_i eta_s = 0)."""
+def tmsv_critical_points(p: tmsv.TmsvParams) -> thermal.CriticalPoints:
+    """Test helper, not an oracle: ``thermal.landmarks`` of one TMSV state
+    (A = 1, B = 0) as Python floats, raising where the state has no
+    landmarks (K_f outside (0, 1] or eta_i eta_s = 0)."""
     kf, ei, es = p.overlap.k_f, p.eta_i, p.eta_s
     if not 0.0 < kf <= 1.0:
         raise ValueError(f"critical points require K_f in (0, 1], got {kf}")
     if ei * es == 0.0:
         # full loss on either side leaves a product state: no window to bound
         raise ValueError(f"critical points require eta_i eta_s > 0, got {ei} * {es}")
-    return tmsv.TmsvCriticalPoints(*(x.item() for x in astuple(tmsv.landmarks(kf, ei, es))))
+    return _floats(thermal.landmarks(1.0, 0.0, kf, p.overlap.l_f, ei, es))
+
+
+def _floats(cp: thermal.CriticalPoints) -> thermal.CriticalPoints:
+    return thermal.CriticalPoints(*(x.item() for x in astuple(cp)))
 
 
 def thermal_squeezing_angle(p: thermal.ThermalParams) -> float:
@@ -762,14 +883,15 @@ def thermal_optimized_squeezing_closed(p: thermal.ThermalParams) -> float:
     return a * math.cosh(2.0 * p.r) - math.sqrt(sh**2 * q + b**2)
 
 
-def thermal_critical_points(p: thermal.ThermalParams) -> thermal.ThermalCriticalPoints:
-    """Test helper, not an oracle: ``thermal.landmarks`` of one state as
-    Python floats, raising for K_f outside (0, 1]."""
+def thermal_critical_points(p: thermal.ThermalParams, eta_i: float = 1.0,
+                            eta_s: float = 1.0) -> thermal.CriticalPoints:
+    """Test helper, not an oracle: ``thermal.landmarks`` of one state,
+    detected at (eta_i, eta_s), as Python floats, raising for K_f outside
+    (0, 1]."""
     kf = p.overlap.k_f
     if not 0.0 < kf <= 1.0:
         raise ValueError(f"critical points require K_f in (0, 1], got {kf}")
-    cp = thermal.landmarks(p.a, p.b, kf, p.overlap.l_f)
-    return thermal.ThermalCriticalPoints(*(x.item() for x in astuple(cp)))
+    return _floats(thermal.landmarks(p.a, p.b, kf, p.overlap.l_f, eta_i, eta_s))
 
 
 def wigner(v: CovarianceMatrix, u) -> float:

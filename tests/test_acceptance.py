@@ -399,9 +399,9 @@ def test_criterion_10_figure_shapes():
             r=1.0, n_i=float(n_i), n_s=0.8, overlap=OverlapFactors(0.95, 0.095))))
     # the window shrinks monotonically while it exists, and once heating
     # closes it the window stays closed
-    alive = [cp for cp in points if cp.has_window]
+    alive = [cp for cp in points if not math.isnan(cp.r_lcf_en)]
     shrink_ok = len(alive) >= 3
-    shrink_ok &= all(not cp.has_window for cp in points[len(alive):])
+    shrink_ok &= all(math.isnan(cp.r_lcf_en) for cp in points[len(alive):])
     lows = [cp.r_lcf_en for cp in alive]
     highs = [cp.r_ucf_en for cp in alive if math.isfinite(cp.r_ucf_en)]
     shrink_ok &= all(b >= a - 1e-12 for a, b in zip(lows, lows[1:]))

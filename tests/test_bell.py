@@ -100,6 +100,20 @@ class TestBellValue:
             bell_value(VACUUM, settings)
         assert str(err.value) == message
 
+    def test_a_stack_of_matrices_is_rejected_by_its_shape(self):
+        pair = build_covariance(tmsv.covariance(tmsv.TmsvParams(
+            r=np.array([0.3, 0.8]), eta_i=np.ones(2), eta_s=np.ones(2))))
+        for settings in (ZERO, np.zeros((3, 8))):
+            with pytest.raises(ValueError) as err:
+                bell_value(pair, settings)
+            assert str(err.value) == ("bell_value takes one covariance matrix, "
+                                      "got a stack of shape (2, 4, 4)")
+        # a stack of one is that matrix
+        one = build_covariance(tmsv.covariance(tmsv.TmsvParams(
+            r=np.array([0.8]), eta_i=np.ones(1), eta_s=np.ones(1))))
+        s = np.random.default_rng(17).normal(size=(5, 8))
+        assert bell_value(one, s).tolist() == bell_value(tmsv_matrix(0.8), s).tolist()
+
     def test_joint_point_assembly(self):
         s = DisplacementSettings(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
         pts = s.joint_points()

@@ -18,7 +18,12 @@ from filtered_tms import bell, sweep, thermal
 from filtered_tms.cli import main
 from filtered_tms.filters import FilterFamily, FilterSpec, overlap_closed_form
 from filtered_tms.gaussian import build_covariance
-from oracles import bell_max_reference, csv_text_reference
+from oracles import (
+    bell_max_reference,
+    csv_text_reference,
+    landmarks_by_search,
+    search_mismatches,
+)
 
 
 # the child process runs the same package the in-process tests import
@@ -117,7 +122,7 @@ class TestPoint:
         params = {k[2:].replace("-", "_"): float(v) for k, v in zip(argv[2:-2:2], argv[3:-2:2])}
         outputs = tuple(argv[-1].split(","))
         results = sweep.evaluate_point(argv[1], params, outputs, bell_restarts=4)
-        cols = sweep.output_columns(argv[1], outputs)
+        cols = sweep.output_columns(outputs)
         assert out == csv_text_reference(cols, [[results[c] for c in cols]])
 
     def test_thermal_point_echoes_blocks(self, capsys):
@@ -428,12 +433,21 @@ class TestSweep:
                              "--family", "step", "--k-f", "0.9", "--outputs", "e_n")
         assert code == 2
 
-    def test_thermal_critical_points_need_unit_efficiency(self):
-        code, _, err = run_cli("point", "--model", "thermal", "--r", "1",
-                               "--n-i", "0.3", "--eta-i", "0.9",
-                               "--outputs", "critical_points")
-        assert code == 2
-        assert "efficiency" in json.loads(err.splitlines()[-1])["error"]
+    def test_lossy_thermal_critical_points(self, tmp_path):
+        out_path = tmp_path / "lossy_cp.csv"
+        assert main(["sweep", "--model", "thermal", "--n-i", "0.3", "--n-s", "0.7",
+                     "--eta-i", "0.9", "--eta-s", "0.8", "--axis1", "k_f=0.85:0.999:81",
+                     "--outputs", "critical_points", "--out", str(out_path)]) == 0
+        header, *lines = out_path.read_text().splitlines()
+        assert header == ",".join(("k_f",) + sweep.CRITICAL_COLUMNS)
+        assert len(lines) == 81
+        windows = 0
+        for line in lines[::10]:
+            k_f, *got = (float(x) for x in line.split(","))
+            want = landmarks_by_search(0.3, 0.7, k_f, 0.0, 0.9, 0.8)
+            windows += not math.isnan(want["r_lcf_en"])
+            assert search_mismatches(dict(zip(sweep.CRITICAL_COLUMNS, got)), want) == [], k_f
+        assert windows >= 3
 
     def test_unknown_axis_rejected(self):
         code, _, _ = run_cli("sweep", "--model", "tmsv", "--axis1", "bogus=0:1:5",

@@ -122,6 +122,18 @@ class TestOutputs:
             assert rel_err(gaussian.purity(blocks), 1 / exact_d_x(exact)) <= 1e-13
 
 
+class TestLandmarks:
+    @given(occupation, occupation, overlaps(), efficiency, efficiency)
+    def test_entanglement_cutoffs_do_not_depend_on_the_efficiencies(self, n_i, n_s, ov,
+                                                                   eta_i, eta_s):
+        # (D_I - 1)(D_S - 1) < C^2 carries eta_i eta_s on both sides
+        a, b = n_i + n_s + 1.0, n_i - n_s
+        lossless = thermal.landmarks(a, b, ov.k_f, ov.l_f, 1.0, 1.0)
+        lossy = thermal.landmarks(a, b, ov.k_f, ov.l_f, eta_i, eta_s)
+        for name in ("r_lcf_en", "r_ucf_en"):
+            assert getattr(lossy, name).tobytes() == getattr(lossless, name).tobytes()
+
+
 def test_blocks_without_d_x_take_it_from_their_entries():
     m = np.array([[3.5, 0.0, 2.0, 0.25], [0.0, 3.5, 0.25, -2.0],
                   [2.0, 0.25, 4.0, 0.0], [0.25, -2.0, 0.0, 4.0]]) / 2.0

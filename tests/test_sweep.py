@@ -3,6 +3,7 @@ oracle of each point's 4x4 matrix, the one-point case ``evaluate_point``,
 the first failing point of a point-by-point loop, and the scalar model
 blocks that the Bell optimizer receives."""
 
+import functools
 import math
 
 import numpy as np
@@ -11,20 +12,23 @@ import pytest
 from filtered_tms import bell, cli, gaussian, sweep, thermal, tmsv
 from filtered_tms.filters import FilterFamily, FilterSpec, OverlapFactors
 from filtered_tms.sweep import (
+    CRITICAL_COLUMNS,
     AxisSpec,
     ConfigError,
     SweepConfig,
     _point_seeds,
     _point_state,
-    critical_columns,
     evaluate_point,
     run_sweep,
 )
 from oracles import (
+    close_to_reference,
     csv_text_reference,
+    landmarks_by_search,
     loss_product,
     nu_min_eigen,
     overlap_closed_form_reference,
+    search_mismatches,
     thermal_landmarks_reference,
     tmsv_landmarks_reference,
 )
@@ -42,7 +46,7 @@ GRIDS = {
         "thermal", ALL, {"n_i": 0.3, "n_s": 0.7, "l_f": 0.1},
         axis1=AxisSpec("k_f", 0.5, 0.99, 8), axis2=AxisSpec("r", 0.0, 3.0, 13)),
     "thermal_lossy": SweepConfig(
-        "thermal", ALL[:5], {"n_i": 0.3, "n_s": 0.7, "l_f": 0.05, "eta_i": 0.9, "eta_s": 0.8},
+        "thermal", ALL, {"n_i": 0.3, "n_s": 0.7, "l_f": 0.05, "eta_i": 0.9, "eta_s": 0.8},
         axis1=AxisSpec("k_f", 0.8, 0.99, 5), axis2=AxisSpec("r", 0.0, 2.5, 11)),
     "thermal_eta_axis": SweepConfig(
         "thermal", ALL[:5], {"n_i": 0.2, "n_s": 0.5, "k_f": 0.95},
@@ -96,6 +100,25 @@ def pattern(x: float) -> str:
     return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf") if math.isinf(x) else "finite"
 
 
+# once per state: a grid's rows share a few
+_search = functools.cache(landmarks_by_search)
+
+
+def reference_landmarks(cfg, p) -> dict:
+    """The six landmarks of one TMSV or unit-efficiency thermal point from
+    the scalar TMSV or thermal reference."""
+    if cfg.model == "tmsv":
+        cp = or_nan(tmsv_landmarks_reference, p.overlap.k_f, p.eta_i, p.eta_s)
+        if isinstance(cp, float):
+            return dict.fromkeys(CRITICAL_COLUMNS, math.nan)
+        return dict(r_lcf_en=0.0, r_lcf_sq=0.0, r_ucf_en=cp.r_ucf_en, r_max_en=cp.r_max_en,
+                    r_ucf_sq=cp.r_ucf_sq, r_max_sq=cp.r_max_sq)
+    cp = or_nan(thermal_landmarks_reference, p.a, p.b, p.overlap.k_f, p.overlap.l_f)
+    if isinstance(cp, float):
+        return dict.fromkeys(CRITICAL_COLUMNS, math.nan)
+    return {c: getattr(cp, c) for c in CRITICAL_COLUMNS}
+
+
 class TestSpectralOracle:
     @pytest.mark.parametrize("name", sorted(GRIDS))
     def test_every_row_matches_the_exported_matrix(self, name):
@@ -110,14 +133,6 @@ class TestSpectralOracle:
                 "zeta": gaussian.squeezing_angle(blocks),
                 "weight_ratio": or_nan(gaussian.optimal_weight_ratio, blocks),
             }
-            if "critical_points" in cfg.outputs:
-                args = ((p.overlap.k_f, p.eta_i, p.eta_s) if cfg.model == "tmsv" else
-                        (p.a, p.b, p.overlap.k_f, p.overlap.l_f))
-                find = (tmsv_landmarks_reference if cfg.model == "tmsv" else
-                        thermal_landmarks_reference)
-                cp = or_nan(find, *args)
-                for c in critical_columns(cfg.model):
-                    want[c] = getattr(cp, c) if not isinstance(cp, float) else math.nan
             for col, w in want.items():
                 if col not in row:
                     continue
@@ -125,6 +140,17 @@ class TestSpectralOracle:
                 assert pattern(got) == pattern(w), (name, params, col, got, w)
                 if math.isfinite(w):
                     assert got == pytest.approx(w, rel=1e-9, abs=1e-12), (name, params, col)
+            if "critical_points" not in cfg.outputs:
+                continue
+            etas = params.get("eta_i", 1.0), params.get("eta_s", 1.0)
+            if cfg.model == "thermal" and etas != (1.0, 1.0):
+                want = _search(p.n_i, p.n_s, p.overlap.k_f, p.overlap.l_f, *etas)
+                assert search_mismatches(row, want) == [], (name, params)
+                continue
+            want = reference_landmarks(cfg, p)
+            for col in CRITICAL_COLUMNS:
+                assert close_to_reference(row[col], want[col], cfg.model, col), (
+                    name, params, col)
 
 
 @pytest.fixture(params=[4096, 5], ids=["one block", "blocks of 5 rows"])
@@ -163,22 +189,11 @@ ERROR_CASES = {
     "tmsv eta_i below zero": (
         SweepConfig("tmsv", ("e_n", "purity"), {}, axis1=AxisSpec("eta_i", 1.0, -0.1, 12)),
         ConfigError, "eta_i must lie in [0, 1], got -0.1"),
-    "thermal critical points with loss": (
-        SweepConfig("thermal", ("e_n", "critical_points"), {"n_i": 0.2},
-                    axis1=AxisSpec("eta_s", 1.0, 0.8, 5)),
-        ConfigError, "critical_points for the thermal model are closed forms at unit "
-                     "detection efficiency; drop the output or set eta_i = eta_s = 1"),
     # the first failing row fails an earlier check than a later row does
     "eta_s above one before k_f past one": (
         SweepConfig("tmsv", ("e_n", "purity"), {}, axis1=AxisSpec("eta_s", 1.4, 0.2, 7),
                     axis2=AxisSpec("k_f", 0.95, 1.05, 3)),
         ConfigError, "eta_s must lie in [0, 1], got 1.4"),
-    # ... and a later check than a later row does
-    "lossy critical points before Cauchy-Schwarz": (
-        SweepConfig("thermal", ("e_n", "purity", "critical_points"), {"n_i": 0.3},
-                    axis1=AxisSpec("eta_i", 1.0, 0.5, 6), axis2=AxisSpec("k_f", 0.98, 1.02, 3)),
-        ConfigError, "critical_points for the thermal model are closed forms at unit "
-                     "detection efficiency; drop the output or set eta_i = eta_s = 1"),
     "thermal eta_i above one": (
         SweepConfig("thermal", ("e_n",), {"r": 1.0}, axis1=AxisSpec("eta_i", 0.5, 1.5, 3)),
         ConfigError, "eta_i must lie in [0, 1], got 1.5"),
@@ -222,6 +237,24 @@ class TestFirstFailingPoint:
                 break
         else:
             pytest.fail("no point fails on its own")
+
+
+class TestLossyThermalLandmarks:
+    """Grids that mix lossy and lossless thermal rows get the landmarks of
+    every row; each row is checked against the search oracle."""
+
+    @pytest.mark.parametrize("cfg", [
+        SweepConfig("thermal", ("e_n", "critical_points"),
+                    {"n_i": 0.2, "n_s": 0.5, "k_f": 0.95, "l_f": 0.05},
+                    axis1=AxisSpec("eta_s", 1.0, 0.8, 5)),
+        SweepConfig("thermal", ("e_n", "purity", "critical_points"), {"n_i": 0.3, "eta_s": 0.7},
+                    axis1=AxisSpec("eta_i", 1.0, 0.5, 6), axis2=AxisSpec("k_f", 0.9, 0.99, 3)),
+    ], ids=["eta_s axis", "eta_i by k_f"])
+    def test_rows_match_the_search_oracle(self, cfg, block_rows):
+        for params, row in grid_points(cfg):
+            get = lambda name: params.get(name, sweep._DEFAULTS[name])
+            want = _search(*(get(n) for n in ("n_i", "n_s", "k_f", "l_f", "eta_i", "eta_s")))
+            assert search_mismatches(row, want) == [], params
 
 
 class TestLargeSqueezing:
@@ -386,8 +419,8 @@ class TestBellRunsLast:
 
         monkeypatch.setattr(bell, "bell_max_stack", spy)
         cfg = SweepConfig("thermal", ("bell_max", "critical_points"), {"n_i": 0.2, "k_f": 0.95},
-                          axis1=AxisSpec("eta_i", 1.0, 0.8, 20), bell_restarts=16)
-        with pytest.raises(ConfigError, match="critical_points for the thermal model"):
+                          axis1=AxisSpec("eta_i", 0.9, 1.85, 20), bell_restarts=16)
+        with pytest.raises(ConfigError, match="eta_i must lie in"):
             run_sweep(cfg)
         assert calls == []
 
@@ -407,7 +440,7 @@ class TestFullLoss:
         # full loss on one side leaves a product state: no entanglement and
         # no window to bound
         assert last["e_n"] == 0.0
-        assert all(math.isnan(last[c]) for c in critical_columns("tmsv"))
+        assert all(math.isnan(last[c]) for c in CRITICAL_COLUMNS)
         assert all(dict(zip(columns, row))["e_n"] > 0.0 for row in rows[:-1])
 
 

@@ -2,6 +2,7 @@
 angle, weight ratio and optimized squeezing against numerical arbiters."""
 
 import math
+from dataclasses import asdict, astuple
 
 import numpy as np
 import pytest
@@ -18,11 +19,13 @@ from filtered_tms.gaussian import (
 from oracles import (
     QuadratureSpec,
     bisect_root,
+    close_to_reference,
     golden_min,
+    landmarks_by_search,
     optimal_phase_sum,
     quadrature_variance,
     random_thermal_params,
-    same_or_close,
+    search_mismatches,
     thermal_critical_points,
     thermal_landmarks_reference,
     thermal_optimized_squeezing_closed,
@@ -106,19 +109,18 @@ class TestCriticalPoints:
         assert cp.r_ucf_en == pytest.approx(hi, abs=1e-9)
 
     def test_reference_squeezing_angle(self):
-        cp = thermal_critical_points(ref_params(1.0))
-        assert cp.zeta == pytest.approx(math.atan(-0.0475 / 1.995), rel=1e-12)
-        assert cp.zeta == pytest.approx(-0.0238050, abs=1e-7)
+        zeta = squeezing_angle(thermal.covariance(ref_params(1.0)))
+        assert zeta == pytest.approx(math.atan(-0.0475 / 1.995), rel=1e-12)
+        assert zeta == pytest.approx(-0.0238050, abs=1e-7)
 
     def test_zeta_vanishes_for_matched_populations_or_identical_filters(self):
-        assert thermal_critical_points(params(1.0, 0.4, 0.4, 0.9, 0.2)).zeta == 0.0
-        assert thermal_critical_points(params(1.0, 0.2, 0.9, 0.9, 0.0)).zeta == 0.0
+        assert squeezing_angle(thermal.covariance(params(1.0, 0.4, 0.4, 0.9, 0.2))) == 0.0
+        assert squeezing_angle(thermal.covariance(params(1.0, 0.2, 0.9, 0.9, 0.0))) == 0.0
 
     def test_empty_window_is_a_value(self):
         hot = params(1.0, 3.0, 2.5, 0.9, 0.1)
         cp = thermal_critical_points(hot)
-        assert not cp.has_window
-        assert math.isnan(cp.r_lcf_en)
+        assert all(math.isnan(x) for x in astuple(cp))
         for r in np.linspace(0.01, 4.0, 40):
             assert e_n_of(params(r, 3.0, 2.5, 0.9, 0.1)) == 0.0
 
@@ -231,7 +233,7 @@ class TestCriticalPoints:
 
             target = optimal_phase_sum(blocks)
             argmin = golden_min(var, target - 1.5, target + 1.5, tol=1e-12)
-            zeta = thermal_critical_points(p).zeta
+            zeta = thermal_squeezing_angle(p)
             assert (math.pi - zeta) % (2 * math.pi) == pytest.approx(
                 argmin % (2 * math.pi), abs=1e-6
             )
@@ -300,8 +302,8 @@ class TestOptimizedSqueezing:
 
 
 class TestSqueezingAngle:
-    """One zeta for one state: the thermal closed form, the landmarks and the
-    block form, folded into (-pi/2, pi/2] for K_f of either sign."""
+    """One zeta for one state: the thermal closed form and the block form,
+    folded into (-pi/2, pi/2] for K_f of either sign."""
 
     @staticmethod
     def random_params(rng, n):
@@ -311,15 +313,12 @@ class TestSqueezingAngle:
         return [params(*x) for x in zip(rng.uniform(0.05, 2.0, n), *rng.uniform(0.0, 1.5, (2, n)),
                                          kf, lf)]
 
-    def test_three_forms_agree_for_both_signs_of_k_f(self):
+    def test_two_forms_agree_for_both_signs_of_k_f(self):
         rng = np.random.default_rng(61)
         ps = self.random_params(rng, 400) + [params(0.7, 0.5, 0.1, -0.4, 0.3)]
-        cols = np.array([(p.a, p.b, p.overlap.k_f, p.overlap.l_f) for p in ps]).T
-        landmark = thermal.landmarks(*cols).zeta
-        for p, zeta in zip(ps, landmark.tolist()):
+        for p in ps:
             closed = thermal_squeezing_angle(p)
             assert -math.pi / 2 < closed <= math.pi / 2
-            assert zeta == pytest.approx(closed, abs=1e-12)
             assert squeezing_angle(thermal.covariance(p)) == pytest.approx(closed, abs=1e-12)
         # arctan(B L_f / (A K_f)) at the K_f < 0 example
         assert thermal_squeezing_angle(ps[-1]) == pytest.approx(math.atan(-0.1875), rel=1e-14)
@@ -368,10 +367,45 @@ class TestTmsvReduction:
             )
             cp_t = thermal_critical_points(tp)
             cp_v = tmsv_critical_points(vp)
-            assert cp_t.r_lcf_en == pytest.approx(0.0, abs=1e-7)
-            assert cp_t.r_ucf_en == pytest.approx(cp_v.r_ucf_en, rel=1e-9)
-            assert cp_t.r_max_en == pytest.approx(cp_v.r_max_en, rel=1e-9)
-            assert cp_t.r_max_sq == pytest.approx(cp_v.r_max_sq, rel=1e-9)
+            assert cp_t.r_lcf_en == cp_t.r_lcf_sq == 0.0
+            for got, want in zip(astuple(cp_t), astuple(cp_v)):
+                assert got == pytest.approx(want, rel=1e-14)
+
+
+class TestLossyLandmarks:
+    def test_random_states_match_the_search_oracle(self):
+        # cutoffs by bisection and maxima by golden section, on the lossy
+        # 4x4 matrix; states without a window must show none on the search grid
+        rng = np.random.default_rng(211)
+        windows = 0
+        while windows < 200:
+            n_i, n_s = rng.uniform(0.0, 1.0, 2)
+            eta_i, eta_s = rng.uniform(0.05, 1.0, 2)
+            k_f = rng.uniform(0.85, 0.999)
+            l_f = rng.uniform(-1.0, 1.0) * math.sqrt(1.0 - k_f * k_f)
+            cp = thermal_critical_points(params(1.0, n_i, n_s, k_f, l_f), eta_i, eta_s)
+            inside = [x for x in (cp.r_max_en, cp.r_max_sq) if math.isfinite(x)]
+            want = landmarks_by_search(n_i, n_s, k_f, l_f, eta_i, eta_s, inside=inside)
+            state = (n_i, n_s, k_f, l_f, eta_i, eta_s)
+            if math.isnan(cp.r_lcf_en):
+                assert all(math.isnan(x) for x in astuple(cp)), state
+                assert math.isnan(want["r_lcf_en"]), state
+                continue
+            windows += 1
+            assert search_mismatches(asdict(cp), want) == [], state
+
+    def test_loss_leaves_the_entanglement_window_and_moves_the_rest(self):
+        p = ref_params(1.0)
+        lossless = thermal_critical_points(p)
+        lossy = thermal_critical_points(p, 0.9, 0.8)
+        assert (lossy.r_lcf_en, lossy.r_ucf_en) == (lossless.r_lcf_en, lossless.r_ucf_en)
+        for name in ("r_max_en", "r_lcf_sq", "r_ucf_sq", "r_max_sq"):
+            assert getattr(lossy, name) != getattr(lossless, name)
+
+    def test_no_landmarks_without_both_detectors(self):
+        for etas in ((0.0, 0.8), (0.7, 0.0)):
+            cp = thermal_critical_points(ref_params(1.0), *etas)
+            assert all(math.isnan(x) for x in astuple(cp))
 
 
 # (n_i, n_s, K_f, L_f) on every branch of the landmark closed forms
@@ -381,7 +415,7 @@ LANDMARK_CASES = {
     "K_f in (0, 1)": (0.3, 0.7, 0.95, 0.1),
     "K_f one": (0.3, 0.7, 1.0, 0.0),
     "K_f past one": (0.3, 0.7, 1.05, 0.0),
-    "den below its limit at K_f < 1": (0.3, 0.7, 1.0 - 1e-14, 0.0),
+    "den just above zero at K_f < 1": (0.3, 0.7, 1.0 - 1e-14, 0.0),
     "rad negative": (3.0, 2.5, 0.9, 0.1),
     "ch_u below one": (4.0, 0.5, 0.1, 0.0),
     "disc negative": (2.0, 0.0, 0.75, 0.56),
@@ -389,7 +423,7 @@ LANDMARK_CASES = {
     "t at one": (0.0, 0.0, 1.0, 0.0),
 }
 
-FIELDS = ("r_lcf_en", "r_ucf_en", "r_max_en", "r_lcf_sq", "r_ucf_sq", "r_max_sq", "zeta")
+FIELDS = ("r_lcf_en", "r_ucf_en", "r_max_en", "r_lcf_sq", "r_ucf_sq", "r_max_sq")
 
 
 def branch_values(n_i, n_s, kf, lf):
@@ -404,41 +438,34 @@ def branch_values(n_i, n_s, kf, lf):
     return dict(den=den, rad=rad, ch_u=ch_u, disc=disc, t_u=t_u)
 
 
-def folded(zeta):
-    """An atan2 angle folded into (-pi/2, pi/2], the landmarks' zeta range."""
-    if zeta > math.pi / 2:
-        return zeta - math.pi
-    return zeta + math.pi if zeta <= -math.pi / 2 else zeta
-
-
 class TestArrayLandmarks:
-    """``landmarks`` over arrays against the scalar reference, point by point."""
+    """``landmarks`` at unit efficiency over arrays against the scalar
+    thermal reference, point by point."""
 
     @staticmethod
     def reference(a, b, kf, lf):
         try:
             cp = thermal_landmarks_reference(a, b, kf, lf)
         except ValueError:
-            return [math.nan] * 6 + [folded(math.atan2(b * lf, a * kf))], False
-        return [getattr(cp, f) for f in FIELDS[:-1]] + [folded(cp.zeta)], cp.has_window
+            return [math.nan] * 6
+        return [getattr(cp, f) for f in FIELDS]
 
     def check(self, n_i, n_s, kf, lf):
         a, b = n_i + n_s + 1.0, n_i - n_s
-        cp = thermal.landmarks(a, b, kf, lf)
+        cp = thermal.landmarks(a, b, kf, lf, 1.0, 1.0)
         got = np.column_stack([getattr(cp, f) for f in FIELDS])
         for i, point in enumerate(zip(a.tolist(), b.tolist(), kf.tolist(), lf.tolist())):
-            want, has_window = self.reference(*point)
-            assert cp.has_window[i] == has_window, point
-            assert all(same_or_close(g, w, 1e-15) for g, w in zip(got[i].tolist(), want)), (
-                point, got[i], want)
+            want = self.reference(*point)
+            assert all(close_to_reference(g, w, "thermal", f)
+                       for g, w, f in zip(got[i].tolist(), want, FIELDS)), (point, got[i], want)
 
     def test_every_branch_in_one_call(self):
         self.check(*(np.array(col) for col in zip(*LANDMARK_CASES.values())))
         # the cases reach the branches they are named after
         v = {name: branch_values(*case) for name, case in LANDMARK_CASES.items()}
-        kf = LANDMARK_CASES["den below its limit at K_f < 1"][2]
-        assert kf < 1.0 and 0.0 < v["den below its limit at K_f < 1"]["den"] < 1e-12
-        assert v["rad negative"]["den"] > 1e-12 and v["rad negative"]["rad"] < 0.0
+        kf = LANDMARK_CASES["den just above zero at K_f < 1"][2]
+        assert kf < 1.0 and 0.0 < v["den just above zero at K_f < 1"]["den"] < 1e-12
+        assert v["rad negative"]["den"] > 0.0 and v["rad negative"]["rad"] < 0.0
         assert v["ch_u below one"]["rad"] >= 0.0 and v["ch_u below one"]["ch_u"] < 1.0
         assert v["disc negative"]["disc"] < 0.0 and v["disc negative"]["ch_u"] >= 1.0
         assert v["t at one"]["t_u"] == 1.0
@@ -456,7 +483,7 @@ class TestArrayLandmarks:
     def test_overflowing_occupation_is_an_error_for_its_row(self):
         a = np.array([2.0, 3.0, 1e200, 1e300])
         with pytest.raises(OverflowError) as error:
-            thermal.landmarks(a, np.zeros(4), np.full(4, 0.9), np.zeros(4))
+            thermal.landmarks(a, np.zeros(4), np.full(4, 0.9), np.zeros(4), 1.0, 1.0)
         assert error.value.row == 2
 
     def test_overflowing_squeezing_is_an_error_for_its_first_row(self):
@@ -472,14 +499,14 @@ class TestArrayLandmarks:
                 continue  # no ThermalParams exists past the Cauchy-Schwarz bound
             p = params(1.0, n_i, n_s, kf, lf)
             try:
-                cp = thermal_landmarks_reference(p.a, p.b, kf, lf)
+                thermal_landmarks_reference(p.a, p.b, kf, lf)
             except ValueError as exc:
                 with pytest.raises(ValueError) as error:
                     thermal_critical_points(p)
                 assert str(error.value) == str(exc)
                 continue
             got = thermal_critical_points(p)
-            assert type(got.has_window) is bool and got.has_window == cp.has_window
-            for name in FIELDS:
+            want = self.reference(p.a, p.b, kf, lf)
+            for name, w in zip(FIELDS, want):
                 assert type(getattr(got, name)) is float
-                assert same_or_close(getattr(got, name), getattr(cp, name), 1e-15)
+                assert close_to_reference(getattr(got, name), w, "thermal", name)

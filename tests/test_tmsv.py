@@ -2,11 +2,12 @@
 optimized squeezing, each checked against numerical extremization."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from filtered_tms import tmsv
+from filtered_tms import thermal, tmsv
 from filtered_tms.filters import OverlapFactors
 from filtered_tms.gaussian import (
     build_covariance,
@@ -16,9 +17,9 @@ from filtered_tms.gaussian import (
 )
 from oracles import (
     bisect_root,
+    close_to_reference,
     golden_min,
     random_tmsv_params,
-    same_or_close,
     tmsv_critical_points,
     tmsv_landmarks_reference,
     tmsv_optimized_squeezing_closed,
@@ -296,13 +297,16 @@ LANDMARK_CASES = {
     "full idler loss": (0.9, 0.0, 0.8),
     "full signal loss at K_f one": (1.0, 0.7, 0.0),
     "equal efficiencies at K_f one": (1.0, 0.6, 0.6),
-    # t rounds to 1 one ulp below K_f = 1, so r_max_en is unbounded
-    "t at one": (float(np.nextafter(1.0, 0.0)), 1.0, 1.0),
+    # 1 - K_f^2 = 2e-13: finite cutoff and maximum, both far out
+    "K_f just below one": (1.0 - 1e-13, 0.9, 0.6),
 }
+
+FIELDS = ("r_ucf_en", "r_max_en", "r_max_sq", "r_ucf_sq")
 
 
 class TestArrayLandmarks:
-    """``landmarks`` over arrays against the scalar reference, point by point."""
+    """``thermal.landmarks`` at vacuum input over arrays against the scalar
+    TMSV reference, point by point."""
 
     @staticmethod
     def reference(kf, ei, es):
@@ -310,22 +314,39 @@ class TestArrayLandmarks:
             cp = tmsv_landmarks_reference(kf, ei, es)
         except ValueError:
             return [math.nan] * 4
-        return [cp.r_ucf_en, cp.r_max_en, cp.r_max_sq, cp.r_ucf_sq]
+        return [getattr(cp, f) for f in FIELDS]
 
     def check(self, kf, ei, es):
-        cp = tmsv.landmarks(kf, ei, es)
-        got = np.column_stack([cp.r_ucf_en, cp.r_max_en, cp.r_max_sq, cp.r_ucf_sq])
+        cp = thermal.landmarks(1.0, 0.0, kf, 0.0, ei, es)
+        got = np.column_stack([getattr(cp, f) for f in FIELDS])
         for point, row in zip(zip(kf, ei, es), got.tolist()):
             want = self.reference(*point)
-            assert all(same_or_close(g, w, 1e-15) for g, w in zip(row, want)), (point, row, want)
+            assert all(close_to_reference(g, w, "tmsv", f)
+                       for g, w, f in zip(row, want, FIELDS)), (point, row, want)
+        # no thermal population: the lower cutoffs are exactly zero
+        has = ~np.isnan(cp.r_ucf_en)
+        assert np.all(cp.r_lcf_en[has] == 0.0) and np.all(cp.r_lcf_sq[has] == 0.0)
+        assert np.all(np.isnan(cp.r_lcf_en[~has])) and np.all(np.isnan(cp.r_lcf_sq[~has]))
 
     def test_every_branch_in_one_call(self):
-        kf, ei, es = (np.array(col) for col in zip(*LANDMARK_CASES.values()))
-        self.check(kf, ei, es)
-        # the cases reach the branches they are named after
-        cp = tmsv.landmarks(kf, ei, es)
-        t_at_one = list(LANDMARK_CASES).index("t at one")
-        assert kf[t_at_one] < 1.0 and math.isinf(cp.r_max_en[t_at_one])
+        self.check(*(np.array(col) for col in zip(*LANDMARK_CASES.values())))
+
+    def test_landmarks_stay_finite_just_below_k_f_one(self):
+        # 1 - K_f^2 down to an ulp: the cutoff is atanh(K_f), and at equal
+        # efficiencies both maxima sit at half of it
+        kf = np.array([1.0 - 1e-13, float(np.nextafter(1.0, 0.0))])
+        cp = thermal.landmarks(1.0, 0.0, kf, 0.0, 1.0, 1.0)
+        for i, k in enumerate(kf.tolist()):
+            assert cp.r_ucf_en[i] == pytest.approx(math.atanh(k), rel=1e-12)
+            assert cp.r_max_en[i] == pytest.approx(0.5 * math.atanh(k), rel=1e-12)
+            assert cp.r_max_sq[i] == pytest.approx(0.5 * math.atanh(k), rel=1e-12)
+        # unequal efficiencies move the maximum off half the cutoff
+        cp = thermal.landmarks(1.0, 0.0, kf, 0.0, 0.9, 0.6)
+        for i, k in enumerate(kf.tolist()):
+            assert cp.r_ucf_en[i] == pytest.approx(math.atanh(k), rel=1e-12)
+            want = tmsv_landmarks_reference(k, 0.9, 0.6).r_max_en
+            assert close_to_reference(float(cp.r_max_en[i]), want, "tmsv", "r_max_en")
+            assert 0.0 < cp.r_max_en[i] < 0.5 * math.atanh(k)
 
     def test_random_points(self):
         rng = np.random.default_rng(41)
@@ -335,6 +356,13 @@ class TestArrayLandmarks:
         ei, es = rng.uniform(0.0, 1.0, (2, n))
         ei[::11], es[::13] = 0.0, ei[::13]
         self.check(kf, ei, es)
+
+    def test_lower_cutoffs_are_exactly_zero_over_a_k_f_grid(self):
+        kf = np.linspace(0.8, 0.999, 200)
+        for ei, es in ((1.0, 1.0), (0.9, 0.6)):
+            cp = thermal.landmarks(1.0, 0.0, kf, 0.0, ei, es)
+            assert np.all(cp.r_lcf_en == 0.0) and np.all(cp.r_lcf_sq == 0.0)
+            assert np.all(cp.r_ucf_en > 0.0) and np.all(cp.r_ucf_sq > 0.0)
 
     def test_scalar_critical_points_are_python_floats(self):
         for kf, ei, es in LANDMARK_CASES.values():
@@ -349,6 +377,7 @@ class TestArrayLandmarks:
                 assert str(error.value) == str(exc)
                 continue
             got = tmsv_critical_points(p)
-            for name in ("r_ucf_en", "r_max_en", "r_max_sq", "r_ucf_sq"):
-                assert type(getattr(got, name)) is float
-                assert same_or_close(getattr(got, name), getattr(cp, name), 1e-15)
+            assert all(type(x) is float for x in astuple(got))
+            assert got.r_lcf_en == got.r_lcf_sq == 0.0
+            for name in FIELDS:
+                assert close_to_reference(getattr(got, name), getattr(cp, name), "tmsv", name)
