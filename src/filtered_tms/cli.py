@@ -20,7 +20,7 @@ import tempfile
 
 import numpy as np
 
-from . import bell, fieldsim, gaussian, sweep, thermal, tmsv
+from . import bell, fieldsim, gaussian, sweep
 from .filters import FilterFamily, FilterSpec, overlap_closed_form, overlap_numeric
 from .svg import render_heatmap
 from .sweep import AxisSpec, ConfigError, SweepConfig
@@ -105,14 +105,18 @@ def _write(path: str | None, text: str) -> None:
         raise
 
 
+def _spell(x):
+    """x with every non-finite float spelled as a string, as repr spells it
+    ("inf", "-inf", "nan"): JSON has no such numbers."""
+    if isinstance(x, dict):
+        return {k: _spell(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_spell(v) for v in x]
+    return repr(float(x)) if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def _emit(payload: dict, path: str | None) -> None:
-    _write(path, json.dumps(payload, indent=2, allow_nan=True) + "\n")
-
-
-def _json_safe(x):
-    if isinstance(x, float) and not math.isfinite(x):
-        return repr(x)
-    return x
+    _write(path, json.dumps(_spell(payload), indent=2, allow_nan=False) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,7 +205,7 @@ def _cmd_point(args) -> int:
         "params": {"model": args.model, **params, "family": args.family,
                    "outputs": list(outputs), "seed": args.seed},
         "results": {
-            **{k: _json_safe(v) for k, v in results.items()},
+            **results,
             "blocks": {"d_i": blocks.d_i, "d_s": blocks.d_s,
                        "c11": blocks.c11, "c12": blocks.c12},
         },
@@ -294,20 +298,10 @@ def _make_filters(args) -> tuple[FilterSpec, FilterSpec]:
 def _cmd_validate(args) -> int:
     params = _collect_params(args)
     fi, fs = _make_filters(args)
-    if args.model == "tmsv" and ("n_i" in params or "n_s" in params):
-        raise ConfigError("thermal occupations are not tmsv parameters")
-    if args.model == "thermal" and (params.get("eta_i", 1.0) < 1.0
-                                    or params.get("eta_s", 1.0) < 1.0):
-        raise ConfigError("the thermal simulation model is defined at unit "
-                          "detection efficiency")
     ov = overlap_closed_form(fi, fs)
-    get = lambda name: params.get(name, sweep._DEFAULTS[name])
+    state = {k: v for k, v in params.items() if k not in sweep.FILTER_PARAMS}
+    model, analytic = sweep.point_state(args.model, {**state, "k_f": ov.k_f, "l_f": ov.l_f})
     try:
-        if args.model == "tmsv":
-            model = tmsv.TmsvParams(get("r"), get("eta_i"), get("eta_s"), ov)
-        else:
-            model = thermal.ThermalParams(get("r"), get("n_i"), get("n_s"), ov)
-        analytic = (tmsv if args.model == "tmsv" else thermal).covariance(model)
         cfg = fieldsim.SimConfig(
             model=model, filter_i=fi, filter_s=fs, dt=args.dt,
             horizon=args.horizon, n_realizations=args.n_real, seed=args.seed,
@@ -339,6 +333,9 @@ def _cmd_validate(args) -> int:
                     "k_f": ov.k_f, "l_f": ov.l_f},
         "diagnostics": {"bias_estimate": list(est.bias_estimate),
                         "bias_warning": est.bias_warning,
+                        # the dt -> 0 limit of the chain, less the closed form
+                        "chain_residual": [lim - float(getattr(analytic, name))
+                                           for lim, name in zip(est.richardson_limit, names)],
                         "lag_cells": est.lag_cells,
                         "normal_draws": est.normal_draws},
     }

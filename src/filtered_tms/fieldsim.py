@@ -5,7 +5,10 @@ Simulates the chain white-noise input -> two-mode squeezer -> optical loss
 products at the end of the simulated horizon.  Because every tracked
 quantity is a symmetrized second moment of a Gaussian process, classical
 Gaussian sampling reproduces the quantum covariances exactly; the oracle is
-therefore independent of the covariance algebra it validates.
+therefore independent of the covariance algebra it validates.  The model
+is a ``ThermalParams``: each input quadrature carries noise power n + 1/2
+(1/2 for the vacuum, n = 0), and an efficiency below one mixes in a vacuum
+pair for its party.
 
 The squeezer mixes the +r and -r Bogoliubov branches into the filtered
 quadratures: the X output of each party filters the pair
@@ -35,14 +38,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from .filters import FilterFamily, FilterSpec, sample_time
 from .gaussian import CovarianceBlocks
 from .thermal import ThermalParams
-from .tmsv import TmsvParams
 
 _BATCH = 2048
 
@@ -58,7 +59,7 @@ class SimConfig:
     on scheduling.
     """
 
-    model: Union[TmsvParams, ThermalParams]
+    model: ThermalParams
     filter_i: FilterSpec
     filter_s: FilterSpec
     dt: float
@@ -79,8 +80,9 @@ class SimConfig:
             raise ValueError(f"n_realizations must be an integer, got {self.n_realizations!r}")
         if self.n_realizations < 1000:
             raise ValueError("need at least 1000 realizations")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        seed = self.seed
+        if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -92,32 +94,27 @@ class EmpiricalBlocks:
     Richardson estimate of the discretization bias, computed from the
     estimator's exact expectations at dt and dt/2 (no sampling noise), and
     bias_warning is set when it exceeds the statistical error on any block.
-    lag_cells counts the kernel cells at dt and normal_draws the unit
-    normals drawn, four per realization.
+    richardson_limit, the expectation at dt less that bias, extrapolates the
+    estimator to dt -> 0, again without sampling noise.  lag_cells counts
+    the kernel cells at dt and normal_draws the unit normals drawn, four per
+    realization.
     """
 
     blocks: CovarianceBlocks
     std_errors: tuple[float, float, float, float]
     bias_estimate: tuple[float, float, float, float]
     bias_warning: bool
+    richardson_limit: tuple[float, float, float, float]
     lag_cells: int
     normal_draws: int
 
 
-def _model_numbers(model) -> tuple[float, float, float, float, float]:
-    """(r, noise power I, noise power S, eta_i, eta_s) for either model."""
-    if isinstance(model, TmsvParams):
-        return model.r, 0.5, 0.5, model.eta_i, model.eta_s
-    if isinstance(model, ThermalParams):
-        return model.r, model.n_i + 0.5, model.n_s + 0.5, 1.0, 1.0
-    raise TypeError(f"unsupported model type {type(model).__name__}")
-
-
-def _noise_powers(model) -> list[float]:
+def _noise_powers(model: ThermalParams) -> list[float]:
     """Power of each noise series, in draw order: xi, yi, xs, ys, then the
     vacuum pair of each lossy party (idler first)."""
-    _, p_i, p_s, eta_i, eta_s = _model_numbers(model)
-    return [p_i, p_i, p_s, p_s] + [0.5, 0.5] * ((eta_i < 1.0) + (eta_s < 1.0))
+    p_i, p_s = model.n_i + 0.5, model.n_s + 0.5
+    lossy = int(model.eta_i < 1.0) + int(model.eta_s < 1.0)
+    return [p_i, p_i, p_s, p_s] + [0.5, 0.5] * lossy
 
 
 def _lag_grid(support: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -169,7 +166,7 @@ def _mix(cfg: SimConfig, proj):
     quadrature's loss mixes in one shared vacuum series for both branches
     (one beamsplitter port).
     """
-    r, _, _, eta_i, eta_s = _model_numbers(cfg.model)
+    r, eta_i, eta_s = cfg.model.r, cfg.model.eta_i, cfg.model.eta_s
     c, s = math.cosh(r), math.sinh(r)
     rei, res = math.sqrt(eta_i), math.sqrt(eta_s)
     ri, rs = math.sqrt(1.0 - eta_i), math.sqrt(1.0 - eta_s)
@@ -265,25 +262,28 @@ def simulate(cfg: SimConfig) -> EmpiricalBlocks:
     est = samples.mean(axis=0)
     se = np.maximum(samples.std(axis=0, ddof=1) / math.sqrt(cfg.n_realizations), 1e-300)
 
-    bias = _richardson_bias(cfg, mids, widths, factor)
+    expected = _expected_blocks(factor)
+    bias = _richardson_bias(cfg, mids, widths, expected)
     return EmpiricalBlocks(
         blocks=CovarianceBlocks(*est),
         std_errors=tuple(float(x) for x in se),
         bias_estimate=tuple(float(x) for x in bias),
         bias_warning=bool(np.any(np.abs(bias) > se)),
+        richardson_limit=tuple(float(x) for x in expected - bias),
         lag_cells=len(widths),
         normal_draws=4 * cfg.n_realizations,
     )
 
 
-def _richardson_bias(cfg: SimConfig, mids, widths, factor) -> np.ndarray:
+def _richardson_bias(cfg: SimConfig, mids, widths, expected) -> np.ndarray:
     """Half-dt Richardson estimate of the discretization bias per block.
 
     The estimator's expectation at a given dt is exact and free of sampling
     noise: the blocks of R_A^T R_A for that dt's kernels.  Its midpoint
     kernel sums carry an O(dt^2) error, so (E_dt - E_dt/2) * 4/3 estimates
-    E_dt - E_0, where the dt/2 grid splits every lag cell in two.
+    E_dt - E_0, where the dt/2 grid splits every lag cell in two; expected
+    is E_dt.
     """
     mids_f, widths_f = _refine_grid(mids, widths)
     fine = _output_factor(cfg, widths_f, _kernels(cfg, mids_f, widths_f))
-    return (_expected_blocks(factor) - _expected_blocks(fine)) * (4.0 / 3.0)
+    return (expected - _expected_blocks(fine)) * (4.0 / 3.0)

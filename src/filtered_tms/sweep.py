@@ -1,10 +1,11 @@
 """Grid evaluation engine behind the CLI: 1-D/2-D sweeps over state and
 filter parameters, with deterministic row ordering and per-point seeds.
 
-Axis parameters come from a closed set; when filter parameters (omega_k,
-omega_l, tau_i, tau_s) appear, a filter family must be fixed and the
-overlap kernel (K_f, L_f) is recomputed from the filter pair at every grid
-point.  Grids are evaluated as whole arrays, check by check; ``bell_max``
+Both models are the one state model of ``thermal``, the vacuum (``tmsv``)
+being its zero-occupation case.  Axis parameters come from a closed set;
+when filter parameters (omega_k, omega_l, tau_i, tau_s) appear, a filter
+family must be fixed and the overlap kernel (K_f, L_f) is recomputed from
+the filter pair at every grid point.  Grids are evaluated as whole arrays, check by check; ``bell_max``
 advances the restarts of every point of a block as one lockstep array, each
 point with its own seed.  Rows are in axis order (axis2 outermost), and an
 error names the first failing point in that order.
@@ -17,7 +18,7 @@ from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
-from . import bell, gaussian, thermal, tmsv
+from . import bell, gaussian, thermal
 from .filters import FilterFamily, FilterSpec, OverlapFactors, overlap_closed_form
 
 AXIS_PARAMS = (
@@ -112,26 +113,24 @@ def _resolve_overlap(params: dict, family: str | None, value) -> OverlapFactors:
         raise ConfigError(str(exc)) from exc
 
 
-def _point_state(model: str, params: dict, family: str | None):
-    """Model params and covariance blocks over a grid of parameter arrays."""
-    n = len(next(iter(params.values()))) if params else 1
+def point_state(model: str, params: dict, family: str | None = None):
+    """The model's params and covariance blocks at parameter values given as
+    floats (one state) or as equal-length arrays (a grid of states); a
+    parameter not given takes its default."""
+    shape = np.shape(next(iter(params.values()))) if params else (1,)
 
     def value(name):
-        return params[name] if name in params else np.full(n, _DEFAULTS[name])
+        if name in params:
+            return params[name]
+        return _DEFAULTS[name] if shape == () else np.full(shape, _DEFAULTS[name])
 
     ov = _resolve_overlap(params, family, value)
-    r, eta_i, eta_s = value("r"), value("eta_i"), value("eta_s")
+    if model == "tmsv" and ("n_i" in params or "n_s" in params):
+        raise ConfigError("thermal occupations are not tmsv parameters")
     try:
-        if model == "tmsv":
-            if "n_i" in params or "n_s" in params:
-                raise ConfigError("thermal occupations are not tmsv parameters")
-            p = tmsv.TmsvParams(r=r, eta_i=eta_i, eta_s=eta_s, overlap=ov)
-            return p, tmsv.covariance(p), eta_i, eta_s
-        # unit efficiency leaves the blocks unchanged
-        p = thermal.ThermalParams(r=r, n_i=value("n_i"), n_s=value("n_s"), overlap=ov)
-        return p, gaussian.apply_loss(thermal.covariance(p), eta_i, eta_s), eta_i, eta_s
-    except ConfigError:
-        raise
+        p = thermal.ThermalParams(value("r"), value("n_i"), value("n_s"), ov,
+                                  value("eta_i"), value("eta_s"))
+        return p, thermal.covariance(p)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -151,7 +150,7 @@ def _evaluate(model, params, outputs, family, seeds, bell_restarts, optimize=Tru
     grid has passed; ``optimize=False`` skips it, for a pass that only looks
     for a failing check.  Returns the outputs and the grid's blocks.
     """
-    p, blocks, eta_i, eta_s = _point_state(model, params, family)
+    p, blocks = point_state(model, params, family)
     gaussian.check_blocks(blocks)
     # the checked blocks have s_q_opt > 0, so log_negativity cannot raise here
     ent = gaussian.log_negativity(blocks) if {"e_n", "s_q_opt"} & set(outputs) else None
@@ -177,9 +176,7 @@ def _evaluate(model, params, outputs, family, seeds, bell_restarts, optimize=Tru
             stack = gaussian.build_covariance(blocks)
             res["bell_max"] = None
         elif out == "critical_points":
-            # the vacuum input of tmsv is A = 1, B = 0
-            a, b = (p.a, p.b) if model == "thermal" else (1.0, 0.0)
-            cp = thermal.landmarks(a, b, p.overlap.k_f, p.overlap.l_f, eta_i, eta_s)
+            cp = thermal.landmarks(p.a, p.b, p.overlap.k_f, p.overlap.l_f, p.eta_i, p.eta_s)
             res.update((c, getattr(cp, c)) for c in CRITICAL_COLUMNS)
     if stack is not None and optimize:
         cfg = bell.BellMaxConfig(bell_restarts)

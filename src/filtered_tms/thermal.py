@@ -1,21 +1,28 @@
-"""Filtered two-mode squeezed thermal light, and the landmarks of every model.
+"""Filtered two-mode squeezed thermal light seen by lossy detectors: the
+one state model, and the landmarks of every state.
 
-With mean thermal occupations (n_i, n_s) feeding the squeezer, the
-covariance blocks depend on A = n_i + n_s + 1 and B = n_i - n_s:
+With mean thermal occupations (n_i, n_s) feeding the squeezer, detection
+efficiencies (eta_i, eta_s) in [0, 1], A = n_i + n_s + 1, B = n_i - n_s and
+s = sinh r, the covariance blocks are
 
-    D_I = B + A cosh 2r,          D_S = -B + A cosh 2r,
-    C11 = A K_f sinh 2r,          C12 = -B L_f sinh 2r,
+    D_I = 1 + 2 eta_i (n_i + A s^2),      D_S = 1 + 2 eta_s (n_s + A s^2),
+    C11 = sqrt(eta_i eta_s) A K_f sinh 2r,  C12 = -sqrt(eta_i eta_s) B L_f sinh 2r,
 
-and D_x = D_I D_S - C11^2 - C12^2 = A^2 - B^2 + sinh^2 2r [A^2 (1 - K_f^2) - B^2 L_f^2],
-whose terms are non-negative inside the Cauchy-Schwarz disc (|B| < A).
+and D_x = D_I D_S - C11^2 - C12^2 as a sum of non-negative terms,
+
+    D_x = (1 + 2 eta_i n_i)(1 + 2 eta_s n_s)
+          + 2 s^2 [A (eta_i (1 - eta_s) + eta_s (1 - eta_i)) + 2 g] + 4 g s^4,
+    g = eta_i eta_s [A^2 (1 - K_f^2) - B^2 L_f^2],
+
+with g >= 0 inside the Cauchy-Schwarz disc (|B| < A, K_f^2 + L_f^2 <= 1).
+The two-mode squeezed vacuum (``tmsv``) is n_i = n_s = 0, where these
+forms repeat the vacuum formulas operation for operation.
 
 Thermal population opens a lower entanglement cutoff in addition to the
 filter-induced upper one; both cutoffs coincide with the SQL crossings of
-the weight-optimized hybrid quadrature.  ``covariance`` gives the lossless
-blocks (``gaussian.apply_loss`` adds loss).  The cutoffs and maxima are
-closed forms in ``landmarks``, at any efficiencies, for the vacuum input of
-``tmsv`` too; the squeezing angle, weight ratio and optimized squeezing come
-from the blocks (``gaussian``).
+the weight-optimized hybrid quadrature.  The cutoffs and maxima are closed
+forms in ``landmarks``, at any efficiencies; the squeezing angle, weight
+ratio and optimized squeezing come from the blocks (``gaussian``).
 """
 
 from __future__ import annotations
@@ -31,12 +38,15 @@ from .gaussian import CovarianceBlocks, _at, _each, _reject
 
 @dataclass(frozen=True)
 class ThermalParams:
-    """Squeezing amplitude, thermal occupations and filter overlap (or arrays)."""
+    """Squeezing amplitude, thermal occupations, filter overlap and detection
+    efficiencies; fields may be equal-shape arrays, a grid of states."""
 
     r: float
     n_i: float = 0.0
     n_s: float = 0.0
     overlap: OverlapFactors = IDENTICAL_FILTERS
+    eta_i: float = 1.0
+    eta_s: float = 1.0
 
     def __post_init__(self):
         _reject(~(np.isfinite(self.r) & (self.r >= 0.0)), lambda i: ValueError(
@@ -44,6 +54,9 @@ class ThermalParams:
         for name, n in (("n_i", self.n_i), ("n_s", self.n_s)):
             _reject(~(np.isfinite(n) & (n >= 0.0)), lambda i: ValueError(
                 f"{name} must be finite and >= 0, got {_at(n, i)}"))
+        for name, eta in (("eta_i", self.eta_i), ("eta_s", self.eta_s)):
+            _reject(np.logical_not((0.0 <= eta) & (eta <= 1.0)), lambda i: ValueError(
+                f"{name} must lie in [0, 1], got {_at(eta, i)}"))
 
     @property
     def a(self) -> float:
@@ -77,20 +90,26 @@ class CriticalPoints:
 
 
 def covariance(p: ThermalParams) -> CovarianceBlocks:
-    """Steady-state covariance blocks; reduces to the TMSV blocks at n = 0."""
-    a, b, kf, lf = p.a, p.b, p.overlap.k_f, p.overlap.l_f
-    ch = _each(lambda r: math.cosh(2.0 * r), p.r)
+    """Steady-state covariance blocks; at n = 0 those of the vacuum bit for bit."""
+    ei, es, n_i, n_s, a, b = p.eta_i, p.eta_s, p.n_i, p.n_s, p.a, p.b
+    kf, lf, ee = p.overlap.k_f, p.overlap.l_f, ei * es
+    e = np.sqrt(ee)
+    s2 = _each(lambda r: math.sinh(r) ** 2, p.r)
     sh = _each(lambda r: math.sinh(2.0 * r), p.r)
     with np.errstate(over="ignore", invalid="ignore"):
-        # sinh^2 2r overflows near r = 178; the blocks reject the non-finite D_x
-        d_x = (a - b) * (a + b) + (sh * sh) * (a * a * (1.0 - kf) * (1.0 + kf) - b * b * lf * lf)
-    return CovarianceBlocks(
-        d_i=b + a * ch,
-        d_s=-b + a * ch,
-        c11=a * kf * sh,
-        c12=-b * lf * sh,
-        d_x=d_x,
-    )
+        # s^4 overflows near r = 178; the blocks reject the non-finite D_x.
+        # g is grouped so that at B = 0 it takes the vacuum formula's steps
+        g = ee * (a * a * (1.0 - kf)) * (1.0 + kf) - ee * (b * b * lf * lf)
+        d_x = ((1.0 + 2.0 * ei * n_i) * (1.0 + 2.0 * es * n_s)
+               + 2.0 * s2 * (a * (ei * (1.0 - es) + es * (1.0 - ei)) + 2.0 * g)
+               + 4.0 * g * (s2 * s2))
+        return CovarianceBlocks(
+            d_i=1.0 + 2.0 * ei * (n_i + a * s2),
+            d_s=1.0 + 2.0 * es * (n_s + a * s2),
+            c11=e * a * kf * sh,
+            c12=0.0 - e * b * lf * sh,  # +0.0 at B = 0, as the vacuum has it
+            d_x=d_x,
+        )
 
 
 def landmarks(a, b, kf, lf, eta_i, eta_s) -> CriticalPoints:

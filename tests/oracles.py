@@ -784,6 +784,20 @@ def each_reference(fn, x):
     return np.reshape(out, np.shape(x))
 
 
+def tmsv_blocks_reference(r, eta_i, eta_s, k_f):
+    """(D_I, D_S, C11, C12, D_x) of the lossy filtered TMSV by the vacuum's own
+    formulas, operation for operation as a separate TMSV model formed them;
+    floats or equal-shape arrays."""
+    s2 = each_reference(lambda x: math.sinh(x) ** 2, r)
+    g = eta_i * eta_s * (1.0 - k_f) * (1.0 + k_f)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_x = (1.0 + 2.0 * s2 * (eta_i * (1.0 - eta_s) + eta_s * (1.0 - eta_i) + 2.0 * g)
+               + 4.0 * g * (s2 * s2))
+    return (1.0 + 2.0 * eta_i * s2, 1.0 + 2.0 * eta_s * s2,
+            np.sqrt(eta_i * eta_s) * k_f * each_reference(lambda x: math.sinh(2.0 * x), r),
+            0.0 * s2, d_x)
+
+
 def csv_text_reference(columns: list[str], rows: list[list[float]]) -> str:
     """Header and rows of Python floats (run_sweep's rows and evaluate_point's
     values are); a list's repr spells each as format_number does, at C speed."""

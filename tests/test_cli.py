@@ -45,6 +45,13 @@ def run_inproc(*args, capsys=None):
     return code, out, err
 
 
+def strict_json(text: str):
+    """json.loads that rejects the non-standard Infinity, -Infinity and NaN."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON number {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 class TestPoint:
     def test_ideal_tmsv_point(self, capsys):
         code, out, _ = run_inproc(
@@ -405,12 +412,26 @@ class TestSweep:
         assert code == 0
         assert out == out_path.read_text()
         assert out.startswith('{\n  "params": {')
-        # the rows are the CSV's round-trip decimals, read back as floats
+        # the rows are the CSV's round-trip decimals, read back as floats;
+        # inf and nan, which JSON lacks, keep the CSV's spelling as strings
         assert main(["sweep", *argv]) == 0
         header, *lines = capsys.readouterr().out.splitlines()
         want = {"columns": header.split(","),
-                "rows": [[float(c) for c in line.split(",")] for line in lines]}
+                "rows": [[float(c) if math.isfinite(float(c)) else c for c in line.split(",")]
+                         for line in lines]}
         assert json.dumps(json.loads(out)["results"]) == json.dumps(want)
+
+    def test_sweep_json_spells_inf_and_nan_as_strings(self, capsys):
+        # no window at k_f = 0 (nan); the upper cutoff diverges at k_f = 1 (inf)
+        code, out, _ = run_inproc(
+            "sweep", "--model", "thermal", "--n-i", "0.3", "--n-s", "0.7",
+            "--axis1", "k_f=0:1:3", "--outputs", "critical_points", "--format", "json",
+            capsys=capsys)
+        assert code == 0
+        rows = strict_json(out)["results"]["rows"]
+        cells = [c for row in rows for c in row]
+        assert "inf" in cells and "nan" in cells
+        assert all(isinstance(c, float) or c in ("inf", "nan") for c in cells)
 
     def test_unbounded_landmarks_round_trip_in_csv(self, tmp_path):
         out_path = tmp_path / "cp.csv"
@@ -557,7 +578,8 @@ class TestValidateCommand:
         assert rows[0]["analytic"] == pytest.approx(math.cosh(2.0))
         assert payload["results"]["all_pass"] is True
         diag = payload["diagnostics"]
-        assert set(diag) == {"bias_estimate", "bias_warning", "lag_cells", "normal_draws"}
+        assert set(diag) == {"bias_estimate", "bias_warning", "chain_residual", "lag_cells",
+                             "normal_draws"}
         # four normals per realization: the filtered output quadratures
         assert (diag["lag_cells"], diag["normal_draws"]) == (100, 20000 * 4)
 
@@ -605,6 +627,57 @@ class TestValidateCommand:
         )
         assert code == 2
         assert "seed" in json.loads(err.splitlines()[-1])["error"]
+
+
+    @pytest.mark.parametrize("argv", [
+        ("--model", "tmsv", "--r", "0.0", "--family", "step", "--omega-l", "0"),
+        ("--model", "tmsv", "--r", "1.0", "--family", "step", "--omega-l", "1"),
+        ("--model", "thermal", "--r", "0.5", "--n-i", "0.3", "--n-s", "0.8", "--family", "step",
+         "--omega-l", "0"),
+        ("--model", "thermal", "--r", "0.5", "--n-i", "0.3", "--n-s", "0.8", "--eta-i", "0.8",
+         "--eta-s", "0.7", "--family-i", "exponential", "--family-s", "step", "--omega-l", "0"),
+    ], ids=["vacuum", "tmsv", "thermal", "lossy thermal mixed"])
+    def test_chain_residual_vanishes(self, argv, capsys):
+        # the Richardson limit of the chain, exact and free of sampling noise,
+        # meets the closed form; criterion 9's configs and a lossy thermal one
+        code, out, _ = run_inproc(
+            "validate", *argv, "--tau-i", "2", "--tau-s", "2", "--omega-k", "1",
+            "--dt", "0.01", "--horizon", "20", "--n-real", "1000", capsys=capsys)
+        assert code == 0
+        payload = strict_json(out)
+        scale = max(abs(row["analytic"]) for row in payload["results"]["blocks"])
+        residual = payload["diagnostics"]["chain_residual"]
+        assert len(residual) == 4
+        assert max(abs(x) for x in residual) <= 1e-7 * scale
+
+    def test_lossy_thermal_validation_passes(self, capsys):
+        code, out, _ = run_inproc(
+            "validate", "--model", "thermal", "--r", "0.5", "--n-i", "0.3", "--n-s", "0.8",
+            "--eta-i", "0.8", "--eta-s", "0.7", "--family", "step", "--tau-i", "2",
+            "--tau-s", "2", "--omega-k", "1", "--omega-l", "0", "--dt", "0.01",
+            "--horizon", "6", "--n-real", "200000", "--seed", "42", capsys=capsys)
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["results"]["all_pass"] is True
+        assert all(abs(row["z"]) <= 5.0 for row in payload["results"]["blocks"])
+        # the analytic blocks are the model's lossy thermal blocks
+        ov = overlap_closed_form(FilterSpec(FilterFamily.STEP, 1.0, 2.0),
+                                 FilterSpec(FilterFamily.STEP, 0.0, 2.0))
+        want = thermal.covariance(thermal.ThermalParams(0.5, 0.3, 0.8, ov, 0.8, 0.7))
+        assert [row["analytic"] for row in payload["results"]["blocks"]] == [
+            want.d_i, want.d_s, want.c11, want.c12]
+
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    def test_occupations_are_not_tmsv_parameters(self, command, capsys):
+        extra = {"validate": ("--family", "step", "--tau-i", "2", "--tau-s", "2", "--omega-k",
+                              "1", "--omega-l", "1", "--dt", "0.02", "--horizon", "6",
+                              "--n-real", "2000"),
+                 "sweep": ("--axis1", "r=0:1:3")}[command]
+        code, _, err = run_inproc(command, "--model", "tmsv", "--n-i", "0.2", *extra,
+                                  capsys=capsys)
+        assert code == 2
+        assert json.loads(err.splitlines()[-1]) == {
+            "error": "thermal occupations are not tmsv parameters"}
 
 
 class TestOverlapCommand:

@@ -407,6 +407,8 @@ class TestConfigValidation:
         ("horizon", dict(horizon=math.nan)),
         ("seed", dict(seed=-1)),
         ("seed", dict(seed=1.5)),
+        ("seed", dict(seed=True)),
+        ("seed", dict(seed=False)),
         ("n_realizations", dict(n_realizations=2000.0)),
         ("n_realizations", dict(n_realizations=math.inf)),
         ("n_realizations", dict(n_realizations=math.nan)),

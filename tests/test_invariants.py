@@ -1,9 +1,10 @@
 """The block invariant D_x = D_I D_S - C11^2 - C12^2 and the closed forms built
 on it, against 50-digit mpmath evaluations of the defining formulas.
 
-Each model supplies D_x as a sum of non-negative terms; the float
-subtraction D_I D_S - C^2 loses every digit once the blocks pass ~1e8
-(r ~ 9), while these forms stay exact to rounding up to r = 20.
+The model supplies D_x as a sum of non-negative terms, lossy or not, and so
+does the loss map; the float subtraction D_I D_S - C^2 loses every digit
+once the blocks pass ~1e8 (r ~ 9), while these forms stay exact to rounding
+up to r = 20.
 """
 
 import math
@@ -66,24 +67,28 @@ def rel_err(got, want) -> float:
 
 @st.composite
 def states(draw):
-    """(float blocks from the program, exact blocks) for one state of either
-    model, with or without loss."""
+    """(float blocks from the program, exact blocks) for one state: the
+    vacuum, thermal light at unit efficiency, lossy thermal light from the
+    model, and thermal light through the loss map."""
     r = draw(squeezing)
     ov = draw(overlaps())
-    model = draw(st.sampled_from(["tmsv", "thermal", "lossy thermal"]))
+    model = draw(st.sampled_from(["tmsv", "thermal", "lossy thermal", "loss map"]))
     with mp.workdps(DPS):
         if model == "tmsv":
             eta_i, eta_s = draw(efficiency), draw(efficiency)
             blocks = tmsv.covariance(tmsv.TmsvParams(r, eta_i, eta_s, ov))
             return blocks, exact_tmsv(r, eta_i, eta_s, ov.k_f)
         n_i, n_s = draw(occupation), draw(occupation)
-        blocks = thermal.covariance(thermal.ThermalParams(r, n_i, n_s, ov))
         exact = exact_thermal(r, n_i, n_s, ov.k_f, ov.l_f)
+        if model == "thermal":
+            return thermal.covariance(thermal.ThermalParams(r, n_i, n_s, ov)), exact
+        eta_i, eta_s = draw(efficiency), draw(efficiency)
         if model == "lossy thermal":
-            eta_i, eta_s = draw(efficiency), draw(efficiency)
-            blocks = gaussian.apply_loss(blocks, eta_i, eta_s)
-            exact = exact_loss(exact, eta_i, eta_s)
-        return blocks, exact
+            blocks = thermal.covariance(thermal.ThermalParams(r, n_i, n_s, ov, eta_i, eta_s))
+        else:
+            blocks = gaussian.apply_loss(thermal.covariance(thermal.ThermalParams(r, n_i, n_s, ov)),
+                                         eta_i, eta_s)
+        return blocks, exact_loss(exact, eta_i, eta_s)
 
 
 class TestModelDx:
@@ -98,6 +103,16 @@ class TestModelDx:
         got = thermal.covariance(thermal.ThermalParams(r, n_i, n_s, ov)).d_x
         with mp.workdps(DPS):
             assert rel_err(got, exact_d_x(exact_thermal(r, n_i, n_s, ov.k_f, ov.l_f))) <= 1e-13
+
+    @given(squeezing, occupation, occupation, overlaps(), efficiency, efficiency)
+    def test_lossy_thermal(self, r, n_i, n_s, ov, eta_i, eta_s):
+        blocks = thermal.covariance(thermal.ThermalParams(r, n_i, n_s, ov, eta_i, eta_s))
+        with mp.workdps(DPS):
+            exact = exact_loss(exact_thermal(r, n_i, n_s, ov.k_f, ov.l_f), eta_i, eta_s)
+            assert rel_err(blocks.d_x, exact_d_x(exact)) <= 1e-13
+            scale = max(exact[:2])
+            for got, want in zip((blocks.d_i, blocks.d_s, blocks.c11, blocks.c12), exact):
+                assert abs(mp.mpf(float(got)) - want) <= 1e-13 * scale
 
     @given(squeezing, occupation, occupation, overlaps(), efficiency, efficiency)
     def test_loss(self, r, n_i, n_s, ov, eta_i, eta_s):

@@ -17,8 +17,8 @@ from filtered_tms.sweep import (
     ConfigError,
     SweepConfig,
     _point_seeds,
-    _point_state,
     evaluate_point,
+    point_state,
     run_sweep,
 )
 from oracles import (
@@ -81,12 +81,9 @@ def scalar_point(cfg, params):
     if cfg.model == "tmsv":
         p = tmsv.TmsvParams(r=params["r"], eta_i=eta_i, eta_s=eta_s, overlap=ov)
         return p, tmsv.covariance(p)
-    p = thermal.ThermalParams(r=params["r"], n_i=get("n_i", 0.0), n_s=get("n_s", 0.0), overlap=ov)
-    blocks = thermal.covariance(p)
-    if eta_i < 1.0 or eta_s < 1.0:
-        v = gaussian.apply_loss(gaussian.build_covariance(blocks), eta_i, eta_s)
-        blocks = v.blocks()
-    return p, blocks
+    p = thermal.ThermalParams(r=params["r"], n_i=get("n_i", 0.0), n_s=get("n_s", 0.0),
+                              overlap=ov, eta_i=eta_i, eta_s=eta_s)
+    return p, thermal.covariance(p)
 
 
 def or_nan(fn, *args):
@@ -328,8 +325,8 @@ class TestOneSqueezingPass:
         rows = sweep._BLOCK_ROWS
         assert calls == [(min(rows, 13 - lo),) for lo in range(0, 13, rows)]
         n = len(table)
-        blocks = _point_state("thermal", {"r": table[:, 0], "n_i": np.full(n, 0.3),
-                                          "eta_s": np.full(n, 0.9)}, None)[1]
+        blocks = point_state("thermal", {"r": table[:, 0], "n_i": np.full(n, 0.3),
+                                         "eta_s": np.full(n, 0.9)})[1]
         assert table[:, 2].tobytes() == real(blocks).tobytes()
 
 
@@ -359,7 +356,7 @@ class TestBellInputs:
                  "lossy_thermal": {"n_i": 0.37, "n_s": 0.81, "eta_i": 0.9, "eta_s": 0.8}}[model]
         kind = "tmsv" if model == "tmsv" else "thermal"
         grid = {"k_f": k, "r": r, **{n: np.full(k.size, v) for n, v in fixed.items()}}
-        _, blocks, _, _ = _point_state(kind, grid, None)
+        _, blocks = point_state(kind, grid)
         got = np.column_stack([blocks.d_i, blocks.d_s, blocks.c11, blocks.c12])
         cfg = SweepConfig(kind, ("e_n",), fixed)
         scalar = np.array([
@@ -370,6 +367,11 @@ class TestBellInputs:
         reference = np.array([reference_blocks(kind, fixed, kf, rr)
                               for kf, rr in zip(k.tolist(), r.tolist())])
         assert got.tobytes() == scalar.tobytes()
+        if kind == "thermal":
+            # the model forms D - 1 = 2 eta (n + A sinh^2 r), not B + A cosh 2r - 1
+            # through the loss map: the two agree to rounding
+            assert np.all(np.abs(got - reference) <= 4e-15 * np.abs(reference))
+            return
         # signed zeros aside (C12 = +-0 assemble the same matrix)
         assert np.array_equal(got, reference)
         assert np.all((got == reference) & (np.signbit(got) == np.signbit(reference))

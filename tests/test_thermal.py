@@ -88,6 +88,9 @@ class TestCovariance:
             params(1.0, n_i=-0.1)
         with pytest.raises(ValueError):
             params(-1.0)
+        for eta in (-0.1, 1.3, math.nan):
+            with pytest.raises(ValueError, match=r"eta_s must lie in \[0, 1\], got"):
+                thermal.ThermalParams(1.0, eta_s=eta)
 
 
 class TestCriticalPoints:

@@ -20,6 +20,7 @@ from oracles import (
     close_to_reference,
     golden_min,
     random_tmsv_params,
+    tmsv_blocks_reference,
     tmsv_critical_points,
     tmsv_landmarks_reference,
     tmsv_optimized_squeezing_closed,
@@ -89,6 +90,24 @@ class TestCovariance:
         assert str(error.value) == "(34, 'Numerical result out of range')"
         with pytest.raises(OverflowError):
             tmsv.covariance(params(200.0))
+
+    def test_blocks_are_the_vacuum_formulas_bit_for_bit(self):
+        # the thermal model at n = 0 repeats the vacuum formulas' operations,
+        # the sign of C12's zero included, on grids and on single states
+        rng = np.random.default_rng(17)
+        n = 20000
+        r = np.concatenate([np.zeros(50), rng.uniform(0.0, 20.0, n)])
+        ei, es, kf = (np.concatenate([np.ones(50), rng.uniform(0.0, 1.0, n)]) for _ in range(3))
+        ei[60:160], es[120:220], kf[200:300] = 1.0, 1.0, 1.0
+        lf = rng.uniform(-1.0, 1.0, r.size) * np.sqrt(1.0 - kf * kf)
+        want = tmsv_blocks_reference(r, ei, es, kf)
+        got = tmsv.covariance(tmsv.TmsvParams(r, ei, es, OverlapFactors(kf, lf)))
+        for k in range(0, r.size, 97):
+            one = tmsv.covariance(tmsv.TmsvParams(float(r[k]), float(ei[k]), float(es[k]),
+                                                  OverlapFactors(float(kf[k]), float(lf[k]))))
+            assert np.array(astuple(one)).tobytes() == np.array([w[k] for w in want]).tobytes()
+        for x, w in zip(astuple(got), want):
+            assert np.asarray(x, dtype=float).tobytes() == np.asarray(w, dtype=float).tobytes()
 
     @pytest.mark.parametrize("etas", [(0.0, 0.7), (0.8, 0.0), (0.0, 0.0)])
     def test_full_loss_gives_a_product_state(self, etas):
