@@ -1,6 +1,9 @@
 """Command-line surface: point evaluations, parameter sweeps, Bell
 maximization, Monte Carlo validation and overlap-kernel checks.
 
+Every command but ``overlap`` builds its state with ``sweep.point_state``,
+from the state flags (``sweep.AXIS_PARAMS``) and the filter families.
+
 Exit codes: 0 success (including reported non-convergence), 2 usage or
 parameter errors (with a machine-readable JSON error line on stderr),
 3 internal numerical failures.
@@ -21,27 +24,27 @@ import tempfile
 import numpy as np
 
 from . import bell, fieldsim, gaussian, sweep
-from .filters import FilterFamily, FilterSpec, overlap_closed_form, overlap_numeric
+from .filters import overlap_closed_form, overlap_numeric
 from .svg import render_heatmap
 from .sweep import AxisSpec, ConfigError, SweepConfig
 
-_PARAM_FLAGS = (
-    ("r", "squeezing amplitude"),
-    ("k_f", "filter overlap K_f"),
-    ("l_f", "filter overlap L_f"),
-    ("eta_i", "idler detection efficiency"),
-    ("eta_s", "signal detection efficiency"),
-    ("n_i", "idler thermal occupation (thermal model)"),
-    ("n_s", "signal thermal occupation (thermal model)"),
-    ("omega_k", "idler filter center frequency"),
-    ("omega_l", "signal filter center frequency"),
-    ("tau_i", "idler filter time constant"),
-    ("tau_s", "signal filter time constant"),
+_PARAM_HELP = (  # one per name of sweep.AXIS_PARAMS, in its order
+    "squeezing amplitude",
+    "filter overlap K_f",
+    "filter overlap L_f",
+    "idler detection efficiency",
+    "signal detection efficiency",
+    "idler thermal occupation (thermal model)",
+    "signal thermal occupation (thermal model)",
+    "idler filter center frequency",
+    "signal filter center frequency",
+    "idler filter time constant",
+    "signal filter time constant",
 )
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
-    for name, help_text in _PARAM_FLAGS:
+    for name, help_text in zip(sweep.AXIS_PARAMS, _PARAM_HELP, strict=True):
         parser.add_argument(f"--{name.replace('_', '-')}", dest=name, type=float,
                             default=None, help=help_text)
     parser.add_argument("--family", choices=["step", "exponential"], default=None,
@@ -49,8 +52,13 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _collect_params(args) -> dict:
-    return {name: getattr(args, name) for name, _ in _PARAM_FLAGS
+    return {name: getattr(args, name) for name in sweep.AXIS_PARAMS
             if getattr(args, name) is not None}
+
+
+def _output_list(text: str) -> tuple[str, ...]:
+    """The names of a comma-separated ``--outputs``."""
+    return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
 def _parse_axis(text: str) -> AxisSpec:
@@ -130,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_point = sub.add_parser("point", help="evaluate one parameter tuple")
     p_point.add_argument("--model", choices=["tmsv", "thermal"], required=True)
     _add_param_flags(p_point)
-    p_point.add_argument("--outputs", default="e_n,s_q_opt,purity",
+    p_point.add_argument("--outputs", type=_output_list, default="e_n,s_q_opt,purity",
                          help="comma-separated outputs (default e_n,s_q_opt,purity)")
     p_point.add_argument("--seed", type=int, default=0)
     p_point.add_argument("--restarts", type=int, default=64, help="bell_max restarts")
@@ -142,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p_sweep)
     p_sweep.add_argument("--axis1", required=True, help="name=start:stop:count")
     p_sweep.add_argument("--axis2", default=None, help="name=start:stop:count")
-    p_sweep.add_argument("--outputs", default="e_n",
+    p_sweep.add_argument("--outputs", type=_output_list, default="e_n",
                          help="comma-separated outputs (default e_n)")
     p_sweep.add_argument("--out", default=None, help="output path (default stdout)")
     p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -192,8 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_point(args) -> int:
-    params = _collect_params(args)
-    outputs = tuple(s.strip() for s in args.outputs.split(",") if s.strip())
+    params, outputs = _collect_params(args), args.outputs
     results, blocks = sweep.evaluate_point_with_blocks(
         args.model, params, outputs, family=args.family, seed=args.seed,
         bell_restarts=args.restarts)
@@ -216,10 +223,9 @@ def _cmd_point(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    outputs = tuple(s.strip() for s in args.outputs.split(",") if s.strip())
     cfg = SweepConfig(
         model=args.model,
-        outputs=outputs,
+        outputs=args.outputs,
         fixed=_collect_params(args),
         axis1=_parse_axis(args.axis1),
         axis2=_parse_axis(args.axis2) if args.axis2 else None,
@@ -236,7 +242,7 @@ def _cmd_sweep(args) -> int:
         _write(args.out, sweep.csv_text(columns, table))
         return 0
     payload = {
-        "params": {"model": cfg.model, "outputs": list(outputs),
+        "params": {"model": cfg.model, "outputs": list(cfg.outputs),
                    "fixed": cfg.fixed, "seed": cfg.seed},
         "results": {"columns": columns, "rows": table.tolist()},
         "diagnostics": {"n_points": len(table)},
@@ -264,7 +270,8 @@ def _write_sweep_svg(path, cfg: SweepConfig, columns, table) -> None:
 
 def _cmd_bell(args) -> int:
     params = _collect_params(args)
-    v = gaussian.build_covariance(sweep.point_blocks(args.model, params, args.family))
+    _, blocks = sweep.point_state(args.model, params, (args.family, args.family))
+    v = gaussian.build_covariance(blocks)
     cfg = bell.BellMaxConfig(n_restarts=args.restarts, max_evals=args.max_evals,
                              seed=args.seed)
     res = bell.bell_max(v, cfg)
@@ -281,26 +288,22 @@ def _cmd_bell(args) -> int:
     return 0
 
 
-def _make_filters(args) -> tuple[FilterSpec, FilterSpec]:
-    """The (idler, signal) filter pair of ``validate`` or ``overlap``."""
-    fam_i = args.family_i or args.family
-    fam_s = args.family_s or args.family
-    if fam_i is None or fam_s is None:
+def _filters(args):
+    """The (idler, signal) families and filter pair of ``validate`` or
+    ``overlap``; both need every filter parameter."""
+    families = (args.family_i or args.family, args.family_s or args.family)
+    if None in families:
         raise ConfigError(f"{args.command} requires --family (or --family-i/--family-s)")
-    missing = [n for n in ("omega_k", "omega_l", "tau_i", "tau_s")
-               if getattr(args, n) is None]
+    missing = [n for n in sweep.FILTER_PARAMS if getattr(args, n) is None]
     if missing:
         raise ConfigError(f"{args.command} requires filter parameters, missing {missing}")
-    return (FilterSpec(FilterFamily(fam_i), args.omega_k, args.tau_i),
-            FilterSpec(FilterFamily(fam_s), args.omega_l, args.tau_s))
+    return families, sweep.filter_pair(*families, *(getattr(args, n) for n in sweep.FILTER_PARAMS))
 
 
 def _cmd_validate(args) -> int:
     params = _collect_params(args)
-    fi, fs = _make_filters(args)
-    ov = overlap_closed_form(fi, fs)
-    state = {k: v for k, v in params.items() if k not in sweep.FILTER_PARAMS}
-    model, analytic = sweep.point_state(args.model, {**state, "k_f": ov.k_f, "l_f": ov.l_f})
+    families, (fi, fs) = _filters(args)
+    model, analytic = sweep.point_state(args.model, params, families)
     try:
         cfg = fieldsim.SimConfig(
             model=model, filter_i=fi, filter_s=fs, dt=args.dt,
@@ -325,12 +328,10 @@ def _cmd_validate(args) -> int:
     payload = {
         "params": {"model": args.model, **params,
                    "family_i": fi.family.value, "family_s": fs.family.value,
-                   "omega_k": args.omega_k, "omega_l": args.omega_l,
-                   "tau_i": args.tau_i, "tau_s": args.tau_s,
                    "dt": args.dt, "horizon": args.horizon,
                    "n_realizations": args.n_real, "seed": args.seed},
         "results": {"blocks": rows, "all_pass": all_pass,
-                    "k_f": ov.k_f, "l_f": ov.l_f},
+                    "k_f": model.overlap.k_f, "l_f": model.overlap.l_f},
         "diagnostics": {"bias_estimate": list(est.bias_estimate),
                         "bias_warning": est.bias_warning,
                         # the dt -> 0 limit of the chain, less the closed form
@@ -344,7 +345,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_overlap(args) -> int:
-    fi, fs = _make_filters(args)
+    _, (fi, fs) = _filters(args)
     numeric = overlap_numeric(fi, fs, tol=args.tol)
     closed = overlap_closed_form(fi, fs)
     payload = {

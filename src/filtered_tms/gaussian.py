@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _BLOCK_TOL = 1e-9
+_VACUUM_FLOOR = 1.0 - 1e-10
 _SYMPLECTIC_FLOOR = 0.5 - 1e-10
 
 
@@ -160,11 +161,11 @@ def _nu_minus(b: CovarianceBlocks):
     return b.d_x / (np.hypot(u, 2.0 * np.sqrt(b.d_x)) + u)
 
 
-def check_blocks(blocks: CovarianceBlocks, tol: float = 1e-10) -> None:
+def check_blocks(blocks: CovarianceBlocks) -> None:
     """Reject blocks below the vacuum floor, blocks whose matrix is not
     positive definite (D_x > 0 for this block structure), or below the
     symplectic floor nu- >= 1/2: the one physicality check, in closed form."""
-    _reject((blocks.d_i < 1.0 - tol) | (blocks.d_s < 1.0 - tol), lambda i: ValueError(
+    _reject((blocks.d_i < _VACUUM_FLOOR) | (blocks.d_s < _VACUUM_FLOOR), lambda i: ValueError(
         f"diagonal blocks below the vacuum floor: d_i={_at(blocks.d_i, i)}, "
         f"d_s={_at(blocks.d_s, i)}"))
     _reject(np.logical_not(blocks.d_x > 0.0),

@@ -1,14 +1,16 @@
 """Grid evaluation engine behind the CLI: 1-D/2-D sweeps over state and
-filter parameters, with deterministic row ordering and per-point seeds.
+filter parameters, with deterministic row ordering and per-point seeds, and
+the one constructor of a command's state, ``point_state``.
 
 Both models are the one state model of ``thermal``, the vacuum (``tmsv``)
-being its zero-occupation case.  Axis parameters come from a closed set;
-when filter parameters (omega_k, omega_l, tau_i, tau_s) appear, a filter
-family must be fixed and the overlap kernel (K_f, L_f) is recomputed from
-the filter pair at every grid point.  Grids are evaluated as whole arrays, check by check; ``bell_max``
-advances the restarts of every point of a block as one lockstep array, each
-point with its own seed.  Rows are in axis order (axis2 outermost), and an
-error names the first failing point in that order.
+being its zero-occupation case.  The state parameters are the keys of
+``_DEFAULTS``; when filter parameters (omega_k, omega_l, tau_i, tau_s)
+appear, a family per filter must be fixed, and the overlap kernel
+(K_f, L_f) is that of the pair ``filter_pair`` builds, at every grid point.
+Grids are evaluated as whole arrays, check by check; ``bell_max`` advances
+the restarts of every point of a block as one lockstep array, each point
+with its own seed.  Rows are in axis order (axis2 outermost), and an error
+names the first failing point in that order.
 """
 
 from __future__ import annotations
@@ -21,18 +23,15 @@ import numpy as np
 from . import bell, gaussian, thermal
 from .filters import FilterFamily, FilterSpec, OverlapFactors, overlap_closed_form
 
-AXIS_PARAMS = (
-    "r", "k_f", "l_f", "eta_i", "eta_s", "n_i", "n_s",
-    "omega_k", "omega_l", "tau_i", "tau_s",
-)
-FILTER_PARAMS = ("omega_k", "tau_i", "omega_l", "tau_s")  # (omega, tau) per filter
-OUTPUTS = ("e_n", "s_q_opt", "purity", "bell_max", "zeta", "weight_ratio", "critical_points")
-
+# the state parameters, in axis and flag order, and their defaults
 _DEFAULTS = {
     "r": 1.0, "k_f": 1.0, "l_f": 0.0, "eta_i": 1.0, "eta_s": 1.0,
     "n_i": 0.0, "n_s": 0.0,
     "omega_k": 1.0, "omega_l": 1.0, "tau_i": 2.0, "tau_s": 2.0,
 }
+AXIS_PARAMS = tuple(_DEFAULTS)
+FILTER_PARAMS = ("omega_k", "omega_l", "tau_i", "tau_s")  # the centers, then the time constants
+OUTPUTS = ("e_n", "s_q_opt", "purity", "bell_max", "zeta", "weight_ratio", "critical_points")
 
 CRITICAL_COLUMNS = ("r_lcf_en", "r_ucf_en", "r_max_en", "r_lcf_sq", "r_ucf_sq", "r_max_sq")
 _BLOCK_ROWS = 4096  # grid rows per array pass; bounds the temporaries, Bell's 4x4 stack among them
@@ -95,17 +94,22 @@ class SweepConfig:
                 raise ConfigError(str(exc)) from exc
 
 
-def _resolve_overlap(params: dict, family: str | None, value) -> OverlapFactors:
+def filter_pair(family_i: str, family_s: str, omega_k, omega_l, tau_i, tau_s):
+    """The (idler, signal) ``FilterSpec`` pair: the idler filter of family_i
+    at (omega_k, tau_i), the signal filter of family_s at (omega_l, tau_s)."""
+    return (FilterSpec(FilterFamily(family_i), omega_k, tau_i),
+            FilterSpec(FilterFamily(family_s), omega_l, tau_s))
+
+
+def _resolve_overlap(params: dict, families, value) -> OverlapFactors:
     """(K_f, L_f) over the grid, from filters or direct values."""
     if any(p in params for p in FILTER_PARAMS):
-        if family is None:
+        if None in families:
             raise ConfigError("filter parameters require --family")
         if "k_f" in params or "l_f" in params:
             raise ConfigError("give either (k_f, l_f) or filter parameters, not both")
-        wk, ti, wl, ts = (value(p) for p in FILTER_PARAMS)
-        fam = FilterFamily(family)
-        return overlap_closed_form(FilterSpec(fam, wk, ti), FilterSpec(fam, wl, ts))
-    if family is not None:
+        return overlap_closed_form(*filter_pair(*families, *map(value, FILTER_PARAMS)))
+    if families != (None, None):
         raise ConfigError("--family given without filter parameters")
     try:
         return OverlapFactors(value("k_f"), value("l_f"))
@@ -113,18 +117,19 @@ def _resolve_overlap(params: dict, family: str | None, value) -> OverlapFactors:
         raise ConfigError(str(exc)) from exc
 
 
-def point_state(model: str, params: dict, family: str | None = None):
+def point_state(model: str, params: dict, families=(None, None)):
     """The model's params and covariance blocks at parameter values given as
     floats (one state) or as equal-length arrays (a grid of states); a
-    parameter not given takes its default."""
-    shape = np.shape(next(iter(params.values()))) if params else (1,)
+    parameter not given takes its default.  ``families`` are the (idler,
+    signal) filter families, needed with filter parameters."""
+    shape = np.shape(next(iter(params.values()))) if params else ()
 
     def value(name):
         if name in params:
             return params[name]
         return _DEFAULTS[name] if shape == () else np.full(shape, _DEFAULTS[name])
 
-    ov = _resolve_overlap(params, family, value)
+    ov = _resolve_overlap(params, families, value)
     if model == "tmsv" and ("n_i" in params or "n_s" in params):
         raise ConfigError("thermal occupations are not tmsv parameters")
     try:
@@ -150,7 +155,8 @@ def _evaluate(model, params, outputs, family, seeds, bell_restarts, optimize=Tru
     grid has passed; ``optimize=False`` skips it, for a pass that only looks
     for a failing check.  Returns the outputs and the grid's blocks.
     """
-    p, blocks = point_state(model, params, family)
+    # a grid without parameters is one state at the defaults
+    p, blocks = point_state(model, params or {"r": np.array([_DEFAULTS["r"]])}, (family, family))
     gaussian.check_blocks(blocks)
     # the checked blocks have s_q_opt > 0, so log_negativity cannot raise here
     ent = gaussian.log_negativity(blocks) if {"e_n", "s_q_opt"} & set(outputs) else None
@@ -227,17 +233,6 @@ def evaluate_point_with_blocks(model: str, params: dict, outputs, family: str | 
     res, b = _evaluate(model, grid, outputs, family, [seed], bell_restarts)
     blocks = gaussian.CovarianceBlocks(*(float(x[0]) for x in astuple(b)))
     return {k: float(v[0]) for k, v in res.items()}, blocks
-
-
-def evaluate_point(model: str, params: dict, outputs, family: str | None = None, seed: int = 0,
-                   bell_restarts: int = 64) -> dict:
-    """The outputs of ``evaluate_point_with_blocks``."""
-    return evaluate_point_with_blocks(model, params, outputs, family, seed, bell_restarts)[0]
-
-
-def point_blocks(model: str, params: dict, family: str | None = None):
-    """Covariance blocks at one parameter point, D_x included."""
-    return evaluate_point_with_blocks(model, params, (), family)[1]
 
 
 def run_sweep(cfg: SweepConfig) -> tuple[list[str], np.ndarray]:

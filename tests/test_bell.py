@@ -217,6 +217,15 @@ class TestBellMax:
         lossy = bell_max(lossy_v, BellMaxConfig(n_restarts=24, seed=53)).b_max
         assert lossy < clean
 
+    @pytest.mark.xfail(strict=True, reason="from r ~ 2.5 on the restarts stall at B = 2 "
+                       "(ROADMAP item 2)")
+    def test_large_squeezing_reaches_the_plateau(self):
+        # the maximum of ideal TMSV is about 2.324 from r ~ 1.5 on; at r = 3
+        # bell_max returns exactly 2.0, unconverged, so a sweep reports a
+        # non-local state as local
+        res = bell_max(tmsv_matrix(3.0), BellMaxConfig(n_restarts=64, seed=7))
+        assert res.b_max >= 2.3
+
 
 def mixed_states():
     """TMSV, thermal and lossy thermal states, two of each, as one stack."""

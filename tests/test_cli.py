@@ -128,7 +128,7 @@ class TestPoint:
         assert code == 0
         params = {k[2:].replace("-", "_"): float(v) for k, v in zip(argv[2:-2:2], argv[3:-2:2])}
         outputs = tuple(argv[-1].split(","))
-        results = sweep.evaluate_point(argv[1], params, outputs, bell_restarts=4)
+        results = sweep.evaluate_point_with_blocks(argv[1], params, outputs, bell_restarts=4)[0]
         cols = sweep.output_columns(outputs)
         assert out == csv_text_reference(cols, [[results[c] for c in cols]])
 
@@ -310,15 +310,15 @@ class TestSweep:
         lines = out_path.read_text().splitlines()
         header = lines[0].split(",")
         rng = np.random.default_rng(0)
-        from filtered_tms.sweep import evaluate_point
+        from filtered_tms.sweep import evaluate_point_with_blocks
 
         for k in rng.integers(1, len(lines), size=10):
             cells = lines[k].split(",")
             parsed = dict(zip(header, (float(c) for c in cells)))
-            res = evaluate_point(
+            res = evaluate_point_with_blocks(
                 "tmsv", {"r": parsed["r"], "k_f": 0.9, "eta_i": 0.85},
                 ("e_n", "s_q_opt", "purity", "weight_ratio"),
-            )
+            )[0]
             for name, want in res.items():
                 assert repr(float(want)) == cells[header.index(name)]
 
@@ -527,8 +527,8 @@ class TestBellCommand:
                 "--max-evals", "900", "--seed", "6")
         code, first, _ = run_inproc(*argv, capsys=capsys)
         assert code == 0
-        blocks = sweep.point_blocks("thermal", {"r": 0.8, "n_i": 0.1, "n_s": 0.4, "k_f": 0.95,
-                                                "l_f": 0.095, "eta_s": 0.9})
+        _, blocks = sweep.point_state("thermal", {"r": 0.8, "n_i": 0.1, "n_s": 0.4, "k_f": 0.95,
+                                                  "l_f": 0.095, "eta_s": 0.9})
         steps = []
         ref = bell_max_reference(build_covariance(blocks), 12, 900, seed=6, steps=steps)
         diag = json.loads(first)["diagnostics"]
@@ -678,6 +678,36 @@ class TestValidateCommand:
         assert code == 2
         assert json.loads(err.splitlines()[-1]) == {
             "error": "thermal occupations are not tmsv parameters"}
+
+    @pytest.mark.parametrize("overlap, families", [
+        (("--k-f", "0.5"), ("--family", "step")),
+        (("--l-f", "0.3"), ("--family-i", "step", "--family-s", "exponential")),
+    ], ids=["k_f, one family", "l_f, a family per filter"])
+    def test_overlap_beside_filters_exits_two(self, overlap, families, capsys):
+        # as point and sweep do: the filters fix (K_f, L_f)
+        code, out, err = run_inproc(
+            "validate", "--model", "tmsv", "--r", "1", *overlap, *families,
+            "--tau-i", "2", "--tau-s", "2", "--omega-k", "1", "--omega-l", "1",
+            "--dt", "0.02", "--horizon", "20", "--n-real", "2000", capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [json.dumps(
+            {"error": "give either (k_f, l_f) or filter parameters, not both"})]
+
+    @pytest.mark.parametrize("families", [
+        ("--family", "exponential"),
+        ("--family-i", "exponential", "--family-s", "step"),
+    ], ids=["one family", "a family per filter"])
+    def test_overlap_is_the_overlap_commands_closed_form(self, families, capsys):
+        filters = ("--tau-i", "1.5", "--tau-s", "2", "--omega-k", "1", "--omega-l", "0.3")
+        code, out, _ = run_inproc("overlap", *families, *filters, capsys=capsys)
+        assert code == 0
+        want = json.loads(out)["results"]["closed_form"]
+        code, out, _ = run_inproc(
+            "validate", "--model", "thermal", "--r", "0.5", "--n-i", "0.3", *families,
+            *filters, "--dt", "0.02", "--horizon", "20", "--n-real", "1000", capsys=capsys)
+        assert code == 0
+        res = json.loads(out)["results"]
+        assert (res["k_f"], res["l_f"]) == (want["k_f"], want["l_f"])
 
 
 class TestOverlapCommand:

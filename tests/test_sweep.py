@@ -1,5 +1,5 @@
 """Whole-grid sweep evaluation against per-point references: the spectral
-oracle of each point's 4x4 matrix, the one-point case ``evaluate_point``,
+oracle of each point's 4x4 matrix, the one-point case ``evaluate_point_with_blocks``,
 the first failing point of a point-by-point loop, and the scalar model
 blocks that the Bell optimizer receives."""
 
@@ -17,7 +17,7 @@ from filtered_tms.sweep import (
     ConfigError,
     SweepConfig,
     _point_seeds,
-    evaluate_point,
+    evaluate_point_with_blocks,
     point_state,
     run_sweep,
 )
@@ -159,22 +159,23 @@ def block_rows(request, monkeypatch):
 
 class TestOnePointCase:
     @pytest.mark.parametrize("name", sorted(GRIDS))
-    def test_rows_are_bit_equal_to_evaluate_point(self, name, block_rows):
+    def test_rows_are_bit_equal_to_one_point_evaluations(self, name, block_rows):
         cfg = GRIDS[name]
         for params, row in grid_points(cfg):
-            res = evaluate_point(cfg.model, params, cfg.outputs, family=cfg.family)
+            res = evaluate_point_with_blocks(cfg.model, params, cfg.outputs, family=cfg.family)[0]
             assert res.keys() <= row.keys()
             for col, want in res.items():
                 assert np.float64(row[col]).tobytes() == np.float64(want).tobytes(), (
                     name, params, col, row[col], want)
 
-    def test_bell_rows_are_bit_equal_to_evaluate_point(self, block_rows):
+    def test_bell_rows_are_bit_equal_to_one_point_evaluations(self, block_rows):
         cfg = SweepConfig("thermal", ("bell_max", "e_n"), {"n_i": 0.3, "k_f": 0.95},
                           axis1=AxisSpec("r", 0.4, 1.2, 3), axis2=AxisSpec("eta_i", 0.8, 1.0, 2),
                           seed=11, bell_restarts=6)
         seeds = _point_seeds(11, 6)
         for i, (params, row) in enumerate(grid_points(cfg)):
-            res = evaluate_point(cfg.model, params, cfg.outputs, seed=seeds[i], bell_restarts=6)
+            res = evaluate_point_with_blocks(cfg.model, params, cfg.outputs, seed=seeds[i],
+                                             bell_restarts=6)[0]
             assert res == {"bell_max": row["bell_max"], "e_n": row["e_n"]}
 
 
@@ -228,7 +229,7 @@ class TestFirstFailingPoint:
         for point in points:
             params = {**cfg.fixed, **{a.name: float(v) for a, v in zip(axes, point)}}
             try:
-                evaluate_point(cfg.model, params, cfg.outputs, family=cfg.family)
+                evaluate_point_with_blocks(cfg.model, params, cfg.outputs, family=cfg.family)
             except Exception as exc:
                 assert (type(exc), str(exc)) == (kind, message)
                 break
@@ -427,7 +428,7 @@ class TestBellRunsLast:
         assert calls == []
 
     def test_point_outputs_keep_their_listed_order(self):
-        res = evaluate_point("tmsv", {"r": 0.5}, ("bell_max", "e_n"), bell_restarts=2)
+        res = evaluate_point_with_blocks("tmsv", {"r": 0.5}, ("bell_max", "e_n"), bell_restarts=2)[0]
         assert list(res) == ["bell_max", "e_n"]
 
 
