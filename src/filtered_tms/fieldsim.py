@@ -31,7 +31,10 @@ draws per realization instead of one per lag cell and series, and the
 covariance sampled is still the Riemann-sum Gram of the sampled kernels,
 never the closed-form overlap.  The same factor gives the estimator's
 exact expectation at a given dt, the blocks of R_A^T R_A, from which the
-discretization bias is estimated without sampling noise.
+discretization bias is estimated without sampling noise.  The samples are
+never stored: each batch is merged into a running mean and sum of squared
+deviations as it is drawn, so memory does not grow with the number of
+realizations.
 """
 
 from __future__ import annotations
@@ -220,28 +223,24 @@ def _expected_blocks(factor: np.ndarray) -> np.ndarray:
                      g[0, 2] - g[1, 3], g[0, 3] + g[1, 2]])
 
 
-def _contract(cfg: SimConfig, factor: np.ndarray, n_total: int) -> np.ndarray:
-    """Per-realization samples of (D_I, D_S, C11, C12), shape (n_total, 4).
+def _batches(cfg: SimConfig, factor: np.ndarray, n_total: int):
+    """Yield the samples of (D_I, D_S, C11, C12) batch by batch, each a
+    fresh (4, nb) array of nb <= _BATCH realizations.
 
     Each batch draws z ~ N(0, I_4) per realization from a generator seeded
     by SeedSequence((cfg.seed, 0, batch index)), so the stream does not
-    depend on scheduling, and forms the outputs z R_A.  The samples are
-    stored block by block and returned transposed, so that the per-block
-    moments reduce over contiguous memory.
+    depend on scheduling, and forms the outputs z R_A.  Nothing outlives
+    its batch, so a caller that reduces each batch as it comes runs in
+    memory independent of n_total.
     """
-    out = np.empty((4, n_total))
     for start in range(0, n_total, _BATCH):
         nb = min(_BATCH, n_total - start)
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=(cfg.seed, 0, start // _BATCH))
         )
         xk, yk, xl, yl = (rng.standard_normal((nb, 4)) @ factor).T
-        cols = out[:, start:start + nb]
-        cols[0] = xk * xk + yk * yk
-        cols[1] = xl * xl + yl * yl
-        cols[2] = xk * xl - yk * yl
-        cols[3] = xk * yl + yk * xl
-    return out.T
+        yield np.array([xk * xk + yk * yk, xl * xl + yl * yl,
+                        xk * xl - yk * yl, xk * yl + yk * xl])
 
 
 def simulate(cfg: SimConfig) -> EmpiricalBlocks:
@@ -258,9 +257,18 @@ def simulate(cfg: SimConfig) -> EmpiricalBlocks:
     mids, widths = _lag_grid(max(supports), cfg.dt)
     factor = _output_factor(cfg, widths, _kernels(cfg, mids, widths))
 
-    samples = _contract(cfg, factor, cfg.n_realizations)
-    est = samples.mean(axis=0)
-    se = np.maximum(samples.std(axis=0, ddof=1) / math.sqrt(cfg.n_realizations), 1e-300)
+    # running mean and M2 (summed squared deviations from the mean), merged
+    # batch by batch as in Chan, Golub & LeVeque: every term of M2 is
+    # non-negative, so it never forms the cancelling sum(x^2) - n mean^2
+    n, est, m2 = 0, np.zeros(4), np.zeros(4)
+    for x in _batches(cfg, factor, cfg.n_realizations):
+        nb = x.shape[1]
+        mean_b = x.mean(axis=1)
+        delta = mean_b - est
+        n += nb
+        est = est + delta * (nb / n)
+        m2 = m2 + np.square(x - mean_b[:, None]).sum(axis=1) + delta**2 * ((n - nb) * nb / n)
+    se = np.maximum(np.sqrt(m2 / (n - 1)) / math.sqrt(n), 1e-300)
 
     expected = _expected_blocks(factor)
     bias = _richardson_bias(cfg, mids, widths, expected)

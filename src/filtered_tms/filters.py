@@ -102,7 +102,7 @@ def overlap_closed_form(fi: FilterSpec, fs: FilterSpec) -> OverlapFactors:
     window: sqrt(2/(tau_i tau_s)) (1 - exp(-a tau_step)) / a with
     a = 1/tau_exp - i(Omega_i - Omega_s).
     """
-    # floats, so that integer inputs cannot wrap around in the powers below
+    # floats, so that integer inputs cannot wrap around in the products below
     wi, ti, ws, ts = (np.asarray(x, dtype=float) for x in (fi.omega, fi.tau, fs.omega, fs.tau))
     delta = wi - ws
     root = np.sqrt(ti * ts)
@@ -121,9 +121,12 @@ def overlap_closed_form(fi: FilterSpec, fs: FilterSpec) -> OverlapFactors:
             l = np.where(small, (tau / root) * (x / 2.0) * (1.0 - x * x / 12.0),
                          (1.0 - np.cos(x)) / (root * delta))
         return OverlapFactors(k[()], l[()])
-    den = ti**2 * ts**2 * delta**2 + (ti + ts) ** 2
-    k = 2.0 * root * (ti + ts) / den
-    l = 2.0 * root**3 * delta / den
+    # products, not powers: numpy's array power and libm's pow round some
+    # values differently, and floats and arrays must give the same bits
+    t_sum = ti + ts
+    den = (ti * ti) * (ts * ts) * (delta * delta) + t_sum * t_sum
+    k = 2.0 * root * t_sum / den
+    l = 2.0 * (ti * ts * root) * delta / den
     return OverlapFactors(k[()], l[()])
 
 

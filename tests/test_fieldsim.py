@@ -4,6 +4,7 @@ full-series contraction, error bars and configuration validation."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,6 +198,13 @@ def oracle_expectation(cfg, widths, kernels):
                              fieldsim._BATCH).sum(axis=0)
 
 
+def drawn_samples(cfg, widths, kernels, n):
+    """The simulator's block samples of n realizations, shape (n, 4): every
+    batch of _batches, concatenated."""
+    factor = fieldsim._output_factor(cfg, widths, kernels)
+    return np.concatenate(list(fieldsim._batches(cfg, factor, n)), axis=1).T
+
+
 def assert_same_samples(got, want):
     # relative to each block's scale: single C11/C12 products cross zero
     scale = np.max(np.abs(want), axis=0)
@@ -220,7 +228,7 @@ IDENTICAL = SimConfig(tmsv.TmsvParams(r=0.5, eta_i=0.7), *step_pair(), dt=0.02, 
 
 
 class TestProjectedContraction:
-    """_contract draws the four outputs as z R_A instead of the series; fed
+    """_batches draws the four outputs as z R_A instead of the series; fed
     the same draws lifted to full series, the direct mix-then-contract order
     in oracles.py must give the same samples."""
 
@@ -229,7 +237,7 @@ class TestProjectedContraction:
     def test_samples_match_mix_then_contract(self, cfg):
         _, widths, kernels = kernel_grid(cfg)
         n = cfg.n_realizations
-        got = fieldsim._contract(cfg, fieldsim._output_factor(cfg, widths, kernels), n)
+        got = drawn_samples(cfg, widths, kernels, n)
         noise = lifted_noise(cfg, widths, kernels)
         assert_same_samples(got, mix_then_contract(cfg, widths, kernels, n, noise,
                                                    fieldsim._BATCH))
@@ -275,7 +283,7 @@ class TestProjectedContraction:
         cfg = dataclasses.replace(cfg, n_realizations=40000)
         _, widths, kernels = kernel_grid(cfg)
         n = cfg.n_realizations
-        got = fieldsim._contract(cfg, fieldsim._output_factor(cfg, widths, kernels), n)
+        got = drawn_samples(cfg, widths, kernels, n)
         want = mix_then_contract(cfg, widths, kernels, n,
                                  noise_stream(cfg.seed, 9, len(widths)), fieldsim._BATCH)
         se = np.hypot(got.std(axis=0, ddof=1), want.std(axis=0, ddof=1)) / math.sqrt(n)
@@ -288,12 +296,63 @@ class TestProjectedContraction:
         cfg = SimConfig(model, fi, fs, dt=0.02, horizon=6.0, n_realizations=20000, seed=9)
         _, widths, kernels = kernel_grid(cfg)
         n = cfg.n_realizations
-        samples = fieldsim._contract(cfg, fieldsim._output_factor(cfg, widths, kernels), n)
+        samples = drawn_samples(cfg, widths, kernels, n)
         boot_rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, 91)))
         boot = np.array([samples[boot_rng.integers(0, n, size=n)].mean(axis=0)
                          for _ in range(200)])
         ratio = np.array(simulate(cfg).std_errors) / boot.std(axis=0, ddof=1)
         assert np.all(np.abs(ratio - 1.0) <= 0.2), ratio
+
+
+class TestStreamedMoments:
+    """simulate merges each batch's mean and M2 into running moments; they
+    must equal the two-pass moments of the concatenated samples."""
+
+    @staticmethod
+    def two_pass(samples):
+        n = len(samples)
+        return samples.mean(axis=0), samples.std(axis=0, ddof=1) / math.sqrt(n)
+
+    @pytest.mark.parametrize("cfg", PROJECTION_CONFIGS + [IDENTICAL],
+                             ids=PROJECTION_IDS + ["identical-filters"])
+    def test_moments_match_two_pass(self, cfg):
+        assert cfg.n_realizations % fieldsim._BATCH  # a short last batch
+        _, widths, kernels = kernel_grid(cfg)
+        mean, se = self.two_pass(drawn_samples(cfg, widths, kernels, cfg.n_realizations))
+        est = simulate(cfg)
+        got = np.array([est.blocks.d_i, est.blocks.d_s, est.blocks.c11, est.blocks.c12])
+        np.testing.assert_allclose(got, mean, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(est.std_errors, se, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("cfg", PROJECTION_CONFIGS + [IDENTICAL],
+                             ids=PROJECTION_IDS + ["identical-filters"])
+    def test_standard_errors_survive_a_large_offset(self, cfg, monkeypatch):
+        # an offset of 1e8 spreads leaves sum(x^2) - n mean^2 with no correct
+        # digit in double precision; the merged M2 must not notice it
+        _, widths, kernels = kernel_grid(cfg)
+        samples = drawn_samples(cfg, widths, kernels, cfg.n_realizations)
+        offset = 1e8 * samples.std(axis=0)
+        batches = fieldsim._batches
+
+        def offset_batches(cfg, factor, n_total):
+            for x in batches(cfg, factor, n_total):
+                yield x + offset[:, None]
+
+        monkeypatch.setattr(fieldsim, "_batches", offset_batches)
+        _, se = self.two_pass(samples + offset)
+        np.testing.assert_allclose(simulate(cfg).std_errors, se, rtol=1e-9, atol=0.0)
+
+    def test_memory_does_not_grow_with_realizations(self):
+        def traced_peak(n):
+            tracemalloc.start()
+            try:
+                simulate(dataclasses.replace(PROJECTION_CONFIGS[2], n_realizations=n))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = traced_peak(200_000), traced_peak(800_000)
+        assert abs(large - small) <= 2**20, (small, large)
 
 
 class TestDrawCount:

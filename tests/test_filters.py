@@ -244,6 +244,16 @@ class TestOverlapClosedForm:
             want = overlap_closed_form(*(FilterSpec(EXP, float(w), 1e5) for w in (0, 1000)))
             assert (np.ravel(ov.k_f)[0], np.ravel(ov.l_f)[0]) == (want.k_f, want.l_f)
 
+    def test_exponential_overlap_is_the_same_for_floats_and_arrays(self):
+        # an array power need not round as libm's pow does for floats, so
+        # L_f's cube and the squares of its denominator must not use one
+        rng = np.random.default_rng(2024)
+        for _ in range(4000):
+            fi, fs = random_spec(rng, EXP), random_spec(rng, EXP)
+            as_array = (FilterSpec(EXP, np.array([f.omega]), np.array([f.tau])) for f in (fi, fs))
+            got, want = overlap_closed_form(*as_array), overlap_closed_form(fi, fs)
+            assert (got.k_f[0], got.l_f[0]) == (want.k_f, want.l_f)
+
     def test_scalar_pairs_give_floats(self):
         ov = overlap_closed_form(FilterSpec(STEP, 1.0, 2.0), FilterSpec(STEP, 0.0, 2.0))
         assert isinstance(ov.k_f, float) and isinstance(ov.l_f, float)
