@@ -32,14 +32,19 @@ covariance sampled is still the Riemann-sum Gram of the sampled kernels,
 never the closed-form overlap.  The same factor gives the estimator's
 exact expectation at a given dt, the blocks of R_A^T R_A, from which the
 discretization bias is estimated without sampling noise.  The samples are
-never stored: each batch is merged into a running mean and sum of squared
-deviations as it is drawn, so memory does not grow with the number of
-realizations.
+never stored: each batch is reduced to its mean and sum of squared
+deviations, which are merged into running moments, so memory does not grow
+with the number of realizations.  Batches are drawn on every CPU the
+process may use, in threads, and merged in batch order: each batch has its
+own random stream, so the estimate is the same bit for bit whatever the
+number of threads.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +54,8 @@ from .gaussian import CovarianceBlocks
 from .thermal import ThermalParams
 
 _BATCH = 2048
+# batches per worker thread per round (see _all_moments)
+_ROUND = 32
 
 
 @dataclass(frozen=True)
@@ -58,8 +65,10 @@ class SimConfig:
     dt must resolve the filter kernels (<= min(tau)/50); the horizon must
     cover the step windows with margin (>= 3 max(tau)) and the exponential
     tails (>= 10 tau).  Realizations are batched in fixed-size chunks whose
-    substreams derive from (seed, batch index), so estimates do not depend
-    on scheduling.
+    substreams derive from (seed, batch index), and the batch moments are
+    merged in index order, so estimates do not depend on scheduling: the
+    batches run in parallel threads, and the result is bit for bit the same
+    for any number of them.
     """
 
     model: ThermalParams
@@ -223,24 +232,90 @@ def _expected_blocks(factor: np.ndarray) -> np.ndarray:
                      g[0, 2] - g[1, 3], g[0, 3] + g[1, 2]])
 
 
-def _batches(cfg: SimConfig, factor: np.ndarray, n_total: int):
-    """Yield the samples of (D_I, D_S, C11, C12) batch by batch, each a
-    fresh (4, nb) array of nb <= _BATCH realizations.
+def _batch(cfg: SimConfig, factor: np.ndarray, index: int) -> np.ndarray:
+    """Samples of (D_I, D_S, C11, C12) of one batch, a fresh (4, nb) array
+    of the nb <= _BATCH realizations from index * _BATCH on.
 
-    Each batch draws z ~ N(0, I_4) per realization from a generator seeded
-    by SeedSequence((cfg.seed, 0, batch index)), so the stream does not
-    depend on scheduling, and forms the outputs z R_A.  Nothing outlives
-    its batch, so a caller that reduces each batch as it comes runs in
-    memory independent of n_total.
+    The batch draws z ~ N(0, I_4) per realization from a generator seeded
+    by SeedSequence((cfg.seed, 0, index)), so its stream does not depend
+    on which thread draws it or when, and forms the outputs z R_A.
     """
-    for start in range(0, n_total, _BATCH):
-        nb = min(_BATCH, n_total - start)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=(cfg.seed, 0, start // _BATCH))
-        )
-        xk, yk, xl, yl = (rng.standard_normal((nb, 4)) @ factor).T
-        yield np.array([xk * xk + yk * yk, xl * xl + yl * yl,
-                        xk * xl - yk * yl, xk * yl + yk * xl])
+    nb = min(_BATCH, cfg.n_realizations - index * _BATCH)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, 0, index)))
+    xk, yk, xl, yl = (rng.standard_normal((nb, 4)) @ factor).T
+    return np.array([xk * xk + yk * yk, xl * xl + yl * yl,
+                     xk * xl - yk * yl, xk * yl + yk * xl])
+
+
+def _moments(cfg: SimConfig, factor: np.ndarray, index: int):
+    """(nb, mean, M2) of one batch: its size, the mean of each block sample
+    and the summed squared deviations from that mean."""
+    x = _batch(cfg, factor, index)
+    mean = x.mean(axis=1)
+    return x.shape[1], mean, np.square(x - mean[:, None]).sum(axis=1)
+
+
+def _cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _round_moments(cfg: SimConfig, factor: np.ndarray, ids: range, workers: int) -> list:
+    """Moments of the batches ids, in order, from workers strided shares.
+
+    Share w takes ids[w::workers]; the caller computes share 0 and one
+    thread each the others, all of which have ended when this returns.
+    The cost is native code that releases the interpreter lock (the draw,
+    the product with R_A and the block loops), so the shares run on
+    separate CPUs.  The first error of any share stops the others after
+    their current batch and is raised here, before any moment is used.
+    """
+    table = [None] * len(ids)
+    errors = []
+
+    def work(w):
+        try:
+            for j in range(w, len(ids), workers):
+                if errors:
+                    return
+                table[j] = _moments(cfg, factor, ids[j])
+        except BaseException as exc:  # re-raised by the caller below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    try:
+        for thread in threads:
+            thread.start()
+        work(0)
+    except BaseException as exc:  # a thread that could not start
+        errors.append(exc)
+    finally:
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
+    if errors:
+        raise errors[0]
+    return table
+
+
+def _all_moments(cfg: SimConfig, factor: np.ndarray):
+    """Yield the moments of every batch in index order.
+
+    Batches run in rounds of _ROUND per worker, one worker per available
+    CPU (at most one per batch), and each round's moments are yielded once
+    its threads have ended.  At most one batch per worker is in flight and
+    one round of moments is held, so memory does not grow with the number
+    of realizations; on one CPU every batch runs in the caller.
+    """
+    n_batches = -(-cfg.n_realizations // _BATCH)
+    workers = min(_cpus(), n_batches)
+    size = _ROUND * workers
+    for first in range(0, n_batches, size):
+        ids = range(first, min(first + size, n_batches))
+        yield from _round_moments(cfg, factor, ids, min(workers, len(ids)))
 
 
 def simulate(cfg: SimConfig) -> EmpiricalBlocks:
@@ -261,13 +336,11 @@ def simulate(cfg: SimConfig) -> EmpiricalBlocks:
     # batch by batch as in Chan, Golub & LeVeque: every term of M2 is
     # non-negative, so it never forms the cancelling sum(x^2) - n mean^2
     n, est, m2 = 0, np.zeros(4), np.zeros(4)
-    for x in _batches(cfg, factor, cfg.n_realizations):
-        nb = x.shape[1]
-        mean_b = x.mean(axis=1)
+    for nb, mean_b, m2_b in _all_moments(cfg, factor):
         delta = mean_b - est
         n += nb
         est = est + delta * (nb / n)
-        m2 = m2 + np.square(x - mean_b[:, None]).sum(axis=1) + delta**2 * ((n - nb) * nb / n)
+        m2 = m2 + m2_b + delta**2 * ((n - nb) * nb / n)
     se = np.maximum(np.sqrt(m2 / (n - 1)) / math.sqrt(n), 1e-300)
 
     expected = _expected_blocks(factor)

@@ -1,9 +1,13 @@
 """Monte Carlo oracle: consistency with the closed-form blocks, seed
 determinism, convergence order, the drawn kernel projections against the
-full-series contraction, error bars and configuration validation."""
+full-series contraction, error bars, independence of the thread count and
+configuration validation."""
 
 import dataclasses
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -198,11 +202,30 @@ def oracle_expectation(cfg, widths, kernels):
                              fieldsim._BATCH).sum(axis=0)
 
 
-def drawn_samples(cfg, widths, kernels, n):
-    """The simulator's block samples of n realizations, shape (n, 4): every
-    batch of _batches, concatenated."""
+def n_batches(cfg):
+    return -(-cfg.n_realizations // fieldsim._BATCH)
+
+
+def drawn_samples(cfg, widths, kernels):
+    """The simulator's block samples of all cfg.n_realizations, shape
+    (n, 4): every _batch, concatenated in index order."""
     factor = fieldsim._output_factor(cfg, widths, kernels)
-    return np.concatenate(list(fieldsim._batches(cfg, factor, n)), axis=1).T
+    return np.concatenate([fieldsim._batch(cfg, factor, b) for b in range(n_batches(cfg))],
+                          axis=1).T
+
+
+def recording_batch(monkeypatch, transform=lambda x: x):
+    """Replace fieldsim._batch by a wrapper that applies transform to the
+    samples and records each batch index; returns the recorded list."""
+    seen = []
+    batch = fieldsim._batch
+
+    def recorded(cfg, factor, index):
+        seen.append(index)
+        return transform(batch(cfg, factor, index))
+
+    monkeypatch.setattr(fieldsim, "_batch", recorded)
+    return seen
 
 
 def assert_same_samples(got, want):
@@ -228,7 +251,7 @@ IDENTICAL = SimConfig(tmsv.TmsvParams(r=0.5, eta_i=0.7), *step_pair(), dt=0.02, 
 
 
 class TestProjectedContraction:
-    """_batches draws the four outputs as z R_A instead of the series; fed
+    """_batch draws the four outputs as z R_A instead of the series; fed
     the same draws lifted to full series, the direct mix-then-contract order
     in oracles.py must give the same samples."""
 
@@ -237,7 +260,7 @@ class TestProjectedContraction:
     def test_samples_match_mix_then_contract(self, cfg):
         _, widths, kernels = kernel_grid(cfg)
         n = cfg.n_realizations
-        got = drawn_samples(cfg, widths, kernels, n)
+        got = drawn_samples(cfg, widths, kernels)
         noise = lifted_noise(cfg, widths, kernels)
         assert_same_samples(got, mix_then_contract(cfg, widths, kernels, n, noise,
                                                    fieldsim._BATCH))
@@ -283,7 +306,7 @@ class TestProjectedContraction:
         cfg = dataclasses.replace(cfg, n_realizations=40000)
         _, widths, kernels = kernel_grid(cfg)
         n = cfg.n_realizations
-        got = drawn_samples(cfg, widths, kernels, n)
+        got = drawn_samples(cfg, widths, kernels)
         want = mix_then_contract(cfg, widths, kernels, n,
                                  noise_stream(cfg.seed, 9, len(widths)), fieldsim._BATCH)
         se = np.hypot(got.std(axis=0, ddof=1), want.std(axis=0, ddof=1)) / math.sqrt(n)
@@ -296,7 +319,7 @@ class TestProjectedContraction:
         cfg = SimConfig(model, fi, fs, dt=0.02, horizon=6.0, n_realizations=20000, seed=9)
         _, widths, kernels = kernel_grid(cfg)
         n = cfg.n_realizations
-        samples = drawn_samples(cfg, widths, kernels, n)
+        samples = drawn_samples(cfg, widths, kernels)
         boot_rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, 91)))
         boot = np.array([samples[boot_rng.integers(0, n, size=n)].mean(axis=0)
                          for _ in range(200)])
@@ -315,11 +338,13 @@ class TestStreamedMoments:
 
     @pytest.mark.parametrize("cfg", PROJECTION_CONFIGS + [IDENTICAL],
                              ids=PROJECTION_IDS + ["identical-filters"])
-    def test_moments_match_two_pass(self, cfg):
+    def test_moments_match_two_pass(self, cfg, monkeypatch):
         assert cfg.n_realizations % fieldsim._BATCH  # a short last batch
         _, widths, kernels = kernel_grid(cfg)
-        mean, se = self.two_pass(drawn_samples(cfg, widths, kernels, cfg.n_realizations))
+        mean, se = self.two_pass(drawn_samples(cfg, widths, kernels))
+        seen = recording_batch(monkeypatch)
         est = simulate(cfg)
+        assert sorted(seen) == list(range(n_batches(cfg)))
         got = np.array([est.blocks.d_i, est.blocks.d_s, est.blocks.c11, est.blocks.c12])
         np.testing.assert_allclose(got, mean, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(est.std_errors, se, rtol=1e-13, atol=0.0)
@@ -330,17 +355,12 @@ class TestStreamedMoments:
         # an offset of 1e8 spreads leaves sum(x^2) - n mean^2 with no correct
         # digit in double precision; the merged M2 must not notice it
         _, widths, kernels = kernel_grid(cfg)
-        samples = drawn_samples(cfg, widths, kernels, cfg.n_realizations)
+        samples = drawn_samples(cfg, widths, kernels)
         offset = 1e8 * samples.std(axis=0)
-        batches = fieldsim._batches
-
-        def offset_batches(cfg, factor, n_total):
-            for x in batches(cfg, factor, n_total):
-                yield x + offset[:, None]
-
-        monkeypatch.setattr(fieldsim, "_batches", offset_batches)
+        seen = recording_batch(monkeypatch, lambda x: x + offset[:, None])
         _, se = self.two_pass(samples + offset)
         np.testing.assert_allclose(simulate(cfg).std_errors, se, rtol=1e-9, atol=0.0)
+        assert sorted(seen) == list(range(n_batches(cfg)))
 
     def test_memory_does_not_grow_with_realizations(self):
         def traced_peak(n):
@@ -363,11 +383,12 @@ class TestDrawCount:
     ], ids=PROJECTION_IDS)
     def test_normal_draws_counts_every_draw(self, cfg, monkeypatch):
         # four normals per realization, whatever the number of noise series
-        drawn = []
+        drawn, seeded = [], []
         default_rng = np.random.default_rng
 
         class CountingGenerator:
             def __init__(self, seed):
+                seeded.append(seed.entropy[2])  # (seed, 0, batch index)
                 self.rng = default_rng(seed)
 
             def standard_normal(self, size):
@@ -377,6 +398,113 @@ class TestDrawCount:
         monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
         est = simulate(cfg)
         assert est.normal_draws == sum(drawn) == 4 * cfg.n_realizations
+        assert sorted(seeded) == list(range(n_batches(cfg)))
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the number of CPUs simulate sees, through its CPU-set lookup."""
+    def set_cpus(k):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+    return set_cpus
+
+
+def simulate_with(set_cpus, cfg, workers):
+    """simulate on `workers` CPUs, with a short switch interval so that the
+    threads interleave at fine grain (five workers outnumber the cores of
+    most test hosts)."""
+    set_cpus(workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        return simulate(cfg)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestThreads:
+    """simulate draws its batches on parallel threads and merges them in
+    index order: the estimate must not depend on the number of threads,
+    and no thread may outlive the call, even when a batch fails."""
+
+    # a multiple of _BATCH that spans two rounds of five workers, one with a
+    # short last batch spanning two rounds of two, and one single batch
+    @pytest.mark.parametrize("n", [
+        (5 * fieldsim._ROUND + 3) * fieldsim._BATCH,
+        (2 * fieldsim._ROUND + 1) * fieldsim._BATCH + 1000,
+        1500,
+    ], ids=["whole-batches", "short-last-batch", "single-batch"])
+    def test_estimates_do_not_depend_on_the_thread_count(self, n, cpus, monkeypatch):
+        cfg = dataclasses.replace(PROJECTION_CONFIGS[0], n_realizations=n)
+        idents = set()
+
+        def note_thread(x):
+            idents.add(threading.get_ident())
+            return x
+
+        recording_batch(monkeypatch, note_thread)
+        results, threads = {}, {}
+        for workers in (1, 2, 5):
+            idents.clear()
+            results[workers] = simulate_with(cpus, cfg, workers)
+            threads[workers] = len(idents)
+        assert threads[1] == 1
+        for workers in (2, 5):
+            assert threads[workers] >= min(workers, n_batches(cfg))
+            # repr spells every float exactly: equal reprs are equal bits
+            assert repr(results[workers]) == repr(results[1])
+
+    def test_no_thread_outlives_simulate(self, cpus):
+        before = threading.active_count()
+        for workers in (2, 5):
+            simulate_with(cpus, dataclasses.replace(IDENTICAL, n_realizations=40000), workers)
+            assert threading.active_count() == before
+
+    # the caller's share, a thread's share, and a batch past the first
+    # round of two workers
+    @pytest.mark.parametrize("failing", [0, 1, 2 * fieldsim._ROUND + 1])
+    @pytest.mark.parametrize("workers", [2, 5])
+    def test_a_failing_batch_raises_and_stops_every_thread(self, failing, workers, cpus,
+                                                           monkeypatch):
+        class Failure(RuntimeError):
+            pass
+
+        drawers = set()
+        default_rng = np.random.default_rng
+
+        class FailingGenerator:
+            def __init__(self, seed):
+                self.index = seed.entropy[2]  # (seed, 0, batch index)
+                self.rng = default_rng(seed)
+
+            def standard_normal(self, size):
+                drawers.add(threading.current_thread())
+                if self.index == failing:
+                    raise Failure(self.index)
+                return self.rng.standard_normal(size)
+
+        monkeypatch.setattr(np.random, "default_rng", FailingGenerator)
+        cfg = dataclasses.replace(IDENTICAL, n_realizations=(4 * fieldsim._ROUND + 1) * fieldsim._BATCH)
+        before = threading.active_count()
+        outcome = []
+
+        def run():
+            try:
+                simulate_with(cpus, cfg, workers)
+            except BaseException as exc:  # inspected below
+                outcome.append(exc)
+
+        runner = threading.Thread(target=run)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive(), "simulate hung after a failing batch"
+        # a merged placeholder would raise a TypeError instead
+        assert len(outcome) == 1 and type(outcome[0]) is Failure
+        assert outcome[0].args == (failing,)
+        for thread in drawers:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert threading.active_count() == before
 
 
 # detuned filter pairs in every family order: the midpoint kernel sums carry
