@@ -247,14 +247,16 @@ def noise_stream(seed, stream_tag, n_cols):
     return noise
 
 
-def mix_then_contract(cfg, noise_widths, kernels, n_total, noise, batch=2048):
+def mix_then_contract(cfg, noise_widths, kernels, n_total, noise, batch):
     """Per-realization samples of (D_I, D_S, C11, C12) in the direct order.
 
     Builds every Bogoliubov-branch and loss-mixed noise series on the full
     lag grid and only then contracts them with ``kernels`` = (rk, ik, rl,
     il).  ``noise`` (see ``noise_stream``) supplies the unit-normal series of
     each batch in the simulator's draw order: xi, yi, xs, ys, then the idler
-    and the signal vacuum pair of each lossy party.
+    and the signal vacuum pair of each lossy party.  ``batch`` is the
+    simulator's batch size, ``fieldsim._BATCH``, so that noise batch b
+    covers the realizations of the simulator's batch b.
     """
     model = cfg.model
     r = model.r

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, CSV/JSON determinism and the
 figure-recipe sweeps."""
 
+import dataclasses
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import filtered_tms
-from filtered_tms import bell, sweep, thermal
+from filtered_tms import bell, fieldsim, sweep, thermal
 from filtered_tms.cli import main
 from filtered_tms.filters import FilterFamily, FilterSpec, overlap_closed_form
 from filtered_tms.gaussian import build_covariance
@@ -562,6 +563,21 @@ class TestBellCommand:
             "error": "seed must be a non-negative integer, got -1"}
 
 
+# the README's three validate commands
+README_VALIDATE = [
+    ("validate", "--model", "thermal", "--r", "0.5", "--n-i", "0.3", "--n-s", "0.8",
+     "--family", "step", "--tau-i", "2", "--tau-s", "2", "--omega-k", "1", "--omega-l", "0",
+     "--dt", "0.01", "--horizon", "6", "--n-real", "200000", "--seed", "42"),
+    ("validate", "--model", "thermal", "--r", "0.5", "--n-i", "0.3", "--n-s", "0.8",
+     "--eta-i", "0.8", "--eta-s", "0.7", "--family-i", "exponential", "--family-s", "step",
+     "--tau-i", "2", "--tau-s", "2", "--omega-k", "1", "--omega-l", "0",
+     "--dt", "0.01", "--horizon", "20", "--n-real", "200000", "--seed", "5"),
+    ("validate", "--model", "tmsv", "--r", "0.6", "--family-i", "step",
+     "--family-s", "exponential", "--tau-i", "2", "--tau-s", "1", "--omega-k", "1",
+     "--omega-l", "1", "--dt", "0.02", "--horizon", "10", "--n-real", "50000", "--seed", "3"),
+]
+
+
 class TestValidateCommand:
     def test_tmsv_validation_report(self, capsys):
         code, out, _ = run_inproc(
@@ -666,6 +682,37 @@ class TestValidateCommand:
         want = thermal.covariance(thermal.ThermalParams(0.5, 0.3, 0.8, ov, 0.8, 0.7))
         assert [row["analytic"] for row in payload["results"]["blocks"]] == [
             want.d_i, want.d_s, want.c11, want.c12]
+
+    @pytest.mark.parametrize("block", range(4), ids=["d_i", "d_s", "c11", "c12"])
+    def test_a_chain_off_by_1e_6_of_the_scale_fails(self, block, monkeypatch, capsys):
+        # the sampled blocks still pass their z check; only the chain's
+        # Richardson limit is off, by ten times the tolerance
+        simulate = fieldsim.simulate
+
+        def shifted(cfg):
+            est = simulate(cfg)
+            limit = list(est.richardson_limit)
+            limit[block] += 1e-6 * max(1.0, *map(abs, limit))
+            return dataclasses.replace(est, richardson_limit=tuple(limit))
+
+        monkeypatch.setattr(fieldsim, "simulate", shifted)
+        code, out, _ = run_inproc(*README_VALIDATE[0][:-4], "--n-real", "20000", "--seed", "8",
+                                  capsys=capsys)
+        assert code == 0
+        payload = strict_json(out)
+        assert all(row["pass_5_sigma"] for row in payload["results"]["blocks"])
+        scale = max(abs(row["analytic"]) for row in payload["results"]["blocks"])
+        assert abs(payload["diagnostics"]["chain_residual"][block]) > 5e-7 * scale
+        assert payload["results"]["all_pass"] is False
+
+    @pytest.mark.parametrize("argv", README_VALIDATE, ids=["thermal", "lossy-mixed", "tmsv-mixed"])
+    def test_readme_commands_pass(self, argv, capsys):
+        code, out, _ = run_inproc(*argv, capsys=capsys)
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["results"]["all_pass"] is True
+        scale = max(abs(row["analytic"]) for row in payload["results"]["blocks"])
+        assert max(map(abs, payload["diagnostics"]["chain_residual"])) <= 1e-7 * scale
 
     @pytest.mark.parametrize("command", ["validate", "sweep"])
     def test_occupations_are_not_tmsv_parameters(self, command, capsys):

@@ -349,6 +349,26 @@ class TestStreamedMoments:
         np.testing.assert_allclose(got, mean, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(est.std_errors, se, rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("index", [0, 1], ids=["full-batch", "short-last-batch"])
+    def test_batch_moments_are_the_plain_expressions_bit_for_bit(self, index):
+        # _batch and _moments work in place; they must round exactly as the
+        # plain expressions on the same draws
+        cfg = PROJECTION_CONFIGS[2]
+        assert n_batches(cfg) == 2 and cfg.n_realizations % fieldsim._BATCH
+        _, widths, kernels = kernel_grid(cfg)
+        factor = fieldsim._output_factor(cfg, widths, kernels)
+        nb = min(fieldsim._BATCH, cfg.n_realizations - index * fieldsim._BATCH)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, 0, index)))
+        xk, yk, xl, yl = (rng.standard_normal((nb, 4)) @ factor).T
+        x = np.array([xk * xk + yk * yk, xl * xl + yl * yl,
+                      xk * xl - yk * yl, xk * yl + yk * xl])
+        assert fieldsim._batch(cfg, factor, index).tobytes() == x.tobytes()
+        mean = x.mean(axis=1)
+        got_nb, got_mean, got_m2 = fieldsim._moments(cfg, factor, index)
+        assert got_nb == nb
+        assert got_mean.tobytes() == mean.tobytes()
+        assert got_m2.tobytes() == np.square(x - mean[:, None]).sum(axis=1).tobytes()
+
     @pytest.mark.parametrize("cfg", PROJECTION_CONFIGS + [IDENTICAL],
                              ids=PROJECTION_IDS + ["identical-filters"])
     def test_standard_errors_survive_a_large_offset(self, cfg, monkeypatch):
@@ -436,18 +456,20 @@ class TestThreads:
     ], ids=["whole-batches", "short-last-batch", "single-batch"])
     def test_estimates_do_not_depend_on_the_thread_count(self, n, cpus, monkeypatch):
         cfg = dataclasses.replace(PROJECTION_CONFIGS[0], n_realizations=n)
-        idents = set()
+        # Thread objects, not get_ident(): a thread that has ended may leave
+        # its ident to one started after it
+        drawers = set()
 
         def note_thread(x):
-            idents.add(threading.get_ident())
+            drawers.add(threading.current_thread())
             return x
 
         recording_batch(monkeypatch, note_thread)
         results, threads = {}, {}
         for workers in (1, 2, 5):
-            idents.clear()
+            drawers.clear()
             results[workers] = simulate_with(cpus, cfg, workers)
-            threads[workers] = len(idents)
+            threads[workers] = len(drawers)
         assert threads[1] == 1
         for workers in (2, 5):
             assert threads[workers] >= min(workers, n_batches(cfg))
