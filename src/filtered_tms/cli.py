@@ -235,6 +235,8 @@ def _cmd_sweep(args) -> int:
     )
     if args.jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {args.jobs}")
+    if args.svg and cfg.axis2 is None:
+        raise ConfigError("--svg needs a 2-D sweep (axis1 and axis2)")
     columns, table = sweep.run_sweep(cfg)
     if args.svg:
         _write_sweep_svg(args.svg, cfg, columns, table)
@@ -252,8 +254,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _write_sweep_svg(path, cfg: SweepConfig, columns, table) -> None:
-    if cfg.axis2 is None:
-        raise ConfigError("--svg needs a 2-D sweep (axis1 and axis2)")
     nx, ny = cfg.axis1.count, cfg.axis2.count
     col = len([a for a in (cfg.axis1, cfg.axis2) if a])  # first output column
     grid = table[:, col].reshape(ny, nx)

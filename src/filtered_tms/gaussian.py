@@ -15,7 +15,7 @@ closed forms in the invariants (D_I, D_S, |C|, D_x), with
 C^2 = C11^2 + C12^2 and D_x = D_I D_S - C^2.  Every function is pure;
 inputs are immutable.
 Blocks and matrices may hold a whole grid of states as arrays; the checks
-then name the first state that fails them.
+then raise for the first state that fails them.
 """
 
 from __future__ import annotations
@@ -36,35 +36,22 @@ def _at(x, i):
 
 
 def _reject(bad, error) -> None:
-    """Raise error(i), tagged with ``row`` = i, for the first element i where
-    bad holds; a sweep uses the tag to name its first failing point."""
+    """Raise error(i) for the first element i where bad holds."""
     hits = np.flatnonzero(bad)
     if hits.size:
-        exc = error(int(hits[0]))
-        exc.row = int(hits[0])
-        raise exc
+        raise error(int(hits[0]))
 
 
 def _each(fn, x):
-    """fn, a formula in math functions, elementwise (errors tagged as by
-    ``_reject``): numpy's sinh and cosh differ from math's in the last bit,
-    on about a quarter of inputs, and the Bell optimizer amplifies that.
-    fn runs once per distinct value, so a grid pays per grid line, not per
-    point; the values go in row order, so an error names the first failing
-    row."""
+    """fn, a formula in math functions, elementwise: numpy's sinh and cosh
+    differ from math's in the last bit, on about a quarter of inputs, and
+    the Bell optimizer amplifies that.  fn runs once per distinct value, so
+    a grid pays per grid line, not per point."""
     if np.ndim(x) == 0:
         return fn(x)
-    flat = np.ravel(np.asarray(x, dtype=float))
     # distinct bit patterns keep -0.0 apart from 0.0
-    _, first, inverse = np.unique(flat.view(np.int64), return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    out = np.empty(first.size)
-    for k, i, v in zip(order.tolist(), first[order].tolist(), flat[first[order]].tolist()):
-        try:
-            out[k] = fn(v)
-        except (ArithmeticError, ValueError) as exc:
-            exc.row = i
-            raise
+    distinct, inverse = np.unique(np.asarray(x, dtype=float).view(np.int64), return_inverse=True)
+    out = np.array([fn(v) for v in distinct.view(np.float64).tolist()], dtype=float)
     return out[inverse].reshape(np.shape(x))
 
 

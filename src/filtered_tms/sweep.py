@@ -7,10 +7,10 @@ being its zero-occupation case.  The state parameters are the keys of
 ``_DEFAULTS``; when filter parameters (omega_k, omega_l, tau_i, tau_s)
 appear, a family per filter must be fixed, and the overlap kernel
 (K_f, L_f) is that of the pair ``filter_pair`` builds, at every grid point.
-Grids are evaluated as whole arrays, check by check; ``bell_max`` advances
-the restarts of every point of a block as one lockstep array, each point
-with its own seed.  Rows are in axis order (axis2 outermost), and an error
-names the first failing point in that order.
+A grid is evaluated in one whole-array pass, check by check; ``bell_max``
+then advances the restarts of every grid point as one lockstep array, each
+point with its own seed.  Rows are in axis order (axis2 outermost), and an
+error is that of the first failing point in that order.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ FILTER_PARAMS = ("omega_k", "omega_l", "tau_i", "tau_s")  # the centers, then th
 OUTPUTS = ("e_n", "s_q_opt", "purity", "bell_max", "zeta", "weight_ratio", "critical_points")
 
 CRITICAL_COLUMNS = ("r_lcf_en", "r_ucf_en", "r_max_en", "r_lcf_sq", "r_ucf_sq", "r_max_sq")
-_BLOCK_ROWS = 4096  # grid rows per array pass; bounds the temporaries, Bell's 4x4 stack among them
 
 
 class ConfigError(ValueError):
@@ -145,15 +144,15 @@ def output_columns(outputs) -> list[str]:
             for col in (CRITICAL_COLUMNS if out == "critical_points" else (out,))]
 
 
-def _evaluate(model, params, outputs, family, seeds, bell_restarts, optimize=True):
+def _evaluate(model, params, outputs, family):
     """Every requested output over a grid of parameter arrays, each check run
     over the whole grid in the order one point meets them.
 
     The blocks pass the closed-form physicality check first; only
-    ``bell_max`` builds the (rows, 4, 4) matrix stack.  The Bell optimizer,
-    which has no check of its own, runs last, once every other output of the
-    grid has passed; ``optimize=False`` skips it, for a pass that only looks
-    for a failing check.  Returns the outputs and the grid's blocks.
+    ``bell_max`` builds the (rows, 4, 4) matrix stack, with the matrix
+    checks, and its entry is that checked stack: the caller runs the Bell
+    optimizer, which has no check of its own, once the whole grid has
+    passed.  Returns the outputs and the grid's blocks.
     """
     # a grid without parameters is one state at the defaults
     p, blocks = point_state(model, params or {"r": np.array([_DEFAULTS["r"]])}, (family, family))
@@ -161,7 +160,6 @@ def _evaluate(model, params, outputs, family, seeds, bell_restarts, optimize=Tru
     # the checked blocks have s_q_opt > 0, so log_negativity cannot raise here
     ent = gaussian.log_negativity(blocks) if {"e_n", "s_q_opt"} & set(outputs) else None
     res: dict = {}
-    stack = None
     for out in outputs:
         if out == "e_n":
             res["e_n"] = ent.e_n
@@ -179,45 +177,48 @@ def _evaluate(model, params, outputs, family, seeds, bell_restarts, optimize=Tru
             res["weight_ratio"] = np.where(defined, gaussian.optimal_weight_ratio(safe), math.nan)
         elif out == "bell_max":
             # the matrix checks, where one point meets them
-            stack = gaussian.build_covariance(blocks)
-            res["bell_max"] = None
+            res["bell_max"] = gaussian.build_covariance(blocks)
         elif out == "critical_points":
             cp = thermal.landmarks(p.a, p.b, p.overlap.k_f, p.overlap.l_f, p.eta_i, p.eta_s)
             res.update((c, getattr(cp, c)) for c in CRITICAL_COLUMNS)
-    if stack is not None and optimize:
-        cfg = bell.BellMaxConfig(bell_restarts)
-        res["bell_max"] = np.array([r.b_max for r in bell.bell_max_stack(stack, seeds, cfg)])
     return res, blocks
 
 
-def _first_failure(evaluate, n: int) -> dict:
-    """evaluate(lo, hi, optimize) over grid rows lo:hi, block by block,
-    raising as a point-by-point loop would; the blocks bound the (rows, 4, 4)
-    temporaries.
+def _maximize_bell(res: dict, seeds, bell_restarts: int) -> None:
+    """Replace the checked ``bell_max`` stack of res, if any, by the Bell
+    maxima, point k seeded by seeds[k]."""
+    if "bell_max" in res:
+        found = bell.bell_max_stack(res["bell_max"], seeds, bell.BellMaxConfig(bell_restarts))
+        res["bell_max"] = np.array([r.b_max for r in found])
 
-    A failed check raises for the first row it rejects, but an earlier row
-    may fail a later check: re-check the rows before it, without the
-    optimizer, until a pass is clean, then raise the error of the first
-    failing row.  Each re-check fails at a later check, if at all, so the
-    loop is short.
+
+def _first_failure(evaluate, n: int) -> None:
+    """Raise the error of the first of grid rows 0:n that fails on its own,
+    once the whole grid has failed; evaluate(lo, hi) runs rows lo:hi.
+
+    Every check is elementwise, so a run of rows fails exactly when one of
+    its rows fails alone.  Runs that double in length from row 0 find a
+    failing run, and bisection narrows it to its first failing row f, in at
+    most 3 (f + 1) rows; row f then runs alone, so its error is a
+    point-by-point loop's.  Returns if no row fails alone.
     """
-    parts = []
-    for lo in range(0, n, _BLOCK_ROWS):
-        hi, error = min(lo + _BLOCK_ROWS, n), None
-        while error is None or hi > lo:
-            try:
-                part = evaluate(lo, hi, error is None)
-                break
-            except Exception as exc:
-                # a ConfigError raised from a check's error takes that error's row
-                row = getattr(exc, "row", getattr(exc.__cause__, "row", None))
-                if row is None:
-                    raise
-                error, hi = exc, lo + row
-        if error is not None:
-            raise error
-        parts.append(part)
-    return {k: np.concatenate([part[k] for part in parts]) for k in parts[0]}
+    good, bad = 0, n  # rows before good pass; rows good:bad hold a failure
+    size = 1
+    while good + size < bad:
+        try:
+            evaluate(good, good + size)
+        except (ArithmeticError, ValueError):
+            bad = good + size
+            break
+        good, size = good + size, 2 * size
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            evaluate(good, mid)
+            good = mid
+        except (ArithmeticError, ValueError):
+            bad = mid
+    evaluate(good, bad)
 
 
 def evaluate_point_with_blocks(model: str, params: dict, outputs, family: str | None = None,
@@ -230,7 +231,8 @@ def evaluate_point_with_blocks(model: str, params: dict, outputs, family: str | 
     sweeps can traverse separable regions.
     """
     grid = {name: np.array([v], dtype=float) for name, v in params.items()}
-    res, b = _evaluate(model, grid, outputs, family, [seed], bell_restarts)
+    res, b = _evaluate(model, grid, outputs, family)
+    _maximize_bell(res, [seed], bell_restarts)
     blocks = gaussian.CovarianceBlocks(*(float(x[0]) for x in astuple(b)))
     return {k: float(v[0]) for k, v in res.items()}, blocks
 
@@ -253,11 +255,18 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[str], np.ndarray]:
         axis_vals.append(np.repeat(grids[1], len(grids[0])))
     params = {name: np.full(n, float(v)) for name, v in cfg.fixed.items()}
     params.update((a.name, vals) for a, vals in zip(axes, axis_vals))
-    seeds = _point_seeds(cfg.seed, n) if "bell_max" in cfg.outputs else None
 
-    res = _first_failure(lambda lo, hi, optimize: _evaluate(
-        cfg.model, {k: v[lo:hi] for k, v in params.items()}, cfg.outputs, cfg.family,
-        seeds and seeds[lo:hi], cfg.bell_restarts, optimize)[0], n)
+    def evaluate(lo, hi):
+        return _evaluate(cfg.model, {k: v[lo:hi] for k, v in params.items()}, cfg.outputs,
+                         cfg.family)[0]
+
+    try:
+        res = evaluate(0, n)
+    except (ArithmeticError, ValueError):
+        _first_failure(evaluate, n)
+        raise
+    seeds = _point_seeds(cfg.seed, n) if "bell_max" in cfg.outputs else None
+    _maximize_bell(res, seeds, cfg.bell_restarts)
     out_cols = output_columns(cfg.outputs)
     table = np.column_stack(axis_vals + [res[c] for c in out_cols])
     return [a.name for a in axes] + out_cols, table

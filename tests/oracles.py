@@ -771,19 +771,12 @@ def render_heatmap_reference(
 # formula applied row by row, and the CSV writer that spells every cell.
 
 def each_reference(fn, x):
-    """fn, a formula in math functions, elementwise (errors tagged as by
-    ``_reject``): numpy's sinh and cosh differ from math's in the last bit,
-    on about a quarter of inputs, and the Bell optimizer amplifies that."""
+    """fn, a formula in math functions, elementwise: numpy's sinh and cosh
+    differ from math's in the last bit, on about a quarter of inputs, and
+    the Bell optimizer amplifies that."""
     if np.ndim(x) == 0:
         return fn(x)
-    out = []
-    for i, v in enumerate(np.ravel(x).tolist()):
-        try:
-            out.append(fn(v))
-        except (ArithmeticError, ValueError) as exc:
-            exc.row = i
-            raise
-    return np.reshape(out, np.shape(x))
+    return np.reshape([fn(v) for v in np.ravel(x).tolist()], np.shape(x))
 
 
 def tmsv_blocks_reference(r, eta_i, eta_s, k_f):

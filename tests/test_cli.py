@@ -486,10 +486,19 @@ class TestSweep:
         assert text.count("<rect") >= 12 * 8
         assert "e_n" in text and "k_f" in text
 
-    def test_svg_needs_two_axes(self):
-        code, _, _ = run_cli("sweep", "--model", "tmsv", "--axis1", "r=0:1:5",
-                             "--outputs", "e_n", "--svg", "/tmp/x.svg")
+    def test_svg_needs_two_axes(self, capsys, monkeypatch, tmp_path):
+        # refused before the grid, Bell maxima included, is evaluated
+        calls = []
+        monkeypatch.setattr(sweep, "run_sweep", lambda cfg: calls.append(cfg))
+        code, out, err = run_inproc(
+            "sweep", "--model", "tmsv", "--axis1", "r=0.1:2:40", "--outputs", "bell_max",
+            "--restarts", "32", "--svg", str(tmp_path / "x.svg"),
+            "--out", str(tmp_path / "x.csv"), capsys=capsys)
+        assert calls == []
         assert code == 2
+        assert out == ""
+        assert err.splitlines() == [json.dumps({"error": "--svg needs a 2-D sweep (axis1 and axis2)"})]
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBellCommand:

@@ -5,6 +5,7 @@ blocks that the Bell optimizer receives."""
 
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -150,16 +151,9 @@ class TestSpectralOracle:
                     name, params, col)
 
 
-@pytest.fixture(params=[4096, 5], ids=["one block", "blocks of 5 rows"])
-def block_rows(request, monkeypatch):
-    """Grids pass through the array code in blocks of rows; exercise both a
-    single block and many small ones."""
-    monkeypatch.setattr(sweep, "_BLOCK_ROWS", request.param)
-
-
 class TestOnePointCase:
     @pytest.mark.parametrize("name", sorted(GRIDS))
-    def test_rows_are_bit_equal_to_one_point_evaluations(self, name, block_rows):
+    def test_rows_are_bit_equal_to_one_point_evaluations(self, name):
         cfg = GRIDS[name]
         for params, row in grid_points(cfg):
             res = evaluate_point_with_blocks(cfg.model, params, cfg.outputs, family=cfg.family)[0]
@@ -168,7 +162,7 @@ class TestOnePointCase:
                 assert np.float64(row[col]).tobytes() == np.float64(want).tobytes(), (
                     name, params, col, row[col], want)
 
-    def test_bell_rows_are_bit_equal_to_one_point_evaluations(self, block_rows):
+    def test_bell_rows_are_bit_equal_to_one_point_evaluations(self):
         cfg = SweepConfig("thermal", ("bell_max", "e_n"), {"n_i": 0.3, "k_f": 0.95},
                           axis1=AxisSpec("r", 0.4, 1.2, 3), axis2=AxisSpec("eta_i", 0.8, 1.0, 2),
                           seed=11, bell_restarts=6)
@@ -215,7 +209,7 @@ ERROR_CASES = {
 
 class TestFirstFailingPoint:
     @pytest.mark.parametrize("case", sorted(ERROR_CASES))
-    def test_error_names_the_first_failing_point(self, case, block_rows):
+    def test_error_names_the_first_failing_point(self, case):
         cfg, kind, message = ERROR_CASES[case]
         with pytest.raises(kind) as grid_error:
             run_sweep(cfg)
@@ -237,6 +231,66 @@ class TestFirstFailingPoint:
             pytest.fail("no point fails on its own")
 
 
+class TestFailureSearch:
+    def test_an_early_failure_costs_few_rows_past_the_grid(self, monkeypatch):
+        rows = []
+        real = thermal.covariance
+
+        def spy(p):
+            rows.append(np.size(p.r))
+            return real(p)
+
+        monkeypatch.setattr(thermal, "covariance", spy)
+        # r = 0, 80, 160, 240 by 25 000 K_f values: row 3, at r = 240, is the
+        # first whose D_x (about sinh^4 r) passes the float range
+        cfg = SweepConfig("tmsv", ("e_n",), {}, axis1=AxisSpec("r", 0.0, 240.0, 4),
+                          axis2=AxisSpec("k_f", 0.5, 0.9, 25_000))
+        with pytest.raises(OverflowError, match=r"^\(34, 'Numerical result out of range'\)$"):
+            run_sweep(cfg)
+        n = 100_000
+        assert rows[0] == n
+        assert sum(rows) < n + 64
+
+    # first failing rows at, before and after the ends of the doubling runs
+    # (rows 0, 1:3, 3:7, 7:15, ...) and of the grid
+    @pytest.mark.parametrize("n, failing", [
+        (1, {0}), (2, {0}), (2, {1}), (3, {2}), (4, {3}), (5, {4}), (8, {7}), (9, {8}),
+        (16, set(range(16))), (17, {16}), (100, {1}), (100, {2}), (100, {3}), (100, {6}),
+        (100, {7}), (100, {31}), (100, {62}), (100, {63}), (100, {64}), (100, {99}),
+        (100, {3, 99}), (100, {50, 51, 52}),
+    ])
+    def test_the_error_is_the_first_failing_row_alone(self, n, failing):
+        runs = []
+
+        def evaluate(lo, hi):
+            assert 0 <= lo < hi <= n
+            runs.append((lo, hi))
+            bad = sorted(failing.intersection(range(lo, hi)))
+            if bad:
+                # a run's error differs from a row's, and both kinds are searched
+                kind = OverflowError if hi - lo == 1 else (ValueError, ArithmeticError)[lo % 2]
+                raise kind(f"rows {lo}:{hi} fail at {bad}")
+
+        first = min(failing)
+        with pytest.raises(OverflowError) as error:
+            sweep._first_failure(evaluate, n)
+        assert str(error.value) == f"rows {first}:{first + 1} fail at [{first}]"
+        assert runs[-1] == (first, first + 1)
+        assert sum(hi - lo for lo, hi in runs) <= 3 * (first + 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 64, 100])
+    def test_returns_when_no_row_fails_alone(self, n):
+        runs = []
+
+        def evaluate(lo, hi):
+            runs.append((lo, hi))
+            if hi - lo > 1:
+                raise ValueError("only runs fail")
+
+        assert sweep._first_failure(evaluate, n) is None
+        assert all(0 <= lo < hi <= n for lo, hi in runs)
+
+
 class TestLossyThermalLandmarks:
     """Grids that mix lossy and lossless thermal rows get the landmarks of
     every row; each row is checked against the search oracle."""
@@ -248,7 +302,7 @@ class TestLossyThermalLandmarks:
         SweepConfig("thermal", ("e_n", "purity", "critical_points"), {"n_i": 0.3, "eta_s": 0.7},
                     axis1=AxisSpec("eta_i", 1.0, 0.5, 6), axis2=AxisSpec("k_f", 0.9, 0.99, 3)),
     ], ids=["eta_s axis", "eta_i by k_f"])
-    def test_rows_match_the_search_oracle(self, cfg, block_rows):
+    def test_rows_match_the_search_oracle(self, cfg):
         for params, row in grid_points(cfg):
             get = lambda name: params.get(name, sweep._DEFAULTS[name])
             want = _search(*(get(n) for n in ("n_i", "n_s", "k_f", "l_f", "eta_i", "eta_s")))
@@ -256,7 +310,7 @@ class TestLossyThermalLandmarks:
 
 
 class TestLargeSqueezing:
-    def test_ideal_tmsv_ladder_is_exact(self, block_rows):
+    def test_ideal_tmsv_ladder_is_exact(self):
         # D_I D_S - C11^2 subtracts numbers near e^{4r}; D_x from the model does not
         cfg = SweepConfig("tmsv", ("e_n", "s_q_opt", "purity"), {},
                           axis1=AxisSpec("r", 0.0, 12.0, 13))
@@ -269,9 +323,11 @@ class TestLargeSqueezing:
         assert np.all(purity == 1.0)
 
     def test_overflow_names_its_row(self):
-        with pytest.raises(OverflowError) as error:
-            run_sweep(ERROR_CASES["tmsv overflow"][0])
-        assert error.value.row == 2
+        cfg = ERROR_CASES["tmsv overflow"][0]
+        with pytest.raises(OverflowError, match=r"^\(34, 'Numerical result out of range'\)$"):
+            run_sweep(cfg)
+        # rows 0 and 1 pass: row 2 is the first to fail
+        assert len(run_sweep(replace(cfg, axis1=AxisSpec("r", 1.0, 100.5, 2)))[1]) == 2
 
 
 def count_matrices(monkeypatch) -> list:
@@ -288,7 +344,7 @@ def count_matrices(monkeypatch) -> list:
 
 
 class TestNoMatrixStack:
-    def test_closed_form_outputs_build_no_matrix(self, block_rows, monkeypatch, tmp_path):
+    def test_closed_form_outputs_build_no_matrix(self, monkeypatch, tmp_path):
         shapes = count_matrices(monkeypatch)
         for name in sorted(GRIDS):
             run_sweep(GRIDS[name])
@@ -297,13 +353,12 @@ class TestNoMatrixStack:
                          "--out", str(tmp_path / "point.json")]) == 0
         assert shapes == []
 
-    def test_bell_max_builds_one_stack_per_block(self, block_rows, monkeypatch, tmp_path):
+    def test_bell_max_builds_one_stack_per_sweep(self, monkeypatch, tmp_path):
         shapes = count_matrices(monkeypatch)
         cfg = SweepConfig("tmsv", ALL + ("bell_max",), {"eta_s": 0.9},
                           axis1=AxisSpec("r", 0.2, 1.4, 7), bell_restarts=1)
         run_sweep(cfg)
-        rows = sweep._BLOCK_ROWS
-        assert shapes == [(min(rows, 7 - lo),) for lo in range(0, 7, rows)]
+        assert shapes == [(7,)]
         shapes.clear()
         assert cli.main(["point", "--model", "tmsv", "--r", "0.7", "--outputs", "bell_max,e_n",
                          "--restarts", "1", "--out", str(tmp_path / "point.json")]) == 0
@@ -311,7 +366,7 @@ class TestNoMatrixStack:
 
 
 class TestOneSqueezingPass:
-    def test_e_n_and_s_q_opt_share_one_pass_per_block(self, block_rows, monkeypatch):
+    def test_e_n_and_s_q_opt_share_one_pass_per_sweep(self, monkeypatch):
         calls = []
         real = gaussian.optimized_squeezing
 
@@ -323,8 +378,7 @@ class TestOneSqueezingPass:
         cfg = SweepConfig("thermal", ("e_n", "s_q_opt"), {"n_i": 0.3, "eta_s": 0.9},
                           axis1=AxisSpec("r", 0.0, 3.0, 13))
         _, table = run_sweep(cfg)
-        rows = sweep._BLOCK_ROWS
-        assert calls == [(min(rows, 13 - lo),) for lo in range(0, 13, rows)]
+        assert calls == [(13,)]
         n = len(table)
         blocks = point_state("thermal", {"r": table[:, 0], "n_i": np.full(n, 0.3),
                                          "eta_s": np.full(n, 0.9)})[1]
@@ -388,7 +442,7 @@ class TestBellInputs:
                                 bell.BellMaxConfig(n_restarts=8, seed=seeds[i]))
             assert np.float64(row["bell_max"]).tobytes() == np.float64(res.b_max).tobytes()
 
-    def test_bell_points_get_their_grid_seeds(self, block_rows, monkeypatch):
+    def test_bell_points_get_their_grid_seeds(self, monkeypatch):
         seen = []
         real = bell.bell_max_stack
 
@@ -412,7 +466,7 @@ class TestBellInputs:
 
 
 class TestBellRunsLast:
-    def test_a_cheap_check_fails_before_the_optimizer_runs(self, block_rows, monkeypatch):
+    def test_a_cheap_check_fails_before_the_optimizer_runs(self, monkeypatch):
         calls = []
         real = bell.bell_max_stack
 
@@ -425,6 +479,23 @@ class TestBellRunsLast:
                           axis1=AxisSpec("eta_i", 0.9, 1.85, 20), bell_restarts=16)
         with pytest.raises(ConfigError, match="eta_i must lie in"):
             run_sweep(cfg)
+        assert calls == []
+
+    def test_a_failing_last_point_stops_the_optimizer_of_a_large_grid(self, monkeypatch):
+        calls = []
+
+        def spy(v, seeds, cfg):
+            calls.append(len(seeds))
+            raise AssertionError("the optimizer ran on a failing grid")
+
+        monkeypatch.setattr(bell, "bell_max_stack", spy)
+        # 4098 rows; only the last, K_f = 1.0002, breaks the Cauchy-Schwarz bound
+        cfg = SweepConfig("tmsv", ("bell_max",), {"r": 0.5},
+                          axis1=AxisSpec("k_f", -1.0, 1.0002, 4098), bell_restarts=1)
+        with pytest.raises(ConfigError) as error:
+            run_sweep(cfg)
+        assert type(error.value) is ConfigError
+        assert str(error.value) == "overlap (1.0002, 0.0) violates the Cauchy-Schwarz bound"
         assert calls == []
 
     def test_point_outputs_keep_their_listed_order(self):

@@ -86,7 +86,6 @@ class TestCovariance:
         r = np.array([1.0, 200.0, 100.0])
         with pytest.raises(OverflowError) as error:
             tmsv.covariance(tmsv.TmsvParams(r=r, eta_i=np.ones(3), eta_s=np.ones(3)))
-        assert error.value.row == 1
         assert str(error.value) == "(34, 'Numerical result out of range')"
         with pytest.raises(OverflowError):
             tmsv.covariance(params(200.0))
