@@ -185,7 +185,12 @@ def bell_max_stack(v: CovarianceMatrix, seeds, cfg: BellMaxConfig = BellMaxConfi
     The restarts of all matrices advance as one lockstep array, at most
     ``_STACK_ROWS`` restart rows per pass.  Every restart takes the path it
     takes alone, so result k is bit-identical to ``bell_max`` of matrix k
-    at its seed, whatever the stack around it.
+    at its seed, whatever the stack around it.  Results are the same bit
+    for bit for a fixed seed only where numpy dispatches the same
+    ``argsort`` for the simplex order: its AVX-512 kernel orders exact ties
+    differently from a stable sort, and ties occur.  Ideal TMSV at r = 1.5,
+    64 restarts and seed 7 gives 2.3218773 on an AVX-512 host, and
+    2.3221323 with a stable sort.
     """
     m = v.entries.reshape(-1, 4, 4)
     seeds = list(seeds)

@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_point(args) -> int:
     params, outputs = _collect_params(args), args.outputs
-    results, blocks = sweep.evaluate_point_with_blocks(
+    results, blocks, search = sweep.evaluate_point_with_blocks(
         args.model, params, outputs, family=args.family, seed=args.seed,
         bell_restarts=args.restarts)
     if args.format == "csv":
@@ -216,7 +216,9 @@ def _cmd_point(args) -> int:
             "blocks": {"d_i": blocks.d_i, "d_s": blocks.d_s,
                        "c11": blocks.c11, "c12": blocks.c12},
         },
-        "diagnostics": {},
+        # the bell_max search's certificate, under the bell command's names
+        "diagnostics": {} if search is None else {name: getattr(search, name) for name in (
+            "converged", "evaluations", "restarts_agreeing", "iterations")},
     }
     _emit(payload, args.out)
     return 0

@@ -19,34 +19,33 @@ a single Bogoliubov branch through both kernel rows would instead produce
 sum-frequency integrals that vanish for matched filters.
 
 The estimator only ever reads four numbers per realization, the filtered
-output quadratures (xk, yk, xl, yl), and they are a fixed linear map of the
-noise.  Each series enters through its projection onto the four
+output quadratures o = (xk, yk, xl, yl), and they are a fixed linear map of
+the noise.  Each series enters through its projection onto the four
 width-scaled kernel columns P: with P = Q R (Householder QR), a unit-normal
 series has the projection law N(0, R^T R), that of w R for w ~ N(0, I_4).
 Mixing those projections through the squeezer and loss gives the outputs
 as w A, w the 4-per-series normals of all series; with A = Q_A R_A, the
-outputs are drawn as z R_A for z ~ N(0, I_4), which has their exact law
-A^T A even when identical filters make A rank-deficient.  That costs four
-draws per realization instead of one per lag cell and series, and the
-covariance sampled is still the Riemann-sum Gram of the sampled kernels,
-never the closed-form overlap.  The same factor gives the estimator's
-exact expectation at a given dt, the blocks of R_A^T R_A, from which the
-discretization bias is estimated without sampling noise.  The samples are
-never stored: each batch of _BATCH = 4096 realizations is reduced, in one
-(4, nb) array overwritten in place, to its mean and sum of squared
-deviations, which are merged into running moments, so memory does not grow
-with the number of realizations.  Batches are drawn on every CPU the
-process may use, in threads, and merged in batch order: each batch has its
-own random stream, so the estimate is the same bit for bit whatever the
-number of threads.  Batch b covers realizations b * _BATCH on, so the
-estimate for a seed changes with _BATCH, within its standard error.
+outputs have the law of z R_A for z ~ N(0, I_4), exactly, even when
+identical filters make A rank-deficient.  The covariance sampled is still
+the Riemann-sum Gram of the sampled kernels, never the closed-form overlap.
+
+Each block sample is a quadratic form o M_k o^T, so the mean over n
+realizations reads the draws only through S = R_A^T W R_A / n, where W, the
+sum of z^T z, is Wishart(n, I_4).  Bartlett's decomposition draws W exactly
+with ten variates at any n: W = L L^T, L lower-triangular with
+L_jj^2 ~ chi^2(n - j) for j = 0..3 and N(0, 1) entries below the diagonal
+(Bartlett 1933; Anderson, An Introduction to Multivariate Statistical
+Analysis, 7.2).  The block estimates are the blocks of S, as the
+estimator's exact expectation at a given dt is the blocks of R_A^T R_A,
+from which the discretization bias is estimated without sampling noise.
+The standard errors are exact as well: by Isserlis' theorem a sample
+o M_k o^T has variance 2 ||R_A M_k R_A^T||_F^2.  Neither time nor memory
+grows with the number of realizations.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,12 +54,13 @@ from .filters import FilterFamily, FilterSpec, sample_time
 from .gaussian import CovarianceBlocks
 from .thermal import ThermalParams
 
-# realizations per batch: seeding a batch's generator and dispatching it
-# hold the interpreter lock, a fixed cost per batch; 4096 measured faster
-# than 2048, and larger batches no faster, with more memory in flight
-_BATCH = 4096
-# batches per worker thread per round (see _all_moments)
-_ROUND = 32
+# M_k of the block samples o M_k o^T, o = (xk, yk, xl, yl):
+# xk^2 + yk^2, xl^2 + yl^2, xk xl - yk yl and xk yl + yk xl
+_FORMS = np.zeros((4, 4, 4))
+_FORMS[0, [0, 1], [0, 1]] = 1.0
+_FORMS[1, [2, 3], [2, 3]] = 1.0
+_FORMS[2, [0, 2, 1, 3], [2, 0, 3, 1]] = [0.5, 0.5, -0.5, -0.5]
+_FORMS[3, [0, 3, 1, 2], [3, 0, 2, 1]] = 0.5
 
 
 @dataclass(frozen=True)
@@ -69,11 +69,9 @@ class SimConfig:
 
     dt must resolve the filter kernels (<= min(tau)/50); the horizon must
     cover the step windows with margin (>= 3 max(tau)) and the exponential
-    tails (>= 10 tau).  Realizations are batched in fixed-size chunks whose
-    substreams derive from (seed, batch index), and the batch moments are
-    merged in index order, so estimates do not depend on scheduling: the
-    batches run in parallel threads, and the result is bit for bit the same
-    for any number of them.
+    tails (>= 10 tau).  The realizations' second moments are drawn at once
+    from SeedSequence((seed, 0)), so a seed gives the same estimates bit
+    for bit on every run.
     """
 
     model: ThermalParams
@@ -106,15 +104,17 @@ class SimConfig:
 class EmpiricalBlocks:
     """Block estimates with standard errors of the mean and a bias flag.
 
-    The realizations are independent, so each standard error is the sample
-    standard deviation over sqrt(n).  bias_estimate is the half-dt
-    Richardson estimate of the discretization bias, computed from the
-    estimator's exact expectations at dt and dt/2 (no sampling noise), and
-    bias_warning is set when it exceeds the statistical error on any block.
-    richardson_limit, the expectation at dt less that bias, extrapolates the
-    estimator to dt -> 0, again without sampling noise.  lag_cells counts
-    the kernel cells at dt and normal_draws the unit normals drawn, four per
-    realization.
+    The standard errors are the exact standard deviations of the means of
+    n independent block samples, sqrt(2/n) ||R_A M_k R_A^T||_F (see the
+    module docstring), floored at 1e-300 so that a form that vanishes on
+    rank-deficient outputs still gives a finite z.  bias_estimate is the
+    half-dt Richardson estimate of the discretization bias, computed from
+    the estimator's exact expectations at dt and dt/2 (no sampling noise),
+    and bias_warning is set when it exceeds the statistical error on any
+    block.  richardson_limit, the expectation at dt less that bias,
+    extrapolates the estimator to dt -> 0, again without sampling noise.
+    lag_cells counts the kernel cells at dt and normal_draws the variates
+    drawn: four chi-squares and six normals, at any number of realizations.
     """
 
     blocks: CovarianceBlocks
@@ -229,115 +229,26 @@ def _output_factor(cfg: SimConfig, noise_widths, kernels) -> np.ndarray:
     return np.linalg.qr(_output_map(cfg, noise_widths, kernels), mode="r")
 
 
+def _blocks(g: np.ndarray) -> np.ndarray:
+    """(D_I, D_S, C11, C12) of a 4x4 second-moment matrix g of the outputs:
+    the sums of M_k * g."""
+    return np.tensordot(_FORMS, g)
+
+
 def _expected_blocks(factor: np.ndarray) -> np.ndarray:
-    """Exact expectation of the (D_I, D_S, C11, C12) samples drawn through
-    factor: the blocks of the output covariance R_A^T R_A."""
-    g = factor.T @ factor
-    return np.array([g[0, 0] + g[1, 1], g[2, 2] + g[3, 3],
-                     g[0, 2] - g[1, 3], g[0, 3] + g[1, 2]])
+    """Exact expectation of the block estimates drawn through factor: the
+    blocks of the output covariance R_A^T R_A."""
+    return _blocks(factor.T @ factor)
 
 
-def _batch(cfg: SimConfig, factor: np.ndarray, index: int) -> np.ndarray:
-    """Samples of (D_I, D_S, C11, C12) of one batch, a fresh (4, nb) array
-    of the nb <= _BATCH realizations from index * _BATCH on.
-
-    The batch draws z ~ N(0, I_4) per realization from a generator seeded
-    by SeedSequence((cfg.seed, 0, index)), so its stream does not depend
-    on which thread draws it or when, and forms the outputs z R_A.  The
-    rows xk*xk + yk*yk, xl*xl + yl*yl, xk*xl - yk*yl and xk*yl + yk*xl are
-    written in place, rounding exactly as those expressions.
-    """
-    nb = min(_BATCH, cfg.n_realizations - index * _BATCH)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, 0, index)))
-    xk, yk, xl, yl = (rng.standard_normal((nb, 4)) @ factor).T
-    x, tmp = np.empty((4, nb)), np.empty(nb)
-    for row, (a, b, c, d, combine) in zip(x, ((xk, xk, yk, yk, np.add),
-                                              (xl, xl, yl, yl, np.add),
-                                              (xk, xl, yk, yl, np.subtract),
-                                              (xk, yl, yk, xl, np.add))):
-        np.multiply(a, b, out=row)
-        np.multiply(c, d, out=tmp)
-        combine(row, tmp, out=row)
-    return x
-
-
-def _moments(cfg: SimConfig, factor: np.ndarray, index: int):
-    """(nb, mean, M2) of one batch: its size, the mean of each block sample
-    and the summed squared deviations from that mean.
-
-    Bit for bit, the mean is x.mean(axis=1) and M2 is
-    np.square(x - mean[:, None]).sum(axis=1) of the samples x; the
-    deviations overwrite the samples.
-    """
-    x = _batch(cfg, factor, index)
-    nb = x.shape[1]
-    mean = np.add.reduce(x, axis=1) / nb
-    x -= mean[:, None]
-    np.square(x, out=x)
-    return nb, mean, np.add.reduce(x, axis=1)
-
-
-def _cpus() -> int:
-    """Number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _round_moments(cfg: SimConfig, factor: np.ndarray, ids: range, workers: int) -> list:
-    """Moments of the batches ids, in order, from workers strided shares.
-
-    Share w takes ids[w::workers]; the caller computes share 0 and one
-    thread each the others, all of which have ended when this returns.
-    The cost is native code that releases the interpreter lock (the draw,
-    the product with R_A and the block loops), so the shares run on
-    separate CPUs.  The first error of any share stops the others after
-    their current batch and is raised here, before any moment is used.
-    """
-    table = [None] * len(ids)
-    errors = []
-
-    def work(w):
-        try:
-            for j in range(w, len(ids), workers):
-                if errors:
-                    return
-                table[j] = _moments(cfg, factor, ids[j])
-        except BaseException as exc:  # re-raised by the caller below
-            errors.append(exc)
-
-    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
-    try:
-        for thread in threads:
-            thread.start()
-        work(0)
-    except BaseException as exc:  # a thread that could not start
-        errors.append(exc)
-    finally:
-        for thread in threads:
-            if thread.is_alive():
-                thread.join()
-    if errors:
-        raise errors[0]
-    return table
-
-
-def _all_moments(cfg: SimConfig, factor: np.ndarray):
-    """Yield the moments of every batch in index order.
-
-    Batches run in rounds of _ROUND per worker, one worker per available
-    CPU (at most one per batch), and each round's moments are yielded once
-    its threads have ended.  At most one batch per worker is in flight and
-    one round of moments is held, so memory does not grow with the number
-    of realizations; on one CPU every batch runs in the caller.
-    """
-    n_batches = -(-cfg.n_realizations // _BATCH)
-    workers = min(_cpus(), n_batches)
-    size = _ROUND * workers
-    for first in range(0, n_batches, size):
-        ids = range(first, min(first + size, n_batches))
-        yield from _round_moments(cfg, factor, ids, min(workers, len(ids)))
+def _wishart(rng: np.random.Generator, n: int) -> np.ndarray:
+    """W ~ Wishart(n, I_4), the sum of z^T z over n draws z ~ N(0, I_4), by
+    Bartlett's decomposition W = L L^T: L lower-triangular with
+    L_jj = sqrt(chi^2(n - j)) and N(0, 1) entries below the diagonal."""
+    # float degrees of freedom: n may exceed the int64 range
+    low = np.diag(np.sqrt(rng.chisquare(n - np.arange(4.0))))
+    low[np.tril_indices(4, -1)] = rng.standard_normal(6)
+    return low @ low.T
 
 
 def simulate(cfg: SimConfig) -> EmpiricalBlocks:
@@ -354,16 +265,12 @@ def simulate(cfg: SimConfig) -> EmpiricalBlocks:
     mids, widths = _lag_grid(max(supports), cfg.dt)
     factor = _output_factor(cfg, widths, _kernels(cfg, mids, widths))
 
-    # running mean and M2 (summed squared deviations from the mean), merged
-    # batch by batch as in Chan, Golub & LeVeque: every term of M2 is
-    # non-negative, so it never forms the cancelling sum(x^2) - n mean^2
-    n, est, m2 = 0, np.zeros(4), np.zeros(4)
-    for nb, mean_b, m2_b in _all_moments(cfg, factor):
-        delta = mean_b - est
-        n += nb
-        est = est + delta * (nb / n)
-        m2 = m2 + m2_b + delta**2 * ((n - nb) * nb / n)
-    se = np.maximum(np.sqrt(m2 / (n - 1)) / math.sqrt(n), 1e-300)
+    n = cfg.n_realizations
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, 0)))
+    est = _blocks(factor.T @ _wishart(rng, n) @ factor / n)
+    # Isserlis: a sample o M o^T has variance 2 tr((M R_A^T R_A)^2)
+    forms = factor @ _FORMS @ factor.T
+    se = np.maximum(math.sqrt(2.0 / n) * np.linalg.norm(forms, axis=(1, 2)), 1e-300)
 
     expected = _expected_blocks(factor)
     bias = _richardson_bias(cfg, mids, widths, expected)
@@ -374,7 +281,7 @@ def simulate(cfg: SimConfig) -> EmpiricalBlocks:
         bias_warning=bool(np.any(np.abs(bias) > se)),
         richardson_limit=tuple(float(x) for x in expected - bias),
         lag_cells=len(widths),
-        normal_draws=4 * cfg.n_realizations,
+        normal_draws=10,  # 4 chi-squares and 6 normals (see _wishart)
     )
 
 

@@ -184,12 +184,15 @@ def _evaluate(model, params, outputs, family):
     return res, blocks
 
 
-def _maximize_bell(res: dict, seeds, bell_restarts: int) -> None:
+def _maximize_bell(res: dict, seeds, bell_restarts: int) -> list | None:
     """Replace the checked ``bell_max`` stack of res, if any, by the Bell
-    maxima, point k seeded by seeds[k]."""
-    if "bell_max" in res:
-        found = bell.bell_max_stack(res["bell_max"], seeds, bell.BellMaxConfig(bell_restarts))
-        res["bell_max"] = np.array([r.b_max for r in found])
+    maxima, point k seeded by seeds[k]; returns the searches' results, or
+    None if no ``bell_max`` was requested."""
+    if "bell_max" not in res:
+        return None
+    found = bell.bell_max_stack(res["bell_max"], seeds, bell.BellMaxConfig(bell_restarts))
+    res["bell_max"] = np.array([r.b_max for r in found])
+    return found
 
 
 def _first_failure(evaluate, n: int) -> None:
@@ -224,7 +227,8 @@ def _first_failure(evaluate, n: int) -> None:
 def evaluate_point_with_blocks(model: str, params: dict, outputs, family: str | None = None,
                                seed: int = 0, bell_restarts: int = 64):
     """All requested outputs for one parameter tuple, as a one-point grid,
-    and the point's covariance blocks, from one evaluation of the model.
+    the point's covariance blocks, from one evaluation of the model, and the
+    ``bell.BellResult`` of its Bell search (None without ``bell_max``).
 
     Landmarks that do not exist at a grid point (empty thermal window,
     uncorrelated state at r = 0, K_f = 0 cutoffs) are reported as nan so
@@ -232,9 +236,9 @@ def evaluate_point_with_blocks(model: str, params: dict, outputs, family: str | 
     """
     grid = {name: np.array([v], dtype=float) for name, v in params.items()}
     res, b = _evaluate(model, grid, outputs, family)
-    _maximize_bell(res, [seed], bell_restarts)
+    found = _maximize_bell(res, [seed], bell_restarts)
     blocks = gaussian.CovarianceBlocks(*(float(x[0]) for x in astuple(b)))
-    return {k: float(v[0]) for k, v in res.items()}, blocks
+    return {k: float(v[0]) for k, v in res.items()}, blocks, found[0] if found else None
 
 
 def run_sweep(cfg: SweepConfig) -> tuple[list[str], np.ndarray]:

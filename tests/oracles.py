@@ -233,12 +233,15 @@ def random_thermal_params(rng: np.random.Generator, require_window: bool = False
             return p
 
 
+# realizations per noise batch of mix_then_contract
+MIX_BATCH = 4096
+
+
 def noise_stream(seed, stream_tag, n_cols):
     """Unit-normal noise series, batch by batch, for ``mix_then_contract``.
 
     noise(batch index, nb) yields (nb, n_cols) series from one generator per
-    batch, SeedSequence((seed, stream_tag, batch index)), as the simulator
-    seeds its own.
+    batch, SeedSequence((seed, stream_tag, batch index)).
     """
     def noise(batch, nb):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, stream_tag, batch)))
@@ -247,16 +250,15 @@ def noise_stream(seed, stream_tag, n_cols):
     return noise
 
 
-def mix_then_contract(cfg, noise_widths, kernels, n_total, noise, batch):
+def mix_then_contract(cfg, noise_widths, kernels, n_total, noise):
     """Per-realization samples of (D_I, D_S, C11, C12) in the direct order.
 
     Builds every Bogoliubov-branch and loss-mixed noise series on the full
     lag grid and only then contracts them with ``kernels`` = (rk, ik, rl,
     il).  ``noise`` (see ``noise_stream``) supplies the unit-normal series of
-    each batch in the simulator's draw order: xi, yi, xs, ys, then the idler
-    and the signal vacuum pair of each lossy party.  ``batch`` is the
-    simulator's batch size, ``fieldsim._BATCH``, so that noise batch b
-    covers the realizations of the simulator's batch b.
+    each batch of ``MIX_BATCH`` realizations in the simulator's series
+    order: xi, yi, xs, ys, then the idler and the signal vacuum pair of each
+    lossy party.
     """
     model = cfg.model
     r = model.r
@@ -266,9 +268,9 @@ def mix_then_contract(cfg, noise_widths, kernels, n_total, noise, batch):
     rk, ik, rl, il = kernels
     c, s = math.cosh(r), math.sinh(r)
     out = np.empty((n_total, 4))
-    for start in range(0, n_total, batch):
-        nb = min(batch, n_total - start)
-        draws = noise(start // batch, nb)
+    for start in range(0, n_total, MIX_BATCH):
+        nb = min(MIX_BATCH, n_total - start)
+        draws = noise(start // MIX_BATCH, nb)
 
         def series(power):
             return next(draws) * np.sqrt(power / noise_widths)

@@ -104,6 +104,23 @@ class TestPoint:
         assert res["purity"] == pytest.approx(1.0)
         assert res["s_q_opt"] == pytest.approx(1.0)
 
+    def test_bell_max_point_reports_its_search_under_the_bell_names(self, capsys):
+        state = ("--model", "thermal", "--r", "0.8", "--n-i", "0.1", "--k-f", "0.95")
+        search = ("--restarts", "12", "--seed", "4")
+        code, out, _ = run_inproc("point", *state, *search, "--outputs", "bell_max,e_n",
+                                  capsys=capsys)
+        assert code == 0
+        point = json.loads(out)
+        code, out, _ = run_inproc("bell", *state, *search, capsys=capsys)
+        assert code == 0
+        alone = json.loads(out)
+        assert point["results"]["bell_max"] == alone["results"]["b_max"]
+        names = ("converged", "evaluations", "restarts_agreeing", "iterations")
+        assert point["diagnostics"] == {name: alone["diagnostics"][name] for name in names}
+        # nothing searched, nothing to report
+        code, out, _ = run_inproc("point", *state, *search, capsys=capsys)
+        assert code == 0 and json.loads(out)["diagnostics"] == {}
+
     def test_point_csv_format(self, capsys):
         code, out, _ = run_inproc(
             "point", "--model", "tmsv", "--r", "0.5", "--format", "csv",
@@ -605,8 +622,8 @@ class TestValidateCommand:
         diag = payload["diagnostics"]
         assert set(diag) == {"bias_estimate", "bias_warning", "chain_residual", "lag_cells",
                              "normal_draws"}
-        # four normals per realization: the filtered output quadratures
-        assert (diag["lag_cells"], diag["normal_draws"]) == (100, 20000 * 4)
+        # the realizations' second moments: 4 chi-squares and 6 normals
+        assert (diag["lag_cells"], diag["normal_draws"]) == (100, 10)
 
     def test_counts_are_reported_and_reruns_are_byte_identical(self, capsys):
         # exponential kernels span the whole horizon
@@ -617,8 +634,20 @@ class TestValidateCommand:
         code, first, _ = run_inproc(*argv, capsys=capsys)
         assert code == 0
         diag = json.loads(first)["diagnostics"]
-        assert (diag["lag_cells"], diag["normal_draws"]) == (500, 1500 * 4)
+        assert (diag["lag_cells"], diag["normal_draws"]) == (500, 10)
         assert run_inproc(*argv, capsys=capsys)[1] == first
+
+    def test_a_billion_realizations_draw_what_two_hundred_thousand_do(self, capsys):
+        runs = {}
+        for n in ("200000", "1000000000"):
+            code, out, _ = run_inproc(*README_VALIDATE[0][:-4], "--n-real", n, "--seed", "42",
+                                      capsys=capsys)
+            assert code == 0
+            runs[n] = strict_json(out)
+            assert runs[n]["results"]["all_pass"] is True
+        small, large = (runs[n]["diagnostics"] for n in runs)
+        assert (large["lag_cells"], large["normal_draws"]) == (
+            small["lag_cells"], small["normal_draws"]) == (200, 10)
 
     def test_mixed_family_validation(self, capsys):
         code, out, _ = run_inproc(
