@@ -26,12 +26,11 @@ independent zooming dense-grid search.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import CovarianceMatrix
+from .gaussian import CovarianceMatrix, _check_seed
 
 
 @dataclass(frozen=True)
@@ -57,15 +56,6 @@ class DisplacementSettings:
              self.q_s0, self.p_s0, self.q_s1, self.p_s1]
         )
 
-    def joint_points(self) -> np.ndarray:
-        """The four points u^{mn}, rows ordered (00, 01, 10, 11)."""
-        return self.as_array()[_JOINT.T]
-
-
-def _check_seed(seed) -> None:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-
 
 @dataclass(frozen=True)
 class BellMaxConfig:
@@ -73,7 +63,6 @@ class BellMaxConfig:
 
     n_restarts: int = 64
     max_evals: int = 2000
-    f_tol: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
@@ -85,10 +74,6 @@ class BellMaxConfig:
             raise ValueError(f"n_restarts must be at least 1, got {self.n_restarts}")
         if self.max_evals < 50:
             raise ValueError(f"max_evals must be at least 50, got {self.max_evals}")
-        if isinstance(self.f_tol, bool) or not isinstance(self.f_tol, numbers.Real):
-            raise ValueError(f"f_tol must be a real number, got {self.f_tol!r}")
-        if not (math.isfinite(self.f_tol) and self.f_tol >= 0.0):
-            raise ValueError(f"f_tol must be finite and >= 0, got {self.f_tol!r}")
         _check_seed(self.seed)
 
 
@@ -99,13 +84,12 @@ class BellResult:
     evaluations sums the Bell evaluations of all restarts; restarts_agreeing
     counts the restarts within 1e-6 max(1, |b_max|) of b_max (the best one
     included); spread is the best restart's final simplex spread in -|B|,
-    at most f_tol exactly when that restart settled; iterations is the
+    at most F_TOL exactly when that restart settled; iterations is the
     number of lockstep steps until the last restart stopped.
     """
 
     b_max: float
     settings: DisplacementSettings
-    n_restarts_used: int
     converged: bool
     evaluations: int
     restarts_agreeing: int
@@ -118,6 +102,7 @@ class BellResult:
 # setting n (4:6 or 6:8), points ordered (00, 01, 10, 11)
 _JOINT = np.array([[0, 0, 2, 2], [1, 1, 3, 3], [4, 6, 4, 6], [5, 7, 5, 7]])
 _STACK_ROWS = 4096  # restart rows per lockstep pass; bounds the simplex arrays
+F_TOL = 1e-10  # a restart has settled when its simplex spread in -|B| is at most this
 _STEPS = np.array([1.0, 2.0, 0.5, -0.5])[:, None, None]  # r, e, oc, ic along d
 
 
@@ -170,7 +155,7 @@ def bell_max(v: CovarianceMatrix, cfg: BellMaxConfig = BellMaxConfig()) -> BellR
 
     Restarts: the all-zero point plus cfg.n_restarts - 1 Gaussian samples
     whose scale is set by the largest covariance eigenvalue.  A restart is
-    settled when its simplex function spread drops below cfg.f_tol; the run
+    settled when its simplex function spread is at most F_TOL; the run
     is converged when the winning restart settled within budget and at
     least one other restart reproduces the winning value to 1e-6.  This is
     the one-matrix case of ``bell_max_stack``.
@@ -219,7 +204,7 @@ def bell_max_stack(v: CovarianceMatrix, seeds, cfg: BellMaxConfig = BellMaxConfi
         owner = np.repeat(states, n_r)
         best_f, best_x, settled, evals, spread, steps = _batched_nelder_mead(
             neg_abs, centers.reshape(-1, 8), owner, step=0.25 * scale[owner],
-            f_tol=cfg.f_tol, max_evals=cfg.max_evals)
+            max_evals=cfg.max_evals)
         for k in range(len(states)):
             rows = slice(k * n_r, (k + 1) * n_r)
             values = -best_f[rows]
@@ -229,7 +214,6 @@ def bell_max_stack(v: CovarianceMatrix, seeds, cfg: BellMaxConfig = BellMaxConfi
             results.append(BellResult(
                 b_max=b_max,
                 settings=DisplacementSettings(*best_x[rows][top]),
-                n_restarts_used=n_r,
                 converged=bool(settled[rows][top] and (agreeing >= 2 or n_r == 1)),
                 evaluations=int(evals[rows].sum()),
                 restarts_agreeing=agreeing,
@@ -239,7 +223,7 @@ def bell_max_stack(v: CovarianceMatrix, seeds, cfg: BellMaxConfig = BellMaxConfi
     return results
 
 
-def _batched_nelder_mead(objective, centers, owner, step, f_tol, max_evals):
+def _batched_nelder_mead(objective, centers, owner, step, max_evals):
     """Minimize over many restarts advanced in lockstep.
 
     objective(owner) binds the objective to the (N,) owners of N rows, as a
@@ -248,7 +232,7 @@ def _batched_nelder_mead(objective, centers, owner, step, f_tol, max_evals):
     step calls it once, on the four candidate points of every active
     restart, and counts 3 evaluations (not the unused contraction point)
     plus dim per shrink.  Returns per-restart best values, best points,
-    whether each restart settled (simplex spread <= f_tol) before exhausting
+    whether each restart settled (simplex spread <= F_TOL) before exhausting
     its evaluation budget, and its evaluation count, final spread and steps.
     """
     n, dim = centers.shape
@@ -271,9 +255,9 @@ def _batched_nelder_mead(objective, centers, owner, step, f_tol, max_evals):
         order = np.argsort(p[:, :, dim], axis=0) * len(rows) + rows
         p = p.reshape(-1, dim + 1).take(order, axis=0)
         width = p[-1, :, dim] - p[0, :, dim]
-        if width[width.argmin()] <= f_tol or 3 * taken + top >= max_evals:
+        if width[width.argmin()] <= F_TOL or 3 * taken + top >= max_evals:
             ev = spent + 3 * taken
-            stop = (width <= f_tol) | (ev >= max_evals)
+            stop = (width <= F_TOL) | (ev >= max_evals)
             out = idx[stop]
             best[out], spread[out], evals[out] = p[0, stop], width[stop], ev[stop]
             steps[out] = taken
@@ -309,5 +293,5 @@ def _batched_nelder_mead(objective, centers, owner, step, f_tol, max_evals):
         p[-1] = x[move, rows]
 
     # every simplex stopped sorted, so its vertex 0 is its best; a restart
-    # settled if its final spread is within f_tol
-    return best[:, dim], best[:, :dim], spread <= f_tol, evals, spread, steps
+    # settled if its final spread is within F_TOL
+    return best[:, dim], best[:, :dim], spread <= F_TOL, evals, spread, steps

@@ -23,7 +23,7 @@ import tempfile
 
 import numpy as np
 
-from . import bell, fieldsim, gaussian, sweep
+from . import fieldsim, sweep
 from .filters import overlap_closed_form, overlap_numeric
 from .svg import render_heatmap
 from .sweep import AxisSpec, ConfigError, SweepConfig
@@ -167,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p_bell)
     p_bell.add_argument("--seed", type=int, default=0)
     p_bell.add_argument("--restarts", type=int, default=64)
-    p_bell.add_argument("--max-evals", type=int, default=2000)
     p_bell.add_argument("--out", default=None)
     p_bell.add_argument("--format", choices=["json"], default="json")
 
@@ -199,6 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bell_diagnostics(search) -> dict:
+    """The Bell search's certificate, as point (with bell_max) and bell report it."""
+    return {name: getattr(search, name) for name in (
+        "converged", "evaluations", "restarts_agreeing", "spread", "iterations")}
+
+
 def _cmd_point(args) -> int:
     params, outputs = _collect_params(args), args.outputs
     results, blocks, search = sweep.evaluate_point_with_blocks(
@@ -216,9 +221,7 @@ def _cmd_point(args) -> int:
             "blocks": {"d_i": blocks.d_i, "d_s": blocks.d_s,
                        "c11": blocks.c11, "c12": blocks.c12},
         },
-        # the bell_max search's certificate, under the bell command's names
-        "diagnostics": {} if search is None else {name: getattr(search, name) for name in (
-            "converged", "evaluations", "restarts_agreeing", "iterations")},
+        "diagnostics": {} if search is None else _bell_diagnostics(search),
     }
     _emit(payload, args.out)
     return 0
@@ -271,20 +274,15 @@ def _write_sweep_svg(path, cfg: SweepConfig, columns, table) -> None:
 
 
 def _cmd_bell(args) -> int:
+    """``point --outputs bell_max``, reporting the best restart's settings."""
     params = _collect_params(args)
-    _, blocks = sweep.point_state(args.model, params, (args.family, args.family))
-    v = gaussian.build_covariance(blocks)
-    cfg = bell.BellMaxConfig(n_restarts=args.restarts, max_evals=args.max_evals,
-                             seed=args.seed)
-    res = bell.bell_max(v, cfg)
+    _, _, res = sweep.evaluate_point_with_blocks(args.model, params, ("bell_max",), args.family,
+                                                 args.seed, args.restarts)
     payload = {
         "params": {"model": args.model, **params, "family": args.family,
-                   "seed": args.seed, "restarts": args.restarts,
-                   "max_evals": args.max_evals},
+                   "seed": args.seed, "restarts": args.restarts},
         "results": {"b_max": res.b_max, "settings": dataclasses.asdict(res.settings)},
-        "diagnostics": {name: getattr(res, name) for name in (
-            "n_restarts_used", "converged", "evaluations", "restarts_agreeing", "spread",
-            "iterations")},
+        "diagnostics": _bell_diagnostics(res),
     }
     _emit(payload, args.out)
     return 0

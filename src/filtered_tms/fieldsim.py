@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filters import FilterFamily, FilterSpec, sample_time
-from .gaussian import CovarianceBlocks
+from .gaussian import CovarianceBlocks, _check_seed
 from .thermal import ThermalParams
 
 # M_k of the block samples o M_k o^T, o = (xk, yk, xl, yl):
@@ -95,9 +95,7 @@ class SimConfig:
             raise ValueError(f"n_realizations must be an integer, got {self.n_realizations!r}")
         if self.n_realizations < 1000:
             raise ValueError("need at least 1000 realizations")
-        seed = self.seed
-        if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,12 @@ def _reject(bad, error) -> None:
         raise error(int(hits[0]))
 
 
+def _check_seed(seed) -> None:
+    """Raise ValueError unless seed is a non-negative integer (not a bool)."""
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def _each(fn, x):
     """fn, a formula in math functions, elementwise: numpy's sinh and cosh
     differ from math's in the last bit, on about a quarter of inputs, and

@@ -10,7 +10,8 @@ appear, a family per filter must be fixed, and the overlap kernel
 A grid is evaluated in one whole-array pass, check by check; ``bell_max``
 then advances the restarts of every grid point as one lockstep array, each
 point with its own seed.  Rows are in axis order (axis2 outermost), and an
-error is that of the first failing point in that order.
+error is that of the first failing point in that order, prefixed with the
+point's row and axis values.
 """
 
 from __future__ import annotations
@@ -100,16 +101,23 @@ def filter_pair(family_i: str, family_s: str, omega_k, omega_l, tau_i, tau_s):
             FilterSpec(FilterFamily(family_s), omega_l, tau_s))
 
 
+def _check_names(model: str, params, families) -> None:
+    """Checks on which parameters are given: a grid fails them as a whole."""
+    filtered = any(p in params for p in FILTER_PARAMS)
+    if filtered and None in families:
+        raise ConfigError("filter parameters require --family")
+    if filtered and ("k_f" in params or "l_f" in params):
+        raise ConfigError("give either (k_f, l_f) or filter parameters, not both")
+    if not filtered and families != (None, None):
+        raise ConfigError("--family given without filter parameters")
+    if model == "tmsv" and ("n_i" in params or "n_s" in params):
+        raise ConfigError("thermal occupations are not tmsv parameters")
+
+
 def _resolve_overlap(params: dict, families, value) -> OverlapFactors:
     """(K_f, L_f) over the grid, from filters or direct values."""
     if any(p in params for p in FILTER_PARAMS):
-        if None in families:
-            raise ConfigError("filter parameters require --family")
-        if "k_f" in params or "l_f" in params:
-            raise ConfigError("give either (k_f, l_f) or filter parameters, not both")
         return overlap_closed_form(*filter_pair(*families, *map(value, FILTER_PARAMS)))
-    if families != (None, None):
-        raise ConfigError("--family given without filter parameters")
     try:
         return OverlapFactors(value("k_f"), value("l_f"))
     except ValueError as exc:
@@ -128,9 +136,8 @@ def point_state(model: str, params: dict, families=(None, None)):
             return params[name]
         return _DEFAULTS[name] if shape == () else np.full(shape, _DEFAULTS[name])
 
+    _check_names(model, params, families)
     ov = _resolve_overlap(params, families, value)
-    if model == "tmsv" and ("n_i" in params or "n_s" in params):
-        raise ConfigError("thermal occupations are not tmsv parameters")
     try:
         p = thermal.ThermalParams(value("r"), value("n_i"), value("n_s"), ov,
                                   value("eta_i"), value("eta_s"))
@@ -195,7 +202,7 @@ def _maximize_bell(res: dict, seeds, bell_restarts: int) -> list | None:
     return found
 
 
-def _first_failure(evaluate, n: int) -> None:
+def _first_failure(evaluate, n: int, where) -> None:
     """Raise the error of the first of grid rows 0:n that fails on its own,
     once the whole grid has failed; evaluate(lo, hi) runs rows lo:hi.
 
@@ -203,7 +210,8 @@ def _first_failure(evaluate, n: int) -> None:
     its rows fails alone.  Runs that double in length from row 0 find a
     failing run, and bisection narrows it to its first failing row f, in at
     most 3 (f + 1) rows; row f then runs alone, so its error is a
-    point-by-point loop's.  Returns if no row fails alone.
+    point-by-point loop's, raised again with its type and its message
+    prefixed by "grid row f (where(f))".  Returns if no row fails alone.
     """
     good, bad = 0, n  # rows before good pass; rows good:bad hold a failure
     size = 1
@@ -221,7 +229,10 @@ def _first_failure(evaluate, n: int) -> None:
             good = mid
         except (ArithmeticError, ValueError):
             bad = mid
-    evaluate(good, bad)
+    try:
+        evaluate(good, bad)
+    except (ArithmeticError, ValueError) as exc:
+        raise type(exc)(f"grid row {good} ({where(good)}): {exc}") from exc
 
 
 def evaluate_point_with_blocks(model: str, params: dict, outputs, family: str | None = None,
@@ -259,6 +270,7 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[str], np.ndarray]:
         axis_vals.append(np.repeat(grids[1], len(grids[0])))
     params = {name: np.full(n, float(v)) for name, v in cfg.fixed.items()}
     params.update((a.name, vals) for a, vals in zip(axes, axis_vals))
+    _check_names(cfg.model, params, (cfg.family, cfg.family))
 
     def evaluate(lo, hi):
         return _evaluate(cfg.model, {k: v[lo:hi] for k, v in params.items()}, cfg.outputs,
@@ -267,7 +279,8 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[str], np.ndarray]:
     try:
         res = evaluate(0, n)
     except (ArithmeticError, ValueError):
-        _first_failure(evaluate, n)
+        _first_failure(evaluate, n, lambda row: ", ".join(
+            f"{a.name}={float(vals[row])!r}" for a, vals in zip(axes, axis_vals)))
         raise
     seeds = _point_seeds(cfg.seed, n) if "bell_max" in cfg.outputs else None
     _maximize_bell(res, seeds, cfg.bell_restarts)

@@ -115,8 +115,9 @@ class TestPoint:
         assert code == 0
         alone = json.loads(out)
         assert point["results"]["bell_max"] == alone["results"]["b_max"]
-        names = ("converged", "evaluations", "restarts_agreeing", "iterations")
-        assert point["diagnostics"] == {name: alone["diagnostics"][name] for name in names}
+        assert list(point["diagnostics"]) == [
+            "converged", "evaluations", "restarts_agreeing", "spread", "iterations"]
+        assert point["diagnostics"] == alone["diagnostics"]
         # nothing searched, nothing to report
         code, out, _ = run_inproc("point", *state, *search, capsys=capsys)
         assert code == 0 and json.loads(out)["diagnostics"] == {}
@@ -488,6 +489,20 @@ class TestSweep:
             assert search_mismatches(dict(zip(sweep.CRITICAL_COLUMNS, got)), want) == [], k_f
         assert windows >= 3
 
+    @pytest.mark.parametrize("axes, code, error", [
+        # D_x, about sinh^4 r, passes the float range at r = 240
+        (("--axis1", "r=0:240:4", "--axis2", "k_f=0.5:0.9:3"), 3,
+         "numerical failure: grid row 3 (r=240.0, k_f=0.5): "
+         "(34, 'Numerical result out of range')"),
+        (("--axis1", "r=0:1:3", "--axis2", "k_f=0.9:1.1:5"), 2,
+         "grid row 9 (r=0.0, k_f=1.05): overlap (1.05, 0.0) violates the Cauchy-Schwarz bound"),
+    ], ids=["overflow", "k_f past one"])
+    def test_the_first_failing_point_is_named(self, axes, code, error, capsys):
+        got, out, err = run_inproc("sweep", "--model", "tmsv", "--outputs", "e_n", *axes,
+                                   capsys=capsys)
+        assert (got, out) == (code, "")
+        assert err.splitlines() == [json.dumps({"error": error})]
+
     def test_unknown_axis_rejected(self):
         code, _, _ = run_cli("sweep", "--model", "tmsv", "--axis1", "bogus=0:1:5",
                              "--outputs", "e_n")
@@ -516,6 +531,11 @@ class TestSweep:
         assert out == ""
         assert err.splitlines() == [json.dumps({"error": "--svg needs a 2-D sweep (axis1 and axis2)"})]
         assert list(tmp_path.iterdir()) == []
+
+
+# a thermal state behind a lossy signal detector, less its squeezing
+LOSSY_THERMAL = ("--model", "thermal", "--n-i", "0.1", "--n-s", "0.4", "--k-f", "0.95",
+                 "--l-f", "0.095", "--eta-s", "0.9")
 
 
 class TestBellCommand:
@@ -549,32 +569,38 @@ class TestBellCommand:
         assert payload["results"]["b_max"] <= 2.0 + 1e-6
 
     def test_cost_counts_match_the_reference_search(self, capsys):
-        argv = ("bell", "--model", "thermal", "--r", "0.8", "--n-i", "0.1", "--n-s", "0.4",
-                "--k-f", "0.95", "--l-f", "0.095", "--eta-s", "0.9", "--restarts", "12",
-                "--max-evals", "900", "--seed", "6")
+        # a search whose best restart runs out of the default budget unsettled
+        argv = ("bell", *LOSSY_THERMAL, "--r", "1.3", "--restarts", "12", "--seed", "6")
         code, first, _ = run_inproc(*argv, capsys=capsys)
         assert code == 0
-        _, blocks = sweep.point_state("thermal", {"r": 0.8, "n_i": 0.1, "n_s": 0.4, "k_f": 0.95,
+        _, blocks = sweep.point_state("thermal", {"r": 1.3, "n_i": 0.1, "n_s": 0.4, "k_f": 0.95,
                                                   "l_f": 0.095, "eta_s": 0.9})
         steps = []
-        ref = bell_max_reference(build_covariance(blocks), 12, 900, seed=6, steps=steps)
+        ref = bell_max_reference(build_covariance(blocks), 12, seed=6, steps=steps)
         diag = json.loads(first)["diagnostics"]
+        assert ref[2] is False and diag["spread"] > bell.F_TOL
         assert (diag["evaluations"], diag["restarts_agreeing"]) == ref[3:]
         assert diag["iterations"] == len(steps)
         assert diag["converged"] is ref[2]
         assert run_inproc(*argv, capsys=capsys)[1] == first
 
-    @pytest.mark.parametrize("max_evals, converged", [("2000", True), ("60", False)])
-    def test_spread_is_reported_and_rerun_byte_identical(self, max_evals, converged, capsys):
-        # one restart: converged is whether it settled, i.e. spread <= f_tol
-        argv = ("bell", "--model", "tmsv", "--r", "0.8", "--k-f", "0.97", "--restarts", "1",
-                "--max-evals", max_evals, "--seed", "3")
+    @pytest.mark.parametrize("r, converged", [("0.8", True), ("1.3", False)])
+    def test_spread_is_reported_and_rerun_byte_identical(self, r, converged, capsys):
+        # one restart: converged is whether it settled within the default
+        # budget, i.e. spread <= F_TOL
+        argv = ("bell", *LOSSY_THERMAL, "--r", r, "--restarts", "1", "--seed", "3")
         code, first, _ = run_inproc(*argv, capsys=capsys)
         assert code == 0
         diag = json.loads(first)["diagnostics"]
         assert diag["converged"] is converged
-        assert (0.0 <= diag["spread"] <= bell.BellMaxConfig().f_tol) is converged
+        assert (0.0 <= diag["spread"] <= bell.F_TOL) is converged
         assert run_inproc(*argv, capsys=capsys)[1] == first
+
+    def test_max_evals_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["bell", "--model", "tmsv", "--r", "0.8", "--max-evals", "900"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --max-evals 900" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ("bell", "--model", "tmsv", "--r", "0.8"),
