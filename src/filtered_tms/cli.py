@@ -127,8 +127,17 @@ def _emit(payload: dict, path: str | None) -> None:
     _write(path, json.dumps(_spell(payload), indent=2, allow_nan=False) + "\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ``ConfigError``, so that
+    ``main`` reports them as one JSON error line with exit code 2; its
+    subparsers are of the same class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="filtered-tms",
         description="Entanglement, squeezing, purity and Bell non-locality of "
                     "spectrally filtered two-mode squeezed Gaussian states.",
@@ -386,8 +395,8 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except (ConfigError, ValueError, OSError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")

@@ -19,28 +19,31 @@ a single Bogoliubov branch through both kernel rows would instead produce
 sum-frequency integrals that vanish for matched filters.
 
 The estimator only ever reads four numbers per realization, the filtered
-output quadratures o = (xk, yk, xl, yl), and they are a fixed linear map of
-the noise.  Each series enters through its projection onto the four
-width-scaled kernel columns P: with P = Q R (Householder QR), a unit-normal
-series has the projection law N(0, R^T R), that of w R for w ~ N(0, I_4).
-Mixing those projections through the squeezer and loss gives the outputs
-as w A, w the 4-per-series normals of all series; with A = Q_A R_A, the
-outputs have the law of z R_A for z ~ N(0, I_4), exactly, even when
-identical filters make A rank-deficient.  The covariance sampled is still
-the Riemann-sum Gram of the sampled kernels, never the closed-form overlap.
+output quadratures o = (xk, yk, xl, yl), a fixed linear map of the noise,
+so they are Gaussian with a 4x4 covariance Sigma.  A unit-normal series
+enters only through its projection onto the four width-scaled kernel
+columns P, of law N(0, G) for the kernel Gram G = P^T P, the Riemann sum of
+the sampled kernels' products.  The squeezer and loss mix the projections
+of series s into the outputs through a 4x4 table C_s in cosh r, sinh r,
+sqrt(eta) and sqrt(1 - eta), scaled by the series' noise amplitude, so
+Sigma = sum_s C_s^T G C_s.  Sigma is still the Riemann-sum Gram of the
+sampled kernels, never the closed-form overlap.
 
-Each block sample is a quadratic form o M_k o^T, so the mean over n
-realizations reads the draws only through S = R_A^T W R_A / n, where W, the
-sum of z^T z, is Wishart(n, I_4).  Bartlett's decomposition draws W exactly
-with ten variates at any n: W = L L^T, L lower-triangular with
-L_jj^2 ~ chi^2(n - j) for j = 0..3 and N(0, 1) entries below the diagonal
-(Bartlett 1933; Anderson, An Introduction to Multivariate Statistical
-Analysis, 7.2).  The block estimates are the blocks of S, as the
-estimator's exact expectation at a given dt is the blocks of R_A^T R_A,
-from which the discretization bias is estimated without sampling noise.
-The standard errors are exact as well: by Isserlis' theorem a sample
-o M_k o^T has variance 2 ||R_A M_k R_A^T||_F^2.  Neither time nor memory
-grows with the number of realizations.
+Each block sample is a quadratic form o M_k o^T.  With Sigma = V diag(l) V^T
+and F = diag(sqrt(max(l, 0))) V^T, F^T F = Sigma, so the outputs have the
+law of z F for z ~ N(0, I_4); unlike a Cholesky factor, F exists for any
+positive semi-definite Sigma, and the clamp absorbs eigenvalues that round
+below zero.  So the mean over n realizations reads the draws only through
+S = F^T W F / n, where W, the sum of z^T z, is Wishart(n, I_4).
+Bartlett's decomposition draws W exactly with ten variates at any n:
+W = L L^T, L lower-triangular with L_jj^2 ~ chi^2(n - j) for j = 0..3 and
+N(0, 1) entries below the diagonal (Bartlett 1933; Anderson, An
+Introduction to Multivariate Statistical Analysis, 7.2).  The block
+estimates are the blocks of S, as the estimator's exact expectation at a
+given dt is the blocks of Sigma, from which the discretization bias is
+estimated without sampling noise.  The standard errors are exact as well:
+by Isserlis' theorem a sample o M_k o^T has variance 2 tr(M_k Sigma M_k Sigma).
+Neither time nor memory grows with the number of realizations.
 """
 
 from __future__ import annotations
@@ -61,6 +64,22 @@ _FORMS[0, [0, 1], [0, 1]] = 1.0
 _FORMS[1, [2, 3], [2, 3]] = 1.0
 _FORMS[2, [0, 2, 1, 3], [2, 0, 3, 1]] = [0.5, 0.5, -0.5, -0.5]
 _FORMS[3, [0, 3, 1, 2], [3, 0, 2, 1]] = 0.5
+# the six entries of a 4x4 matrix below its diagonal
+_BELOW = np.tril_indices(4, -1)
+
+# The 2x2 pattern each noise series leaves in the idler block, kernel
+# columns (rk, ik) -> outputs (xk, yk), and in the signal block, (rl, il) ->
+# (xl, yl).  Series in draw order: xi, yi, xs, ys, then the vacuum x and y
+# of the idler's loss and of the signal's.  X(+-r) feeds the X output's
+# Re h and the Y output's Im h, Y(+-r) the other two (the Bogoliubov
+# pairing above), and each loss port adds one vacuum series to both
+# branches of its quadrature.
+_I2, _O2 = np.eye(2), np.zeros((2, 2))
+_J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+_Z2 = np.diag([1.0, -1.0])
+_X2 = np.array([[0.0, 1.0], [1.0, 0.0]])
+_PATTERNS = np.array([[_I2, _Z2], [_J2, -_X2], [_Z2, _I2], [-_X2, _J2],
+                      [_I2, _O2], [_J2, _O2], [_O2, _I2], [_O2, _J2]])
 
 
 @dataclass(frozen=True)
@@ -103,16 +122,17 @@ class EmpiricalBlocks:
     """Block estimates with standard errors of the mean and a bias flag.
 
     The standard errors are the exact standard deviations of the means of
-    n independent block samples, sqrt(2/n) ||R_A M_k R_A^T||_F (see the
-    module docstring), floored at 1e-300 so that a form that vanishes on
-    rank-deficient outputs still gives a finite z.  bias_estimate is the
-    half-dt Richardson estimate of the discretization bias, computed from
-    the estimator's exact expectations at dt and dt/2 (no sampling noise),
-    and bias_warning is set when it exceeds the statistical error on any
-    block.  richardson_limit, the expectation at dt less that bias,
-    extrapolates the estimator to dt -> 0, again without sampling noise.
-    lag_cells counts the kernel cells at dt and normal_draws the variates
-    drawn: four chi-squares and six normals, at any number of realizations.
+    n independent block samples, sqrt(2/n tr(M_k Sigma M_k Sigma)) for the
+    output covariance Sigma (see the module docstring), floored at 1e-300
+    so that a form that vanishes on rank-deficient outputs still gives a
+    finite z.  bias_estimate is the half-dt Richardson estimate of the
+    discretization bias, computed from the estimator's exact expectations,
+    the blocks of Sigma at dt and dt/2 (no sampling noise), and
+    bias_warning is set when it exceeds the statistical error on any block.
+    richardson_limit, the expectation at dt less that bias, extrapolates the
+    estimator to dt -> 0, again without sampling noise.  lag_cells counts
+    the kernel cells at dt and normal_draws the variates drawn: four
+    chi-squares and six normals, at any number of realizations.
     """
 
     blocks: CovarianceBlocks
@@ -122,14 +142,6 @@ class EmpiricalBlocks:
     richardson_limit: tuple[float, float, float, float]
     lag_cells: int
     normal_draws: int
-
-
-def _noise_powers(model: ThermalParams) -> list[float]:
-    """Power of each noise series, in draw order: xi, yi, xs, ys, then the
-    vacuum pair of each lossy party (idler first)."""
-    p_i, p_s = model.n_i + 0.5, model.n_s + 0.5
-    lossy = int(model.eta_i < 1.0) + int(model.eta_s < 1.0)
-    return [p_i, p_i, p_s, p_s] + [0.5, 0.5] * lossy
 
 
 def _lag_grid(support: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -152,91 +164,63 @@ def _refine_grid(mids: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, np.n
     return lows + w2 / 2.0, w2
 
 
-def _kernels(cfg: SimConfig, mids: np.ndarray, widths: np.ndarray):
-    """(Re h_k, Im h_k, Re h_l, Im h_l) at cell midpoints, pre-multiplied by
-    the cell widths."""
-    rows = []
-    for f in (cfg.filter_i, cfg.filter_s):
-        h = sample_time(f, mids)
-        rows += [h.real * widths, h.imag * widths]
-    return tuple(rows)
+def _kernel_grams(cfg: SimConfig) -> tuple[np.ndarray, int]:
+    """G = P^T P on the lag grid at dt and on its dt/2 refinement, stacked
+    (2, 4, 4) over the kernel columns (Re h_k, Im h_k, Re h_l, Im h_l), and
+    the number of cells at dt.
 
-
-def _kernel_factor(noise_widths, kernels) -> np.ndarray:
-    """R of P = Q R, P the four kernel columns over sqrt(widths).
-
-    Householder QR, not a Cholesky of P^T P: identical filters repeat
-    columns and leave the Gram singular.
+    The lag window spans the full kernel support of both filters, so the
+    estimate is already stationary; the horizon margin enforced by
+    SimConfig guarantees the support fits in the simulated interval.
     """
-    proj = np.column_stack(kernels) / np.sqrt(noise_widths)[:, None]
-    return np.linalg.qr(proj, mode="r")
+    support = max(f.tau if f.family is FilterFamily.STEP else cfg.horizon
+                  for f in (cfg.filter_i, cfg.filter_s))
+    mids, widths = _lag_grid(support, cfg.dt)
+    mids_f, widths_f = _refine_grid(mids, widths)
+    m = len(widths)
+    h = [sample_time(f, np.concatenate((mids, mids_f))) for f in (cfg.filter_i, cfg.filter_s)]
+    cols = np.array([h[0].real, h[0].imag, h[1].real, h[1].imag])
+    weighted = cols * np.concatenate((widths, widths_f))
+    return np.stack([weighted[:, :m] @ cols[:, :m].T, weighted[:, m:] @ cols[:, m:].T]), m
 
 
-def _mix(cfg: SimConfig, proj):
-    """Filtered outputs (xk, yk, xl, yl) of the noise series projections.
-
-    proj lists each series' projections in draw order (see _noise_powers),
-    with a last axis over the kernel columns (rk, ik, rl, il).  The
-    squeezer mixes the series into Bogoliubov branches at +-r; each
-    quadrature's loss mixes in one shared vacuum series for both branches
-    (one beamsplitter port).
-    """
-    r, eta_i, eta_s = cfg.model.r, cfg.model.eta_i, cfg.model.eta_s
-    c, s = math.cosh(r), math.sinh(r)
-    rei, res = math.sqrt(eta_i), math.sqrt(eta_s)
-    ri, rs = math.sqrt(1.0 - eta_i), math.sqrt(1.0 - eta_s)
-    xi, yi, xs, ys, *vac = proj
-
-    xi_p, xi_m = c * xi + s * xs, c * xi - s * xs
-    yi_p, yi_m = c * yi - s * ys, c * yi + s * ys
-    xs_p, xs_m = s * xi + c * xs, -s * xi + c * xs
-    ys_p, ys_m = -s * yi + c * ys, s * yi + c * ys
-    if eta_i < 1.0:
-        xv, yv = vac[:2]
-        xi_p, xi_m = rei * xi_p + ri * xv, rei * xi_m + ri * xv
-        yi_p, yi_m = rei * yi_p + ri * yv, rei * yi_m + ri * yv
-    if eta_s < 1.0:
-        xv, yv = vac[-2:]
-        xs_p, xs_m = res * xs_p + rs * xv, res * xs_m + rs * xv
-        ys_p, ys_m = res * ys_p + rs * yv, res * ys_m + rs * yv
-
-    xk = xi_p[..., 0] - yi_m[..., 1]
-    yk = xi_m[..., 1] + yi_p[..., 0]
-    xl = xs_p[..., 2] - ys_m[..., 3]
-    yl = xs_m[..., 3] + ys_p[..., 2]
-    return xk, yk, xl, yl
+def _mixing(model: ThermalParams) -> np.ndarray:
+    """C, (8, 4, 4): C[s] maps noise series s's projections on the kernel
+    columns (rk, ik, rl, il) to the outputs (xk, yk, xl, yl), scaled by the
+    series' noise amplitude sqrt(n + 1/2) (see _PATTERNS for the order).
+    The vacuum series of a lossless party carry coefficient zero."""
+    c, s = math.cosh(model.r), math.sinh(model.r)
+    ei, es = math.sqrt(model.eta_i), math.sqrt(model.eta_s)
+    ai, as_, av = math.sqrt(model.n_i + 0.5), math.sqrt(model.n_s + 0.5), math.sqrt(0.5)
+    vi, vs = av * math.sqrt(1.0 - model.eta_i), av * math.sqrt(1.0 - model.eta_s)
+    coef = np.array([[ai * c * ei, ai * s * es]] * 2 + [[as_ * s * ei, as_ * c * es]] * 2
+                    + [[vi, 0.0]] * 2 + [[0.0, vs]] * 2)
+    blocks = coef[:, :, None, None] * _PATTERNS
+    table = np.zeros((8, 4, 4))
+    table[:, :2, :2], table[:, 2:, 2:] = blocks[:, 0], blocks[:, 1]
+    return table
 
 
-def _output_map(cfg: SimConfig, noise_widths, kernels) -> np.ndarray:
-    """A, the (4 * series, 4) map from unit normals to (xk, yk, xl, yl).
-
-    Row 4s + j is the j-th projection normal of series s, scaled by its
-    noise power and mapped through the kernel factor R, then mixed.
-    """
-    tri = _kernel_factor(noise_widths, kernels)
-    powers = _noise_powers(cfg.model)
-    e = np.eye(4 * len(powers)).reshape(-1, len(powers), 4)
-    return np.column_stack(
-        _mix(cfg, [math.sqrt(p) * (e[:, i] @ tri) for i, p in enumerate(powers)])
-    )
+def _output_covariances(cfg: SimConfig) -> tuple[np.ndarray, int]:
+    """Sigma = sum_s C_s^T G C_s at dt and at dt/2, stacked (2, 4, 4), and
+    the number of lag cells at dt."""
+    grams, cells = _kernel_grams(cfg)
+    mixing = _mixing(cfg.model)
+    return (np.swapaxes(mixing, 1, 2) @ grams[:, None] @ mixing).sum(axis=1), cells
 
 
-def _output_factor(cfg: SimConfig, noise_widths, kernels) -> np.ndarray:
-    """R_A of A = Q_A R_A (see the module docstring); z R_A has the law of
-    the four outputs for z ~ N(0, I_4)."""
-    return np.linalg.qr(_output_map(cfg, noise_widths, kernels), mode="r")
+def _wishart_factor(sigma: np.ndarray) -> np.ndarray:
+    """F = diag(sqrt(max(l, 0))) V^T of Sigma = V diag(l) V^T: F^T F = Sigma,
+    and z F has the outputs' law for z ~ N(0, I_4).  Defined for singular
+    Sigma too, whose zero eigenvalues may round below zero."""
+    lam, vec = np.linalg.eigh(sigma)
+    return np.sqrt(np.maximum(lam, 0.0))[:, None] * vec.T
 
 
 def _blocks(g: np.ndarray) -> np.ndarray:
-    """(D_I, D_S, C11, C12) of a 4x4 second-moment matrix g of the outputs:
-    the sums of M_k * g."""
-    return np.tensordot(_FORMS, g)
-
-
-def _expected_blocks(factor: np.ndarray) -> np.ndarray:
-    """Exact expectation of the block estimates drawn through factor: the
-    blocks of the output covariance R_A^T R_A."""
-    return _blocks(factor.T @ factor)
+    """(D_I, D_S, C11, C12) of a 4x4 second-moment matrix g of the outputs,
+    or of a stack of them: the sums of M_k * g."""
+    return np.einsum("kij,...ij->...k", _FORMS, g)
 
 
 def _wishart(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -245,53 +229,38 @@ def _wishart(rng: np.random.Generator, n: int) -> np.ndarray:
     L_jj = sqrt(chi^2(n - j)) and N(0, 1) entries below the diagonal."""
     # float degrees of freedom: n may exceed the int64 range
     low = np.diag(np.sqrt(rng.chisquare(n - np.arange(4.0))))
-    low[np.tril_indices(4, -1)] = rng.standard_normal(6)
+    low[_BELOW] = rng.standard_normal(6)
     return low @ low.T
 
 
 def simulate(cfg: SimConfig) -> EmpiricalBlocks:
     """Monte Carlo estimate of the covariance blocks at t = horizon.
 
-    The lag window spans the full kernel support of both filters, so the
-    estimate is already stationary; the horizon margin enforced by
-    SimConfig guarantees the support fits in the simulated interval.
+    The expectations at dt and dt/2 are exact and free of sampling noise:
+    the blocks of Sigma on either grid.  The midpoint kernel sums carry an
+    O(dt^2) error, so (E_dt - E_dt/2) * 4/3 estimates the discretization
+    bias E_dt - E_0, where the dt/2 grid splits every lag cell in two.
     """
-    supports = [
-        f.tau if f.family is FilterFamily.STEP else cfg.horizon
-        for f in (cfg.filter_i, cfg.filter_s)
-    ]
-    mids, widths = _lag_grid(max(supports), cfg.dt)
-    factor = _output_factor(cfg, widths, _kernels(cfg, mids, widths))
+    sigmas, cells = _output_covariances(cfg)
+    factor = _wishart_factor(sigmas[0])
 
     n = cfg.n_realizations
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, 0)))
     est = _blocks(factor.T @ _wishart(rng, n) @ factor / n)
-    # Isserlis: a sample o M o^T has variance 2 tr((M R_A^T R_A)^2)
-    forms = factor @ _FORMS @ factor.T
-    se = np.maximum(math.sqrt(2.0 / n) * np.linalg.norm(forms, axis=(1, 2)), 1e-300)
+    # Isserlis: a sample o M o^T has variance 2 tr((M Sigma)^2), which the
+    # clamp keeps from rounding below zero where a form vanishes
+    forms = _FORMS @ sigmas[0]
+    var = np.maximum(np.einsum("kij,kji->k", forms, forms), 0.0)
+    se = np.maximum(np.sqrt(2.0 / n * var), 1e-300)
 
-    expected = _expected_blocks(factor)
-    bias = _richardson_bias(cfg, mids, widths, expected)
+    expected, fine = _blocks(sigmas)
+    bias = (expected - fine) * (4.0 / 3.0)
     return EmpiricalBlocks(
         blocks=CovarianceBlocks(*est),
         std_errors=tuple(float(x) for x in se),
         bias_estimate=tuple(float(x) for x in bias),
         bias_warning=bool(np.any(np.abs(bias) > se)),
         richardson_limit=tuple(float(x) for x in expected - bias),
-        lag_cells=len(widths),
+        lag_cells=cells,
         normal_draws=10,  # 4 chi-squares and 6 normals (see _wishart)
     )
-
-
-def _richardson_bias(cfg: SimConfig, mids, widths, expected) -> np.ndarray:
-    """Half-dt Richardson estimate of the discretization bias per block.
-
-    The estimator's expectation at a given dt is exact and free of sampling
-    noise: the blocks of R_A^T R_A for that dt's kernels.  Its midpoint
-    kernel sums carry an O(dt^2) error, so (E_dt - E_dt/2) * 4/3 estimates
-    E_dt - E_0, where the dt/2 grid splits every lag cell in two; expected
-    is E_dt.
-    """
-    mids_f, widths_f = _refine_grid(mids, widths)
-    fine = _output_factor(cfg, widths_f, _kernels(cfg, mids_f, widths_f))
-    return (expected - _expected_blocks(fine)) * (4.0 / 3.0)

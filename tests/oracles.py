@@ -233,12 +233,12 @@ def random_thermal_params(rng: np.random.Generator, require_window: bool = False
             return p
 
 
-# realizations per noise batch of mix_then_contract
+# realizations per noise batch of mix_outputs
 MIX_BATCH = 4096
 
 
 def noise_stream(seed, stream_tag, n_cols):
-    """Unit-normal noise series, batch by batch, for ``mix_then_contract``.
+    """Unit-normal noise series, batch by batch, for ``mix_outputs``.
 
     noise(batch index, nb) yields (nb, n_cols) series from one generator per
     batch, SeedSequence((seed, stream_tag, batch index)).
@@ -250,8 +250,8 @@ def noise_stream(seed, stream_tag, n_cols):
     return noise
 
 
-def mix_then_contract(cfg, noise_widths, kernels, n_total, noise):
-    """Per-realization samples of (D_I, D_S, C11, C12) in the direct order.
+def mix_outputs(cfg, noise_widths, kernels, n_total, noise):
+    """Per-realization filtered outputs (xk, yk, xl, yl) in the direct order.
 
     Builds every Bogoliubov-branch and loss-mixed noise series on the full
     lag grid and only then contracts them with ``kernels`` = (rk, ik, rl,
@@ -288,14 +288,20 @@ def mix_then_contract(cfg, noise_widths, kernels, n_total, noise):
                     f *= math.sqrt(eta)
                     f += math.sqrt(1.0 - eta) * v
 
-        xk = xi_p @ rk - yi_m @ ik
-        yk = xi_m @ ik + yi_p @ rk
-        xl = xs_p @ rl - ys_m @ il
-        yl = xs_m @ il + ys_p @ rl
-        out[start:start + nb] = np.column_stack(
-            (xk * xk + yk * yk, xl * xl + yl * yl, xk * xl - yk * yl, xk * yl + yk * xl)
-        )
+        out[start:start + nb] = np.column_stack((
+            xi_p @ rk - yi_m @ ik, xi_m @ ik + yi_p @ rk,
+            xs_p @ rl - ys_m @ il, xs_m @ il + ys_p @ rl,
+        ))
     return out
+
+
+def mix_then_contract(cfg, noise_widths, kernels, n_total, noise):
+    """Per-realization samples of (D_I, D_S, C11, C12) of the ``mix_outputs``
+    outputs: xk^2 + yk^2, xl^2 + yl^2, xk xl - yk yl and xk yl + yk xl."""
+    xk, yk, xl, yl = mix_outputs(cfg, noise_widths, kernels, n_total, noise).T
+    return np.column_stack(
+        (xk * xk + yk * yk, xl * xl + yl * yl, xk * xl - yk * yl, xk * yl + yk * xl)
+    )
 
 
 def _reference_joint_points(s: np.ndarray) -> np.ndarray:

@@ -597,10 +597,36 @@ class TestBellCommand:
         assert run_inproc(*argv, capsys=capsys)[1] == first
 
     def test_max_evals_is_not_an_option(self, capsys):
+        code, out, err = run_inproc("bell", "--model", "tmsv", "--r", "0.8",
+                                    "--max-evals", "900", capsys=capsys)
+        assert code == 2
+        assert out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line) == {"error": "unrecognized arguments: --max-evals 900"}
+
+    @pytest.mark.parametrize("argv, message", [
+        (("bell", "--model", "nope", "--r", "0.8"),
+         "argument --model: invalid choice: 'nope' (choose from 'tmsv', 'thermal')"),
+        (("bell", "--r", "0.8"), "the following arguments are required: --model"),
+        (("point", "--model", "nope"),
+         "argument --model: invalid choice: 'nope' (choose from 'tmsv', 'thermal')"),
+        (("validate", "--r", "0.8"),
+         "the following arguments are required: --model, --dt, --horizon, --n-real"),
+    ], ids=["bell unknown model", "bell missing model", "point unknown model",
+            "validate missing model"])
+    def test_usage_errors_are_one_json_line(self, argv, message, capsys):
+        code, out, err = run_inproc(*argv, capsys=capsys)
+        assert code == 2
+        assert out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line) == {"error": message}
+
+    def test_help_still_prints_help(self, capsys):
         with pytest.raises(SystemExit) as exit_:
-            main(["bell", "--model", "tmsv", "--r", "0.8", "--max-evals", "900"])
-        assert exit_.value.code == 2
-        assert "unrecognized arguments: --max-evals 900" in capsys.readouterr().err
+            main(["bell", "--help"])
+        assert exit_.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: filtered-tms bell") and err == ""
 
     @pytest.mark.parametrize("argv", [
         ("bell", "--model", "tmsv", "--r", "0.8"),
@@ -887,17 +913,7 @@ class TestParserReuse:
     """One parser serves every ``main`` call of a process: a sequence of
     in-process calls gives what each command gives in a fresh process."""
 
-    @staticmethod
-    def inproc(capsys, args):
-        try:
-            code = main(list(args))
-        except SystemExit as exc:  # argparse's usage errors
-            code = exc.code
-        out, err = capsys.readouterr()
-        return code, out, err
-
-    def test_command_sequence_matches_fresh_processes(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("COLUMNS", "80")  # the usage text wraps at the terminal width
+    def test_command_sequence_matches_fresh_processes(self, capsys, tmp_path):
         grid = ["sweep", "--model", "tmsv", "--axis1", "r=0:1.5:4", "--axis2", "k_f=0.9:1:3",
                 "--outputs", "e_n,s_q_opt"]
         point = ["point", "--model", "thermal", "--r", "0.7", "--n-i", "0.2",
@@ -916,7 +932,7 @@ class TestParserReuse:
         codes = []
         for args in sequence:
             fresh = run_cli(*(a.format(dir=fresh_dir) for a in args))
-            got = self.inproc(capsys, [a.format(dir=inproc_dir) for a in args])
+            got = run_inproc(*(a.format(dir=inproc_dir) for a in args), capsys=capsys)
             assert got == fresh, args
             codes.append(got[0])
             if "--svg" in args:

@@ -8,6 +8,7 @@ import dataclasses
 import functools
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ from filtered_tms.filters import (
     FilterSpec,
     OverlapFactors,
     overlap_closed_form,
+    sample_time,
 )
-from oracles import MIX_BATCH, mix_then_contract, noise_stream
+from oracles import MIX_BATCH, mix_outputs, mix_then_contract, noise_stream
 
 STEP = FilterFamily.STEP
 EXP = FilterFamily.EXPONENTIAL
@@ -134,7 +136,7 @@ class TestConvergence:
         fi, fs = step_pair(omega_k=1.0, omega_l=0.3, tau=1.0)
         model = tmsv.TmsvParams(r=0.5, overlap=overlap_closed_form(fi, fs))
         cfg = SimConfig(model, fi, fs, dt=0.02, horizon=3.0, n_realizations=1000)
-        want = expected_at_dt(cfg)
+        want = oracle_expectation(cfg)
         ns = [10**k for k in range(3, 8)]
         rms_errors = []
         for n in ns:
@@ -151,22 +153,27 @@ def block_array(blocks):
 
 
 def kernel_grid(cfg):
-    """Lag-cell widths and (rk, ik, rl, il) on the grid simulate uses."""
+    """Lag-cell widths and the width-scaled kernels (rk, ik, rl, il), sampled
+    here from the filters on the grid simulate uses."""
     support = max(f.tau if f.family is STEP else cfg.horizon
                   for f in (cfg.filter_i, cfg.filter_s))
     mids, widths = fieldsim._lag_grid(support, cfg.dt)
-    return mids, widths, fieldsim._kernels(cfg, mids, widths)
+    kernels = []
+    for f in (cfg.filter_i, cfg.filter_s):
+        h = sample_time(f, mids)
+        kernels += [h.real * widths, h.imag * widths]
+    return widths, tuple(kernels)
 
 
-def unit_power_columns(widths, kernels):
-    """P: the four kernel columns over sqrt(cell width)."""
-    return np.column_stack(kernels) / np.sqrt(widths)[:, None]
+def series_count(model):
+    """The oracle's noise series: four input quadratures, then a vacuum pair
+    per lossy party."""
+    return 4 + 2 * (model.eta_i < 1.0) + 2 * (model.eta_s < 1.0)
 
 
 def basis_noise(n_series, cells):
     """Full-series noise whose realization j is the j-th unit vector of all
-    series' cells: summed over them, the block samples of the quadratic
-    estimator give its exact expectation."""
+    series' cells: row j of the outputs is the chain's response to it."""
     def noise(batch, nb):
         j = batch * MIX_BATCH + np.arange(nb)
         for s in range(n_series):
@@ -177,27 +184,19 @@ def basis_noise(n_series, cells):
     return noise
 
 
-def oracle_expectation(cfg, widths, kernels):
-    """(D_I, D_S, C11, C12) expected at cfg.dt, from mix_then_contract."""
-    n_series = len(fieldsim._noise_powers(cfg.model))
-    n = n_series * len(widths)
-    return mix_then_contract(cfg, widths, kernels, n,
-                             basis_noise(n_series, len(widths))).sum(axis=0)
+def response_map(cfg, widths, kernels):
+    """A, (series x cells, 4): the outputs (xk, yk, xl, yl) of mix_outputs
+    for every unit noise vector, so that full unit-normal series w give the
+    outputs w A, of covariance A^T A."""
+    n_series = series_count(cfg.model)
+    return mix_outputs(cfg, widths, kernels, n_series * len(widths),
+                       basis_noise(n_series, len(widths)))
 
 
-def expected_at_dt(cfg):
-    """The simulator's exact expectation at cfg.dt, the blocks of R_A^T R_A
-    (checked against the full-series oracle below)."""
-    _, widths, kernels = kernel_grid(cfg)
-    return fieldsim._expected_blocks(fieldsim._output_factor(cfg, widths, kernels))
-
-
-def unit_draws(cfg):
-    """cfg.n_realizations draws z ~ N(0, I_4), batch by batch from
-    noise_stream(cfg.seed, 0, 4)."""
-    draws, n = noise_stream(cfg.seed, 0, 4), cfg.n_realizations
-    return np.concatenate([next(draws(b, min(MIX_BATCH, n - b * MIX_BATCH)))
-                           for b in range(-(-n // MIX_BATCH))])
+@functools.cache
+def full_map(cfg):
+    """response_map on the grid and kernels simulate uses."""
+    return response_map(cfg, *kernel_grid(cfg))
 
 
 def block_samples(outputs):
@@ -208,27 +207,52 @@ def block_samples(outputs):
                             xk * xl - yk * yl, xk * yl + yk * xl])
 
 
-def drawn_samples(cfg, widths, kernels):
-    """Block samples of z R_A for the unit_draws z: per-realization samples
+def oracle_expectation(cfg):
+    """(D_I, D_S, C11, C12) expected at cfg.dt from the full-series oracle:
+    summed over the unit noise vectors, the block samples give the
+    quadratic estimator's exact expectation."""
+    return block_samples(full_map(cfg)).sum(axis=0)
+
+
+def output_covariance(cfg):
+    """simulate's Sigma at cfg.dt."""
+    return fieldsim._output_covariances(cfg)[0][0]
+
+
+def output_factor(cfg):
+    """simulate's F, whose z F the draws z ~ N(0, I_4) turn into outputs."""
+    return fieldsim._wishart_factor(output_covariance(cfg))
+
+
+def unit_draws(cfg):
+    """cfg.n_realizations draws z ~ N(0, I_4), batch by batch from
+    noise_stream(cfg.seed, 0, 4)."""
+    draws, n = noise_stream(cfg.seed, 0, 4), cfg.n_realizations
+    return np.concatenate([next(draws(b, min(MIX_BATCH, n - b * MIX_BATCH)))
+                           for b in range(-(-n // MIX_BATCH))])
+
+
+def drawn_samples(cfg):
+    """Block samples of z F for the unit_draws z: per-realization samples
     with the law whose mean simulate draws."""
-    return block_samples(unit_draws(cfg) @ fieldsim._output_factor(cfg, widths, kernels))
+    return block_samples(unit_draws(cfg) @ output_factor(cfg))
 
 
-def lifted_noise(cfg, widths, kernels):
-    """The unit_draws z, lifted to full unit-normal series.
+def lifted_noise(cfg):
+    """The unit_draws z, lifted to full series.
 
-    With A = Q_A R_A, w = z Q_A^T holds the four projection normals w_s of
-    every series and w A = z R_A; with P = Q R, each w_s lifts to the full
-    series w_s Q^T, whose projection w_s Q^T P is w_s R.
+    With the full map A and Q = A F^-1, the series w = z Q^T give the
+    outputs w A = z F^-T A^T A, which are z F exactly when A^T A = F^T F
+    (and Q then has orthonormal columns, so w is unit-normal).
     """
-    q_a, _ = np.linalg.qr(fieldsim._output_map(cfg, widths, kernels))
-    q, _ = np.linalg.qr(unit_power_columns(widths, kernels))
+    a = full_map(cfg)
+    q = np.linalg.solve(output_factor(cfg).T, a.T).T.reshape(series_count(cfg.model), -1, 4)
     draws = noise_stream(cfg.seed, 0, 4)
 
     def noise(batch, nb):
-        w = (next(draws(batch, nb)) @ q_a.T).reshape(nb, -1, 4)
-        for s in range(w.shape[1]):
-            yield w[:, s] @ q.T
+        z = next(draws(batch, nb))
+        for series in q:
+            yield z @ series.T
     return noise
 
 
@@ -236,7 +260,7 @@ def lifted_noise(cfg, widths, kernels):
 def full_series_draws(cfg):
     """Block samples of the full-series oracle on its own stream: an
     independent sample of cfg.n_realizations realizations."""
-    _, widths, kernels = kernel_grid(cfg)
+    widths, kernels = kernel_grid(cfg)
     return mix_then_contract(cfg, widths, kernels, cfg.n_realizations,
                              noise_stream(cfg.seed, 9, len(widths)))
 
@@ -258,61 +282,81 @@ PROJECTION_CONFIGS = [
               dt=0.02, horizon=6.0, n_realizations=5000, seed=5),
 ]
 PROJECTION_IDS = ["lossy-mixed", "signal-loss", "thermal"]
-# identical filters repeat two of the four kernel columns: rank 2
+# identical filters repeat two of the four kernel columns: the kernel Gram
+# G is rank 2 (Sigma is not: the Bogoliubov pairing mixes both columns)
 IDENTICAL = SimConfig(tmsv.TmsvParams(r=0.5, eta_i=0.7), *step_pair(), dt=0.02, horizon=6.0,
                       n_realizations=5000, seed=6)
+# thermal input in every loss case, unequal occupations and efficiencies
+LOSS_MODELS = {
+    "lossless": thermal.ThermalParams(r=0.7, n_i=0.2, n_s=0.6),
+    "idler-lossy": thermal.ThermalParams(r=0.7, n_i=0.2, n_s=0.6, eta_i=0.6),
+    "signal-lossy": thermal.ThermalParams(r=0.7, n_i=0.2, n_s=0.6, eta_s=0.5),
+    "both-lossy": thermal.ThermalParams(r=0.7, n_i=0.2, n_s=0.6, eta_i=0.6, eta_s=0.5),
+}
+
+
+def assert_close_to_scale(got, want, rel=1e-12):
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
 
 
 class TestProjectedContraction:
-    """The four outputs have the law of z R_A, z ~ N(0, I_4): R_A must
-    reproduce the Gram of the full noise series mixed through the chain,
-    the same draws lifted to full series must give the same samples in the
-    direct mix-then-contract order in oracles.py, and the blocks of
-    R_A^T R_A must be that order's exact expectation."""
+    """The four outputs have the law of z F, z ~ N(0, I_4): Sigma must be
+    the Gram of the full noise series mixed through the chain in the direct
+    mix-then-contract order of oracles.py, with that order's mixing, F^T F
+    must reproduce that Gram, the same draws lifted to full series must give
+    the same samples in that order, and the blocks of Sigma must be that
+    order's exact expectation."""
 
     @pytest.mark.parametrize("cfg", PROJECTION_CONFIGS + [IDENTICAL],
                              ids=PROJECTION_IDS + ["identical-filters"])
     def test_samples_match_mix_then_contract(self, cfg):
-        _, widths, kernels = kernel_grid(cfg)
-        got = drawn_samples(cfg, widths, kernels)
-        noise = lifted_noise(cfg, widths, kernels)
-        assert_same_samples(got, mix_then_contract(cfg, widths, kernels,
-                                                   cfg.n_realizations, noise))
+        widths, kernels = kernel_grid(cfg)
+        assert_same_samples(drawn_samples(cfg), mix_then_contract(
+            cfg, widths, kernels, cfg.n_realizations, lifted_noise(cfg)))
 
     @pytest.mark.parametrize("cfg", [IDENTICAL, PROJECTION_CONFIGS[0]],
                              ids=["identical-filters", "lossy-mixed"])
     def test_factor_reproduces_the_gram(self, cfg):
-        _, widths, kernels = kernel_grid(cfg)
-        p = unit_power_columns(widths, kernels)
-        gram = p.T @ p
-        tri = fieldsim._kernel_factor(widths, kernels)
-        assert tri.shape == (4, 4)
-        assert np.max(np.abs(tri.T @ tri - gram)) <= 1e-12 * np.max(np.abs(gram))
+        a = full_map(cfg)
+        gram = a.T @ a
+        factor = output_factor(cfg)
+        assert factor.shape == (4, 4)
+        assert_close_to_scale(factor.T @ factor, gram)
+
+    def test_factor_of_a_singular_sigma(self):
+        # a rank-2 Sigma: its two zero eigenvalues may round either way
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            half = rng.standard_normal((2, 4))
+            sigma = half.T @ half
+            factor = fieldsim._wishart_factor(sigma)
+            assert np.all(np.isfinite(factor))
+            assert_close_to_scale(factor.T @ factor, sigma)
 
     @pytest.mark.parametrize("cfg", PROJECTION_CONFIGS + [IDENTICAL],
                              ids=PROJECTION_IDS + ["identical-filters"])
-    def test_output_factor_reproduces_the_full_series_gram(self, cfg):
-        # the outputs mixed from every series' full kernel columns: series
-        # s, cell c is row (s, c) of the full map
-        _, widths, kernels = kernel_grid(cfg)
-        p = unit_power_columns(widths, kernels)
-        powers = fieldsim._noise_powers(cfg.model)
-        proj = np.zeros((len(powers), len(powers), len(widths), 4))
-        for i, power in enumerate(powers):
-            proj[i, i] = math.sqrt(power) * p
-        full = np.column_stack(fieldsim._mix(cfg, [x.reshape(-1, 4) for x in proj]))
-        gram = full.T @ full
-        tri = fieldsim._output_factor(cfg, widths, kernels)
-        assert tri.shape == (4, 4)
-        assert np.max(np.abs(tri.T @ tri - gram)) <= 1e-12 * np.max(np.abs(gram))
+    def test_sigma_is_the_full_series_gram(self, cfg):
+        # the outputs of every series' full kernel columns: series s, cell c
+        # is row (s, c) of the full map
+        a = full_map(cfg)
+        assert_close_to_scale(output_covariance(cfg), a.T @ a)
+
+    @pytest.mark.parametrize("model", LOSS_MODELS.values(), ids=LOSS_MODELS.keys())
+    def test_mixing_table_is_the_oracle_mixing(self, model):
+        # unit-width cells whose kernel columns are the unit vectors: the
+        # response to series s, cell a is row a of that series' table
+        n_series = series_count(model)
+        got = response_map(SimpleNamespace(model=model), np.ones(4), tuple(np.eye(4)))
+        table = fieldsim._mixing(model)
+        present = list(range(4)) + [4, 5] * (model.eta_i < 1.0) + [6, 7] * (model.eta_s < 1.0)
+        assert_close_to_scale(table[present], got.reshape(n_series, 4, 4), rel=1e-14)
+        assert not np.any(np.delete(table, present, axis=0))
 
     @pytest.mark.parametrize("cfg", PROJECTION_CONFIGS + [IDENTICAL],
                              ids=PROJECTION_IDS + ["identical-filters"])
     def test_expected_blocks_match_the_full_series_oracle(self, cfg):
-        _, widths, kernels = kernel_grid(cfg)
-        want = oracle_expectation(cfg, widths, kernels)
-        got = fieldsim._expected_blocks(fieldsim._output_factor(cfg, widths, kernels))
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        got = fieldsim._blocks(output_covariance(cfg))
+        assert_close_to_scale(got, oracle_expectation(cfg))
 
     @pytest.mark.parametrize("cfg", PROJECTION_CONFIGS + [IDENTICAL],
                              ids=PROJECTION_IDS + ["identical-filters"])
@@ -330,9 +374,8 @@ class TestProjectedContraction:
         fi, fs = step_pair(omega_k=1.0, omega_l=0.0)
         model = thermal.ThermalParams(r=0.5, n_i=0.3, n_s=0.8, overlap=overlap_closed_form(fi, fs))
         cfg = SimConfig(model, fi, fs, dt=0.02, horizon=6.0, n_realizations=20000, seed=9)
-        _, widths, kernels = kernel_grid(cfg)
         n = cfg.n_realizations
-        samples = drawn_samples(cfg, widths, kernels)
+        samples = drawn_samples(cfg)
         boot_rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, 91)))
         boot = np.array([samples[boot_rng.integers(0, n, size=n)].mean(axis=0)
                          for _ in range(200)])
@@ -355,8 +398,7 @@ class TestWishartEstimator:
             return z.T @ z
 
         monkeypatch.setattr(fieldsim, "_wishart", explicit_wishart)
-        _, widths, kernels = kernel_grid(cfg)
-        samples = drawn_samples(cfg, widths, kernels)
+        samples = drawn_samples(cfg)
         got = block_array(simulate(cfg).blocks)
         assert asked == [cfg.n_realizations]
         # relative to each block's sample scale: C11/C12 means may be near zero
@@ -399,7 +441,7 @@ class TestCalibration:
         # z against the expectation at dt, so the bias does not enter; the
         # sd of 400 z values scatters by about 0.035
         cfg = dataclasses.replace(cfg, n_realizations=2000)
-        want = expected_at_dt(cfg)
+        want = oracle_expectation(cfg)
         z = []
         for seed in range(400):
             est = simulate(dataclasses.replace(cfg, seed=seed))
@@ -413,7 +455,7 @@ class TestCalibration:
         tmsv.TmsvParams(r=1.0), tmsv.TmsvParams(r=0.5, eta_i=0.7), tmsv.TmsvParams(r=0.0)],
         ids=["pure", "lossy", "vacuum"])
     def test_identical_filters_give_finite_z(self, model):
-        # identical filters leave R_A rank-deficient; the vacuum has
+        # identical filters leave the kernel Gram rank-deficient; the vacuum has
         # vanishing cross blocks
         fi, fs = step_pair()
         want = block_array(tmsv.covariance(model))
@@ -452,7 +494,7 @@ class TestDrawCount:
     @pytest.mark.parametrize("cfg", PROJECTION_CONFIGS + [IDENTICAL],
                              ids=PROJECTION_IDS + ["identical-filters"])
     def test_normal_draws_counts_every_draw(self, cfg, counted_draws):
-        # ten variates, whatever the number of noise series or the rank of R_A
+        # ten variates, whatever the number of noise series or the rank of G
         est = simulate(cfg)
         assert est.normal_draws == sum(counted_draws) == 10
 
@@ -512,9 +554,8 @@ class TestBiasDiagnostics:
             model, closed = tmsv.TmsvParams(r=0.8, eta_i=0.7, eta_s=0.9, overlap=ov), tmsv
         horizon = 10.0 if EXP in (fi.family, fs.family) else 6.0
         cfg = SimConfig(model, fi, fs, dt=0.02, horizon=horizon, n_realizations=1000, seed=1)
-        _, widths, kernels = kernel_grid(cfg)
         want = closed.covariance(model)
-        true_bias = oracle_expectation(cfg, widths, kernels) - np.array(
+        true_bias = oracle_expectation(cfg) - np.array(
             [want.d_i, want.d_s, want.c11, want.c12])
         assert np.max(np.abs(true_bias)) > 1e-6
         bias = np.array(simulate(cfg).bias_estimate)
