@@ -62,18 +62,14 @@ class BellMaxConfig:
     """Multistart budget: 1 restart from the origin plus seeded Gaussian ones."""
 
     n_restarts: int = 64
-    max_evals: int = 2000
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_restarts", "max_evals"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n_restarts < 1:
-            raise ValueError(f"n_restarts must be at least 1, got {self.n_restarts}")
-        if self.max_evals < 50:
-            raise ValueError(f"max_evals must be at least 50, got {self.max_evals}")
+        n = self.n_restarts
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+            raise ValueError(f"n_restarts must be an integer, got {n!r}")
+        if n < 1:
+            raise ValueError(f"n_restarts must be at least 1, got {n}")
         _check_seed(self.seed)
 
 
@@ -103,6 +99,7 @@ class BellResult:
 _JOINT = np.array([[0, 0, 2, 2], [1, 1, 3, 3], [4, 6, 4, 6], [5, 7, 5, 7]])
 _STACK_ROWS = 4096  # restart rows per lockstep pass; bounds the simplex arrays
 F_TOL = 1e-10  # a restart has settled when its simplex spread in -|B| is at most this
+MAX_EVALS = 2000  # a restart stops once its Bell evaluations reach this many
 _STEPS = np.array([1.0, 2.0, 0.5, -0.5])[:, None, None]  # r, e, oc, ic along d
 
 
@@ -156,7 +153,7 @@ def bell_max(v: CovarianceMatrix, cfg: BellMaxConfig = BellMaxConfig()) -> BellR
     Restarts: the all-zero point plus cfg.n_restarts - 1 Gaussian samples
     whose scale is set by the largest covariance eigenvalue.  A restart is
     settled when its simplex function spread is at most F_TOL; the run
-    is converged when the winning restart settled within budget and at
+    is converged when the winning restart settled within MAX_EVALS and at
     least one other restart reproduces the winning value to 1e-6.  This is
     the one-matrix case of ``bell_max_stack``.
     """
@@ -165,7 +162,7 @@ def bell_max(v: CovarianceMatrix, cfg: BellMaxConfig = BellMaxConfig()) -> BellR
 
 def bell_max_stack(v: CovarianceMatrix, seeds, cfg: BellMaxConfig = BellMaxConfig()) -> list:
     """``bell_max`` of each matrix of a stack, matrix k seeded by seeds[k]
-    in place of cfg.seed; the other fields of cfg are shared.
+    in place of cfg.seed, all with cfg.n_restarts restarts.
 
     The restarts of all matrices advance as one lockstep array, at most
     ``_STACK_ROWS`` restart rows per pass.  Every restart takes the path it
@@ -203,8 +200,7 @@ def bell_max_stack(v: CovarianceMatrix, seeds, cfg: BellMaxConfig = BellMaxConfi
                 centers[k, 1:] = rng.normal(scale=scale[state], size=(n_r - 1, 8))
         owner = np.repeat(states, n_r)
         best_f, best_x, settled, evals, spread, steps = _batched_nelder_mead(
-            neg_abs, centers.reshape(-1, 8), owner, step=0.25 * scale[owner],
-            max_evals=cfg.max_evals)
+            neg_abs, centers.reshape(-1, 8), owner, 0.25 * scale[owner], MAX_EVALS)
         for k in range(len(states)):
             rows = slice(k * n_r, (k + 1) * n_r)
             values = -best_f[rows]

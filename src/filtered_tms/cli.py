@@ -26,7 +26,7 @@ import numpy as np
 from . import fieldsim, sweep
 from .filters import overlap_closed_form, overlap_numeric
 from .svg import render_heatmap
-from .sweep import AxisSpec, ConfigError, SweepConfig
+from .sweep import AxisSpec, SweepConfig
 
 _PARAM_HELP = (  # one per name of sweep.AXIS_PARAMS, in its order
     "squeezing amplitude",
@@ -65,11 +65,10 @@ def _parse_axis(text: str) -> AxisSpec:
     try:
         name, rng = text.split("=", 1)
         lo, hi, count = rng.split(":")
-        return AxisSpec(name.strip(), float(lo), float(hi), int(count))
-    except ConfigError:
-        raise
+        lo, hi, count = float(lo), float(hi), int(count)
     except ValueError as exc:
-        raise ConfigError(f"axis must look like name=start:stop:count, got {text!r}") from exc
+        raise ValueError(f"axis must look like name=start:stop:count, got {text!r}") from exc
+    return AxisSpec(name.strip(), lo, hi, count)
 
 
 def _write(path: str | None, text: str) -> None:
@@ -128,12 +127,12 @@ def _emit(payload: dict, path: str | None) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors raise ``ConfigError``, so that
+    """An argument parser whose usage errors raise ``ValueError``, so that
     ``main`` reports them as one JSON error line with exit code 2; its
     subparsers are of the same class."""
 
     def error(self, message):
-        raise ConfigError(message)
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -177,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bell.add_argument("--seed", type=int, default=0)
     p_bell.add_argument("--restarts", type=int, default=64)
     p_bell.add_argument("--out", default=None)
-    p_bell.add_argument("--format", choices=["json"], default="json")
 
     p_val = sub.add_parser("validate", help="Monte Carlo check of the closed-form blocks")
     p_val.add_argument("--model", choices=["tmsv", "thermal"], required=True)
@@ -189,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--n-real", type=int, required=True)
     p_val.add_argument("--seed", type=int, default=0)
     p_val.add_argument("--out", default=None)
-    p_val.add_argument("--format", choices=["json"], default="json")
 
     p_ov = sub.add_parser("overlap", help="closed-form vs numeric overlap kernel")
     p_ov.add_argument("--family-i", choices=["step", "exponential"], default=None)
@@ -202,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ov.add_argument("--tau-s", dest="tau_s", type=float, required=True)
     p_ov.add_argument("--tol", type=float, default=1e-10)
     p_ov.add_argument("--out", default=None)
-    p_ov.add_argument("--format", choices=["json"], default="json")
 
     return parser
 
@@ -248,9 +244,9 @@ def _cmd_sweep(args) -> int:
         bell_restarts=args.restarts,
     )
     if args.jobs < 1:
-        raise ConfigError(f"jobs must be at least 1, got {args.jobs}")
+        raise ValueError(f"jobs must be at least 1, got {args.jobs}")
     if args.svg and cfg.axis2 is None:
-        raise ConfigError("--svg needs a 2-D sweep (axis1 and axis2)")
+        raise ValueError("--svg needs a 2-D sweep (axis1 and axis2)")
     columns, table = sweep.run_sweep(cfg)
     if args.svg:
         _write_sweep_svg(args.svg, cfg, columns, table)
@@ -302,10 +298,10 @@ def _filters(args):
     ``overlap``; both need every filter parameter."""
     families = (args.family_i or args.family, args.family_s or args.family)
     if None in families:
-        raise ConfigError(f"{args.command} requires --family (or --family-i/--family-s)")
+        raise ValueError(f"{args.command} requires --family (or --family-i/--family-s)")
     missing = [n for n in sweep.FILTER_PARAMS if getattr(args, n) is None]
     if missing:
-        raise ConfigError(f"{args.command} requires filter parameters, missing {missing}")
+        raise ValueError(f"{args.command} requires filter parameters, missing {missing}")
     return families, sweep.filter_pair(*families, *(getattr(args, n) for n in sweep.FILTER_PARAMS))
 
 
@@ -317,15 +313,10 @@ def _cmd_validate(args) -> int:
     params = _collect_params(args)
     families, (fi, fs) = _filters(args)
     model, analytic = sweep.point_state(args.model, params, families)
-    try:
-        cfg = fieldsim.SimConfig(
-            model=model, filter_i=fi, filter_s=fs, dt=args.dt,
-            horizon=args.horizon, n_realizations=args.n_real, seed=args.seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    est = fieldsim.simulate(cfg)
+    est = fieldsim.simulate(fieldsim.SimConfig(
+        model=model, filter_i=fi, filter_s=fs, dt=args.dt,
+        horizon=args.horizon, n_realizations=args.n_real, seed=args.seed,
+    ))
     names = ("d_i", "d_s", "c11", "c12")
     rows = []
     all_pass = True
@@ -398,7 +389,7 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2
     except (ArithmeticError, np.linalg.LinAlgError) as exc:

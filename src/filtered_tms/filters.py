@@ -146,6 +146,9 @@ def overlap_numeric(fi: FilterSpec, fs: FilterSpec, tol: float = 1e-10) -> Numer
     if math.isinf(upper):
         tmax = max(fi.tau, fs.tau)
         upper = tmax * math.log(4.0 * tmax / tol)
+        if math.isinf(upper):
+            raise ValueError(f"the truncation window tmax ln(4 tmax/tol) overflows for "
+                             f"tau_i={fi.tau!r}, tau_s={fs.tau!r} and tol={tol!r}")
 
     def integrand(ts: np.ndarray) -> np.ndarray:
         return np.conj(sample_time(fi, ts)) * sample_time(fs, ts)

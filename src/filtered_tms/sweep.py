@@ -37,10 +37,6 @@ OUTPUTS = ("e_n", "s_q_opt", "purity", "bell_max", "zeta", "weight_ratio", "crit
 CRITICAL_COLUMNS = ("r_lcf_en", "r_ucf_en", "r_max_en", "r_lcf_sq", "r_ucf_sq", "r_max_sq")
 
 
-class ConfigError(ValueError):
-    """Invalid sweep/point configuration (CLI exit code 2)."""
-
-
 @dataclass(frozen=True)
 class AxisSpec:
     name: str
@@ -50,11 +46,11 @@ class AxisSpec:
 
     def __post_init__(self):
         if self.name not in AXIS_PARAMS:
-            raise ConfigError(f"unknown axis parameter {self.name!r}; choose from {AXIS_PARAMS}")
+            raise ValueError(f"unknown axis parameter {self.name!r}; choose from {AXIS_PARAMS}")
         if self.count < 1:
-            raise ConfigError("axis needs at least one point")
+            raise ValueError("axis needs at least one point")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ConfigError("axis range must be finite")
+            raise ValueError("axis range must be finite")
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
@@ -73,25 +69,22 @@ class SweepConfig:
 
     def __post_init__(self):
         if self.model not in ("tmsv", "thermal"):
-            raise ConfigError(f"model must be 'tmsv' or 'thermal', got {self.model!r}")
+            raise ValueError(f"model must be 'tmsv' or 'thermal', got {self.model!r}")
         for out in self.outputs:
             if out not in OUTPUTS:
-                raise ConfigError(f"unknown output {out!r}; choose from {OUTPUTS}")
+                raise ValueError(f"unknown output {out!r}; choose from {OUTPUTS}")
         if not self.outputs:
-            raise ConfigError("at least one output is required")
+            raise ValueError("at least one output is required")
         for name in self.fixed:
             if name not in AXIS_PARAMS:
-                raise ConfigError(f"unknown parameter {name!r}")
+                raise ValueError(f"unknown parameter {name!r}")
         if self.axis2 is not None and self.axis1 is None:
-            raise ConfigError("axis2 given without axis1")
+            raise ValueError("axis2 given without axis1")
         if self.family is not None and self.family not in ("step", "exponential"):
-            raise ConfigError("family must be 'step' or 'exponential'")
+            raise ValueError("family must be 'step' or 'exponential'")
         if "bell_max" in self.outputs:
             # the per-point seeds derive from seed, so it must be a valid one too
-            try:
-                bell.BellMaxConfig(self.bell_restarts, seed=self.seed)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+            bell.BellMaxConfig(self.bell_restarts, seed=self.seed)
 
 
 def filter_pair(family_i: str, family_s: str, omega_k, omega_l, tau_i, tau_s):
@@ -105,23 +98,20 @@ def _check_names(model: str, params, families) -> None:
     """Checks on which parameters are given: a grid fails them as a whole."""
     filtered = any(p in params for p in FILTER_PARAMS)
     if filtered and None in families:
-        raise ConfigError("filter parameters require --family")
+        raise ValueError("filter parameters require --family")
     if filtered and ("k_f" in params or "l_f" in params):
-        raise ConfigError("give either (k_f, l_f) or filter parameters, not both")
+        raise ValueError("give either (k_f, l_f) or filter parameters, not both")
     if not filtered and families != (None, None):
-        raise ConfigError("--family given without filter parameters")
+        raise ValueError("--family given without filter parameters")
     if model == "tmsv" and ("n_i" in params or "n_s" in params):
-        raise ConfigError("thermal occupations are not tmsv parameters")
+        raise ValueError("thermal occupations are not tmsv parameters")
 
 
 def _resolve_overlap(params: dict, families, value) -> OverlapFactors:
     """(K_f, L_f) over the grid, from filters or direct values."""
     if any(p in params for p in FILTER_PARAMS):
         return overlap_closed_form(*filter_pair(*families, *map(value, FILTER_PARAMS)))
-    try:
-        return OverlapFactors(value("k_f"), value("l_f"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return OverlapFactors(value("k_f"), value("l_f"))
 
 
 def point_state(model: str, params: dict, families=(None, None)):
@@ -138,12 +128,9 @@ def point_state(model: str, params: dict, families=(None, None)):
 
     _check_names(model, params, families)
     ov = _resolve_overlap(params, families, value)
-    try:
-        p = thermal.ThermalParams(value("r"), value("n_i"), value("n_s"), ov,
-                                  value("eta_i"), value("eta_s"))
-        return p, thermal.covariance(p)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    p = thermal.ThermalParams(value("r"), value("n_i"), value("n_s"), ov,
+                              value("eta_i"), value("eta_s"))
+    return p, thermal.covariance(p)
 
 
 def output_columns(outputs) -> list[str]:
@@ -258,9 +245,9 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[str], np.ndarray]:
     axes = [a for a in (cfg.axis1, cfg.axis2) if a is not None]
     for a in axes:
         if a.name in cfg.fixed:
-            raise ConfigError(f"{a.name!r} is both an axis and a fixed parameter")
+            raise ValueError(f"{a.name!r} is both an axis and a fixed parameter")
     if len(axes) == 2 and axes[0].name == axes[1].name:
-        raise ConfigError("axis1 and axis2 must differ")
+        raise ValueError("axis1 and axis2 must differ")
 
     # axis1 varies fastest, axis2 is the outer loop
     grids = [a.grid() for a in axes]

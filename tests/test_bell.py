@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -175,9 +176,10 @@ class TestBellMax:
         assert a.settings == b.settings
         assert a.converged == b.converged
 
-    def test_nonconvergence_is_reported_not_raised(self):
+    def test_nonconvergence_is_reported_not_raised(self, monkeypatch):
+        monkeypatch.setattr(bell, "MAX_EVALS", 60)
         v = tmsv_matrix(0.9)
-        res = bell_max(v, BellMaxConfig(n_restarts=4, max_evals=60, seed=3))
+        res = bell_max(v, BellMaxConfig(n_restarts=4, seed=3))
         assert isinstance(res.converged, bool)
 
     def test_full_family_tmsv_scan(self):
@@ -251,6 +253,14 @@ BUDGETS = {"1 restart": (1, 2000), "5 restarts, 60 evals": (5, 60), "24 restarts
 SEEDS = [3, 101, 7, 2**31 - 1, 0, 55]
 
 
+def budget_config(budget, monkeypatch):
+    """The BellMaxConfig of a BUDGETS entry, with bell.MAX_EVALS set to the
+    entry's evaluation budget for the rest of the test."""
+    n_r, evals = BUDGETS[budget]
+    monkeypatch.setattr(bell, "MAX_EVALS", evals)
+    return BellMaxConfig(n_r)
+
+
 @pytest.fixture(scope="module")
 def reference_moves():
     """How often the reference searches of ``references`` took each move and
@@ -303,21 +313,21 @@ def same_as_reference(res, ref):
 class TestBellMaxStack:
     @pytest.mark.parametrize("budget", sorted(BUDGETS))
     def test_stack_is_bit_identical_to_the_per_state_search(self, budget, references,
-                                                           stack_rows):
-        n_r, evals = BUDGETS[budget]
+                                                           stack_rows, monkeypatch):
         v = mixed_states()
-        found = bell_max_stack(v, SEEDS, BellMaxConfig(n_r, evals))
+        found = bell_max_stack(v, SEEDS, budget_config(budget, monkeypatch))
         assert len(found) == len(SEEDS)
         for res, ref in zip(found, references[budget]):
             assert same_as_reference(res, ref)
 
     @pytest.mark.parametrize("budget", sorted(BUDGETS))
-    def test_one_matrix_is_bit_identical_to_the_per_state_search(self, budget, references):
-        n_r, evals = BUDGETS[budget]
+    def test_one_matrix_is_bit_identical_to_the_per_state_search(self, budget, references,
+                                                                monkeypatch):
+        cfg = budget_config(budget, monkeypatch)
         for m, seed, ref in zip(mixed_states().entries, SEEDS, references[budget]):
             v = CovarianceMatrix(m)
-            assert same_as_reference(bell_max(v, BellMaxConfig(n_r, evals, seed=seed)), ref)
-            [alone] = bell_max_stack(v, [seed], BellMaxConfig(n_r, evals))
+            assert same_as_reference(bell_max(v, replace(cfg, seed=seed)), ref)
+            [alone] = bell_max_stack(v, [seed], cfg)
             assert same_as_reference(alone, ref)
 
     def test_the_pinned_cases_take_every_move_and_both_stops(self, references, reference_moves):
@@ -351,11 +361,11 @@ class TestBellMaxStack:
 
     @pytest.mark.parametrize("budget", sorted(BUDGETS))
     def test_iterations_are_the_last_restarts_step_count(self, budget, references,
-                                                        reference_steps, stack_rows):
-        n_r, evals = BUDGETS[budget]
-        found = bell_max_stack(mixed_states(), SEEDS, BellMaxConfig(n_r, evals))
+                                                        reference_steps, stack_rows, monkeypatch):
+        cfg = budget_config(budget, monkeypatch)
+        found = bell_max_stack(mixed_states(), SEEDS, cfg)
         for k, res in enumerate(found):
-            taken = restart_step_counts(reference_steps[budget, k], n_r)
+            taken = restart_step_counts(reference_steps[budget, k], cfg.n_restarts)
             assert res.iterations == taken.max() == len(reference_steps[budget, k])
 
     def test_the_objective_is_bound_per_compaction_and_shrink_and_called_once_a_step(
@@ -364,9 +374,9 @@ class TestBellMaxStack:
         # the steps at which restarts stop with others still running (one
         # compaction each) and the steps at which some restart shrinks
         budget = "12 restarts, 900 evals"
-        n_r, evals = BUDGETS[budget]
+        cfg = budget_config(budget, monkeypatch)
         records = [reference_steps[budget, k] for k in range(len(SEEDS))]
-        stops = {int(c) for rec in records for c in restart_step_counts(rec, n_r)}
+        stops = {int(c) for rec in records for c in restart_step_counts(rec, cfg.n_restarts)}
         n_steps = max(stops)
         compactions = stops - {n_steps}
         shrinks = {t for rec in records for t, (_, shrank) in enumerate(rec) if shrank.size}
@@ -386,7 +396,7 @@ class TestBellMaxStack:
             return counted
 
         monkeypatch.setattr(bell._BellEvaluator, "bind", spy_bind)
-        found = bell_max_stack(mixed_states(), SEEDS, BellMaxConfig(n_r, evals))
+        found = bell_max_stack(mixed_states(), SEEDS, cfg)
         assert all(same_as_reference(res, ref) for res, ref in zip(found, references[budget]))
         # the start's binding also evaluates the first simplices; each
         # shrink's binding is called once
@@ -403,12 +413,12 @@ class TestBellMaxStack:
         assert res.b_max == 2.321877322655981
         assert same_as_reference(res, bell_max_reference(v, 64, 2000, seed=0))
 
-    def test_spread_is_within_f_tol_exactly_when_the_top_restart_settled(self):
+    def test_spread_is_within_f_tol_exactly_when_the_top_restart_settled(self, monkeypatch):
         # with one restart, converged is whether that restart settled
         seen = set()
-        for n_r, evals in ((1, 2000), (1, 60), (1, 300)):
-            cfg = BellMaxConfig(n_r, evals)
-            for res in bell_max_stack(mixed_states(), SEEDS, cfg):
+        for evals in (2000, 60, 300):
+            monkeypatch.setattr(bell, "MAX_EVALS", evals)
+            for res in bell_max_stack(mixed_states(), SEEDS, BellMaxConfig(1)):
                 assert res.spread >= 0.0
                 assert (res.spread <= bell.F_TOL) is res.converged
                 seen.add(res.converged)
@@ -432,12 +442,10 @@ class TestBellMaxConfig:
         ({"seed": -1}, "seed must be a non-negative integer, got -1"),
         ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
         ({"n_restarts": 8.0}, "n_restarts must be an integer, got 8.0"),
-        ({"max_evals": "2000"}, "max_evals must be an integer, got '2000'"),
         ({"n_restarts": 0}, "n_restarts must be at least 1, got 0"),
         ({"n_restarts": True}, "n_restarts must be an integer, got True"),
-        ({"max_evals": np.True_}, "max_evals must be an integer, got np.True_"),
+        ({"n_restarts": np.True_}, "n_restarts must be an integer, got np.True_"),
         ({"seed": True}, "seed must be a non-negative integer, got True"),
-        ({"max_evals": 49}, "max_evals must be at least 50, got 49"),
     ])
     def test_bad_field_is_named(self, fields, message):
         with pytest.raises(ValueError) as err:
@@ -445,5 +453,5 @@ class TestBellMaxConfig:
         assert str(err.value) == message
 
     def test_numpy_integers_are_accepted(self):
-        cfg = BellMaxConfig(n_restarts=np.int64(2), max_evals=np.int32(60), seed=np.uint32(7))
-        assert bell_max(VACUUM, cfg) == bell_max(VACUUM, BellMaxConfig(2, 60, 7))
+        cfg = BellMaxConfig(n_restarts=np.int64(2), seed=np.uint32(7))
+        assert bell_max(VACUUM, cfg) == bell_max(VACUUM, BellMaxConfig(2, 7))

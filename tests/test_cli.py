@@ -612,8 +612,16 @@ class TestBellCommand:
          "argument --model: invalid choice: 'nope' (choose from 'tmsv', 'thermal')"),
         (("validate", "--r", "0.8"),
          "the following arguments are required: --model, --dt, --horizon, --n-real"),
+        # only point and sweep have a --format
+        (("bell", "--model", "tmsv", "--r", "0.8", "--format", "json"),
+         "unrecognized arguments: --format json"),
+        (("validate", "--model", "tmsv", "--r", "0.5", "--family", "step", "--tau-i", "2",
+          "--tau-s", "2", "--omega-k", "1", "--omega-l", "0", "--dt", "0.02", "--horizon", "6",
+          "--n-real", "2000", "--format", "json"), "unrecognized arguments: --format json"),
+        (("overlap", "--family", "step", "--tau-i", "2", "--tau-s", "2", "--omega-k", "1",
+          "--omega-l", "0", "--format", "json"), "unrecognized arguments: --format json"),
     ], ids=["bell unknown model", "bell missing model", "point unknown model",
-            "validate missing model"])
+            "validate missing model", "bell format", "validate format", "overlap format"])
     def test_usage_errors_are_one_json_line(self, argv, message, capsys):
         code, out, err = run_inproc(*argv, capsys=capsys)
         assert code == 2
@@ -895,6 +903,17 @@ class TestOverlapCommand:
         assert math.isfinite(diag["error_estimate"]) and diag["error_estimate"] > 0.0
         assert diag["error_estimate"] <= payload["params"]["tol"]
         assert type(diag["panels"]) is int and diag["panels"] > 0
+
+    @pytest.mark.parametrize("omega_l", ["1", "2"], ids=["matched", "detuned"])
+    def test_an_overflowing_truncation_window_is_a_usage_error(self, omega_l, capsys):
+        code, out, err = run_inproc("overlap", "--family", "exponential", "--omega-k", "1",
+                                    "--omega-l", omega_l, "--tau-i", "1e300",
+                                    "--tau-s", "1e-300", capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "the truncation window tmax ln(4 tmax/tol) overflows for "
+                     "tau_i=1e+300, tau_s=1e-300 and tol=1e-10"}
 
     @pytest.mark.parametrize("command, argv", [
         ("overlap", ("--tau-i", "2", "--tau-s", "1", "--omega-k", "1", "--omega-l", "1")),

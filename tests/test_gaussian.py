@@ -85,6 +85,14 @@ class TestBuildCovariance:
         with pytest.raises(ValueError, match="vacuum floor"):
             build_covariance(CovarianceBlocks(0.9, 1.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("side", ["d_i", "d_s"])
+    def test_the_vacuum_floor_is_one_less_1e_10(self, side):
+        # 1e-9 below one is below the floor; 1e-11 below one is rounding
+        vacuum = {"d_i": 1.0, "d_s": 1.0, "c11": 0.0, "c12": 0.0}
+        with pytest.raises(ValueError, match="below the vacuum floor"):
+            gaussian.check_blocks(CovarianceBlocks(**{**vacuum, side: 1.0 - 1e-9}))
+        gaussian.check_blocks(CovarianceBlocks(**{**vacuum, side: 1.0 - 1e-11}))
+
     def test_rejects_unphysical_correlations(self):
         with pytest.raises(ValueError):
             build_covariance(CovarianceBlocks(1.0, 1.0, 0.9, 0.0))
@@ -445,6 +453,11 @@ class TestWeightOptimization:
         b = thermal.covariance(p)
         assert squeezing_angle(b) == pytest.approx(thermal_squeezing_angle(p), abs=1e-14)
         assert -math.pi / 2 < squeezing_angle(b) <= math.pi / 2
+
+    @pytest.mark.parametrize("c12", [0.5, -0.5])
+    def test_squeezing_angle_is_plus_a_quarter_turn_at_c11_zero(self, c12):
+        # atan2 gives -pi/2 or +pi/2 here, and both ends fold to +pi/2
+        assert squeezing_angle(CovarianceBlocks(2.0, 2.0, 0.0, c12)) == math.pi / 2
 
 
 class TestEach:

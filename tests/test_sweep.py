@@ -17,7 +17,6 @@ from filtered_tms.filters import FilterFamily, FilterSpec, OverlapFactors
 from filtered_tms.sweep import (
     CRITICAL_COLUMNS,
     AxisSpec,
-    ConfigError,
     SweepConfig,
     _point_seeds,
     evaluate_point_with_blocks,
@@ -180,22 +179,22 @@ ERROR_CASES = {
     "k_f past one": (
         SweepConfig("tmsv", ("e_n",), {}, axis1=AxisSpec("r", 0.0, 1.0, 5),
                     axis2=AxisSpec("k_f", 0.9, 1.1, 11)),
-        ConfigError, "overlap (1.02, 0.0) violates the Cauchy-Schwarz bound"),
+        ValueError, "overlap (1.02, 0.0) violates the Cauchy-Schwarz bound"),
     "tmsv eta_i below zero": (
         SweepConfig("tmsv", ("e_n", "purity"), {}, axis1=AxisSpec("eta_i", 1.0, -0.1, 12)),
-        ConfigError, "eta_i must lie in [0, 1], got -0.1"),
+        ValueError, "eta_i must lie in [0, 1], got -0.1"),
     # the first failing row fails an earlier check than a later row does
     "eta_s above one before k_f past one": (
         SweepConfig("tmsv", ("e_n", "purity"), {}, axis1=AxisSpec("eta_s", 1.4, 0.2, 7),
                     axis2=AxisSpec("k_f", 0.95, 1.05, 3)),
-        ConfigError, "eta_s must lie in [0, 1], got 1.4"),
+        ValueError, "eta_s must lie in [0, 1], got 1.4"),
     "thermal eta_i above one": (
         SweepConfig("thermal", ("e_n",), {"r": 1.0}, axis1=AxisSpec("eta_i", 0.5, 1.5, 3)),
-        ConfigError, "eta_i must lie in [0, 1], got 1.5"),
+        ValueError, "eta_i must lie in [0, 1], got 1.5"),
     "negative occupation before negative r": (
         SweepConfig("thermal", ("e_n",), {"n_s": 0.2}, axis1=AxisSpec("n_i", 0.5, -0.5, 5),
                     axis2=AxisSpec("r", 1.0, -1.0, 3)),
-        ConfigError, "n_i must be finite and >= 0, got -0.25"),
+        ValueError, "n_i must be finite and >= 0, got -0.25"),
     "overflow": (
         SweepConfig("thermal", ("e_n",), {}, axis1=AxisSpec("r", 300.0, 800.0, 6)),
         OverflowError, "(34, 'Numerical result out of range')"),
@@ -248,7 +247,7 @@ class TestGridWideErrors:
     def test_the_error_names_no_point(self, model, fixed, family, message):
         cfg = SweepConfig(model, ("e_n",), fixed, axis1=AxisSpec("r", 0.0, 1.0, 3),
                           family=family)
-        with pytest.raises(ConfigError) as error:
+        with pytest.raises(ValueError) as error:
             run_sweep(cfg)
         assert str(error.value) == message
 
@@ -525,7 +524,7 @@ class TestBellRunsLast:
         monkeypatch.setattr(bell, "bell_max_stack", spy)
         cfg = SweepConfig("thermal", ("bell_max", "critical_points"), {"n_i": 0.2, "k_f": 0.95},
                           axis1=AxisSpec("eta_i", 0.9, 1.85, 20), bell_restarts=16)
-        with pytest.raises(ConfigError, match="eta_i must lie in"):
+        with pytest.raises(ValueError, match="eta_i must lie in"):
             run_sweep(cfg)
         assert calls == []
 
@@ -540,9 +539,9 @@ class TestBellRunsLast:
         # 4098 rows; only the last, K_f = 1.0002, breaks the Cauchy-Schwarz bound
         cfg = SweepConfig("tmsv", ("bell_max",), {"r": 0.5},
                           axis1=AxisSpec("k_f", -1.0, 1.0002, 4098), bell_restarts=1)
-        with pytest.raises(ConfigError) as error:
+        with pytest.raises(ValueError) as error:
             run_sweep(cfg)
-        assert type(error.value) is ConfigError
+        assert type(error.value) is ValueError
         assert str(error.value) == ("grid row 4097 (k_f=1.0002): "
                                     "overlap (1.0002, 0.0) violates the Cauchy-Schwarz bound")
         assert calls == []
