@@ -3,6 +3,8 @@ maximization, Monte Carlo validation and overlap-kernel checks.
 
 Every command but ``overlap`` builds its state with ``sweep.point_state``,
 from the state flags (``sweep.AXIS_PARAMS``) and the filter families.
+``point``, ``bell`` and ``sweep`` first build one checked request, a
+``sweep.SweepConfig``, so a bad request fails each with the same message.
 
 Exit codes: 0 success (including reported non-convergence), 2 usage or
 parameter errors (with a machine-readable JSON error line on stderr),
@@ -43,17 +45,16 @@ _PARAM_HELP = (  # one per name of sweep.AXIS_PARAMS, in its order
 )
 
 
-def _add_param_flags(parser: argparse.ArgumentParser) -> None:
-    for name, help_text in zip(sweep.AXIS_PARAMS, _PARAM_HELP, strict=True):
-        parser.add_argument(f"--{name.replace('_', '-')}", dest=name, type=float,
-                            default=None, help=help_text)
-    parser.add_argument("--family", choices=["step", "exponential"], default=None,
-                        help="filter family; required with filter parameters")
-
-
 def _collect_params(args) -> dict:
     return {name: getattr(args, name) for name in sweep.AXIS_PARAMS
             if getattr(args, name) is not None}
+
+
+def _request(args, outputs, axis1=None, axis2=None) -> SweepConfig:
+    """The checked request of ``point``, ``bell`` or ``sweep``."""
+    return SweepConfig(model=args.model, outputs=outputs, fixed=_collect_params(args),
+                       axis1=axis1, axis2=axis2, family=args.family, seed=args.seed,
+                       bell_restarts=args.restarts)
 
 
 def _output_list(text: str) -> tuple[str, ...]:
@@ -142,51 +143,46 @@ def build_parser() -> argparse.ArgumentParser:
                     "spectrally filtered two-mode squeezed Gaussian states.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the state flags, shared by point, sweep, bell and validate
+    state = _Parser(add_help=False)
+    state.add_argument("--model", choices=["tmsv", "thermal"], required=True)
+    for name, help_text in zip(sweep.AXIS_PARAMS, _PARAM_HELP, strict=True):
+        state.add_argument(f"--{name.replace('_', '-')}", dest=name, type=float,
+                           default=None, help=help_text)
+    state.add_argument("--family", choices=["step", "exponential"], default=None,
+                       help="filter family; required with filter parameters")
+    state.add_argument("--seed", type=int, default=0)
 
-    p_point = sub.add_parser("point", help="evaluate one parameter tuple")
-    p_point.add_argument("--model", choices=["tmsv", "thermal"], required=True)
-    _add_param_flags(p_point)
+    p_point = sub.add_parser("point", parents=[state], help="evaluate one parameter tuple")
     p_point.add_argument("--outputs", type=_output_list, default="e_n,s_q_opt,purity",
                          help="comma-separated outputs (default e_n,s_q_opt,purity)")
-    p_point.add_argument("--seed", type=int, default=0)
     p_point.add_argument("--restarts", type=int, default=64, help="bell_max restarts")
-    p_point.add_argument("--out", default=None)
     p_point.add_argument("--format", choices=["json", "csv"], default="json")
 
-    p_sweep = sub.add_parser("sweep", help="1-D/2-D parameter sweep to CSV/JSON")
-    p_sweep.add_argument("--model", choices=["tmsv", "thermal"], required=True)
-    _add_param_flags(p_sweep)
+    p_sweep = sub.add_parser("sweep", parents=[state], help="1-D/2-D parameter sweep to CSV/JSON")
     p_sweep.add_argument("--axis1", required=True, help="name=start:stop:count")
     p_sweep.add_argument("--axis2", default=None, help="name=start:stop:count")
     p_sweep.add_argument("--outputs", type=_output_list, default="e_n",
                          help="comma-separated outputs (default e_n)")
-    p_sweep.add_argument("--out", default=None, help="output path (default stdout)")
     p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
     p_sweep.add_argument("--svg", default=None,
                          help="render the first output of a 2-D sweep as an SVG heatmap")
-    p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--jobs", type=int, default=1,
                          help="accepted for compatibility; points run serially")
     p_sweep.add_argument("--restarts", type=int, default=16,
                          help="bell_max restarts per grid point")
 
-    p_bell = sub.add_parser("bell", help="maximize the Bell function for one state")
-    p_bell.add_argument("--model", choices=["tmsv", "thermal"], required=True)
-    _add_param_flags(p_bell)
-    p_bell.add_argument("--seed", type=int, default=0)
+    p_bell = sub.add_parser("bell", parents=[state],
+                            help="maximize the Bell function for one state")
     p_bell.add_argument("--restarts", type=int, default=64)
-    p_bell.add_argument("--out", default=None)
 
-    p_val = sub.add_parser("validate", help="Monte Carlo check of the closed-form blocks")
-    p_val.add_argument("--model", choices=["tmsv", "thermal"], required=True)
-    _add_param_flags(p_val)
+    p_val = sub.add_parser("validate", parents=[state],
+                           help="Monte Carlo check of the closed-form blocks")
     p_val.add_argument("--family-i", choices=["step", "exponential"], default=None)
     p_val.add_argument("--family-s", choices=["step", "exponential"], default=None)
     p_val.add_argument("--dt", type=float, required=True)
     p_val.add_argument("--horizon", type=float, required=True)
     p_val.add_argument("--n-real", type=int, required=True)
-    p_val.add_argument("--seed", type=int, default=0)
-    p_val.add_argument("--out", default=None)
 
     p_ov = sub.add_parser("overlap", help="closed-form vs numeric overlap kernel")
     p_ov.add_argument("--family-i", choices=["step", "exponential"], default=None)
@@ -198,8 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ov.add_argument("--tau-i", dest="tau_i", type=float, required=True)
     p_ov.add_argument("--tau-s", dest="tau_s", type=float, required=True)
     p_ov.add_argument("--tol", type=float, default=1e-10)
-    p_ov.add_argument("--out", default=None)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None, help="output path (default stdout)")
     return parser
 
 
@@ -210,17 +207,15 @@ def _bell_diagnostics(search) -> dict:
 
 
 def _cmd_point(args) -> int:
-    params, outputs = _collect_params(args), args.outputs
-    results, blocks, search = sweep.evaluate_point_with_blocks(
-        args.model, params, outputs, family=args.family, seed=args.seed,
-        bell_restarts=args.restarts)
+    cfg = _request(args, args.outputs)
+    results, blocks, search = sweep.evaluate_point(cfg)
     if args.format == "csv":
-        cols = sweep.output_columns(outputs)
+        cols = sweep.output_columns(cfg.outputs)
         _write(args.out, sweep.csv_text(cols, np.array([[results[c] for c in cols]])))
         return 0
     payload = {
-        "params": {"model": args.model, **params, "family": args.family,
-                   "outputs": list(outputs), "seed": args.seed},
+        "params": {"model": cfg.model, **cfg.fixed, "family": cfg.family,
+                   "outputs": list(cfg.outputs), "seed": cfg.seed},
         "results": {
             **results,
             "blocks": {"d_i": blocks.d_i, "d_s": blocks.d_s,
@@ -233,16 +228,8 @@ def _cmd_point(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = SweepConfig(
-        model=args.model,
-        outputs=args.outputs,
-        fixed=_collect_params(args),
-        axis1=_parse_axis(args.axis1),
-        axis2=_parse_axis(args.axis2) if args.axis2 else None,
-        family=args.family,
-        seed=args.seed,
-        bell_restarts=args.restarts,
-    )
+    cfg = _request(args, args.outputs, _parse_axis(args.axis1),
+                   _parse_axis(args.axis2) if args.axis2 else None)
     if args.jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {args.jobs}")
     if args.svg and cfg.axis2 is None:
@@ -265,27 +252,25 @@ def _cmd_sweep(args) -> int:
 
 def _write_sweep_svg(path, cfg: SweepConfig, columns, table) -> None:
     nx, ny = cfg.axis1.count, cfg.axis2.count
-    col = len([a for a in (cfg.axis1, cfg.axis2) if a])  # first output column
-    grid = table[:, col].reshape(ny, nx)
+    grid = table[:, 2].reshape(ny, nx)  # the first output, after the two axes
     text = render_heatmap(
         grid,
         x_values=cfg.axis1.grid(),
         y_values=cfg.axis2.grid(),
         x_label=cfg.axis1.name,
         y_label=cfg.axis2.name,
-        title=f"{columns[col]} ({cfg.model})",
+        title=f"{columns[2]} ({cfg.model})",
     )
     _write(path, text)
 
 
 def _cmd_bell(args) -> int:
     """``point --outputs bell_max``, reporting the best restart's settings."""
-    params = _collect_params(args)
-    _, _, res = sweep.evaluate_point_with_blocks(args.model, params, ("bell_max",), args.family,
-                                                 args.seed, args.restarts)
+    cfg = _request(args, ("bell_max",))
+    _, _, res = sweep.evaluate_point(cfg)
     payload = {
-        "params": {"model": args.model, **params, "family": args.family,
-                   "seed": args.seed, "restarts": args.restarts},
+        "params": {"model": cfg.model, **cfg.fixed, "family": cfg.family,
+                   "seed": cfg.seed, "restarts": cfg.bell_restarts},
         "results": {"b_max": res.b_max, "settings": dataclasses.asdict(res.settings)},
         "diagnostics": _bell_diagnostics(res),
     }
@@ -389,12 +374,13 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:
-        sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
-        return 2
+    # LinAlgError subclasses ValueError, so it is caught first
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         sys.stderr.write(json.dumps({"error": f"numerical failure: {exc}"}) + "\n")
         return 3
+    except (ValueError, OSError) as exc:
+        sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
+        return 2
 
 
 if __name__ == "__main__":

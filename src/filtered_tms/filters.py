@@ -82,14 +82,17 @@ class NumericOverlap(OverlapFactors):
 
 
 def sample_time(f: FilterSpec, ts: "np.ndarray") -> "np.ndarray":
-    """Vectorized h(t) over an array of times."""
+    """Vectorized h(t) over an array of times: the kernel is evaluated only
+    on its support, and is exactly zero off it."""
     ts = np.asarray(ts, dtype=float)
+    inside = (ts >= 0.0) & (ts < f.tau) if f.family is FilterFamily.STEP else ts >= 0.0
+    t = ts[inside]
+    h = np.zeros(ts.shape, dtype=complex)
     if f.family is FilterFamily.STEP:
-        inside = (ts >= 0.0) & (ts < f.tau)
-        return np.where(inside, np.exp(-1j * f.omega * ts) / math.sqrt(f.tau), 0.0)
-    inside = ts >= 0.0
-    amp = math.sqrt(2.0 / f.tau) * np.exp(-(1.0 / f.tau + 1j * f.omega) * np.where(inside, ts, 0.0))
-    return np.where(inside, amp, 0.0)
+        h[inside] = np.exp(-1j * f.omega * t) / math.sqrt(f.tau)
+    else:
+        h[inside] = math.sqrt(2.0 / f.tau) * np.exp(-(1.0 / f.tau + 1j * f.omega) * t)
+    return h
 
 
 def overlap_closed_form(fi: FilterSpec, fs: FilterSpec) -> OverlapFactors:
@@ -133,8 +136,10 @@ def overlap_closed_form(fi: FilterSpec, fs: FilterSpec) -> OverlapFactors:
 def overlap_numeric(fi: FilterSpec, fs: FilterSpec, tol: float = 1e-10) -> NumericOverlap:
     """Adaptive-quadrature overlap integral; independent of the closed forms.
 
-    Step supports are finite; exponential tails are truncated where the
-    decaying envelope bound drops below tol/10.
+    Step supports are finite.  Two exponential kernels are integrated up to
+    their own decay time T = ln(10/tol) / (1/tau_i + 1/tau_s): the integral
+    of |h_i h_s| past T is 2 sqrt(tau_i tau_s)/(tau_i + tau_s)
+    exp(-T (1/tau_i + 1/tau_s)) <= tol/10, at any time scale.
     """
     if not 1e-12 <= tol <= 1e-3:
         raise ValueError(f"tol must lie in [1e-12, 1e-3], got {tol}")
@@ -144,18 +149,17 @@ def overlap_numeric(fi: FilterSpec, fs: FilterSpec, tol: float = 1e-10) -> Numer
     if fs.family is FilterFamily.STEP:
         upper = min(upper, fs.tau)
     if math.isinf(upper):
-        tmax = max(fi.tau, fs.tau)
-        upper = tmax * math.log(4.0 * tmax / tol)
-        if math.isinf(upper):
-            raise ValueError(f"the truncation window tmax ln(4 tmax/tol) overflows for "
-                             f"tau_i={fi.tau!r}, tau_s={fs.tau!r} and tol={tol!r}")
+        upper = math.log(10.0 / tol) / (1.0 / fi.tau + 1.0 / fs.tau)
+        if not 0.0 < upper < math.inf:
+            raise ValueError(f"the truncation window ln(10/tol) / (1/tau_i + 1/tau_s) is "
+                             f"{upper!r} for tau_i={fi.tau!r}, tau_s={fs.tau!r} and tol={tol!r}")
 
     def integrand(ts: np.ndarray) -> np.ndarray:
         return np.conj(sample_time(fi, ts)) * sample_time(fs, ts)
 
     # seed roughly two panels per beat of the oscillatory kernel
-    beats = abs(fi.omega - fs.omega) * upper / math.pi
-    n0 = int(min(8192, max(16, 2 * math.ceil(beats))))
+    beats = min(4096.0, abs(fi.omega - fs.omega) * upper / math.pi)
+    n0 = max(16, 2 * math.ceil(beats))
     val, err, panels = _adaptive_simpson(integrand, 0.0, upper, tol, n0=n0)
     return NumericOverlap(val.real, val.imag, err, panels)
 

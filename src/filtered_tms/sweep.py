@@ -2,6 +2,10 @@
 filter parameters, with deterministic row ordering and per-point seeds, and
 the one constructor of a command's state, ``point_state``.
 
+A request is a ``SweepConfig``, which checks every name in it when it is
+built; ``evaluate_point`` runs a request without axes, ``run_sweep`` one
+with axes.
+
 Both models are the one state model of ``thermal``, the vacuum (``tmsv``)
 being its zero-occupation case.  The state parameters are the keys of
 ``_DEFAULTS``; when filter parameters (omega_k, omega_l, tau_i, tau_s)
@@ -85,6 +89,13 @@ class SweepConfig:
         if "bell_max" in self.outputs:
             # the per-point seeds derive from seed, so it must be a valid one too
             bell.BellMaxConfig(self.bell_restarts, seed=self.seed)
+        axes = [a.name for a in (self.axis1, self.axis2) if a is not None]
+        for name in axes:
+            if name in self.fixed:
+                raise ValueError(f"{name!r} is both an axis and a fixed parameter")
+        if len(axes) == 2 and axes[0] == axes[1]:
+            raise ValueError("axis1 and axis2 must differ")
+        _check_names(self.model, {*self.fixed, *axes}, (self.family, self.family))
 
 
 def filter_pair(family_i: str, family_s: str, omega_k, omega_l, tau_i, tau_s):
@@ -222,19 +233,21 @@ def _first_failure(evaluate, n: int, where) -> None:
         raise type(exc)(f"grid row {good} ({where(good)}): {exc}") from exc
 
 
-def evaluate_point_with_blocks(model: str, params: dict, outputs, family: str | None = None,
-                               seed: int = 0, bell_restarts: int = 64):
-    """All requested outputs for one parameter tuple, as a one-point grid,
-    the point's covariance blocks, from one evaluation of the model, and the
-    ``bell.BellResult`` of its Bell search (None without ``bell_max``).
+def evaluate_point(cfg: SweepConfig):
+    """All requested outputs of a request without axes, as a one-point
+    grid, the point's covariance blocks, from one evaluation of the model,
+    and the ``bell.BellResult`` of its Bell search, seeded by cfg.seed (None
+    without ``bell_max``).
 
     Landmarks that do not exist at a grid point (empty thermal window,
     uncorrelated state at r = 0, K_f = 0 cutoffs) are reported as nan so
     sweeps can traverse separable regions.
     """
-    grid = {name: np.array([v], dtype=float) for name, v in params.items()}
-    res, b = _evaluate(model, grid, outputs, family)
-    found = _maximize_bell(res, [seed], bell_restarts)
+    if cfg.axis1 is not None:
+        raise ValueError("a point request takes no axes")
+    grid = {name: np.array([v], dtype=float) for name, v in cfg.fixed.items()}
+    res, b = _evaluate(cfg.model, grid, cfg.outputs, cfg.family)
+    found = _maximize_bell(res, [cfg.seed], cfg.bell_restarts)
     blocks = gaussian.CovarianceBlocks(*(float(x[0]) for x in astuple(b)))
     return {k: float(v[0]) for k, v in res.items()}, blocks, found[0] if found else None
 
@@ -243,12 +256,6 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[str], np.ndarray]:
     """Evaluate the grid; returns (column names, an (n, columns) float table
     whose rows are in axis2-major order)."""
     axes = [a for a in (cfg.axis1, cfg.axis2) if a is not None]
-    for a in axes:
-        if a.name in cfg.fixed:
-            raise ValueError(f"{a.name!r} is both an axis and a fixed parameter")
-    if len(axes) == 2 and axes[0].name == axes[1].name:
-        raise ValueError("axis1 and axis2 must differ")
-
     # axis1 varies fastest, axis2 is the outer loop
     grids = [a.grid() for a in axes]
     n = math.prod(len(g) for g in grids)
@@ -257,7 +264,6 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[str], np.ndarray]:
         axis_vals.append(np.repeat(grids[1], len(grids[0])))
     params = {name: np.full(n, float(v)) for name, v in cfg.fixed.items()}
     params.update((a.name, vals) for a, vals in zip(axes, axis_vals))
-    _check_names(cfg.model, params, (cfg.family, cfg.family))
 
     def evaluate(lo, hi):
         return _evaluate(cfg.model, {k: v[lo:hi] for k, v in params.items()}, cfg.outputs,

@@ -803,7 +803,7 @@ def tmsv_blocks_reference(r, eta_i, eta_s, k_f):
 
 def csv_text_reference(columns: list[str], rows: list[list[float]]) -> str:
     """Header and rows of Python floats (run_sweep's rows and
-    evaluate_point_with_blocks's values are); a list's repr spells each as
+    evaluate_point's values are); a list's repr spells each as
     format_number does, at C speed."""
     lines = [repr(row)[1:-1].replace(", ", ",") for row in rows]
     return "\n".join([",".join(columns)] + lines) + "\n"

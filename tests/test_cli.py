@@ -19,6 +19,7 @@ from filtered_tms import bell, fieldsim, sweep, thermal
 from filtered_tms.cli import main
 from filtered_tms.filters import FilterFamily, FilterSpec, overlap_closed_form
 from filtered_tms.gaussian import build_covariance
+from filtered_tms.sweep import SweepConfig
 from oracles import (
     bell_max_reference,
     csv_text_reference,
@@ -147,7 +148,7 @@ class TestPoint:
         assert code == 0
         params = {k[2:].replace("-", "_"): float(v) for k, v in zip(argv[2:-2:2], argv[3:-2:2])}
         outputs = tuple(argv[-1].split(","))
-        results = sweep.evaluate_point_with_blocks(argv[1], params, outputs, bell_restarts=4)[0]
+        results = sweep.evaluate_point(SweepConfig(argv[1], outputs, params, bell_restarts=4))[0]
         cols = sweep.output_columns(outputs)
         assert out == csv_text_reference(cols, [[results[c] for c in cols]])
 
@@ -329,15 +330,13 @@ class TestSweep:
         lines = out_path.read_text().splitlines()
         header = lines[0].split(",")
         rng = np.random.default_rng(0)
-        from filtered_tms.sweep import evaluate_point_with_blocks
-
         for k in rng.integers(1, len(lines), size=10):
             cells = lines[k].split(",")
             parsed = dict(zip(header, (float(c) for c in cells)))
-            res = evaluate_point_with_blocks(
-                "tmsv", {"r": parsed["r"], "k_f": 0.9, "eta_i": 0.85},
-                ("e_n", "s_q_opt", "purity", "weight_ratio"),
-            )[0]
+            res = sweep.evaluate_point(SweepConfig(
+                "tmsv", ("e_n", "s_q_opt", "purity", "weight_ratio"),
+                {"r": parsed["r"], "k_f": 0.9, "eta_i": 0.85},
+            ))[0]
             for name, want in res.items():
                 assert repr(float(want)) == cells[header.index(name)]
 
@@ -907,13 +906,23 @@ class TestOverlapCommand:
     @pytest.mark.parametrize("omega_l", ["1", "2"], ids=["matched", "detuned"])
     def test_an_overflowing_truncation_window_is_a_usage_error(self, omega_l, capsys):
         code, out, err = run_inproc("overlap", "--family", "exponential", "--omega-k", "1",
-                                    "--omega-l", omega_l, "--tau-i", "1e300",
-                                    "--tau-s", "1e-300", capsys=capsys)
+                                    "--omega-l", omega_l, "--tau-i", "1e308",
+                                    "--tau-s", "1e308", capsys=capsys)
         assert code == 2
         assert out == ""
         assert json.loads(err) == {
-            "error": "the truncation window tmax ln(4 tmax/tol) overflows for "
-                     "tau_i=1e+300, tau_s=1e-300 and tol=1e-10"}
+            "error": "the truncation window ln(10/tol) / (1/tau_i + 1/tau_s) is inf for "
+                     "tau_i=1e+308, tau_s=1e+308 and tol=1e-10"}
+
+    def test_picosecond_filters_integrate_over_their_own_decay_time(self, capsys):
+        code, out, _ = run_inproc("overlap", "--family", "exponential", "--omega-k", "1",
+                                  "--omega-l", "1", "--tau-i", "1e-12", "--tau-s", "1e-12",
+                                  capsys=capsys)
+        assert code == 0
+        res = json.loads(out)["results"]
+        assert res["closed_form"] == {"k_f": 1.0, "l_f": 0.0}
+        assert res["abs_difference"]["k_f"] <= 1e-10
+        assert res["abs_difference"]["l_f"] <= 1e-10
 
     @pytest.mark.parametrize("command, argv", [
         ("overlap", ("--tau-i", "2", "--tau-s", "1", "--omega-k", "1", "--omega-l", "1")),
@@ -926,6 +935,61 @@ class TestOverlapCommand:
         assert out == ""
         assert json.loads(err) == {
             "error": f"{command} requires --family (or --family-i/--family-s)"}
+
+
+# SweepConfig's request errors: state flags and the message each gives
+REQUEST_ERRORS = {
+    "occupation on tmsv": (("--model", "tmsv", "--n-i", "0.2"),
+                           "thermal occupations are not tmsv parameters"),
+    "filters without family": (("--model", "tmsv", "--omega-k", "1"),
+                               "filter parameters require --family"),
+    "k_f beside filters": (("--model", "tmsv", "--k-f", "0.9", "--tau-i", "2",
+                            "--family", "step"),
+                           "give either (k_f, l_f) or filter parameters, not both"),
+    "family without filters": (("--model", "thermal", "--k-f", "0.9", "--family", "step"),
+                               "--family given without filter parameters"),
+    "no restarts": (("--model", "tmsv", "--restarts", "0"),
+                    "n_restarts must be at least 1, got 0"),
+}
+GRID_COMMANDS = {
+    "point": ("point", "--outputs", "bell_max"),
+    "bell": ("bell",),
+    "sweep": ("sweep", "--axis1", "eta_i=0.5:1:3", "--outputs", "bell_max"),
+}
+
+
+class TestOneRequest:
+    """``point``, ``bell`` and ``sweep`` build one checked request, so a
+    bad request gives each the same message, before any state is built."""
+
+    @pytest.mark.parametrize("command", sorted(GRID_COMMANDS))
+    @pytest.mark.parametrize("case", sorted(REQUEST_ERRORS))
+    def test_every_grid_command_names_the_same_error(self, case, command, capsys, monkeypatch):
+        monkeypatch.setattr(sweep, "point_state", lambda *a: pytest.fail("a state was built"))
+        flags, message = REQUEST_ERRORS[case]
+        code, out, err = run_inproc(*GRID_COMMANDS[command], *flags, capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [json.dumps({"error": message})]
+
+    @pytest.mark.parametrize("outputs, message", [
+        ("foo", f"unknown output 'foo'; choose from {sweep.OUTPUTS}"),
+        (",", "at least one output is required"),
+    ], ids=["unknown", "empty"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_point_rejects_bad_outputs(self, outputs, message, fmt, capsys):
+        code, out, err = run_inproc("point", "--model", "tmsv", "--r", "0.5", "--outputs",
+                                    outputs, "--format", fmt, capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [json.dumps({"error": message})]
+
+    def test_a_linear_algebra_failure_exits_three(self, capsys, monkeypatch):
+        def fail(cfg):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(sweep, "evaluate_point", fail)
+        code, out, err = run_inproc("point", "--model", "tmsv", capsys=capsys)
+        assert (code, out) == (3, "")
+        assert err.splitlines() == [json.dumps({"error": "numerical failure: Singular matrix"})]
 
 
 class TestParserReuse:

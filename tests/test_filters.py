@@ -42,6 +42,23 @@ class TestEvalTime:
     def test_exponential_at_origin(self):
         assert eval_time(FilterSpec(EXP, 0.0, 2.0), 0.0) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("family", [STEP, EXP])
+    def test_kernels_are_sampled_on_their_support_bit_for_bit(self, family):
+        # the same expressions evaluated at every lag, then masked to the support
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            f = random_spec(rng, family)
+            ts = np.concatenate(([-0.0, 0.0, f.tau], rng.uniform(-5.0, 30.0, 500)))
+            if family is STEP:
+                inside = (ts >= 0.0) & (ts < f.tau)
+                dense = np.exp(-1j * f.omega * ts) / math.sqrt(f.tau)
+            else:
+                inside = ts >= 0.0
+                dense = math.sqrt(2.0 / f.tau) * np.exp(-(1.0 / f.tau + 1j * f.omega) * ts)
+            got = sample_time(f, ts)
+            assert got.tobytes() == np.where(inside, dense, 0.0).tobytes()
+            assert np.zeros(int(np.sum(~inside)), complex).tobytes() == got[~inside].tobytes()
+
     def test_unit_norm_both_families(self):
         rng = np.random.default_rng(11)
         for family in (STEP, EXP):
@@ -321,6 +338,40 @@ class TestOverlapNumeric:
         num = overlap_numeric(a, b, tol=1e-11)
         assert num.k_f == pytest.approx(exact.real, abs=1e-9)
         assert num.l_f == pytest.approx(exact.imag, abs=1e-9)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10])
+    def test_exponential_window_holds_at_any_time_scale(self, tol):
+        # the window ln(10/tol)/(1/tau_i + 1/tau_s) is the kernels' own decay
+        # time, so the truncated tail stays below tol/10 for tau from 1e-12 to
+        # 1e12; matched equal filters lose the most to truncation
+        rng = np.random.default_rng(31)
+        taus = [(t, t, 0.0) for t in (1e-12, 1.0, 1e12)]
+        for _ in range(30):
+            tau_i, tau_s = 10.0 ** rng.uniform(-12.0, 12.0, size=2)
+            taus.append((tau_i, tau_s, rng.uniform(-3.0, 3.0) / math.sqrt(tau_i * tau_s)))
+        for tau_i, tau_s, delta in taus:
+            a = FilterSpec(EXP, float(delta), float(tau_i))
+            b = FilterSpec(EXP, 0.0, float(tau_s))
+            num, ref = overlap_numeric(a, b, tol=tol), overlap_closed_form(a, b)
+            assert abs(num.k_f - ref.k_f) <= tol / 2, (tau_i, tau_s, delta)
+            assert abs(num.l_f - ref.l_f) <= tol / 2, (tau_i, tau_s, delta)
+
+    def test_an_unresolvable_beat_is_a_convergence_failure(self):
+        # |omega_i - omega_s| overflows: the panel seed is capped, and the
+        # quadrature reports that it could not resolve the beat
+        a, b = FilterSpec(EXP, 1e308, 1e-3), FilterSpec(EXP, -1e308, 1e-3)
+        with pytest.raises(ArithmeticError, match="^adaptive quadrature did not converge"):
+            overlap_numeric(a, b)
+
+    def test_a_detuned_long_filter_pair_integrates(self):
+        # the window of tau_i = 4e304 beside tau_s = 1 is about 9 time units
+        a, b = FilterSpec(EXP, 100.0, 4e304), FilterSpec(EXP, -100.0, 1.0)
+        num = overlap_numeric(a, b, tol=1e-3)
+        # the closed form, divided through by tau_i^2 so that nothing overflows
+        x = b.tau / a.tau
+        den = (b.tau * 200.0) ** 2 + (1.0 + x) ** 2
+        assert abs(num.k_f - 2.0 * math.sqrt(x) * (1.0 + x) / den) <= 1e-3
+        assert abs(num.l_f - 2.0 * b.tau * math.sqrt(x) * 200.0 / den) <= 1e-3
 
     def test_tolerance_range_enforced(self):
         f = FilterSpec(STEP, 1.0, 2.0)

@@ -1,5 +1,5 @@
 """Whole-grid sweep evaluation against per-point references: the spectral
-oracle of each point's 4x4 matrix, the one-point case ``evaluate_point_with_blocks``,
+oracle of each point's 4x4 matrix, the one-point case ``evaluate_point``,
 the first failing point of a point-by-point loop, and the scalar model
 blocks that the Bell optimizer receives."""
 
@@ -19,7 +19,7 @@ from filtered_tms.sweep import (
     AxisSpec,
     SweepConfig,
     _point_seeds,
-    evaluate_point_with_blocks,
+    evaluate_point,
     point_state,
     run_sweep,
 )
@@ -158,7 +158,7 @@ class TestOnePointCase:
     def test_rows_are_bit_equal_to_one_point_evaluations(self, name):
         cfg = GRIDS[name]
         for params, row in grid_points(cfg):
-            res = evaluate_point_with_blocks(cfg.model, params, cfg.outputs, family=cfg.family)[0]
+            res = evaluate_point(replace(cfg, fixed=params, axis1=None, axis2=None))[0]
             assert res.keys() <= row.keys()
             for col, want in res.items():
                 assert np.float64(row[col]).tobytes() == np.float64(want).tobytes(), (
@@ -170,8 +170,8 @@ class TestOnePointCase:
                           seed=11, bell_restarts=6)
         seeds = _point_seeds(11, 6)
         for i, (params, row) in enumerate(grid_points(cfg)):
-            res = evaluate_point_with_blocks(cfg.model, params, cfg.outputs, seed=seeds[i],
-                                             bell_restarts=6)[0]
+            res = evaluate_point(replace(cfg, fixed=params, axis1=None, axis2=None,
+                                         seed=seeds[i]))[0]
             assert res == {"bell_max": row["bell_max"], "e_n": row["e_n"]}
 
 
@@ -225,7 +225,7 @@ class TestFirstFailingPoint:
         for row, point in enumerate(points):
             params = {**cfg.fixed, **{a.name: float(v) for a, v in zip(axes, point)}}
             try:
-                evaluate_point_with_blocks(cfg.model, params, cfg.outputs, family=cfg.family)
+                evaluate_point(replace(cfg, fixed=params, axis1=None, axis2=None))
             except Exception as exc:
                 assert (type(exc), str(exc)) == (kind, message)
                 at = ", ".join(f"{a.name}={float(v)!r}" for a, v in zip(axes, point))
@@ -236,20 +236,29 @@ class TestFirstFailingPoint:
 
 
 class TestGridWideErrors:
-    # which parameters are given fails a grid as a whole: no point is named
-    @pytest.mark.parametrize("model, fixed, family, message", [
-        ("tmsv", {"n_i": 0.2}, None, "thermal occupations are not tmsv parameters"),
-        ("tmsv", {"omega_k": 1.0}, None, "filter parameters require --family"),
-        ("tmsv", {"k_f": 0.9, "tau_i": 2.0}, "step",
+    # which parameters are given fails a request as a whole, when it is
+    # built: no point is named
+    @pytest.mark.parametrize("model, fixed, family, axis2, message", [
+        ("tmsv", {"n_i": 0.2}, None, None, "thermal occupations are not tmsv parameters"),
+        ("tmsv", {"omega_k": 1.0}, None, None, "filter parameters require --family"),
+        ("tmsv", {"k_f": 0.9, "tau_i": 2.0}, "step", None,
          "give either (k_f, l_f) or filter parameters, not both"),
-        ("thermal", {"k_f": 0.9}, "step", "--family given without filter parameters"),
+        ("thermal", {"k_f": 0.9}, "step", None, "--family given without filter parameters"),
+        ("tmsv", {"r": 0.5}, None, None, "'r' is both an axis and a fixed parameter"),
+        ("tmsv", {"k_f": 0.9}, None, AxisSpec("k_f", 0.8, 1.0, 2),
+         "'k_f' is both an axis and a fixed parameter"),
+        ("tmsv", {}, None, AxisSpec("r", 0.0, 2.0, 2), "axis1 and axis2 must differ"),
     ])
-    def test_the_error_names_no_point(self, model, fixed, family, message):
-        cfg = SweepConfig(model, ("e_n",), fixed, axis1=AxisSpec("r", 0.0, 1.0, 3),
-                          family=family)
+    def test_the_error_names_no_point(self, model, fixed, family, axis2, message):
         with pytest.raises(ValueError) as error:
-            run_sweep(cfg)
+            SweepConfig(model, ("e_n",), fixed, axis1=AxisSpec("r", 0.0, 1.0, 3), axis2=axis2,
+                        family=family)
         assert str(error.value) == message
+
+    def test_a_point_request_takes_no_axes(self):
+        cfg = SweepConfig("tmsv", ("e_n",), {}, axis1=AxisSpec("r", 0.0, 1.0, 3))
+        with pytest.raises(ValueError, match="^a point request takes no axes$"):
+            evaluate_point(cfg)
 
 
 class TestFailureSearch:
@@ -547,7 +556,8 @@ class TestBellRunsLast:
         assert calls == []
 
     def test_point_outputs_keep_their_listed_order(self):
-        res = evaluate_point_with_blocks("tmsv", {"r": 0.5}, ("bell_max", "e_n"), bell_restarts=2)[0]
+        res = evaluate_point(SweepConfig("tmsv", ("bell_max", "e_n"), {"r": 0.5},
+                                         bell_restarts=2))[0]
         assert list(res) == ["bell_max", "e_n"]
 
 
