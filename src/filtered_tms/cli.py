@@ -3,8 +3,9 @@ maximization, Monte Carlo validation and overlap-kernel checks.
 
 Every command but ``overlap`` builds its state with ``sweep.point_state``,
 from the state flags (``sweep.AXIS_PARAMS``) and the filter families.
-``point``, ``bell`` and ``sweep`` first build one checked request, a
-``sweep.SweepConfig``, so a bad request fails each with the same message.
+``point``, ``bell`` and ``sweep`` build one checked request, a
+``sweep.SweepConfig``, so a bad request fails each with the same message,
+and evaluate it with ``sweep.run_sweep``: a point is a grid without axes.
 
 Exit codes: 0 success (including reported non-convergence), 2 usage or
 parameter errors (with a machine-readable JSON error line on stderr),
@@ -208,20 +209,19 @@ def _bell_diagnostics(search) -> dict:
 
 def _cmd_point(args) -> int:
     cfg = _request(args, args.outputs)
-    results, blocks, search = sweep.evaluate_point(cfg)
+    columns, table, blocks, searches = sweep.run_sweep(cfg)
     if args.format == "csv":
-        cols = sweep.output_columns(cfg.outputs)
-        _write(args.out, sweep.csv_text(cols, np.array([[results[c] for c in cols]])))
+        _write(args.out, sweep.csv_text(columns, table))
         return 0
     payload = {
         "params": {"model": cfg.model, **cfg.fixed, "family": cfg.family,
                    "outputs": list(cfg.outputs), "seed": cfg.seed},
         "results": {
-            **results,
-            "blocks": {"d_i": blocks.d_i, "d_s": blocks.d_s,
-                       "c11": blocks.c11, "c12": blocks.c12},
+            **dict(zip(columns, table[0].tolist())),
+            "blocks": {name: float(getattr(blocks, name)[0])
+                       for name in ("d_i", "d_s", "c11", "c12")},
         },
-        "diagnostics": {} if search is None else _bell_diagnostics(search),
+        "diagnostics": {} if searches is None else _bell_diagnostics(searches[0]),
     }
     _emit(payload, args.out)
     return 0
@@ -234,7 +234,7 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"jobs must be at least 1, got {args.jobs}")
     if args.svg and cfg.axis2 is None:
         raise ValueError("--svg needs a 2-D sweep (axis1 and axis2)")
-    columns, table = sweep.run_sweep(cfg)
+    columns, table, _, _ = sweep.run_sweep(cfg)
     if args.svg:
         _write_sweep_svg(args.svg, cfg, columns, table)
     if args.format == "csv":
@@ -267,7 +267,7 @@ def _write_sweep_svg(path, cfg: SweepConfig, columns, table) -> None:
 def _cmd_bell(args) -> int:
     """``point --outputs bell_max``, reporting the best restart's settings."""
     cfg = _request(args, ("bell_max",))
-    _, _, res = sweep.evaluate_point(cfg)
+    res = sweep.run_sweep(cfg)[3][0]
     payload = {
         "params": {"model": cfg.model, **cfg.fixed, "family": cfg.family,
                    "seed": cfg.seed, "restarts": cfg.bell_restarts},
@@ -297,6 +297,7 @@ _CHAIN_TOL = 1e-7
 def _cmd_validate(args) -> int:
     params = _collect_params(args)
     families, (fi, fs) = _filters(args)
+    sweep._check_names(args.model, params, families)
     model, analytic = sweep.point_state(args.model, params, families)
     est = fieldsim.simulate(fieldsim.SimConfig(
         model=model, filter_i=fi, filter_s=fs, dt=args.dt,

@@ -85,7 +85,8 @@ def sample_time(f: FilterSpec, ts: "np.ndarray") -> "np.ndarray":
     """Vectorized h(t) over an array of times: the kernel is evaluated only
     on its support, and is exactly zero off it."""
     ts = np.asarray(ts, dtype=float)
-    inside = (ts >= 0.0) & (ts < f.tau) if f.family is FilterFamily.STEP else ts >= 0.0
+    # a closed step support, [0, tau]: the quadrature meets no jump at its end
+    inside = (ts >= 0.0) & (ts <= f.tau) if f.family is FilterFamily.STEP else ts >= 0.0
     t = ts[inside]
     h = np.zeros(ts.shape, dtype=complex)
     if f.family is FilterFamily.STEP:
@@ -93,6 +94,14 @@ def sample_time(f: FilterSpec, ts: "np.ndarray") -> "np.ndarray":
     else:
         h[inside] = math.sqrt(2.0 / f.tau) * np.exp(-(1.0 / f.tau + 1j * f.omega) * t)
     return h
+
+
+def _root(x, y):
+    """sqrt(x y) at any x, y > 0: each factor is scaled by an even power of
+    two into [0.5, 2), so the product can neither overflow nor underflow,
+    and where x y is a normal float its root has sqrt(x * y)'s bits."""
+    ex, ey = np.frexp(x)[1] // 2, np.frexp(y)[1] // 2
+    return np.ldexp(np.sqrt(np.ldexp(x, -2 * ex) * np.ldexp(y, -2 * ey)), ex + ey)
 
 
 def overlap_closed_form(fi: FilterSpec, fs: FilterSpec) -> OverlapFactors:
@@ -103,19 +112,20 @@ def overlap_closed_form(fi: FilterSpec, fs: FilterSpec) -> OverlapFactors:
     the small-detuning branch avoids the 0/0 at matched frequencies.  A mixed
     pair, in either order, integrates the exponential envelope over the step
     window: sqrt(2/(tau_i tau_s)) (1 - exp(-a tau_step)) / a with
-    a = 1/tau_exp - i(Omega_i - Omega_s).
+    a = 1/tau_exp - i(Omega_i - Omega_s).  Two exponentials, in the rates
+    g = 1/tau, give 2 sqrt(g_i g_s) / (g_i + g_s - i(Omega_i - Omega_s)).
     """
     # floats, so that integer inputs cannot wrap around in the products below
     wi, ti, ws, ts = (np.asarray(x, dtype=float) for x in (fi.omega, fi.tau, fs.omega, fs.tau))
     delta = wi - ws
-    root = np.sqrt(ti * ts)
     if fi.family is not fs.family:
         t_step, t_exp = (ti, ts) if fi.family is FilterFamily.STEP else (ts, ti)
         a = 1.0 / t_exp - 1j * delta
         # -expm1 keeps 1 - exp(-a tau_step) exact where a tau_step -> 0
-        ov = math.sqrt(2.0) / root * -np.expm1(-a * t_step) / a
+        ov = math.sqrt(2.0) / _root(ti, ts) * -np.expm1(-a * t_step) / a
         return OverlapFactors(ov.real[()], ov.imag[()])
     if fi.family is FilterFamily.STEP:
+        root = _root(ti, ts)
         tau = np.minimum(ti, ts)
         x = tau * delta
         small = np.abs(delta) * np.maximum(ti, ts) < 1e-8
@@ -124,13 +134,11 @@ def overlap_closed_form(fi: FilterSpec, fs: FilterSpec) -> OverlapFactors:
             l = np.where(small, (tau / root) * (x / 2.0) * (1.0 - x * x / 12.0),
                          (1.0 - np.cos(x)) / (root * delta))
         return OverlapFactors(k[()], l[()])
-    # products, not powers: numpy's array power and libm's pow round some
-    # values differently, and floats and arrays must give the same bits
-    t_sum = ti + ts
-    den = (ti * ti) * (ts * ts) * (delta * delta) + t_sum * t_sum
-    k = 2.0 * root * t_sum / den
-    l = 2.0 * (ti * ts * root) * delta / den
-    return OverlapFactors(k[()], l[()])
+    # both parts over |g_i + g_s - i delta| twice, not its square: nothing finite overflows
+    gi, gs = 1.0 / ti, 1.0 / ts
+    m = np.hypot(gi + gs, delta)
+    scale = 2.0 * _root(gi, gs) / m
+    return OverlapFactors((scale * ((gi + gs) / m))[()], (scale * (delta / m))[()])
 
 
 def overlap_numeric(fi: FilterSpec, fs: FilterSpec, tol: float = 1e-10) -> NumericOverlap:

@@ -3,8 +3,7 @@ filter parameters, with deterministic row ordering and per-point seeds, and
 the one constructor of a command's state, ``point_state``.
 
 A request is a ``SweepConfig``, which checks every name in it when it is
-built; ``evaluate_point`` runs a request without axes, ``run_sweep`` one
-with axes.
+built; ``run_sweep`` runs it.  A request without axes is a one-row grid.
 
 Both models are the one state model of ``thermal``, the vacuum (``tmsv``)
 being its zero-occupation case.  The state parameters are the keys of
@@ -15,13 +14,14 @@ A grid is evaluated in one whole-array pass, check by check; ``bell_max``
 then advances the restarts of every grid point as one lockstep array, each
 point with its own seed.  Rows are in axis order (axis2 outermost), and an
 error is that of the first failing point in that order, prefixed with the
-point's row and axis values.
+point's row and axis values; a request without axes seeds its Bell search
+with the request's own seed and raises its error as is.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -129,7 +129,8 @@ def point_state(model: str, params: dict, families=(None, None)):
     """The model's params and covariance blocks at parameter values given as
     floats (one state) or as equal-length arrays (a grid of states); a
     parameter not given takes its default.  ``families`` are the (idler,
-    signal) filter families, needed with filter parameters."""
+    signal) filter families, needed with filter parameters (the caller
+    checks which names are given, with ``_check_names``)."""
     shape = np.shape(next(iter(params.values()))) if params else ()
 
     def value(name):
@@ -137,7 +138,6 @@ def point_state(model: str, params: dict, families=(None, None)):
             return params[name]
         return _DEFAULTS[name] if shape == () else np.full(shape, _DEFAULTS[name])
 
-    _check_names(model, params, families)
     ov = _resolve_overlap(params, families, value)
     p = thermal.ThermalParams(value("r"), value("n_i"), value("n_s"), ov,
                               value("eta_i"), value("eta_s"))
@@ -149,7 +149,7 @@ def output_columns(outputs) -> list[str]:
             for col in (CRITICAL_COLUMNS if out == "critical_points" else (out,))]
 
 
-def _evaluate(model, params, outputs, family):
+def _evaluate(cfg: SweepConfig, params):
     """Every requested output over a grid of parameter arrays, each check run
     over the whole grid in the order one point meets them.
 
@@ -160,12 +160,13 @@ def _evaluate(model, params, outputs, family):
     passed.  Returns the outputs and the grid's blocks.
     """
     # a grid without parameters is one state at the defaults
-    p, blocks = point_state(model, params or {"r": np.array([_DEFAULTS["r"]])}, (family, family))
+    p, blocks = point_state(cfg.model, params or {"r": np.array([_DEFAULTS["r"]])},
+                            (cfg.family, cfg.family))
     gaussian.check_blocks(blocks)
     # the checked blocks have s_q_opt > 0, so log_negativity cannot raise here
-    ent = gaussian.log_negativity(blocks) if {"e_n", "s_q_opt"} & set(outputs) else None
+    ent = gaussian.log_negativity(blocks) if {"e_n", "s_q_opt"} & set(cfg.outputs) else None
     res: dict = {}
-    for out in outputs:
+    for out in cfg.outputs:
         if out == "e_n":
             res["e_n"] = ent.e_n
         elif out == "s_q_opt":
@@ -187,17 +188,6 @@ def _evaluate(model, params, outputs, family):
             cp = thermal.landmarks(p.a, p.b, p.overlap.k_f, p.overlap.l_f, p.eta_i, p.eta_s)
             res.update((c, getattr(cp, c)) for c in CRITICAL_COLUMNS)
     return res, blocks
-
-
-def _maximize_bell(res: dict, seeds, bell_restarts: int) -> list | None:
-    """Replace the checked ``bell_max`` stack of res, if any, by the Bell
-    maxima, point k seeded by seeds[k]; returns the searches' results, or
-    None if no ``bell_max`` was requested."""
-    if "bell_max" not in res:
-        return None
-    found = bell.bell_max_stack(res["bell_max"], seeds, bell.BellMaxConfig(bell_restarts))
-    res["bell_max"] = np.array([r.b_max for r in found])
-    return found
 
 
 def _first_failure(evaluate, n: int, where) -> None:
@@ -233,30 +223,18 @@ def _first_failure(evaluate, n: int, where) -> None:
         raise type(exc)(f"grid row {good} ({where(good)}): {exc}") from exc
 
 
-def evaluate_point(cfg: SweepConfig):
-    """All requested outputs of a request without axes, as a one-point
-    grid, the point's covariance blocks, from one evaluation of the model,
-    and the ``bell.BellResult`` of its Bell search, seeded by cfg.seed (None
-    without ``bell_max``).
+def run_sweep(cfg: SweepConfig):
+    """Evaluate any request; returns (column names, an (n, columns) float
+    table whose rows are in axis2-major order, the grid's covariance blocks,
+    and the ``bell.BellResult`` of each row's Bell search, or None without
+    ``bell_max``).
 
     Landmarks that do not exist at a grid point (empty thermal window,
     uncorrelated state at r = 0, K_f = 0 cutoffs) are reported as nan so
     sweeps can traverse separable regions.
     """
-    if cfg.axis1 is not None:
-        raise ValueError("a point request takes no axes")
-    grid = {name: np.array([v], dtype=float) for name, v in cfg.fixed.items()}
-    res, b = _evaluate(cfg.model, grid, cfg.outputs, cfg.family)
-    found = _maximize_bell(res, [cfg.seed], cfg.bell_restarts)
-    blocks = gaussian.CovarianceBlocks(*(float(x[0]) for x in astuple(b)))
-    return {k: float(v[0]) for k, v in res.items()}, blocks, found[0] if found else None
-
-
-def run_sweep(cfg: SweepConfig) -> tuple[list[str], np.ndarray]:
-    """Evaluate the grid; returns (column names, an (n, columns) float table
-    whose rows are in axis2-major order)."""
     axes = [a for a in (cfg.axis1, cfg.axis2) if a is not None]
-    # axis1 varies fastest, axis2 is the outer loop
+    # axis1 varies fastest, axis2 is the outer loop; no axes is one row
     grids = [a.grid() for a in axes]
     n = math.prod(len(g) for g in grids)
     axis_vals = [np.tile(grids[0], n // len(grids[0]))] if axes else []
@@ -266,20 +244,24 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[str], np.ndarray]:
     params.update((a.name, vals) for a, vals in zip(axes, axis_vals))
 
     def evaluate(lo, hi):
-        return _evaluate(cfg.model, {k: v[lo:hi] for k, v in params.items()}, cfg.outputs,
-                         cfg.family)[0]
+        return _evaluate(cfg, {k: v[lo:hi] for k, v in params.items()})
 
     try:
-        res = evaluate(0, n)
+        res, blocks = evaluate(0, n)
     except (ArithmeticError, ValueError):
-        _first_failure(evaluate, n, lambda row: ", ".join(
-            f"{a.name}={float(vals[row])!r}" for a, vals in zip(axes, axis_vals)))
+        if axes:
+            _first_failure(evaluate, n, lambda row: ", ".join(
+                f"{a.name}={float(vals[row])!r}" for a, vals in zip(axes, axis_vals)))
         raise
-    seeds = _point_seeds(cfg.seed, n) if "bell_max" in cfg.outputs else None
-    _maximize_bell(res, seeds, cfg.bell_restarts)
+    searches = None
+    if "bell_max" in res:
+        seeds = _point_seeds(cfg.seed, n) if axes else [cfg.seed]
+        searches = bell.bell_max_stack(res["bell_max"], seeds,
+                                       bell.BellMaxConfig(cfg.bell_restarts))
+        res["bell_max"] = np.array([r.b_max for r in searches])
     out_cols = output_columns(cfg.outputs)
     table = np.column_stack(axis_vals + [res[c] for c in out_cols])
-    return [a.name for a in axes] + out_cols, table
+    return [a.name for a in axes] + out_cols, table, blocks, searches
 
 
 def _point_seeds(master: int, n: int) -> list[int]:

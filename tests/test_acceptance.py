@@ -365,7 +365,7 @@ def test_criterion_10_figure_shapes():
     checks = []
 
     start = time.perf_counter()
-    cols, rows = run_sweep(SweepConfig(
+    cols, rows, _, _ = run_sweep(SweepConfig(
         model="tmsv", outputs=("e_n",),
         fixed={"omega_k": 1.0, "tau_i": 2.0, "tau_s": 2.0, "r": 1.0},
         axis1=AxisSpec("omega_l", -4.0, 6.0, 501), family="step",
@@ -377,7 +377,7 @@ def test_criterion_10_figure_shapes():
     checks.append(("frequency-match peak", freq_ok, t_freq))
 
     start = time.perf_counter()
-    cols, rows = run_sweep(SweepConfig(
+    cols, rows, _, _ = run_sweep(SweepConfig(
         model="tmsv", outputs=("e_n",),
         fixed={"omega_k": 1.0, "omega_l": 1.0, "tau_i": 2.0, "r": 1.0},
         axis1=AxisSpec("tau_s", 0.5, 6.0, 111), family="step",

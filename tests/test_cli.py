@@ -148,9 +148,22 @@ class TestPoint:
         assert code == 0
         params = {k[2:].replace("-", "_"): float(v) for k, v in zip(argv[2:-2:2], argv[3:-2:2])}
         outputs = tuple(argv[-1].split(","))
-        results = sweep.evaluate_point(SweepConfig(argv[1], outputs, params, bell_restarts=4))[0]
+        columns, table, _, _ = sweep.run_sweep(
+            SweepConfig(argv[1], outputs, params, bell_restarts=4))
+        results = dict(zip(columns, table[0].tolist()))
         cols = sweep.output_columns(outputs)
         assert out == csv_text_reference(cols, [[results[c] for c in cols]])
+
+    def test_long_identical_filters_overlap_fully(self):
+        # tau_i tau_s = 1e400 overflows; K_f = 1 at any tau, so e_n = 2r
+        results = []
+        for tau in ("2", "1e200"):
+            code, out, err = run_cli("point", "--model", "tmsv", "--r", "1", "--family", "step",
+                                     "--tau-i", tau, "--tau-s", tau, "--outputs", "e_n")
+            assert (code, err) == (0, "")
+            results.append(json.loads(out)["results"])
+        assert results[0]["e_n"] == 2.0
+        assert results[1] == results[0]
 
     def test_thermal_point_echoes_blocks(self, capsys):
         code, out, _ = run_inproc(
@@ -333,10 +346,11 @@ class TestSweep:
         for k in rng.integers(1, len(lines), size=10):
             cells = lines[k].split(",")
             parsed = dict(zip(header, (float(c) for c in cells)))
-            res = sweep.evaluate_point(SweepConfig(
+            columns, table, _, _ = sweep.run_sweep(SweepConfig(
                 "tmsv", ("e_n", "s_q_opt", "purity", "weight_ratio"),
                 {"r": parsed["r"], "k_f": 0.9, "eta_i": 0.85},
-            ))[0]
+            ))
+            res = dict(zip(columns, table[0].tolist()))
             for name, want in res.items():
                 assert repr(float(want)) == cells[header.index(name)]
 
@@ -914,6 +928,20 @@ class TestOverlapCommand:
             "error": "the truncation window ln(10/tol) / (1/tau_i + 1/tau_s) is inf for "
                      "tau_i=1e+308, tau_s=1e+308 and tol=1e-10"}
 
+    @pytest.mark.parametrize("argv", [
+        ("--omega-k", "100", "--omega-l", "-100", "--tau-i", "4e304", "--tau-s", "1",
+         "--tol", "1e-3"),
+        ("--omega-k", "1", "--omega-l", "1", "--tau-i", "1e300", "--tau-s", "1e-300"),
+    ], ids=["detuned", "matched"])
+    def test_extreme_time_constants_give_a_finite_closed_form(self, argv):
+        code, out, err = run_cli("overlap", "--family", "exponential", *argv)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        tol = payload["params"]["tol"]
+        assert payload["results"]["closed_form"]["k_f"] > 0.0
+        for part in ("k_f", "l_f"):
+            assert payload["results"]["abs_difference"][part] <= tol
+
     def test_picosecond_filters_integrate_over_their_own_decay_time(self, capsys):
         code, out, _ = run_inproc("overlap", "--family", "exponential", "--omega-k", "1",
                                   "--omega-l", "1", "--tau-i", "1e-12", "--tau-s", "1e-12",
@@ -986,7 +1014,7 @@ class TestOneRequest:
         def fail(cfg):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(sweep, "evaluate_point", fail)
+        monkeypatch.setattr(sweep, "run_sweep", fail)
         code, out, err = run_inproc("point", "--model", "tmsv", capsys=capsys)
         assert (code, out) == (3, "")
         assert err.splitlines() == [json.dumps({"error": "numerical failure: Singular matrix"})]

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -50,7 +51,7 @@ class TestEvalTime:
             f = random_spec(rng, family)
             ts = np.concatenate(([-0.0, 0.0, f.tau], rng.uniform(-5.0, 30.0, 500)))
             if family is STEP:
-                inside = (ts >= 0.0) & (ts < f.tau)
+                inside = (ts >= 0.0) & (ts <= f.tau)
                 dense = np.exp(-1j * f.omega * ts) / math.sqrt(f.tau)
             else:
                 inside = ts >= 0.0
@@ -134,6 +135,30 @@ class TestOverlapClosedForm:
                 ov = overlap_closed_form(f, f)
                 assert ov.k_f == pytest.approx(1.0, abs=1e-14)
                 assert ov.l_f == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("family", [STEP, EXP])
+    @pytest.mark.parametrize("tau", [1e-300, 2.0, 1e200, 1e300])
+    def test_identical_filters_give_one_at_any_time_scale(self, family, tau):
+        # sqrt(tau_i tau_s) would overflow or underflow at the extremes
+        f = FilterSpec(family, 1.0, tau)
+        assert overlap_closed_form(f, f) == OverlapFactors(1.0, 0.0)
+
+    @pytest.mark.parametrize("tau_i, tau_s, omega_i, omega_s", [
+        (4e304, 1.0, 100.0, -100.0),
+        (1e300, 1e-300, 1.0, 1.0),
+        (1e-300, 1e300, 0.0, 1e-290),
+        (1e200, 3e199, 2e-200, -1e-200),
+    ])
+    def test_extreme_exponential_pairs_are_finite_and_exact(self, tau_i, tau_s, omega_i,
+                                                            omega_s):
+        # tau_i^2 tau_s^2 delta^2 overflows for the first and second pairs
+        ov = overlap_closed_form(FilterSpec(EXP, omega_i, tau_i), FilterSpec(EXP, omega_s, tau_s))
+        with mpmath.workdps(50):
+            gi, gs = 1 / mpmath.mpf(tau_i), 1 / mpmath.mpf(tau_s)
+            want = 2 * mpmath.sqrt(gi * gs) / (gi + gs - 1j * (mpmath.mpf(omega_i) - omega_s))
+            scale = max(abs(want.real), abs(want.imag))
+            assert abs(ov.k_f - want.real) <= 1e-15 * scale
+            assert abs(ov.l_f - want.imag) <= 1e-15 * scale
 
     def test_step_worked_example(self):
         ov = overlap_closed_form(FilterSpec(STEP, 1.0, 2.0), FilterSpec(STEP, 0.0, 2.0))
@@ -372,6 +397,20 @@ class TestOverlapNumeric:
         den = (b.tau * 200.0) ** 2 + (1.0 + x) ** 2
         assert abs(num.k_f - 2.0 * math.sqrt(x) * (1.0 + x) / den) <= 1e-3
         assert abs(num.l_f - 2.0 * b.tau * math.sqrt(x) * 200.0 / den) <= 1e-3
+
+    @pytest.mark.parametrize("fi, fs, panels", [
+        (FilterSpec(STEP, 1.0, 2.0), FilterSpec(STEP, 1.0, 2.0), 16),
+        (FilterSpec(STEP, 1.0, 2.0), FilterSpec(STEP, 0.0, 2.0), 64),
+        (FilterSpec(STEP, 1.0, 2.0), FilterSpec(EXP, 1.0, 1.0), 62),
+    ], ids=["identical steps", "detuned steps", "step and exponential"])
+    def test_a_step_window_ends_without_a_jump(self, fi, fs, panels):
+        # the step support is closed, so the last panel is as smooth as the
+        # rest: no bisection down to the width floor at the window's end
+        ov = overlap_numeric(fi, fs)
+        assert ov.panels == panels
+        assert ov.error_estimate <= 1e-10
+        ref = overlap_closed_form(fi, fs)
+        assert abs(ov.k_f - ref.k_f) <= 1e-10 and abs(ov.l_f - ref.l_f) <= 1e-10
 
     def test_tolerance_range_enforced(self):
         f = FilterSpec(STEP, 1.0, 2.0)

@@ -1,7 +1,7 @@
 """Whole-grid sweep evaluation against per-point references: the spectral
-oracle of each point's 4x4 matrix, the one-point case ``evaluate_point``,
-the first failing point of a point-by-point loop, and the scalar model
-blocks that the Bell optimizer receives."""
+oracle of each point's 4x4 matrix, the one-point case (a request without
+axes), the first failing point of a point-by-point loop, and the scalar
+model blocks that the Bell optimizer receives."""
 
 import functools
 import json
@@ -19,7 +19,6 @@ from filtered_tms.sweep import (
     AxisSpec,
     SweepConfig,
     _point_seeds,
-    evaluate_point,
     point_state,
     run_sweep,
 )
@@ -63,10 +62,16 @@ GRIDS = {
 
 def grid_points(cfg):
     """(params dict, row) per sweep row, as a point-by-point loop sees them."""
-    cols, rows = run_sweep(cfg)
+    cols, rows, _, _ = run_sweep(cfg)
     axes = [a.name for a in (cfg.axis1, cfg.axis2) if a is not None]
     for row in rows:
         yield {**cfg.fixed, **dict(zip(axes, row))}, dict(zip(cols, row))
+
+
+def point_outputs(cfg):
+    """The outputs of a request without axes, by column name."""
+    columns, table, _, _ = run_sweep(cfg)
+    return dict(zip(columns, table[0].tolist()))
 
 
 def scalar_point(cfg, params):
@@ -158,7 +163,7 @@ class TestOnePointCase:
     def test_rows_are_bit_equal_to_one_point_evaluations(self, name):
         cfg = GRIDS[name]
         for params, row in grid_points(cfg):
-            res = evaluate_point(replace(cfg, fixed=params, axis1=None, axis2=None))[0]
+            res = point_outputs(replace(cfg, fixed=params, axis1=None, axis2=None))
             assert res.keys() <= row.keys()
             for col, want in res.items():
                 assert np.float64(row[col]).tobytes() == np.float64(want).tobytes(), (
@@ -170,10 +175,39 @@ class TestOnePointCase:
                           seed=11, bell_restarts=6)
         seeds = _point_seeds(11, 6)
         for i, (params, row) in enumerate(grid_points(cfg)):
-            res = evaluate_point(replace(cfg, fixed=params, axis1=None, axis2=None,
-                                         seed=seeds[i]))[0]
+            res = point_outputs(replace(cfg, fixed=params, axis1=None, axis2=None,
+                                        seed=seeds[i]))
             assert res == {"bell_max": row["bell_max"], "e_n": row["e_n"]}
 
+    @pytest.mark.parametrize("model, fixed, family", [
+        ("tmsv", {}, None),
+        ("thermal", {"n_i": 0.3, "n_s": 0.7, "l_f": 0.1, "eta_s": 0.8}, None),
+        ("tmsv", {"omega_k": 1.0, "tau_i": 2.0, "tau_s": 3.0}, "step"),
+        ("thermal", {"n_i": 0.2, "omega_k": 0.5, "tau_i": 1.5}, "exponential"),
+    ], ids=["defaults", "thermal", "step filters", "exponential filters"])
+    def test_a_request_without_axes_is_a_one_by_one_grid(self, model, fixed, family):
+        axis1 = AxisSpec("omega_l", 0.7, 0.7, 1) if family else AxisSpec("k_f", 0.9, 0.9, 1)
+        point = SweepConfig(model, ALL, {**fixed, "r": 0.8, axis1.name: 0.7 if family else 0.9},
+                            family=family)
+        grid = SweepConfig(model, ALL, fixed, axis1=axis1, axis2=AxisSpec("r", 0.8, 0.8, 1),
+                           family=family)
+        p_cols, p_table, p_blocks, p_searches = run_sweep(point)
+        g_cols, g_table, g_blocks, g_searches = run_sweep(grid)
+        assert g_cols == [axis1.name, "r"] + p_cols
+        assert p_table.shape == (1, len(p_cols))
+        assert p_table.tobytes() == g_table[:, 2:].tobytes()
+        for name in ("d_i", "d_s", "c11", "c12"):
+            assert getattr(p_blocks, name).tobytes() == getattr(g_blocks, name).tobytes()
+        assert p_searches is g_searches is None
+
+    def test_a_point_bell_search_is_seeded_by_the_request(self):
+        cfg = SweepConfig("tmsv", ("bell_max",), {"r": 0.7}, seed=12, bell_restarts=4)
+        _, table, blocks, (search,) = run_sweep(cfg)
+        v = gaussian.build_covariance(gaussian.CovarianceBlocks(
+            *(float(getattr(blocks, n)[0]) for n in ("d_i", "d_s", "c11", "c12"))))
+        want = bell.bell_max(v, bell.BellMaxConfig(n_restarts=4, seed=12))
+        assert search == want
+        assert table[0, 0] == want.b_max
 
 ERROR_CASES = {
     "k_f past one": (
@@ -225,7 +259,7 @@ class TestFirstFailingPoint:
         for row, point in enumerate(points):
             params = {**cfg.fixed, **{a.name: float(v) for a, v in zip(axes, point)}}
             try:
-                evaluate_point(replace(cfg, fixed=params, axis1=None, axis2=None))
+                run_sweep(replace(cfg, fixed=params, axis1=None, axis2=None))
             except Exception as exc:
                 assert (type(exc), str(exc)) == (kind, message)
                 at = ", ".join(f"{a.name}={float(v)!r}" for a, v in zip(axes, point))
@@ -233,6 +267,17 @@ class TestFirstFailingPoint:
                 break
         else:
             pytest.fail("no point fails on its own")
+
+    @pytest.mark.parametrize("fixed, kind, message", [
+        ({"eta_i": -0.1}, ValueError, "eta_i must lie in [0, 1], got -0.1"),
+        ({"r": 300.0}, OverflowError, "(34, 'Numerical result out of range')"),
+    ], ids=["eta_i below zero", "overflow"])
+    def test_a_point_error_is_raised_as_is(self, fixed, kind, message, monkeypatch):
+        # no failure search and no "grid row" prefix
+        monkeypatch.setattr(sweep, "_first_failure", lambda *a: pytest.fail("a search ran"))
+        with pytest.raises(kind) as error:
+            run_sweep(SweepConfig("thermal", ("e_n",), fixed))
+        assert (type(error.value), str(error.value)) == (kind, message)
 
 
 class TestGridWideErrors:
@@ -255,10 +300,15 @@ class TestGridWideErrors:
                         family=family)
         assert str(error.value) == message
 
-    def test_a_point_request_takes_no_axes(self):
-        cfg = SweepConfig("tmsv", ("e_n",), {}, axis1=AxisSpec("r", 0.0, 1.0, 3))
-        with pytest.raises(ValueError, match="^a point request takes no axes$"):
-            evaluate_point(cfg)
+    def test_a_failing_grid_checks_its_names_once(self, monkeypatch):
+        # when its request is built: the failure search runs no name check
+        calls = []
+        real = sweep._check_names
+        monkeypatch.setattr(sweep, "_check_names", lambda *a: calls.append(a) or real(*a))
+        cfg = replace(ERROR_CASES["k_f past one"][0])
+        with pytest.raises(ValueError, match=r"^grid row 30 \(r=0\.0, k_f=1\.02\): "):
+            run_sweep(cfg)
+        assert len(calls) == 1
 
 
 class TestFailureSearch:
@@ -347,7 +397,7 @@ class TestLargeSqueezing:
         # D_I D_S - C11^2 subtracts numbers near e^{4r}; D_x from the model does not
         cfg = SweepConfig("tmsv", ("e_n", "s_q_opt", "purity"), {},
                           axis1=AxisSpec("r", 0.0, 12.0, 13))
-        columns, table = run_sweep(cfg)
+        columns, table, _, _ = run_sweep(cfg)
         r, e_n, s_q_opt, purity = table.T
         assert columns == ["r", "e_n", "s_q_opt", "purity"]
         assert e_n[0] == 0.0 and s_q_opt[0] == 1.0
@@ -411,7 +461,7 @@ class TestOneSqueezingPass:
         monkeypatch.setattr(gaussian, "optimized_squeezing", spy)
         cfg = SweepConfig("thermal", ("e_n", "s_q_opt"), {"n_i": 0.3, "eta_s": 0.9},
                           axis1=AxisSpec("r", 0.0, 3.0, 13))
-        _, table = run_sweep(cfg)
+        _, table, _, _ = run_sweep(cfg)
         assert calls == [(13,)]
         n = len(table)
         blocks = point_state("thermal", {"r": table[:, 0], "n_i": np.full(n, 0.3),
@@ -512,7 +562,7 @@ class TestBenchBellSweep:
     def test_rows_equal_the_reference_search_at_their_seeds(self, seed):
         cfg = SweepConfig("tmsv", ("bell_max",), {}, axis1=AxisSpec("r", 0.1, 2.0, 20),
                           seed=seed, bell_restarts=16)
-        _, table = run_sweep(cfg)
+        _, table, _, _ = run_sweep(cfg)
         assert len(table) == len(BENCH_SWEEP)
         for (r, b_max), point_seed, stored in zip(table, _point_seeds(seed, 20), BENCH_SWEEP):
             _, blocks = point_state("tmsv", {"r": float(r)})
@@ -556,8 +606,8 @@ class TestBellRunsLast:
         assert calls == []
 
     def test_point_outputs_keep_their_listed_order(self):
-        res = evaluate_point(SweepConfig("tmsv", ("bell_max", "e_n"), {"r": 0.5},
-                                         bell_restarts=2))[0]
+        res = point_outputs(SweepConfig("tmsv", ("bell_max", "e_n"), {"r": 0.5},
+                                        bell_restarts=2))
         assert list(res) == ["bell_max", "e_n"]
 
 
@@ -566,7 +616,7 @@ class TestFullLoss:
     def test_tmsv_efficiency_axis_ending_at_zero_sweeps(self, axis):
         cfg = SweepConfig("tmsv", ("e_n", "purity", "critical_points"), {"k_f": 0.95},
                           axis1=AxisSpec(axis, 1.0, 0.0, 5))
-        columns, rows = run_sweep(cfg)
+        columns, rows, _, _ = run_sweep(cfg)
         last = dict(zip(columns, rows[-1]))
         assert last[axis] == 0.0
         # full loss on one side leaves a product state: no entanglement and
@@ -621,7 +671,7 @@ class TestCsvText:
                     axis2=AxisSpec("k_f", 0.9, 1.0, 2), seed=4, bell_restarts=3),
     ], ids=["readme grid", "thermal landmarks", "bell_max"])
     def test_sweep_outputs_equal_the_per_row_writer(self, cfg):
-        columns, table = run_sweep(cfg)
+        columns, table, _, _ = run_sweep(cfg)
         assert table.shape == (cfg.axis1.count * cfg.axis2.count, len(columns))
         rows = table.tolist()
         assert sweep.csv_text(columns, table) == csv_text_reference(columns, rows)
