@@ -23,6 +23,7 @@ import os
 import stat
 import sys
 import tempfile
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -73,18 +74,21 @@ def _parse_axis(text: str) -> AxisSpec:
     return AxisSpec(name.strip(), lo, hi, count)
 
 
-def _write(path: str | None, text: str) -> None:
-    """Write text to stdout when no path is given, else to path.
+def _write(path: str | None, chunks: Iterable[str]) -> None:
+    """Write an iterable of str chunks, in order, to stdout when no path is
+    given, else to path.  A generator's chunks are made as they are
+    written, so only one of them need be held at a time.
 
     A regular file (or a new one) is written to a temporary file beside it
-    and renamed into place, so a partial output is never left behind; a new
-    file gets mode 0o666 & ~umask and an existing one keeps its mode.  Any
-    other existing target (a FIFO, a device) is written in place, never
+    and renamed into place, so a partial output is never left behind: an
+    error while a chunk is made or written removes the temporary file.  A
+    new file gets mode 0o666 & ~umask and an existing one keeps its mode.
+    Any other existing target (a FIFO, a device) is written in place, never
     replaced by a regular file.  A symbolic link is followed: its target is
     written and the link stays.
     """
     if not path:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     given, path = path, os.path.realpath(path)
     try:
@@ -96,7 +100,7 @@ def _write(path: str | None, text: str) -> None:
         mode = stat.S_IFREG | 0o666 & ~umask
     if not stat.S_ISREG(mode):
         with open(path, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         return
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-", text=True)
@@ -105,7 +109,7 @@ def _write(path: str | None, text: str) -> None:
         raise OSError(exc.errno, exc.strerror, given) from exc
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.chmod(tmp, stat.S_IMODE(mode))
         os.replace(tmp, path)
     except BaseException:
@@ -125,7 +129,7 @@ def _spell(x):
 
 
 def _emit(payload: dict, path: str | None) -> None:
-    _write(path, json.dumps(_spell(payload), indent=2, allow_nan=False) + "\n")
+    _write(path, [json.dumps(_spell(payload), indent=2, allow_nan=False) + "\n"])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -211,7 +215,7 @@ def _cmd_point(args) -> int:
     cfg = _request(args, args.outputs)
     columns, table, blocks, searches = sweep.run_sweep(cfg)
     if args.format == "csv":
-        _write(args.out, sweep.csv_text(columns, table))
+        _write(args.out, sweep.csv_chunks(columns, table))
         return 0
     payload = {
         "params": {"model": cfg.model, **cfg.fixed, "family": cfg.family,
@@ -238,7 +242,7 @@ def _cmd_sweep(args) -> int:
     if args.svg:
         _write_sweep_svg(args.svg, cfg, columns, table)
     if args.format == "csv":
-        _write(args.out, sweep.csv_text(columns, table))
+        _write(args.out, sweep.csv_chunks(columns, table))
         return 0
     payload = {
         "params": {"model": cfg.model, "outputs": list(cfg.outputs),
@@ -261,7 +265,7 @@ def _write_sweep_svg(path, cfg: SweepConfig, columns, table) -> None:
         y_label=cfg.axis2.name,
         title=f"{columns[2]} ({cfg.model})",
     )
-    _write(path, text)
+    _write(path, [text])
 
 
 def _cmd_bell(args) -> int:

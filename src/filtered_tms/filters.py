@@ -104,6 +104,11 @@ def _root(x, y):
     return np.ldexp(np.sqrt(np.ldexp(x, -2 * ex) * np.ldexp(y, -2 * ey)), ex + ey)
 
 
+# below this time constant, two exponentials' rate sum 1/tau_i + 1/tau_s could
+# overflow, alone or under hypot with the detuning
+_SHORTEST_RATE_TIME = 1e-300
+
+
 def overlap_closed_form(fi: FilterSpec, fs: FilterSpec) -> OverlapFactors:
     """Closed-form (K_f, L_f) for a filter pair of any two families, or for
     equal-shape arrays of such pairs.
@@ -114,6 +119,11 @@ def overlap_closed_form(fi: FilterSpec, fs: FilterSpec) -> OverlapFactors:
     window: sqrt(2/(tau_i tau_s)) (1 - exp(-a tau_step)) / a with
     a = 1/tau_exp - i(Omega_i - Omega_s).  Two exponentials, in the rates
     g = 1/tau, give 2 sqrt(g_i g_s) / (g_i + g_s - i(Omega_i - Omega_s)).
+
+    Extreme time constants give finite factors with no numpy warning: a step
+    pair whose tau (Omega_i - Omega_s) overflows gives (0, 0), and two
+    exponentials with a time constant below ``_SHORTEST_RATE_TIME`` take
+    their rates in units of 1/min(tau_i, tau_s).
     """
     # floats, so that integer inputs cannot wrap around in the products below
     wi, ti, ws, ts = (np.asarray(x, dtype=float) for x in (fi.omega, fi.tau, fs.omega, fs.tau))
@@ -127,17 +137,29 @@ def overlap_closed_form(fi: FilterSpec, fs: FilterSpec) -> OverlapFactors:
     if fi.family is FilterFamily.STEP:
         root = _root(ti, ts)
         tau = np.minimum(ti, ts)
-        x = tau * delta
-        small = np.abs(delta) * np.maximum(ti, ts) < 1e-8
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            x = tau * delta
+            small = np.abs(delta) * np.maximum(ti, ts) < 1e-8
             k = np.where(small, (tau / root) * (1.0 - x * x / 6.0), np.sin(x) / (root * delta))
             l = np.where(small, (tau / root) * (x / 2.0) * (1.0 - x * x / 12.0),
                          (1.0 - np.cos(x)) / (root * delta))
-        return OverlapFactors(k[()], l[()])
+        # where tau delta overflows from a finite delta, |K_f + i L_f| <= 2 / (root |delta|)
+        # <= 2 / |tau delta| lies below 1.2e-308: 0 to within that
+        beyond = np.isinf(x) & np.isfinite(delta)
+        return OverlapFactors(np.where(beyond, 0.0, k)[()], np.where(beyond, 0.0, l)[()])
+    # the rates and delta, in units of 1/min(tau_i, tau_s) where that rate would
+    # near the end of the float range: the overlap does not depend on the unit
+    t_min = np.minimum(ti, ts)
+    rescale = t_min < _SHORTEST_RATE_TIME
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        gi = np.where(rescale, t_min / ti, 1.0 / ti)
+        gs = np.where(rescale, t_min / ts, 1.0 / ts)
+        delta = np.where(rescale, delta * t_min, delta)
+        # sqrt(g_i g_s), in those units sqrt(t_min / t_max): a ratio that may underflow
+        root = np.where(rescale, np.sqrt(t_min) / np.sqrt(np.maximum(ti, ts)), _root(gi, gs))
     # both parts over |g_i + g_s - i delta| twice, not its square: nothing finite overflows
-    gi, gs = 1.0 / ti, 1.0 / ts
     m = np.hypot(gi + gs, delta)
-    scale = 2.0 * _root(gi, gs) / m
+    scale = 2.0 * root / m
     return OverlapFactors((scale * ((gi + gs) / m))[()], (scale * (delta / m))[()])
 
 

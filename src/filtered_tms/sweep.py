@@ -21,6 +21,7 @@ with the request's own seed and raises its error as is.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,6 +40,9 @@ FILTER_PARAMS = ("omega_k", "omega_l", "tau_i", "tau_s")  # the centers, then th
 OUTPUTS = ("e_n", "s_q_opt", "purity", "bell_max", "zeta", "weight_ratio", "critical_points")
 
 CRITICAL_COLUMNS = ("r_lcf_en", "r_ucf_en", "r_max_en", "r_lcf_sq", "r_ucf_sq", "r_max_sq")
+
+# rows per chunk of ``csv_chunks``: a CSV's text is made one chunk at a time
+CSV_CHUNK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -272,17 +276,22 @@ def _point_seeds(master: int, n: int) -> list[int]:
     ]
 
 
-def csv_text(columns: list[str], table: np.ndarray) -> str:
-    """Header and one line per row of an (n, len(columns)) float table, each
-    number spelled as ``repr(float(x))`` spells it: the shortest round-trip
-    decimal, with nan and inf spelled so float() reparses them.  A column is
-    spelled once per distinct bit pattern (so -0.0 stays apart from 0.0): a
-    grid's axis and landmark columns cost one repr per grid line, not per
-    point."""
-    cells = []
-    for col in np.ascontiguousarray(table.T):
-        distinct, inverse = np.unique(col.view(np.int64), return_inverse=True)
-        text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
-        cells.append(text[inverse].tolist())
-    lines = [",".join(row) for row in zip(*cells)]
-    return "\n".join([",".join(columns)] + lines) + "\n"
+def csv_chunks(columns: list[str], table: np.ndarray) -> Iterator[str]:
+    """The CSV text of an (n, len(columns)) float table, in chunks: the
+    header line, then the lines of each ``CSV_CHUNK_ROWS`` rows, made as
+    they are asked for, so a writer holds one chunk's text at a time.
+
+    Each number is spelled as ``repr(float(x))`` spells it: the shortest
+    round-trip decimal, with nan and inf spelled so float() reparses them.
+    Within a chunk, a column is spelled once per distinct bit pattern (so
+    -0.0 stays apart from 0.0): a grid's axis and landmark columns cost one
+    repr per grid line a chunk meets, not per point."""
+    yield ",".join(columns) + "\n"
+    for lo in range(0, len(table), CSV_CHUNK_ROWS):
+        cells = []
+        for col in np.ascontiguousarray(table[lo:lo + CSV_CHUNK_ROWS].T):
+            distinct, inverse = np.unique(col.view(np.int64), return_inverse=True)
+            text = np.array([repr(v) for v in distinct.view(np.float64).tolist()],
+                            dtype=object)
+            cells.append(text[inverse].tolist())
+        yield "\n".join([",".join(row) for row in zip(*cells)]) + "\n"

@@ -803,7 +803,7 @@ def tmsv_blocks_reference(r, eta_i, eta_s, k_f):
 
 def csv_text_reference(columns: list[str], rows: list[list[float]]) -> str:
     """Header and rows of Python floats (run_sweep's rows, as lists, are);
-    a list's repr spells each as ``sweep.csv_text`` does, at C speed."""
+    a list's repr spells each as ``sweep.csv_chunks`` does, at C speed."""
     lines = [repr(row)[1:-1].replace(", ", ",") for row in rows]
     return "\n".join([",".join(columns)] + lines) + "\n"
 

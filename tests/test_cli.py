@@ -165,6 +165,17 @@ class TestPoint:
         assert results[0]["e_n"] == 2.0
         assert results[1] == results[0]
 
+    @pytest.mark.parametrize("filters, e_n", [
+        (("--family", "exponential", "--tau-i", "1e-320", "--tau-s", "1e-320"), 2.0),
+        (("--family", "step", "--tau-i", "1e200", "--tau-s", "1e200", "--omega-k", "1e200",
+          "--omega-l=-1e200"), 0.0),
+    ], ids=["subnormal exponential pair", "step pair whose tau delta overflows"])
+    def test_extreme_filter_pairs_exit_zero_without_warnings(self, filters, e_n):
+        # 1/tau overflows for the first pair, tau (omega_k - omega_l) for the second
+        code, out, err = run_cli("point", "--model", "tmsv", *filters, "--outputs", "e_n")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"]["e_n"] == e_n
+
     def test_thermal_point_echoes_blocks(self, capsys):
         code, out, _ = run_inproc(
             "point", "--model", "thermal", "--r", "0.5", "--n-i", "0.3",
@@ -259,6 +270,80 @@ class TestOutputFile:
         assert main([*POINT, "--out", str(link)]) == 0
         assert link.is_symlink()
         assert json.loads(target.read_text())["results"]["e_n"] > 0.0
+
+
+# a 2-D sweep of more rows than one CSV chunk holds
+BIG_SWEEP = ("sweep", "--model", "tmsv", "--axis1", "k_f=0.8:1:51", "--axis2", "r=0:3:50",
+             "--outputs", "e_n,s_q_opt")
+
+
+class TestChunkedOutput:
+    def test_stdout_a_file_and_a_fifo_get_the_same_bytes(self, capsys, tmp_path):
+        assert 51 * 50 > sweep.CSV_CHUNK_ROWS
+        assert main(list(BIG_SWEEP)) == 0
+        stdout = capsys.readouterr().out.encode()
+        path = tmp_path / "grid.csv"
+        assert main([*BIG_SWEEP, "--out", str(path)]) == 0
+        fifo = tmp_path / "grid.fifo"
+        os.mkfifo(fifo)
+        received = []
+
+        def read():
+            # open blocks until the writer opens; read returns once it closes
+            with open(fifo, "rb") as fh:
+                received.append(fh.read())
+
+        # a daemon, so a writer that never opens the FIFO cannot hang the run
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        try:
+            assert main([*BIG_SWEEP, "--out", str(fifo)]) == 0
+        finally:
+            reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert stdout == path.read_bytes() == received[0]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        columns, table, _, _ = sweep.run_sweep(SweepConfig(
+            "tmsv", ("e_n", "s_q_opt"), axis1=sweep.AxisSpec("k_f", 0.8, 1.0, 51),
+            axis2=sweep.AxisSpec("r", 0.0, 3.0, 50)))
+        assert stdout.decode() == csv_text_reference(columns, table.tolist())
+
+    def test_a_sweep_that_fails_writes_no_file(self, capsys, tmp_path):
+        path = tmp_path / "grid.csv"
+        code, out, err = run_inproc("sweep", "--model", "tmsv", "--axis1", "eta_i=0.5:1.5:3",
+                                    "--out", str(path), capsys=capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"].startswith("grid row 2 (eta_i=1.5)")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("error", [OSError(28, "No space left on device"), MemoryError()],
+                             ids=["disk full", "out of memory"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new file", "existing file"])
+    def test_a_write_that_fails_midway_leaves_no_partial_file(self, error, existing,
+                                                               monkeypatch, capsys, tmp_path):
+        real = sweep.csv_chunks
+
+        def fail_after_the_first_rows(columns, table):
+            chunks = real(columns, table)
+            yield next(chunks)
+            yield next(chunks)
+            raise error
+
+        monkeypatch.setattr(sweep, "csv_chunks", fail_after_the_first_rows)
+        path = tmp_path / "grid.csv"
+        if existing:
+            path.write_text("stale\n")
+        argv = [*BIG_SWEEP, "--out", str(path)]
+        if isinstance(error, OSError):
+            code, out, err = run_inproc(*argv, capsys=capsys)
+            assert (code, out) == (2, "")
+            assert json.loads(err) == {"error": str(error)}
+        else:
+            with pytest.raises(MemoryError):
+                main(argv)
+        assert [p.name for p in tmp_path.iterdir()] == (["grid.csv"] if existing else [])
+        if existing:
+            assert path.read_text() == "stale\n"
 
 
 class TestSweep:

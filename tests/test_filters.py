@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -137,28 +138,60 @@ class TestOverlapClosedForm:
                 assert ov.l_f == pytest.approx(0.0, abs=1e-14)
 
     @pytest.mark.parametrize("family", [STEP, EXP])
-    @pytest.mark.parametrize("tau", [1e-300, 2.0, 1e200, 1e300])
+    @pytest.mark.parametrize("tau", [1e-320, 1e-300, 2.0, 1e200, 1e300])
     def test_identical_filters_give_one_at_any_time_scale(self, family, tau):
-        # sqrt(tau_i tau_s) would overflow or underflow at the extremes
+        # sqrt(tau_i tau_s) would overflow or underflow at the extremes, and
+        # 1/tau overflows at 1e-320
         f = FilterSpec(family, 1.0, tau)
-        assert overlap_closed_form(f, f) == OverlapFactors(1.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert overlap_closed_form(f, f) == OverlapFactors(1.0, 0.0)
 
     @pytest.mark.parametrize("tau_i, tau_s, omega_i, omega_s", [
         (4e304, 1.0, 100.0, -100.0),
         (1e300, 1e-300, 1.0, 1.0),
         (1e-300, 1e300, 0.0, 1e-290),
         (1e200, 3e199, 2e-200, -1e-200),
+        (1e-320, 1e-300, 0.0, 0.0),
+        (3e-310, 1e-320, 5.0, -5.0),
+        (1e-320, 1e-320, 1.0, -1.0),
+        (1e-320, 1e80, 0.0, 0.0),
     ])
     def test_extreme_exponential_pairs_are_finite_and_exact(self, tau_i, tau_s, omega_i,
                                                             omega_s):
-        # tau_i^2 tau_s^2 delta^2 overflows for the first and second pairs
-        ov = overlap_closed_form(FilterSpec(EXP, omega_i, tau_i), FilterSpec(EXP, omega_s, tau_s))
+        # tau_i^2 tau_s^2 delta^2 overflows for the first and second pairs;
+        # 1/tau_i + 1/tau_s overflows for the last four, and tau_i/tau_s
+        # underflows for the last
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ov = overlap_closed_form(FilterSpec(EXP, omega_i, tau_i),
+                                     FilterSpec(EXP, omega_s, tau_s))
         with mpmath.workdps(50):
             gi, gs = 1 / mpmath.mpf(tau_i), 1 / mpmath.mpf(tau_s)
             want = 2 * mpmath.sqrt(gi * gs) / (gi + gs - 1j * (mpmath.mpf(omega_i) - omega_s))
             scale = max(abs(want.real), abs(want.imag))
             assert abs(ov.k_f - want.real) <= 1e-15 * scale
             assert abs(ov.l_f - want.imag) <= 1e-15 * scale
+
+    @pytest.mark.parametrize("tau_i, tau_s, omega_i, omega_s", [
+        (1e200, 1e200, 1e200, -1e200),
+        (1e200, 1e300, 1e100, 0.0),
+        (1e-300, 1e-300, 1e300, -1e300),
+    ])
+    def test_extreme_step_pairs_are_finite_and_exact(self, tau_i, tau_s, omega_i, omega_s):
+        # tau delta overflows for the first pair, sqrt(tau_i tau_s) delta for
+        # the first two, whose factors lie below the smallest subnormal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ov = overlap_closed_form(FilterSpec(STEP, omega_i, tau_i),
+                                     FilterSpec(STEP, omega_s, tau_s))
+        with mpmath.workdps(50):
+            tau, delta = mpmath.mpf(min(tau_i, tau_s)), mpmath.mpf(omega_i) - omega_s
+            want = (mpmath.expj(tau * delta) - 1) / (1j * mpmath.sqrt(tau_i * mpmath.mpf(tau_s))
+                                                     * delta)
+            scale = max(abs(want.real), abs(want.imag))
+            assert abs(ov.k_f - want.real) <= 1e-15 * scale + 2.0**-1074
+            assert abs(ov.l_f - want.imag) <= 1e-15 * scale + 2.0**-1074
 
     def test_step_worked_example(self):
         ov = overlap_closed_form(FilterSpec(STEP, 1.0, 2.0), FilterSpec(STEP, 0.0, 2.0))

@@ -626,6 +626,11 @@ class TestFullLoss:
         assert all(dict(zip(columns, row))["e_n"] > 0.0 for row in rows[:-1])
 
 
+def csv_text(columns, table) -> str:
+    """The whole CSV text of a table: its chunks, joined."""
+    return "".join(sweep.csv_chunks(columns, table))
+
+
 def bits(*values) -> np.ndarray:
     """Float64 values from their int64 bit patterns."""
     return np.array(values, dtype=np.int64).view(np.float64)
@@ -651,10 +656,10 @@ class TestCsvText:
     ], ids=["edge values", "one row", "one column", "one cell", "all equal"])
     def test_bytes_equal_the_per_row_writer(self, table):
         columns = [f"c{j}" for j in range(table.shape[1])]
-        assert sweep.csv_text(columns, table) == csv_text_reference(columns, table.tolist())
+        assert csv_text(columns, table) == csv_text_reference(columns, table.tolist())
 
     def test_edge_values_are_spelled_apart(self):
-        lines = sweep.csv_text(list("abcdef"), EDGE_TABLE).splitlines()
+        lines = csv_text(list("abcdef"), EDGE_TABLE).splitlines()
         assert [line.split(",")[0] for line in lines] == ["a", "0.0", "-0.0", "0.0", "-0.0",
                                                           "1.5", "1.5"]
         assert [line.split(",")[1] for line in lines[1:]] == ["nan"] * 5 + ["2.0"]
@@ -674,4 +679,23 @@ class TestCsvText:
         columns, table, _, _ = run_sweep(cfg)
         assert table.shape == (cfg.axis1.count * cfg.axis2.count, len(columns))
         rows = table.tolist()
-        assert sweep.csv_text(columns, table) == csv_text_reference(columns, rows)
+        assert csv_text(columns, table) == csv_text_reference(columns, rows)
+
+    @pytest.mark.parametrize("n", [0, 1, sweep.CSV_CHUNK_ROWS - 1, sweep.CSV_CHUNK_ROWS,
+                                   sweep.CSV_CHUNK_ROWS + 1, 3 * sweep.CSV_CHUNK_ROWS + 5])
+    @pytest.mark.parametrize("width", [1, EDGE_TABLE.shape[1]])
+    def test_chunks_hold_whole_rows_and_join_to_the_per_row_writer(self, n, width):
+        # every third row an edge row, in turn; between them values that
+        # recur across chunks (as a grid line's do) and values that do not
+        rng = np.random.default_rng(n + width)
+        table = EDGE_TABLE[np.arange(n) // 3 % len(EDGE_TABLE), :width]
+        table[1::3] = rng.choice([-0.0, 0.25, 1e-300], size=(len(table[1::3]), width))
+        table[2::3] = rng.normal(size=(len(table[2::3]), width))
+        columns = [f"c{j}" for j in range(width)]
+        chunks = list(sweep.csv_chunks(columns, table))
+        assert "".join(chunks) == csv_text_reference(columns, table.tolist())
+        assert chunks[0] == ",".join(columns) + "\n"
+        full, rest = divmod(n, sweep.CSV_CHUNK_ROWS)
+        want = [sweep.CSV_CHUNK_ROWS] * full + ([rest] if rest else [])
+        assert [chunk.count("\n") for chunk in chunks[1:]] == want
+        assert all(chunk.endswith("\n") for chunk in chunks)
