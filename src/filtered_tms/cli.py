@@ -302,7 +302,7 @@ def _cmd_validate(args) -> int:
     params = _collect_params(args)
     families, (fi, fs) = _filters(args)
     sweep._check_names(args.model, params, families)
-    model, analytic = sweep.point_state(args.model, params, families)
+    model, analytic = sweep.point_state(params, families)
     est = fieldsim.simulate(fieldsim.SimConfig(
         model=model, filter_i=fi, filter_s=fs, dt=args.dt,
         horizon=args.horizon, n_realizations=args.n_real, seed=args.seed,

@@ -9,11 +9,13 @@ from a continuous output field:
 The joint statistics of two filtered modes depend on the filters only
 through the overlap integral of their mode functions,
 
-    K_f + i L_f = integral  conj(h_K)(t) h_L(t) dt,
+    K_f + i L_f = integral  conj(h_K)(t) h_L(t) dt.
 
-for which every pair of families admits a closed form.  An adaptive-quadrature
-evaluation of the same integral is provided as an independent oracle; the
-``overlap`` command reports both.
+Each filter is c exp(-(g + i Omega) t) on [0, T], so every pair of families
+shares one closed form, c_K c_L (1 - exp(-a T)) / a with
+a = g_K + g_L - i (Omega_K - Omega_L) and T the earlier end.  An
+adaptive-quadrature evaluation of the same integral is provided as an
+independent oracle; the ``overlap`` command reports both.
 """
 
 from __future__ import annotations
@@ -96,71 +98,44 @@ def sample_time(f: FilterSpec, ts: "np.ndarray") -> "np.ndarray":
     return h
 
 
-def _root(x, y):
-    """sqrt(x y) at any x, y > 0: each factor is scaled by an even power of
-    two into [0.5, 2), so the product can neither overflow nor underflow,
-    and where x y is a normal float its root has sqrt(x * y)'s bits."""
-    ex, ey = np.frexp(x)[1] // 2, np.frexp(y)[1] // 2
-    return np.ldexp(np.sqrt(np.ldexp(x, -2 * ex) * np.ldexp(y, -2 * ey)), ex + ey)
-
-
-# below this time constant, two exponentials' rate sum 1/tau_i + 1/tau_s could
-# overflow, alone or under hypot with the detuning
-_SHORTEST_RATE_TIME = 1e-300
-
-
 def overlap_closed_form(fi: FilterSpec, fs: FilterSpec) -> OverlapFactors:
-    """Closed-form (K_f, L_f) for a filter pair of any two families, or for
-    equal-shape arrays of such pairs.
+    """Closed-form (K_f, L_f) of a filter pair of any two families, or of arrays of pairs.
 
-    Step filters integrate over the shorter window tau = min(tau_i, tau_s);
-    the small-detuning branch avoids the 0/0 at matched frequencies.  A mixed
-    pair, in either order, integrates the exponential envelope over the step
-    window: sqrt(2/(tau_i tau_s)) (1 - exp(-a tau_step)) / a with
-    a = 1/tau_exp - i(Omega_i - Omega_s).  Two exponentials, in the rates
-    g = 1/tau, give 2 sqrt(g_i g_s) / (g_i + g_s - i(Omega_i - Omega_s)).
+    Filter j is h_j(t) = c_j exp(-(g_j + i Omega_j) t) on [0, T_j]: a step
+    filter has g = 0, T = tau and c = 1/sqrt(tau), an exponential g = 1/tau,
+    T = inf and c = sqrt(2/tau).  Every pair overlaps by
 
-    Extreme time constants give finite factors with no numpy warning: a step
-    pair whose tau (Omega_i - Omega_s) overflows gives (0, 0), and two
-    exponentials with a time constant below ``_SHORTEST_RATE_TIME`` take
-    their rates in units of 1/min(tau_i, tau_s).
+        K_f + i L_f = c_i c_s (1 - exp(-a T)) / a,   T = min(T_i, T_s),
+        a = g_i + g_s - i (Omega_i - Omega_s),
+
+    which is T where a = 0 and 1/a where a T is infinite: two exponentials,
+    or a phase past the float range, whose overlap lies within 2 c_i c_s / |a|
+    of 0.  It is evaluated in units of t = min(tau_i, tau_s), where every rate
+    and every sqrt(t / tau) is at most one, so nothing finite overflows.
     """
     # floats, so that integer inputs cannot wrap around in the products below
     wi, ti, ws, ts = (np.asarray(x, dtype=float) for x in (fi.omega, fi.tau, fs.omega, fs.tau))
-    delta = wi - ws
-    if fi.family is not fs.family:
-        t_step, t_exp = (ti, ts) if fi.family is FilterFamily.STEP else (ts, ti)
-        a = 1.0 / t_exp - 1j * delta
-        # -expm1 keeps 1 - exp(-a tau_step) exact where a tau_step -> 0
-        ov = math.sqrt(2.0) / _root(ti, ts) * -np.expm1(-a * t_step) / a
-        return OverlapFactors(ov.real[()], ov.imag[()])
-    if fi.family is FilterFamily.STEP:
-        root = _root(ti, ts)
-        tau = np.minimum(ti, ts)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            x = tau * delta
-            small = np.abs(delta) * np.maximum(ti, ts) < 1e-8
-            k = np.where(small, (tau / root) * (1.0 - x * x / 6.0), np.sin(x) / (root * delta))
-            l = np.where(small, (tau / root) * (x / 2.0) * (1.0 - x * x / 12.0),
-                         (1.0 - np.cos(x)) / (root * delta))
-        # where tau delta overflows from a finite delta, |K_f + i L_f| <= 2 / (root |delta|)
-        # <= 2 / |tau delta| lies below 1.2e-308: 0 to within that
-        beyond = np.isinf(x) & np.isfinite(delta)
-        return OverlapFactors(np.where(beyond, 0.0, k)[()], np.where(beyond, 0.0, l)[()])
-    # the rates and delta, in units of 1/min(tau_i, tau_s) where that rate would
-    # near the end of the float range: the overlap does not depend on the unit
-    t_min = np.minimum(ti, ts)
-    rescale = t_min < _SHORTEST_RATE_TIME
+    t = np.minimum(ti, ts)
+    exps = [f.family is FilterFamily.EXPONENTIAL for f in (fi, fs)]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        gi = np.where(rescale, t_min / ti, 1.0 / ti)
-        gs = np.where(rescale, t_min / ts, 1.0 / ts)
-        delta = np.where(rescale, delta * t_min, delta)
-        # sqrt(g_i g_s), in those units sqrt(t_min / t_max): a ratio that may underflow
-        root = np.where(rescale, np.sqrt(t_min) / np.sqrt(np.maximum(ti, ts)), _root(gi, gs))
-    # both parts over |g_i + g_s - i delta| twice, not its square: nothing finite overflows
-    m = np.hypot(gi + gs, delta)
-    scale = 2.0 * root / m
-    return OverlapFactors((scale * ((gi + gs) / m))[()], (scale * (delta / m))[()])
+        # each filter's rate g t, end T / t and norm c sqrt(t) without its sqrt(2),
+        # as sqrt(t) / sqrt(tau): the ratio t / tau may underflow
+        root = np.sqrt(t)
+        (gi, end_i, ci), (gs, end_s, cs) = (
+            (t / tau if e else 0.0, np.inf if e else tau / t, root / np.sqrt(tau))
+            for e, tau in zip(exps, (ti, ts)))
+        # the detuning times t, halved first so that two finite centers cannot overflow it
+        d = (wi / 2 - ws / 2) * t * 2
+        # set part by part: -1j * d would have a nan real part where d is infinite
+        a = np.zeros(d.shape, complex)
+        a.real, a.imag = gi + gs, -d
+        end = np.minimum(end_i, end_s)
+        x = a * end
+        # -expm1 keeps 1 - exp(-a T) exact as a T -> 0; where a T is not finite, exp(-a T) is 0
+        f = np.where(a == 0, end, np.where(np.isfinite(x), -np.expm1(-x), 1.0) / a)
+    # the exponentials' sqrt(2)s in one constant: sqrt(2) sqrt(2) is not 2
+    ov = (1.0, math.sqrt(2.0), 2.0)[sum(exps)] * ci * cs * f
+    return OverlapFactors(ov.real[()], ov.imag[()])
 
 
 def overlap_numeric(fi: FilterSpec, fs: FilterSpec, tol: float = 1e-10) -> NumericOverlap:

@@ -129,7 +129,7 @@ def _resolve_overlap(params: dict, families, value) -> OverlapFactors:
     return OverlapFactors(value("k_f"), value("l_f"))
 
 
-def point_state(model: str, params: dict, families=(None, None)):
+def point_state(params: dict, families=(None, None)):
     """The model's params and covariance blocks at parameter values given as
     floats (one state) or as equal-length arrays (a grid of states); a
     parameter not given takes its default.  ``families`` are the (idler,
@@ -164,8 +164,7 @@ def _evaluate(cfg: SweepConfig, params):
     passed.  Returns the outputs and the grid's blocks.
     """
     # a grid without parameters is one state at the defaults
-    p, blocks = point_state(cfg.model, params or {"r": np.array([_DEFAULTS["r"]])},
-                            (cfg.family, cfg.family))
+    p, blocks = point_state(params or {"r": np.array([_DEFAULTS["r"]])}, (cfg.family, cfg.family))
     gaussian.check_blocks(blocks)
     # the checked blocks have s_q_opt > 0, so log_negativity cannot raise here
     ent = gaussian.log_negativity(blocks) if {"e_n", "s_q_opt"} & set(cfg.outputs) else None

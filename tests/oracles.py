@@ -4,15 +4,17 @@ Every routine here avoids the closed forms under test: symplectic spectra
 come from an eigenvalue decomposition, extrema from golden-section search,
 roots from bisection, and variance optima from grid-plus-golden scans of
 the raw quadratic form.  The scalar references near the end are the
-point-by-point `math` forms that the whole-array closed forms replaced;
-the last section holds the paper's per-model scalar closed forms, the
-Wigner and quadrature-variance forms, the filter transforms and the Bell
-grid search, which no command reaches.
+point-by-point `math` forms that the whole-array closed forms replaced,
+beside the filter-overlap integral at 50 digits in mpmath; the last
+section holds the paper's per-model scalar closed forms, the Wigner and
+quadrature-variance forms, the filter transforms and the Bell grid
+search, which no command reaches.
 """
 
 import math
 from dataclasses import astuple, dataclass
 
+import mpmath
 import numpy as np
 
 from filtered_tms import thermal, tmsv
@@ -523,9 +525,9 @@ def close_to_reference(got: float, want: float, model: str, field: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Scalar references of the whole-array closed forms: the landmarks, the
-# same-family overlap and the heatmap writer, one point (or cell) at a time
-# in `math`, as they were written before the array versions.
+# Scalar references of the whole-array closed forms: the landmarks and the
+# heatmap writer, one point (or cell) at a time in `math`, as they were
+# written before the array versions; and the overlap integral in mpmath.
 
 @dataclass(frozen=True)
 class TmsvLandmarks:
@@ -642,35 +644,29 @@ def _sq_window_reference(a: float, q: float) -> tuple[float, float]:
     return r_l, r_u
 
 
-def overlap_closed_form_reference(fi, fs):
-    """Closed-form (K_f, L_f) for a same-family filter pair.
+def overlap_mpmath(fi, fs):
+    """The overlap integral of conj(h_i) h_s, at 50 digits, for a filter pair
+    of any two families, as an mpmath number.
 
-    Step filters integrate over the shorter window tau = min(tau_i, tau_s);
-    the small-detuning branch avoids the 0/0 at matched frequencies.
+    Each filter is c exp(-(g + i Omega) t) on [0, T]: a step has g = 0,
+    T = tau and c = 1/sqrt(tau), an exponential g = 1/tau, T = inf and
+    c = sqrt(2/tau).  The integrand is then c_i c_s exp(-a t) on the shared
+    support, a = g_i + g_s - i (Omega_i - Omega_s), integrated exactly.
     """
-    from filtered_tms.filters import FilterFamily, OverlapFactors
+    def parts(f):
+        tau = mpmath.mpf(f.tau)
+        if f.family is FilterFamily.STEP:
+            return 1 / mpmath.sqrt(tau), 0, tau
+        return mpmath.sqrt(2 / tau), 1 / tau, mpmath.inf
 
-    if fi.family is not fs.family:
-        raise ValueError(
-            "no closed-form overlap for mixed filter families; use overlap_numeric"
-        )
-    delta = fi.omega - fs.omega
-    ti, ts = fi.tau, fs.tau
-    root = math.sqrt(ti * ts)
-    if fi.family is FilterFamily.STEP:
-        tau = min(ti, ts)
-        if abs(delta) * max(ti, ts) < 1e-8:
-            x = tau * delta
-            k = (tau / root) * (1.0 - x * x / 6.0)
-            l = (tau / root) * (x / 2.0) * (1.0 - x * x / 12.0)
-        else:
-            k = math.sin(tau * delta) / (root * delta)
-            l = (1.0 - math.cos(tau * delta)) / (root * delta)
-        return OverlapFactors(k, l)
-    den = ti**2 * ts**2 * delta**2 + (ti + ts) ** 2
-    k = 2.0 * root * (ti + ts) / den
-    l = 2.0 * root**3 * delta / den
-    return OverlapFactors(k, l)
+    with mpmath.workdps(50):
+        (ci, gi, ti), (cs, gs, ts) = parts(fi), parts(fs)
+        a = gi + gs - 1j * (mpmath.mpf(fi.omega) - mpmath.mpf(fs.omega))
+        end = min(ti, ts)
+        if a == 0:
+            return ci * cs * end
+        # an infinite support ends where exp(-a t) has vanished
+        return ci * cs * (1 if mpmath.isinf(end) else -mpmath.expm1(-a * end)) / a
 
 
 # anchor colors of a viridis-like ramp, interpolated linearly

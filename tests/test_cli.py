@@ -169,12 +169,28 @@ class TestPoint:
         (("--family", "exponential", "--tau-i", "1e-320", "--tau-s", "1e-320"), 2.0),
         (("--family", "step", "--tau-i", "1e200", "--tau-s", "1e200", "--omega-k", "1e200",
           "--omega-l=-1e200"), 0.0),
-    ], ids=["subnormal exponential pair", "step pair whose tau delta overflows"])
+        *((("--family", family, "--tau-i", "1", "--tau-s", "1", "--omega-k", "1e308",
+            "--omega-l=-1e308"), 0.0) for family in ("step", "exponential")),
+    ], ids=["subnormal exponential pair", "step pair whose tau delta overflows",
+            "step pair whose detuning overflows", "exponential pair whose detuning overflows"])
     def test_extreme_filter_pairs_exit_zero_without_warnings(self, filters, e_n):
-        # 1/tau overflows for the first pair, tau (omega_k - omega_l) for the second
+        # 1/tau overflows for the first pair, tau (omega_k - omega_l) for the
+        # second, omega_k - omega_l for the last two
         code, out, err = run_cli("point", "--model", "tmsv", *filters, "--outputs", "e_n")
         assert (code, err) == (0, "")
         assert json.loads(out)["results"]["e_n"] == e_n
+
+    def test_a_tiny_step_detuning_keeps_its_squeezing_angle(self):
+        # tau delta = 1e-8: L_f = 4.56e-9, which 1 - cos(tau delta) rounds to 0;
+        # the expected angle is that of the 50-digit overlap integral
+        code, out, err = run_cli("point", "--model", "thermal", "--r", "0.5", "--n-i", "0.5",
+                                 "--n-s", "0.1", "--family", "step",
+                                 "--tau-i", "12.083589948944022", "--tau-s", "14.352750905020518",
+                                 "--omega-k", "8.228244752217506e-10", "--omega-l", "0",
+                                 "--outputs", "zeta")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"]["zeta"] == pytest.approx(1.2428341948168357e-09,
+                                                                   rel=1e-12)
 
     def test_thermal_point_echoes_blocks(self, capsys):
         code, out, _ = run_inproc(
@@ -671,8 +687,8 @@ class TestBellCommand:
         argv = ("bell", *LOSSY_THERMAL, "--r", "1.3", "--restarts", "12", "--seed", "6")
         code, first, _ = run_inproc(*argv, capsys=capsys)
         assert code == 0
-        _, blocks = sweep.point_state("thermal", {"r": 1.3, "n_i": 0.1, "n_s": 0.4, "k_f": 0.95,
-                                                  "l_f": 0.095, "eta_s": 0.9})
+        _, blocks = sweep.point_state({"r": 1.3, "n_i": 0.1, "n_s": 0.4, "k_f": 0.95,
+                                       "l_f": 0.095, "eta_s": 0.9})
         steps = []
         ref = bell_max_reference(build_covariance(blocks), 12, seed=6, steps=steps)
         diag = json.loads(first)["diagnostics"]

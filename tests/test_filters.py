@@ -4,7 +4,6 @@ import cmath
 import math
 import warnings
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -16,10 +15,12 @@ from filtered_tms.filters import (
     overlap_numeric,
     sample_time,
 )
-from oracles import eval_freq, orthonormal_frequencies, overlap_closed_form_reference
+from oracles import eval_freq, orthonormal_frequencies, overlap_mpmath
 
 STEP = FilterFamily.STEP
 EXP = FilterFamily.EXPONENTIAL
+PAIRINGS = [(STEP, STEP), (STEP, EXP), (EXP, STEP), (EXP, EXP)]
+PAIRING_IDS = ["step-step", "step-exp", "exp-step", "exp-exp"]
 
 
 def random_spec(rng, family):
@@ -162,36 +163,57 @@ class TestOverlapClosedForm:
         # tau_i^2 tau_s^2 delta^2 overflows for the first and second pairs;
         # 1/tau_i + 1/tau_s overflows for the last four, and tau_i/tau_s
         # underflows for the last
+        fi, fs = FilterSpec(EXP, omega_i, tau_i), FilterSpec(EXP, omega_s, tau_s)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ov = overlap_closed_form(FilterSpec(EXP, omega_i, tau_i),
-                                     FilterSpec(EXP, omega_s, tau_s))
-        with mpmath.workdps(50):
-            gi, gs = 1 / mpmath.mpf(tau_i), 1 / mpmath.mpf(tau_s)
-            want = 2 * mpmath.sqrt(gi * gs) / (gi + gs - 1j * (mpmath.mpf(omega_i) - omega_s))
-            scale = max(abs(want.real), abs(want.imag))
-            assert abs(ov.k_f - want.real) <= 1e-15 * scale
-            assert abs(ov.l_f - want.imag) <= 1e-15 * scale
+            ov = overlap_closed_form(fi, fs)
+        want = overlap_mpmath(fi, fs)
+        scale = max(abs(want.real), abs(want.imag))
+        assert abs(ov.k_f - want.real) <= 1e-15 * scale
+        assert abs(ov.l_f - want.imag) <= 1e-15 * scale
 
     @pytest.mark.parametrize("tau_i, tau_s, omega_i, omega_s", [
         (1e200, 1e200, 1e200, -1e200),
         (1e200, 1e300, 1e100, 0.0),
         (1e-300, 1e-300, 1e300, -1e300),
+        (1e-308, 1e-308, 1e308, -1e308),
     ])
     def test_extreme_step_pairs_are_finite_and_exact(self, tau_i, tau_s, omega_i, omega_s):
         # tau delta overflows for the first pair, sqrt(tau_i tau_s) delta for
-        # the first two, whose factors lie below the smallest subnormal
+        # the first two, whose factors lie below the smallest subnormal;
+        # omega_i - omega_s overflows for the last, whose tau delta is 2
+        fi, fs = FilterSpec(STEP, omega_i, tau_i), FilterSpec(STEP, omega_s, tau_s)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ov = overlap_closed_form(FilterSpec(STEP, omega_i, tau_i),
-                                     FilterSpec(STEP, omega_s, tau_s))
-        with mpmath.workdps(50):
-            tau, delta = mpmath.mpf(min(tau_i, tau_s)), mpmath.mpf(omega_i) - omega_s
-            want = (mpmath.expj(tau * delta) - 1) / (1j * mpmath.sqrt(tau_i * mpmath.mpf(tau_s))
-                                                     * delta)
-            scale = max(abs(want.real), abs(want.imag))
-            assert abs(ov.k_f - want.real) <= 1e-15 * scale + 2.0**-1074
-            assert abs(ov.l_f - want.imag) <= 1e-15 * scale + 2.0**-1074
+            ov = overlap_closed_form(fi, fs)
+        want = overlap_mpmath(fi, fs)
+        scale = max(abs(want.real), abs(want.imag))
+        assert abs(ov.k_f - want.real) <= 1e-15 * scale + 2.0**-1074
+        assert abs(ov.l_f - want.imag) <= 1e-15 * scale + 2.0**-1074
+
+    @pytest.mark.parametrize("order", ["step-exp", "exp-step"])
+    @pytest.mark.parametrize("tau_step, tau_exp, omega_step, omega_exp", [
+        (1e-308, 1e-308, 1e308, -1e308),
+        (1e20, 1e20, -1e308, 1e308),
+        (1e300, 1e-300, 1.0, 1.0),
+        (1e-320, 1e300, 0.0, 0.0),
+    ])
+    def test_extreme_mixed_pairs_are_finite_and_exact(self, order, tau_step, tau_exp,
+                                                      omega_step, omega_exp):
+        # omega_i - omega_s overflows for the first two pairs: the first's
+        # tau delta is 2, the second's phase lies past the float range and
+        # its overlap below the smallest subnormal; the step window is 1e600
+        # decay times long for the third; the decay rate is 1e-620 of the
+        # step's for the fourth
+        pair = FilterSpec(STEP, omega_step, tau_step), FilterSpec(EXP, omega_exp, tau_exp)
+        fi, fs = pair if order == "step-exp" else pair[::-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ov = overlap_closed_form(fi, fs)
+        want = overlap_mpmath(fi, fs)
+        scale = max(abs(want.real), abs(want.imag))
+        assert abs(ov.k_f - want.real) <= 1e-15 * scale + 2.0**-1074
+        assert abs(ov.l_f - want.imag) <= 1e-15 * scale + 2.0**-1074
 
     def test_step_worked_example(self):
         ov = overlap_closed_form(FilterSpec(STEP, 1.0, 2.0), FilterSpec(STEP, 0.0, 2.0))
@@ -296,6 +318,7 @@ class TestOverlapClosedForm:
 
     @pytest.mark.parametrize("family", [STEP, EXP])
     def test_arrays_match_the_scalar_reference(self, family):
+        # the reference is the overlap integral at 50 digits
         rng = np.random.default_rng(23)
         n = 2000
         omega_i, omega_s = rng.uniform(-5.0, 5.0, (2, n))
@@ -306,10 +329,37 @@ class TestOverlapClosedForm:
         ov = overlap_closed_form(FilterSpec(family, omega_i, tau_i),
                                  FilterSpec(family, omega_s, tau_s))
         for i in range(n):
-            want = overlap_closed_form_reference(FilterSpec(family, omega_i[i], tau_i[i]),
-                                                 FilterSpec(family, omega_s[i], tau_s[i]))
-            assert abs(ov.k_f[i] - want.k_f) <= 1e-15 * max(abs(want.k_f), 1.0)
-            assert abs(ov.l_f[i] - want.l_f) <= 1e-15 * max(abs(want.l_f), 1.0)
+            want = overlap_mpmath(FilterSpec(family, omega_i[i], tau_i[i]),
+                                  FilterSpec(family, omega_s[i], tau_s[i]))
+            assert abs(ov.k_f[i] - want.real) <= 1e-15 * max(abs(want.real), 1.0)
+            assert abs(ov.l_f[i] - want.imag) <= 1e-15 * max(abs(want.imag), 1.0)
+
+    @pytest.mark.parametrize("fam_i, fam_s", PAIRINGS, ids=PAIRING_IDS)
+    def test_every_pairing_matches_the_integral_to_its_conditioning(self, fam_i, fam_s):
+        # tau log-uniform on [1e-3, 1e3], a fifth of the pairs identical;
+        # |delta| log-uniform on [1e-12, 1e3], a seventh of them zero.  The
+        # phase tau delta carries its rounding into the overlap, by a part in
+        # 1 + |delta| min(tau_i, tau_s) of it, and near a zero of a step pair's
+        # overlap by a part of the overlap at zero detuning
+        rng = np.random.default_rng(51 + PAIRINGS.index((fam_i, fam_s)))
+        n = 1000
+        tau_i, tau_s = 10.0 ** rng.uniform(-3.0, 3.0, (2, n))
+        tau_s[::5] = tau_i[::5]
+        delta = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-12.0, 3.0, n)
+        delta[::7] = 0.0
+        omega_s = rng.uniform(-5.0, 5.0, n)
+        omega_i = omega_s + delta
+        ov = overlap_closed_form(FilterSpec(fam_i, omega_i, tau_i),
+                                 FilterSpec(fam_s, omega_s, tau_s))
+        for i in range(n):
+            want = overlap_mpmath(FilterSpec(fam_i, omega_i[i], tau_i[i]),
+                                  FilterSpec(fam_s, omega_s[i], tau_s[i]))
+            matched = overlap_mpmath(FilterSpec(fam_i, omega_s[i], tau_i[i]),
+                                     FilterSpec(fam_s, omega_s[i], tau_s[i]))
+            phase = abs(omega_i[i] - omega_s[i]) * min(tau_i[i], tau_s[i])
+            bound = 1e-14 * (max(abs(want.real), abs(want.imag)) * (1.0 + phase) + abs(matched))
+            assert abs(ov.k_f[i] - want.real) <= bound, (tau_i[i], tau_s[i], omega_i[i], omega_s[i])
+            assert abs(ov.l_f[i] - want.imag) <= bound, (tau_i[i], tau_s[i], omega_i[i], omega_s[i])
 
     def test_integer_parameters_act_as_floats(self):
         # tau^2 tau^2 delta^2 = 1e26 would wrap around as a fixed-width integer
@@ -320,8 +370,7 @@ class TestOverlapClosedForm:
             assert (np.ravel(ov.k_f)[0], np.ravel(ov.l_f)[0]) == (want.k_f, want.l_f)
 
     def test_exponential_overlap_is_the_same_for_floats_and_arrays(self):
-        # an array power need not round as libm's pow does for floats, so
-        # L_f's cube and the squares of its denominator must not use one
+        # numpy's scalar and array arithmetic must round alike
         rng = np.random.default_rng(2024)
         for _ in range(4000):
             fi, fs = random_spec(rng, EXP), random_spec(rng, EXP)
@@ -341,7 +390,7 @@ class TestOverlapClosedForm:
             FilterSpec(EXP, np.array([0.0, 1.0, math.nan]), np.ones(3))
 
     def test_step_small_detuning_continuity(self):
-        # limit branch vs direct formula evaluated just outside the branch
+        # tiny detunings against the direct formula, and the exact zero
         ti, ts = 2.0, 3.0
         tau, root = 2.0, math.sqrt(6.0)
         for delta in (1e-9, -1e-9):

@@ -29,7 +29,7 @@ from oracles import (
     landmarks_by_search,
     loss_product,
     nu_min_eigen,
-    overlap_closed_form_reference,
+    overlap_mpmath,
     search_mismatches,
     thermal_landmarks_reference,
     tmsv_landmarks_reference,
@@ -76,13 +76,13 @@ def point_outputs(cfg):
 
 def scalar_point(cfg, params):
     """Model params and blocks of one point through the scalar public API,
-    with the overlap from the scalar reference."""
+    with the overlap integral rounded from 50 digits."""
     get = lambda name, default: params.get(name, default)
     if cfg.family:
         fam = FilterFamily(cfg.family)
-        ov = overlap_closed_form_reference(
-            FilterSpec(fam, get("omega_k", 1.0), get("tau_i", 2.0)),
-            FilterSpec(fam, get("omega_l", 1.0), get("tau_s", 2.0)))
+        ov = overlap_mpmath(FilterSpec(fam, get("omega_k", 1.0), get("tau_i", 2.0)),
+                            FilterSpec(fam, get("omega_l", 1.0), get("tau_s", 2.0)))
+        ov = OverlapFactors(float(ov.real), float(ov.imag))
     else:
         ov = OverlapFactors(get("k_f", 1.0), get("l_f", 0.0))
     eta_i, eta_s = get("eta_i", 1.0), get("eta_s", 1.0)
@@ -464,8 +464,8 @@ class TestOneSqueezingPass:
         _, table, _, _ = run_sweep(cfg)
         assert calls == [(13,)]
         n = len(table)
-        blocks = point_state("thermal", {"r": table[:, 0], "n_i": np.full(n, 0.3),
-                                         "eta_s": np.full(n, 0.9)})[1]
+        blocks = point_state({"r": table[:, 0], "n_i": np.full(n, 0.3),
+                              "eta_s": np.full(n, 0.9)})[1]
         assert table[:, 2].tobytes() == real(blocks).tobytes()
 
 
@@ -495,7 +495,7 @@ class TestBellInputs:
                  "lossy_thermal": {"n_i": 0.37, "n_s": 0.81, "eta_i": 0.9, "eta_s": 0.8}}[model]
         kind = "tmsv" if model == "tmsv" else "thermal"
         grid = {"k_f": k, "r": r, **{n: np.full(k.size, v) for n, v in fixed.items()}}
-        _, blocks = point_state(kind, grid)
+        _, blocks = point_state(grid)
         got = np.column_stack([blocks.d_i, blocks.d_s, blocks.c11, blocks.c12])
         cfg = SweepConfig(kind, ("e_n",), fixed)
         scalar = np.array([
@@ -565,7 +565,7 @@ class TestBenchBellSweep:
         _, table, _, _ = run_sweep(cfg)
         assert len(table) == len(BENCH_SWEEP)
         for (r, b_max), point_seed, stored in zip(table, _point_seeds(seed, 20), BENCH_SWEEP):
-            _, blocks = point_state("tmsv", {"r": float(r)})
+            _, blocks = point_state({"r": float(r)})
             want = bell_max_reference(gaussian.build_covariance(blocks), 16, seed=point_seed)[0]
             assert np.float64(b_max).tobytes() == np.float64(want).tobytes(), r
             assert abs(b_max - stored) <= 1e-6, r
