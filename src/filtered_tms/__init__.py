@@ -15,7 +15,6 @@ from .filters import (
     FilterSpec,
     OverlapFactors,
     overlap_closed_form,
-    overlap_numeric,
 )
 from .gaussian import (
     CovarianceBlocks,
@@ -58,7 +57,6 @@ __all__ = [
     "optimal_weight_ratio",
     "optimized_squeezing",
     "overlap_closed_form",
-    "overlap_numeric",
     "purity",
     "simulate",
     "squeezing_angle",

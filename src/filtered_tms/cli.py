@@ -1,8 +1,9 @@
 """Command-line surface: point evaluations, parameter sweeps, Bell
-maximization, Monte Carlo validation and overlap-kernel checks.
+maximization and Monte Carlo validation.
 
-Every command but ``overlap`` builds its state with ``sweep.point_state``,
-from the state flags (``sweep.AXIS_PARAMS``) and the filter families.
+Every command builds its state with ``sweep.point_state``, from the state
+flags (``sweep.AXIS_PARAMS``) and the (idler, signal) filter families that
+``_families`` reads from ``--family`` and ``--family-i/--family-s``.
 ``point``, ``bell`` and ``sweep`` build one checked request, a
 ``sweep.SweepConfig``, so a bad request fails each with the same message,
 and evaluate it with ``sweep.run_sweep``: a point is a grid without axes.
@@ -28,7 +29,6 @@ from collections.abc import Iterable
 import numpy as np
 
 from . import fieldsim, sweep
-from .filters import overlap_closed_form, overlap_numeric
 from .svg import render_heatmap
 from .sweep import AxisSpec, SweepConfig
 
@@ -52,10 +52,16 @@ def _collect_params(args) -> dict:
             if getattr(args, name) is not None}
 
 
+def _families(args) -> tuple:
+    """The (idler, signal) families: ``--family`` sets both, and
+    ``--family-i``/``--family-s`` override it for one filter."""
+    return (args.family_i or args.family, args.family_s or args.family)
+
+
 def _request(args, outputs, axis1=None, axis2=None) -> SweepConfig:
     """The checked request of ``point``, ``bell`` or ``sweep``."""
     return SweepConfig(model=args.model, outputs=outputs, fixed=_collect_params(args),
-                       axis1=axis1, axis2=axis2, family=args.family, seed=args.seed,
+                       axis1=axis1, axis2=axis2, families=_families(args), seed=args.seed,
                        bell_restarts=args.restarts)
 
 
@@ -154,8 +160,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in zip(sweep.AXIS_PARAMS, _PARAM_HELP, strict=True):
         state.add_argument(f"--{name.replace('_', '-')}", dest=name, type=float,
                            default=None, help=help_text)
-    state.add_argument("--family", choices=["step", "exponential"], default=None,
-                       help="filter family; required with filter parameters")
+    state.add_argument("--family", choices=sweep.FAMILIES, default=None,
+                       help="both filters' family; required with filter parameters")
+    state.add_argument("--family-i", choices=sweep.FAMILIES, default=None,
+                       help="idler filter family, overriding --family")
+    state.add_argument("--family-s", choices=sweep.FAMILIES, default=None,
+                       help="signal filter family, overriding --family")
     state.add_argument("--seed", type=int, default=0)
 
     p_point = sub.add_parser("point", parents=[state], help="evaluate one parameter tuple")
@@ -183,26 +193,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", parents=[state],
                            help="Monte Carlo check of the closed-form blocks")
-    p_val.add_argument("--family-i", choices=["step", "exponential"], default=None)
-    p_val.add_argument("--family-s", choices=["step", "exponential"], default=None)
     p_val.add_argument("--dt", type=float, required=True)
     p_val.add_argument("--horizon", type=float, required=True)
     p_val.add_argument("--n-real", type=int, required=True)
 
-    p_ov = sub.add_parser("overlap", help="closed-form vs numeric overlap kernel")
-    p_ov.add_argument("--family-i", choices=["step", "exponential"], default=None)
-    p_ov.add_argument("--family-s", choices=["step", "exponential"], default=None)
-    p_ov.add_argument("--family", choices=["step", "exponential"], default=None,
-                      help="shorthand setting both families")
-    p_ov.add_argument("--omega-k", dest="omega_k", type=float, required=True)
-    p_ov.add_argument("--omega-l", dest="omega_l", type=float, required=True)
-    p_ov.add_argument("--tau-i", dest="tau_i", type=float, required=True)
-    p_ov.add_argument("--tau-s", dest="tau_s", type=float, required=True)
-    p_ov.add_argument("--tol", type=float, default=1e-10)
-
     for p in sub.choices.values():
         p.add_argument("--out", default=None, help="output path (default stdout)")
     return parser
+
+
+def _family_params(families) -> dict:
+    """The (idler, signal) families as ``point``, ``bell`` and ``validate`` report them."""
+    return dict(zip(("family_i", "family_s"), families))
 
 
 def _bell_diagnostics(search) -> dict:
@@ -218,7 +220,7 @@ def _cmd_point(args) -> int:
         _write(args.out, sweep.csv_chunks(columns, table))
         return 0
     payload = {
-        "params": {"model": cfg.model, **cfg.fixed, "family": cfg.family,
+        "params": {"model": cfg.model, **cfg.fixed, **_family_params(cfg.families),
                    "outputs": list(cfg.outputs), "seed": cfg.seed},
         "results": {
             **dict(zip(columns, table[0].tolist())),
@@ -273,7 +275,7 @@ def _cmd_bell(args) -> int:
     cfg = _request(args, ("bell_max",))
     res = sweep.run_sweep(cfg)[3][0]
     payload = {
-        "params": {"model": cfg.model, **cfg.fixed, "family": cfg.family,
+        "params": {"model": cfg.model, **cfg.fixed, **_family_params(cfg.families),
                    "seed": cfg.seed, "restarts": cfg.bell_restarts},
         "results": {"b_max": res.b_max, "settings": dataclasses.asdict(res.settings)},
         "diagnostics": _bell_diagnostics(res),
@@ -282,26 +284,17 @@ def _cmd_bell(args) -> int:
     return 0
 
 
-def _filters(args):
-    """The (idler, signal) families and filter pair of ``validate`` or
-    ``overlap``; both need every filter parameter."""
-    families = (args.family_i or args.family, args.family_s or args.family)
-    if None in families:
-        raise ValueError(f"{args.command} requires --family (or --family-i/--family-s)")
-    missing = [n for n in sweep.FILTER_PARAMS if getattr(args, n) is None]
-    if missing:
-        raise ValueError(f"{args.command} requires filter parameters, missing {missing}")
-    return families, sweep.filter_pair(*families, *(getattr(args, n) for n in sweep.FILTER_PARAMS))
-
-
 # validate's bound on |chain_residual|, relative to max(1, max |analytic block|)
 _CHAIN_TOL = 1e-7
 
 
 def _cmd_validate(args) -> int:
-    params = _collect_params(args)
-    families, (fi, fs) = _filters(args)
+    params, families = _collect_params(args), _families(args)
+    missing = [n for n in sweep.FILTER_PARAMS if n not in params]
+    if missing:
+        raise ValueError(f"validate requires filter parameters, missing {missing}")
     sweep._check_names(args.model, params, families)
+    fi, fs = sweep.filter_pair(*families, *(params[n] for n in sweep.FILTER_PARAMS))
     model, analytic = sweep.point_state(params, families)
     est = fieldsim.simulate(fieldsim.SimConfig(
         model=model, filter_i=fi, filter_s=fs, dt=args.dt,
@@ -325,8 +318,7 @@ def _cmd_validate(args) -> int:
     tol = _CHAIN_TOL * max(1.0, *(abs(row["analytic"]) for row in rows))
     all_pass &= all(abs(x) <= tol for x in chain)
     payload = {
-        "params": {"model": args.model, **params,
-                   "family_i": fi.family.value, "family_s": fs.family.value,
+        "params": {"model": args.model, **params, **_family_params(families),
                    "dt": args.dt, "horizon": args.horizon,
                    "n_realizations": args.n_real, "seed": args.seed},
         "results": {"blocks": rows, "all_pass": all_pass,
@@ -341,32 +333,11 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_overlap(args) -> int:
-    _, (fi, fs) = _filters(args)
-    numeric = overlap_numeric(fi, fs, tol=args.tol)
-    closed = overlap_closed_form(fi, fs)
-    payload = {
-        "params": {"family_i": fi.family.value, "family_s": fs.family.value,
-                   "omega_k": args.omega_k, "omega_l": args.omega_l,
-                   "tau_i": args.tau_i, "tau_s": args.tau_s, "tol": args.tol},
-        "results": {
-            "numeric": {"k_f": numeric.k_f, "l_f": numeric.l_f},
-            "closed_form": {"k_f": closed.k_f, "l_f": closed.l_f},
-            "abs_difference": {"k_f": abs(closed.k_f - numeric.k_f),
-                               "l_f": abs(closed.l_f - numeric.l_f)},
-        },
-        "diagnostics": {"error_estimate": numeric.error_estimate, "panels": numeric.panels},
-    }
-    _emit(payload, args.out)
-    return 0
-
-
 _COMMANDS = {
     "point": _cmd_point,
     "sweep": _cmd_sweep,
     "bell": _cmd_bell,
     "validate": _cmd_validate,
-    "overlap": _cmd_overlap,
 }
 
 

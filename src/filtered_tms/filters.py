@@ -13,9 +13,8 @@ through the overlap integral of their mode functions,
 
 Each filter is c exp(-(g + i Omega) t) on [0, T], so every pair of families
 shares one closed form, c_K c_L (1 - exp(-a T)) / a with
-a = g_K + g_L - i (Omega_K - Omega_L) and T the earlier end.  An
-adaptive-quadrature evaluation of the same integral is provided as an
-independent oracle; the ``overlap`` command reports both.
+a = g_K + g_L - i (Omega_K - Omega_L) and T the earlier end; ``point`` and
+``sweep`` report it as the outputs ``k_f`` and ``l_f``.
 """
 
 from __future__ import annotations
@@ -74,20 +73,11 @@ class OverlapFactors:
 IDENTICAL_FILTERS = OverlapFactors(1.0, 0.0)
 
 
-@dataclass(frozen=True)
-class NumericOverlap(OverlapFactors):
-    """A quadrature overlap with what it cost: the summed |S2 - S1|/15 error
-    estimate of the accepted Simpson panels, and their number."""
-
-    error_estimate: float
-    panels: int
-
-
 def sample_time(f: FilterSpec, ts: "np.ndarray") -> "np.ndarray":
     """Vectorized h(t) over an array of times: the kernel is evaluated only
     on its support, and is exactly zero off it."""
     ts = np.asarray(ts, dtype=float)
-    # a closed step support, [0, tau]: the quadrature meets no jump at its end
+    # a closed step support, [0, tau]: a quadrature meets no jump at its end
     inside = (ts >= 0.0) & (ts <= f.tau) if f.family is FilterFamily.STEP else ts >= 0.0
     t = ts[inside]
     h = np.zeros(ts.shape, dtype=complex)
@@ -136,86 +126,3 @@ def overlap_closed_form(fi: FilterSpec, fs: FilterSpec) -> OverlapFactors:
     # the exponentials' sqrt(2)s in one constant: sqrt(2) sqrt(2) is not 2
     ov = (1.0, math.sqrt(2.0), 2.0)[sum(exps)] * ci * cs * f
     return OverlapFactors(ov.real[()], ov.imag[()])
-
-
-def overlap_numeric(fi: FilterSpec, fs: FilterSpec, tol: float = 1e-10) -> NumericOverlap:
-    """Adaptive-quadrature overlap integral; independent of the closed forms.
-
-    Step supports are finite.  Two exponential kernels are integrated up to
-    their own decay time T = ln(10/tol) / (1/tau_i + 1/tau_s): the integral
-    of |h_i h_s| past T is 2 sqrt(tau_i tau_s)/(tau_i + tau_s)
-    exp(-T (1/tau_i + 1/tau_s)) <= tol/10, at any time scale.
-    """
-    if not 1e-12 <= tol <= 1e-3:
-        raise ValueError(f"tol must lie in [1e-12, 1e-3], got {tol}")
-    upper = math.inf
-    if fi.family is FilterFamily.STEP:
-        upper = min(upper, fi.tau)
-    if fs.family is FilterFamily.STEP:
-        upper = min(upper, fs.tau)
-    if math.isinf(upper):
-        upper = math.log(10.0 / tol) / (1.0 / fi.tau + 1.0 / fs.tau)
-        if not 0.0 < upper < math.inf:
-            raise ValueError(f"the truncation window ln(10/tol) / (1/tau_i + 1/tau_s) is "
-                             f"{upper!r} for tau_i={fi.tau!r}, tau_s={fs.tau!r} and tol={tol!r}")
-
-    def integrand(ts: np.ndarray) -> np.ndarray:
-        return np.conj(sample_time(fi, ts)) * sample_time(fs, ts)
-
-    # seed roughly two panels per beat of the oscillatory kernel
-    beats = min(4096.0, abs(fi.omega - fs.omega) * upper / math.pi)
-    n0 = max(16, 2 * math.ceil(beats))
-    val, err, panels = _adaptive_simpson(integrand, 0.0, upper, tol, n0=n0)
-    return NumericOverlap(val.real, val.imag, err, panels)
-
-
-def _adaptive_simpson(f, a: float, b: float, tol: float, n0: int = 16,
-                      budget: int = 500000) -> tuple[complex, float, int]:
-    """Adaptive Simpson quadrature for a vectorized complex integrand.
-
-    All panels of a refinement level are evaluated in one batched call;
-    each panel bisects until its |S2 - S1|/15 estimate meets its share of
-    the tolerance.  Returns the integral, the summed error estimate and the
-    number of accepted panels.  Raises on budget exhaustion, with the
-    achieved error estimate in the message.
-    """
-    edges = np.linspace(a, b, n0 + 1)
-    lo, hi = edges[:-1], edges[1:]
-    flo, fhi = f(lo), f(hi)
-    fmid = f(0.5 * (lo + hi))
-    etol = np.full(n0, tol / n0)
-    used = 2 * n0 + 1
-    total = 0.0 + 0.0j
-    err_acc = 0.0
-    panels = 0
-    min_width = 1e-14 * (b - a)
-
-    while lo.size:
-        mid = 0.5 * (lo + hi)
-        flm = f(0.5 * (lo + mid))
-        frm = f(0.5 * (mid + hi))
-        used += 2 * lo.size
-        s1 = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-        s_l = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
-        s_r = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
-        err = np.abs(s_l + s_r - s1)
-        done = (err < 15.0 * etol) | ((hi - lo) < min_width)
-        total += np.sum(s_l[done] + s_r[done] + (s_l[done] + s_r[done] - s1[done]) / 15.0)
-        err_acc += float(np.sum(err[done])) / 15.0
-        panels += int(np.count_nonzero(done))
-        if np.all(done):
-            break
-        if used > budget:
-            raise ArithmeticError(
-                f"adaptive quadrature did not converge within {budget} evaluations; "
-                f"achieved error estimate {err_acc + float(np.sum(err[~done])):g}"
-            )
-        keep = ~done
-        lo_k, hi_k, mid_k = lo[keep], hi[keep], mid[keep]
-        lo = np.concatenate([lo_k, mid_k])
-        hi = np.concatenate([mid_k, hi_k])
-        flo = np.concatenate([flo[keep], fmid[keep]])
-        fhi = np.concatenate([fmid[keep], fhi[keep]])
-        fmid = np.concatenate([flm[keep], frm[keep]])
-        etol = np.concatenate([etol[keep] / 2.0, etol[keep] / 2.0])
-    return complex(total), err_acc, panels

@@ -9,7 +9,8 @@ Both models are the one state model of ``thermal``, the vacuum (``tmsv``)
 being its zero-occupation case.  The state parameters are the keys of
 ``_DEFAULTS``; when filter parameters (omega_k, omega_l, tau_i, tau_s)
 appear, a family per filter must be fixed, and the overlap kernel
-(K_f, L_f) is that of the pair ``filter_pair`` builds, at every grid point.
+(K_f, L_f) is that of the pair ``filter_pair`` builds, at every grid point;
+the outputs ``k_f`` and ``l_f`` report it.
 A grid is evaluated in one whole-array pass, check by check; ``bell_max``
 then advances the restarts of every grid point as one lockstep array, each
 point with its own seed.  Rows are in axis order (axis2 outermost), and an
@@ -37,7 +38,9 @@ _DEFAULTS = {
 }
 AXIS_PARAMS = tuple(_DEFAULTS)
 FILTER_PARAMS = ("omega_k", "omega_l", "tau_i", "tau_s")  # the centers, then the time constants
-OUTPUTS = ("e_n", "s_q_opt", "purity", "bell_max", "zeta", "weight_ratio", "critical_points")
+OUTPUTS = ("e_n", "s_q_opt", "purity", "bell_max", "zeta", "weight_ratio", "critical_points",
+           "k_f", "l_f")
+FAMILIES = tuple(f.value for f in FilterFamily)  # the names a family may take
 
 CRITICAL_COLUMNS = ("r_lcf_en", "r_ucf_en", "r_max_en", "r_lcf_sq", "r_ucf_sq", "r_max_sq")
 
@@ -71,7 +74,7 @@ class SweepConfig:
     fixed: dict = field(default_factory=dict)
     axis1: AxisSpec | None = None
     axis2: AxisSpec | None = None
-    family: str | None = None
+    families: tuple[str | None, str | None] = (None, None)  # (idler, signal)
     seed: int = 0
     bell_restarts: int = 64
 
@@ -88,8 +91,9 @@ class SweepConfig:
                 raise ValueError(f"unknown parameter {name!r}")
         if self.axis2 is not None and self.axis1 is None:
             raise ValueError("axis2 given without axis1")
-        if self.family is not None and self.family not in ("step", "exponential"):
-            raise ValueError("family must be 'step' or 'exponential'")
+        for name, family in zip(("family_i", "family_s"), self.families, strict=True):
+            if family is not None and family not in FAMILIES:
+                raise ValueError(f"{name} must be one of {FAMILIES}, got {family!r}")
         if "bell_max" in self.outputs:
             # the per-point seeds derive from seed, so it must be a valid one too
             bell.BellMaxConfig(self.bell_restarts, seed=self.seed)
@@ -97,9 +101,11 @@ class SweepConfig:
         for name in axes:
             if name in self.fixed:
                 raise ValueError(f"{name!r} is both an axis and a fixed parameter")
+            if name in self.outputs:
+                raise ValueError(f"{name!r} is both an axis and an output")
         if len(axes) == 2 and axes[0] == axes[1]:
             raise ValueError("axis1 and axis2 must differ")
-        _check_names(self.model, {*self.fixed, *axes}, (self.family, self.family))
+        _check_names(self.model, {*self.fixed, *axes}, self.families)
 
 
 def filter_pair(family_i: str, family_s: str, omega_k, omega_l, tau_i, tau_s):
@@ -113,11 +119,11 @@ def _check_names(model: str, params, families) -> None:
     """Checks on which parameters are given: a grid fails them as a whole."""
     filtered = any(p in params for p in FILTER_PARAMS)
     if filtered and None in families:
-        raise ValueError("filter parameters require --family")
+        raise ValueError("filter parameters require --family (or --family-i and --family-s)")
     if filtered and ("k_f" in params or "l_f" in params):
         raise ValueError("give either (k_f, l_f) or filter parameters, not both")
     if not filtered and families != (None, None):
-        raise ValueError("--family given without filter parameters")
+        raise ValueError("--family (or --family-i/--family-s) given without filter parameters")
     if model == "tmsv" and ("n_i" in params or "n_s" in params):
         raise ValueError("thermal occupations are not tmsv parameters")
 
@@ -164,7 +170,7 @@ def _evaluate(cfg: SweepConfig, params):
     passed.  Returns the outputs and the grid's blocks.
     """
     # a grid without parameters is one state at the defaults
-    p, blocks = point_state(params or {"r": np.array([_DEFAULTS["r"]])}, (cfg.family, cfg.family))
+    p, blocks = point_state(params or {"r": np.array([_DEFAULTS["r"]])}, cfg.families)
     gaussian.check_blocks(blocks)
     # the checked blocks have s_q_opt > 0, so log_negativity cannot raise here
     ent = gaussian.log_negativity(blocks) if {"e_n", "s_q_opt"} & set(cfg.outputs) else None
@@ -187,6 +193,8 @@ def _evaluate(cfg: SweepConfig, params):
         elif out == "bell_max":
             # the matrix checks, where one point meets them
             res["bell_max"] = gaussian.build_covariance(blocks)
+        elif out in ("k_f", "l_f"):
+            res[out] = getattr(p.overlap, out)
         elif out == "critical_points":
             cp = thermal.landmarks(p.a, p.b, p.overlap.k_f, p.overlap.l_f, p.eta_i, p.eta_s)
             res.update((c, getattr(cp, c)) for c in CRITICAL_COLUMNS)

@@ -29,7 +29,6 @@ from filtered_tms.filters import (
     FilterSpec,
     OverlapFactors,
     overlap_closed_form,
-    overlap_numeric,
 )
 from filtered_tms.gaussian import (
     apply_loss,
@@ -44,6 +43,7 @@ from oracles import (
     bisect_root,
     golden_min,
     min_variance_numeric,
+    overlap_numeric,
     purity_det,
     random_thermal_params,
     random_tmsv_params,
@@ -368,7 +368,7 @@ def test_criterion_10_figure_shapes():
     cols, rows, _, _ = run_sweep(SweepConfig(
         model="tmsv", outputs=("e_n",),
         fixed={"omega_k": 1.0, "tau_i": 2.0, "tau_s": 2.0, "r": 1.0},
-        axis1=AxisSpec("omega_l", -4.0, 6.0, 501), family="step",
+        axis1=AxisSpec("omega_l", -4.0, 6.0, 501), families=("step", "step"),
     ))
     omegas = np.array([row[0] for row in rows])
     en = np.array([row[1] for row in rows])
@@ -380,7 +380,7 @@ def test_criterion_10_figure_shapes():
     cols, rows, _, _ = run_sweep(SweepConfig(
         model="tmsv", outputs=("e_n",),
         fixed={"omega_k": 1.0, "omega_l": 1.0, "tau_i": 2.0, "r": 1.0},
-        axis1=AxisSpec("tau_s", 0.5, 6.0, 111), family="step",
+        axis1=AxisSpec("tau_s", 0.5, 6.0, 111), families=("step", "step"),
     ))
     taus = np.array([row[0] for row in rows])
     en = np.array([row[1] for row in rows])

@@ -24,6 +24,7 @@ from oracles import (
     bell_max_reference,
     csv_text_reference,
     landmarks_by_search,
+    overlap_mpmath,
     search_mismatches,
 )
 
@@ -732,10 +733,12 @@ class TestBellCommand:
         (("validate", "--model", "tmsv", "--r", "0.5", "--family", "step", "--tau-i", "2",
           "--tau-s", "2", "--omega-k", "1", "--omega-l", "0", "--dt", "0.02", "--horizon", "6",
           "--n-real", "2000", "--format", "json"), "unrecognized arguments: --format json"),
+        # the overlap kernel is point's and sweep's k_f and l_f
         (("overlap", "--family", "step", "--tau-i", "2", "--tau-s", "2", "--omega-k", "1",
-          "--omega-l", "0", "--format", "json"), "unrecognized arguments: --format json"),
+          "--omega-l", "0"), "argument command: invalid choice: 'overlap' "
+                             "(choose from 'point', 'sweep', 'bell', 'validate')"),
     ], ids=["bell unknown model", "bell missing model", "point unknown model",
-            "validate missing model", "bell format", "validate format", "overlap format"])
+            "validate missing model", "bell format", "validate format", "no overlap command"])
     def test_usage_errors_are_one_json_line(self, argv, message, capsys):
         code, out, err = run_inproc(*argv, capsys=capsys)
         assert code == 2
@@ -952,131 +955,111 @@ class TestValidateCommand:
         assert err.splitlines() == [json.dumps(
             {"error": "give either (k_f, l_f) or filter parameters, not both"})]
 
+
+# the errors of a family pair given in part, and of families without filters
+HALF_PAIR = "filter parameters require --family (or --family-i and --family-s)"
+ORPHAN_FAMILY = "--family (or --family-i/--family-s) given without filter parameters"
+# filter flags for a mixed pair, and every command with the flags it needs
+# beside the state and filter flags
+FILTERS = ("--tau-i", "1.5", "--tau-s", "2", "--omega-k", "1", "--omega-l", "0.3")
+COMMANDS = {
+    "point": ("point", "--outputs", "e_n,k_f,l_f"),
+    "sweep": ("sweep", "--axis1", "eta_i=0.5:1:3", "--outputs", "e_n,k_f,l_f"),
+    "bell": ("bell", "--restarts", "2"),
+    "validate": ("validate", "--dt", "0.02", "--horizon", "20", "--n-real", "1000"),
+}
+# the README's detuning sweep, with a step idler and an exponential signal
+MIXED_SWEEP = ("sweep", "--model", "tmsv", "--axis1", "omega_l=-4:6:501", "--omega-k", "1",
+               "--tau-i", "2", "--tau-s", "2", "--r", "1", "--family-i", "step",
+               "--family-s", "exponential", "--outputs", "e_n,k_f,l_f")
+
+
+def csv_rows(out: str) -> tuple[list[str], np.ndarray]:
+    header, *lines = out.splitlines()
+    return header.split(","), np.array([[float(x) for x in line.split(",")] for line in lines])
+
+
+class TestFamilyPairs:
+    """``--family-i``/``--family-s`` reach every command and override
+    ``--family``; the overlap kernel is the outputs ``k_f`` and ``l_f``."""
+
     @pytest.mark.parametrize("families", [
         ("--family", "exponential"),
         ("--family-i", "exponential", "--family-s", "step"),
-    ], ids=["one family", "a family per filter"])
-    def test_overlap_is_the_overlap_commands_closed_form(self, families, capsys):
-        filters = ("--tau-i", "1.5", "--tau-s", "2", "--omega-k", "1", "--omega-l", "0.3")
-        code, out, _ = run_inproc("overlap", *families, *filters, capsys=capsys)
+        ("--family-i", "step", "--family-s", "exponential"),
+    ], ids=["one family", "exponential idler", "step idler"])
+    def test_overlap_is_the_point_commands_closed_form(self, families, capsys):
+        state = ("--model", "thermal", "--r", "0.5", "--n-i", "0.3", *families, *FILTERS)
+        code, out, _ = run_inproc("point", *state, "--outputs", "k_f,l_f", capsys=capsys)
         assert code == 0
-        want = json.loads(out)["results"]["closed_form"]
-        code, out, _ = run_inproc(
-            "validate", "--model", "thermal", "--r", "0.5", "--n-i", "0.3", *families,
-            *filters, "--dt", "0.02", "--horizon", "20", "--n-real", "1000", capsys=capsys)
+        want = json.loads(out)["results"]
+        code, out, _ = run_inproc("validate", *state, "--dt", "0.02", "--horizon", "20",
+                                  "--n-real", "1000", capsys=capsys)
         assert code == 0
         res = json.loads(out)["results"]
         assert (res["k_f"], res["l_f"]) == (want["k_f"], want["l_f"])
 
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_the_per_filter_flags_override_family(self, command, capsys):
+        argv = (*COMMANDS[command], "--model", "tmsv", "--r", "0.6", *FILTERS)
+        runs = [run_inproc(*argv, *families, capsys=capsys) for families in (
+            ("--family-i", "step", "--family-s", "exponential"),
+            ("--family", "step", "--family-s", "exponential"),
+            ("--family", "exponential", "--family-i", "step"),
+            ("--family", "step", "--family-i", "step", "--family-s", "exponential"),
+        )]
+        assert runs[0][0] == 0 and runs[0][2] == ""
+        assert all(run == runs[0] for run in runs)
+        assert run_inproc(*argv, "--family", "step", capsys=capsys)[1] != runs[0][1]
+        if command != "sweep":
+            params = json.loads(runs[0][1])["params"]
+            assert "family" not in params
+            assert (params["family_i"], params["family_s"]) == ("step", "exponential")
 
-class TestOverlapCommand:
-    def test_same_family_reports_difference(self, capsys):
-        code, out, _ = run_inproc(
-            "overlap", "--family", "step", "--tau-i", "2", "--tau-s", "2",
-            "--omega-k", "1", "--omega-l", "0", capsys=capsys,
-        )
+    @pytest.mark.parametrize("half", [("--family-i", "step"), ("--family-s", "exponential")],
+                             ids=["idler only", "signal only"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_a_half_given_family_pair_is_one_error(self, command, half, capsys):
+        code, out, err = run_inproc(*COMMANDS[command], "--model", "tmsv", *half, *FILTERS,
+                                    capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [json.dumps({"error": HALF_PAIR})]
+
+    def test_a_mixed_detuning_sweep_is_the_closed_form_row_by_row(self, capsys):
+        code, out, _ = run_inproc(*MIXED_SWEEP, capsys=capsys)
         assert code == 0
-        res = json.loads(out)["results"]
-        assert res["closed_form"]["k_f"] == pytest.approx(0.454649, abs=1e-6)
-        assert res["abs_difference"]["k_f"] < 1e-8
-        assert res["abs_difference"]["l_f"] < 1e-8
+        columns, table = csv_rows(out)
+        assert columns == ["omega_l", "e_n", "k_f", "l_f"] and len(table) == 501
+        step = FilterSpec(FilterFamily.STEP, 1.0, 2.0)
+        for omega_l, _, k_f, l_f in table:
+            ov = overlap_closed_form(step, FilterSpec(FilterFamily.EXPONENTIAL, omega_l, 2.0))
+            assert (k_f, l_f) == (ov.k_f, ov.l_f), omega_l
 
-    @pytest.mark.parametrize("order", [("step", "exponential", "2", "1"),
-                                       ("exponential", "step", "1", "2")])
-    def test_mixed_family_reports_difference(self, order, capsys):
-        fam_i, fam_s, tau_i, tau_s = order
-        code, out, _ = run_inproc(
-            "overlap", "--family-i", fam_i, "--family-s", fam_s,
-            "--tau-i", tau_i, "--tau-s", tau_s, "--omega-k", "1", "--omega-l", "1",
-            capsys=capsys,
-        )
+    def test_a_mixed_detuning_sweep_meets_the_stated_bound(self, capsys):
+        # the README's bound on the kernel: 1e-14 max(|K_f|, |L_f|) (1 + |delta| min(tau))
+        code, out, _ = run_inproc(*MIXED_SWEEP, capsys=capsys)
         assert code == 0
-        payload = json.loads(out)
-        assert (payload["params"]["family_i"], payload["params"]["family_s"]) == (fam_i, fam_s)
-        res = payload["results"]
-        # matched frequencies: sqrt(2/(2*1)) (1 - exp(-2)) over the step window
-        assert res["closed_form"]["k_f"] == pytest.approx(1.0 - math.exp(-2.0), abs=1e-15)
-        assert res["closed_form"]["l_f"] == 0.0
-        assert res["abs_difference"]["k_f"] < 1e-8
-        assert res["abs_difference"]["l_f"] < 1e-8
-
-    @pytest.mark.parametrize("argv", [
-        ("--family", "step", "--tau-i", "2", "--tau-s", "2", "--omega-k", "1",
-         "--omega-l", "0"),
-        ("--family", "exponential", "--tau-i", "2", "--tau-s", "1", "--omega-k", "1",
-         "--omega-l", "0.3", "--tol", "1e-6"),
-        ("--family-i", "step", "--family-s", "exponential", "--tau-i", "2", "--tau-s", "1",
-         "--omega-k", "1", "--omega-l", "1", "--tol", "1e-8"),
-    ], ids=["step", "exponential", "mixed"])
-    def test_quadrature_cost_is_reported(self, argv, capsys):
-        code, out, _ = run_inproc("overlap", *argv, capsys=capsys)
-        assert code == 0
-        payload = json.loads(out)
-        diag = payload["diagnostics"]
-        assert set(diag) == {"error_estimate", "panels"}
-        assert math.isfinite(diag["error_estimate"]) and diag["error_estimate"] > 0.0
-        assert diag["error_estimate"] <= payload["params"]["tol"]
-        assert type(diag["panels"]) is int and diag["panels"] > 0
-
-    @pytest.mark.parametrize("omega_l", ["1", "2"], ids=["matched", "detuned"])
-    def test_an_overflowing_truncation_window_is_a_usage_error(self, omega_l, capsys):
-        code, out, err = run_inproc("overlap", "--family", "exponential", "--omega-k", "1",
-                                    "--omega-l", omega_l, "--tau-i", "1e308",
-                                    "--tau-s", "1e308", capsys=capsys)
-        assert code == 2
-        assert out == ""
-        assert json.loads(err) == {
-            "error": "the truncation window ln(10/tol) / (1/tau_i + 1/tau_s) is inf for "
-                     "tau_i=1e+308, tau_s=1e+308 and tol=1e-10"}
-
-    @pytest.mark.parametrize("argv", [
-        ("--omega-k", "100", "--omega-l", "-100", "--tau-i", "4e304", "--tau-s", "1",
-         "--tol", "1e-3"),
-        ("--omega-k", "1", "--omega-l", "1", "--tau-i", "1e300", "--tau-s", "1e-300"),
-    ], ids=["detuned", "matched"])
-    def test_extreme_time_constants_give_a_finite_closed_form(self, argv):
-        code, out, err = run_cli("overlap", "--family", "exponential", *argv)
-        assert (code, err) == (0, "")
-        payload = json.loads(out)
-        tol = payload["params"]["tol"]
-        assert payload["results"]["closed_form"]["k_f"] > 0.0
-        for part in ("k_f", "l_f"):
-            assert payload["results"]["abs_difference"][part] <= tol
-
-    def test_picosecond_filters_integrate_over_their_own_decay_time(self, capsys):
-        code, out, _ = run_inproc("overlap", "--family", "exponential", "--omega-k", "1",
-                                  "--omega-l", "1", "--tau-i", "1e-12", "--tau-s", "1e-12",
-                                  capsys=capsys)
-        assert code == 0
-        res = json.loads(out)["results"]
-        assert res["closed_form"] == {"k_f": 1.0, "l_f": 0.0}
-        assert res["abs_difference"]["k_f"] <= 1e-10
-        assert res["abs_difference"]["l_f"] <= 1e-10
-
-    @pytest.mark.parametrize("command, argv", [
-        ("overlap", ("--tau-i", "2", "--tau-s", "1", "--omega-k", "1", "--omega-l", "1")),
-        ("validate", ("--model", "tmsv", "--tau-i", "2", "--tau-s", "1", "--omega-k", "1",
-                      "--omega-l", "1", "--dt", "0.02", "--horizon", "10", "--n-real", "100")),
-    ])
-    def test_missing_family_names_the_command(self, command, argv, capsys):
-        code, out, err = run_inproc(command, "--family-i", "step", *argv, capsys=capsys)
-        assert code == 2
-        assert out == ""
-        assert json.loads(err) == {
-            "error": f"{command} requires --family (or --family-i/--family-s)"}
+        step = FilterSpec(FilterFamily.STEP, 1.0, 2.0)
+        for omega_l, _, k_f, l_f in csv_rows(out)[1]:
+            want = overlap_mpmath(step, FilterSpec(FilterFamily.EXPONENTIAL, omega_l, 2.0))
+            bound = 1e-14 * max(abs(want.real), abs(want.imag)) * (1.0 + abs(1.0 - omega_l) * 2.0)
+            assert abs(k_f - want.real) <= bound and abs(l_f - want.imag) <= bound, omega_l
 
 
 # SweepConfig's request errors: state flags and the message each gives
 REQUEST_ERRORS = {
     "occupation on tmsv": (("--model", "tmsv", "--n-i", "0.2"),
                            "thermal occupations are not tmsv parameters"),
-    "filters without family": (("--model", "tmsv", "--omega-k", "1"),
-                               "filter parameters require --family"),
+    "filters without family": (("--model", "tmsv", "--omega-k", "1"), HALF_PAIR),
+    "filters with one family": (("--model", "tmsv", "--omega-k", "1", "--family-s", "step"),
+                                HALF_PAIR),
     "k_f beside filters": (("--model", "tmsv", "--k-f", "0.9", "--tau-i", "2",
                             "--family", "step"),
                            "give either (k_f, l_f) or filter parameters, not both"),
     "family without filters": (("--model", "thermal", "--k-f", "0.9", "--family", "step"),
-                               "--family given without filter parameters"),
+                               ORPHAN_FAMILY),
+    "signal family without filters": (("--model", "tmsv", "--family-s", "step"),
+                                      ORPHAN_FAMILY),
     "no restarts": (("--model", "tmsv", "--restarts", "0"),
                     "n_restarts must be at least 1, got 0"),
 }

@@ -12,10 +12,9 @@ from filtered_tms.filters import (
     FilterSpec,
     OverlapFactors,
     overlap_closed_form,
-    overlap_numeric,
     sample_time,
 )
-from oracles import eval_freq, orthonormal_frequencies, overlap_mpmath
+from oracles import eval_freq, orthonormal_frequencies, overlap_mpmath, overlap_numeric
 
 STEP = FilterFamily.STEP
 EXP = FilterFamily.EXPONENTIAL
@@ -493,6 +492,52 @@ class TestOverlapNumeric:
         assert ov.error_estimate <= 1e-10
         ref = overlap_closed_form(fi, fs)
         assert abs(ov.k_f - ref.k_f) <= 1e-10 and abs(ov.l_f - ref.l_f) <= 1e-10
+
+    @pytest.mark.parametrize("fi, fs, k_f, l_f", [
+        (FilterSpec(STEP, 1.0, 2.0), FilterSpec(STEP, 0.0, 2.0), 0.454649, None),
+        # matched frequencies: sqrt(2/(2*1)) (1 - exp(-2)) over the step window
+        (FilterSpec(STEP, 1.0, 2.0), FilterSpec(EXP, 1.0, 1.0), 1.0 - math.exp(-2.0), 0.0),
+        (FilterSpec(EXP, 1.0, 1.0), FilterSpec(STEP, 1.0, 2.0), 1.0 - math.exp(-2.0), 0.0),
+    ], ids=["detuned steps", "step and exponential", "exponential and step"])
+    def test_the_default_tolerance_meets_the_closed_form(self, fi, fs, k_f, l_f):
+        num, ref = overlap_numeric(fi, fs), overlap_closed_form(fi, fs)
+        assert ref.k_f == pytest.approx(k_f, abs=1e-6 if l_f is None else 1e-15)
+        assert l_f is None or ref.l_f == l_f
+        assert abs(ref.k_f - num.k_f) < 1e-8 and abs(ref.l_f - num.l_f) < 1e-8
+
+    @pytest.mark.parametrize("fi, fs, tol", [
+        (FilterSpec(STEP, 1.0, 2.0), FilterSpec(STEP, 0.0, 2.0), 1e-10),
+        (FilterSpec(EXP, 1.0, 2.0), FilterSpec(EXP, 0.3, 1.0), 1e-6),
+        (FilterSpec(STEP, 1.0, 2.0), FilterSpec(EXP, 1.0, 1.0), 1e-8),
+    ], ids=["step", "exponential", "mixed"])
+    def test_the_error_estimate_is_within_tol(self, fi, fs, tol):
+        ov = overlap_numeric(fi, fs, tol=tol)
+        assert math.isfinite(ov.error_estimate) and 0.0 < ov.error_estimate <= tol
+        assert type(ov.panels) is int and ov.panels > 0
+
+    @pytest.mark.parametrize("omega_s", [1.0, 2.0], ids=["matched", "detuned"])
+    def test_an_overflowing_truncation_window_is_a_value_error(self, omega_s):
+        with pytest.raises(ValueError) as error:
+            overlap_numeric(FilterSpec(EXP, 1.0, 1e308), FilterSpec(EXP, omega_s, 1e308))
+        assert str(error.value) == ("the truncation window ln(10/tol) / (1/tau_i + 1/tau_s) is "
+                                    "inf for tau_i=1e+308, tau_s=1e+308 and tol=1e-10")
+
+    @pytest.mark.parametrize("fi, fs, tol", [
+        (FilterSpec(EXP, 100.0, 4e304), FilterSpec(EXP, -100.0, 1.0), 1e-3),
+        (FilterSpec(EXP, 1.0, 1e300), FilterSpec(EXP, 1.0, 1e-300), 1e-10),
+    ], ids=["detuned", "matched"])
+    def test_extreme_time_constants_meet_the_closed_form_without_warnings(self, fi, fs, tol):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            num, ref = overlap_numeric(fi, fs, tol=tol), overlap_closed_form(fi, fs)
+        assert ref.k_f > 0.0
+        assert abs(ref.k_f - num.k_f) <= tol and abs(ref.l_f - num.l_f) <= tol
+
+    def test_picosecond_filters_integrate_over_their_own_decay_time(self):
+        f = FilterSpec(EXP, 1.0, 1e-12)
+        num, ref = overlap_numeric(f, f), overlap_closed_form(f, f)
+        assert (ref.k_f, ref.l_f) == (1.0, 0.0)
+        assert abs(ref.k_f - num.k_f) <= 1e-10 and abs(ref.l_f - num.l_f) <= 1e-10
 
     def test_tolerance_range_enforced(self):
         f = FilterSpec(STEP, 1.0, 2.0)

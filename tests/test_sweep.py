@@ -39,7 +39,7 @@ ALL = ("e_n", "s_q_opt", "purity", "zeta", "weight_ratio", "critical_points")
 
 # mixed grids: an r = 0 row, a K_f = 1 column, thermal input with L_f != 0,
 # lossy thermal input (all rows, and an eta axis mixing lossy and lossless
-# rows) and a step-filter axis
+# rows), a step-filter axis and a step idler beside an exponential signal
 GRIDS = {
     "tmsv_lossy": SweepConfig(
         "tmsv", ALL, {"eta_i": 0.9, "eta_s": 0.98},
@@ -56,7 +56,11 @@ GRIDS = {
     "step_filter": SweepConfig(
         "tmsv", ALL, {"omega_k": 1.0, "tau_i": 2.0, "tau_s": 2.0},
         axis1=AxisSpec("omega_l", -4.0, 6.0, 41), axis2=AxisSpec("r", 0.0, 2.0, 5),
-        family="step"),
+        families=("step", "step")),
+    "mixed_filter": SweepConfig(
+        "tmsv", ALL + ("k_f", "l_f"), {"r": 0.8, "omega_k": 1.0, "tau_i": 2.0, "eta_s": 0.9},
+        axis1=AxisSpec("omega_l", -4.0, 6.0, 21), axis2=AxisSpec("tau_s", 0.5, 4.0, 4),
+        families=("step", "exponential")),
 }
 
 
@@ -78,10 +82,10 @@ def scalar_point(cfg, params):
     """Model params and blocks of one point through the scalar public API,
     with the overlap integral rounded from 50 digits."""
     get = lambda name, default: params.get(name, default)
-    if cfg.family:
-        fam = FilterFamily(cfg.family)
-        ov = overlap_mpmath(FilterSpec(fam, get("omega_k", 1.0), get("tau_i", 2.0)),
-                            FilterSpec(fam, get("omega_l", 1.0), get("tau_s", 2.0)))
+    if cfg.families != (None, None):
+        fam_i, fam_s = map(FilterFamily, cfg.families)
+        ov = overlap_mpmath(FilterSpec(fam_i, get("omega_k", 1.0), get("tau_i", 2.0)),
+                            FilterSpec(fam_s, get("omega_l", 1.0), get("tau_s", 2.0)))
         ov = OverlapFactors(float(ov.real), float(ov.imag))
     else:
         ov = OverlapFactors(get("k_f", 1.0), get("l_f", 0.0))
@@ -137,6 +141,8 @@ class TestSpectralOracle:
                 "purity": 1.0 / (4.0 * math.sqrt(np.linalg.det(v.entries))),
                 "zeta": gaussian.squeezing_angle(blocks),
                 "weight_ratio": or_nan(gaussian.optimal_weight_ratio, blocks),
+                "k_f": p.overlap.k_f,
+                "l_f": p.overlap.l_f,
             }
             for col, w in want.items():
                 if col not in row:
@@ -188,9 +194,9 @@ class TestOnePointCase:
     def test_a_request_without_axes_is_a_one_by_one_grid(self, model, fixed, family):
         axis1 = AxisSpec("omega_l", 0.7, 0.7, 1) if family else AxisSpec("k_f", 0.9, 0.9, 1)
         point = SweepConfig(model, ALL, {**fixed, "r": 0.8, axis1.name: 0.7 if family else 0.9},
-                            family=family)
+                            families=(family, family))
         grid = SweepConfig(model, ALL, fixed, axis1=axis1, axis2=AxisSpec("r", 0.8, 0.8, 1),
-                           family=family)
+                           families=(family, family))
         p_cols, p_table, p_blocks, p_searches = run_sweep(point)
         g_cols, g_table, g_blocks, g_searches = run_sweep(grid)
         assert g_cols == [axis1.name, "r"] + p_cols
@@ -238,7 +244,7 @@ ERROR_CASES = {
         OverflowError, "(34, 'Numerical result out of range')"),
     "non-positive filter time": (
         SweepConfig("tmsv", ("e_n",), {"omega_k": 1.0}, axis1=AxisSpec("tau_s", 1.0, -1.0, 5),
-                    family="step"),
+                    families=("step", "step")),
         ValueError, "tau must be positive, got 0.0"),
 }
 
@@ -285,10 +291,12 @@ class TestGridWideErrors:
     # built: no point is named
     @pytest.mark.parametrize("model, fixed, family, axis2, message", [
         ("tmsv", {"n_i": 0.2}, None, None, "thermal occupations are not tmsv parameters"),
-        ("tmsv", {"omega_k": 1.0}, None, None, "filter parameters require --family"),
+        ("tmsv", {"omega_k": 1.0}, None, None,
+         "filter parameters require --family (or --family-i and --family-s)"),
         ("tmsv", {"k_f": 0.9, "tau_i": 2.0}, "step", None,
          "give either (k_f, l_f) or filter parameters, not both"),
-        ("thermal", {"k_f": 0.9}, "step", None, "--family given without filter parameters"),
+        ("thermal", {"k_f": 0.9}, "step", None,
+         "--family (or --family-i/--family-s) given without filter parameters"),
         ("tmsv", {"r": 0.5}, None, None, "'r' is both an axis and a fixed parameter"),
         ("tmsv", {"k_f": 0.9}, None, AxisSpec("k_f", 0.8, 1.0, 2),
          "'k_f' is both an axis and a fixed parameter"),
@@ -297,7 +305,23 @@ class TestGridWideErrors:
     def test_the_error_names_no_point(self, model, fixed, family, axis2, message):
         with pytest.raises(ValueError) as error:
             SweepConfig(model, ("e_n",), fixed, axis1=AxisSpec("r", 0.0, 1.0, 3), axis2=axis2,
-                        family=family)
+                        families=(family, family))
+        assert str(error.value) == message
+
+    @pytest.mark.parametrize("name", ["k_f", "l_f"])
+    def test_an_overlap_axis_is_not_an_output(self, name):
+        # the output would repeat the axis column
+        with pytest.raises(ValueError) as error:
+            SweepConfig("tmsv", ("e_n", name), {}, axis1=AxisSpec(name, 0.0, 0.5, 3))
+        assert str(error.value) == f"{name!r} is both an axis and an output"
+
+    @pytest.mark.parametrize("families, message", [
+        (("gauss", "step"), "family_i must be one of ('step', 'exponential'), got 'gauss'"),
+        (("step", "Step"), "family_s must be one of ('step', 'exponential'), got 'Step'"),
+    ], ids=["idler", "signal"])
+    def test_a_bad_family_is_named(self, families, message):
+        with pytest.raises(ValueError) as error:
+            SweepConfig("tmsv", ("e_n",), {"omega_k": 1.0}, families=families)
         assert str(error.value) == message
 
     def test_a_failing_grid_checks_its_names_once(self, monkeypatch):
