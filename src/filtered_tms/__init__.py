@@ -11,7 +11,6 @@ from .bell import (
 )
 from .fieldsim import EmpiricalBlocks, SimConfig, simulate
 from .filters import (
-    FilterFamily,
     FilterSpec,
     OverlapFactors,
     overlap_closed_form,
@@ -42,7 +41,6 @@ __all__ = [
     "DisplacementSettings",
     "EmpiricalBlocks",
     "EntanglementResult",
-    "FilterFamily",
     "FilterSpec",
     "OverlapFactors",
     "SimConfig",

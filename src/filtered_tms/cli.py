@@ -28,7 +28,8 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from . import fieldsim, sweep
+from . import fieldsim, sweep, thermal
+from .filters import FilterSpec, overlap_closed_form
 from .svg import render_heatmap
 from .sweep import AxisSpec, SweepConfig
 
@@ -203,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _family_params(families) -> dict:
-    """The (idler, signal) families as ``point``, ``bell`` and ``validate`` report them."""
+    """The (idler, signal) families as every command reports them."""
     return dict(zip(("family_i", "family_s"), families))
 
 
@@ -234,8 +235,8 @@ def _cmd_point(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _request(args, args.outputs, _parse_axis(args.axis1),
-                   _parse_axis(args.axis2) if args.axis2 else None)
+    axes = _parse_axis(args.axis1), _parse_axis(args.axis2) if args.axis2 else None
+    cfg = _request(args, args.outputs, *axes)
     if args.jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {args.jobs}")
     if args.svg and cfg.axis2 is None:
@@ -247,8 +248,9 @@ def _cmd_sweep(args) -> int:
         _write(args.out, sweep.csv_chunks(columns, table))
         return 0
     payload = {
-        "params": {"model": cfg.model, "outputs": list(cfg.outputs),
-                   "fixed": cfg.fixed, "seed": cfg.seed},
+        "params": {"model": cfg.model, "outputs": list(cfg.outputs), "fixed": cfg.fixed,
+                   **_family_params(cfg.families), "seed": cfg.seed,
+                   **{n: a and dataclasses.asdict(a) for n, a in zip(("axis1", "axis2"), axes)}},
         "results": {"columns": columns, "rows": table.tolist()},
         "diagnostics": {"n_points": len(table)},
     }
@@ -295,11 +297,15 @@ def _cmd_validate(args) -> int:
         raise ValueError(f"validate requires filter parameters, missing {missing}")
     sweep._check_names(args.model, params, families)
     fi, fs = sweep.filter_pair(*families, *(params[n] for n in sweep.FILTER_PARAMS))
-    model, analytic = sweep.point_state(params, families)
-    est = fieldsim.simulate(fieldsim.SimConfig(
-        model=model, filter_i=fi, filter_s=fs, dt=args.dt,
-        horizon=args.horizon, n_realizations=args.n_real, seed=args.seed,
-    ))
+    model, requested = sweep.point_state(params, families)
+    cfg = fieldsim.SimConfig(model, fi, fs, args.dt, args.horizon, args.n_real, args.seed)
+    # the pair as sampled: a filter that outlasts the (checked) horizon is gated there
+    horizon = args.horizon
+    gi, gs = gated = tuple(f if f.end <= horizon else FilterSpec(f.omega, f.decay, horizon)
+                           for f in (fi, fs))
+    analytic = requested if gated == (fi, fs) else thermal.covariance(
+        dataclasses.replace(model, overlap=overlap_closed_form(gi, gs)))
+    est = fieldsim.simulate(dataclasses.replace(cfg, filter_i=gi, filter_s=gs))
     names = ("d_i", "d_s", "c11", "c12")
     rows = []
     all_pass = True
@@ -327,7 +333,9 @@ def _cmd_validate(args) -> int:
                         "bias_warning": est.bias_warning,
                         "chain_residual": chain,
                         "lag_cells": est.lag_cells,
-                        "normal_draws": est.normal_draws},
+                        "normal_draws": est.normal_draws,
+                        "truncation": [float(getattr(requested, n)) - row["analytic"]
+                                       for n, row in zip(names, rows)]},
     }
     _emit(payload, args.out)
     return 0

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import FilterFamily, FilterSpec, sample_time
+from .filters import FilterSpec, sample_time
 from .gaussian import CovarianceBlocks, _check_seed
 from .thermal import ThermalParams
 
@@ -86,11 +86,11 @@ _PATTERNS = np.array([[_I2, _Z2], [_J2, -_X2], [_Z2, _I2], [-_X2, _J2],
 class SimConfig:
     """Model, filter pair and discretization of one Monte Carlo run.
 
-    dt must resolve the filter kernels (<= min(tau)/50); the horizon must
-    cover the step windows with margin (>= 3 max(tau)) and the exponential
-    tails (>= 10 tau).  The realizations' second moments are drawn at once
-    from SeedSequence((seed, 0)), so a seed gives the same estimates bit
-    for bit on every run.
+    For the filters' time scales tau (``FilterSpec.scale``), dt <= min(tau)/50
+    and horizon >= 3 max(tau); a kernel is sampled on [0, min(end, horizon)].
+    The realizations' second moments are drawn at once from
+    SeedSequence((seed, 0)), so a seed gives the same estimates bit for bit
+    on every run.
     """
 
     model: ThermalParams
@@ -102,14 +102,11 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        taus = (self.filter_i.tau, self.filter_s.tau)
+        taus = (self.filter_i.scale, self.filter_s.scale)
         if not 0.0 < self.dt <= min(taus) / 50.0:
             raise ValueError(f"dt must lie in (0, min(tau)/50 = {min(taus) / 50.0:g}]")
         if not 3.0 * max(taus) <= self.horizon < math.inf:
             raise ValueError(f"horizon must be finite and >= 3 max(tau) = {3.0 * max(taus):g}")
-        for f in (self.filter_i, self.filter_s):
-            if f.family is FilterFamily.EXPONENTIAL and self.horizon < 10.0 * f.tau:
-                raise ValueError("horizon must be >= 10 tau for exponential filters")
         if not isinstance(self.n_realizations, (int, np.integer)):
             raise ValueError(f"n_realizations must be an integer, got {self.n_realizations!r}")
         if self.n_realizations < 1000:
@@ -169,12 +166,10 @@ def _kernel_grams(cfg: SimConfig) -> tuple[np.ndarray, int]:
     (2, 4, 4) over the kernel columns (Re h_k, Im h_k, Re h_l, Im h_l), and
     the number of cells at dt.
 
-    The lag window spans the full kernel support of both filters, so the
-    estimate is already stationary; the horizon margin enforced by
-    SimConfig guarantees the support fits in the simulated interval.
+    The lag window spans both kernels' supports within the simulated
+    interval, [0, min(end, horizon)], so the estimate is already stationary.
     """
-    support = max(f.tau if f.family is FilterFamily.STEP else cfg.horizon
-                  for f in (cfg.filter_i, cfg.filter_s))
+    support = max(min(f.end, cfg.horizon) for f in (cfg.filter_i, cfg.filter_s))
     mids, widths = _lag_grid(support, cfg.dt)
     mids_f, widths_f = _refine_grid(mids, widths)
     m = len(widths)

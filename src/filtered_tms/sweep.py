@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import bell, gaussian, thermal
-from .filters import FilterFamily, FilterSpec, OverlapFactors, overlap_closed_form
+from .filters import FilterSpec, OverlapFactors, overlap_closed_form
 
 # the state parameters, in axis and flag order, and their defaults
 _DEFAULTS = {
@@ -40,7 +40,8 @@ AXIS_PARAMS = tuple(_DEFAULTS)
 FILTER_PARAMS = ("omega_k", "omega_l", "tau_i", "tau_s")  # the centers, then the time constants
 OUTPUTS = ("e_n", "s_q_opt", "purity", "bell_max", "zeta", "weight_ratio", "critical_points",
            "k_f", "l_f")
-FAMILIES = tuple(f.value for f in FilterFamily)  # the names a family may take
+# each family's name and the filter it makes of a center and a time constant
+FAMILIES = {"step": FilterSpec.step, "exponential": FilterSpec.exponential}
 
 CRITICAL_COLUMNS = ("r_lcf_en", "r_ucf_en", "r_max_en", "r_lcf_sq", "r_ucf_sq", "r_max_sq")
 
@@ -93,7 +94,7 @@ class SweepConfig:
             raise ValueError("axis2 given without axis1")
         for name, family in zip(("family_i", "family_s"), self.families, strict=True):
             if family is not None and family not in FAMILIES:
-                raise ValueError(f"{name} must be one of {FAMILIES}, got {family!r}")
+                raise ValueError(f"{name} must be one of {tuple(FAMILIES)}, got {family!r}")
         if "bell_max" in self.outputs:
             # the per-point seeds derive from seed, so it must be a valid one too
             bell.BellMaxConfig(self.bell_restarts, seed=self.seed)
@@ -109,10 +110,8 @@ class SweepConfig:
 
 
 def filter_pair(family_i: str, family_s: str, omega_k, omega_l, tau_i, tau_s):
-    """The (idler, signal) ``FilterSpec`` pair: the idler filter of family_i
-    at (omega_k, tau_i), the signal filter of family_s at (omega_l, tau_s)."""
-    return (FilterSpec(FilterFamily(family_i), omega_k, tau_i),
-            FilterSpec(FilterFamily(family_s), omega_l, tau_s))
+    """The (idler, signal) filters: family_i at (omega_k, tau_i), family_s at (omega_l, tau_s)."""
+    return FAMILIES[family_i](omega_k, tau_i), FAMILIES[family_s](omega_l, tau_s)
 
 
 def _check_names(model: str, params, families) -> None:

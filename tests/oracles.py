@@ -20,7 +20,7 @@ import numpy as np
 
 from filtered_tms import thermal, tmsv
 from filtered_tms.bell import bell_value
-from filtered_tms.filters import FilterFamily, FilterSpec, OverlapFactors, sample_time
+from filtered_tms.filters import FilterSpec, OverlapFactors, sample_time
 from filtered_tms.gaussian import CovarianceBlocks, CovarianceMatrix
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -646,28 +646,29 @@ def _sq_window_reference(a: float, q: float) -> tuple[float, float]:
 
 
 def overlap_mpmath(fi, fs):
-    """The overlap integral of conj(h_i) h_s, at 50 digits, for a filter pair
-    of any two families, as an mpmath number.
+    """The overlap integral of conj(h_i) h_s, at 50 digits, for any filter
+    pair, as an mpmath number.
 
-    Each filter is c exp(-(g + i Omega) t) on [0, T]: a step has g = 0,
-    T = tau and c = 1/sqrt(tau), an exponential g = 1/tau, T = inf and
-    c = sqrt(2/tau).  The integrand is then c_i c_s exp(-a t) on the shared
+    Each filter is c exp(-(g + i Omega) t) on [0, T], from its definition:
+    g = 1/decay, T = end and c = 1/sqrt(N) for N the integral of exp(-2 g t)
+    over [0, T].  The integrand is then c_i c_s exp(-a t) on the shared
     support, a = g_i + g_s - i (Omega_i - Omega_s), integrated exactly.
     """
+    def integral(a, end):
+        """The integral of exp(-a t) over [0, end]."""
+        if a == 0:
+            return end
+        # an infinite support ends where exp(-a t) has vanished
+        return (1 if mpmath.isinf(end) else -mpmath.expm1(-a * end)) / a
+
     def parts(f):
-        tau = mpmath.mpf(f.tau)
-        if f.family is FilterFamily.STEP:
-            return 1 / mpmath.sqrt(tau), 0, tau
-        return mpmath.sqrt(2 / tau), 1 / tau, mpmath.inf
+        g, end = 1 / mpmath.mpf(f.decay), mpmath.mpf(f.end)
+        return 1 / mpmath.sqrt(integral(2 * g, end)), g, end
 
     with mpmath.workdps(50):
         (ci, gi, ti), (cs, gs, ts) = parts(fi), parts(fs)
         a = gi + gs - 1j * (mpmath.mpf(fi.omega) - mpmath.mpf(fs.omega))
-        end = min(ti, ts)
-        if a == 0:
-            return ci * cs * end
-        # an infinite support ends where exp(-a t) has vanished
-        return ci * cs * (1 if mpmath.isinf(end) else -mpmath.expm1(-a * end)) / a
+        return ci * cs * integral(a, min(ti, ts))
 
 
 @dataclass(frozen=True)
@@ -682,23 +683,20 @@ class NumericOverlap(OverlapFactors):
 def overlap_numeric(fi: FilterSpec, fs: FilterSpec, tol: float = 1e-10) -> NumericOverlap:
     """Adaptive-quadrature overlap integral; independent of the closed forms.
 
-    Step supports are finite.  Two exponential kernels are integrated up to
-    their own decay time T = ln(10/tol) / (1/tau_i + 1/tau_s): the integral
-    of |h_i h_s| past T is 2 sqrt(tau_i tau_s)/(tau_i + tau_s)
-    exp(-T (1/tau_i + 1/tau_s)) <= tol/10, at any time scale.
+    The integrand ends at the earlier gate end.  Two endless exponential
+    kernels are integrated up to their own decay time
+    T = ln(10/tol) / (1/tau_i + 1/tau_s): the integral of |h_i h_s| past T
+    is 2 sqrt(tau_i tau_s)/(tau_i + tau_s) exp(-T (1/tau_i + 1/tau_s))
+    <= tol/10, at any time scale.
     """
     if not 1e-12 <= tol <= 1e-3:
         raise ValueError(f"tol must lie in [1e-12, 1e-3], got {tol}")
-    upper = math.inf
-    if fi.family is FilterFamily.STEP:
-        upper = min(upper, fi.tau)
-    if fs.family is FilterFamily.STEP:
-        upper = min(upper, fs.tau)
+    upper = min(fi.end, fs.end)
     if math.isinf(upper):
-        upper = math.log(10.0 / tol) / (1.0 / fi.tau + 1.0 / fs.tau)
+        upper = math.log(10.0 / tol) / (1.0 / fi.decay + 1.0 / fs.decay)
         if not 0.0 < upper < math.inf:
-            raise ValueError(f"the truncation window ln(10/tol) / (1/tau_i + 1/tau_s) is "
-                             f"{upper!r} for tau_i={fi.tau!r}, tau_s={fs.tau!r} and tol={tol!r}")
+            raise ValueError(f"the truncation window ln(10/tol) / (1/tau_i + 1/tau_s) is {upper!r} "
+                             f"for tau_i={fi.decay!r}, tau_s={fs.decay!r} and tol={tol!r}")
 
     def integrand(ts: np.ndarray) -> np.ndarray:
         return np.conj(sample_time(fi, ts)) * sample_time(fs, ts)
@@ -1065,13 +1063,13 @@ def eval_freq(f: FilterSpec, omega):
     h~(omega) = (2 pi)**-1/2 * integral h(t) exp(i omega t) dt.
     """
     d = np.asarray(omega, dtype=float) - f.omega
-    if f.family is FilterFamily.STEP:
-        x = d * f.tau / 2.0
+    if math.isinf(f.decay):  # a step
+        x = d * f.scale / 2.0
         with np.errstate(divide="ignore", invalid="ignore"):
             sinc = np.where(np.abs(x) < 1e-4, 1.0 - x * x / 6.0 * (1.0 - x * x / 20.0),
                             np.sin(x) / x)
-        return math.sqrt(f.tau / (2.0 * math.pi)) * np.exp(1j * x) * sinc
-    return math.sqrt(f.tau / math.pi) / (1.0 - 1j * f.tau * d)
+        return math.sqrt(f.scale / (2.0 * math.pi)) * np.exp(1j * x) * sinc
+    return math.sqrt(f.scale / math.pi) / (1.0 - 1j * f.scale * d)
 
 
 def orthonormal_frequencies(f: FilterSpec, n_range: int) -> list[float]:
@@ -1082,7 +1080,7 @@ def orthonormal_frequencies(f: FilterSpec, n_range: int) -> list[float]:
     """
     if n_range < 0:
         raise ValueError("n_range must be non-negative")
-    spacing = 2.0 * math.pi / f.tau
+    spacing = 2.0 * math.pi / f.scale
     return [f.omega + n * spacing for n in range(-n_range, n_range + 1)]
 
 

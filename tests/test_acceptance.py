@@ -25,7 +25,6 @@ from filtered_tms import fieldsim, thermal, tmsv
 from filtered_tms.bell import BellMaxConfig, bell_max
 from filtered_tms.fieldsim import SimConfig, simulate
 from filtered_tms.filters import (
-    FilterFamily,
     FilterSpec,
     OverlapFactors,
     overlap_closed_form,
@@ -74,25 +73,25 @@ def test_criterion_01_overlap_kernels():
     rng = np.random.default_rng(1001)
     worst = 0.0
     for _ in range(200):
-        family = FilterFamily.STEP if rng.uniform() < 0.5 else FilterFamily.EXPONENTIAL
+        family = FilterSpec.step if rng.uniform() < 0.5 else FilterSpec.exponential
         tau_i, tau_s = (float(t) for t in rng.uniform(0.1, 20.0, size=2))
         omega = float(rng.uniform(-5.0, 5.0))
         delta = float(rng.uniform(0.0, 10.0))
-        a = FilterSpec(family, omega, tau_i)
-        b = FilterSpec(family, omega - delta, tau_s)
+        a = family(omega, tau_i)
+        b = family(omega - delta, tau_s)
         num = overlap_numeric(a, b, tol=1e-10)
         ref = overlap_closed_form(a, b)
         worst = max(worst, abs(num.k_f - ref.k_f), abs(num.l_f - ref.l_f))
     ok = worst <= 1e-7
 
-    ident = overlap_closed_form(FilterSpec(FilterFamily.STEP, 1.0, 2.0),
-                                FilterSpec(FilterFamily.STEP, 1.0, 2.0))
+    ident = overlap_closed_form(FilterSpec.step(1.0, 2.0),
+                                FilterSpec.step(1.0, 2.0))
     ok &= ident.k_f == 1.0 and ident.l_f == 0.0
-    step = overlap_closed_form(FilterSpec(FilterFamily.STEP, 1.0, 2.0),
-                               FilterSpec(FilterFamily.STEP, 0.0, 2.0))
+    step = overlap_closed_form(FilterSpec.step(1.0, 2.0),
+                               FilterSpec.step(0.0, 2.0))
     ok &= abs(step.k_f - 0.454649) <= 1e-6 and abs(step.l_f - 0.708073) <= 1e-6
-    expo = overlap_closed_form(FilterSpec(FilterFamily.EXPONENTIAL, 1.0, 1.0),
-                               FilterSpec(FilterFamily.EXPONENTIAL, 1.0, 2.0))
+    expo = overlap_closed_form(FilterSpec.exponential(1.0, 1.0),
+                               FilterSpec.exponential(1.0, 2.0))
     ok &= abs(expo.k_f - 6.0 * math.sqrt(2.0) / 9.0) <= 1e-12 and expo.l_f == 0.0
 
     elapsed = time.perf_counter() - start
@@ -322,7 +321,7 @@ def test_criterion_08_bell():
 
 def test_criterion_09_monte_carlo_oracle():
     start = time.perf_counter()
-    step = lambda omega: FilterSpec(FilterFamily.STEP, omega, 2.0)
+    step = lambda omega: FilterSpec.step(omega, 2.0)
     detuned = overlap_closed_form(step(1.0), step(0.0))
     configs = [
         (tmsv.TmsvParams(r=0.0), step(1.0), step(0.0)),

@@ -17,7 +17,7 @@ import pytest
 import filtered_tms
 from filtered_tms import bell, fieldsim, sweep, thermal
 from filtered_tms.cli import main
-from filtered_tms.filters import FilterFamily, FilterSpec, overlap_closed_form
+from filtered_tms.filters import FilterSpec, overlap_closed_form
 from filtered_tms.gaussian import build_covariance
 from filtered_tms.sweep import SweepConfig
 from oracles import (
@@ -530,6 +530,22 @@ class TestSweep:
         assert payload["results"]["rows"][2][1] == pytest.approx(2.0, abs=1e-9)
         assert payload["diagnostics"]["n_points"] == 3
 
+    @pytest.mark.parametrize("argv, params", [
+        (("--axis1", "omega_l=0:1:2", "--family-i", "step", "--family-s", "exponential"),
+         {"fixed": {}, "family_i": "step", "family_s": "exponential",
+          "axis1": {"name": "omega_l", "start": 0.0, "stop": 1.0, "count": 2}, "axis2": None}),
+        (("--r", "0.5", "--axis1", "k_f=0.8:1:3", "--axis2", "eta_i=0.5:1:2"),
+         {"fixed": {"r": 0.5}, "family_i": None, "family_s": None,
+          "axis1": {"name": "k_f", "start": 0.8, "stop": 1.0, "count": 3},
+          "axis2": {"name": "eta_i", "start": 0.5, "stop": 1.0, "count": 2}}),
+    ], ids=["families", "two axes"])
+    def test_sweep_json_params_give_the_families_and_axes(self, argv, params, capsys):
+        code, out, _ = run_inproc("sweep", "--model", "tmsv", *argv, "--format", "json",
+                                  capsys=capsys)
+        assert code == 0
+        assert strict_json(out)["params"] == {"model": "tmsv", "outputs": ["e_n"], **params,
+                                              "seed": 0}
+
     @pytest.mark.parametrize("argv", [
         ("--model", "tmsv", "--eta-i", "0.9", "--eta-s", "0.98", "--axis1", "k_f=0.8:1:5",
          "--axis2", "r=0:3:4", "--outputs", "e_n,s_q_opt"),
@@ -798,7 +814,7 @@ class TestValidateCommand:
         assert payload["results"]["all_pass"] is True
         diag = payload["diagnostics"]
         assert set(diag) == {"bias_estimate", "bias_warning", "chain_residual", "lag_cells",
-                             "normal_draws"}
+                             "normal_draws", "truncation"}
         # the realizations' second moments: 4 chi-squares and 6 normals
         assert (diag["lag_cells"], diag["normal_draws"]) == (100, 10)
 
@@ -837,8 +853,8 @@ class TestValidateCommand:
         payload = json.loads(out)
         assert payload["params"]["family_s"] == "exponential"
         assert payload["results"]["all_pass"] is True
-        ov = overlap_closed_form(FilterSpec(FilterFamily.STEP, 1.0, 2.0),
-                                 FilterSpec(FilterFamily.EXPONENTIAL, 1.0, 1.0))
+        ov = overlap_closed_form(FilterSpec.step(1.0, 2.0),
+                                 FilterSpec.exponential(1.0, 1.0))
         assert (payload["results"]["k_f"], payload["results"]["l_f"]) == (ov.k_f, ov.l_f)
 
     def test_bad_dt_exits_two(self):
@@ -892,8 +908,8 @@ class TestValidateCommand:
         assert payload["results"]["all_pass"] is True
         assert all(abs(row["z"]) <= 5.0 for row in payload["results"]["blocks"])
         # the analytic blocks are the model's lossy thermal blocks
-        ov = overlap_closed_form(FilterSpec(FilterFamily.STEP, 1.0, 2.0),
-                                 FilterSpec(FilterFamily.STEP, 0.0, 2.0))
+        ov = overlap_closed_form(FilterSpec.step(1.0, 2.0),
+                                 FilterSpec.step(0.0, 2.0))
         want = thermal.covariance(thermal.ThermalParams(0.5, 0.3, 0.8, ov, 0.8, 0.7))
         assert [row["analytic"] for row in payload["results"]["blocks"]] == [
             want.d_i, want.d_s, want.c11, want.c12]
@@ -928,6 +944,64 @@ class TestValidateCommand:
         assert payload["results"]["all_pass"] is True
         scale = max(abs(row["analytic"]) for row in payload["results"]["blocks"])
         assert max(map(abs, payload["diagnostics"]["chain_residual"])) <= 1e-7 * scale
+
+    def test_an_exponential_filter_validates_at_six_decay_times(self, capsys):
+        # the horizon rule is 3 tau for either family; the gated pair is checked
+        code, out, _ = run_inproc(
+            "validate", "--model", "thermal", "--r", "0.4", "--n-i", "0.2",
+            "--family", "exponential", "--tau-i", "1", "--tau-s", "1", "--omega-k", "1",
+            "--omega-l", "0.5", "--dt", "0.02", "--horizon", "6", "--n-real", "200000",
+            "--seed", "3", capsys=capsys)
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["results"]["all_pass"] is True
+        assert max(map(abs, payload["diagnostics"]["chain_residual"])) <= 1e-8
+
+    def test_the_mixed_chain_residual_does_not_depend_on_the_horizon(self, capsys):
+        # the README's mixed command: the exponential idler is sampled gated
+        # at the horizon and checked against that gated pair's closed form
+        residuals = {}
+        for horizon in ("12", "20", "30"):
+            argv = list(README_VALIDATE[1])
+            argv[argv.index("--horizon") + 1] = horizon
+            code, out, _ = run_inproc(*argv, capsys=capsys)
+            assert code == 0
+            residuals[horizon] = strict_json(out)["diagnostics"]["chain_residual"]
+            assert max(map(abs, residuals[horizon])) <= 1e-11, (horizon, residuals[horizon])
+        assert abs(residuals["20"][0] - residuals["30"][0]) <= 1e-13
+
+    @pytest.mark.parametrize("argv", [
+        README_VALIDATE[0],
+        ("validate", "--model", "tmsv", "--r", "0.5", "--eta-i", "0.7", "--family", "step",
+         "--tau-i", "2", "--tau-s", "2", "--omega-k", "1", "--omega-l", "1", "--dt", "0.02",
+         "--horizon", "6", "--n-real", "200000", "--seed", "6"),
+        README_VALIDATE[1],
+        README_VALIDATE[2],
+        ("validate", "--model", "thermal", "--r", "0.4", "--n-i", "0.2", "--eta-s", "0.9",
+         "--family", "exponential", "--tau-i", "1", "--tau-s", "1.5", "--omega-k", "1",
+         "--omega-l", "0.5", "--dt", "0.02", "--horizon", "6", "--n-real", "2000"),
+    ], ids=["step", "identical steps", "lossy-mixed", "tmsv-mixed", "exponential"])
+    def test_truncation_is_what_the_gate_takes_off(self, argv, capsys):
+        code, out, _ = run_inproc(*argv, capsys=capsys)
+        assert code == 0
+        payload = strict_json(out)
+        p = payload["params"]
+        state = {n: p[n] for n in ("r", "n_i", "n_s", "eta_i", "eta_s") if n in p}
+        pair = sweep.filter_pair(p["family_i"], p["family_s"], p["omega_k"], p["omega_l"],
+                                 p["tau_i"], p["tau_s"])
+        gated = [FilterSpec(f.omega, f.decay, min(f.end, p["horizon"])) for f in pair]
+        blocks = [sweep.point_state({**state, "k_f": ov.k_f, "l_f": ov.l_f})[1]
+                  for ov in (overlap_closed_form(*pair), overlap_closed_form(*gated))]
+        names = ("d_i", "d_s", "c11", "c12")
+        rows = payload["results"]["blocks"]
+        assert [row["analytic"] for row in rows] == [float(getattr(blocks[1], n)) for n in names]
+        truncation = payload["diagnostics"]["truncation"]
+        assert truncation == [float(getattr(blocks[0], n)) - float(getattr(blocks[1], n))
+                              for n in names]
+        if p["family_i"] == p["family_s"] == "step":
+            assert truncation == [0.0] * 4
+        else:
+            assert max(map(abs, truncation)) > 0.0
 
     @pytest.mark.parametrize("command", ["validate", "sweep"])
     def test_occupations_are_not_tmsv_parameters(self, command, capsys):
@@ -1011,10 +1085,11 @@ class TestFamilyPairs:
         assert runs[0][0] == 0 and runs[0][2] == ""
         assert all(run == runs[0] for run in runs)
         assert run_inproc(*argv, "--family", "step", capsys=capsys)[1] != runs[0][1]
-        if command != "sweep":
-            params = json.loads(runs[0][1])["params"]
-            assert "family" not in params
-            assert (params["family_i"], params["family_s"]) == ("step", "exponential")
+        params = json.loads(runs[0][1] if command != "sweep" else run_inproc(
+            *argv, "--family-i", "step", "--family-s", "exponential", "--format", "json",
+            capsys=capsys)[1])["params"]
+        assert "family" not in params
+        assert (params["family_i"], params["family_s"]) == ("step", "exponential")
 
     @pytest.mark.parametrize("half", [("--family-i", "step"), ("--family-s", "exponential")],
                              ids=["idler only", "signal only"])
@@ -1030,18 +1105,18 @@ class TestFamilyPairs:
         assert code == 0
         columns, table = csv_rows(out)
         assert columns == ["omega_l", "e_n", "k_f", "l_f"] and len(table) == 501
-        step = FilterSpec(FilterFamily.STEP, 1.0, 2.0)
+        step = FilterSpec.step(1.0, 2.0)
         for omega_l, _, k_f, l_f in table:
-            ov = overlap_closed_form(step, FilterSpec(FilterFamily.EXPONENTIAL, omega_l, 2.0))
+            ov = overlap_closed_form(step, FilterSpec.exponential(omega_l, 2.0))
             assert (k_f, l_f) == (ov.k_f, ov.l_f), omega_l
 
     def test_a_mixed_detuning_sweep_meets_the_stated_bound(self, capsys):
         # the README's bound on the kernel: 1e-14 max(|K_f|, |L_f|) (1 + |delta| min(tau))
         code, out, _ = run_inproc(*MIXED_SWEEP, capsys=capsys)
         assert code == 0
-        step = FilterSpec(FilterFamily.STEP, 1.0, 2.0)
+        step = FilterSpec.step(1.0, 2.0)
         for omega_l, _, k_f, l_f in csv_rows(out)[1]:
-            want = overlap_mpmath(step, FilterSpec(FilterFamily.EXPONENTIAL, omega_l, 2.0))
+            want = overlap_mpmath(step, FilterSpec.exponential(omega_l, 2.0))
             bound = 1e-14 * max(abs(want.real), abs(want.imag)) * (1.0 + abs(1.0 - omega_l) * 2.0)
             assert abs(k_f - want.real) <= bound and abs(l_f - want.imag) <= bound, omega_l
 

@@ -16,7 +16,6 @@ import pytest
 from filtered_tms import fieldsim, thermal, tmsv
 from filtered_tms.fieldsim import SimConfig, simulate
 from filtered_tms.filters import (
-    FilterFamily,
     FilterSpec,
     OverlapFactors,
     overlap_closed_form,
@@ -24,12 +23,9 @@ from filtered_tms.filters import (
 )
 from oracles import MIX_BATCH, mix_outputs, mix_then_contract, noise_stream
 
-STEP = FilterFamily.STEP
-EXP = FilterFamily.EXPONENTIAL
-
 
 def step_pair(omega_k=1.0, omega_l=1.0, tau=2.0):
-    return FilterSpec(STEP, omega_k, tau), FilterSpec(STEP, omega_l, tau)
+    return FilterSpec.step(omega_k, tau), FilterSpec.step(omega_l, tau)
 
 
 def assert_within_5_se(est: fieldsim.EmpiricalBlocks, analytic):
@@ -74,8 +70,8 @@ class TestConsistency:
         assert_within_5_se(simulate(cfg), tmsv.covariance(model))
 
     def test_exponential_filter_pair(self):
-        fi = FilterSpec(EXP, 1.0, 1.0)
-        fs = FilterSpec(EXP, 0.5, 1.0)
+        fi = FilterSpec.exponential(1.0, 1.0)
+        fs = FilterSpec.exponential(0.5, 1.0)
         ov = overlap_closed_form(fi, fs)
         model = tmsv.TmsvParams(r=0.6, overlap=ov)
         cfg = SimConfig(model, fi, fs, dt=0.02, horizon=10.0, n_realizations=40000, seed=11)
@@ -83,8 +79,8 @@ class TestConsistency:
 
     def test_thermal_exponential_filters(self):
         # C12 = -B L_f sinh 2r needs unequal populations and L_f > 0
-        fi = FilterSpec(EXP, 1.0, 1.0)
-        fs = FilterSpec(EXP, 0.3, 1.0)
+        fi = FilterSpec.exponential(1.0, 1.0)
+        fs = FilterSpec.exponential(0.3, 1.0)
         ov = overlap_closed_form(fi, fs)
         assert ov.l_f != 0.0
         model = thermal.ThermalParams(r=0.5, n_i=0.1, n_s=0.9, overlap=ov)
@@ -93,16 +89,16 @@ class TestConsistency:
 
     def test_mixed_family_pair(self):
         # the Monte Carlo checks the mixed-family closed form end to end
-        fi = FilterSpec(STEP, 1.0, 2.0)
-        fs = FilterSpec(EXP, 0.8, 1.0)
+        fi = FilterSpec.step(1.0, 2.0)
+        fs = FilterSpec.exponential(0.8, 1.0)
         ov = overlap_closed_form(fi, fs)
         model = thermal.ThermalParams(r=0.6, n_i=0.5, n_s=0.1, overlap=ov)
         cfg = SimConfig(model, fi, fs, dt=0.01, horizon=10.0, n_realizations=40000, seed=19)
         assert_within_5_se(simulate(cfg), thermal.covariance(model))
 
     def test_mismatched_windows(self):
-        fi = FilterSpec(STEP, 1.0, 2.0)
-        fs = FilterSpec(STEP, 1.0, 3.0)
+        fi = FilterSpec.step(1.0, 2.0)
+        fs = FilterSpec.step(1.0, 3.0)
         ov = overlap_closed_form(fi, fs)
         assert ov.k_f == pytest.approx(2.0 / math.sqrt(6.0), rel=1e-12)
         model = tmsv.TmsvParams(r=0.7, overlap=ov)
@@ -155,8 +151,7 @@ def block_array(blocks):
 def kernel_grid(cfg):
     """Lag-cell widths and the width-scaled kernels (rk, ik, rl, il), sampled
     here from the filters on the grid simulate uses."""
-    support = max(f.tau if f.family is STEP else cfg.horizon
-                  for f in (cfg.filter_i, cfg.filter_s))
+    support = max(min(f.end, cfg.horizon) for f in (cfg.filter_i, cfg.filter_s))
     mids, widths = fieldsim._lag_grid(support, cfg.dt)
     kernels = []
     for f in (cfg.filter_i, cfg.filter_s):
@@ -274,8 +269,9 @@ def assert_same_samples(got, want):
 # lossy TMSV through mixed filters (both vacuum pairs), signal-only loss, and
 # a thermal state
 PROJECTION_CONFIGS = [
-    SimConfig(tmsv.TmsvParams(r=0.6, eta_i=0.9, eta_s=0.8), FilterSpec(STEP, 1.0, 2.0),
-              FilterSpec(EXP, 1.0, 1.0), dt=0.02, horizon=10.0, n_realizations=5000, seed=12),
+    SimConfig(tmsv.TmsvParams(r=0.6, eta_i=0.9, eta_s=0.8), FilterSpec.step(1.0, 2.0),
+              FilterSpec.exponential(1.0, 1.0), dt=0.02, horizon=10.0, n_realizations=5000,
+              seed=12),
     SimConfig(tmsv.TmsvParams(r=0.9, eta_s=0.6), *step_pair(omega_l=0.5),
               dt=0.02, horizon=6.0, n_realizations=5000, seed=4),
     SimConfig(thermal.ThermalParams(r=0.5, n_i=0.3, n_s=0.8), *step_pair(omega_l=0.0),
@@ -522,10 +518,10 @@ class TestConstantCost:
 # detuned filter pairs in every family order: the midpoint kernel sums carry
 # a true discretization bias
 DETUNED_PAIRS = {
-    "step-step": (FilterSpec(STEP, 1.0, 2.0), FilterSpec(STEP, 0.3, 2.0)),
-    "exp-exp": (FilterSpec(EXP, 1.0, 1.0), FilterSpec(EXP, 0.5, 1.0)),
-    "step-exp": (FilterSpec(STEP, 1.0, 2.0), FilterSpec(EXP, 0.8, 1.0)),
-    "exp-step": (FilterSpec(EXP, 0.8, 1.0), FilterSpec(STEP, 1.0, 2.0)),
+    "step-step": (FilterSpec.step(1.0, 2.0), FilterSpec.step(0.3, 2.0)),
+    "exp-exp": (FilterSpec.exponential(1.0, 1.0), FilterSpec.exponential(0.5, 1.0)),
+    "step-exp": (FilterSpec.step(1.0, 2.0), FilterSpec.exponential(0.8, 1.0)),
+    "exp-step": (FilterSpec.exponential(0.8, 1.0), FilterSpec.step(1.0, 2.0)),
 }
 
 
@@ -533,8 +529,8 @@ class TestBiasDiagnostics:
     def test_identical_filters_have_no_bias(self):
         # the Riemann sums of |h|^2 over identical step windows are exact at
         # any dt, even for a fast carrier at coarse dt
-        fi = FilterSpec(STEP, 40.0, 2.0)
-        fs = FilterSpec(STEP, 40.0, 2.0)
+        fi = FilterSpec.step(40.0, 2.0)
+        fs = FilterSpec.step(40.0, 2.0)
         model = tmsv.TmsvParams(r=1.0)
         cfg = SimConfig(model, fi, fs, dt=0.04, horizon=6.0, n_realizations=100000, seed=31)
         est = simulate(cfg)
@@ -552,7 +548,7 @@ class TestBiasDiagnostics:
             model, closed = thermal.ThermalParams(r=0.5, n_i=0.3, n_s=0.8, overlap=ov), thermal
         else:
             model, closed = tmsv.TmsvParams(r=0.8, eta_i=0.7, eta_s=0.9, overlap=ov), tmsv
-        horizon = 10.0 if EXP in (fi.family, fs.family) else 6.0
+        horizon = 10.0 if math.inf in (fi.end, fs.end) else 6.0
         cfg = SimConfig(model, fi, fs, dt=0.02, horizon=horizon, n_realizations=1000, seed=1)
         want = closed.covariance(model)
         true_bias = oracle_expectation(cfg) - np.array(
@@ -564,8 +560,8 @@ class TestBiasDiagnostics:
     def test_fast_detuned_carrier_at_coarse_dt_triggers_warning(self):
         # a 40 rad carrier against a dc filter at dt = 0.04: the C11 bias
         # (about -5.3e-3) is twice the standard error of 1e6 realizations
-        fi = FilterSpec(STEP, 40.0, 2.0)
-        fs = FilterSpec(STEP, 0.0, 2.0)
+        fi = FilterSpec.step(40.0, 2.0)
+        fs = FilterSpec.step(0.0, 2.0)
         model = tmsv.TmsvParams(r=1.0, overlap=overlap_closed_form(fi, fs))
         cfg = SimConfig(model, fi, fs, dt=0.04, horizon=6.0, n_realizations=1000000, seed=31)
         est = simulate(cfg)
@@ -592,12 +588,16 @@ class TestConfigValidation:
             SimConfig(tmsv.TmsvParams(r=0.5), fi, fs, dt=0.02, horizon=4.0,
                       n_realizations=2000)
 
-    def test_exponential_needs_long_horizon(self):
-        fi = FilterSpec(EXP, 1.0, 1.0)
-        fs = FilterSpec(EXP, 1.0, 1.0)
+    def test_exponential_horizon_is_three_decay_times(self):
+        # either family's time scale is its tau, so an exponential filter
+        # needs the 3 tau of horizon a step window does, and no more
+        fi = FilterSpec.exponential(1.0, 1.0)
+        fs = FilterSpec.exponential(1.0, 1.0)
         with pytest.raises(ValueError, match="horizon"):
-            SimConfig(tmsv.TmsvParams(r=0.5), fi, fs, dt=0.02, horizon=5.0,
+            SimConfig(tmsv.TmsvParams(r=0.5), fi, fs, dt=0.02, horizon=2.9,
                       n_realizations=2000)
+        assert SimConfig(tmsv.TmsvParams(r=0.5), fi, fs, dt=0.02, horizon=5.0,
+                         n_realizations=2000).horizon == 5.0
 
     @pytest.mark.parametrize("field, kwargs", [
         ("dt", dict(dt=math.nan)),

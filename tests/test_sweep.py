@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from filtered_tms import bell, cli, gaussian, sweep, thermal, tmsv
-from filtered_tms.filters import FilterFamily, FilterSpec, OverlapFactors
+from filtered_tms.filters import OverlapFactors
 from filtered_tms.sweep import (
     CRITICAL_COLUMNS,
+    FAMILIES,
     AxisSpec,
     SweepConfig,
     _point_seeds,
@@ -83,9 +84,9 @@ def scalar_point(cfg, params):
     with the overlap integral rounded from 50 digits."""
     get = lambda name, default: params.get(name, default)
     if cfg.families != (None, None):
-        fam_i, fam_s = map(FilterFamily, cfg.families)
-        ov = overlap_mpmath(FilterSpec(fam_i, get("omega_k", 1.0), get("tau_i", 2.0)),
-                            FilterSpec(fam_s, get("omega_l", 1.0), get("tau_s", 2.0)))
+        fam_i, fam_s = (FAMILIES[name] for name in cfg.families)
+        ov = overlap_mpmath(fam_i(get("omega_k", 1.0), get("tau_i", 2.0)),
+                            fam_s(get("omega_l", 1.0), get("tau_s", 2.0)))
         ov = OverlapFactors(float(ov.real), float(ov.imag))
     else:
         ov = OverlapFactors(get("k_f", 1.0), get("l_f", 0.0))
