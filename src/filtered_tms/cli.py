@@ -29,7 +29,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from . import fieldsim, sweep, thermal
-from .filters import FilterSpec, overlap_closed_form
+from .filters import overlap_closed_form
 from .svg import render_heatmap
 from .sweep import AxisSpec, SweepConfig
 
@@ -235,8 +235,8 @@ def _cmd_point(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    axes = _parse_axis(args.axis1), _parse_axis(args.axis2) if args.axis2 else None
-    cfg = _request(args, args.outputs, *axes)
+    cfg = _request(args, args.outputs, _parse_axis(args.axis1),
+                   _parse_axis(args.axis2) if args.axis2 else None)
     if args.jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {args.jobs}")
     if args.svg and cfg.axis2 is None:
@@ -250,7 +250,8 @@ def _cmd_sweep(args) -> int:
     payload = {
         "params": {"model": cfg.model, "outputs": list(cfg.outputs), "fixed": cfg.fixed,
                    **_family_params(cfg.families), "seed": cfg.seed,
-                   **{n: a and dataclasses.asdict(a) for n, a in zip(("axis1", "axis2"), axes)}},
+                   "axis1": dataclasses.asdict(cfg.axis1),
+                   "axis2": cfg.axis2 and dataclasses.asdict(cfg.axis2)},
         "results": {"columns": columns, "rows": table.tolist()},
         "diagnostics": {"n_points": len(table)},
     }
@@ -299,13 +300,10 @@ def _cmd_validate(args) -> int:
     fi, fs = sweep.filter_pair(*families, *(params[n] for n in sweep.FILTER_PARAMS))
     model, requested = sweep.point_state(params, families)
     cfg = fieldsim.SimConfig(model, fi, fs, args.dt, args.horizon, args.n_real, args.seed)
-    # the pair as sampled: a filter that outlasts the (checked) horizon is gated there
-    horizon = args.horizon
-    gi, gs = gated = tuple(f if f.end <= horizon else FilterSpec(f.omega, f.decay, horizon)
-                           for f in (fi, fs))
-    analytic = requested if gated == (fi, fs) else thermal.covariance(
-        dataclasses.replace(model, overlap=overlap_closed_form(gi, gs)))
-    est = fieldsim.simulate(dataclasses.replace(cfg, filter_i=gi, filter_s=gs))
+    # the closed form of the pair as sampled, gated at the horizon
+    analytic = thermal.covariance(dataclasses.replace(
+        model, overlap=overlap_closed_form(cfg.filter_i, cfg.filter_s)))
+    est = fieldsim.simulate(cfg)
     names = ("d_i", "d_s", "c11", "c12")
     rows = []
     all_pass = True

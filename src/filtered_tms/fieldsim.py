@@ -87,7 +87,7 @@ class SimConfig:
     """Model, filter pair and discretization of one Monte Carlo run.
 
     For the filters' time scales tau (``FilterSpec.scale``), dt <= min(tau)/50
-    and horizon >= 3 max(tau); a kernel is sampled on [0, min(end, horizon)].
+    and horizon >= 3 max(tau); each filter is held gated, end -> min(end, horizon).
     The realizations' second moments are drawn at once from
     SeedSequence((seed, 0)), so a seed gives the same estimates bit for bit
     on every run.
@@ -107,6 +107,8 @@ class SimConfig:
             raise ValueError(f"dt must lie in (0, min(tau)/50 = {min(taus) / 50.0:g}]")
         if not 3.0 * max(taus) <= self.horizon < math.inf:
             raise ValueError(f"horizon must be finite and >= 3 max(tau) = {3.0 * max(taus):g}")
+        for name, f in (("filter_i", self.filter_i), ("filter_s", self.filter_s)):
+            object.__setattr__(self, name, FilterSpec(f.omega, f.decay, min(f.end, self.horizon)))
         if not isinstance(self.n_realizations, (int, np.integer)):
             raise ValueError(f"n_realizations must be an integer, got {self.n_realizations!r}")
         if self.n_realizations < 1000:
@@ -166,10 +168,9 @@ def _kernel_grams(cfg: SimConfig) -> tuple[np.ndarray, int]:
     (2, 4, 4) over the kernel columns (Re h_k, Im h_k, Re h_l, Im h_l), and
     the number of cells at dt.
 
-    The lag window spans both kernels' supports within the simulated
-    interval, [0, min(end, horizon)], so the estimate is already stationary.
+    The lag window spans both (gated) kernels' supports, so the estimate is stationary.
     """
-    support = max(min(f.end, cfg.horizon) for f in (cfg.filter_i, cfg.filter_s))
+    support = max(cfg.filter_i.end, cfg.filter_s.end)
     mids, widths = _lag_grid(support, cfg.dt)
     mids_f, widths_f = _refine_grid(mids, widths)
     m = len(widths)

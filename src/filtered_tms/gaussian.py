@@ -36,9 +36,9 @@ def _at(x, i):
 
 
 def _reject(bad, error) -> None:
-    """Raise error(i) for the first element i where bad holds."""
-    hits = np.flatnonzero(bad)
-    if hits.size:
+    """Raise error(i) for the first element i where bad holds (a scalar skips the array search)."""
+    hits = np.flatnonzero(bad) if np.ndim(bad) else [0] * bool(bad)
+    if len(hits):
         raise error(int(hits[0]))
 
 

@@ -151,7 +151,7 @@ def block_array(blocks):
 def kernel_grid(cfg):
     """Lag-cell widths and the width-scaled kernels (rk, ik, rl, il), sampled
     here from the filters on the grid simulate uses."""
-    support = max(min(f.end, cfg.horizon) for f in (cfg.filter_i, cfg.filter_s))
+    support = max(cfg.filter_i.end, cfg.filter_s.end)
     mids, widths = fieldsim._lag_grid(support, cfg.dt)
     kernels = []
     for f in (cfg.filter_i, cfg.filter_s):
@@ -598,6 +598,18 @@ class TestConfigValidation:
                       n_realizations=2000)
         assert SimConfig(tmsv.TmsvParams(r=0.5), fi, fs, dt=0.02, horizon=5.0,
                          n_realizations=2000).horizon == 5.0
+
+    def test_filters_are_held_gated_at_the_horizon(self):
+        # an exponential at a 3 tau horizon is held as its gated, unit-norm
+        # kernel, so the sampled |h|^2 sums meet 1 as dt shrinks
+        fi, fs = FilterSpec.exponential(1.0, 1.0), FilterSpec.step(0.0, 1.0)
+        for dt in (0.02, 0.01, 0.005):
+            cfg = SimConfig(tmsv.TmsvParams(r=0.5), fi, fs, dt=dt, horizon=3.0,
+                            n_realizations=2000)
+            assert (cfg.filter_i, cfg.filter_s) == (FilterSpec(1.0, 1.0, 3.0), fs)
+            widths, (rk, ik, rl, il) = kernel_grid(cfg)
+            for re, im in ((rk, ik), (rl, il)):
+                assert np.sum((re**2 + im**2) / widths) == pytest.approx(1.0, abs=dt**2)
 
     @pytest.mark.parametrize("field, kwargs", [
         ("dt", dict(dt=math.nan)),
