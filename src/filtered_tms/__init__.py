@@ -18,7 +18,6 @@ from .filters import (
 from .gaussian import (
     CovarianceBlocks,
     CovarianceMatrix,
-    EntanglementResult,
     apply_loss,
     build_covariance,
     log_negativity,
@@ -40,7 +39,6 @@ __all__ = [
     "CovarianceMatrix",
     "DisplacementSettings",
     "EmpiricalBlocks",
-    "EntanglementResult",
     "FilterSpec",
     "OverlapFactors",
     "SimConfig",

@@ -95,14 +95,6 @@ class CovarianceBlocks:
         return np.hypot(self.c11, self.c12)
 
 
-@dataclass(frozen=True)
-class EntanglementResult:
-    """Smallest partial-transpose symplectic eigenvalue and log-negativity."""
-
-    nu_minus: float
-    e_n: float
-
-
 class CovarianceMatrix:
     """Immutable 4x4 covariance matrix with the restricted block structure,
     or an (..., 4, 4) stack of them checked all at once."""
@@ -173,31 +165,25 @@ def build_covariance(blocks: CovarianceBlocks) -> CovarianceMatrix:
     return CovarianceMatrix(_assemble(blocks))
 
 
-def _blocks(state) -> CovarianceBlocks:
-    return state.blocks() if isinstance(state, CovarianceMatrix) else state
-
-
-def log_negativity(state) -> EntanglementResult:
-    """Logarithmic negativity E_N = max(0, -ln 2 nu~-) of a two-mode state,
-    given as a ``CovarianceMatrix`` or as its ``CovarianceBlocks``.
+def log_negativity(blocks: CovarianceBlocks):
+    """Logarithmic negativity E_N = max(0, -ln 2 nu~-) of a two-mode state.
 
     For this block structure the smaller symplectic eigenvalue of the
     partial transpose is nu~- = s_q_opt / 2, half the optimized
     hybrid-quadrature variance, so E_N = max(0, -ln s_q_opt) exactly:
     the squeezing and the entanglement of these states are one quantity.
     """
-    s = optimized_squeezing(_blocks(state))
+    s = optimized_squeezing(blocks)
     _reject(np.logical_not(s > 0.0), lambda i: ValueError(
         "non-physical covariance: vanishing symplectic eigenvalue"))
     e_n = -np.log(s)
-    return EntanglementResult(nu_minus=0.5 * s, e_n=np.where(e_n > 0.0, e_n, 0.0)[()])
+    return np.where(e_n > 0.0, e_n, 0.0)[()]
 
 
-def purity(state):
-    """Tr[rho^2] = 1 / D_x = 1 / (4 sqrt(det V)) for block-structured states,
-    given as a ``CovarianceMatrix`` or as its ``CovarianceBlocks``; a purity
-    above one (D_x < 1) means sub-vacuum input and is rejected."""
-    d_x = _blocks(state).d_x
+def purity(blocks: CovarianceBlocks):
+    """Tr[rho^2] = 1 / D_x = 1 / (4 sqrt(det V)) for block-structured states;
+    a purity above one (D_x < 1) means sub-vacuum input and is rejected."""
+    d_x = blocks.d_x
     _reject(np.logical_not(d_x >= 1.0 - 1e-9), lambda i: ValueError(
         f"sub-vacuum covariance: D_I D_S - C11^2 - C12^2 = {_at(d_x, i):g} < 1"))
     return 1.0 / d_x
@@ -219,7 +205,7 @@ def apply_loss(state, eta_i, eta_s):
     for name, eta in (("eta_i", eta_i), ("eta_s", eta_s)):
         _reject(np.logical_not((0.0 <= eta) & (eta <= 1.0)), lambda i: ValueError(
             f"{name} must lie in [0, 1], got {_at(eta, i)}"))
-    b = _blocks(state)
+    b = state.blocks() if isinstance(state, CovarianceMatrix) else state
     e_i, e_s = np.sqrt(eta_i), np.sqrt(eta_s)
     d_x = (eta_i * eta_s * b.d_x + eta_i * (1.0 - eta_s) * b.d_i
            + eta_s * (1.0 - eta_i) * b.d_s + (1.0 - eta_i) * (1.0 - eta_s))

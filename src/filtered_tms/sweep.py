@@ -82,9 +82,11 @@ class SweepConfig:
     def __post_init__(self):
         if self.model not in ("tmsv", "thermal"):
             raise ValueError(f"model must be 'tmsv' or 'thermal', got {self.model!r}")
-        for out in self.outputs:
+        for i, out in enumerate(self.outputs):
             if out not in OUTPUTS:
                 raise ValueError(f"unknown output {out!r}; choose from {OUTPUTS}")
+            if out in self.outputs[:i]:
+                raise ValueError(f"{out!r} is given twice as an output")
         if not self.outputs:
             raise ValueError("at least one output is required")
         for name in self.fixed:
@@ -171,15 +173,13 @@ def _evaluate(cfg: SweepConfig, params):
     # a grid without parameters is one state at the defaults
     p, blocks = point_state(params or {"r": np.array([_DEFAULTS["r"]])}, cfg.families)
     gaussian.check_blocks(blocks)
-    # the checked blocks have s_q_opt > 0, so log_negativity cannot raise here
-    ent = gaussian.log_negativity(blocks) if {"e_n", "s_q_opt"} & set(cfg.outputs) else None
     res: dict = {}
     for out in cfg.outputs:
         if out == "e_n":
-            res["e_n"] = ent.e_n
+            # the checked blocks have s_q_opt > 0, so log_negativity cannot raise here
+            res["e_n"] = gaussian.log_negativity(blocks)
         elif out == "s_q_opt":
-            # nu~- = s_q_opt / 2, so doubling it returns s_q_opt bit for bit
-            res["s_q_opt"] = 2.0 * ent.nu_minus
+            res["s_q_opt"] = gaussian.optimized_squeezing(blocks)
         elif out == "purity":
             res["purity"] = gaussian.purity(blocks)
         elif out == "zeta":
@@ -195,7 +195,7 @@ def _evaluate(cfg: SweepConfig, params):
         elif out in ("k_f", "l_f"):
             res[out] = getattr(p.overlap, out)
         elif out == "critical_points":
-            cp = thermal.landmarks(p.a, p.b, p.overlap.k_f, p.overlap.l_f, p.eta_i, p.eta_s)
+            cp = thermal.landmarks(p)
             res.update((c, getattr(cp, c)) for c in CRITICAL_COLUMNS)
     return res, blocks
 

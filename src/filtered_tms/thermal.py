@@ -21,8 +21,9 @@ forms repeat the vacuum formulas operation for operation.
 Thermal population opens a lower entanglement cutoff in addition to the
 filter-induced upper one; both cutoffs coincide with the SQL crossings of
 the weight-optimized hybrid quadrature.  The cutoffs and maxima are closed
-forms in ``landmarks``, at any efficiencies; the squeezing angle, weight
-ratio and optimized squeezing come from the blocks (``gaussian``).
+forms of the state, ``landmarks``, at any efficiencies; the squeezing
+angle, weight ratio and optimized squeezing come from the blocks
+(``gaussian``).
 """
 
 from __future__ import annotations
@@ -112,18 +113,18 @@ def covariance(p: ThermalParams) -> CovarianceBlocks:
         )
 
 
-def landmarks(a, b, kf, lf, eta_i, eta_s) -> CriticalPoints:
-    """Closed-form windows and maxima over broadcastable arrays of A, B, K_f,
-    L_f and the two detection efficiencies; ``tmsv`` is the vacuum input
-    A = 1, B = 0.  Every field is nan where K_f lies outside (0, 1] or an
+def landmarks(state: ThermalParams) -> CriticalPoints:
+    """Closed-form windows and maxima of a state, or of each state of a grid,
+    in its occupations, overlap and efficiencies (the squeezing amplitude
+    is not read).  Every field is nan where K_f lies outside (0, 1] or an
     efficiency is 0.
 
     Loss maps D - 1 to eta (D - 1) and C^2 to eta_i eta_s C^2, so Simon's
     E_N > 0 iff (D_I - 1)(D_S - 1) < C^2 does not depend on eta.  With
-    y = cosh 2r - 1 = 2 sinh^2 r, n_i,s = (A - 1 +- B) / 2,
-    Q = A^2 K_f^2 + B^2 L_f^2 and den = A^2 - Q >= 0 it reads
-    den y^2 - 2 (A - den) y + 4 n_i n_s < 0, so without population the lower
-    cutoff is exactly 0.  E_N peaks at the "+" root of
+    y = cosh 2r - 1 = 2 sinh^2 r, Q = A^2 K_f^2 + B^2 L_f^2 and
+    den = A^2 - Q >= 0 it reads den y^2 - 2 (A - den) y + 4 n_i n_s < 0,
+    so without population the lower cutoff is exactly 0.  E_N peaks at the
+    "+" root of
     (gamma^2 + kappa) x^2 + 2 gamma delta x + (A^2 delta^2 - alpha^2 Q) / den
     in x = y + 1, with alpha = (eta_i + eta_s) A, gamma = (eta_i - eta_s) A,
     delta = (eta_i + eta_s) B - (eta_i - eta_s) and kappa = 4 eta_i eta_s Q;
@@ -135,17 +136,14 @@ def landmarks(a, b, kf, lf, eta_i, eta_s) -> CriticalPoints:
     (den = 0) put r_ucf_en and r_max_en at inf; r_ucf_sq and
     r_max_sq are inf exactly where c A = p.
     """
-    a, b, kf, lf, ei, es = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (a, b, kf, lf, eta_i, eta_s)))
+    n_i, n_s, kf, lf, ei, es = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (
+        state.n_i, state.n_s, state.overlap.k_f, state.overlap.l_f, state.eta_i, state.eta_s)))
+    a, b = n_i + n_s + 1.0, n_i - n_s
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         _reject(~np.isfinite(a**2), lambda i: OverflowError(34, "Numerical result out of range"))
         q = a**2 * kf**2 + b**2 * lf**2
         den = a**2 * (1.0 - kf) * (1.0 + kf) - b**2 * lf**2
         limit = den <= 0.0
-        # A and B fix an occupation only to A's rounding: below it, n = 0
-        floor = 4.0 * np.finfo(float).eps * a
-        n_i, n_s = (np.where(n > floor, n, 0.0) for n in (0.5 * (a - 1.0 + b),
-                                                           0.5 * (a - 1.0 - b)))
         # the window's roots in y, rationalized so that no term cancels
         m = q - a * (n_i + n_s)  # A - den
         w = m + np.sqrt(m**2 - 4.0 * den * n_i * n_s)

@@ -17,8 +17,8 @@ non-negative terms,
 ``thermal.covariance`` at n_i = n_s = 0 (A = 1, B = 0) performs exactly
 these operations, so ``covariance`` is that function and the blocks are
 the vacuum formulas' bit for bit; L_f enters only through B and has no
-effect.  The landmarks are those of ``thermal.landmarks`` at A = 1, B = 0,
-where the entanglement window is 0 < tanh r < K_f at every efficiency.
+effect.  ``thermal.landmarks`` of a ``TmsvParams`` are its landmarks, whose
+entanglement window is 0 < tanh r < K_f at every efficiency.
 """
 
 from __future__ import annotations

@@ -231,7 +231,7 @@ def random_thermal_params(rng: np.random.Generator, require_window: bool = False
         )
         if not require_window:
             return p
-        cp = thermal_critical_points(p)
+        cp = critical_points(p)
         if math.isfinite(cp.r_ucf_en):  # nan without a window
             return p
 
@@ -671,6 +671,24 @@ def overlap_mpmath(fi, fs):
         return ci * cs * integral(a, min(ti, ts))
 
 
+def lower_cutoff_mpmath(n_i, n_s, k_f, l_f):
+    """The lower entanglement cutoff r_lcf_en at 50 digits, as an mpmath number.
+
+    Simon's criterion at equality, (D_I - 1)(D_S - 1) = C^2, with
+    D - 1 = 2 n + A y and C^2 = Q (y^2 + 2 y) in y = cosh 2r - 1, is the
+    quadratic (A^2 - Q) y^2 + 2 (A (n_i + n_s) - Q) y + 4 n_i n_s = 0, with
+    A = n_i + n_s + 1, B = n_i - n_s and Q = A^2 K_f^2 + B^2 L_f^2; its small
+    root, by the textbook formula, gives r = asinh(sqrt(y / 2)).
+    """
+    with mpmath.workdps(50):
+        n_i, n_s, k_f, l_f = (mpmath.mpf(x) for x in (n_i, n_s, k_f, l_f))
+        a, b = n_i + n_s + 1, n_i - n_s
+        q = a**2 * k_f**2 + b**2 * l_f**2
+        c2, c1, c0 = a**2 - q, 2 * (a * (n_i + n_s) - q), 4 * n_i * n_s
+        y = (-c1 - mpmath.sqrt(c1**2 - 4 * c2 * c0)) / (2 * c2)
+        return mpmath.asinh(mpmath.sqrt(y / 2))
+
+
 @dataclass(frozen=True)
 class NumericOverlap(OverlapFactors):
     """A quadrature overlap with what it cost: the summed |S2 - S1|/15 error
@@ -933,21 +951,17 @@ def tmsv_optimized_squeezing_closed(p: tmsv.TmsvParams) -> float:
     )
 
 
-def tmsv_critical_points(p: tmsv.TmsvParams) -> thermal.CriticalPoints:
-    """Test helper, not an oracle: ``thermal.landmarks`` of one TMSV state
-    (A = 1, B = 0) as Python floats, raising where the state has no
-    landmarks (K_f outside (0, 1] or eta_i eta_s = 0)."""
+def critical_points(p: thermal.ThermalParams) -> thermal.CriticalPoints:
+    """Test helper, not an oracle: ``thermal.landmarks`` of one state as
+    Python floats, raising where the state has no landmarks (K_f outside
+    (0, 1] or eta_i eta_s = 0)."""
     kf, ei, es = p.overlap.k_f, p.eta_i, p.eta_s
     if not 0.0 < kf <= 1.0:
         raise ValueError(f"critical points require K_f in (0, 1], got {kf}")
     if ei * es == 0.0:
         # full loss on either side leaves a product state: no window to bound
         raise ValueError(f"critical points require eta_i eta_s > 0, got {ei} * {es}")
-    return _floats(thermal.landmarks(1.0, 0.0, kf, p.overlap.l_f, ei, es))
-
-
-def _floats(cp: thermal.CriticalPoints) -> thermal.CriticalPoints:
-    return thermal.CriticalPoints(*(x.item() for x in astuple(cp)))
+    return thermal.CriticalPoints(*(x.item() for x in astuple(thermal.landmarks(p))))
 
 
 def thermal_squeezing_angle(p: thermal.ThermalParams) -> float:
@@ -985,17 +999,6 @@ def thermal_optimized_squeezing_closed(p: thermal.ThermalParams) -> float:
     q = a**2 * p.overlap.k_f**2 + b**2 * p.overlap.l_f**2
     sh = math.sinh(2.0 * p.r)
     return a * math.cosh(2.0 * p.r) - math.sqrt(sh**2 * q + b**2)
-
-
-def thermal_critical_points(p: thermal.ThermalParams, eta_i: float = 1.0,
-                            eta_s: float = 1.0) -> thermal.CriticalPoints:
-    """Test helper, not an oracle: ``thermal.landmarks`` of one state,
-    detected at (eta_i, eta_s), as Python floats, raising for K_f outside
-    (0, 1]."""
-    kf = p.overlap.k_f
-    if not 0.0 < kf <= 1.0:
-        raise ValueError(f"critical points require K_f in (0, 1], got {kf}")
-    return _floats(thermal.landmarks(p.a, p.b, kf, p.overlap.l_f, eta_i, eta_s))
 
 
 def wigner(v: CovarianceMatrix, u) -> float:

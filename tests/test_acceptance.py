@@ -40,16 +40,15 @@ from filtered_tms.sweep import AxisSpec, SweepConfig, run_sweep
 from oracles import (
     bell_grid_max,
     bisect_root,
+    critical_points,
     golden_min,
     min_variance_numeric,
     overlap_numeric,
     purity_det,
     random_thermal_params,
     random_tmsv_params,
-    thermal_critical_points,
     thermal_optimized_squeezing_closed,
     thermal_weight_ratio,
-    tmsv_critical_points,
     tmsv_optimized_squeezing_closed,
     tmsv_weight_ratio,
 )
@@ -103,7 +102,7 @@ def test_criterion_01_overlap_kernels():
 def test_criterion_02_ideal_tmsv_law():
     worst = 0.0
     for r in np.linspace(0.0, 2.0, 20):
-        e_n = log_negativity(tmsv_blocks(float(r))).e_n
+        e_n = log_negativity(tmsv_blocks(float(r)))
         worst = max(worst, abs(e_n - 2.0 * float(r)))
     report(2, worst <= 1e-9, f"E_N = 2r over 20 points in [0, 2], worst |dE| = {worst:.2e}")
 
@@ -114,9 +113,9 @@ def test_criterion_03_entanglement_cutoff():
         for eta_i in (0.6, 0.9, 1.0):
             for eta_s in (0.6, 0.9, 1.0):
                 def gap(r):
-                    return 0.5 - log_negativity(
+                    return 0.5 - optimized_squeezing(
                         tmsv_blocks(float(r), eta_i, eta_s, k_f)
-                    ).nu_minus
+                    ) / 2
 
                 root = bisect_root(gap, 0.4 * math.atanh(k_f), 6.0 * math.atanh(k_f),
                                    tol=1e-12)
@@ -130,11 +129,11 @@ def test_criterion_04_extremum_formulas():
     worst_tmsv_en = worst_tmsv_sq = 0.0
     for _ in range(50):
         p = random_tmsv_params(rng)
-        cp = tmsv_critical_points(p)
+        cp = critical_points(p)
         argmax = golden_min(
             lambda r: -log_negativity(
                 tmsv_blocks(float(r), p.eta_i, p.eta_s, p.overlap.k_f)
-            ).e_n,
+            ),
             1e-6, cp.r_ucf_en * (1.0 - 1e-9), tol=1e-9,
         )
         worst_tmsv_en = max(worst_tmsv_en, abs(cp.r_max_en - argmax))
@@ -149,11 +148,11 @@ def test_criterion_04_extremum_formulas():
     worst_th = 0.0
     for _ in range(50):
         p = random_thermal_params(rng, require_window=True)
-        cp = thermal_critical_points(p)
+        cp = critical_points(p)
         argmax = golden_min(
             lambda r: -log_negativity(
                 thermal.covariance(thermal.ThermalParams(float(r), p.n_i, p.n_s, p.overlap))
-            ).e_n,
+            ),
             cp.r_lcf_en, cp.r_ucf_en, tol=1e-9,
         )
         worst_th = max(worst_th, abs(cp.r_max_en - argmax))
@@ -212,12 +211,12 @@ def test_criterion_06_thermal_window():
     worst = 0.0
     for _ in range(50):
         p = random_thermal_params(rng, require_window=True)
-        cp = thermal_critical_points(p)
+        cp = critical_points(p)
 
         def gap(r):
-            return 0.5 - log_negativity(
+            return 0.5 - optimized_squeezing(
                 thermal.covariance(thermal.ThermalParams(float(r), p.n_i, p.n_s, p.overlap))
-            ).nu_minus
+            ) / 2
 
         mid = cp.r_max_en
         lo = bisect_root(gap, 1e-7, mid, tol=1e-12)
@@ -229,14 +228,14 @@ def test_criterion_06_thermal_window():
     for _ in range(20):
         n_i, n_s = (float(x) for x in rng.uniform(0.0, 2.0, size=2))
         p = thermal.ThermalParams(r=1.0, n_i=n_i, n_s=n_s)
-        cp = thermal_critical_points(p)
+        cp = critical_points(p)
         a, b = p.a, p.b
         want = 0.5 * math.acosh((a * a - b * b + 1.0) / (2.0 * a))
         worst_limit = max(worst_limit, abs(cp.r_lcf_en - want))
         ok &= math.isinf(cp.r_ucf_en)
     ok &= worst_limit <= 1e-12
 
-    worked = thermal_critical_points(thermal.ThermalParams(r=1.0, n_i=0.5, n_s=0.5))
+    worked = critical_points(thermal.ThermalParams(r=1.0, n_i=0.5, n_s=0.5))
     ok &= abs(worked.r_lcf_en - 0.346574) <= 1e-6
     report(6, ok, f"closed-form window vs bisection (50 sets), worst = {worst:.2e}; "
                   f"identical-filter limit worst = {worst_limit:.2e}, "
@@ -244,8 +243,8 @@ def test_criterion_06_thermal_window():
 
 
 def test_criterion_07_purity():
-    ok = abs(purity(build_covariance(tmsv_blocks(0.0))) - 1.0) <= 1e-12
-    ok &= abs(purity(build_covariance(tmsv_blocks(1.3))) - 1.0) <= 1e-12
+    ok = abs(purity(tmsv_blocks(0.0)) - 1.0) <= 1e-12
+    ok &= abs(purity(tmsv_blocks(1.3)) - 1.0) <= 1e-12
 
     rng = np.random.default_rng(1007)
     worst = 0.0
@@ -254,10 +253,10 @@ def test_criterion_07_purity():
             v = build_covariance(tmsv.covariance(random_tmsv_params(rng)))
         else:
             v = build_covariance(thermal.covariance(random_thermal_params(rng)))
-        worst = max(worst, abs(purity(v) - purity_det(v)))
+        worst = max(worst, abs(purity(v.blocks()) - purity_det(v)))
     ok &= worst <= 1e-10
 
-    worked = purity(build_covariance(tmsv_blocks(1.0, k_f=0.95)))
+    worked = purity(tmsv_blocks(1.0, k_f=0.95))
     # exact value 0.4381110...; the stated 0.43809 holds at its printed
     # granularity (its last digit is off by two units)
     ok &= abs(worked - 0.43809) <= 5e-5
@@ -309,7 +308,7 @@ def test_criterion_08_bell():
     for k, v in enumerate(grid_states):
         b = bell_max(v, BellMaxConfig(n_restarts=24, seed=2000 + k)).b_max
         if b > 2.0 + 1e-6:
-            necessity_ok &= log_negativity(v).e_n > 0.0
+            necessity_ok &= log_negativity(v.blocks()) > 0.0
     details.append(f"nonlocality => entanglement on {len(grid_states)} grid points")
 
     elapsed = time.perf_counter() - start
@@ -392,7 +391,7 @@ def test_criterion_10_figure_shapes():
     for k_f in (0.85, 0.95):
         rs = np.linspace(0.0, 1.2 * math.atanh(k_f), 400)
         en = np.array([
-            log_negativity(tmsv_blocks(float(r), 0.9, 0.98, k_f)).e_n for r in rs
+            log_negativity(tmsv_blocks(float(r), 0.9, 0.98, k_f)) for r in rs
         ])
         peak = int(np.argmax(en))
         uni_ok &= bool(np.all(np.diff(en[: peak + 1]) >= -1e-9))
@@ -404,7 +403,7 @@ def test_criterion_10_figure_shapes():
     start = time.perf_counter()
     points = []
     for n_i in np.linspace(0.0, 1.5, 13):
-        points.append(thermal_critical_points(thermal.ThermalParams(
+        points.append(critical_points(thermal.ThermalParams(
             r=1.0, n_i=float(n_i), n_s=0.8, overlap=OverlapFactors(0.95, 0.095))))
     # the window shrinks monotonically while it exists, and once heating
     # closes it the window stays closed

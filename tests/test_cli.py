@@ -513,10 +513,10 @@ class TestSweep:
                                       overlap=OverlapFactors(0.95, 0.0))
             v = gaussian.apply_loss(
                 gaussian.build_covariance(thermal.covariance(p)), 0.8, 0.9)
-            assert e_n == pytest.approx(gaussian.log_negativity(v).e_n, abs=1e-12)
+            assert e_n == pytest.approx(gaussian.log_negativity(v.blocks()), abs=1e-12)
             assert s_q == pytest.approx(
                 gaussian.optimized_squeezing(v.blocks()), abs=1e-12)
-            assert pur == pytest.approx(gaussian.purity(v), abs=1e-12)
+            assert pur == pytest.approx(gaussian.purity(v.blocks()), abs=1e-12)
 
     def test_sweep_json_format(self, capsys):
         code, out, _ = run_inproc(
@@ -1161,7 +1161,8 @@ class TestOneRequest:
     @pytest.mark.parametrize("outputs, message", [
         ("foo", f"unknown output 'foo'; choose from {sweep.OUTPUTS}"),
         (",", "at least one output is required"),
-    ], ids=["unknown", "empty"])
+        ("e_n,e_n", "'e_n' is given twice as an output"),
+    ], ids=["unknown", "empty", "repeated"])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_point_rejects_bad_outputs(self, outputs, message, fmt, capsys):
         code, out, err = run_inproc("point", "--model", "tmsv", "--r", "0.5", "--outputs",

@@ -133,7 +133,7 @@ class TestOutputs:
             s_q = (d_i + d_s - mp.sqrt((d_i - d_s) ** 2 + 4 * (c11**2 + c12**2))) / 2
             assert rel_err(gaussian.optimized_squeezing(blocks), s_q) <= 1e-13
             e_n = max(mp.mpf(0), -mp.log(s_q))
-            assert abs(gaussian.log_negativity(blocks).e_n - float(e_n)) <= 1e-13
+            assert abs(gaussian.log_negativity(blocks) - float(e_n)) <= 1e-13
             assert rel_err(gaussian.purity(blocks), 1 / exact_d_x(exact)) <= 1e-13
 
 
@@ -142,9 +142,8 @@ class TestLandmarks:
     def test_entanglement_cutoffs_do_not_depend_on_the_efficiencies(self, n_i, n_s, ov,
                                                                    eta_i, eta_s):
         # (D_I - 1)(D_S - 1) < C^2 carries eta_i eta_s on both sides
-        a, b = n_i + n_s + 1.0, n_i - n_s
-        lossless = thermal.landmarks(a, b, ov.k_f, ov.l_f, 1.0, 1.0)
-        lossy = thermal.landmarks(a, b, ov.k_f, ov.l_f, eta_i, eta_s)
+        lossless = thermal.landmarks(thermal.ThermalParams(0.0, n_i, n_s, ov))
+        lossy = thermal.landmarks(thermal.ThermalParams(0.0, n_i, n_s, ov, eta_i, eta_s))
         for name in ("r_lcf_en", "r_ucf_en"):
             assert getattr(lossy, name).tobytes() == getattr(lossless, name).tobytes()
 

@@ -475,7 +475,7 @@ class TestNoMatrixStack:
 
 
 class TestOneSqueezingPass:
-    def test_e_n_and_s_q_opt_share_one_pass_per_sweep(self, monkeypatch):
+    def test_e_n_and_s_q_opt_take_one_whole_grid_pass_each(self, monkeypatch):
         calls = []
         real = gaussian.optimized_squeezing
 
@@ -487,10 +487,12 @@ class TestOneSqueezingPass:
         cfg = SweepConfig("thermal", ("e_n", "s_q_opt"), {"n_i": 0.3, "eta_s": 0.9},
                           axis1=AxisSpec("r", 0.0, 3.0, 13))
         _, table, _, _ = run_sweep(cfg)
-        assert calls == [(13,)]
+        # log_negativity's pass, then s_q_opt's own: none per point
+        assert calls == [(13,), (13,)]
         n = len(table)
         blocks = point_state({"r": table[:, 0], "n_i": np.full(n, 0.3),
                               "eta_s": np.full(n, 0.9)})[1]
+        assert table[:, 1].tobytes() == gaussian.log_negativity(blocks).tobytes()
         assert table[:, 2].tobytes() == real(blocks).tobytes()
 
 

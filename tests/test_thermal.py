@@ -2,7 +2,7 @@
 angle, weight ratio and optimized squeezing against numerical arbiters."""
 
 import math
-from dataclasses import asdict, astuple
+from dataclasses import asdict, astuple, replace
 
 import numpy as np
 import pytest
@@ -20,18 +20,18 @@ from oracles import (
     QuadratureSpec,
     bisect_root,
     close_to_reference,
+    critical_points,
     golden_min,
     landmarks_by_search,
+    lower_cutoff_mpmath,
     optimal_phase_sum,
     quadrature_variance,
     random_thermal_params,
     search_mismatches,
-    thermal_critical_points,
     thermal_landmarks_reference,
     thermal_optimized_squeezing_closed,
     thermal_squeezing_angle,
     thermal_weight_ratio,
-    tmsv_critical_points,
     tmsv_optimized_squeezing_closed,
     tmsv_weight_ratio,
 )
@@ -49,11 +49,11 @@ def ref_params(r):
 
 
 def e_n_of(p):
-    return log_negativity(thermal.covariance(p)).e_n
+    return log_negativity(thermal.covariance(p))
 
 
 def nu_of(p):
-    return log_negativity(thermal.covariance(p)).nu_minus
+    return optimized_squeezing(thermal.covariance(p)) / 2
 
 
 class TestCovariance:
@@ -95,7 +95,7 @@ class TestCovariance:
 
 class TestCriticalPoints:
     def test_identical_filters_limit_branch(self):
-        cp = thermal_critical_points(params(1.0, 0.5, 0.5))
+        cp = critical_points(params(1.0, 0.5, 0.5))
         assert cp.r_lcf_en == pytest.approx(0.5 * math.acosh(1.25), rel=1e-12)
         assert cp.r_lcf_en == pytest.approx(0.346574, abs=1e-6)
         assert math.isinf(cp.r_ucf_en)
@@ -103,7 +103,7 @@ class TestCriticalPoints:
         assert cp.r_lcf_en == pytest.approx(root, abs=1e-9)
 
     def test_reference_window_against_bisection(self):
-        cp = thermal_critical_points(ref_params(1.0))
+        cp = critical_points(ref_params(1.0))
         assert cp.r_lcf_en == pytest.approx(0.3772651481651858, rel=1e-10)
         assert cp.r_ucf_en == pytest.approx(1.4161166828003733, rel=1e-10)
         lo = bisect_root(lambda r: 0.5 - nu_of(ref_params(r)), 1e-4, 0.9)
@@ -122,7 +122,7 @@ class TestCriticalPoints:
 
     def test_empty_window_is_a_value(self):
         hot = params(1.0, 3.0, 2.5, 0.9, 0.1)
-        cp = thermal_critical_points(hot)
+        cp = critical_points(hot)
         assert all(math.isnan(x) for x in astuple(cp))
         for r in np.linspace(0.01, 4.0, 40):
             assert e_n_of(params(r, 3.0, 2.5, 0.9, 0.1)) == 0.0
@@ -131,7 +131,7 @@ class TestCriticalPoints:
         rng = np.random.default_rng(101)
         for _ in range(50):
             p = random_thermal_params(rng, require_window=True)
-            cp = thermal_critical_points(p)
+            cp = critical_points(p)
             inner = np.linspace(cp.r_lcf_en * 1.001, cp.r_ucf_en * 0.999, 100)
             for r in inner:
                 q = thermal.ThermalParams(float(r), p.n_i, p.n_s, p.overlap)
@@ -147,7 +147,7 @@ class TestCriticalPoints:
         rng = np.random.default_rng(103)
         for _ in range(50):
             p = random_thermal_params(rng, require_window=True)
-            cp = thermal_critical_points(p)
+            cp = critical_points(p)
 
             def nu_gap(r):
                 return 0.5 - nu_of(thermal.ThermalParams(float(r), p.n_i, p.n_s, p.overlap))
@@ -162,18 +162,28 @@ class TestCriticalPoints:
     def test_window_shrinks_with_heating(self):
         lows, highs = [], []
         for n_i in np.linspace(0.0, 1.2, 7):
-            cp = thermal_critical_points(params(1.0, float(n_i), 0.8, 0.95, 0.095))
+            cp = critical_points(params(1.0, float(n_i), 0.8, 0.95, 0.095))
             lows.append(cp.r_lcf_en)
             highs.append(cp.r_ucf_en)
         assert all(b >= a - 1e-12 for a, b in zip(lows, lows[1:]))
         finite = [h for h in highs if math.isfinite(h)]
         assert all(b <= a + 1e-12 for a, b in zip(finite, finite[1:]))
 
+    @pytest.mark.parametrize("n_i, n_s", [
+        (1e-17, 0.5), (1e-16, 0.3), (3e-16, 2.0), (1e-14, 0.5), (1e-12, 0.5), (3e-13, 0.8),
+    ])
+    def test_lower_cutoff_at_small_occupation(self, n_i, n_s):
+        # n_i far below the rounding of A = n_i + n_s + 1: the cutoff is
+        # about sqrt(n_i), and only the occupation itself fixes it
+        got = float(thermal.landmarks(params(1.0, n_i, n_s, 0.95)).r_lcf_en)
+        want = lower_cutoff_mpmath(n_i, n_s, 0.95, 0.0)
+        assert abs(got - want) <= 1e-15 * want, (got, want)
+
     def test_entanglement_maximum_against_golden_section(self):
         rng = np.random.default_rng(107)
         for _ in range(50):
             p = random_thermal_params(rng, require_window=True)
-            cp = thermal_critical_points(p)
+            cp = critical_points(p)
             argmax = golden_min(
                 lambda r: -e_n_of(thermal.ThermalParams(float(r), p.n_i, p.n_s, p.overlap)),
                 cp.r_lcf_en, cp.r_ucf_en,
@@ -182,7 +192,7 @@ class TestCriticalPoints:
 
     def test_optimized_variance_minimum_sits_at_the_entanglement_maximum(self):
         p = ref_params(1.0)
-        cp = thermal_critical_points(p)
+        cp = critical_points(p)
         argmin = golden_min(
             lambda r: thermal_optimized_squeezing_closed(ref_params(float(r))),
             1e-4, 2.5,
@@ -191,7 +201,7 @@ class TestCriticalPoints:
 
     def test_equal_weight_squeezing_landmarks(self):
         p = ref_params(1.0)
-        cp = thermal_critical_points(p)
+        cp = critical_points(p)
 
         def eq_var(r):
             b = thermal.covariance(ref_params(float(r)))
@@ -212,7 +222,7 @@ class TestCriticalPoints:
         rng = np.random.default_rng(109)
         for _ in range(30):
             p = random_thermal_params(rng, require_window=True)
-            cp = thermal_critical_points(p)
+            cp = critical_points(p)
             for r_edge in (cp.r_lcf_en, cp.r_ucf_en):
                 val = thermal_optimized_squeezing_closed(
                     thermal.ThermalParams(float(r_edge), p.n_i, p.n_s, p.overlap)
@@ -243,7 +253,7 @@ class TestCriticalPoints:
 
     def test_k_f_range_enforced(self):
         with pytest.raises(ValueError):
-            thermal_critical_points(params(1.0, k_f=0.0))
+            critical_points(params(1.0, k_f=0.0))
 
 
 class TestWeightRatio:
@@ -292,7 +302,7 @@ class TestOptimizedSqueezing:
         assert got == pytest.approx(1.6, rel=1e-14)
 
     def test_boundary_returns_to_sql(self):
-        cp = thermal_critical_points(ref_params(1.0))
+        cp = critical_points(ref_params(1.0))
         got = thermal_optimized_squeezing_closed(ref_params(cp.r_lcf_en))
         assert got == pytest.approx(1.0, abs=1e-8)
 
@@ -360,7 +370,7 @@ class TestTmsvReduction:
             tp = params(r, 0.0, 0.0, k_f)
             vp = tmsv.TmsvParams(r=r, overlap=OverlapFactors(k_f, 0.0))
             assert e_n_of(tp) == pytest.approx(
-                log_negativity(tmsv.covariance(vp)).e_n, abs=1e-12
+                log_negativity(tmsv.covariance(vp)), abs=1e-12
             )
             assert thermal_optimized_squeezing_closed(tp) == pytest.approx(
                 tmsv_optimized_squeezing_closed(vp), abs=1e-12
@@ -368,8 +378,8 @@ class TestTmsvReduction:
             assert thermal_weight_ratio(tp) == pytest.approx(
                 tmsv_weight_ratio(vp), abs=1e-12
             )
-            cp_t = thermal_critical_points(tp)
-            cp_v = tmsv_critical_points(vp)
+            cp_t = critical_points(tp)
+            cp_v = critical_points(vp)
             assert cp_t.r_lcf_en == cp_t.r_lcf_sq == 0.0
             for got, want in zip(astuple(cp_t), astuple(cp_v)):
                 assert got == pytest.approx(want, rel=1e-14)
@@ -386,7 +396,8 @@ class TestLossyLandmarks:
             eta_i, eta_s = rng.uniform(0.05, 1.0, 2)
             k_f = rng.uniform(0.85, 0.999)
             l_f = rng.uniform(-1.0, 1.0) * math.sqrt(1.0 - k_f * k_f)
-            cp = thermal_critical_points(params(1.0, n_i, n_s, k_f, l_f), eta_i, eta_s)
+            cp = critical_points(replace(params(1.0, n_i, n_s, k_f, l_f), eta_i=eta_i,
+                                         eta_s=eta_s))
             inside = [x for x in (cp.r_max_en, cp.r_max_sq) if math.isfinite(x)]
             want = landmarks_by_search(n_i, n_s, k_f, l_f, eta_i, eta_s, inside=inside)
             state = (n_i, n_s, k_f, l_f, eta_i, eta_s)
@@ -399,15 +410,15 @@ class TestLossyLandmarks:
 
     def test_loss_leaves_the_entanglement_window_and_moves_the_rest(self):
         p = ref_params(1.0)
-        lossless = thermal_critical_points(p)
-        lossy = thermal_critical_points(p, 0.9, 0.8)
+        lossless = critical_points(p)
+        lossy = critical_points(replace(p, eta_i=0.9, eta_s=0.8))
         assert (lossy.r_lcf_en, lossy.r_ucf_en) == (lossless.r_lcf_en, lossless.r_ucf_en)
         for name in ("r_max_en", "r_lcf_sq", "r_ucf_sq", "r_max_sq"):
             assert getattr(lossy, name) != getattr(lossless, name)
 
     def test_no_landmarks_without_both_detectors(self):
-        for etas in ((0.0, 0.8), (0.7, 0.0)):
-            cp = thermal_critical_points(ref_params(1.0), *etas)
+        for eta_i, eta_s in ((0.0, 0.8), (0.7, 0.0)):
+            cp = thermal.landmarks(replace(ref_params(1.0), eta_i=eta_i, eta_s=eta_s))
             assert all(math.isnan(x) for x in astuple(cp))
 
 
@@ -417,7 +428,8 @@ LANDMARK_CASES = {
     "K_f negative": (0.3, 0.7, -0.5, 0.1),
     "K_f in (0, 1)": (0.3, 0.7, 0.95, 0.1),
     "K_f one": (0.3, 0.7, 1.0, 0.0),
-    "K_f past one": (0.3, 0.7, 1.05, 0.0),
+    # past one by less than the Cauchy-Schwarz check's 1e-12 tolerance
+    "K_f past one": (0.3, 0.7, 1.0 + 4e-13, 0.0),
     "den just above zero at K_f < 1": (0.3, 0.7, 1.0 - 1e-14, 0.0),
     "rad negative": (3.0, 2.5, 0.9, 0.1),
     "ch_u below one": (4.0, 0.5, 0.1, 0.0),
@@ -455,7 +467,7 @@ class TestArrayLandmarks:
 
     def check(self, n_i, n_s, kf, lf):
         a, b = n_i + n_s + 1.0, n_i - n_s
-        cp = thermal.landmarks(a, b, kf, lf, 1.0, 1.0)
+        cp = thermal.landmarks(params(1.0, n_i, n_s, kf, lf))
         got = np.column_stack([getattr(cp, f) for f in FIELDS])
         for i, point in enumerate(zip(a.tolist(), b.tolist(), kf.tolist(), lf.tolist())):
             want = self.reference(*point)
@@ -477,16 +489,16 @@ class TestArrayLandmarks:
         rng = np.random.default_rng(43)
         n = 4000
         n_i, n_s = rng.uniform(0.0, 3.0, (2, n))
-        kf = rng.uniform(-0.1, 1.1, n)
+        kf = rng.uniform(-0.1, 1.0, n)
         kf[::7] = 1.0
         lf = rng.uniform(0.0, 1.0, n) * np.sqrt(np.maximum(1.0 - kf**2, 0.0))
         lf[::5] = 0.0
         self.check(n_i, n_s, kf, lf)
 
     def test_overflowing_occupation_is_an_error_for_its_row(self):
-        a = np.array([2.0, 3.0, 1e200, 1e300])
+        n = np.array([0.5, 1.0, 5e199, 5e299])
         with pytest.raises(OverflowError) as error:
-            thermal.landmarks(a, np.zeros(4), np.full(4, 0.9), np.zeros(4), 1.0, 1.0)
+            thermal.landmarks(params(1.0, n, n, np.full(4, 0.9), np.zeros(4)))
         assert str(error.value) == "(34, 'Numerical result out of range')"
 
     def test_overflowing_squeezing_is_an_error_for_its_first_row(self):
@@ -497,17 +509,15 @@ class TestArrayLandmarks:
 
     def test_scalar_critical_points_are_python_floats(self):
         for n_i, n_s, kf, lf in LANDMARK_CASES.values():
-            if kf > 1.0:
-                continue  # no ThermalParams exists past the Cauchy-Schwarz bound
             p = params(1.0, n_i, n_s, kf, lf)
             try:
                 thermal_landmarks_reference(p.a, p.b, kf, lf)
             except ValueError as exc:
                 with pytest.raises(ValueError) as error:
-                    thermal_critical_points(p)
+                    critical_points(p)
                 assert str(error.value) == str(exc)
                 continue
-            got = thermal_critical_points(p)
+            got = critical_points(p)
             want = self.reference(p.a, p.b, kf, lf)
             for name, w in zip(FIELDS, want):
                 assert type(getattr(got, name)) is float

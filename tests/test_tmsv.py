@@ -18,10 +18,10 @@ from filtered_tms.gaussian import (
 from oracles import (
     bisect_root,
     close_to_reference,
+    critical_points,
     golden_min,
     random_tmsv_params,
     tmsv_blocks_reference,
-    tmsv_critical_points,
     tmsv_landmarks_reference,
     tmsv_optimized_squeezing_closed,
     tmsv_weight_ratio,
@@ -33,11 +33,11 @@ def params(r, eta_i=1.0, eta_s=1.0, k_f=1.0, l_f=0.0):
 
 
 def e_n_of(r, eta_i=1.0, eta_s=1.0, k_f=1.0):
-    return log_negativity(tmsv.covariance(params(r, eta_i, eta_s, k_f))).e_n
+    return log_negativity(tmsv.covariance(params(r, eta_i, eta_s, k_f)))
 
 
 def nu_of(r, eta_i=1.0, eta_s=1.0, k_f=1.0):
-    return log_negativity(tmsv.covariance(params(r, eta_i, eta_s, k_f))).nu_minus
+    return optimized_squeezing(tmsv.covariance(params(r, eta_i, eta_s, k_f))) / 2
 
 
 def equal_weight_variance(r, eta_i, eta_s, k_f):
@@ -112,18 +112,18 @@ class TestCovariance:
     def test_full_loss_gives_a_product_state(self, etas):
         b = tmsv.covariance(params(1.2, *etas, k_f=0.9))
         assert (b.c11, b.c12) == (0.0, 0.0)
-        assert log_negativity(b).e_n == 0.0
+        assert log_negativity(b) == 0.0
 
 
 class TestCriticalPoints:
     def test_cutoff_and_maximum_for_equal_efficiencies(self):
-        cp = tmsv_critical_points(params(1.0, k_f=0.95))
+        cp = critical_points(params(1.0, k_f=0.95))
         assert cp.r_ucf_en == pytest.approx(math.atanh(0.95), rel=1e-14)
         assert cp.r_ucf_en == pytest.approx(1.83178, abs=1e-5)
         assert cp.r_max_en == pytest.approx(0.5 * math.atanh(0.95), rel=1e-12)
 
     def test_identical_filters_give_unbounded_landmarks(self):
-        cp = tmsv_critical_points(params(1.0))
+        cp = critical_points(params(1.0))
         assert math.isinf(cp.r_ucf_en)
         assert math.isinf(cp.r_max_sq)
         assert math.isinf(cp.r_ucf_sq)
@@ -131,19 +131,19 @@ class TestCriticalPoints:
 
     def test_vanishing_overlap_rejected(self):
         with pytest.raises(ValueError):
-            tmsv_critical_points(params(1.0, k_f=0.0))
+            critical_points(params(1.0, k_f=0.0))
 
     @pytest.mark.parametrize("k_f", [0.9, 1.0])
     def test_full_loss_has_no_landmarks(self, k_f):
         # a product state: no division by zero below K_f = 1, and no
         # unbounded window at K_f = 1
         with pytest.raises(ValueError, match="requires? eta_i eta_s > 0"):
-            tmsv_critical_points(params(1.0, 0.0, 0.9, k_f=k_f))
+            critical_points(params(1.0, 0.0, 0.9, k_f=k_f))
         with pytest.raises(ValueError, match="requires? eta_i eta_s > 0"):
             tmsv_weight_ratio(params(1.0, 0.9, 0.0, k_f=k_f))
 
     def test_equal_weight_squeezing_extremum(self):
-        cp = tmsv_critical_points(params(1.0, 0.9, 0.98, 0.95))
+        cp = critical_points(params(1.0, 0.9, 0.98, 0.95))
         assert cp.r_max_sq == pytest.approx(0.9115141328757781, rel=1e-10)
         assert cp.r_ucf_sq == pytest.approx(2.0 * cp.r_max_sq, rel=1e-15)
         argmin = golden_min(
@@ -152,7 +152,7 @@ class TestCriticalPoints:
         assert cp.r_max_sq == pytest.approx(argmin, abs=1e-6)
 
     def test_equal_weight_sql_crossing_at_twice_the_extremum(self):
-        cp = tmsv_critical_points(params(1.0, 0.6, 0.9, 0.8))
+        cp = critical_points(params(1.0, 0.6, 0.9, 0.8))
         crossing = bisect_root(
             lambda r: equal_weight_variance(r, 0.6, 0.9, 0.8) - 1.0,
             cp.r_max_sq, 6.0,
@@ -163,7 +163,7 @@ class TestCriticalPoints:
         rng = np.random.default_rng(61)
         for _ in range(50):
             p = random_tmsv_params(rng)
-            cp = tmsv_critical_points(p)
+            cp = critical_points(p)
             argmax = golden_min(
                 lambda r: -e_n_of(r, p.eta_i, p.eta_s, p.overlap.k_f),
                 1e-5, cp.r_ucf_en * (1.0 - 1e-9),
@@ -172,7 +172,7 @@ class TestCriticalPoints:
 
     def test_optimized_variance_shares_the_entanglement_maximum(self):
         p = params(1.0, 0.9, 0.98, 0.95)
-        cp = tmsv_critical_points(p)
+        cp = critical_points(p)
         argmin = golden_min(
             lambda r: tmsv_optimized_squeezing_closed(
                 params(r, 0.9, 0.98, 0.95)
@@ -185,11 +185,11 @@ class TestCriticalPoints:
         rng = np.random.default_rng(67)
         for _ in range(50):
             p = random_tmsv_params(rng)
-            cp = tmsv_critical_points(p)
+            cp = critical_points(p)
             assert 0.0 < cp.r_max_en < cp.r_ucf_en
             assert cp.r_ucf_sq == pytest.approx(2.0 * cp.r_max_sq, rel=1e-14)
             eq = tmsv.TmsvParams(p.r, p.eta_i, p.eta_i, p.overlap)
-            cp_eq = tmsv_critical_points(eq)
+            cp_eq = critical_points(eq)
             assert cp_eq.r_ucf_en == pytest.approx(cp_eq.r_ucf_sq, rel=1e-12)
             assert cp_eq.r_max_en == pytest.approx(cp_eq.r_max_sq, rel=1e-12)
 
@@ -197,7 +197,7 @@ class TestCriticalPoints:
 class TestEntanglementProfile:
     def test_bell_shape_is_unimodal(self):
         for k_f in (0.5, 0.8, 0.95):
-            cp = tmsv_critical_points(params(1.0, 0.9, 0.98, k_f))
+            cp = critical_points(params(1.0, 0.9, 0.98, k_f))
             rs = np.linspace(0.0, 1.2 * cp.r_ucf_en, 400)
             en = np.array([e_n_of(r, 0.9, 0.98, k_f) for r in rs])
             k = int(np.argmax(en))
@@ -240,7 +240,7 @@ class TestEntanglementProfile:
         rng = np.random.default_rng(71)
         for _ in range(20):
             p = random_tmsv_params(rng)
-            cp = tmsv_critical_points(p)
+            cp = critical_points(p)
             for r in np.linspace(1e-3, 1.5 * cp.r_ucf_en, 60):
                 en = e_n_of(r, p.eta_i, p.eta_s, p.overlap.k_f)
                 sq = tmsv_optimized_squeezing_closed(
@@ -311,7 +311,8 @@ LANDMARK_CASES = {
     "K_f in (0, 1)": (0.95, 0.9, 0.98),
     "K_f in (0, 1), unequal efficiencies": (0.6, 0.3, 0.9),
     "K_f one": (1.0, 0.9, 0.98),
-    "K_f past one": (1.02, 1.0, 1.0),
+    # past one by less than the Cauchy-Schwarz check's 1e-12 tolerance
+    "K_f past one": (1.0 + 4e-13, 1.0, 1.0),
     "full idler loss": (0.9, 0.0, 0.8),
     "full signal loss at K_f one": (1.0, 0.7, 0.0),
     "equal efficiencies at K_f one": (1.0, 0.6, 0.6),
@@ -335,7 +336,7 @@ class TestArrayLandmarks:
         return [getattr(cp, f) for f in FIELDS]
 
     def check(self, kf, ei, es):
-        cp = thermal.landmarks(1.0, 0.0, kf, 0.0, ei, es)
+        cp = thermal.landmarks(params(0.0, ei, es, kf))
         got = np.column_stack([getattr(cp, f) for f in FIELDS])
         for point, row in zip(zip(kf, ei, es), got.tolist()):
             want = self.reference(*point)
@@ -353,13 +354,13 @@ class TestArrayLandmarks:
         # 1 - K_f^2 down to an ulp: the cutoff is atanh(K_f), and at equal
         # efficiencies both maxima sit at half of it
         kf = np.array([1.0 - 1e-13, float(np.nextafter(1.0, 0.0))])
-        cp = thermal.landmarks(1.0, 0.0, kf, 0.0, 1.0, 1.0)
+        cp = thermal.landmarks(params(0.0, k_f=kf))
         for i, k in enumerate(kf.tolist()):
             assert cp.r_ucf_en[i] == pytest.approx(math.atanh(k), rel=1e-12)
             assert cp.r_max_en[i] == pytest.approx(0.5 * math.atanh(k), rel=1e-12)
             assert cp.r_max_sq[i] == pytest.approx(0.5 * math.atanh(k), rel=1e-12)
         # unequal efficiencies move the maximum off half the cutoff
-        cp = thermal.landmarks(1.0, 0.0, kf, 0.0, 0.9, 0.6)
+        cp = thermal.landmarks(params(0.0, 0.9, 0.6, kf))
         for i, k in enumerate(kf.tolist()):
             assert cp.r_ucf_en[i] == pytest.approx(math.atanh(k), rel=1e-12)
             want = tmsv_landmarks_reference(k, 0.9, 0.6).r_max_en
@@ -369,7 +370,7 @@ class TestArrayLandmarks:
     def test_random_points(self):
         rng = np.random.default_rng(41)
         n = 4000
-        kf = rng.uniform(-0.1, 1.1, n)
+        kf = rng.uniform(-0.1, 1.0, n)
         kf[::7] = 1.0
         ei, es = rng.uniform(0.0, 1.0, (2, n))
         ei[::11], es[::13] = 0.0, ei[::13]
@@ -378,23 +379,21 @@ class TestArrayLandmarks:
     def test_lower_cutoffs_are_exactly_zero_over_a_k_f_grid(self):
         kf = np.linspace(0.8, 0.999, 200)
         for ei, es in ((1.0, 1.0), (0.9, 0.6)):
-            cp = thermal.landmarks(1.0, 0.0, kf, 0.0, ei, es)
+            cp = thermal.landmarks(params(0.0, ei, es, kf))
             assert np.all(cp.r_lcf_en == 0.0) and np.all(cp.r_lcf_sq == 0.0)
             assert np.all(cp.r_ucf_en > 0.0) and np.all(cp.r_ucf_sq > 0.0)
 
     def test_scalar_critical_points_are_python_floats(self):
         for kf, ei, es in LANDMARK_CASES.values():
-            if kf > 1.0:
-                continue  # no TmsvParams exists past the Cauchy-Schwarz bound
             p = params(1.0, ei, es, kf)
             try:
                 cp = tmsv_landmarks_reference(kf, ei, es)
             except ValueError as exc:
                 with pytest.raises(ValueError) as error:
-                    tmsv_critical_points(p)
+                    critical_points(p)
                 assert str(error.value) == str(exc)
                 continue
-            got = tmsv_critical_points(p)
+            got = critical_points(p)
             assert all(type(x) is float for x in astuple(got))
             assert got.r_lcf_en == got.r_lcf_sq == 0.0
             for name in FIELDS:
