@@ -360,6 +360,9 @@ def main(argv=None) -> int:
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         sys.stderr.write(json.dumps({"error": f"numerical failure: {exc}"}) + "\n")
         return 3
+    except MemoryError as exc:
+        sys.stderr.write(json.dumps({"error": f"out of memory: {exc}"}) + "\n")
+        return 2
     except (ValueError, OSError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2

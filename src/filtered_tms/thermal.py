@@ -161,16 +161,17 @@ def landmarks(state: ThermalParams) -> CriticalPoints:
 
         # equal weights: lead t^2 - 2p t + con < 0, t = tanh r; the window's
         # top and the minimum at tanh 2r = p / (c A) diverge where the gap
-        # c A - p, a sum of non-negative terms over c A + p, is 0
+        # c A - p, a sum of non-negative terms over c A + p, is 0; both are
+        # logs of 1 + x, by log1p so that they keep their digits as K_f -> 0
         p, ca = np.sqrt(ei * es * q), 0.5 * (ei + es) * a
         gap = ((0.5 * (ei - es) * a) ** 2 + ei * es * den) / (ca + p)
         lead, con = ei * (1.0 + n_s) + es * (1.0 + n_i), ei * n_i + es * n_s
         disc = np.sqrt(p**2 - lead * con)  # nan: the variance never dips below the SQL
         r_lcf_sq = np.arctanh(con / (p + disc))
-        r_ucf_sq = 0.5 * np.log((lead - con + 2.0 * disc) / (2.0 * gap))
-        r_max_sq = 0.25 * np.log((ca + p) / gap)
+        r_ucf_sq = 0.5 * np.log1p((p - con + disc) / gap)
+        r_max_sq = 0.25 * np.log1p(2.0 * p / gap)
 
-    # a complex root or w < 0 (both roots below r = 0) leaves no window
-    window = (0.0 < kf) & (kf <= 1.0) & (ei != 0.0) & (es != 0.0) & (limit | (w >= 0.0))
+    # a complex root or w <= 0 (no root above r = 0) leaves no window
+    window = (0.0 < kf) & (kf <= 1.0) & (ei != 0.0) & (es != 0.0) & (limit | (w > 0.0))
     return CriticalPoints(*(np.where(window, x, math.nan)
                             for x in (r_lcf, r_ucf, r_max_en, r_lcf_sq, r_ucf_sq, r_max_sq)))

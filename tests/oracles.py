@@ -3,10 +3,10 @@
 Every routine here avoids the closed forms under test: symplectic spectra
 come from an eigenvalue decomposition, extrema from golden-section search,
 roots from bisection, and variance optima from grid-plus-golden scans of
-the raw quadratic form.  The scalar references near the end are the
-point-by-point `math` forms that the whole-array closed forms replaced,
-beside the filter-overlap integral at 50 digits in mpmath and by adaptive
-Simpson quadrature of the sampled kernels; the last
+the raw quadratic form.  Near the end, the landmarks come from their
+defining conditions and the filter overlap from its integral, both at 50
+digits in mpmath, the overlap also by adaptive Simpson quadrature of the
+sampled kernels, and the heatmap writer is its point-by-point form; the last
 section holds the paper's per-model scalar closed forms, the Wigner and
 quadrature-variance forms, the filter transforms and the Bell grid
 search, which no command reaches.
@@ -22,6 +22,7 @@ from filtered_tms import thermal, tmsv
 from filtered_tms.bell import bell_value
 from filtered_tms.filters import FilterSpec, OverlapFactors, sample_time
 from filtered_tms.gaussian import CovarianceBlocks, CovarianceMatrix
+from filtered_tms.sweep import CRITICAL_COLUMNS
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _OMEGA = np.block([[_J, np.zeros((2, 2))], [np.zeros((2, 2)), _J]])
@@ -493,156 +494,93 @@ def same_or_close(got: float, want: float, rel: float) -> bool:
     return math.isfinite(got) and abs(got - want) <= rel * abs(want)
 
 
-_EPS = float(np.finfo(float).eps)
-
-
-def _half_atanh_rounding(r: float) -> float:
-    """How far r = atanh(t) / 2 moves for a couple of ulps of t near 1."""
-    return _EPS * math.cosh(min(2.0 * r, 300.0)) ** 2
-
-
-# The scalar references' own rounding, in r, where they invert a function at
-# an argument within ulps of where it is flat.  The TMSV maxima are
-# atanh(t) / 2 with t -> 1 as K_f -> 1, and r_ucf_sq = 2 r_max_sq doubles
-# that; the thermal lower cutoff is acosh(1 + y) / 2, which an ulp of y at
-# y = 0 moves by up to eps / (2 r).  Every other field, r_ucf_en = atanh(K_f)
-# of the exact input among them, gets no allowance beyond 1e-12 relative.
-REFERENCE_ROUNDING = {
-    ("tmsv", "r_max_en"): _half_atanh_rounding,
-    ("tmsv", "r_max_sq"): _half_atanh_rounding,
-    ("tmsv", "r_ucf_sq"): lambda r: 2.0 * _half_atanh_rounding(0.5 * r),
-    ("thermal", "r_lcf_en"): lambda r: _EPS / r,
-}
-
-
-def close_to_reference(got: float, want: float, model: str, field: str) -> bool:
-    """A scalar landmark reference's nan/inf pattern, and finite values within
-    1e-12 relative plus that reference's own rounding of the field
-    (``REFERENCE_ROUNDING``)."""
-    if not math.isfinite(want) or want == 0.0:
-        return same_or_close(got, want, 0.0)
-    slack = REFERENCE_ROUNDING.get((model, field), lambda r: 0.0)(want)
-    return math.isfinite(got) and abs(got - want) <= 1e-12 * abs(want) + slack
-
-
 # ---------------------------------------------------------------------------
-# Scalar references of the whole-array closed forms: the landmarks and the
-# heatmap writer, one point (or cell) at a time in `math`, as they were
-# written before the array versions; and the overlap integral in mpmath.
+# 50-digit oracles in mpmath: the landmarks, each from its defining
+# condition, and the overlap integral; beside them the quadrature of the
+# sampled kernels, and the heatmap writer one cell at a time, as it was
+# written before the array version.
 
-@dataclass(frozen=True)
-class TmsvLandmarks:
-    """The TMSV landmarks as the vacuum-input closed forms gave them."""
-
-    r_ucf_en: float
-    r_max_en: float
-    r_max_sq: float
-    r_ucf_sq: float
+# the one relative bound of ``thermal.landmarks`` against ``landmarks_mpmath``
+LANDMARK_REL = 1e-13
 
 
-@dataclass(frozen=True)
-class ThermalLandmarks:
-    """The unit-efficiency thermal landmarks, the squeezing angle and whether
-    an entanglement window exists, as the thermal closed forms gave them."""
+def landmarks_mpmath(n_i, n_s, k_f, l_f, eta_i, eta_s) -> dict:
+    """The six landmarks of a lossy thermal state, each the root of its
+    defining condition at 50 digits, as floats by ``CriticalPoints`` name.
 
-    r_lcf_en: float
-    r_ucf_en: float
-    r_max_en: float
-    r_lcf_sq: float
-    r_ucf_sq: float
-    r_max_sq: float
-    zeta: float
-    has_window: bool = True
+    With A = n_i + n_s + 1, B = n_i - n_s, Q = A^2 K_f^2 + B^2 L_f^2 and
+    y = cosh 2r - 1, the blocks give D_I - 1 = eta_i (2 n_i + A y),
+    D_S - 1 = eta_s (2 n_s + A y) and C^2 = eta_i eta_s Q (y^2 + 2 y).
+    Simon's criterion at equality, (D_I - 1)(D_S - 1) = C^2, is a quadratic
+    in y whose roots bound the entanglement window.  E_N peaks where
+    s_q_opt = (D_I + D_S)/2 - sqrt((D_I - D_S)^2/4 + C^2) is least: the root
+    of d s_q_opt/dr inside the window, by ``mpmath.findroot``.  The
+    equal-weight variance (D_I + D_S)/2 - |C| meets the SQL where
+    ((D_I - 1 + D_S - 1)/2)^2 = C^2, a second quadratic, and its derivative
+    vanishes at cosh 2r = sigma / sqrt(sigma^2 - eta_i eta_s Q), with
+    sigma = (eta_i + eta_s) A / 2.
 
-
-def tmsv_landmarks_reference(kf: float, ei: float, es: float) -> TmsvLandmarks:
-    """The TMSV landmarks from plain numbers: K_f and the two efficiencies."""
-    if not 0.0 < kf <= 1.0:
-        raise ValueError(f"critical points require K_f in (0, 1], got {kf}")
-    if ei * es == 0.0:
-        # full loss on either side leaves a product state: no window to bound
-        raise ValueError(f"critical points require eta_i eta_s > 0, got {ei} * {es}")
-
-    # unbounded landmarks at K_f = 1 branch on the exact value so rounding
-    # can never turn them into large finite floats
-    r_ucf_en = math.atanh(kf) if kf < 1.0 else math.inf
-
-    if kf == 1.0:
-        # argmax of E_N(r); E_N = 2r grows without bound for matched filters
-        r_max_en = math.inf
-    else:
-        g = math.sqrt((1.0 - kf**2) * ei * es)
-        w = 2.0 * ei * es + (ei + es) * g
-        t = math.sqrt(4.0 * ei * es * kf**2 * (w - ei * es * kf**2)) / w
-        r_max_en = 0.5 * math.atanh(t) if t < 1.0 else math.inf
-
-    if kf == 1.0 and ei == es:
-        r_max_sq = math.inf
-    else:
-        t_sq = 2.0 * math.sqrt(ei * es) * kf / (ei + es)
-        r_max_sq = 0.5 * math.atanh(t_sq) if t_sq < 1.0 else math.inf
-
-    return TmsvLandmarks(r_ucf_en, r_max_en, r_max_sq, r_ucf_sq=2.0 * r_max_sq)
-
-
-def thermal_landmarks_reference(a: float, b: float, kf: float, lf: float) -> ThermalLandmarks:
-    """The unit-efficiency thermal landmarks from plain numbers: A, B, K_f and L_f."""
-
-    def empty(zeta):
-        nan = math.nan
-        return ThermalLandmarks(nan, nan, nan, nan, nan, nan, zeta, has_window=False)
-
-    if not 0.0 < kf <= 1.0:
-        raise ValueError(f"critical points require K_f in (0, 1], got {kf}")
-    q = a**2 * kf**2 + b**2 * lf**2
-    den = a**2 * (1.0 - kf**2) - b**2 * lf**2
-    g = q - b**2 + 1.0
-    zeta = math.atan2(b * lf, a * kf)
-
-    if den <= 0.0:
-        # identical filters: upper cutoff diverges, lower cutoff stays finite
-        r_lcf = 0.5 * math.acosh(max(g / (2.0 * a), 1.0))
-        r_ucf = r_max_en = r_max_sq = math.inf
-    else:
-        rad = a**2 - den * g
-        if rad < 0.0:
-            return empty(zeta)
-        root = math.sqrt(rad)
-        ch_l = g / (a + root)
-        ch_u = (a + root) / den
-        if ch_u < 1.0:
-            return empty(zeta)
-        r_lcf = 0.5 * math.acosh(max(ch_l, 1.0))
-        r_ucf = 0.5 * math.acosh(ch_u)
-
-        # maximum of E_N(r), shared by the weight-optimized variance; a
-        # non-empty window guarantees Q > B^2, the nan arm is defensive
-        num = a**2 * (q - b**2)
-        r_max_en = (0.5 * math.acosh(max(math.sqrt(num / (q * den)), 1.0))
-                    if num > 0.0 else math.nan)
-
-        t_sq = math.sqrt(q) / a
-        r_max_sq = 0.5 * math.atanh(t_sq) if t_sq < 1.0 else math.inf
-
-    r_lcf_sq, r_ucf_sq = _sq_window_reference(a, q)
-    return ThermalLandmarks(r_lcf, r_ucf, r_max_en, r_lcf_sq, r_ucf_sq, r_max_sq, zeta)
-
-
-def _sq_window_reference(a: float, q: float) -> tuple[float, float]:
-    """SQL crossings of the equal-weight composite quadrature.
-
-    tanh(r) = (sqrt(Q) -+ sqrt(Q - A^2 + 1)) / (A + 1); empty (nan, nan)
-    when the variance never dips below the SQL.
+    A quadratic c2 y^2 + c1 y + c0 with c0 >= 0 is negative between
+    2 c0 / s and s / (2 c2), s = -c1 + sqrt(c1^2 - 4 c2 c0), so the lower
+    root is exactly 0 without population.  The leading coefficients are
+    written as A^2 (1 - K_f^2) - B^2 L_f^2 and ((eta_i - eta_s) A / 2)^2
+    + eta_i eta_s (A^2 - Q), which are exactly 0 at K_f = 1 with B L_f = 0
+    (the second at eta_i = eta_s).  Where one is 0 or less, the window
+    does not close: its top, and the minimum of that quadrature's variance,
+    are inf.  Every landmark is nan where K_f lies outside (0, 1], an
+    efficiency is 0 or there is no entanglement window; the squeezing
+    window is nan where that variance never dips below the SQL.
     """
-    disc = q - a**2 + 1.0
-    if disc < 0.0:
-        return math.nan, math.nan
-    root_q, root_d = math.sqrt(q), math.sqrt(disc)
-    t_l = (root_q - root_d) / (a + 1.0)
-    t_u = (root_q + root_d) / (a + 1.0)
-    r_l = math.atanh(min(max(t_l, 0.0), 1.0)) if t_l < 1.0 else math.inf
-    r_u = math.atanh(t_u) if t_u < 1.0 else math.inf
-    return r_l, r_u
+    nan = dict.fromkeys(CRITICAL_COLUMNS, math.nan)
+    if not 0.0 < k_f <= 1.0 or eta_i == 0.0 or eta_s == 0.0:
+        return nan
+    with mpmath.workdps(50):
+        n_i, n_s, k_f, l_f, ei, es = (mpmath.mpf(x) for x in (n_i, n_s, k_f, l_f, eta_i, eta_s))
+        a, b, ee = n_i + n_s + 1, n_i - n_s, ei * es
+        q = a**2 * k_f**2 + b**2 * l_f**2
+        den = a**2 * (1 - k_f**2) - b**2 * l_f**2
+        # d/dy of (D_I + D_S)/2 and of (D_I - D_S)/2
+        sigma, delta = (ei + es) * a / 2, (ei - es) * a / 2
+
+        def window(c2, c1, c0):
+            """(lower, upper) y of c2 y^2 + c1 y + c0 < 0 at y > 0, or None."""
+            disc = c1**2 - 4 * c2 * c0
+            s = -c1 + mpmath.sqrt(disc) if disc >= 0 else 0
+            if s <= 0:
+                return None
+            return 2 * c0 / s, s / (2 * c2) if c2 > 0 else mpmath.inf
+
+        def r_of(y):
+            return mpmath.asinh(mpmath.sqrt(y / 2))
+
+        def slope(r):
+            """d s_q_opt/dr over the positive factor
+            (1 + y) (dy/dr) / sqrt((D_I - D_S)^2/4 + C^2)."""
+            y = 2 * mpmath.sinh(r) ** 2
+            half_diff = (ei * (2 * n_i + a * y) - es * (2 * n_s + a * y)) / 2
+            return (sigma * mpmath.sqrt(half_diff**2 + ee * q * (y**2 + 2 * y))
+                    - half_diff * delta - ee * q * (y + 1)) / (1 + y)
+
+        en = window(den, 2 * (a * (n_i + n_s) - q), 4 * n_i * n_s)
+        if en is None:
+            return nan
+        lcf_en, ucf_en = map(r_of, en)
+        max_en = ucf_en if mpmath.isinf(ucf_en) else mpmath.findroot(
+            slope, (lcf_en, ucf_en), solver="illinois", maxsteps=200)
+        p, gap = ei * n_i + es * n_s, delta**2 + ee * den
+        sq = window(gap, 2 * (p * sigma - ee * q), p**2)
+        lcf_sq, ucf_sq = map(r_of, sq) if sq else (math.nan, math.nan)
+        max_sq = r_of(sigma / mpmath.sqrt(gap) - 1) if gap > 0 else mpmath.inf
+        return {name: float(x) for name, x in zip(
+            CRITICAL_COLUMNS, (lcf_en, ucf_en, max_en, lcf_sq, ucf_sq, max_sq))}
+
+
+def landmark_mismatches(got, want: dict) -> list:
+    """The landmarks where ``got`` (a mapping by field name) misses the
+    ``landmarks_mpmath`` values ``want``: another nan/inf/0 pattern, or a
+    finite value off by more than ``LANDMARK_REL`` relative."""
+    return [(name, float(got[name]), w) for name, w in want.items()
+            if not same_or_close(float(got[name]), w, LANDMARK_REL)]
 
 
 def overlap_mpmath(fi, fs):
@@ -669,24 +607,6 @@ def overlap_mpmath(fi, fs):
         (ci, gi, ti), (cs, gs, ts) = parts(fi), parts(fs)
         a = gi + gs - 1j * (mpmath.mpf(fi.omega) - mpmath.mpf(fs.omega))
         return ci * cs * integral(a, min(ti, ts))
-
-
-def lower_cutoff_mpmath(n_i, n_s, k_f, l_f):
-    """The lower entanglement cutoff r_lcf_en at 50 digits, as an mpmath number.
-
-    Simon's criterion at equality, (D_I - 1)(D_S - 1) = C^2, with
-    D - 1 = 2 n + A y and C^2 = Q (y^2 + 2 y) in y = cosh 2r - 1, is the
-    quadratic (A^2 - Q) y^2 + 2 (A (n_i + n_s) - Q) y + 4 n_i n_s = 0, with
-    A = n_i + n_s + 1, B = n_i - n_s and Q = A^2 K_f^2 + B^2 L_f^2; its small
-    root, by the textbook formula, gives r = asinh(sqrt(y / 2)).
-    """
-    with mpmath.workdps(50):
-        n_i, n_s, k_f, l_f = (mpmath.mpf(x) for x in (n_i, n_s, k_f, l_f))
-        a, b = n_i + n_s + 1, n_i - n_s
-        q = a**2 * k_f**2 + b**2 * l_f**2
-        c2, c1, c0 = a**2 - q, 2 * (a * (n_i + n_s) - q), 4 * n_i * n_s
-        y = (-c1 - mpmath.sqrt(c1**2 - 4 * c2 * c0)) / (2 * c2)
-        return mpmath.asinh(mpmath.sqrt(y / 2))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import resource
 import stat
 import subprocess
 import sys
@@ -33,11 +34,12 @@ from oracles import (
 _PKG_ROOT = str(Path(filtered_tms.__file__).parents[1])
 
 
-def run_cli(*args):
+def run_cli(*args, preexec_fn=None):
     path = os.pathsep.join(filter(None, [_PKG_ROOT, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "filtered_tms.cli", *args],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        preexec_fn=preexec_fn,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -351,13 +353,10 @@ class TestChunkedOutput:
         if existing:
             path.write_text("stale\n")
         argv = [*BIG_SWEEP, "--out", str(path)]
-        if isinstance(error, OSError):
-            code, out, err = run_inproc(*argv, capsys=capsys)
-            assert (code, out) == (2, "")
-            assert json.loads(err) == {"error": str(error)}
-        else:
-            with pytest.raises(MemoryError):
-                main(argv)
+        code, out, err = run_inproc(*argv, capsys=capsys)
+        assert (code, out) == (2, "")
+        want = str(error) if isinstance(error, OSError) else f"out of memory: {error}"
+        assert json.loads(err) == {"error": want}
         assert [p.name for p in tmp_path.iterdir()] == (["grid.csv"] if existing else [])
         if existing:
             assert path.read_text() == "stale\n"
@@ -1246,3 +1245,23 @@ class TestEntryPoint:
             lines = err.splitlines()
             assert len(lines) == 1, err
             assert set(json.loads(lines[0])) == {"error"}
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--model", "tmsv", "--axis1", "k_f=0.8:1:1000000",
+         "--axis2", "r=0:3:1000000", "--outputs", "e_n"),
+        ("validate", "--model", "tmsv", "--r", "0.5", "--family", "step", "--tau-i", "2",
+         "--tau-s", "2", "--omega-k", "1", "--omega-l", "1", "--dt", "1e-9", "--horizon", "6",
+         "--n-real", "2000"),
+    ], ids=["sweep", "validate"])
+    def test_a_request_too_large_for_memory_is_a_request_error(self, argv, tmp_path):
+        # 2 GB of address space: numpy's request (7.28 TiB for the sweep's
+        # table, 14.9 GiB for validate's lag grid) fails at once, so nothing is
+        # allocated, and no output file is left
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2_000_000 * 1024,) * 2)
+
+        code, out, err = run_cli(*argv, "--out", str(tmp_path / "out"), preexec_fn=limit)
+        assert (code, out) == (2, "")
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"].startswith("out of memory: Unable to allocate ")
+        assert list(tmp_path.iterdir()) == []

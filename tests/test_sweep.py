@@ -25,15 +25,14 @@ from filtered_tms.sweep import (
 )
 from oracles import (
     bell_max_reference,
-    close_to_reference,
     csv_text_reference,
+    landmark_mismatches,
     landmarks_by_search,
+    landmarks_mpmath,
     loss_product,
     nu_min_eigen,
     overlap_mpmath,
     search_mismatches,
-    thermal_landmarks_reference,
-    tmsv_landmarks_reference,
 )
 
 ALL = ("e_n", "s_q_opt", "purity", "zeta", "weight_ratio", "critical_points")
@@ -112,21 +111,7 @@ def pattern(x: float) -> str:
 
 # once per state: a grid's rows share a few
 _search = functools.cache(landmarks_by_search)
-
-
-def reference_landmarks(cfg, p) -> dict:
-    """The six landmarks of one TMSV or unit-efficiency thermal point from
-    the scalar TMSV or thermal reference."""
-    if cfg.model == "tmsv":
-        cp = or_nan(tmsv_landmarks_reference, p.overlap.k_f, p.eta_i, p.eta_s)
-        if isinstance(cp, float):
-            return dict.fromkeys(CRITICAL_COLUMNS, math.nan)
-        return dict(r_lcf_en=0.0, r_lcf_sq=0.0, r_ucf_en=cp.r_ucf_en, r_max_en=cp.r_max_en,
-                    r_ucf_sq=cp.r_ucf_sq, r_max_sq=cp.r_max_sq)
-    cp = or_nan(thermal_landmarks_reference, p.a, p.b, p.overlap.k_f, p.overlap.l_f)
-    if isinstance(cp, float):
-        return dict.fromkeys(CRITICAL_COLUMNS, math.nan)
-    return {c: getattr(cp, c) for c in CRITICAL_COLUMNS}
+_landmarks = functools.cache(landmarks_mpmath)
 
 
 class TestSpectralOracle:
@@ -154,15 +139,10 @@ class TestSpectralOracle:
                     assert got == pytest.approx(w, rel=1e-9, abs=1e-12), (name, params, col)
             if "critical_points" not in cfg.outputs:
                 continue
-            etas = params.get("eta_i", 1.0), params.get("eta_s", 1.0)
-            if cfg.model == "thermal" and etas != (1.0, 1.0):
-                want = _search(p.n_i, p.n_s, p.overlap.k_f, p.overlap.l_f, *etas)
-                assert search_mismatches(row, want) == [], (name, params)
-                continue
-            want = reference_landmarks(cfg, p)
-            for col in CRITICAL_COLUMNS:
-                assert close_to_reference(row[col], want[col], cfg.model, col), (
-                    name, params, col)
+            state = p.n_i, p.n_s, p.overlap.k_f, p.overlap.l_f, p.eta_i, p.eta_s
+            assert landmark_mismatches(row, _landmarks(*state)) == [], (name, params)
+            if cfg.model == "thermal" and (p.eta_i, p.eta_s) != (1.0, 1.0):
+                assert search_mismatches(row, _search(*state)) == [], (name, params)
 
 
 class TestOnePointCase:

@@ -16,19 +16,19 @@ from filtered_tms.gaussian import (
     optimized_squeezing,
     squeezing_angle,
 )
+from filtered_tms.sweep import CRITICAL_COLUMNS
 from oracles import (
     QuadratureSpec,
     bisect_root,
-    close_to_reference,
     critical_points,
     golden_min,
+    landmark_mismatches,
     landmarks_by_search,
-    lower_cutoff_mpmath,
+    landmarks_mpmath,
     optimal_phase_sum,
     quadrature_variance,
     random_thermal_params,
     search_mismatches,
-    thermal_landmarks_reference,
     thermal_optimized_squeezing_closed,
     thermal_squeezing_angle,
     thermal_weight_ratio,
@@ -176,7 +176,7 @@ class TestCriticalPoints:
         # n_i far below the rounding of A = n_i + n_s + 1: the cutoff is
         # about sqrt(n_i), and only the occupation itself fixes it
         got = float(thermal.landmarks(params(1.0, n_i, n_s, 0.95)).r_lcf_en)
-        want = lower_cutoff_mpmath(n_i, n_s, 0.95, 0.0)
+        want = landmarks_mpmath(n_i, n_s, 0.95, 0.0, 1.0, 1.0)["r_lcf_en"]
         assert abs(got - want) <= 1e-15 * want, (got, want)
 
     def test_entanglement_maximum_against_golden_section(self):
@@ -438,9 +438,6 @@ LANDMARK_CASES = {
     "t at one": (0.0, 0.0, 1.0, 0.0),
 }
 
-FIELDS = ("r_lcf_en", "r_ucf_en", "r_max_en", "r_lcf_sq", "r_ucf_sq", "r_max_sq")
-
-
 def branch_values(n_i, n_s, kf, lf):
     """The quantities the landmark branches test, in plain floats."""
     a, b = n_i + n_s + 1.0, n_i - n_s
@@ -454,25 +451,15 @@ def branch_values(n_i, n_s, kf, lf):
 
 
 class TestArrayLandmarks:
-    """``landmarks`` at unit efficiency over arrays against the scalar
-    thermal reference, point by point."""
-
-    @staticmethod
-    def reference(a, b, kf, lf):
-        try:
-            cp = thermal_landmarks_reference(a, b, kf, lf)
-        except ValueError:
-            return [math.nan] * 6
-        return [getattr(cp, f) for f in FIELDS]
+    """``landmarks`` at unit efficiency over arrays against the 50-digit
+    defining conditions, point by point."""
 
     def check(self, n_i, n_s, kf, lf):
-        a, b = n_i + n_s + 1.0, n_i - n_s
         cp = thermal.landmarks(params(1.0, n_i, n_s, kf, lf))
-        got = np.column_stack([getattr(cp, f) for f in FIELDS])
-        for i, point in enumerate(zip(a.tolist(), b.tolist(), kf.tolist(), lf.tolist())):
-            want = self.reference(*point)
-            assert all(close_to_reference(g, w, "thermal", f)
-                       for g, w, f in zip(got[i].tolist(), want, FIELDS)), (point, got[i], want)
+        for i, point in enumerate(zip(n_i.tolist(), n_s.tolist(), kf.tolist(), lf.tolist())):
+            got = {f: getattr(cp, f)[i] for f in CRITICAL_COLUMNS}
+            want = landmarks_mpmath(*point, 1.0, 1.0)
+            assert landmark_mismatches(got, want) == [], (point, got, want)
 
     def test_every_branch_in_one_call(self):
         self.check(*(np.array(col) for col in zip(*LANDMARK_CASES.values())))
@@ -507,18 +494,24 @@ class TestArrayLandmarks:
             thermal.covariance(thermal.ThermalParams(r=r, n_i=np.zeros(3), n_s=np.zeros(3)))
         assert str(error.value) == "(34, 'Numerical result out of range')"
 
+    def test_no_window_where_the_upper_root_is_zero(self):
+        # one occupation 0 and a small overlap: Simon's quadratic has the
+        # roots 0 and a negative one, so no r > 0 is entangled
+        n_i, n_s = np.array([4.0, 0.0]), np.array([0.0, 4.0])
+        kf, lf = np.array([0.1, 0.1]), np.array([0.0, 0.05])
+        self.check(n_i, n_s, kf, lf)
+        cp = thermal.landmarks(params(1.0, n_i, n_s, kf, lf))
+        assert all(np.all(np.isnan(x)) for x in astuple(cp))
+
     def test_scalar_critical_points_are_python_floats(self):
         for n_i, n_s, kf, lf in LANDMARK_CASES.values():
             p = params(1.0, n_i, n_s, kf, lf)
-            try:
-                thermal_landmarks_reference(p.a, p.b, kf, lf)
-            except ValueError as exc:
+            if not 0.0 < kf <= 1.0:
                 with pytest.raises(ValueError) as error:
                     critical_points(p)
-                assert str(error.value) == str(exc)
+                assert str(error.value) == f"critical points require K_f in (0, 1], got {kf}"
                 continue
             got = critical_points(p)
-            want = self.reference(p.a, p.b, kf, lf)
-            for name, w in zip(FIELDS, want):
-                assert type(getattr(got, name)) is float
-                assert close_to_reference(getattr(got, name), w, "thermal", name)
+            assert all(type(x) is float for x in astuple(got))
+            want = landmarks_mpmath(n_i, n_s, kf, lf, 1.0, 1.0)
+            assert landmark_mismatches(asdict(got), want) == [], (n_i, n_s, kf, lf)

@@ -2,7 +2,7 @@
 optimized squeezing, each checked against numerical extremization."""
 
 import math
-from dataclasses import astuple
+from dataclasses import asdict, astuple
 
 import numpy as np
 import pytest
@@ -15,14 +15,17 @@ from filtered_tms.gaussian import (
     optimal_weight_ratio,
     optimized_squeezing,
 )
+from filtered_tms.sweep import CRITICAL_COLUMNS
 from oracles import (
+    LANDMARK_REL,
     bisect_root,
-    close_to_reference,
     critical_points,
     golden_min,
+    landmark_mismatches,
+    landmarks_mpmath,
     random_tmsv_params,
+    same_or_close,
     tmsv_blocks_reference,
-    tmsv_landmarks_reference,
     tmsv_optimized_squeezing_closed,
     tmsv_weight_ratio,
 )
@@ -320,28 +323,16 @@ LANDMARK_CASES = {
     "K_f just below one": (1.0 - 1e-13, 0.9, 0.6),
 }
 
-FIELDS = ("r_ucf_en", "r_max_en", "r_max_sq", "r_ucf_sq")
-
-
 class TestArrayLandmarks:
-    """``thermal.landmarks`` at vacuum input over arrays against the scalar
-    TMSV reference, point by point."""
-
-    @staticmethod
-    def reference(kf, ei, es):
-        try:
-            cp = tmsv_landmarks_reference(kf, ei, es)
-        except ValueError:
-            return [math.nan] * 4
-        return [getattr(cp, f) for f in FIELDS]
+    """``thermal.landmarks`` at vacuum input over arrays against the 50-digit
+    defining conditions, point by point."""
 
     def check(self, kf, ei, es):
         cp = thermal.landmarks(params(0.0, ei, es, kf))
-        got = np.column_stack([getattr(cp, f) for f in FIELDS])
-        for point, row in zip(zip(kf, ei, es), got.tolist()):
-            want = self.reference(*point)
-            assert all(close_to_reference(g, w, "tmsv", f)
-                       for g, w, f in zip(row, want, FIELDS)), (point, row, want)
+        for i, point in enumerate(zip(kf.tolist(), ei.tolist(), es.tolist())):
+            got = {f: getattr(cp, f)[i] for f in CRITICAL_COLUMNS}
+            want = landmarks_mpmath(0.0, 0.0, point[0], 0.0, *point[1:])
+            assert landmark_mismatches(got, want) == [], (point, got, want)
         # no thermal population: the lower cutoffs are exactly zero
         has = ~np.isnan(cp.r_ucf_en)
         assert np.all(cp.r_lcf_en[has] == 0.0) and np.all(cp.r_lcf_sq[has] == 0.0)
@@ -363,8 +354,8 @@ class TestArrayLandmarks:
         cp = thermal.landmarks(params(0.0, 0.9, 0.6, kf))
         for i, k in enumerate(kf.tolist()):
             assert cp.r_ucf_en[i] == pytest.approx(math.atanh(k), rel=1e-12)
-            want = tmsv_landmarks_reference(k, 0.9, 0.6).r_max_en
-            assert close_to_reference(float(cp.r_max_en[i]), want, "tmsv", "r_max_en")
+            want = landmarks_mpmath(0.0, 0.0, k, 0.0, 0.9, 0.6)["r_max_en"]
+            assert same_or_close(float(cp.r_max_en[i]), want, LANDMARK_REL), (k, want)
             assert 0.0 < cp.r_max_en[i] < 0.5 * math.atanh(k)
 
     def test_random_points(self):
@@ -376,9 +367,26 @@ class TestArrayLandmarks:
         ei[::11], es[::13] = 0.0, ei[::13]
         self.check(kf, ei, es)
 
+    def test_squeezing_minimum_at_nearly_equal_efficiencies(self):
+        # matched filters and efficiencies 4.4e-5 apart: the minimum sits far
+        # out, where a scalar atanh(t) / 2 reference gave 4.984184450157255
+        ei, es = 0.2336211800306317, 0.23366497309152512
+        want = landmarks_mpmath(0.0, 0.0, 1.0, 0.0, ei, es)
+        assert want["r_max_sq"] == pytest.approx(4.9841844486032265, rel=1e-15)
+        self.check(np.array([1.0]), np.array([ei]), np.array([es]))
+
+    def test_squeezing_landmarks_keep_their_digits_at_small_k_f(self):
+        # r_max_sq is about K_f / 2 here: as the log of (c A + p) / (c A - p),
+        # within 1e-5 of 1, it was 3.7e-12 off at K_f = 3.1e-6
+        self.check(np.array([3.12278319596071e-06, 1e-8, 2.1e-4]),
+                   np.array([0.9975271831265631, 1.0, 0.17]),
+                   np.array([0.418704154738581, 1.0, 0.29]))
+
     def test_lower_cutoffs_are_exactly_zero_over_a_k_f_grid(self):
+        # as the 50-digit roots are; a scalar acosh reference gave 1.05e-8
         kf = np.linspace(0.8, 0.999, 200)
         for ei, es in ((1.0, 1.0), (0.9, 0.6)):
+            self.check(kf, np.full_like(kf, ei), np.full_like(kf, es))
             cp = thermal.landmarks(params(0.0, ei, es, kf))
             assert np.all(cp.r_lcf_en == 0.0) and np.all(cp.r_lcf_sq == 0.0)
             assert np.all(cp.r_ucf_en > 0.0) and np.all(cp.r_ucf_sq > 0.0)
@@ -386,15 +394,15 @@ class TestArrayLandmarks:
     def test_scalar_critical_points_are_python_floats(self):
         for kf, ei, es in LANDMARK_CASES.values():
             p = params(1.0, ei, es, kf)
-            try:
-                cp = tmsv_landmarks_reference(kf, ei, es)
-            except ValueError as exc:
+            if not 0.0 < kf <= 1.0 or ei * es == 0.0:
                 with pytest.raises(ValueError) as error:
                     critical_points(p)
-                assert str(error.value) == str(exc)
+                assert str(error.value) == (
+                    f"critical points require K_f in (0, 1], got {kf}" if not 0.0 < kf <= 1.0
+                    else f"critical points require eta_i eta_s > 0, got {ei} * {es}")
                 continue
             got = critical_points(p)
             assert all(type(x) is float for x in astuple(got))
             assert got.r_lcf_en == got.r_lcf_sq == 0.0
-            for name in FIELDS:
-                assert close_to_reference(getattr(got, name), getattr(cp, name), "tmsv", name)
+            want = landmarks_mpmath(0.0, 0.0, kf, 0.0, ei, es)
+            assert landmark_mismatches(asdict(got), want) == [], (kf, ei, es)
